@@ -49,9 +49,6 @@ def _filter_parser():
     p.add_argument("--eps2", type=float, default=2.5)
     p.add_argument("--L0", type=int, default=100)
     p.add_argument("--merge-adjacent", action="store_true")
-    p.add_argument("--solver", choices=("auto", "dense", "arpack"),
-                   default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--basis-cache", default="", metavar="DIR",
                    help="directory for content-addressed reuse of the "
                         "eigenbasis across runs")
@@ -88,8 +85,7 @@ def _fit_filter(args, data):
     if cache:
         basis = spectral.load_basis_cache(cache, ks, args.num_eigen)
     if basis is None:
-        basis = spectral.decompose(ks, args.num_eigen, solver=args.solver,
-                                   seed=args.seed)
+        basis = spectral.decompose(ks, args.num_eigen)
         if cache:
             spectral.save_basis_cache(basis, cache)
     table = freqfilter.rkhs_norm_table(basis, data.dt)
@@ -202,13 +198,10 @@ def _cmd_predict(args):
     from .errors import DataError
 
     model = dc.load_model(args.model)
-    data = series.load_csv(args.input, timestamp=args.timestamp_column,
-                           channels=args.channels)
-    if args.dt_seconds > 0:
-        data = series.resample(data, args.dt_seconds,
-                               method=args.resample_method)
-    if args.standardize:
-        data = series.standardize(data)
+    data = _load_series(args)
+    if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
+        raise DataError(f"input step {data.dt:.17g} s differs from the "
+                        f"model's dt {model.dt:.17g} s")
     q = model.q
     if args.init_at < q + 1:
         raise DataError(f"--init-at must be >= {q + 1} so a delay window exists")
@@ -277,8 +270,7 @@ def _cmd_run(args):
                 "resample_method", "max_gap_factor", "standardize", "delays",
                 "epsilon", "num_eigen", "eps1", "eps2", "L0",
                 "merge_adjacent", "train_end", "predict_start", "predict_end",
-                "seed", "mode", "solver", "max_points", "clip_factor",
-                "basis_cache"):
+                "mode", "max_points", "clip_factor", "basis_cache"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -390,10 +382,7 @@ def build_parser():
     p.add_argument("--predict-start", type=int, default=None)
     p.add_argument("--predict-end", type=int, default=None)
     p.add_argument("--ma-windows", type=int, nargs="+", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("insample", "freerun"), default=None)
-    p.add_argument("--solver", choices=("auto", "dense", "arpack"),
-                   default=None)
     p.add_argument("--max-points", type=int, default=None)
     p.add_argument("--clip-factor", type=float, default=None)
     p.add_argument("--basis-cache", default=None, metavar="DIR")

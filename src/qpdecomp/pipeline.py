@@ -45,9 +45,7 @@ _DEFAULTS = {
     "predict_start": 0,
     "predict_end": 0,
     "ma_windows": (1, 10, 100),
-    "seed": 0,
     "mode": "insample",
-    "solver": "auto",
     "max_points": kernel.DEFAULT_MAX_POINTS,
     "clip_factor": 0.0,        # 0: no clipping
     "basis_cache": "",         # directory for content-addressed basis reuse
@@ -75,9 +73,7 @@ class PipelineConfig:
     predict_start: int = _DEFAULTS["predict_start"]
     predict_end: int = _DEFAULTS["predict_end"]
     ma_windows: tuple = _DEFAULTS["ma_windows"]
-    seed: int = _DEFAULTS["seed"]
     mode: str = _DEFAULTS["mode"]
-    solver: str = _DEFAULTS["solver"]
     max_points: int = _DEFAULTS["max_points"]
     clip_factor: float = _DEFAULTS["clip_factor"]
     basis_cache: str = _DEFAULTS["basis_cache"]
@@ -116,8 +112,6 @@ class PipelineConfig:
             )
         if self.mode not in ("insample", "freerun"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.solver not in ("auto", "dense", "arpack"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
         if any(w < 1 for w in self.ma_windows):
             raise ConfigError("ma_windows entries must be >= 1")
         if self.clip_factor < 0:
@@ -126,7 +120,7 @@ class PipelineConfig:
 
 _BOOL_KEYS = {"standardize", "merge_adjacent"}
 _INT_KEYS = {"delays", "num_eigen", "L0", "train_end", "predict_start",
-             "predict_end", "seed", "max_points"}
+             "predict_end", "max_points"}
 _FLOAT_KEYS = {"dt_seconds", "max_gap_factor", "epsilon", "eps1", "eps2",
                "clip_factor"}
 _TUPLE_INT_KEYS = {"ma_windows"}
@@ -389,8 +383,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
         basis = spectral.load_basis_cache(config.basis_cache, ks,
                                           config.num_eigen)
     if basis is None:
-        basis = spectral.decompose(ks, config.num_eigen, solver=config.solver,
-                                   seed=config.seed)
+        basis = spectral.decompose(ks, config.num_eigen)
         if config.basis_cache:
             spectral.save_basis_cache(basis, config.basis_cache)
     table = freqfilter.rkhs_norm_table(basis, data.dt)

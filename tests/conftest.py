@@ -30,7 +30,7 @@ def blob_basis():
     emb = delay_embed(blob_series(120, 5, seed=2), 0)
     eps = 0.3 * sqdist_quantile(emb, 0.5)
     ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 60, solver="dense")
+    return decompose(ks, 60)
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def full_blob_basis():
     emb = delay_embed(blob_series(80, 5, seed=3), 0)
     eps = 0.1 * sqdist_quantile(emb, 0.5)
     ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 80, solver="dense")
+    return decompose(ks, 80)
 
 
 @pytest.fixture(scope="session")
@@ -51,4 +51,4 @@ def torus_basis():
     emb = delay_embed(s, 4)
     eps = 0.02 * sqdist_quantile(emb, 0.5)
     ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 40, solver="dense")
+    return decompose(ks, 40)

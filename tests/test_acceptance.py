@@ -53,14 +53,13 @@ def tuned_epsilon(emb):
     return sqdist_quantile(emb, 0.01)
 
 
-def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN,
-              solver="arpack"):
+def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
     t0 = time.monotonic()
     sim = simulate(system, n_samples, DT, seed=seed)
     emb = delay_embed(sim.series, Q)
     eps = tuned_epsilon(emb)
     ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, num_eigen, solver=solver)
+    basis = decompose(ks, num_eigen)
     table = rkhs_norm_table(basis, DT)
     selection = select(table, eps1=0.1, eps2=2.5, L0=100)
     elapsed = time.monotonic() - t0
@@ -150,7 +149,7 @@ class TestCriterion2ChaosRobustness:
                                    seed=seed)
                     emb = delay_embed(sim.series, Q)
                     ks = gaussian_kernel(emb, tuned_epsilon(emb))
-                    basis = decompose(ks, 256, solver="dense")
+                    basis = decompose(ks, 256)
                     table = rkhs_norm_table(basis, DT)
                     got = select(table, eps1=0.1, eps2=2.5, L0=5)
                     if (got.omegas > 0).sum() == 0:
@@ -187,7 +186,7 @@ class TestCriterion3SpectralInvariants:
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
             ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(emb, 0.5))
-            self.check(decompose(ks, 60, solver="dense"))
+            self.check(decompose(ks, 60))
 
 
 class TestCriterion4SmallNOracles:
@@ -204,7 +203,7 @@ class TestCriterion4SmallNOracles:
             u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
             gap = s_full[L - 1] - s_full[L]
             assert gap > 1e-6 * s_full[0], "test data must have a gap at L"
-            part = decompose(ks, L, solver="arpack")
+            part = decompose(ks, L)
             rel = np.abs(part.sigma - s_full[:L]) / s_full[:L]
             assert rel.max() <= 1e-10
             angles = scipy.linalg.subspace_angles(u_full[:, :L],
@@ -329,8 +328,7 @@ class TestCriterion7MonotonicityAndReproducibility:
                     "--delays", "6", "--epsilon", f"{eps:.17g}",
                     "--num-eigen", "40", "--L0", "8", "--train-end", "600",
                     "--predict-start", "620", "--predict-end", "700",
-                    "--ma-windows", "1", "10", "--seed", "11",
-                    "--solver", "dense",
+                    "--ma-windows", "1", "10",
                 ])
                 assert code == 0
                 blob = {}

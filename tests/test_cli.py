@@ -54,7 +54,7 @@ class TestFrequenciesCommand:
         freq_csv = tmp_path / "freqs.csv"
         code = run_cli(["frequencies", "--input", out, "--epsilon", "2.0",
                         "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--solver", "dense",
+                        "--train-end", "600",
                         "--out", freq_csv])
         assert code == 0
         lines = freq_csv.read_text().splitlines()
@@ -71,7 +71,7 @@ def model_file(synth_csv, tmp_path_factory):
     model = tmp_path_factory.mktemp("model") / "m.npz"
     code = run_cli(["decompose", "--input", out, "--epsilon", "2.0",
                     "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                    "--train-end", "600", "--solver", "dense",
+                    "--train-end", "600",
                     "--model-out", model])
     assert code == 0
     return model
@@ -120,6 +120,32 @@ class TestDecomposeReconstructPredict:
         assert code == 3
         assert "delay window" in capsys.readouterr().err
 
+    def test_predict_rejects_other_step(self, model_file, synth_csv,
+                                        tmp_path, capsys):
+        # the model was fitted at dt = 1 s; the same rows stamped 2 s apart
+        header, *rows = synth_csv[0].read_text().splitlines()
+        coarse = tmp_path / "dt2.csv"
+        coarse.write_text("\n".join(
+            [header] + [f"{2 * int(float(t))},{rest}"
+                        for t, rest in (r.split(",", 1) for r in rows)]) + "\n")
+        code = run_cli(["predict", "--model", model_file, "--input", coarse,
+                        "--init-at", "620", "--steps", "20",
+                        "--out", tmp_path / "p.csv"])
+        assert code == 3
+        assert "differs from the model's dt" in capsys.readouterr().err
+
+    def test_predict_rejects_irregular_input(self, model_file, synth_csv,
+                                             tmp_path, capsys):
+        header, *rows = synth_csv[0].read_text().splitlines()
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n".join(
+            [header] + [r for i, r in enumerate(rows) if i % 7 != 6]) + "\n")
+        code = run_cli(["predict", "--model", model_file, "--input", gappy,
+                        "--init-at", "520", "--steps", "20",
+                        "--out", tmp_path / "p.csv"])
+        assert code == 3
+        assert "irregular" in capsys.readouterr().err
+
 
 class TestDiagnosticsCommand:
     def test_writes_diagnostic_curves(self, synth_csv, tmp_path):
@@ -127,7 +153,7 @@ class TestDiagnosticsCommand:
         outdir = tmp_path / "diag"
         code = run_cli(["diagnostics", "--input", out, "--epsilon", "2.0",
                         "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--solver", "dense",
+                        "--train-end", "600",
                         "--outdir", outdir])
         assert code == 0
         for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
@@ -144,7 +170,7 @@ class TestRunCommand:
             f"outdir = {tmp_path / 'wrong'}\n"
             "delays = 6\nepsilon = 2.0\nnum_eigen = 40\nL0 = 8\n"
             "train_end = 600\npredict_start = 620\npredict_end = 680\n"
-            "ma_windows = 1 10\nsolver = dense\n",
+            "ma_windows = 1 10\n",
             encoding="utf-8",
         )
         outdir = tmp_path / "artifacts"
@@ -152,6 +178,38 @@ class TestRunCommand:
         assert code == 0
         assert (outdir / "manifest.txt").is_file()
         assert not (tmp_path / "wrong").exists()
+
+    def test_removed_solver_keys_rejected(self, synth_csv, tmp_path, capsys):
+        out, _ = synth_csv
+        for line in ("solver = dense", "seed = 0"):
+            cfg = tmp_path / "old.conf"
+            cfg.write_text(
+                f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
+                f"L0 = 8\npredict_start = 620\npredict_end = 680\n{line}\n",
+                encoding="utf-8")
+            code = run_cli(["run", "--config", cfg, "--outdir",
+                            tmp_path / "o"])
+            assert code == 2
+            assert "unknown key" in capsys.readouterr().err
+
+    def test_old_manifest_with_solver_and_seed_reruns(self, synth_csv,
+                                                       tmp_path):
+        out, _ = synth_csv
+        first = tmp_path / "first"
+        assert run_cli(["run", "--input", out, "--outdir", first,
+                        "--delays", "6", "--epsilon", "2.0",
+                        "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", "--predict-start", "620",
+                        "--predict-end", "680"]) == 0
+        manifest = tmp_path / "old_manifest.txt"
+        manifest.write_text("solver = arpack\nseed = 0\n"
+                            + (first / "manifest.txt").read_text(),
+                            encoding="utf-8")
+        second = tmp_path / "second"
+        assert run_cli(["run", "--manifest", manifest,
+                        "--outdir", second]) == 0
+        assert ((second / "frequencies.csv").read_bytes()
+                == (first / "frequencies.csv").read_bytes())
 
     def test_exit_codes(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv

@@ -58,7 +58,7 @@ def torus_model():
     emb = delay_embed(s, q)
     eps = 0.02 * sqdist_quantile(emb, 0.5)
     ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, 40, solver="dense")
+    basis = decompose(ks, 40)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     fit_times = (q + np.arange(n_emb)) * dt

@@ -208,7 +208,7 @@ class TestShiftInvariance:
             emb = delay_embed(TimeSeries(values, dt=1.0), 0)
             eps = 0.02 * sqdist_quantile(emb, 0.5)
             ks = gaussian_kernel(emb, eps)
-            basis = decompose(ks, L, solver="dense")
+            basis = decompose(ks, L)
             tables.append(rkhs_norm_table(basis, dt=1.0).W)
         assert np.abs(tables[0] - tables[1]).max() <= 1e-6
 
@@ -217,7 +217,7 @@ def run_filter(values, q, L, L0, eps_quantile=0.01):
     emb = delay_embed(TimeSeries(values, dt=1.0), q)
     eps = sqdist_quantile(emb, eps_quantile)
     ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, L, solver="dense")
+    basis = decompose(ks, L)
     table = rkhs_norm_table(basis, dt=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

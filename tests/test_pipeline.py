@@ -29,8 +29,6 @@ SMOKE = dict(
     predict_start=620,
     predict_end=700,
     ma_windows=(1, 10),
-    seed=0,
-    solver="dense",
 )
 
 

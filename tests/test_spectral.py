@@ -55,7 +55,7 @@ class TestDecompose:
         pts = np.random.default_rng(0).standard_normal((200, 4))
         emb = embed_points(pts)
         ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(emb, 0.5))
-        basis = decompose(ks, 50, solver="dense")
+        basis = decompose(ks, 50)
         assert (np.diff(basis.lam) <= 1e-15).all()
         # spectral truncation error equals the next singular value
         full_s = np.linalg.svd(ks.Ktilde, compute_uv=False)
@@ -63,31 +63,51 @@ class TestDecompose:
         gap = np.linalg.norm(ks.Ktilde - approx, ord=2)
         np.testing.assert_allclose(gap, full_s[50], rtol=1e-6)
 
-    def test_dense_vs_arpack_agreement(self):
+    def test_dense_svd_oracle_agreement(self):
         pts = np.random.default_rng(1).standard_normal((300, 5))
         emb = embed_points(pts)
         eps = 0.4 * sqdist_quantile(emb, 0.5)
         ks = gaussian_kernel(emb, eps)
-        dense = decompose(ks, 30, solver="dense")
-        arpack = decompose(ks, 30, solver="arpack")
-        rel = np.abs(dense.sigma - arpack.sigma) / dense.sigma
+        u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
+        basis = decompose(ks, 30)
+        rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
         assert rel.max() <= 1e-10
         # vectors agree per column up to sign (the sum-based sign rule is
         # noise-determined for columns orthogonal to the constant)
         for l in range(30):
-            a, b = dense.Phi[:, l], arpack.Phi[:, l]
+            a, b = np.sqrt(300) * u_full[:, l], basis.Phi[:, l]
             sign = 1.0 if a @ b >= 0 else -1.0
             assert np.abs(a - sign * b).max() <= 1e-6
+
+    def test_near_floor_accuracy(self):
+        # lam_L ~ 1e-12, two decades above the floor: the Gram route squares
+        # the operator, so this is where its lost precision would show
+        pts = np.random.default_rng(7).standard_normal((400, 2))
+        emb = embed_points(pts)
+        ks = gaussian_kernel(emb, 2.0 * sqdist_quantile(emb, 0.5))
+        L = 39
+        s_full = np.linalg.svd(ks.Ktilde, compute_uv=False)
+        assert 1e-13 < s_full[L - 1] ** 2 < 1e-11
+        basis = decompose(ks, L)
+        rel = np.abs(basis.sigma - s_full[:L]) / s_full[:L]
+        assert rel.max() <= 1e-8
+        gram_phi = basis.Phi.T @ basis.Phi / basis.n
+        assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
+        ext = ks.K @ (basis.Gamma / np.sqrt(ks.q)[:, None])
+        ext /= (np.sqrt(basis.n) * ks.d)[:, None] * basis.sigma[None, :]
+        col_scale = np.abs(basis.Phi).max(axis=0)
+        assert (np.abs(ext - basis.Phi) / col_scale[None, :]).max() <= 1e-8
 
     def test_sign_rule_nonnegative_sums(self, blob_basis):
         sums = blob_basis.Phi.sum(axis=0)
         assert (sums >= -1e-9).all()
 
-    def test_arpack_determinism(self):
+    def test_bitwise_determinism(self):
         pts = np.random.default_rng(2).standard_normal((250, 3))
         ks = gaussian_kernel(embed_points(pts), 2.0)
-        a = decompose(ks, 20, solver="arpack", seed=5)
-        b = decompose(ks, 20, solver="arpack", seed=5)
+        a = decompose(ks, 20)
+        b = decompose(ks, 20)
+        assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.Phi, b.Phi)
         assert np.array_equal(a.Gamma, b.Gamma)
 
@@ -96,7 +116,7 @@ class TestDecompose:
         pts = np.random.default_rng(3).standard_normal((50, 3)) * 1e-3
         ks = gaussian_kernel(embed_points(pts), 1e3)
         with pytest.raises(NumericalError, match="increase epsilon or decrease L"):
-            decompose(ks, 10, solver="dense")
+            decompose(ks, 10)
 
     def test_bad_L(self):
         ks = gaussian_kernel(embed_points(np.eye(5)), 2.0)
