@@ -145,9 +145,8 @@ def _cmd_decompose(args):
     data = _load_series(args)
     train, emb, basis, table, selection = _fit_filter(args, data)
     q = args.delays
-    fit_times = (q + np.arange(emb.n_points)) * data.dt
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
-                           times=fit_times)
+                           t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
     model = dc.QPModel(selection=selection, A=pfit.A, E=E, basis=basis,
                        dt=data.dt, q=q, train_n=train.n)

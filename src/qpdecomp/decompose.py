@@ -1,14 +1,16 @@
-"""Fit the periodic component by harmonic least squares on the selected
-frequencies, fit the chaotic residual in the eigenbasis, and run the
-standalone reconstruction system.
+"""Fit the periodic component by projecting onto the selected DFT bins, fit
+the chaotic residual in the eigenbasis, and run the standalone
+reconstruction system.
 
 Time convention: the periodic component is a function of physical time in
 seconds, ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t)``.
-Fitting solves the equivalent full-rank real regression on columns
-``{1} + {cos(omega_j t), sin(omega_j t)}`` (the Nyquist bin, where the sine
-column vanishes identically, gets a cosine column only) and maps the real
-coefficients back to complex rows ``A_j = (a_j - i b_j) / 2``.  Row 0 (the
-zero frequency) stays real.
+The selected frequencies are DFT bins of the N rows being fitted, so the
+least-squares fit is an orthogonal projection onto those bins: one rFFT of
+the rows, the selected bins kept and rotated to the time of row 0, and the
+Nyquist bin of even N halved, since the factor 2 counts a conjugate pair
+and that bin is its own conjugate.  Row 0 (the zero frequency) is real; the
+Nyquist row is real to rounding when t0 is a multiple of dt, as in the
+pipeline.
 
 The standalone model advances a k(q+1) shift register in embedding layout
 (oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
@@ -18,7 +20,6 @@ where the window is the register before the step, then the register shifts.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._npz import write_npz
 from .errors import DataError, NumericalError
@@ -26,8 +27,6 @@ from .freqfilter import FrequencySelection, SelectionParams
 from .kernel import gaussian_kernel
 from .series import TimeSeries, delay_embed
 from .spectral import SpectralBasis, extension_bounds, project
-
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,114 +64,60 @@ class QPModel:
         return self.k * (self.q + 1)
 
 
-def _design_columns(omegas, times, dt):
-    """Real design columns for each frequency, with the owning frequency index."""
-    cols, owners, kinds = [], [], []
-    for j, om in enumerate(omegas):
-        if om == 0.0:
-            cols.append(np.ones_like(times))
-            owners.append(j)
-            kinds.append("const")
-        elif abs(om * dt - np.pi) < 1e-9:
-            cols.append(np.cos(om * times))
-            owners.append(j)
-            kinds.append("cos")
-        else:
-            cols.append(np.cos(om * times))
-            owners.append(j)
-            kinds.append("cos")
-            cols.append(np.sin(om * times))
-            owners.append(j)
-            kinds.append("sin")
-    return np.stack(cols, axis=1), owners, kinds
-
-
-def _check_aliasing(omegas, dt):
-    # two bins collide when their per-sample phases agree modulo 2*pi up to
-    # the cos-reflection; the design is then rank deficient by construction
-    rho = np.mod(np.asarray(omegas) * dt, 2.0 * np.pi)
-    folded = np.minimum(rho, 2.0 * np.pi - rho)
-    order = np.argsort(folded)
-    close = np.where(np.diff(folded[order]) < 1e-12)[0]
-    if len(close):
-        a, b = order[close[0]], order[close[0] + 1]
-        raise DataError(
-            f"frequencies {omegas[a]:.6g} and {omegas[b]:.6g} rad/s alias to the "
-            f"same sampled harmonic at dt={dt}; drop one of the colliding bins"
-        )
-
-
 def fit_periodic(Y, selection: FrequencySelection, dt: float,
-                 times=None) -> PeriodicFit:
-    """Least-squares trigonometric fit of Y on the selected frequencies.
+                 t0: float = 0.0) -> PeriodicFit:
+    """Least-squares harmonic fit of Y on the selected DFT bins.
+
+    The selected frequencies are bins ``omega_j = 2*pi*j / (N*dt)`` of the
+    N-row grid the fit uses, so the cos/sin columns are orthogonal and the
+    least-squares fit is the orthogonal projection onto those bins:
+    ``A_j = rfft(Y)[j] / N * exp(-i omega_j t0)``, halved at the Nyquist bin
+    of even N, and the fitted rows are the inverse rFFT of the masked
+    spectrum.
 
     Parameters
     ----------
     Y : ndarray, shape (N, k)
-        Data rows.
+        Data rows, row r at time ``t0 + r*dt``.
     selection : FrequencySelection
-        Frequencies to fit; must be nonempty and alias-free at this dt.
+        Bins of this N-row grid, as :func:`freqfilter.select` returns them
+        for a basis on the same rows.
     dt : float
         Sample step in seconds.
-    times : ndarray, optional
-        Row times in seconds; defaults to ``arange(N) * dt``.  Pass explicit
-        times to anchor the fit on another clock (the pipeline anchors rows
-        at their source-sample index).
+    t0 : float
+        Time of row 0 in seconds (the pipeline anchors embedded row m at
+        source sample m + q, so it passes ``q * dt``).
 
     Raises
     ------
-    NumericalError
-        Rank-deficient design (duplicate or aliased bins), naming the bins.
+    DataError
+        A selected bin lies outside 0..N//2 or its frequency is not
+        ``2*pi*j / (N*dt)``, naming the bin.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
     n = Y.shape[0]
-    if selection.m < 1:
-        raise DataError("selection is empty")
-    if times is None:
-        times = np.arange(n) * dt
-    else:
-        times = np.asarray(times, dtype=float)
-        if times.shape != (n,):
-            raise DataError("times must have one entry per row of Y")
-    _check_aliasing(selection.omegas, dt)
-    G, owners, kinds = _design_columns(selection.omegas, times, dt)
-    if n < G.shape[1]:
+    idx = np.asarray(selection.indices)
+    omegas = np.asarray(selection.omegas, dtype=float)
+    on_grid = (idx >= 0) & (idx <= n // 2)
+    on_grid &= np.isclose(omegas, 2.0 * np.pi * idx / (n * dt), rtol=1e-9,
+                          atol=0.0)
+    if not on_grid.all():
+        bad = int(np.argmin(on_grid))
         raise DataError(
-            f"{n} rows cannot determine {G.shape[1]} harmonic coefficients "
-            f"(need N >= 2m-1)"
+            f"selected bin {idx[bad]} at {omegas[bad]:.6g} rad/s is not a DFT "
+            f"bin of the {n}-row fit grid at dt={dt} (bins 0..{n // 2} at "
+            f"2*pi*j/(N*dt)); select frequencies from a basis on these rows"
         )
-    # column-pivoted QR: both the rank gate and the solver
-    Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
-    col_norms = np.linalg.norm(G, axis=0)
-    tol = _RANK_RTOL * col_norms.max()
-    diag = np.abs(np.diagonal(R))
-    if diag.min() < tol:
-        bad = piv[int(np.argmin(diag))]
-        raise NumericalError(
-            f"rank-deficient harmonic design: column for frequency "
-            f"{selection.omegas[owners[bad]]:.6g} rad/s ({kinds[bad]}) is "
-            f"dependent; colliding or aliased bins in the selection"
-        )
-    z = Q.T @ Y
-    coef = np.empty((G.shape[1], Y.shape[1]))
-    coef[piv] = scipy.linalg.solve_triangular(R, z)
-    fitted = G @ coef
-    A = np.zeros((selection.m, Y.shape[1]), dtype=complex)
-    row = 0
-    while row < len(owners):
-        j = owners[row]
-        if kinds[row] == "const":
-            A[j] = coef[row]
-            row += 1
-        elif row + 1 < len(owners) and owners[row + 1] == j:
-            A[j] = (coef[row] - 1j * coef[row + 1]) / 2.0
-            row += 2
-        else:   # Nyquist: cosine only
-            A[j] = coef[row] / 2.0
-            row += 1
-    return PeriodicFit(A=A, omegas=selection.omegas.copy(), fitted=fitted,
+    F = np.fft.rfft(Y, axis=0)
+    A = F[idx] / n * np.exp(-1j * omegas * t0)[:, None]
+    if n % 2 == 0:
+        A[idx == n // 2] /= 2.0
+    mask = np.zeros(n // 2 + 1, dtype=bool)
+    mask[idx] = True
+    fitted = np.fft.irfft(F * mask[:, None], n=n, axis=0)
+    return PeriodicFit(A=A, omegas=omegas.copy(), fitted=fitted,
                        residual=Y - fitted)
 
 

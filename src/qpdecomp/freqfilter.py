@@ -79,8 +79,9 @@ class FrequencySelection:
     def __post_init__(self):
         if len(self.indices) < 1 or self.indices[0] != 0:
             raise DataError("selection must contain bin 0")
-        if np.any(np.diff(self.omegas) <= 0):
-            raise DataError("selected frequencies must be strictly increasing")
+        if np.any(np.diff(self.indices) <= 0) or np.any(np.diff(self.omegas) <= 0):
+            raise DataError("selected bins and frequencies must be strictly "
+                            "increasing")
 
     @property
     def m(self) -> int:
@@ -147,6 +148,16 @@ def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
         warnings.warn(
             "no nonzero frequency survived the thresholds; the series has no "
             "detectable quasiperiodic component at these parameters",
+            stacklevel=2,
+        )
+    kept, nonzero = len(selected) - 1, table.n_bins - 1
+    if 2 * kept > nonzero:
+        # the periodic fit projects onto the selected bins, so keeping most
+        # of them fits nearly all of the data and leaves no chaotic residual
+        warnings.warn(
+            f"the selection keeps {kept} of {nonzero} nonzero frequency bins; "
+            f"the periodic fit is then close to the identity and the chaotic "
+            f"residual nearly empty (raise L0 or eps1, or lower eps2)",
             stacklevel=2,
         )
     omegas = table.freqs[selected]

@@ -392,8 +392,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
     if config.merge_adjacent:
         selection = freqfilter.merge_adjacent(selection)
 
-    fit_times = (q + np.arange(emb.n_points)) * data.dt
-    pfit = dc.fit_periodic(train.values[q:], selection, data.dt, times=fit_times)
+    pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
     model = dc.QPModel(selection=selection, A=pfit.A, E=E, basis=basis,
                        dt=data.dt, q=q, train_n=train.n)
@@ -415,6 +414,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
     )
 
     # periodic component over the training rows
+    fit_times = (q + np.arange(emb.n_points)) * data.dt
     per_values = dc.eval_periodic(model, fit_times)
     _write_table(
         tracker.register(outdir / "periodic.csv"),

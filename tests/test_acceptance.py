@@ -68,10 +68,9 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
 
 
 def fit_model(run):
-    sim, emb, basis = run["sim"], run["emb"], run["basis"]
-    fit_times = (Q + np.arange(emb.n_points)) * DT
+    sim, basis = run["sim"], run["basis"]
     pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT,
-                           times=fit_times)
+                           t0=Q * DT)
     E = dc.fit_chaotic(pfit.residual, basis)
     return dc.QPModel(selection=run["selection"], A=pfit.A, E=E, basis=basis,
                       dt=DT, q=Q, train_n=sim.series.n)

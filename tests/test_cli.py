@@ -79,6 +79,30 @@ def model_file(synth_csv, tmp_path_factory):
 
 class TestDecomposeReconstructPredict:
 
+    def test_off_grid_selection_exit_code(self, synth_csv, tmp_path,
+                                          monkeypatch, capsys):
+        # a selection whose top bin is nudged off the fit grid is a DataError
+        import dataclasses
+
+        from qpdecomp import freqfilter
+
+        select = freqfilter.select
+
+        def nudged(*args, **kwargs):
+            sel = select(*args, **kwargs)
+            omegas = sel.omegas.copy()
+            omegas[-1] *= 1.0 + 1e-6
+            return dataclasses.replace(sel, omegas=omegas)
+
+        monkeypatch.setattr(freqfilter, "select", nudged)
+        out, _ = synth_csv
+        code = run_cli(["decompose", "--input", out, "--epsilon", "2.0",
+                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600",
+                        "--model-out", tmp_path / "m.npz"])
+        assert code == 3
+        assert "not a DFT bin" in capsys.readouterr().err
+
     def test_reconstruct_modes(self, model_file, tmp_path):
         for mode in ("insample", "freerun"):
             out = tmp_path / f"recon_{mode}.csv"

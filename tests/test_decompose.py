@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qpdecomp import (
     DataError,
@@ -34,18 +35,63 @@ from conftest import torus_series
 TWO_PI = 2 * np.pi
 
 
-def make_selection(omegas, n_bins=None):
+def make_selection(omegas, n, dt):
+    """Selection of the given frequencies, filed under their nearest DFT bin
+    of the n-row grid at step dt (so an off-grid frequency stays off-grid)."""
     omegas = np.asarray(omegas, dtype=float)
     with np.errstate(divide="ignore"):
         periods = np.where(omegas > 0, TWO_PI / np.where(omegas > 0, omegas, 1.0),
                            np.inf)
     return FrequencySelection(
-        indices=np.arange(len(omegas)),
+        indices=np.rint(omegas * n * dt / TWO_PI).astype(int),
         omegas=omegas,
         periods=periods,
         amplitudes=np.ones(len(omegas)),
         params=SelectionParams(0.1, 2.5, 2, 4),
     )
+
+
+def qr_fit(Y, omegas, dt, t0=0.0):
+    """Reference harmonic fit: real least squares by column-pivoted QR.
+
+    Columns ``{1} + {cos(omega t), sin(omega t)}`` at row times
+    ``t0 + r*dt``, with a cosine column only at the Nyquist bin (its sine
+    column vanishes on the samples); a rank gate rejects dependent columns.
+    The real coefficients map to complex rows ``A_j = (a_j - i b_j) / 2``.
+    Works for any frequencies, on the DFT grid or not.
+    """
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    t = t0 + np.arange(len(Y)) * dt
+    cols, owners, kinds = [], [], []
+    for j, om in enumerate(omegas):
+        if om == 0.0:
+            cols.append(np.ones_like(t))
+            owners.append(j)
+            kinds.append("const")
+            continue
+        cols.append(np.cos(om * t))
+        owners.append(j)
+        kinds.append("cos")
+        if abs(om * dt - np.pi) >= 1e-9:
+            cols.append(np.sin(om * t))
+            owners.append(j)
+            kinds.append("sin")
+    G = np.stack(cols, axis=1)
+    Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
+    diag = np.abs(np.diagonal(R))
+    if diag.min() < 1e-10 * np.linalg.norm(G, axis=0).max():
+        raise NumericalError("rank-deficient harmonic design")
+    coef = np.empty((G.shape[1], Y.shape[1]))
+    coef[piv] = scipy.linalg.solve_triangular(R, Q.T @ Y)
+    A = np.zeros((len(omegas), Y.shape[1]), dtype=complex)
+    for c, (j, kind) in enumerate(zip(owners, kinds)):
+        if kind == "const":
+            A[j] += coef[c]
+        elif kind == "cos":
+            A[j] += coef[c] / 2.0
+        else:
+            A[j] -= 1j * coef[c] / 2.0
+    return A, G @ coef
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +107,7 @@ def torus_model():
     basis = decompose(ks, 40)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
-    fit_times = (q + np.arange(n_emb)) * dt
-    pfit = fit_periodic(s.values[q:], sel, dt, times=fit_times)
+    pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
     E = fit_chaotic(pfit.residual, basis)
     model = QPModel(selection=sel, A=pfit.A, E=E, basis=basis, dt=dt, q=q,
                     train_n=n)
@@ -71,7 +116,7 @@ def torus_model():
 
 class TestFitPeriodic:
     def test_constant_fit(self):
-        sel = make_selection([0.0])
+        sel = make_selection([0.0], 50, 1.0)
         y = np.full((50, 2), 4.25)
         fit = fit_periodic(y, sel, 1.0)
         np.testing.assert_allclose(fit.A[0].real, [4.25, 4.25], atol=1e-12)
@@ -84,7 +129,7 @@ class TestFitPeriodic:
         omega = TWO_PI * 10 / n
         t = np.arange(n) * dt
         y = (3.0 * np.cos(omega * t) + 4.0 * np.sin(omega * t))[:, None]
-        sel = make_selection([0.0, omega])
+        sel = make_selection([0.0, omega], n, dt)
         fit = fit_periodic(y, sel, dt)
         assert np.abs(fit.residual).max() <= 1e-9
         amp = 2.0 * np.abs(fit.A[1, 0])
@@ -96,8 +141,8 @@ class TestFitPeriodic:
         # normal-equations oracle: design^T residual = 0 at the optimum
         rng = np.random.default_rng(0)
         n, dt = 200, 0.5
-        omegas = [0.0, 0.11, 0.31, 0.57]
-        sel = make_selection(omegas)
+        omegas = TWO_PI * np.array([0, 2, 5, 9]) / (n * dt)
+        sel = make_selection(omegas, n, dt)
         y = rng.standard_normal((n, 3))
         fit = fit_periodic(y, sel, dt)
         t = np.arange(n) * dt
@@ -108,31 +153,42 @@ class TestFitPeriodic:
         assert np.abs(G.T @ fit.residual).max() <= 1e-8
 
     def test_duplicate_bins_error_names_frequencies(self):
-        sel = make_selection([0.0, 0.25, 0.25 + 1e-15])
-        with pytest.raises(DataError, match="alias"):
-            fit_periodic(np.zeros((40, 1)), sel, 1.0)
+        # a near-duplicate of bin 2 lands off the grid and is named; an
+        # exactly repeated bin cannot be built at all
+        n, dt = 40, 1.0
+        omegas = TWO_PI * np.array([0.0, 2.0, 2.0 + 1e-6]) / (n * dt)
+        with pytest.raises(DataError, match="strictly increasing"):
+            make_selection(omegas, n, dt)
+        sel = make_selection(omegas[:2], n, dt)
+        near = FrequencySelection(indices=np.array([0, 2, 3]), omegas=omegas,
+                                  periods=np.r_[np.inf, TWO_PI / omegas[1:]],
+                                  amplitudes=np.ones(3), params=sel.params)
+        with pytest.raises(DataError, match=r"bin 3 at 0\.314159"):
+            fit_periodic(np.zeros((n, 1)), near, dt)
 
     def test_aliased_bins_error(self):
-        # omega and 2*pi/dt - omega fold onto the same sampled harmonic
-        dt = 1.0
-        sel = make_selection([0.0, 0.25, TWO_PI - 0.25])
-        with pytest.raises(DataError, match="alias"):
-            fit_periodic(np.zeros((40, 1)), sel, dt)
+        # omega and 2*pi/dt - omega fold onto the same sampled harmonic; the
+        # folded copy is a bin beyond N//2 and is rejected
+        n, dt = 40, 1.0
+        sel = make_selection([0.0, TWO_PI * 3 / n, TWO_PI * 37 / n], n, dt)
+        with pytest.raises(DataError, match="bin 37 .*bins 0..20"):
+            fit_periodic(np.zeros((n, 1)), sel, dt)
 
     def test_nyquist_bin_gets_single_column(self):
         n, dt = 64, 1.0
         omega_nyq = np.pi / dt
         t = np.arange(n) * dt
         y = (1.5 + 2.0 * np.cos(omega_nyq * t))[:, None]
-        sel = make_selection([0.0, omega_nyq])
+        sel = make_selection([0.0, omega_nyq], n, dt)
         fit = fit_periodic(y, sel, dt)
         assert np.abs(fit.residual).max() <= 1e-9
         recon = evaluate_harmonics(fit.A, fit.omegas, t)
         np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
 
     def test_too_few_rows(self):
-        sel = make_selection([0.0, 0.2, 0.4, 0.6])
-        with pytest.raises(DataError, match="rows"):
+        # bins chosen on a 200-row grid do not exist on 5 rows
+        sel = make_selection(TWO_PI * np.array([0, 10, 40, 80]) / 200, 200, 1.0)
+        with pytest.raises(DataError, match="5-row"):
             fit_periodic(np.zeros((5, 1)), sel, 1.0)
 
     def test_full_bin_lattice_reproduces_exactly(self):
@@ -141,11 +197,27 @@ class TestFitPeriodic:
         n, dt = 256, 2.0
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-        sel = make_selection(omegas)
+        sel = make_selection(omegas, n, dt)
         fit = fit_periodic(y, sel, dt)
         assert np.abs(fit.residual).max() <= 1e-8
         recon = evaluate_harmonics(fit.A, fit.omegas, np.arange(n) * dt)
         assert np.abs(recon - y).max() <= 1e-8
+
+    @pytest.mark.parametrize("n, dt, bins, t0", [
+        pytest.param(256, 2.0, np.arange(129), 0.0, id="full-lattice"),
+        pytest.param(300, 0.25, [0, 3, 17, 41, 90], 7.3, id="sparse-t0"),
+        pytest.param(64, 1.0, [0, 5, 32], 3.0, id="even-nyquist"),
+        pytest.param(63, 1.0, [0, 4, 31], 2.0, id="odd-top-bin"),
+    ])
+    def test_matches_qr_oracle(self, n, dt, bins, t0):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((n, 2))
+        sel = make_selection(TWO_PI * np.asarray(bins) / (n * dt), n, dt)
+        fit = fit_periodic(y, sel, dt, t0=t0)
+        A, fitted = qr_fit(y, sel.omegas, dt, t0=t0)
+        scale = np.abs(y).max()
+        assert np.abs(fit.A - A).max() <= 1e-12 * scale
+        assert np.abs(fit.fitted - fitted).max() <= 1e-12 * scale
 
 
 class TestFitChaotic:
@@ -176,7 +248,7 @@ class TestFitChaotic:
 
 class TestEvalPeriodic:
     def test_constant_model(self):
-        sel = make_selection([0.0])
+        sel = make_selection([0.0], 20, 1.0)
         fit = fit_periodic(np.full((20, 1), 2.5), sel, 1.0)
         model_eval = evaluate_harmonics(fit.A, fit.omegas, np.array([0.0, 17.3, 1e6]))
         np.testing.assert_allclose(model_eval, 2.5)
@@ -187,7 +259,7 @@ class TestEvalPeriodic:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((n, 1))
         omegas = TWO_PI * np.array([0, 3, 7, 20]) / (n * dt)
-        fit = fit_periodic(y, make_selection(omegas), dt)
+        fit = fit_periodic(y, make_selection(omegas, n, dt), dt)
         a = evaluate_harmonics(fit.A, fit.omegas, 0.0)
         b = evaluate_harmonics(fit.A, fit.omegas, n * dt)
         np.testing.assert_allclose(a, b, atol=1e-9)
@@ -196,9 +268,9 @@ class TestEvalPeriodic:
         rng = np.random.default_rng(4)
         n, dt = 150, 0.7
         y = rng.standard_normal((n, 2))
-        omegas = [0.0, 0.9, 2.2]
+        omegas = TWO_PI * np.array([0, 15, 37]) / (n * dt)
         times = (5 + np.arange(n)) * dt
-        fit = fit_periodic(y, make_selection(omegas), dt, times=times)
+        fit = fit_periodic(y, make_selection(omegas, n, dt), dt, t0=times[0])
         recon = evaluate_harmonics(fit.A, fit.omegas, times)
         assert np.abs(recon - fit.fitted).max() <= 1e-10
 

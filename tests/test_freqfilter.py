@@ -113,6 +113,20 @@ class TestSelect:
             sel = select(table, eps1=0.1, eps2=2.5, L0=2)
         assert sel.m == 1
 
+    def test_majority_selection_warns(self):
+        # 4 nonzero bins: keeping 3 is more than half and warns, keeping 2
+        # (exactly half) does not
+        W = np.ones((5, 3))
+        W[4] = 1e-9
+        with pytest.warns(UserWarning, match="keeps 3 of 4 nonzero"):
+            sel = select(make_table(W), eps1=0.1, eps2=2.5, L0=2)
+        np.testing.assert_array_equal(sel.indices, [0, 1, 2, 3])
+        W[3] = 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = select(make_table(W), eps1=0.1, eps2=2.5, L0=2)
+        np.testing.assert_array_equal(sel.indices, [0, 1, 2])
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_selection_monotonicity(self):
         rng = np.random.default_rng(3)
