@@ -148,8 +148,7 @@ def _cmd_decompose(args):
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
                            t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel(selection=selection, A=pfit.A, E=E, basis=basis,
-                       dt=data.dt, q=q, train_n=train.n)
+    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
     dc.save_model(model, args.model_out)
     resid = float(np.abs(pfit.residual).max())
     print(f"wrote model to {args.model_out} "
@@ -161,16 +160,15 @@ def _cmd_reconstruct(args):
     import numpy as np
 
     from . import decompose as dc
-    from . import pipeline, spectral
+    from . import pipeline
 
     model = dc.load_model(args.model)
-    train = model.basis.kernel.embedding.source
+    train = model.embedding.source
     q = model.q
-    fit_times = (q + np.arange(model.basis.n)) * model.dt
     if args.mode == "insample":
-        per = dc.eval_periodic(model, fit_times)
-        recon = per + spectral.synthesize(model.basis, model.E)
-        times = fit_times
+        times = (q + np.arange(model.n)) * model.dt
+        recon = (dc.eval_periodic(model, times)
+                 + dc.chaotic_at_training_points(model))
         truth = train.values[q:]
     else:
         init = dc.state_before(train, q + 1, q)

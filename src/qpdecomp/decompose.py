@@ -15,18 +15,31 @@ pipeline.
 The standalone model advances a k(q+1) shift register in embedding layout
 (oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
 where the window is the register before the step, then the register shifts.
+``g_chaos`` is the geometric-harmonics (Nystrom) extension of the fitted
+eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))`` with
+the shifted kernel weights of :func:`spectral.extension_weights` and the
+N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds
+the training points, epsilon, M and the extension bounds, never an N x N
+matrix, and each free-run step costs one matrix-vector product with the
+points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._npz import write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection, SelectionParams
-from .kernel import gaussian_kernel
-from .series import TimeSeries, delay_embed
-from .spectral import SpectralBasis, extension_bounds, project
+from .series import DelayEmbedding, TimeSeries, delay_embed
+from .spectral import SpectralBasis, extension_bounds, extension_weights, project
+
+MODEL_FORMAT = "qpdecomp-model-2"
+
+# Rows per block when harmonics or the extension are evaluated at many times
+# or points: a block holds a (rows x m) complex phase matrix or a (rows x N)
+# weight matrix, 8 MB at m = 2048 bins or N = 4096 points.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -41,19 +54,60 @@ class PeriodicFit:
 
 @dataclass(frozen=True)
 class QPModel:
-    """Fitted quasiperiodic + chaotic model driving reconstruction."""
+    """Fitted quasiperiodic + chaotic model: what the free run reads.
+
+    ``embedding`` holds the training series, q and the embedded points;
+    ``sq``, their squared row norms, is derived from it.  ``M`` (N x k) maps
+    shifted kernel weights to the chaotic component and ``ext_bounds`` (L)
+    bounds each extended eigenfunction; build both from a basis with
+    :meth:`from_basis`.
+    """
 
     selection: FrequencySelection
     A: np.ndarray
     E: np.ndarray
-    basis: SpectralBasis
-    dt: float
-    q: int
-    train_n: int
+    M: np.ndarray
+    ext_bounds: np.ndarray
+    embedding: DelayEmbedding
+    epsilon: float
+    sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        pts = self.embedding.points
+        object.__setattr__(self, "sq", np.einsum("ij,ij->i", pts, pts))
         if self.selection.omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
             raise NumericalError("zero-frequency coefficient must be real")
+        n, k, L = self.n, self.k, len(self.ext_bounds)
+        if self.M.shape != (n, k) or self.E.shape != (L, k):
+            raise DataError(
+                f"model M {self.M.shape} and E {self.E.shape} do not match "
+                f"{n} training points, {L} eigenfunctions and {k} channels"
+            )
+
+    @classmethod
+    def from_basis(cls, basis: SpectralBasis, selection: FrequencySelection,
+                   A, E) -> "QPModel":
+        """Model with periodic coefficients A and chaotic coefficients E on
+        ``basis``; the basis itself is not kept."""
+        c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+        return cls(selection=selection, A=A, E=E,
+                   M=(c / basis.sigma[None, :]) @ E,
+                   ext_bounds=extension_bounds(basis),
+                   embedding=basis.kernel.embedding,
+                   epsilon=basis.kernel.epsilon)
+
+    @property
+    def q(self) -> int:
+        return self.embedding.q
+
+    @property
+    def dt(self) -> float:
+        return self.embedding.source.dt
+
+    @property
+    def n(self) -> int:
+        """Number of training points (embedded rows)."""
+        return self.embedding.n_points
 
     @property
     def k(self) -> int:
@@ -132,14 +186,16 @@ def fit_chaotic(Y_non, basis: SpectralBasis) -> np.ndarray:
 
 
 def evaluate_harmonics(A, omegas, t):
-    """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) for scalar or vector t."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    weights = np.where(np.asarray(omegas) == 0.0, 1.0, 2.0)
-    phases = np.exp(1j * t[:, None] * np.asarray(omegas)[None, :])
-    out = (phases * weights[None, :]) @ A
-    out = out.real
+    """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) for scalar or vector t
+    (a vector in blocks of times)."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    omegas = np.asarray(omegas)
+    weights = np.where(omegas == 0.0, 1.0, 2.0)
+    out = np.empty((len(t), A.shape[1]))
+    for i in range(0, len(t), _BLOCK_ROWS):
+        phases = np.exp(1j * t[i:i + _BLOCK_ROWS, None] * omegas[None, :])
+        out[i:i + _BLOCK_ROWS] = ((phases * weights[None, :]) @ A).real
     return out[0] if scalar else out
 
 
@@ -148,31 +204,27 @@ def eval_periodic(model: QPModel, t):
     return evaluate_harmonics(model.A, model.selection.omegas, t)
 
 
-def _chaos_matrix(model: QPModel) -> np.ndarray:
-    """(N, k) matrix M with g_chaos(y) = sqrt(N) * (w @ M) / sum(w)."""
-    basis = model.basis
-    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
-    return (c / basis.sigma[None, :]) @ model.E
-
-
-def _chaos_eval(points, epsilon, M, sqrt_n, y):
-    diff = points - y[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    w = np.exp(-(d2 - d2.min()) / epsilon)
-    return sqrt_n * (w @ M) / w.sum()
+def _chaos_eval(model: QPModel, y):
+    """g_chaos at one delay state (dim,) or a block of states (B, dim)."""
+    w = extension_weights(model.embedding.points, model.sq, model.epsilon, y)
+    return (np.sqrt(model.n) * (w @ model.M)
+            / w.sum(axis=-1, keepdims=True))
 
 
 def eval_chaotic(model: QPModel, y_delay) -> np.ndarray:
     """Chaotic component at a delay-coordinate point (embedding layout)."""
-    y = np.asarray(y_delay, dtype=float).ravel()
-    pts = model.basis.kernel.embedding.points
-    if y.shape[0] != pts.shape[1]:
-        raise DataError(
-            f"state dimension {y.shape[0]} does not match embedding dimension "
-            f"{pts.shape[1]}"
-        )
-    return _chaos_eval(pts, model.basis.kernel.epsilon, _chaos_matrix(model),
-                       np.sqrt(model.basis.n), y)
+    return _chaos_eval(model, np.asarray(y_delay, dtype=float).ravel())
+
+
+def chaotic_at_training_points(model: QPModel) -> np.ndarray:
+    """Chaotic component at every training point, (N, k).
+
+    By the Nystrom identity this is ``Phi @ E`` of the fitted basis, to
+    rounding, without storing Phi.  Evaluated in row blocks.
+    """
+    pts = model.embedding.points
+    return np.concatenate([_chaos_eval(model, pts[i:i + _BLOCK_ROWS])
+                           for i in range(0, model.n, _BLOCK_ROWS)])
 
 
 def periodic_sup_bound(model: QPModel) -> float:
@@ -183,8 +235,7 @@ def periodic_sup_bound(model: QPModel) -> float:
 
 def chaotic_sup_bound(model: QPModel) -> float:
     """sup_y |g_chaos(y)|_2 <= sum_l |E[l, :]|_2 * sup|ext_l| (finite by kernel decay)."""
-    sup_ext = extension_bounds(model.basis)
-    return float((np.linalg.norm(model.E, axis=1) * sup_ext).sum())
+    return float((np.linalg.norm(model.E, axis=1) * model.ext_bounds).sum())
 
 
 def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
@@ -226,20 +277,14 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
             f"{model.state_dim}"
         )
     k = model.k
-    pts = model.basis.kernel.embedding.points
-    eps = model.basis.kernel.epsilon
-    M = _chaos_matrix(model)
-    sqrt_n = np.sqrt(model.basis.n)
+    source = model.embedding.source
     cap = None
     if clip_factor is not None:
-        train_norms = np.linalg.norm(model.basis.kernel.embedding.source.values,
-                                     axis=1)
+        train_norms = np.linalg.norm(source.values, axis=1)
         cap = clip_factor * train_norms.max()
-    out = np.empty((n_steps, k))
+    out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
     for i in range(n_steps):
-        y_new = (evaluate_harmonics(model.A, model.selection.omegas,
-                                    t_start + i * model.dt)
-                 + _chaos_eval(pts, eps, M, sqrt_n, state))
+        y_new = out[i] + _chaos_eval(model, state)
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         if cap is not None:
@@ -248,8 +293,8 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
                 y_new = y_new * (cap / norm)
         out[i] = y_new
         state = np.concatenate([state[k:], y_new])
-    names = model.basis.kernel.embedding.source.channel_names
-    return TimeSeries(out, dt=model.dt, t0=float(t_start), channel_names=names)
+    return TimeSeries(out, dt=model.dt, t0=float(t_start),
+                      channel_names=source.channel_names)
 
 
 def relative_error(truth: TimeSeries, estimate: TimeSeries) -> np.ndarray:
@@ -296,27 +341,25 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize everything needed to evaluate and free-run the model.
+    """Serialize the model as a ``qpdecomp-model-2`` file.
 
-    Stores the training window, kernel and truncation parameters, the
-    spectral triplets, the frequency selection, both coefficient blocks, and
-    a content hash of the training data.  The heavy kernel matrices are
-    recomputed on load.
+    Stores the training window with a content hash of it, q, epsilon, the
+    frequency selection, A, E, the chaos matrix M and the extension bounds:
+    everything the free run and the sup-norm bounds read, and no N x N or
+    N x L matrix.  The eigenbasis itself is not stored (keep it with a basis
+    cache if it is needed again).
     """
-    src = model.basis.kernel.embedding.source
+    src = model.embedding.source
     sel = model.selection
     write_npz(path, {
-        "format": np.array(["qpdecomp-model-1"]),
+        "format": np.array([MODEL_FORMAT]),
         "train_values": src.values,
         "train_dt": np.float64(src.dt),
         "train_t0": np.float64(src.t0),
         "channel_names": np.array(list(src.channel_names)),
         "train_hash": np.array([training_data_hash(src)]),
         "q": np.int64(model.q),
-        "epsilon": np.float64(model.basis.kernel.epsilon),
-        "lam": model.basis.lam,
-        "Phi": model.basis.Phi,
-        "Gamma": model.basis.Gamma,
+        "epsilon": np.float64(model.epsilon),
         "sel_indices": sel.indices,
         "sel_omegas": sel.omegas,
         "sel_amplitudes": sel.amplitudes,
@@ -324,16 +367,32 @@ def save_model(model: QPModel, path):
                                 float(sel.params.L0), float(sel.params.L)]),
         "A": model.A,
         "E": model.E,
-        "dt": np.float64(model.dt),
-        "train_n": np.int64(model.train_n),
+        "M": model.M,
+        "ext_bounds": model.ext_bounds,
     })
 
 
 def load_model(path) -> QPModel:
-    """Rebuild a model saved by :func:`save_model` (kernel matrices recomputed)."""
+    """Read a model saved by :func:`save_model`.
+
+    Re-embeds the stored training series (checked against its hash) and
+    allocates nothing larger than the N x k(q+1) embedded points.
+
+    Raises
+    ------
+    DataError
+        The file is not a ``qpdecomp-model-2`` file (a ``qpdecomp-model-1``
+        file must be rewritten with ``qpdecomp decompose``), or its training
+        data do not match the stored hash.
+    """
     with np.load(path, allow_pickle=False) as data:
         fmt = str(data["format"][0])
-        if fmt != "qpdecomp-model-1":
+        if fmt == "qpdecomp-model-1":
+            raise DataError(
+                f"{path}: model format {fmt!r} is no longer readable; re-run "
+                f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
+            )
+        if fmt != MODEL_FORMAT:
             raise DataError(f"{path}: unknown model format {fmt!r}")
         src = TimeSeries(data["train_values"], dt=float(data["train_dt"]),
                          t0=float(data["train_t0"]),
@@ -341,12 +400,7 @@ def load_model(path) -> QPModel:
         stored_hash = str(data["train_hash"][0])
         if training_data_hash(src) != stored_hash:
             raise DataError(f"{path}: training data does not match its stored hash")
-        q = int(data["q"])
-        emb = delay_embed(src, q)
-        ks = gaussian_kernel(emb, float(data["epsilon"]),
-                             max_points=emb.n_points)
-        basis = SpectralBasis(lam=data["lam"], Phi=data["Phi"],
-                              Gamma=data["Gamma"], kernel=ks)
+        emb = delay_embed(src, int(data["q"]))
         p = data["sel_params"]
         omegas = data["sel_omegas"]
         with np.errstate(divide="ignore"):
@@ -360,5 +414,6 @@ def load_model(path) -> QPModel:
             amplitudes=data["sel_amplitudes"],
             params=SelectionParams(float(p[0]), float(p[1]), int(p[2]), int(p[3])),
         )
-        return QPModel(selection=sel, A=data["A"], E=data["E"], basis=basis,
-                       dt=float(data["dt"]), q=q, train_n=int(data["train_n"]))
+        return QPModel(selection=sel, A=data["A"], E=data["E"], M=data["M"],
+                       ext_bounds=data["ext_bounds"], embedding=emb,
+                       epsilon=float(data["epsilon"]))

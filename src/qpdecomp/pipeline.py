@@ -394,8 +394,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
 
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel(selection=selection, A=pfit.A, E=E, basis=basis,
-                       dt=data.dt, q=q, train_n=train.n)
+    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
 
     clip = config.clip_factor or None
 
@@ -415,11 +414,10 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
 
     # periodic component over the training rows
     fit_times = (q + np.arange(emb.n_points)) * data.dt
-    per_values = dc.eval_periodic(model, fit_times)
     _write_table(
         tracker.register(outdir / "periodic.csv"),
         ["time_s", *(f"per_{c}" for c in data.channel_names)],
-        [fit_times, *per_values.T],
+        [fit_times, *pfit.fitted.T],
     )
 
     # chaotic coefficients

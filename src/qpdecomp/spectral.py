@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from ._npz import write_npz
 from .errors import DataError, NumericalError
@@ -126,6 +125,10 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L").
     """
+    # imported here because only the eigensolve needs scipy: loading it
+    # costs about 0.35 s, which a forecast from a saved model need not pay
+    import scipy.linalg
+
     n = kernel.n
     if not (1 <= L <= n):
         raise DataError(f"L={L} out of range 1..{n}")
@@ -149,19 +152,26 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     return SpectralBasis(lam=lam, Phi=np.sqrt(n) * u, Gamma=v, kernel=kernel)
 
 
-def _extension_weights(basis: SpectralBasis, y):
-    """Shifted kernel weights (w, sum w); the common scale exp(-Dmin/eps) cancels."""
-    y = np.asarray(y, dtype=float).ravel()
-    pts = basis.kernel.embedding.points
-    if y.shape[0] != pts.shape[1]:
+def extension_weights(points, sq, epsilon, y):
+    """Shifted kernel weights between query rows y and the stored points.
+
+    ``points`` is (N, dim) with squared row norms ``sq``; y is one query
+    (dim,) or a block of queries (B, dim).  Returns ``w`` of shape (N,) or
+    (B, N) with ``w_n = exp(-(D_n - min D) / epsilon)``, where
+    ``D_n = sq_n - 2 points_n . y`` is the squared distance less |y|^2.
+    The dropped |y|^2 and the common scale ``exp(-Dmin/epsilon)`` cancel in
+    every ratio ``(w @ c) / sum(w)``, which stays finite for far queries.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != points.shape[1]:
         raise DataError(
-            f"query dimension {y.shape[0]} does not match embedding dimension "
-            f"{pts.shape[1]}"
+            f"query dimension {y.shape[-1]} does not match embedding dimension "
+            f"{points.shape[1]}"
         )
-    diff = pts - y[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    w = np.exp(-(d2 - d2.min()) / basis.kernel.epsilon)
-    return w, w.sum()
+    d2 = sq - 2.0 * (y @ points.T)
+    d2 -= d2.min(axis=-1, keepdims=True)
+    d2 /= -epsilon
+    return np.exp(d2, out=d2)
 
 
 def nystrom_extend(basis: SpectralBasis, y, l: int) -> float:
@@ -173,9 +183,11 @@ def nystrom_extend(basis: SpectralBasis, y, l: int) -> float:
     """
     if not (1 <= l <= basis.L):
         raise DataError(f"l={l} out of range 1..{basis.L}")
-    w, total = _extension_weights(basis, y)
+    pts = basis.kernel.embedding.points
+    w = extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
+                          basis.kernel.epsilon, np.ravel(y))
     c = basis.Gamma[:, l - 1] / np.sqrt(basis.kernel.q)
-    return float(np.sqrt(basis.n) * (w @ c) / (total * basis.sigma[l - 1]))
+    return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 
 
 def extension_bounds(basis: SpectralBasis) -> np.ndarray:

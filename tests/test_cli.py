@@ -170,6 +170,39 @@ class TestDecomposeReconstructPredict:
         assert code == 3
         assert "irregular" in capsys.readouterr().err
 
+    def test_predict_rejects_format_1_model(self, synth_csv, tmp_path, capsys):
+        old = tmp_path / "old.npz"
+        np.savez(old, format=np.array(["qpdecomp-model-1"]),
+                 train_values=np.zeros((8, 3)), lam=np.ones(2),
+                 Phi=np.ones((6, 2)), Gamma=np.ones((6, 2)))
+        code = run_cli(["predict", "--model", old, "--input", synth_csv[0],
+                        "--init-at", "620", "--steps", "20",
+                        "--out", tmp_path / "p.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "qpdecomp-model-1" in err and "qpdecomp decompose" in err
+
+    def test_insample_reconstruct_matches_pipeline(self, synth_csv, tmp_path):
+        # the saved model's extension at the training points reproduces the
+        # pipeline's Phi @ E reconstruction
+        out, _ = synth_csv
+        outdir = tmp_path / "run"
+        assert run_cli(["run", "--input", out, "--outdir", outdir,
+                        "--epsilon", "2.0", "--delays", "6",
+                        "--num-eigen", "40", "--L0", "8", "--train-end", "600",
+                        "--predict-start", "620", "--predict-end", "680",
+                        "--mode", "insample"]) == 0
+        recon = tmp_path / "recon.csv"
+        assert run_cli(["reconstruct", "--model", outdir / "model.npz",
+                        "--mode", "insample", "--out", recon]) == 0
+        ref = np.loadtxt(outdir / "reconstruction.csv", delimiter=",",
+                         skiprows=1)
+        got = np.loadtxt(recon, delimiter=",", skiprows=1)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got[:, :4], ref[:, :4])
+        scale = np.abs(ref[:, 1:4]).max()
+        assert np.abs(got[:, 4:] - ref[:, 4:]).max() <= 1e-8 * scale
+
 
 class TestDiagnosticsCommand:
     def test_writes_diagnostic_curves(self, synth_csv, tmp_path):

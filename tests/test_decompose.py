@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from qpdecomp import (
 from qpdecomp.decompose import (
     PeriodicFit,
     QPModel,
+    chaotic_at_training_points,
     chaotic_sup_bound,
     eval_chaotic,
     eval_periodic,
@@ -94,24 +97,41 @@ def qr_fit(Y, omegas, dt, t0=0.0):
     return A, G @ coef
 
 
+def einsum_chaos(basis, E, y):
+    """Reference chaotic step: exact differences ``points - y`` and the
+    chaos matrix rebuilt from the basis (slow; the model uses squared norms
+    and a stored matrix)."""
+    pts = basis.kernel.embedding.points
+    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    M = (c / basis.sigma[None, :]) @ E
+    diff = pts - y[None, :]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    w = np.exp(-(d2 - d2.min()) / basis.kernel.epsilon)
+    return np.sqrt(basis.n) * (w @ M) / w.sum()
+
+
 @pytest.fixture(scope="module")
-def torus_model():
-    """Model fitted end to end on a bin-exact 2-torus series with q=3."""
+def model_basis():
+    """Eigenbasis of a bin-exact 2-torus series with q=3, and the series."""
     n, q, dt = 515, 3, 1.0
     n_emb = n - q
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
     eps = 0.02 * sqdist_quantile(emb, 0.5)
-    ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, 40)
+    return decompose(gaussian_kernel(emb, eps), 40), s
+
+
+@pytest.fixture(scope="module")
+def torus_model(model_basis):
+    """Model fitted end to end on the model_basis series."""
+    basis, s = model_basis
+    q, dt = basis.kernel.embedding.q, s.dt
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
     E = fit_chaotic(pfit.residual, basis)
-    model = QPModel(selection=sel, A=pfit.A, E=E, basis=basis, dt=dt, q=q,
-                    train_n=n)
-    return model, pfit, s
+    return QPModel.from_basis(basis, sel, pfit.A, E), pfit, s
 
 
 class TestFitPeriodic:
@@ -276,9 +296,9 @@ class TestEvalPeriodic:
 
 
 class TestEvalChaotic:
-    def test_in_sample_consistency(self, torus_model):
+    def test_in_sample_consistency(self, torus_model, model_basis):
         model, pfit, s = torus_model
-        basis = model.basis
+        basis, _ = model_basis
         synth_rows = synthesize(basis, model.E)
         pts = basis.kernel.embedding.points
         for n in (0, 100, 400):
@@ -286,12 +306,12 @@ class TestEvalChaotic:
             ref = synth_rows[n]
             assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
 
-    def test_zero_model_returns_zero(self, torus_model):
+    def test_zero_model_returns_zero(self, torus_model, model_basis):
         model, pfit, s = torus_model
-        zero_model = QPModel(selection=model.selection, A=model.A,
-                             E=np.zeros_like(model.E), basis=model.basis,
-                             dt=model.dt, q=model.q, train_n=model.train_n)
-        out = eval_chaotic(zero_model, model.basis.kernel.embedding.points[10])
+        basis, _ = model_basis
+        zero_model = QPModel.from_basis(basis, model.selection, model.A,
+                                        np.zeros_like(model.E))
+        out = eval_chaotic(zero_model, model.embedding.points[10])
         np.testing.assert_array_equal(out, np.zeros(model.k))
 
     def test_far_out_of_distribution_bounded(self, torus_model):
@@ -307,13 +327,35 @@ class TestEvalChaotic:
         with pytest.raises(DataError, match="dimension"):
             eval_chaotic(model, np.ones(model.state_dim + 1))
 
+    def test_matches_exact_difference_oracle(self, torus_model, model_basis):
+        model, _, _ = torus_model
+        basis, _ = model_basis
+        pts = model.embedding.points
+        rng = np.random.default_rng(8)
+        queries = [pts[0], pts[100], pts[400],
+                   pts.mean(0) + pts.std(0) * rng.standard_normal(pts.shape[1]),
+                   rng.uniform(-3.0, 3.0, pts.shape[1]),
+                   np.full(model.state_dim, 1e5)]
+        for y in queries:
+            ref = einsum_chaos(basis, model.E, y)
+            got = eval_chaotic(model, y)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_training_points_in_blocks(self, torus_model, model_basis):
+        # all rows at once, across several row blocks, against Phi @ E
+        model, _, _ = torus_model
+        basis, _ = model_basis
+        got = chaotic_at_training_points(model)
+        ref = synthesize(basis, model.E)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
 
 class TestReconstruct:
-    def test_periodic_only_matches_eval_grid(self, torus_model):
+    def test_periodic_only_matches_eval_grid(self, torus_model, model_basis):
         model, pfit, s = torus_model
-        per_model = QPModel(selection=model.selection, A=model.A,
-                            E=np.zeros_like(model.E), basis=model.basis,
-                            dt=model.dt, q=model.q, train_n=model.train_n)
+        per_model = QPModel.from_basis(model_basis[0], model.selection,
+                                       model.A, np.zeros_like(model.E))
         init = state_before(s, model.q + 1, model.q)
         ts = reconstruct(per_model, init, 300, t_start=50.0)
         grid = 50.0 + np.arange(300) * model.dt
@@ -340,12 +382,10 @@ class TestReconstruct:
         b = reconstruct(model, init, 100, 0.0)
         assert np.array_equal(a.values, b.values)
 
-    def test_divergence_reports_step(self, torus_model):
+    def test_divergence_reports_step(self, torus_model, model_basis):
         model, pfit, s = torus_model
-        bad = QPModel(selection=model.selection,
-                      A=np.full_like(model.A, np.inf),
-                      E=model.E, basis=model.basis, dt=model.dt, q=model.q,
-                      train_n=model.train_n)
+        bad = QPModel.from_basis(model_basis[0], model.selection,
+                                 np.full_like(model.A, np.inf), model.E)
         init = state_before(s, model.q + 1, model.q)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="step 0"):
             reconstruct(bad, init, 10, 0.0)
@@ -372,16 +412,17 @@ class TestReconstruct:
 
 
 class TestDecompositionIdentity:
-    def test_three_way_split(self, torus_model):
+    def test_three_way_split(self, torus_model, model_basis):
         # Y = periodic fit + basis synthesis + remainder, with the remainder
         # orthogonal to both the harmonic design and the basis
         model, pfit, s = torus_model
+        basis, _ = model_basis
         q = model.q
         y = s.values[q:]
-        synth_rows = synthesize(model.basis, model.E)
+        synth_rows = synthesize(basis, model.E)
         remainder = y - pfit.fitted - synth_rows
         np.testing.assert_allclose(pfit.fitted + pfit.residual, y, atol=1e-10)
-        inner = model.basis.Phi.T @ remainder / model.basis.n
+        inner = basis.Phi.T @ remainder / basis.n
         assert np.abs(inner).max() <= 1e-8
         t = (q + np.arange(len(y))) * model.dt
         cols = [np.ones(len(y))]
@@ -457,15 +498,17 @@ class TestModelRoundTrip:
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(back.A, model.A)
-        np.testing.assert_array_equal(back.E, model.E)
-        np.testing.assert_array_equal(back.basis.Phi, model.basis.Phi)
+        for name in ("A", "E", "M", "ext_bounds"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(model, name))
         np.testing.assert_array_equal(back.selection.indices,
                                       model.selection.indices)
+        assert chaotic_sup_bound(back) == chaotic_sup_bound(model)
+        assert periodic_sup_bound(back) == periodic_sup_bound(model)
         init = state_before(s, model.q + 1, model.q)
         a = reconstruct(model, init, 50, 0.0)
         b = reconstruct(back, init, 50, 0.0)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_model_file_is_deterministic(self, torus_model, tmp_path):
         model, _, _ = torus_model
@@ -473,6 +516,40 @@ class TestModelRoundTrip:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_format_1_file_rejected(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez(path, format=np.array(["qpdecomp-model-1"]),
+                 train_values=np.zeros((8, 1)), lam=np.ones(2),
+                 Phi=np.ones((6, 2)), Gamma=np.ones((6, 2)))
+        with pytest.raises(DataError,
+                           match="qpdecomp-model-1.*qpdecomp decompose"):
+            load_model(path)
+
+    def test_load_and_free_run_build_no_n_by_n_array(self, tmp_path):
+        n, q, dt = 1503, 3, 1.0
+        s = torus_series(n, [TWO_PI * 200 / (n - q), TWO_PI * 321 / (n - q)],
+                         mix_seed=7, n_channels=3, dt=dt)
+        emb = delay_embed(s, q)
+        basis = decompose(gaussian_kernel(emb, 0.02 * sqdist_quantile(emb, 0.5)),
+                          40)
+        sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
+        pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
+        model = QPModel.from_basis(basis, sel, pfit.A,
+                                   fit_chaotic(pfit.residual, basis))
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        del basis, model
+        init = state_before(s, q + 1, q)
+        tracemalloc.start()
+        try:
+            back = load_model(path)
+            reconstruct(back, init, 100, (q + 1) * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_pts = n - q
+        assert peak < n_pts * n_pts * 8 / 4, f"peak {peak} bytes"
 
 
 class TestStateBefore:
