@@ -27,7 +27,7 @@ from .freqfilter import (
     select,
     threshold_diagnostics,
 )
-from .kernel import KernelSystem, gaussian_kernel, kernel_vector_at, pairwise_sqdist
+from .kernel import KernelSystem, gaussian_kernel, pairwise_sqdist
 from .pipeline import PipelineConfig, load_config, report_periods, run_pipeline
 from .series import (
     DelayEmbedding,
@@ -41,7 +41,7 @@ from .series import (
 )
 # spectral.decompose is deliberately not re-exported here: the name would
 # shadow the qpdecomp.decompose submodule; use qpdecomp.spectral.decompose
-from .spectral import SpectralBasis, nystrom_extend, project, synthesize
+from .spectral import SpectralBasis, project, synthesize
 from .synth import SimulationResult, SkewProductSystem, TorusDriver, simulate, standard_testbed
 
 __version__ = "0.1.0"
@@ -68,13 +68,11 @@ __all__ = [
     "fit_chaotic",
     "fit_periodic",
     "gaussian_kernel",
-    "kernel_vector_at",
     "load_config",
     "load_csv",
     "load_model",
     "merge_adjacent",
     "moving_average",
-    "nystrom_extend",
     "pairwise_sqdist",
     "project",
     "reconstruct",

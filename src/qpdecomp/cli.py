@@ -93,7 +93,7 @@ def _fit_filter(args, data):
                                   L0=args.L0)
     if args.merge_adjacent:
         selection = freqfilter.merge_adjacent(selection)
-    return train, emb, basis, table, selection
+    return train, basis, table, selection
 
 
 def _cmd_synth(args):
@@ -122,7 +122,7 @@ def _cmd_frequencies(args):
     from . import freqfilter, pipeline
 
     data = _load_series(args)
-    train, emb, basis, table, selection = _fit_filter(args, data)
+    train, basis, table, selection = _fit_filter(args, data)
     growth = freqfilter.selection_growth(table, selection)
     pipeline._write_table(
         args.out,
@@ -143,7 +143,7 @@ def _cmd_decompose(args):
     from . import decompose as dc
 
     data = _load_series(args)
-    train, emb, basis, table, selection = _fit_filter(args, data)
+    train, basis, table, selection = _fit_filter(args, data)
     q = args.delays
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
                            t0=q * data.dt)
@@ -231,13 +231,13 @@ def _cmd_predict(args):
 def _cmd_diagnostics(args):
     from pathlib import Path
 
-    from . import freqfilter, kernel, pipeline
+    from . import freqfilter, pipeline
 
     data = _load_series(args)
-    train, emb, basis, table, selection = _fit_filter(args, data)
+    train, basis, table, selection = _fit_filter(args, data)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    counts, edges = kernel.sqdist_histogram(emb)
+    counts, edges = basis.kernel.sqdist_histogram
     pipeline._write_table(outdir / "sqdist_histogram.csv",
                           ["bin_left", "bin_right", "count"],
                           [edges[:-1], edges[1:],
@@ -267,7 +267,7 @@ def _cmd_run(args):
                 "resample_method", "max_gap_factor", "standardize", "delays",
                 "epsilon", "num_eigen", "eps1", "eps2", "L0",
                 "merge_adjacent", "train_end", "predict_start", "predict_end",
-                "mode", "max_points", "clip_factor", "basis_cache"):
+                "mode", "clip_factor", "basis_cache"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -380,7 +380,6 @@ def build_parser():
     p.add_argument("--predict-end", type=int, default=None)
     p.add_argument("--ma-windows", type=int, nargs="+", default=None)
     p.add_argument("--mode", choices=("insample", "freerun"), default=None)
-    p.add_argument("--max-points", type=int, default=None)
     p.add_argument("--clip-factor", type=float, default=None)
     p.add_argument("--basis-cache", default=None, metavar="DIR")
     p.set_defaults(func=_cmd_run)

@@ -14,6 +14,7 @@ row-stochastic, so its top eigenvalue is 1 with a constant eigenvector; the
 downstream spectral module relies on both facts.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ from .errors import DataError, NumericalError
 from .series import DelayEmbedding
 
 _DEGREE_FLOOR = 1e-300
-DEFAULT_MAX_POINTS = 25000
+# rows per block of the in-place passes; each block temporary is
+# _BLOCK x N floats, 33 MB at N = 16384
+_BLOCK = 256
 
 
 def _points_of(embedding):
@@ -36,69 +39,145 @@ def _points_of(embedding):
 
 @dataclass(frozen=True)
 class KernelSystem:
-    """Kernel matrices and degree vectors for one embedding at one bandwidth."""
+    """Normalized kernel, degree vectors and the squared-distance histogram
+    for one embedding at one bandwidth.
+
+    ``sqdist_histogram`` is ``(counts, edges)`` of the off-diagonal squared
+    distances in 64 bins, the bandwidth diagnostic the CLI writes; there is
+    deliberately no automatic epsilon tuning.
+    """
 
     epsilon: float
-    K: np.ndarray
     d: np.ndarray
     q: np.ndarray
     Ktilde: np.ndarray
     embedding: DelayEmbedding
+    sqdist_histogram: tuple
 
     def __post_init__(self):
-        if not np.allclose(np.diagonal(self.K), 1.0, rtol=0, atol=0):
-            raise NumericalError("kernel diagonal must be exactly 1")
         if self.d.min() <= 0 or self.q.min() <= 0:
             raise NumericalError("degree vectors must be strictly positive")
 
     @property
     def n(self) -> int:
-        return self.K.shape[0]
+        return self.Ktilde.shape[0]
+
+
+def _row_blocks(n, start=0):
+    for a in range(start, n, _BLOCK):
+        yield a, min(a + _BLOCK, n)
 
 
 def pairwise_sqdist(embedding) -> np.ndarray:
     """Squared Euclidean distances between all embedded points.
 
     Symmetric with an exactly zero diagonal.  Computed with the Gram-matrix
-    identity and symmetrized, so scaling all points by a power of two and
-    epsilon by its square leaves the downstream kernel bit-identical.
+    identity ``(sq_i + sq_j) - 2 g_ij`` and symmetrized as ``(a + a^T) / 2``,
+    so scaling all points by a power of two and epsilon by its square leaves
+    the downstream kernel bit-identical.  The N x N Gram matrix is the only
+    N x N allocation: it becomes the distances in place, one row block (or
+    block pair) at a time.
     """
     pts = _points_of(embedding)
     if pts.shape[0] < 1:
         raise DataError("embedding is empty")
     sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2 = (d2 + d2.T) / 2.0
+    d2 = pts @ pts.T
+    for a, b in _row_blocks(len(d2)):
+        blk = d2[a:b]
+        blk *= 2.0
+        np.subtract(sq[a:b, None] + sq[None, :], blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+    for a, b in _row_blocks(len(d2)):
+        for c, e in _row_blocks(len(d2), start=a):
+            sym = d2[a:b, c:e] + d2[c:e, a:b].T
+            sym /= 2.0
+            d2[a:b, c:e] = sym
+            d2[c:e, a:b] = sym.T
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def gaussian_kernel(embedding: DelayEmbedding, epsilon: float,
-                    max_points: int = DEFAULT_MAX_POINTS) -> KernelSystem:
-    """Assemble K, the degree vectors and the bistochastically normalized Ktilde.
+def _upper_triangle_blocks(d2):
+    # the strictly upper triangle of a symmetric matrix, per row block: the
+    # triangle inside the diagonal block, then the rectangle right of it
+    upper = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+    for a, b in _row_blocks(len(d2)):
+        yield d2[a:b, a:b][upper[:b - a, :b - a]]
+        if b < len(d2):
+            yield d2[a:b, b:]
+
+
+def sqdist_histogram(d2, bins: int = 64):
+    """Histogram ``(counts, edges)`` of the off-diagonal squared distances.
+
+    ``d2`` is a symmetric distance matrix as :func:`pairwise_sqdist` returns
+    it.  Equals ``np.histogram(d2[np.triu_indices(n, 1)], bins)`` bit for bit
+    without that copy: the range is fixed from the same min and max, and the
+    counts, which are per element, are summed over row blocks.
+    """
+    if len(d2) < 2:
+        raise DataError("need at least two points")
+    lo = min(blk.min() for blk in _upper_triangle_blocks(d2) if blk.size)
+    hi = max(blk.max() for blk in _upper_triangle_blocks(d2) if blk.size)
+    counts = 0
+    for blk in _upper_triangle_blocks(d2):
+        part, edges = np.histogram(blk, bins=bins, range=(lo, hi))
+        counts = counts + part
+    return counts, edges
+
+
+def _available_bytes():
+    """Memory the kernel may take: MemAvailable, else free physical pages."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def gaussian_kernel(embedding: DelayEmbedding, epsilon: float) -> KernelSystem:
+    """Assemble the degree vectors, the bistochastically normalized Ktilde
+    and the squared-distance histogram.
+
+    Everything is built in one N x N buffer: squared distances, then (after
+    the histogram is taken) ``K = exp(-d2 / epsilon)`` in place, then Ktilde
+    in place.  K itself is not kept.  A run needs Ktilde plus the Gram matrix
+    of the eigensolve, ``2 N^2`` float64 values; when that exceeds the memory
+    available, a ``DataError`` is raised before anything N x N is allocated.
 
     Parameters
     ----------
     embedding : DelayEmbedding
-        Embedded data; N x N dense storage, so N is capped by ``max_points``.
+        Embedded data; at least two points.
     epsilon : float
         Gaussian bandwidth applied to squared distances.
-    max_points : int
-        Hard cap on N (dense matrices only; sparsification is out of scope).
     """
     if not epsilon > 0:
         raise DataError(f"epsilon must be positive, got {epsilon}")
     if not isinstance(embedding, DelayEmbedding):
         raise DataError("gaussian_kernel requires a DelayEmbedding")
     n = embedding.n_points
-    if n > max_points:
+    need = 2 * n * n * 8
+    available = _available_bytes()
+    if available is not None and need > available:
         raise DataError(
-            f"{n} points exceed the dense-kernel cap of {max_points}; "
-            f"raise max_points explicitly to proceed"
+            f"{n} points need {need / 1e6:.0f} MB for the kernel and its Gram "
+            f"matrix (2 N x N float64), but only {available / 1e6:.0f} MB of "
+            f"memory is available"
         )
-    d2 = pairwise_sqdist(embedding)
-    K = np.exp(-d2 / epsilon)
+    K = pairwise_sqdist(embedding)
+    hist = sqdist_histogram(K)
+    K /= -epsilon
+    np.exp(K, out=K)
+    if not (np.diagonal(K) == 1.0).all():
+        raise NumericalError("kernel diagonal must be exactly 1")
     d = K.mean(axis=1)
     if d.min() < _DEGREE_FLOOR:
         worst = int(np.argmin(d))
@@ -107,45 +186,28 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float,
     if q.min() < _DEGREE_FLOOR:
         worst = int(np.argmin(q))
         raise NumericalError(f"isolated point {worst}; increase epsilon")
-    Ktilde = K / (n * d[:, None] * np.sqrt(q)[None, :])
-    return KernelSystem(epsilon=float(epsilon), K=K, d=d, q=q,
-                        Ktilde=Ktilde, embedding=embedding)
-
-
-def kernel_vector_at(system: KernelSystem, y) -> np.ndarray:
-    """Kernel values between an arbitrary point and every stored point.
-
-    Entry n is ``exp(-|y - y_n|^2 / epsilon)``; far-away queries underflow
-    toward zero entry-wise.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    pts = system.embedding.points
-    if y.shape[0] != pts.shape[1]:
-        raise DataError(
-            f"query dimension {y.shape[0]} does not match embedding dimension "
-            f"{pts.shape[1]}"
-        )
-    diff = pts - y[None, :]
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / system.epsilon)
+    sqrt_q = np.sqrt(q)
+    for a, b in _row_blocks(n):
+        K[a:b] /= (n * d[a:b, None]) * sqrt_q[None, :]
+    return KernelSystem(epsilon=float(epsilon), d=d, q=q, Ktilde=K,
+                        embedding=embedding, sqdist_histogram=hist)
 
 
 def sqdist_quantile(embedding, quantile: float) -> float:
-    """Quantile of the off-diagonal squared distances (bandwidth diagnostics)."""
-    d2 = pairwise_sqdist(embedding)
-    n = d2.shape[0]
-    if n < 2:
-        raise DataError("need at least two points")
-    return float(np.quantile(d2[np.triu_indices(n, 1)], quantile))
+    """Quantile of the off-diagonal squared distances (bandwidth diagnostics).
 
-
-def sqdist_histogram(embedding, bins: int = 64):
-    """Histogram of off-diagonal squared distances.
-
-    Returns ``(counts, edges)``.  This is the bandwidth-selection diagnostic
-    the CLI emits; there is deliberately no automatic epsilon tuning.
+    Peaks at 1.5 N^2 floats: the distances plus one copy of their upper
+    triangle, which the quantile then partitions in place.  The copy's order
+    differs from ``d2[np.triu_indices(n, 1)]``, which no quantile sees.
     """
     d2 = pairwise_sqdist(embedding)
     n = d2.shape[0]
     if n < 2:
         raise DataError("need at least two points")
-    return np.histogram(d2[np.triu_indices(n, 1)], bins=bins)
+    upper = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for blk in _upper_triangle_blocks(d2):
+        upper[pos:pos + blk.size].reshape(blk.shape)[...] = blk
+        pos += blk.size
+    del d2
+    return float(np.quantile(upper, quantile, overwrite_input=True))

@@ -46,7 +46,6 @@ _DEFAULTS = {
     "predict_end": 0,
     "ma_windows": (1, 10, 100),
     "mode": "insample",
-    "max_points": kernel.DEFAULT_MAX_POINTS,
     "clip_factor": 0.0,        # 0: no clipping
     "basis_cache": "",         # directory for content-addressed basis reuse
 }
@@ -74,7 +73,6 @@ class PipelineConfig:
     predict_end: int = _DEFAULTS["predict_end"]
     ma_windows: tuple = _DEFAULTS["ma_windows"]
     mode: str = _DEFAULTS["mode"]
-    max_points: int = _DEFAULTS["max_points"]
     clip_factor: float = _DEFAULTS["clip_factor"]
     basis_cache: str = _DEFAULTS["basis_cache"]
 
@@ -120,7 +118,7 @@ class PipelineConfig:
 
 _BOOL_KEYS = {"standardize", "merge_adjacent"}
 _INT_KEYS = {"delays", "num_eigen", "L0", "train_end", "predict_start",
-             "predict_end", "max_points"}
+             "predict_end"}
 _FLOAT_KEYS = {"dt_seconds", "max_gap_factor", "epsilon", "eps1", "eps2",
                "clip_factor"}
 _TUPLE_INT_KEYS = {"ma_windows"}
@@ -377,7 +375,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
     train = series.window(data, 0, train_end)
     q = config.delays
     emb = series.delay_embed(train, q)
-    ks = kernel.gaussian_kernel(emb, config.epsilon, max_points=config.max_points)
+    ks = kernel.gaussian_kernel(emb, config.epsilon)
     basis = None
     if config.basis_cache:
         basis = spectral.load_basis_cache(config.basis_cache, ks,
@@ -483,7 +481,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
     # diagnostics
     diag = outdir / "diagnostics"
     diag.mkdir(exist_ok=True)
-    counts, edges = kernel.sqdist_histogram(emb)
+    counts, edges = basis.kernel.sqdist_histogram
     _write_table(
         tracker.register(diag / "sqdist_histogram.csv"),
         ["bin_left", "bin_right", "count"],

@@ -43,6 +43,10 @@ LAMBDA_FLOOR = 1e-14
 
 _LAMBDA_ONE_TOL = 1e-6
 
+# largest N whose Gram matrix comes from one syrk call (see _gram)
+_SYRK_MAX_N = 8192
+_GRAM_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -98,6 +102,26 @@ def _fix_signs(u, v):
     return u, v
 
 
+def _gram(kt):
+    """``kt^T kt``, exact in its upper triangle.
+
+    Up to ``_SYRK_MAX_N`` columns this is one BLAS ``syrk`` call.  Above it
+    the upper triangle is built from ``_GRAM_BLOCK``-row ``gemm`` products,
+    and the entries below the diagonal blocks stay zero: the two-thread
+    ``dsyrk`` of OpenBLAS 0.3.30 and 0.3.31 crashed with a segmentation
+    fault at 15500 and 16000 columns on a 2-core x86-64 machine, where
+    ``gemm`` ran.  The two paths agree to rounding, not bit for bit.
+    """
+    n = kt.shape[1]
+    if n <= _SYRK_MAX_N:
+        return kt.T @ kt
+    gram = np.zeros((n, n))
+    for a in range(0, n, _GRAM_BLOCK):
+        b = min(a + _GRAM_BLOCK, n)
+        np.matmul(kt[:, a:b].T, kt[:, a:], out=gram[a:b, a:])
+    return gram
+
+
 def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     """Top-L singular triplets of Ktilde.
 
@@ -133,9 +157,10 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     if not (1 <= L <= n):
         raise DataError(f"L={L} out of range 1..{n}")
     kt = kernel.Ktilde
-    gram = kt.T @ kt
-    # gram is symmetric, so its transpose is a Fortran-ordered view that
-    # LAPACK overwrites in place instead of copying
+    gram = _gram(kt)
+    # the transpose is a Fortran-ordered view that LAPACK overwrites in place
+    # instead of copying; its lower triangle, the one eigh reads, is the
+    # upper triangle of gram
     _, v = scipy.linalg.eigh(gram.T, subset_by_index=[n - L, n - 1],
                              overwrite_a=True)
     del gram
@@ -172,22 +197,6 @@ def extension_weights(points, sq, epsilon, y):
     d2 -= d2.min(axis=-1, keepdims=True)
     d2 /= -epsilon
     return np.exp(d2, out=d2)
-
-
-def nystrom_extend(basis: SpectralBasis, y, l: int) -> float:
-    """Evaluate the continuous extension of eigenfunction l (1-based) at y.
-
-    At stored data point n this reproduces ``Phi[n, l-1]``; elsewhere it is a
-    kernel-weighted average, bounded by ``sqrt(N) * max|Gamma[:, l-1]/sqrt(q)|
-    / sigma_l`` for every y.
-    """
-    if not (1 <= l <= basis.L):
-        raise DataError(f"l={l} out of range 1..{basis.L}")
-    pts = basis.kernel.embedding.points
-    w = extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
-                          basis.kernel.epsilon, np.ravel(y))
-    c = basis.Gamma[:, l - 1] / np.sqrt(basis.kernel.q)
-    return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 
 
 def extension_bounds(basis: SpectralBasis) -> np.ndarray:

@@ -169,7 +169,8 @@ class TestCriterion3SpectralInvariants:
         p_rows = ks.Ktilde @ (ks.Ktilde.T @ np.ones(n))
         assert np.abs(p_rows - 1.0).max() <= 1e-8
         # the continuous-extension identity at every data point
-        ext = (ks.K @ (basis.Gamma / np.sqrt(ks.q)[:, None]))
+        K = np.exp(-pairwise_sqdist(ks.embedding) / ks.epsilon)
+        ext = (K @ (basis.Gamma / np.sqrt(ks.q)[:, None]))
         ext /= (np.sqrt(n) * ks.d)[:, None]
         ext /= basis.sigma[None, :]
         col_scale = np.abs(basis.Phi).max(axis=0)
@@ -216,7 +217,9 @@ class TestCriterion4SmallNOracles:
             eps2 = 3.0
             ks2 = gaussian_kernel(delay_embed(TimeSeries(small, dt=1.0), 0),
                                   eps2)
-            assert np.abs(ks2.K - np.exp(-brute / eps2)).max() <= 1e-10
+            K2 = np.exp(-pairwise_sqdist(ks2.embedding) / eps2)
+            assert np.abs(K2 - np.exp(-brute / eps2)).max() <= 1e-10
+            assert np.array_equal(ks2.d, K2.mean(axis=1))
 
 
 class TestCriterion5DecompositionExactness:

@@ -268,6 +268,59 @@ class TestRunCommand:
         assert ((second / "frequencies.csv").read_bytes()
                 == (first / "frequencies.csv").read_bytes())
 
+    def test_removed_max_points_key_rejected(self, synth_csv, tmp_path,
+                                             capsys):
+        out, _ = synth_csv
+        cfg = tmp_path / "old.conf"
+        cfg.write_text(
+            f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
+            "L0 = 8\npredict_start = 620\npredict_end = 680\n"
+            "max_points = 25000\n", encoding="utf-8")
+        code = run_cli(["run", "--config", cfg, "--outdir", tmp_path / "o"])
+        assert code == 2
+        assert "unknown key" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_cli(["run", "--config", cfg, "--max-points", "100"])
+
+    def test_old_manifest_with_max_points_reruns(self, synth_csv, tmp_path):
+        out, _ = synth_csv
+        first = tmp_path / "first"
+        assert run_cli(["run", "--input", out, "--outdir", first,
+                        "--delays", "6", "--epsilon", "2.0",
+                        "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", "--predict-start", "620",
+                        "--predict-end", "680"]) == 0
+        manifest = tmp_path / "old_manifest.txt"
+        manifest.write_text("max_points = 25000\n"
+                            + (first / "manifest.txt").read_text(),
+                            encoding="utf-8")
+        second = tmp_path / "second"
+        assert run_cli(["run", "--manifest", manifest,
+                        "--outdir", second]) == 0
+        assert ((second / "frequencies.csv").read_bytes()
+                == (first / "frequencies.csv").read_bytes())
+
+    @pytest.mark.parametrize("command, target", [
+        ("frequencies", ["--out", "f.csv"]),
+        ("decompose", ["--model-out", "m.npz"]),
+        ("diagnostics", ["--outdir", "diag"]),
+    ])
+    def test_byte_budget_exit_code(self, synth_csv, tmp_path, monkeypatch,
+                                   capsys, command, target):
+        import qpdecomp.kernel
+
+        monkeypatch.setattr(qpdecomp.kernel, "_available_bytes",
+                            lambda: 1_000_000)
+        out, _ = synth_csv
+        code = run_cli([command, "--input", out, "--epsilon", "2.0",
+                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600",
+                        *[tmp_path / t if t.endswith(("csv", "npz", "diag"))
+                          else t for t in target]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "DataError" in err and "MB of memory is available" in err
+
     def test_exit_codes(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv
         # config error: bad threshold relation

@@ -182,6 +182,36 @@ class TestRunPipeline:
         assert config.num_eigen == 1001 and config.epsilon == 0.1
 
 
+def test_run_peak_allocation_is_two_buffers(tmp_path):
+    # the run's N x N arrays are Ktilde plus the eigensolve's Gram matrix
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (its import would count in the peak)
+
+    from qpdecomp.kernel import sqdist_quantile
+    from qpdecomp.series import TimeSeries, delay_embed
+
+    n, q = 1500, 3
+    t = np.arange(n + q + 120)[:, None]
+    values = np.hstack([np.cos(TWO_PI * 200 / n * t + 0.4),
+                        np.sin(TWO_PI * 321 / n * t + 1.9)])
+    values = values @ np.random.default_rng(7).standard_normal((2, 3))
+    path = tmp_path / "input.csv"
+    write_csv(TimeSeries(values, dt=1.0), path)
+    emb = delay_embed(TimeSeries(values[:n + q], dt=1.0), q)
+    config = build_config(dict(
+        input=str(path), outdir=str(tmp_path / "run"), delays=q,
+        epsilon=0.02 * sqdist_quantile(emb, 0.5), num_eigen=40, L0=10,
+        train_end=n + q, predict_start=n + q + 10, predict_end=n + q + 110))
+    tracemalloc.start()
+    try:
+        run_pipeline(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
+
+
 class TestConfigParsing:
     def test_file_round_trip_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -8,13 +8,13 @@ from qpdecomp import (
     delay_embed,
     gaussian_kernel,
 )
-from qpdecomp.kernel import kernel_vector_at, sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import (
     basis_cache_key,
     decompose,
     extension_bounds,
+    extension_weights,
     load_basis_cache,
-    nystrom_extend,
     project,
     save_basis_cache,
     synthesize,
@@ -23,6 +23,34 @@ from qpdecomp.spectral import (
 
 def embed_points(points):
     return delay_embed(TimeSeries(np.asarray(points, dtype=float), dt=1.0), 0)
+
+
+def kernel_matrix(ks):
+    """The unnormalized kernel K, which the KernelSystem does not keep."""
+    return np.exp(-pairwise_sqdist(ks.embedding) / ks.epsilon)
+
+
+def kernel_vector_at(ks, y):
+    """Exact-difference kernel values exp(-|y - y_n|^2 / epsilon)."""
+    diff = ks.embedding.points - np.ravel(y)[None, :]
+    return np.exp(-np.einsum("ij,ij->i", diff, diff) / ks.epsilon)
+
+
+def nystrom_extend(basis, y, l):
+    """One extended eigenfunction (1-based l) at one point: the oracle for
+    the blocked extension in ``decompose.eval_chaotic``.
+
+    At stored data point n this reproduces ``Phi[n, l-1]``; elsewhere it is a
+    kernel-weighted average, bounded by ``sqrt(N) * max|Gamma[:, l-1]/sqrt(q)|
+    / sigma_l`` for every y.
+    """
+    if not (1 <= l <= basis.L):
+        raise DataError(f"l={l} out of range 1..{basis.L}")
+    pts = basis.kernel.embedding.points
+    w = extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
+                          basis.kernel.epsilon, np.ravel(y))
+    c = basis.Gamma[:, l - 1] / np.sqrt(basis.kernel.q)
+    return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 
 
 class TestDecompose:
@@ -79,6 +107,30 @@ class TestDecompose:
             sign = 1.0 if a @ b >= 0 else -1.0
             assert np.abs(a - sign * b).max() <= 1e-6
 
+    def test_blocked_gram_path_matches_dense_svd(self, monkeypatch):
+        # above _SYRK_MAX_N points the Gram matrix is built from blocked
+        # gemm products over its upper triangle; same gates as the dense
+        # SVD oracle test, with a ragged last block
+        import qpdecomp.spectral as spectral_module
+
+        pts = np.random.default_rng(1).standard_normal((300, 5))
+        emb = embed_points(pts)
+        ks = gaussian_kernel(emb, 0.4 * sqdist_quantile(emb, 0.5))
+        monkeypatch.setattr(spectral_module, "_SYRK_MAX_N", 100)
+        monkeypatch.setattr(spectral_module, "_GRAM_BLOCK", 64)
+        gram = spectral_module._gram(ks.Ktilde)
+        ref = ks.Ktilde.T @ ks.Ktilde
+        upper = np.triu_indices(300)
+        assert np.abs(gram[upper] - ref[upper]).max() <= 1e-15 * ref.max()
+        u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
+        basis = decompose(ks, 30)
+        rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
+        assert rel.max() <= 1e-10
+        for l in range(30):
+            a, b = np.sqrt(300) * u_full[:, l], basis.Phi[:, l]
+            sign = 1.0 if a @ b >= 0 else -1.0
+            assert np.abs(a - sign * b).max() <= 1e-6
+
     def test_near_floor_accuracy(self):
         # lam_L ~ 1e-12, two decades above the floor: the Gram route squares
         # the operator, so this is where its lost precision would show
@@ -93,7 +145,7 @@ class TestDecompose:
         assert rel.max() <= 1e-8
         gram_phi = basis.Phi.T @ basis.Phi / basis.n
         assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
-        ext = ks.K @ (basis.Gamma / np.sqrt(ks.q)[:, None])
+        ext = kernel_matrix(ks) @ (basis.Gamma / np.sqrt(ks.q)[:, None])
         ext /= (np.sqrt(basis.n) * ks.d)[:, None] * basis.sigma[None, :]
         col_scale = np.abs(basis.Phi).max(axis=0)
         assert (np.abs(ext - basis.Phi) / col_scale[None, :]).max() <= 1e-8
