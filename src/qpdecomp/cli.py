@@ -24,76 +24,56 @@ def _apply_thread_env():
 
 
 def _ingestion_parser():
+    # every flag here and in _fit_parser defaults to None: unset flags leave
+    # the config file's value, or the pipeline default, in place
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--input", required=True, help="input CSV file")
-    p.add_argument("--timestamp-column", default="time")
-    p.add_argument("--channels", nargs="+", default=None,
+    p.add_argument("--input", help="input CSV file")
+    p.add_argument("--timestamp-column")
+    p.add_argument("--channels", nargs="+",
                    help="value columns to keep (default: all non-timestamp)")
-    p.add_argument("--dt-seconds", type=float, default=0.0,
+    p.add_argument("--dt-seconds", type=float,
                    help="resample to this step; 0 keeps the input grid")
-    p.add_argument("--resample-method", choices=("hold", "linear"),
-                   default="hold")
-    p.add_argument("--train-end", type=int, default=0,
-                   help="training window length in samples; 0 uses everything")
-    p.add_argument("--standardize", action="store_true")
+    p.add_argument("--resample-method", choices=("hold", "linear"))
+    p.add_argument("--max-gap-factor", type=float,
+                   help="widest input gap to resample across, in steps")
+    p.add_argument("--standardize", action="store_true", default=None)
     return p
 
 
-def _filter_parser():
+def _fit_parser():
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--delays", type=int, default=20, metavar="Q")
-    p.add_argument("--epsilon", type=float, required=True,
+    p.add_argument("--train-end", type=int,
+                   help="training window length in samples; 0 uses everything")
+    p.add_argument("--delays", type=int, metavar="Q")
+    p.add_argument("--epsilon", type=float,
                    help="Gaussian kernel bandwidth (squared-distance units)")
-    p.add_argument("--num-eigen", type=int, default=300, metavar="L")
-    p.add_argument("--eps1", type=float, default=0.1)
-    p.add_argument("--eps2", type=float, default=2.5)
-    p.add_argument("--L0", type=int, default=100)
-    p.add_argument("--merge-adjacent", action="store_true")
-    p.add_argument("--basis-cache", default="", metavar="DIR",
+    p.add_argument("--num-eigen", type=int, metavar="L")
+    p.add_argument("--eps1", type=float)
+    p.add_argument("--eps2", type=float)
+    p.add_argument("--L0", type=int)
+    p.add_argument("--merge-adjacent", action="store_true", default=None)
+    p.add_argument("--basis-cache", metavar="DIR",
                    help="directory for content-addressed reuse of the "
                         "eigenbasis across runs")
     return p
 
 
-def _load_series(args):
-    from . import series
-    from .errors import DataError
+def _overrides(args):
+    """The parsed flags that set a config key."""
+    from .pipeline import CONFIG_KEYS
 
-    if not os.path.isfile(args.input):
-        raise DataError(f"input file {args.input} does not exist")
-    data = series.load_csv(args.input, timestamp=args.timestamp_column,
-                           channels=args.channels)
-    if args.dt_seconds > 0:
-        data = series.resample(data, args.dt_seconds,
-                               method=args.resample_method)
-    elif not data.regular:
-        raise DataError("input sampling is irregular; pass --dt-seconds")
-    if args.standardize:
-        data = series.standardize(data)
-    return data
+    return {k: v for k, v in vars(args).items()
+            if k in CONFIG_KEYS and v is not None}
 
 
-def _fit_filter(args, data):
-    from . import freqfilter, kernel, series, spectral
+def _fit(args):
+    """Fit the series exactly as ``run`` does, from this command's flags."""
+    from . import pipeline
+    from .errors import ConfigError
 
-    train_end = args.train_end or data.n
-    train = series.window(data, 0, train_end)
-    emb = series.delay_embed(train, args.delays)
-    ks = kernel.gaussian_kernel(emb, args.epsilon)
-    basis = None
-    cache = getattr(args, "basis_cache", "")
-    if cache:
-        basis = spectral.load_basis_cache(cache, ks, args.num_eigen)
-    if basis is None:
-        basis = spectral.decompose(ks, args.num_eigen)
-        if cache:
-            spectral.save_basis_cache(basis, cache)
-    table = freqfilter.rkhs_norm_table(basis, data.dt)
-    selection = freqfilter.select(table, eps1=args.eps1, eps2=args.eps2,
-                                  L0=args.L0)
-    if args.merge_adjacent:
-        selection = freqfilter.merge_adjacent(selection)
-    return train, basis, table, selection
+    if args.epsilon is None:
+        raise ConfigError("--epsilon is required")
+    return pipeline.fit(pipeline.build_config(_overrides(args)))
 
 
 def _cmd_synth(args):
@@ -119,21 +99,11 @@ def _cmd_synth(args):
 
 
 def _cmd_frequencies(args):
-    from . import freqfilter, pipeline
+    from . import pipeline
 
-    data = _load_series(args)
-    train, basis, table, selection = _fit_filter(args, data)
-    growth = freqfilter.selection_growth(table, selection)
-    pipeline._write_table(
-        args.out,
-        ["bin", "omega_rad_per_s", "period_s", "period_human", "amplitude",
-         "growth"],
-        [[str(int(j)) for j in selection.indices], selection.omegas,
-         selection.periods,
-         [pipeline.format_period(p) for p in selection.periods],
-         selection.amplitudes, growth],
-    )
-    print(pipeline.report_periods(selection))
+    result = _fit(args)
+    pipeline.write_frequencies(args.out, result)
+    print(pipeline.report_periods(result.selection))
     return 0
 
 
@@ -142,17 +112,11 @@ def _cmd_decompose(args):
 
     from . import decompose as dc
 
-    data = _load_series(args)
-    train, basis, table, selection = _fit_filter(args, data)
-    q = args.delays
-    pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
-                           t0=q * data.dt)
-    E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
-    dc.save_model(model, args.model_out)
-    resid = float(np.abs(pfit.residual).max())
+    result = _fit(args)
+    dc.save_model(result.model, args.model_out)
+    resid = float(np.abs(result.periodic.residual).max())
     print(f"wrote model to {args.model_out} "
-          f"({selection.m} frequencies, max periodic residual {resid:.3g})")
+          f"({result.selection.m} frequencies, max periodic residual {resid:.3g})")
     return 0
 
 
@@ -176,13 +140,8 @@ def _cmd_reconstruct(args):
         recon = dc.reconstruct(model, init, steps, (q + 1) * model.dt).values
         times = (q + 1 + np.arange(steps)) * model.dt
         truth = train.values[q + 1:]
-    names = train.channel_names
-    pipeline._write_table(
-        args.out,
-        ["time_s", *(f"truth_{c}" for c in names),
-         *(f"recon_{c}" for c in names)],
-        [times, *truth.T, *recon.T],
-    )
+    pipeline.write_estimate(args.out, train.channel_names, times, "recon",
+                            recon, truth)
     print(f"wrote {args.mode} reconstruction to {args.out}")
     return 0
 
@@ -194,8 +153,9 @@ def _cmd_predict(args):
     from . import pipeline, series
     from .errors import DataError
 
+    config = pipeline.build_config(_overrides(args))
     model = dc.load_model(args.model)
-    data = _load_series(args)
+    data = pipeline.load_series(config)
     if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")
@@ -206,85 +166,40 @@ def _cmd_predict(args):
         raise DataError(f"--init-at {args.init_at} beyond series length {data.n}")
     init = dc.state_before(data, args.init_at, q)
     pred = dc.reconstruct(model, init, args.steps, args.init_at * model.dt,
-                          clip_factor=args.clip_factor or None)
+                          clip_factor=config.clip_factor or None)
     times = (args.init_at + np.arange(args.steps)) * model.dt
-    names = data.channel_names
-    have_truth = args.init_at + args.steps <= data.n
-    cols = [times]
-    header = ["time_s"]
-    if have_truth:
-        truth = series.window(data, args.init_at, args.init_at + args.steps)
-        header += [f"truth_{c}" for c in names]
-        cols += list(truth.values.T)
-    header += [f"pred_{c}" for c in names]
-    cols += list(pred.values.T)
-    if have_truth and args.ma_window:
-        err = dc.relative_error(truth, pred)
-        for ci, cname in enumerate(names):
-            header.append(f"err_{cname}_ma{args.ma_window}")
-            cols.append(dc.moving_average(err[:, ci], args.ma_window))
-    pipeline._write_table(args.out, header, cols)
+    truth, extra = None, ((), ())
+    if args.init_at + args.steps <= data.n:
+        window = series.window(data, args.init_at, args.init_at + args.steps)
+        truth = window.values
+        if args.ma_window:
+            extra = pipeline.error_columns(window, pred, [args.ma_window])
+    pipeline.write_estimate(args.out, data.channel_names, times, "pred",
+                            pred.values, truth, extra)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
 
 
 def _cmd_diagnostics(args):
-    from pathlib import Path
+    from . import pipeline
 
-    from . import freqfilter, pipeline
-
-    data = _load_series(args)
-    train, basis, table, selection = _fit_filter(args, data)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    counts, edges = basis.kernel.sqdist_histogram
-    pipeline._write_table(outdir / "sqdist_histogram.csv",
-                          ["bin_left", "bin_right", "count"],
-                          [edges[:-1], edges[1:],
-                           [str(int(c)) for c in counts]])
-    tdiag = freqfilter.threshold_diagnostics(table, args.L0)
-    pipeline._write_table(outdir / "norm_growth_by_column.csv",
-                          ["l", "w_mean", "w_max"],
-                          [[str(l) for l in tdiag.column_index],
-                           tdiag.column_mean, tdiag.column_max])
-    pipeline._write_table(outdir / "growth_ratio_sorted.csv",
-                          ["rank", "ln_ratio"],
-                          [[str(r) for r in range(len(tdiag.sorted_growth))],
-                           tdiag.sorted_growth])
-    pipeline._write_table(outdir / "eigenvalues.csv",
-                          ["l", "sigma", "lambda"],
-                          [[str(l) for l in range(1, basis.L + 1)],
-                           basis.sigma, basis.lam])
-    print(f"wrote diagnostics to {outdir}")
+    pipeline.write_diagnostics(args.outdir, _fit(args))
+    print(f"wrote diagnostics to {args.outdir}")
     return 0
 
 
 def _cmd_run(args):
+    import dataclasses
+
     from . import pipeline
 
-    overrides = {}
-    for key in ("input", "outdir", "timestamp_column", "dt_seconds",
-                "resample_method", "max_gap_factor", "standardize", "delays",
-                "epsilon", "num_eigen", "eps1", "eps2", "L0",
-                "merge_adjacent", "train_end", "predict_start", "predict_end",
-                "mode", "clip_factor", "basis_cache"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "channels", None) is not None:
-        overrides["channels"] = tuple(args.channels)
-    if getattr(args, "ma_windows", None) is not None:
-        overrides["ma_windows"] = tuple(args.ma_windows)
+    overrides = _overrides(args)
     if args.config:
         config = pipeline.load_config(args.config, overrides=overrides)
     elif args.manifest:
-        import dataclasses
-
         base = pipeline.config_from_manifest(args.manifest)
-        values = {f.name: getattr(base, f.name)
-                  for f in dataclasses.fields(type(base))}
-        values.update(overrides)
-        config = pipeline.build_config(values)
+        config = pipeline.build_config({**dataclasses.asdict(base),
+                                        **overrides})
     else:
         config = pipeline.build_config(overrides)
     outdir = pipeline.run_pipeline(config)
@@ -301,7 +216,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     ingest = _ingestion_parser()
-    filt = _filter_parser()
+    filt = _fit_parser()
 
     p = sub.add_parser("synth", help="generate a testbed series as CSV")
     p.add_argument("--testbed", required=True)
@@ -331,22 +246,15 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("predict", help="free-run prediction from a model")
+    p = sub.add_parser("predict", parents=[ingest],
+                       help="free-run prediction from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True,
-                   help="series supplying the initial window and truth")
-    p.add_argument("--timestamp-column", default="time")
-    p.add_argument("--channels", nargs="+", default=None)
-    p.add_argument("--dt-seconds", type=float, default=0.0)
-    p.add_argument("--resample-method", choices=("hold", "linear"),
-                   default="hold")
-    p.add_argument("--standardize", action="store_true")
     p.add_argument("--init-at", type=int, required=True,
                    help="sample index of the first predicted snapshot")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--ma-window", type=int, default=0,
                    help="moving-average window for the error columns")
-    p.add_argument("--clip-factor", type=float, default=0.0)
+    p.add_argument("--clip-factor", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -355,33 +263,17 @@ def build_parser():
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_diagnostics)
 
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
+    p = sub.add_parser("run", parents=[ingest, filt],
+                       help="run the full pipeline from a config file")
     p.add_argument("--config", default=None)
     p.add_argument("--manifest", default=None,
                    help="re-run from a previous manifest instead of a config")
-    p.add_argument("--input", default=None)
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--timestamp-column", default=None)
-    p.add_argument("--channels", nargs="+", default=None)
-    p.add_argument("--dt-seconds", type=float, default=None)
-    p.add_argument("--resample-method", choices=("hold", "linear"),
-                   default=None)
-    p.add_argument("--max-gap-factor", type=float, default=None)
-    p.add_argument("--standardize", action="store_true", default=None)
-    p.add_argument("--delays", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--num-eigen", type=int, default=None)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--eps2", type=float, default=None)
-    p.add_argument("--L0", type=int, default=None)
-    p.add_argument("--merge-adjacent", action="store_true", default=None)
-    p.add_argument("--train-end", type=int, default=None)
-    p.add_argument("--predict-start", type=int, default=None)
-    p.add_argument("--predict-end", type=int, default=None)
-    p.add_argument("--ma-windows", type=int, nargs="+", default=None)
-    p.add_argument("--mode", choices=("insample", "freerun"), default=None)
-    p.add_argument("--clip-factor", type=float, default=None)
-    p.add_argument("--basis-cache", default=None, metavar="DIR")
+    p.add_argument("--outdir")
+    p.add_argument("--predict-start", type=int)
+    p.add_argument("--predict-end", type=int)
+    p.add_argument("--ma-windows", type=int, nargs="+")
+    p.add_argument("--mode", choices=("insample", "freerun"))
+    p.add_argument("--clip-factor", type=float)
     p.set_defaults(func=_cmd_run)
     return parser
 

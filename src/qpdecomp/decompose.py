@@ -402,15 +402,9 @@ def load_model(path) -> QPModel:
             raise DataError(f"{path}: training data does not match its stored hash")
         emb = delay_embed(src, int(data["q"]))
         p = data["sel_params"]
-        omegas = data["sel_omegas"]
-        with np.errstate(divide="ignore"):
-            periods = np.where(omegas > 0,
-                               2.0 * np.pi / np.where(omegas > 0, omegas, 1.0),
-                               np.inf)
         sel = FrequencySelection(
             indices=data["sel_indices"],
-            omegas=omegas,
-            periods=periods,
+            omegas=data["sel_omegas"],
             amplitudes=data["sel_amplitudes"],
             params=SelectionParams(float(p[0]), float(p[1]), int(p[2]), int(p[3])),
         )

@@ -72,7 +72,6 @@ class FrequencySelection:
 
     indices: np.ndarray
     omegas: np.ndarray
-    periods: np.ndarray
     amplitudes: np.ndarray
     params: SelectionParams
 
@@ -86,6 +85,13 @@ class FrequencySelection:
     @property
     def m(self) -> int:
         return len(self.indices)
+
+    @property
+    def periods(self) -> np.ndarray:
+        """Periods 2*pi/omega in seconds; infinite for bin 0 (the mean)."""
+        pos = self.omegas > 0
+        return np.where(pos, 2.0 * np.pi / np.where(pos, self.omegas, 1.0),
+                        np.inf)
 
 
 def rkhs_norm_table(basis: SpectralBasis, dt: float) -> RkhsNormTable:
@@ -137,12 +143,8 @@ def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
     if not (1 < L0 <= table.L):
         raise DataError(f"L0={L0} out of range 2..{table.L}")
     w_l0 = table.W[:, L0 - 1]
-    w_l = table.W[:, -1]
     keep = w_l0 >= eps1
-    growth = np.full(table.n_bins, np.inf)
-    pos = keep & (w_l0 > 0)
-    growth[pos] = np.log(w_l[pos]) - np.log(w_l0[pos])
-    selected = np.where(keep & (growth <= eps2))[0]
+    selected = np.where(keep & (log_growth(table, L0) <= eps2))[0]
     selected = np.union1d(selected, [0]).astype(int)
     if len(selected) == 1:
         warnings.warn(
@@ -160,28 +162,26 @@ def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
             f"residual nearly empty (raise L0 or eps1, or lower eps2)",
             stacklevel=2,
         )
-    omegas = table.freqs[selected]
-    with np.errstate(divide="ignore"):
-        periods = np.where(omegas > 0, 2.0 * np.pi / np.where(omegas > 0, omegas, 1.0),
-                           np.inf)
     return FrequencySelection(
         indices=selected,
-        omegas=omegas,
-        periods=periods,
+        omegas=table.freqs[selected],
         amplitudes=w_l0[selected],
         params=SelectionParams(float(eps1), float(eps2), int(L0), int(table.L)),
     )
 
 
-def selection_growth(table: RkhsNormTable, selection: FrequencySelection) -> np.ndarray:
-    """ln W[j, L] - ln W[j, L0] for each selected bin (reporting column)."""
-    L0 = selection.params.L0
-    w_l0 = table.W[selection.indices, L0 - 1]
-    w_l = table.W[selection.indices, -1]
+def log_growth(table: RkhsNormTable, L0: int, rows=slice(None)) -> np.ndarray:
+    """ln W[j, L] - ln W[j, L0] for the bins ``rows``; +inf where W[j, L0] = 0."""
+    w_l0 = table.W[rows, L0 - 1]
     out = np.full(len(w_l0), np.inf)
     pos = w_l0 > 0
-    out[pos] = np.log(w_l[pos]) - np.log(w_l0[pos])
+    out[pos] = np.log(table.W[rows, -1][pos]) - np.log(w_l0[pos])
     return out
+
+
+def selection_growth(table: RkhsNormTable, selection: FrequencySelection) -> np.ndarray:
+    """ln W[j, L] - ln W[j, L0] for each selected bin (reporting column)."""
+    return log_growth(table, selection.params.L0, selection.indices)
 
 
 def merge_adjacent(selection: FrequencySelection) -> FrequencySelection:
@@ -209,7 +209,6 @@ def merge_adjacent(selection: FrequencySelection) -> FrequencySelection:
     return FrequencySelection(
         indices=keep,
         omegas=selection.omegas[pick],
-        periods=selection.periods[pick],
         amplitudes=selection.amplitudes[pick],
         params=selection.params,
     )
@@ -234,10 +233,7 @@ class ThresholdDiagnostics:
 def threshold_diagnostics(table: RkhsNormTable, L0: int) -> ThresholdDiagnostics:
     if not (1 < L0 <= table.L):
         raise DataError(f"L0={L0} out of range 2..{table.L}")
-    w_l0 = table.W[:, L0 - 1]
-    w_l = table.W[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = np.log(w_l) - np.log(w_l0)
+    growth = log_growth(table, L0)
     growth = growth[np.isfinite(growth)]
     return ThresholdDiagnostics(
         column_index=np.arange(1, table.L + 1),

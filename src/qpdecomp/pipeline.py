@@ -2,6 +2,12 @@
 filter -> decomposition -> reconstruction/prediction, with plot-ready CSV
 artifacts and a manifest sufficient to re-run the pipeline.
 
+Every command that reads a series goes through :func:`load_series`, and every
+command that fits goes through :func:`fit`, so the same configuration gives
+the same selection and model from ``run`` and from the single-step
+subcommands.  :func:`write_frequencies` and :func:`write_diagnostics` write
+the tables that both share.
+
 Configuration is one flat key-value text file (``key = value`` lines, ``#``
 comments); CLI flags override file values.  All CSV floats carry 17
 significant digits so artifacts round-trip exactly; identical config and
@@ -18,6 +24,7 @@ import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +60,12 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every pipeline parameter.  Construction checks the keys that every
+    command reads; :func:`run_pipeline` checks ``outdir`` and the predict
+    window, which only a full run reads."""
+
     input: str
-    outdir: str
+    outdir: str = ""
     timestamp_column: str = _DEFAULTS["timestamp_column"]
     channels: tuple = _DEFAULTS["channels"]
     dt_seconds: float = _DEFAULTS["dt_seconds"]
@@ -79,8 +90,6 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.input:
             raise ConfigError("input is required")
-        if not self.outdir:
-            raise ConfigError("outdir is required")
         if self.dt_seconds < 0:
             raise ConfigError("dt_seconds must be positive (or 0 to keep the grid)")
         if self.resample_method not in ("hold", "linear"):
@@ -99,15 +108,6 @@ class PipelineConfig:
             raise ConfigError(f"L0={self.L0} out of range 2..num_eigen")
         if self.train_end < 0:
             raise ConfigError("train_end must be >= 0")
-        if not (0 < self.predict_start < self.predict_end):
-            raise ConfigError(
-                "predict window is required and must satisfy 0 < start < end"
-            )
-        if self.predict_start < self.delays + 1:
-            raise ConfigError(
-                f"predict_start must be >= delays+1 ({self.delays + 1}) so an "
-                f"initial delay window exists"
-            )
         if self.mode not in ("insample", "freerun"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if any(w < 1 for w in self.ma_windows):
@@ -123,7 +123,7 @@ _FLOAT_KEYS = {"dt_seconds", "max_gap_factor", "epsilon", "eps1", "eps2",
                "clip_factor"}
 _TUPLE_INT_KEYS = {"ma_windows"}
 _TUPLE_STR_KEYS = {"channels"}
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def _coerce(key, raw):
@@ -165,7 +165,7 @@ def parse_config_text(text):
             raise ConfigError(f"config line {line_no}: expected 'key = value'")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
         values[key] = raw.strip()
     return values
@@ -182,7 +182,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
     values = parse_config_text(path.read_text(encoding="utf-8"))
     if overrides:
         for key, val in overrides.items():
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             if val is not None:
                 values[key] = val
@@ -194,13 +194,12 @@ def load_config(path, overrides=None) -> PipelineConfig:
 
 def build_config(values) -> PipelineConfig:
     """Build a validated config from a plain dict of already-typed values."""
-    unknown = set(values) - _CONFIG_KEYS
+    unknown = set(values) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     coerced = {k: _coerce(k, v) for k, v in values.items()}
-    missing = {"input", "outdir"} - set(coerced)
-    if missing:
-        raise ConfigError(f"missing required config keys {sorted(missing)}")
+    if "input" not in coerced:
+        raise ConfigError("missing required config key 'input'")
     try:
         return PipelineConfig(**coerced)
     except TypeError as exc:
@@ -231,7 +230,7 @@ def config_from_manifest(path) -> PipelineConfig:
             continue
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key in _CONFIG_KEYS:
+        if key in CONFIG_KEYS:
             values[key] = raw.strip()
     return build_config(values)
 
@@ -315,6 +314,145 @@ class _ArtifactTracker:
             self.outdir.rmdir()
 
 
+def load_series(config: PipelineConfig) -> series.TimeSeries:
+    """Read the input series, resample it onto ``dt_seconds`` (bridging gaps
+    up to ``max_gap_factor`` steps) and standardize it, as ``config`` says."""
+    if not Path(config.input).is_file():
+        raise DataError(f"input file {config.input} does not exist")
+    data = series.load_csv(config.input, timestamp=config.timestamp_column,
+                           channels=list(config.channels) or None)
+    if config.dt_seconds > 0:
+        data = series.resample(data, config.dt_seconds,
+                               method=config.resample_method,
+                               max_gap=config.max_gap_factor * config.dt_seconds)
+    elif not data.regular:
+        raise DataError(
+            "input sampling is irregular; set dt_seconds to resample it"
+        )
+    if config.standardize:
+        data = series.standardize(data)
+    return data
+
+
+class Fit(NamedTuple):
+    """The method fitted on the training window of the loaded series."""
+
+    data: series.TimeSeries
+    train: series.TimeSeries
+    basis: spectral.SpectralBasis
+    table: freqfilter.RkhsNormTable
+    selection: freqfilter.FrequencySelection
+    periodic: dc.PeriodicFit
+    model: dc.QPModel
+
+
+def fit(config: PipelineConfig) -> Fit:
+    """Load the series and fit it: delay embedding, kernel, eigenbasis,
+    frequency selection, periodic fit and chaotic fit."""
+    data = load_series(config)
+    train_end = config.train_end or data.n
+    if train_end > data.n:
+        raise DataError(f"train_end={train_end} exceeds series length {data.n}")
+    train = series.window(data, 0, train_end)
+    q = config.delays
+    emb = series.delay_embed(train, q)
+    ks = kernel.gaussian_kernel(emb, config.epsilon)
+    basis = None
+    if config.basis_cache:
+        basis = spectral.load_basis_cache(config.basis_cache, ks,
+                                          config.num_eigen)
+    if basis is None:
+        basis = spectral.decompose(ks, config.num_eigen)
+        if config.basis_cache:
+            spectral.save_basis_cache(basis, config.basis_cache)
+    table = freqfilter.rkhs_norm_table(basis, data.dt)
+    selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
+                                  L0=config.L0)
+    if config.merge_adjacent:
+        selection = freqfilter.merge_adjacent(selection)
+
+    pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
+    E = dc.fit_chaotic(pfit.residual, basis)
+    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
+    return Fit(data, train, basis, table, selection, pfit, model)
+
+
+def write_frequencies(path, result: Fit):
+    """Write the selected bins as ``frequencies.csv``."""
+    selection = result.selection
+    periods = selection.periods
+    _write_table(
+        path,
+        ["bin", "omega_rad_per_s", "period_s", "period_human", "amplitude",
+         "growth"],
+        [[str(int(j)) for j in selection.indices],
+         selection.omegas,
+         periods,
+         [format_period(p) for p in periods],
+         selection.amplitudes,
+         freqfilter.selection_growth(result.table, selection)],
+    )
+
+
+def write_diagnostics(outdir, result: Fit, register=Path):
+    """Write the bandwidth and threshold diagnostic tables into ``outdir``.
+
+    ``register`` is called on each path before it is written.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    basis = result.basis
+    counts, edges = basis.kernel.sqdist_histogram
+    _write_table(
+        register(outdir / "sqdist_histogram.csv"),
+        ["bin_left", "bin_right", "count"],
+        [edges[:-1], edges[1:], [str(int(c)) for c in counts]],
+    )
+    tdiag = freqfilter.threshold_diagnostics(result.table,
+                                             result.selection.params.L0)
+    _write_table(
+        register(outdir / "norm_growth_by_column.csv"),
+        ["l", "w_mean", "w_max"],
+        [[str(l) for l in tdiag.column_index], tdiag.column_mean, tdiag.column_max],
+    )
+    _write_table(
+        register(outdir / "growth_ratio_sorted.csv"),
+        ["rank", "ln_ratio"],
+        [[str(r) for r in range(len(tdiag.sorted_growth))], tdiag.sorted_growth],
+    )
+    _write_table(
+        register(outdir / "eigenvalues.csv"),
+        ["l", "sigma", "lambda"],
+        [[str(l) for l in range(1, basis.L + 1)], basis.sigma, basis.lam],
+    )
+
+
+def write_estimate(path, names, times, label, estimate, truth=None,
+                   extra=((), ())):
+    """Write ``time_s``, then ``truth_<c>`` when ``truth`` is given, then
+    ``<label>_<c>`` for each channel name, then the ``extra`` (header,
+    columns) pair."""
+    header, cols = ["time_s"], [times]
+    if truth is not None:
+        header += [f"truth_{c}" for c in names]
+        cols += list(truth.T)
+    header += [f"{label}_{c}" for c in names]
+    cols += list(estimate.T)
+    _write_table(path, [*header, *extra[0]], [*cols, *extra[1]])
+
+
+def error_columns(truth, estimate, ma_windows):
+    """Moving averages of the relative error of ``estimate`` against
+    ``truth`` (both series), as ``err_<c>_ma<w>`` (header, columns)."""
+    err = dc.relative_error(truth, estimate)
+    header, cols = [], []
+    for m_win in ma_windows:
+        for ci, cname in enumerate(truth.channel_names):
+            header.append(f"err_{cname}_ma{m_win}")
+            cols.append(dc.moving_average(err[:, ci], m_win))
+    return header, cols
+
+
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run the full pipeline and write the artifact directory.
 
@@ -324,6 +462,17 @@ def run_pipeline(config: PipelineConfig) -> Path:
     the partial artifacts are removed.  A lock file prevents two pipelines
     from sharing one output directory.
     """
+    if not config.outdir:
+        raise ConfigError("outdir is required")
+    if not (0 < config.predict_start < config.predict_end):
+        raise ConfigError(
+            "predict window is required and must satisfy 0 < start < end"
+        )
+    if config.predict_start < config.delays + 1:
+        raise ConfigError(
+            f"predict_start must be >= delays+1 ({config.delays + 1}) so an "
+            f"initial delay window exists"
+        )
     outdir = Path(config.outdir)
     tracker = _ArtifactTracker(outdir)
     if not outdir.exists():
@@ -354,64 +503,16 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
 
 def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
-    if not Path(config.input).is_file():
-        raise DataError(f"input file {config.input} does not exist")
-    data = series.load_csv(config.input, timestamp=config.timestamp_column,
-                           channels=list(config.channels) or None)
-    if config.dt_seconds > 0:
-        data = series.resample(data, config.dt_seconds,
-                               method=config.resample_method,
-                               max_gap=config.max_gap_factor * config.dt_seconds)
-    elif not data.regular:
-        raise DataError(
-            "input sampling is irregular; set dt_seconds to resample it"
-        )
-    if config.standardize:
-        data = series.standardize(data)
-
-    train_end = config.train_end or data.n
-    if train_end > data.n:
-        raise DataError(f"train_end={train_end} exceeds series length {data.n}")
-    train = series.window(data, 0, train_end)
+    result = fit(config)
+    data, train, basis = result.data, result.train, result.basis
+    pfit, model = result.periodic, result.model
     q = config.delays
-    emb = series.delay_embed(train, q)
-    ks = kernel.gaussian_kernel(emb, config.epsilon)
-    basis = None
-    if config.basis_cache:
-        basis = spectral.load_basis_cache(config.basis_cache, ks,
-                                          config.num_eigen)
-    if basis is None:
-        basis = spectral.decompose(ks, config.num_eigen)
-        if config.basis_cache:
-            spectral.save_basis_cache(basis, config.basis_cache)
-    table = freqfilter.rkhs_norm_table(basis, data.dt)
-    selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
-                                  L0=config.L0)
-    if config.merge_adjacent:
-        selection = freqfilter.merge_adjacent(selection)
-
-    pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
-    E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
-
     clip = config.clip_factor or None
 
-    # frequencies
-    growth = freqfilter.selection_growth(table, selection)
-    _write_table(
-        tracker.register(outdir / "frequencies.csv"),
-        ["bin", "omega_rad_per_s", "period_s", "period_human", "amplitude",
-         "growth"],
-        [[str(int(j)) for j in selection.indices],
-         selection.omegas,
-         selection.periods,
-         [format_period(p) for p in selection.periods],
-         selection.amplitudes,
-         growth],
-    )
+    write_frequencies(tracker.register(outdir / "frequencies.csv"), result)
 
     # periodic component over the training rows
-    fit_times = (q + np.arange(emb.n_points)) * data.dt
+    fit_times = (q + np.arange(basis.n)) * data.dt
     _write_table(
         tracker.register(outdir / "periodic.csv"),
         ["time_s", *(f"per_{c}" for c in data.channel_names)],
@@ -427,7 +528,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
 
     # reconstruction over the training window
     if config.mode == "insample":
-        recon_vals = pfit.fitted + spectral.synthesize(basis, E)
+        recon_vals = pfit.fitted + spectral.synthesize(basis, model.E)
         recon_times = fit_times
         truth_vals = train.values[q:]
     else:
@@ -438,12 +539,9 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
         recon_vals = recon.values
         recon_times = (q + 1 + np.arange(steps)) * data.dt
         truth_vals = train.values[q + 1:]
-    _write_table(
-        tracker.register(outdir / "reconstruction.csv"),
-        ["time_s", *(f"truth_{c}" for c in data.channel_names),
-         *(f"recon_{c}" for c in data.channel_names)],
-        [recon_times, *truth_vals.T, *recon_vals.T],
-    )
+    write_estimate(tracker.register(outdir / "reconstruction.csv"),
+                   data.channel_names, recon_times, "recon", recon_vals,
+                   truth_vals)
 
     # prediction over the held-out window
     if config.predict_end > data.n:
@@ -457,18 +555,10 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
                           clip_factor=clip)
     truth = series.window(data, ps, pe)
     pred_times = (ps + np.arange(pe - ps)) * data.dt
-    _write_table(
-        tracker.register(outdir / "prediction.csv"),
-        ["time_s", *(f"truth_{c}" for c in data.channel_names),
-         *(f"pred_{c}" for c in data.channel_names)],
-        [pred_times, *truth.values.T, *pred.values.T],
-    )
-    err = dc.relative_error(truth, pred)
-    err_cols, err_names = [], []
-    for m_win in config.ma_windows:
-        for ci, cname in enumerate(data.channel_names):
-            err_names.append(f"err_{cname}_ma{m_win}")
-            err_cols.append(dc.moving_average(err[:, ci], m_win))
+    write_estimate(tracker.register(outdir / "prediction.csv"),
+                   data.channel_names, pred_times, "pred", pred.values,
+                   truth.values)
+    err_names, err_cols = error_columns(truth, pred, config.ma_windows)
     _write_table(
         tracker.register(outdir / "errors.csv"),
         ["time_s", *err_names],
@@ -478,31 +568,7 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
     # model file
     dc.save_model(model, tracker.register(outdir / "model.npz"))
 
-    # diagnostics
-    diag = outdir / "diagnostics"
-    diag.mkdir(exist_ok=True)
-    counts, edges = basis.kernel.sqdist_histogram
-    _write_table(
-        tracker.register(diag / "sqdist_histogram.csv"),
-        ["bin_left", "bin_right", "count"],
-        [edges[:-1], edges[1:], [str(int(c)) for c in counts]],
-    )
-    tdiag = freqfilter.threshold_diagnostics(table, config.L0)
-    _write_table(
-        tracker.register(diag / "norm_growth_by_column.csv"),
-        ["l", "w_mean", "w_max"],
-        [[str(l) for l in tdiag.column_index], tdiag.column_mean, tdiag.column_max],
-    )
-    _write_table(
-        tracker.register(diag / "growth_ratio_sorted.csv"),
-        ["rank", "ln_ratio"],
-        [[str(r) for r in range(len(tdiag.sorted_growth))], tdiag.sorted_growth],
-    )
-    _write_table(
-        tracker.register(diag / "eigenvalues.csv"),
-        ["l", "sigma", "lambda"],
-        [[str(l) for l in range(1, basis.L + 1)], basis.sigma, basis.lam],
-    )
+    write_diagnostics(outdir / "diagnostics", result, tracker.register)
 
     # manifest last: every parameter plus content hashes
     manifest = tracker.register(outdir / "manifest.txt")

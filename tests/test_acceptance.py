@@ -234,20 +234,16 @@ class TestCriterion5DecompositionExactness:
             n, dt = 256, 1.0
             y = rng.standard_normal((n, 2))
             omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-            with np.errstate(divide="ignore"):
-                periods = np.where(omegas > 0,
-                                   TWO_PI / np.where(omegas > 0, omegas, 1),
-                                   np.inf)
             sel = FrequencySelection(
                 indices=np.arange(len(omegas)), omegas=omegas,
-                periods=periods, amplitudes=np.ones(len(omegas)),
+                amplitudes=np.ones(len(omegas)),
                 params=SelectionParams(0.1, 2.5, 5, 10))
             fit = dc.fit_periodic(y, sel, dt)
             assert np.abs(fit.residual).max() <= 1e-8
 
             few = FrequencySelection(
                 indices=np.arange(4), omegas=omegas[:4].copy(),
-                periods=periods[:4].copy(), amplitudes=np.ones(4),
+                amplitudes=np.ones(4),
                 params=SelectionParams(0.1, 2.5, 2, 4))
             fit2 = dc.fit_periodic(y, few, dt)
             t = np.arange(n) * dt
@@ -356,12 +352,8 @@ class TestCriterion8PeriodRendering:
                 assert format_period(TWO_PI / omega) == label
             from qpdecomp.freqfilter import FrequencySelection, SelectionParams
             omegas = np.array([0.0] + sorted(TWO_PI / s for s in cases))
-            with np.errstate(divide="ignore"):
-                periods = np.where(omegas > 0,
-                                   TWO_PI / np.where(omegas > 0, omegas, 1),
-                                   np.inf)
             sel = FrequencySelection(
-                indices=np.arange(4), omegas=omegas, periods=periods,
+                indices=np.arange(4), omegas=omegas,
                 amplitudes=np.ones(4), params=SelectionParams(0.1, 2.5, 5, 10))
             report = report_periods(sel)
             for label in cases.values():

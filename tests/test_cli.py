@@ -347,6 +347,95 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "NumericalError" in err
 
+    @pytest.mark.parametrize("case", [
+        ["--num-eigen", "10", "--L0", "50"],
+        ["--delays", "-1"],
+        ["--epsilon", "-2"],
+        ["--epsilon", "0"],
+    ], ids=["L0_above_num_eigen", "negative_delays", "negative_epsilon",
+            "zero_epsilon"])
+    @pytest.mark.parametrize("command", ["run", "frequencies", "decompose",
+                                         "diagnostics"])
+    def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  command, case):
+        # every fitting command validates the same keys the same way, and
+        # does so before it builds the kernel
+        import qpdecomp.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+        target = {"run": ["--outdir", tmp_path / "o", "--predict-start", "620",
+                          "--predict-end", "680"],
+                  "frequencies": ["--out", tmp_path / "f.csv"],
+                  "decompose": ["--model-out", tmp_path / "m.npz"],
+                  "diagnostics": ["--outdir", tmp_path / "diag"]}[command]
+        code = run_cli([command, "--input", synth_csv[0], "--epsilon", "2.0",
+                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", *case, *target])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
+
+    @pytest.mark.parametrize("command", ["frequencies", "decompose",
+                                         "diagnostics"])
+    def test_epsilon_required_by_subcommands(self, synth_csv, tmp_path,
+                                             capsys, command):
+        code = run_cli([command, "--input", synth_csv[0],
+                        {"frequencies": "--out", "decompose": "--model-out",
+                         "diagnostics": "--outdir"}[command], tmp_path / "x"])
+        assert code == 2
+        assert "epsilon is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gapped", [False, True], ids=["clean", "gapped"])
+    def test_subcommands_match_run(self, synth_csv, tmp_path, capsys, gapped):
+        # the same flags give the same bytes from a single-step command as
+        # from `run`; the gapped input drops a 16 s stretch, which only
+        # resampling with a wider gap allowance accepts
+        src, resample = synth_csv[0], []
+        if gapped:
+            header, *rows = src.read_text().splitlines()
+            src = tmp_path / "gapped.csv"
+            src.write_text("\n".join([header] + rows[:301] + rows[316:])
+                           + "\n")
+            resample = ["--dt-seconds", "1", "--max-gap-factor", "20"]
+        flags = ["--input", src, "--epsilon", "2.0", "--delays", "6",
+                 "--num-eigen", "40", "--L0", "8", "--train-end", "600",
+                 *resample]
+        if gapped:
+            # at the default allowance of 10 steps both refuse the gap
+            for command, target in (("run", ["--outdir", tmp_path / "r",
+                                             "--predict-start", "620",
+                                             "--predict-end", "680"]),
+                                    ("frequencies", ["--out",
+                                                     tmp_path / "r.csv"])):
+                assert run_cli([command, *flags[:-2], *target]) == 3
+                assert "gap" in capsys.readouterr().err
+        ref = tmp_path / "run"
+        assert run_cli(["run", *flags, "--outdir", ref, "--predict-start",
+                        "620", "--predict-end", "680"]) == 0
+
+        assert run_cli(["frequencies", *flags,
+                        "--out", tmp_path / "f.csv"]) == 0
+        assert ((tmp_path / "f.csv").read_bytes()
+                == (ref / "frequencies.csv").read_bytes())
+        assert run_cli(["diagnostics", *flags,
+                        "--outdir", tmp_path / "diag"]) == 0
+        for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
+                     "growth_ratio_sorted.csv", "eigenvalues.csv"):
+            assert ((tmp_path / "diag" / name).read_bytes()
+                    == (ref / "diagnostics" / name).read_bytes()), name
+        assert run_cli(["decompose", *flags,
+                        "--model-out", tmp_path / "m.npz"]) == 0
+        assert ((tmp_path / "m.npz").read_bytes()
+                == (ref / "model.npz").read_bytes())
+        assert run_cli(["predict", "--model", tmp_path / "m.npz",
+                        *flags[:2], *resample, "--init-at", "620",
+                        "--steps", "60", "--out", tmp_path / "p.csv"]) == 0
+        assert ((tmp_path / "p.csv").read_bytes()
+                == (ref / "prediction.csv").read_bytes())
+
 
 def test_module_invocation_smoke(tmp_path):
     out = tmp_path / "x.csv"

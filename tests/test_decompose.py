@@ -42,13 +42,9 @@ def make_selection(omegas, n, dt):
     """Selection of the given frequencies, filed under their nearest DFT bin
     of the n-row grid at step dt (so an off-grid frequency stays off-grid)."""
     omegas = np.asarray(omegas, dtype=float)
-    with np.errstate(divide="ignore"):
-        periods = np.where(omegas > 0, TWO_PI / np.where(omegas > 0, omegas, 1.0),
-                           np.inf)
     return FrequencySelection(
         indices=np.rint(omegas * n * dt / TWO_PI).astype(int),
         omegas=omegas,
-        periods=periods,
         amplitudes=np.ones(len(omegas)),
         params=SelectionParams(0.1, 2.5, 2, 4),
     )
@@ -181,7 +177,6 @@ class TestFitPeriodic:
             make_selection(omegas, n, dt)
         sel = make_selection(omegas[:2], n, dt)
         near = FrequencySelection(indices=np.array([0, 2, 3]), omegas=omegas,
-                                  periods=np.r_[np.inf, TWO_PI / omegas[1:]],
                                   amplitudes=np.ones(3), params=sel.params)
         with pytest.raises(DataError, match=r"bin 3 at 0\.314159"):
             fit_periodic(np.zeros((n, 1)), near, dt)

@@ -16,6 +16,7 @@ from qpdecomp.freqfilter import (
     FrequencySelection,
     RkhsNormTable,
     SelectionParams,
+    log_growth,
     selection_growth,
     threshold_diagnostics,
 )
@@ -107,6 +108,20 @@ class TestSelect:
         np.testing.assert_array_equal(sel.indices, [0])
         assert sel.periods[0] == np.inf
 
+    def test_periods_derive_from_omegas(self):
+        sel = FrequencySelection(
+            indices=np.array([0, 3, 9]), omegas=np.array([0.0, 0.3, 0.9]),
+            amplitudes=np.ones(3), params=SelectionParams(0.1, 2.5, 5, 20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            periods = sel.periods
+        np.testing.assert_array_equal(periods,
+                                      [np.inf, TWO_PI / 0.3, TWO_PI / 0.9])
+        with pytest.raises(TypeError):
+            FrequencySelection(indices=sel.indices, omegas=sel.omegas,
+                               periods=periods, amplitudes=sel.amplitudes,
+                               params=sel.params)
+
     def test_empty_nonzero_selection_warns_not_raises(self):
         table = make_table(np.full((6, 3), 1e-9))
         with pytest.warns(UserWarning, match="no nonzero frequency"):
@@ -184,25 +199,56 @@ class TestSelectionGrowth:
         expected = np.log(W[sel.indices, -1]) - np.log(W[sel.indices, 2])
         np.testing.assert_allclose(growth, expected, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_one_helper_matches_the_former_formulas_bitwise(self, torus_basis):
+        # each caller used to take the logs itself: select over the kept
+        # bins, selection_growth over the selected ones, and
+        # threshold_diagnostics over the whole strided column
+        table = rkhs_norm_table(torus_basis, dt=1.0)
+        W = table.W.copy()
+        W[[3, 7], :4] = 0.0              # bins with W[j, L0] = 0
+        table = RkhsNormTable(W=W, freqs=table.freqs, dt=1.0)
+        L0, eps1 = 4, 0.1
+        w_l0, w_l = W[:, L0 - 1], W[:, -1]
+        growth = log_growth(table, L0)
+
+        pos = (w_l0 >= eps1) & (w_l0 > 0)
+        np.testing.assert_array_equal(growth[pos],
+                                      np.log(w_l[pos]) - np.log(w_l0[pos]))
+        assert np.all(np.isposinf(growth[w_l0 == 0]))
+
+        sel = select(table, eps1=eps1, eps2=2.5, L0=L0)
+        former = np.full(sel.m, np.inf)
+        w0 = W[sel.indices, L0 - 1]
+        ok = w0 > 0
+        former[ok] = np.log(W[sel.indices, -1][ok]) - np.log(w0[ok])
+        np.testing.assert_array_equal(selection_growth(table, sel), former)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.log(w_l) - np.log(w_l0)
+        np.testing.assert_array_equal(
+            threshold_diagnostics(table, L0).sorted_growth,
+            np.sort(full[np.isfinite(full)]))
+
 
 class TestMergeAdjacent:
     def test_collapses_runs_to_max_amplitude(self):
         sel = FrequencySelection(
             indices=np.array([0, 5, 6, 7, 12, 20, 21]),
             omegas=np.array([0.0, 5.0, 6.0, 7.0, 12.0, 20.0, 21.0]) * 0.01,
-            periods=TWO_PI / (np.array([1e9, 5, 6, 7, 12, 20, 21]) * 0.01),
             amplitudes=np.array([1.0, 0.2, 0.9, 0.3, 0.5, 0.6, 0.4]),
             params=SelectionParams(0.1, 2.5, 5, 20),
         )
         merged = merge_adjacent(sel)
         np.testing.assert_array_equal(merged.indices, [0, 6, 12, 20])
         np.testing.assert_allclose(merged.amplitudes, [1.0, 0.9, 0.5, 0.6])
+        np.testing.assert_array_equal(
+            merged.periods, np.r_[np.inf, TWO_PI / merged.omegas[1:]])
 
     def test_noop_without_runs(self):
         sel = FrequencySelection(
             indices=np.array([0, 3, 9]),
             omegas=np.array([0.0, 3.0, 9.0]),
-            periods=np.array([np.inf, TWO_PI / 3, TWO_PI / 9]),
             amplitudes=np.array([1.0, 0.5, 0.4]),
             params=SelectionParams(0.1, 2.5, 5, 20),
         )

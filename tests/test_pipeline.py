@@ -244,22 +244,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(cfg)
 
-    def test_validation_errors(self):
-        base = dict(input="a.csv", outdir="out", predict_start=30,
-                    predict_end=40)
+    def test_validation_errors(self, tmp_path):
+        base = dict(input="a.csv", outdir=str(tmp_path / "out"),
+                    predict_start=30, predict_end=40)
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
                dict(L0=500), dict(resample_method="spline"),
-               dict(predict_start=5, predict_end=4),
-               dict(predict_start=0, predict_end=0),
-               dict(predict_start=3, predict_end=50, delays=20),
                dict(mode="both"), dict(ma_windows=(0,))]
         for extra in bad:
             with pytest.raises(ConfigError):
                 build_config({**base, **extra})
+        # only a full run reads the predict window: run_pipeline checks it
+        # before it touches the output directory
+        run_only = [dict(predict_start=5, predict_end=4),
+                    dict(predict_start=0, predict_end=0),
+                    dict(predict_start=3, predict_end=50, delays=20)]
+        for extra in run_only:
+            config = build_config({**base, **extra})
+            with pytest.raises(ConfigError):
+                run_pipeline(config)
+            assert not (tmp_path / "out").exists()
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="required"):
-            build_config({"input": "a.csv"})
+            build_config({})
+        # only a full run reads outdir: run_pipeline checks it
+        config = build_config({"input": "a.csv"})
+        with pytest.raises(ConfigError, match="required"):
+            run_pipeline(config)
 
     def test_bundled_smoke_config_parses(self):
         from pathlib import Path
@@ -284,10 +295,7 @@ class TestPeriodRendering:
         days = [3.5, 7, 14]
         periods = [h * 3600.0 for h in hours] + [d * 86400.0 for d in days]
         omegas = np.array([0.0] + sorted(TWO_PI / p for p in periods))
-        with np.errstate(divide="ignore"):
-            per = np.where(omegas > 0, TWO_PI / np.where(omegas > 0, omegas, 1), np.inf)
         sel = FrequencySelection(indices=np.arange(len(omegas)), omegas=omegas,
-                                 periods=per,
                                  amplitudes=np.ones(len(omegas)),
                                  params=SelectionParams(0.1, 2.5, 5, 100))
         report = report_periods(sel)
