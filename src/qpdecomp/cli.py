@@ -24,17 +24,19 @@ def _apply_thread_env():
 
 
 def _ingestion_parser():
-    # every flag here and in _fit_parser defaults to None: unset flags leave
-    # the config file's value, or the pipeline default, in place
+    # every flag here and in _fit_parser sets a config key: it defaults to
+    # None, so an unset flag leaves the config file's value or the default
+    # in place, and its text is parsed and checked by the config schema
+    # (pipeline.PipelineConfig), as a config file's value is
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--input", help="input CSV file")
     p.add_argument("--timestamp-column")
     p.add_argument("--channels", nargs="+",
                    help="value columns to keep (default: all non-timestamp)")
-    p.add_argument("--dt-seconds", type=float,
+    p.add_argument("--dt-seconds",
                    help="resample to this step; 0 keeps the input grid")
-    p.add_argument("--resample-method", choices=("hold", "linear"))
-    p.add_argument("--max-gap-factor", type=float,
+    p.add_argument("--resample-method")
+    p.add_argument("--max-gap-factor",
                    help="widest input gap to resample across, in steps")
     p.add_argument("--standardize", action="store_true", default=None)
     return p
@@ -42,15 +44,15 @@ def _ingestion_parser():
 
 def _fit_parser():
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--train-end", type=int,
+    p.add_argument("--train-end",
                    help="training window length in samples; 0 uses everything")
-    p.add_argument("--delays", type=int, metavar="Q")
-    p.add_argument("--epsilon", type=float,
+    p.add_argument("--delays", metavar="Q")
+    p.add_argument("--epsilon",
                    help="Gaussian kernel bandwidth (squared-distance units)")
-    p.add_argument("--num-eigen", type=int, metavar="L")
-    p.add_argument("--eps1", type=float)
-    p.add_argument("--eps2", type=float)
-    p.add_argument("--L0", type=int)
+    p.add_argument("--num-eigen", metavar="L")
+    p.add_argument("--eps1")
+    p.add_argument("--eps2")
+    p.add_argument("--L0")
     p.add_argument("--merge-adjacent", action="store_true", default=None)
     p.add_argument("--basis-cache", metavar="DIR",
                    help="directory for content-addressed reuse of the "
@@ -189,17 +191,13 @@ def _cmd_diagnostics(args):
 
 
 def _cmd_run(args):
-    import dataclasses
-
     from . import pipeline
 
     overrides = _overrides(args)
     if args.config:
-        config = pipeline.load_config(args.config, overrides=overrides)
+        config = pipeline.load_config(args.config, overrides)
     elif args.manifest:
-        base = pipeline.config_from_manifest(args.manifest)
-        config = pipeline.build_config({**dataclasses.asdict(base),
-                                        **overrides})
+        config = pipeline.config_from_manifest(args.manifest, overrides)
     else:
         config = pipeline.build_config(overrides)
     outdir = pipeline.run_pipeline(config)
@@ -254,7 +252,7 @@ def build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--ma-window", type=int, default=0,
                    help="moving-average window for the error columns")
-    p.add_argument("--clip-factor", type=float)
+    p.add_argument("--clip-factor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -269,11 +267,11 @@ def build_parser():
     p.add_argument("--manifest", default=None,
                    help="re-run from a previous manifest instead of a config")
     p.add_argument("--outdir")
-    p.add_argument("--predict-start", type=int)
-    p.add_argument("--predict-end", type=int)
-    p.add_argument("--ma-windows", type=int, nargs="+")
-    p.add_argument("--mode", choices=("insample", "freerun"))
-    p.add_argument("--clip-factor", type=float)
+    p.add_argument("--predict-start")
+    p.add_argument("--predict-end")
+    p.add_argument("--ma-windows", nargs="+")
+    p.add_argument("--mode")
+    p.add_argument("--clip-factor")
     p.set_defaults(func=_cmd_run)
     return parser
 

@@ -8,10 +8,14 @@ the same selection and model from ``run`` and from the single-step
 subcommands.  :func:`write_frequencies` and :func:`write_diagnostics` write
 the tables that both share.
 
-Configuration is one flat key-value text file (``key = value`` lines, ``#``
-comments); CLI flags override file values.  All CSV floats carry 17
-significant digits so artifacts round-trip exactly; identical config and
-input give byte-identical artifacts apart from the manifest timestamp line.
+:class:`PipelineConfig` is the one configuration schema: its fields' types
+and defaults parse config files and manifests (flat ``key = value`` lines,
+``#`` comments) and command-line flags alike, merged as defaults, then the
+file, then the flags.  A relative ``input`` in a file resolves against the
+file's directory.  All CSV floats carry 17 significant digits so artifacts
+round-trip exactly; identical config and input give byte-identical artifacts
+apart from the manifest timestamp line, on the same BLAS build and thread
+count.
 
 Pipeline clock: row m of the embedded training data spans source samples
 m..m+q and is anchored at its newest sample, so fits use times
@@ -21,7 +25,8 @@ m..m+q and is anchored at its newest sample, so fits use times
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -34,62 +39,46 @@ from .errors import ConfigError, DataError
 
 _FLOAT_FMT = "{:.17g}"
 
-_DEFAULTS = {
-    "timestamp_column": "time",
-    "channels": (),            # empty: every non-timestamp column
-    "dt_seconds": 0.0,         # 0: keep the input grid (must be regular)
-    "resample_method": "hold",
-    "max_gap_factor": 10.0,
-    "standardize": False,
-    "delays": 20,
-    "epsilon": 0.1,
-    "num_eigen": 300,
-    "eps1": 0.1,
-    "eps2": 2.5,
-    "L0": 100,
-    "merge_adjacent": False,
-    "train_end": 0,            # 0: use the full series
-    "predict_start": 0,
-    "predict_end": 0,
-    "ma_windows": (1, 10, 100),
-    "mode": "insample",
-    "clip_factor": 0.0,        # 0: no clipping
-    "basis_cache": "",         # directory for content-addressed basis reuse
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every pipeline parameter.  Construction checks the keys that every
-    command reads; :func:`run_pipeline` checks ``outdir`` and the predict
-    window, which only a full run reads."""
+    """Every pipeline parameter, and the one schema for reading them: a
+    field's annotation says how a text value from a config file, a manifest
+    or a flag is parsed (see :func:`build_config`).  Construction checks the
+    keys that every command reads; :func:`run_pipeline` checks ``outdir``
+    and the predict window, which only a full run reads."""
 
     input: str
     outdir: str = ""
-    timestamp_column: str = _DEFAULTS["timestamp_column"]
-    channels: tuple = _DEFAULTS["channels"]
-    dt_seconds: float = _DEFAULTS["dt_seconds"]
-    resample_method: str = _DEFAULTS["resample_method"]
-    max_gap_factor: float = _DEFAULTS["max_gap_factor"]
-    standardize: bool = _DEFAULTS["standardize"]
-    delays: int = _DEFAULTS["delays"]
-    epsilon: float = _DEFAULTS["epsilon"]
-    num_eigen: int = _DEFAULTS["num_eigen"]
-    eps1: float = _DEFAULTS["eps1"]
-    eps2: float = _DEFAULTS["eps2"]
-    L0: int = _DEFAULTS["L0"]
-    merge_adjacent: bool = _DEFAULTS["merge_adjacent"]
-    train_end: int = _DEFAULTS["train_end"]
-    predict_start: int = _DEFAULTS["predict_start"]
-    predict_end: int = _DEFAULTS["predict_end"]
-    ma_windows: tuple = _DEFAULTS["ma_windows"]
-    mode: str = _DEFAULTS["mode"]
-    clip_factor: float = _DEFAULTS["clip_factor"]
-    basis_cache: str = _DEFAULTS["basis_cache"]
+    timestamp_column: str = "time"
+    channels: tuple[str, ...] = ()      # empty: every non-timestamp column
+    dt_seconds: float = 0.0             # 0: keep the input grid (must be regular)
+    resample_method: str = "hold"
+    max_gap_factor: float = 10.0
+    standardize: bool = False
+    delays: int = 20
+    epsilon: float = 0.1
+    num_eigen: int = 300
+    eps1: float = 0.1
+    eps2: float = 2.5
+    L0: int = 100
+    merge_adjacent: bool = False
+    train_end: int = 0                  # 0: use the full series
+    predict_start: int = 0
+    predict_end: int = 0
+    ma_windows: tuple[int, ...] = (1, 10, 100)
+    mode: str = "insample"
+    clip_factor: float = 0.0            # 0: no clipping
+    basis_cache: str = ""               # directory for eigenbasis reuse
 
     def __post_init__(self):
         if not self.input:
             raise ConfigError("input is required")
+        for name in self.channels:
+            # a manifest writes the channels as one whitespace-separated line
+            if not name or any(ch.isspace() for ch in name):
+                raise ConfigError(f"channel name {name!r} is empty or "
+                                  f"contains whitespace")
         if self.dt_seconds < 0:
             raise ConfigError("dt_seconds must be positive (or 0 to keep the grid)")
         if self.resample_method not in ("hold", "linear"):
@@ -116,97 +105,93 @@ class PipelineConfig:
             raise ConfigError("clip_factor must be >= 0")
 
 
-_BOOL_KEYS = {"standardize", "merge_adjacent"}
-_INT_KEYS = {"delays", "num_eigen", "L0", "train_end", "predict_start",
-             "predict_end"}
-_FLOAT_KEYS = {"dt_seconds", "max_gap_factor", "epsilon", "eps1", "eps2",
-               "clip_factor"}
-_TUPLE_INT_KEYS = {"ma_windows"}
-_TUPLE_STR_KEYS = {"channels"}
-CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+CONFIG_KEYS = set(_FIELD_TYPES)
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
+def _parse(kind, value):
+    """``value`` as a ``kind``: text from a file or a flag, or a typed value.
+    Tuples are whitespace-separated text or a sequence (a multi-value flag)."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        parts = value.split() if isinstance(value, str) else value
+        return tuple(_parse(item, v) for v in parts)
+    if kind is bool and not isinstance(value, bool):
+        return _BOOL_WORDS[str(value).lower()]
+    return kind(value)
 
 
 def _coerce(key, raw):
-    text = raw.strip() if isinstance(raw, str) else raw
+    value = raw.strip() if isinstance(raw, str) else raw
     try:
-        if key in _BOOL_KEYS:
-            if isinstance(text, bool):
-                return text
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _TUPLE_INT_KEYS:
-            if isinstance(text, (tuple, list)):
-                return tuple(int(v) for v in text)
-            return tuple(int(v) for v in text.split())
-        if key in _TUPLE_STR_KEYS:
-            if isinstance(text, (tuple, list)):
-                return tuple(text)
-            return tuple(text.split())
-        return str(text)
-    except (ValueError, TypeError):
+        return _parse(_FIELD_TYPES[key], value)
+    except (ValueError, TypeError, KeyError):
         raise ConfigError(f"cannot parse config value {key} = {raw!r}") from None
 
 
-def parse_config_text(text):
-    """Parse flat ``key = value`` lines into a raw dict (unknown keys rejected)."""
-    values = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {line_no}: expected 'key = value'")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
-        values[key] = raw.strip()
-    return values
-
-
-def load_config(path, overrides=None) -> PipelineConfig:
-    """Read a config file, apply overrides, and validate.
-
-    Relative ``input`` paths resolve against the config file's directory.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
-    values = parse_config_text(path.read_text(encoding="utf-8"))
-    if overrides:
-        for key, val in overrides.items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if val is not None:
-                values[key] = val
-    kwargs = {k: _coerce(k, v) for k, v in values.items()}
-    if "input" in kwargs and kwargs["input"] and not os.path.isabs(kwargs["input"]):
-        kwargs["input"] = str((path.parent / kwargs["input"]).resolve())
-    return build_config(kwargs)
-
-
 def build_config(values) -> PipelineConfig:
-    """Build a validated config from a plain dict of already-typed values."""
+    """Build a validated config from a dict of values, as text (from a file
+    or a flag) or already typed."""
     unknown = set(values) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    coerced = {k: _coerce(k, v) for k, v in values.items()}
-    if "input" not in coerced:
+    if "input" not in values:
         raise ConfigError("missing required config key 'input'")
-    try:
-        return PipelineConfig(**coerced)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineConfig(**{k: _coerce(k, v) for k, v in values.items()})
+
+
+def _read_config(path, overrides, manifest):
+    """Read the ``key = value`` lines of a config file or a manifest, then
+    apply the overrides that are not None, and build the config.
+
+    A config file rejects unknown keys; a manifest skips them, so that it
+    can carry hashes and keys that earlier versions wrote.  A relative
+    ``input`` in the file resolves against the file's directory; an
+    override is taken as it is.
+    """
+    path = Path(path)
+    what = "manifest" if manifest else "config file"
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} does not exist")
+    values = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, raw = stripped.partition("=")
+        key = key.strip()
+        if sep and key in CONFIG_KEYS:
+            values[key] = raw.strip()
+        elif manifest:
+            continue
+        elif not sep:
+            raise ConfigError(f"config line {line_no}: expected 'key = value'")
+        else:
+            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+    if values.get("input") and not os.path.isabs(values["input"]):
+        values["input"] = str((path.parent / values["input"]).resolve())
+    overrides = overrides or {}
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    return build_config(values)
+
+
+def load_config(path, overrides=None) -> PipelineConfig:
+    """Read a config file, apply overrides, and validate: defaults, then the
+    file, then the overrides."""
+    return _read_config(path, overrides, manifest=False)
+
+
+def config_from_manifest(path, overrides=None) -> PipelineConfig:
+    """Recover the full configuration from a manifest, then apply overrides."""
+    return _read_config(path, overrides, manifest=True)
 
 
 def config_lines(config: PipelineConfig):
+    """One ``key = value`` line per field, in the text that
+    :func:`build_config` reads back to an equal config."""
     out = []
     for f in fields(PipelineConfig):
         val = getattr(config, f.name)
@@ -216,23 +201,6 @@ def config_lines(config: PipelineConfig):
             val = "true" if val else "false"
         out.append(f"{f.name} = {val}")
     return out
-
-
-def config_from_manifest(path) -> PipelineConfig:
-    """Recover the full configuration from a manifest file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"manifest {path} does not exist")
-    values = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or "=" not in stripped:
-            continue
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key in CONFIG_KEYS:
-            values[key] = raw.strip()
-    return build_config(values)
 
 
 def _sha256(path):
@@ -572,8 +540,8 @@ def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
 
     # manifest last: every parameter plus content hashes
     manifest = tracker.register(outdir / "manifest.txt")
-    lines = config_lines(config)
-    lines[0] = f"input = {Path(config.input).resolve()}"
+    absolute_input = str(Path(config.input).resolve())
+    lines = config_lines(replace(config, input=absolute_input))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(tracker.paths):

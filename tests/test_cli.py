@@ -236,6 +236,43 @@ class TestRunCommand:
         assert (outdir / "manifest.txt").is_file()
         assert not (tmp_path / "wrong").exists()
 
+    def test_flag_input_resolves_against_cwd(self, synth_csv, tmp_path,
+                                             monkeypatch):
+        # a relative input in a config file resolves against the file's
+        # directory; the same from a flag resolves against the cwd
+        out, _ = synth_csv
+        (tmp_path / "data.csv").write_bytes(out.read_bytes())
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "x.conf").write_text(
+            "input = absent.csv\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
+            "L0 = 8\ntrain_end = 600\npredict_start = 620\npredict_end = 680\n",
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", "--config", "sub/x.conf", "--input",
+                        "data.csv", "--outdir", "out"]) == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert (f"input = {(tmp_path / 'data.csv').resolve()}"
+                in manifest.splitlines())
+
+    def test_channel_name_with_whitespace_rejected(self, synth_csv, tmp_path,
+                                                   capsys):
+        # the manifest writes the channels as one whitespace-separated line,
+        # so a name with a space would run once and not re-run from it
+        out, _ = synth_csv
+        header, *rows = out.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join([header.replace("ch0", "queue 1"), *rows])
+                          + "\n", encoding="utf-8")
+        code = run_cli(["run", "--input", spaced, "--channels", "queue 1",
+                        "--outdir", tmp_path / "o", "--delays", "6",
+                        "--epsilon", "2.0", "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", "--predict-start", "620",
+                        "--predict-end", "680"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and "'queue 1'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_removed_solver_keys_rejected(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv
         for line in ("solver = dense", "seed = 0"):

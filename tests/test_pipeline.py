@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from qpdecomp import ConfigError, DataError, run_pipeline
 from qpdecomp.freqfilter import FrequencySelection, SelectionParams
 from qpdecomp.pipeline import (
+    CONFIG_KEYS,
+    PipelineConfig,
     build_config,
     config_from_manifest,
+    config_lines,
     format_period,
     load_config,
     report_periods,
@@ -279,6 +283,107 @@ class TestConfigParsing:
         assert config.num_eigen == 40
         assert config.L0 == 8
         assert config.input.endswith("torus.csv")
+
+
+# every field at a value other than its default
+NON_DEFAULT = dict(
+    input="/data/in.csv", outdir="/data/out", timestamp_column="stamp",
+    channels=("a", "b"), dt_seconds=120.0, resample_method="linear",
+    max_gap_factor=4.5, standardize=True, delays=7, epsilon=0.25,
+    num_eigen=50, eps1=0.2, eps2=3.5, L0=12, merge_adjacent=True,
+    train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
+    mode="freerun", clip_factor=1.5, basis_cache="/data/cache",
+)
+
+
+def run_flags(values):
+    """``values`` as the command-line flags of ``qpdecomp run``."""
+    flags = []
+    for key, val in values.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(val, bool):
+            flags += [flag] if val else []
+        elif isinstance(val, tuple):
+            flags += [flag, *map(str, val)]
+        else:
+            flags += [flag, str(val)]
+    return flags
+
+
+class TestConfigSchema:
+    def test_non_default_values_cover_every_field(self):
+        defaults = PipelineConfig(input="x")
+        assert set(NON_DEFAULT) == CONFIG_KEYS
+        for key, val in NON_DEFAULT.items():
+            assert getattr(defaults, key) != val, key
+
+    def test_manifest_and_flags_give_equal_config(self, tmp_path):
+        from qpdecomp.cli import _overrides, build_parser
+
+        config = build_config(NON_DEFAULT)
+        assert dataclasses.asdict(config) == NON_DEFAULT
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(config_lines(config)) + "\n",
+                            encoding="utf-8")
+        from_manifest = config_from_manifest(manifest)
+        assert from_manifest == config
+        assert build_config(dataclasses.asdict(from_manifest)) == config
+        args = build_parser().parse_args(["run", *run_flags(NON_DEFAULT)])
+        assert set(_overrides(args)) == CONFIG_KEYS
+        assert build_config(_overrides(args)) == config
+
+    def test_manifest_input_resolves_against_its_directory(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("input = data.csv\nhash_of_something = 0\n",
+                            encoding="utf-8")
+        assert config_from_manifest(manifest).input == str(tmp_path / "data.csv")
+        over = config_from_manifest(manifest, {"input": "b.csv", "delays": "3"})
+        assert (over.input, over.delays) == ("b.csv", 3)
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("1", True), ("Yes", True),
+        ("false", False), ("0", False), ("no", False),
+    ])
+    def test_boolean_spellings(self, word, value):
+        config = build_config({"input": "a.csv", "standardize": f" {word} "})
+        assert config.standardize is value
+
+    @pytest.mark.parametrize("key, bad", [
+        ("standardize", "maybe"), ("delays", "3.5"), ("epsilon", "x"),
+        ("ma_windows", "1 a"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, key, bad):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(f"input = a.csv\n{key} = {bad}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key} = '{bad}'"):
+            load_config(cfg)
+        # a flag's text reaches the schema as build_config's input
+        with pytest.raises(ConfigError, match=f"{key} = '{bad}'"):
+            build_config({"input": "a.csv", key: bad})
+
+    @pytest.mark.parametrize("flag, key", [
+        (["--delays", "3.5"], "delays"), (["--delays", "abc"], "delays"),
+        (["--epsilon", "x"], "epsilon"), (["--ma-windows", "1", "a"],
+                                          "ma_windows"),
+        (["--resample-method", "spline"], "resample_method"),
+    ])
+    def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flag, key):
+        # the boolean flags take no value, so they cannot be misspelt
+        from qpdecomp.cli import main
+
+        code = main(["run", "--input", str(tmp_path / "a.csv"), "--outdir",
+                     str(tmp_path / "o"), "--predict-start", "30",
+                     "--predict-end", "40", *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and key in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["queue 1", "a\tb", ""])
+    def test_channel_names_must_survive_the_manifest(self, name):
+        with pytest.raises(ConfigError, match="channel name"):
+            build_config({"input": "a.csv", "channels": ("ok", name)})
 
 
 class TestPeriodRendering:
