@@ -80,22 +80,17 @@ def _fit(args):
 
 def _cmd_synth(args):
     from . import synth
-    from .series import write_csv
+    from .series import write_csv, write_table
 
     system = synth.standard_testbed(args.testbed)
     result = synth.simulate(system, args.steps, args.dt, seed=args.seed)
     write_csv(result.series, args.out)
     if args.latent_out:
-        cols = ([result.series.times()]
-                + [result.theta[:, j] for j in range(result.theta.shape[1])]
-                + [result.x[:, j] for j in range(result.x.shape[1])])
-        header = (["time"]
-                  + [f"theta{j}" for j in range(result.theta.shape[1])]
-                  + [f"x{j}" for j in range(result.x.shape[1])])
-        with open(args.latent_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        theta, x = result.theta, result.x
+        write_table(args.latent_out,
+                    ["time", *(f"theta{j}" for j in range(theta.shape[1])),
+                     *(f"x{j}" for j in range(x.shape[1]))],
+                    [result.series.times(), *theta.T, *x.T])
     print(f"wrote {args.steps} samples to {args.out}")
     return 0
 
@@ -149,35 +144,14 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_predict(args):
-    import numpy as np
-
     from . import decompose as dc
-    from . import pipeline, series
-    from .errors import DataError
+    from . import pipeline
 
     config = pipeline.build_config(_overrides(args))
     model = dc.load_model(args.model)
-    data = pipeline.load_series(config)
-    if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
-        raise DataError(f"input step {data.dt:.17g} s differs from the "
-                        f"model's dt {model.dt:.17g} s")
-    q = model.q
-    if args.init_at < q + 1:
-        raise DataError(f"--init-at must be >= {q + 1} so a delay window exists")
-    if args.init_at > data.n:
-        raise DataError(f"--init-at {args.init_at} beyond series length {data.n}")
-    init = dc.state_before(data, args.init_at, q)
-    pred = dc.reconstruct(model, init, args.steps, args.init_at * model.dt,
-                          clip_factor=config.clip_factor or None)
-    times = (args.init_at + np.arange(args.steps)) * model.dt
-    truth, extra = None, ((), ())
-    if args.init_at + args.steps <= data.n:
-        window = series.window(data, args.init_at, args.init_at + args.steps)
-        truth = window.values
-        if args.ma_window:
-            extra = pipeline.error_columns(window, pred, [args.ma_window])
-    pipeline.write_estimate(args.out, data.channel_names, times, "pred",
-                            pred.values, truth, extra)
+    pipeline.write_prediction(args.out, model, pipeline.load_series(config),
+                              args.init_at, args.steps, config.clip_factor,
+                              args.ma_window)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
 
@@ -192,8 +166,11 @@ def _cmd_diagnostics(args):
 
 def _cmd_run(args):
     from . import pipeline
+    from .errors import ConfigError
 
     overrides = _overrides(args)
+    if args.config and args.manifest:
+        raise ConfigError("--config and --manifest cannot be combined")
     if args.config:
         config = pipeline.load_config(args.config, overrides)
     elif args.manifest:
@@ -270,7 +247,6 @@ def build_parser():
     p.add_argument("--predict-start")
     p.add_argument("--predict-end")
     p.add_argument("--ma-windows", nargs="+")
-    p.add_argument("--mode")
     p.add_argument("--clip-factor")
     p.set_defaults(func=_cmd_run)
     return parser

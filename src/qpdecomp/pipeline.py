@@ -5,8 +5,10 @@ artifacts and a manifest sufficient to re-run the pipeline.
 Every command that reads a series goes through :func:`load_series`, and every
 command that fits goes through :func:`fit`, so the same configuration gives
 the same selection and model from ``run`` and from the single-step
-subcommands.  :func:`write_frequencies` and :func:`write_diagnostics` write
-the tables that both share.
+subcommands.  :func:`write_frequencies`, :func:`write_diagnostics` and
+:func:`write_prediction` write the tables that both share, so ``run`` is the
+subcommands plus a manifest: its output directory appears whole or not at
+all (:func:`run_pipeline`).
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -23,8 +25,11 @@ m..m+q and is anchored at its newest sample, so fits use times
 ``t_start = s * dt`` on the same clock.
 """
 
+import errno
 import hashlib
 import os
+import shutil
+import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -36,8 +41,8 @@ import numpy as np
 from . import decompose as dc
 from . import freqfilter, kernel, series, spectral
 from .errors import ConfigError, DataError
-
-_FLOAT_FMT = "{:.17g}"
+# perfbench/tracer.py times every CSV write under this name
+from .series import write_table as _write_table
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,6 @@ class PipelineConfig:
     predict_start: int = 0
     predict_end: int = 0
     ma_windows: tuple[int, ...] = (1, 10, 100)
-    mode: str = "insample"
     clip_factor: float = 0.0            # 0: no clipping
     basis_cache: str = ""               # directory for eigenbasis reuse
 
@@ -97,8 +101,6 @@ class PipelineConfig:
             raise ConfigError(f"L0={self.L0} out of range 2..num_eigen")
         if self.train_end < 0:
             raise ConfigError("train_end must be >= 0")
-        if self.mode not in ("insample", "freerun"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if any(w < 1 for w in self.ma_windows):
             raise ConfigError("ma_windows entries must be >= 1")
         if self.clip_factor < 0:
@@ -211,19 +213,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _fmt(v):
-    return _FLOAT_FMT.format(float(v))
-
-
-def _write_table(path, header, columns):
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            cells = [c if isinstance(c, str) else _fmt(c) for c in row]
-            fh.write(",".join(cells) + "\n")
-
-
 def format_period(seconds: float) -> str:
     """Render a period in its largest natural unit with 3 significant figures."""
     if not np.isfinite(seconds):
@@ -256,30 +245,6 @@ def report_periods(selection) -> str:
     panel("long periods (>= 1 day)", long_rows)
     panel("short periods (< 1 day)", short_rows)
     return "\n".join(out)
-
-
-class _ArtifactTracker:
-    """Records every path the pipeline writes so failures can clean up."""
-
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.created_dir = False
-        self.paths = []
-
-    def register(self, path):
-        self.paths.append(Path(path))
-        return Path(path)
-
-    def cleanup(self):
-        for p in reversed(self.paths):
-            if p.is_file():
-                p.unlink()
-        for sub in ("diagnostics",):
-            d = self.outdir / sub
-            if d.is_dir() and not any(d.iterdir()):
-                d.rmdir()
-        if self.created_dir and self.outdir.is_dir() and not any(self.outdir.iterdir()):
-            self.outdir.rmdir()
 
 
 def load_series(config: PipelineConfig) -> series.TimeSeries:
@@ -321,6 +286,9 @@ def fit(config: PipelineConfig) -> Fit:
     train_end = config.train_end or data.n
     if train_end > data.n:
         raise DataError(f"train_end={train_end} exceeds series length {data.n}")
+    if config.predict_end > data.n:
+        raise DataError(f"predict window end {config.predict_end} exceeds "
+                        f"series length {data.n}")
     train = series.window(data, 0, train_end)
     q = config.delays
     emb = series.delay_embed(train, q)
@@ -362,34 +330,31 @@ def write_frequencies(path, result: Fit):
     )
 
 
-def write_diagnostics(outdir, result: Fit, register=Path):
-    """Write the bandwidth and threshold diagnostic tables into ``outdir``.
-
-    ``register`` is called on each path before it is written.
-    """
+def write_diagnostics(outdir, result: Fit):
+    """Write the bandwidth and threshold diagnostic tables into ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     basis = result.basis
     counts, edges = basis.kernel.sqdist_histogram
     _write_table(
-        register(outdir / "sqdist_histogram.csv"),
+        outdir / "sqdist_histogram.csv",
         ["bin_left", "bin_right", "count"],
         [edges[:-1], edges[1:], [str(int(c)) for c in counts]],
     )
     tdiag = freqfilter.threshold_diagnostics(result.table,
                                              result.selection.params.L0)
     _write_table(
-        register(outdir / "norm_growth_by_column.csv"),
+        outdir / "norm_growth_by_column.csv",
         ["l", "w_mean", "w_max"],
         [[str(l) for l in tdiag.column_index], tdiag.column_mean, tdiag.column_max],
     )
     _write_table(
-        register(outdir / "growth_ratio_sorted.csv"),
+        outdir / "growth_ratio_sorted.csv",
         ["rank", "ln_ratio"],
         [[str(r) for r in range(len(tdiag.sorted_growth))], tdiag.sorted_growth],
     )
     _write_table(
-        register(outdir / "eigenvalues.csv"),
+        outdir / "eigenvalues.csv",
         ["l", "sigma", "lambda"],
         [[str(l) for l in range(1, basis.L + 1)], basis.sigma, basis.lam],
     )
@@ -421,14 +386,55 @@ def error_columns(truth, estimate, ma_windows):
     return header, cols
 
 
+
+
+def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
+                     start, steps, clip_factor=0.0, ma_window=0):
+    """Free-run ``model`` for ``steps`` samples from sample ``start`` of
+    ``data`` and write them as ``prediction.csv``.
+
+    The table holds the observed window too when ``data`` covers it, and
+    then, if ``ma_window`` is set, that window's error columns.  Returns the
+    times, the prediction and the observed window (None when ``data`` ends
+    first).
+    """
+    if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
+        raise DataError(f"input step {data.dt:.17g} s differs from the "
+                        f"model's dt {model.dt:.17g} s")
+    q = model.q
+    if start < q + 1:
+        raise DataError(f"prediction start {start} must be >= {q + 1} so a "
+                        f"delay window exists")
+    if start > data.n:
+        raise DataError(f"prediction start {start} is beyond series length "
+                        f"{data.n}")
+    init = dc.state_before(data, start, q)
+    pred = dc.reconstruct(model, init, steps, start * model.dt,
+                          clip_factor=clip_factor or None)
+    times = (start + np.arange(steps)) * model.dt
+    truth, extra = None, ((), ())
+    if start + steps <= data.n:
+        truth = series.window(data, start, start + steps)
+        if ma_window:
+            extra = error_columns(truth, pred, [ma_window])
+    write_estimate(path, data.channel_names, times, "pred", pred.values,
+                   None if truth is None else truth.values, extra)
+    return times, pred, truth
+
+
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run the full pipeline and write the artifact directory.
 
-    Writes frequencies.csv, periodic.csv, chaotic_coeffs.csv,
+    Writes frequencies.csv, periodic.csv, chaotic_coeffs.csv, the in-sample
     reconstruction.csv, prediction.csv, errors.csv, model.npz, diagnostics/,
-    and a manifest listing every parameter and content hash.  On any error
-    the partial artifacts are removed.  A lock file prevents two pipelines
-    from sharing one output directory.
+    and a manifest listing every parameter and content hash.  The free-run
+    reconstruction is ``qpdecomp reconstruct --mode freerun`` on model.npz.
+
+    ``outdir`` must be absent or empty.  The artifacts are written into a
+    fresh staging directory beside it, which is renamed onto ``outdir`` at
+    the end, so ``outdir`` appears whole or not at all; if a file appears
+    in ``outdir`` meanwhile, the rename fails with :class:`ConfigError`.  A
+    failure removes the staging directory and nothing else.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
@@ -441,114 +447,81 @@ def run_pipeline(config: PipelineConfig) -> Path:
             f"predict_start must be >= delays+1 ({config.delays + 1}) so an "
             f"initial delay window exists"
         )
-    outdir = Path(config.outdir)
-    tracker = _ArtifactTracker(outdir)
-    if not outdir.exists():
-        outdir.mkdir(parents=True)
-        tracker.created_dir = True
-    elif any(p.name != ".lock" for p in outdir.iterdir()):
+    # absolute, so that "." and ".." name a directory to stage beside
+    outdir = Path(os.path.abspath(config.outdir))
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
         raise ConfigError(f"output directory {outdir} is not empty")
-    lock = outdir / ".lock"
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.staging-",
+                                    dir=outdir.parent))
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {outdir} is locked by another pipeline run"
-        ) from None
-    failed = False
-    try:
-        result = _run_stages(config, outdir, tracker)
-    except BaseException:
-        failed = True
-        raise
+        # made by mkdir rather than mkdtemp, so the umask sets its mode
+        work = staging / outdir.name
+        work.mkdir()
+        _run_stages(config, work)
+        try:
+            os.rename(work, outdir)
+        except OSError as exc:
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST, errno.ENOTDIR):
+                raise
+            raise ConfigError(f"output directory {outdir} is not empty "
+                              f"(written during the run)") from None
     finally:
-        if lock.exists():
-            lock.unlink()
-        if failed:
-            tracker.cleanup()
-    return result
+        shutil.rmtree(staging, ignore_errors=True)
+    return outdir
 
 
-def _run_stages(config: PipelineConfig, outdir: Path, tracker) -> Path:
+def _run_stages(config: PipelineConfig, outdir: Path):
     result = fit(config)
     data, train, basis = result.data, result.train, result.basis
     pfit, model = result.periodic, result.model
     q = config.delays
-    clip = config.clip_factor or None
 
-    write_frequencies(tracker.register(outdir / "frequencies.csv"), result)
+    write_frequencies(outdir / "frequencies.csv", result)
 
     # periodic component over the training rows
     fit_times = (q + np.arange(basis.n)) * data.dt
     _write_table(
-        tracker.register(outdir / "periodic.csv"),
+        outdir / "periodic.csv",
         ["time_s", *(f"per_{c}" for c in data.channel_names)],
         [fit_times, *pfit.fitted.T],
     )
 
     # chaotic coefficients
     _write_table(
-        tracker.register(outdir / "chaotic_coeffs.csv"),
+        outdir / "chaotic_coeffs.csv",
         ["l", *(f"E_{c}" for c in data.channel_names)],
         [[str(l) for l in range(1, basis.L + 1)], *model.E.T],
     )
 
-    # reconstruction over the training window
-    if config.mode == "insample":
-        recon_vals = pfit.fitted + spectral.synthesize(basis, model.E)
-        recon_times = fit_times
-        truth_vals = train.values[q:]
-    else:
-        init = dc.state_before(train, q + 1, q)
-        steps = train.n - (q + 1)
-        recon = dc.reconstruct(model, init, steps, (q + 1) * data.dt,
-                               clip_factor=clip)
-        recon_vals = recon.values
-        recon_times = (q + 1 + np.arange(steps)) * data.dt
-        truth_vals = train.values[q + 1:]
-    write_estimate(tracker.register(outdir / "reconstruction.csv"),
-                   data.channel_names, recon_times, "recon", recon_vals,
-                   truth_vals)
+    # in-sample reconstruction over the training rows
+    write_estimate(outdir / "reconstruction.csv", data.channel_names,
+                   fit_times, "recon",
+                   pfit.fitted + spectral.synthesize(basis, model.E),
+                   train.values[q:])
 
-    # prediction over the held-out window
-    if config.predict_end > data.n:
-        raise DataError(
-            f"predict window end {config.predict_end} exceeds series "
-            f"length {data.n}"
-        )
+    # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
-    init = dc.state_before(data, ps, q)
-    pred = dc.reconstruct(model, init, pe - ps, ps * data.dt,
-                          clip_factor=clip)
-    truth = series.window(data, ps, pe)
-    pred_times = (ps + np.arange(pe - ps)) * data.dt
-    write_estimate(tracker.register(outdir / "prediction.csv"),
-                   data.channel_names, pred_times, "pred", pred.values,
-                   truth.values)
+    pred_times, pred, truth = write_prediction(
+        outdir / "prediction.csv", model, data, ps, pe - ps,
+        config.clip_factor)
     err_names, err_cols = error_columns(truth, pred, config.ma_windows)
     _write_table(
-        tracker.register(outdir / "errors.csv"),
+        outdir / "errors.csv",
         ["time_s", *err_names],
         [pred_times, *err_cols],
     )
 
-    # model file
-    dc.save_model(model, tracker.register(outdir / "model.npz"))
-
-    write_diagnostics(outdir / "diagnostics", result, tracker.register)
+    dc.save_model(model, outdir / "model.npz")
+    write_diagnostics(outdir / "diagnostics", result)
 
     # manifest last: every parameter plus content hashes
-    manifest = tracker.register(outdir / "manifest.txt")
     absolute_input = str(Path(config.input).resolve())
     lines = config_lines(replace(config, input=absolute_input))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
-    for p in sorted(tracker.paths):
-        if p == manifest or not p.is_file():
-            continue
-        rel = p.relative_to(outdir)
-        lines.append(f"artifact_sha256 {rel} = {_sha256(p)}")
+    for p in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        lines.append(f"artifact_sha256 {p.relative_to(outdir)} = {_sha256(p)}")
     lines.append(f"created_utc = {datetime.now(timezone.utc).isoformat()}")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return outdir
+    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")

@@ -219,14 +219,21 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
                       regular=False, timestamps=times)
 
 
+def write_table(path, header, columns):
+    """Write equal-length columns as CSV under ``header``: a string cell as
+    it is, a number with 17 significant digits, so it reads back exactly."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            cells = [c if isinstance(c, str) else f"{c:.17g}" for c in row]
+            fh.write(",".join(cells) + "\n")
+
+
 def write_csv(series: TimeSeries, path, timestamp="time"):
     """Write a series as CSV mirroring the ingestion layout (17 significant digits)."""
-    times = series.times()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([timestamp, *series.channel_names]) + "\n")
-        for t, row in zip(times, series.values):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in row]
-            fh.write(",".join(cells) + "\n")
+    write_table(path, [timestamp, *series.channel_names],
+                [series.times(), *series.values.T])
 
 
 def resample(series: TimeSeries, dt: float, method="hold", max_gap=None) -> TimeSeries:

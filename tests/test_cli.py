@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,8 +191,7 @@ class TestDecomposeReconstructPredict:
         assert run_cli(["run", "--input", out, "--outdir", outdir,
                         "--epsilon", "2.0", "--delays", "6",
                         "--num-eigen", "40", "--L0", "8", "--train-end", "600",
-                        "--predict-start", "620", "--predict-end", "680",
-                        "--mode", "insample"]) == 0
+                        "--predict-start", "620", "--predict-end", "680"]) == 0
         recon = tmp_path / "recon.csv"
         assert run_cli(["reconstruct", "--model", outdir / "model.npz",
                         "--mode", "insample", "--out", recon]) == 0
@@ -236,6 +236,43 @@ class TestRunCommand:
         assert (outdir / "manifest.txt").is_file()
         assert not (tmp_path / "wrong").exists()
 
+    def test_config_and_manifest_together_rejected(self, synth_csv, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(
+            f"input = {synth_csv[0]}\ndelays = 6\nepsilon = 2.0\n"
+            "num_eigen = 40\nL0 = 8\ntrain_end = 600\npredict_start = 620\n"
+            "predict_end = 680\n", encoding="utf-8")
+        code = run_cli(["run", "--config", cfg, "--manifest",
+                        tmp_path / "absent" / "manifest.txt",
+                        "--outdir", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
+        assert "--config" in err and "--manifest" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_outdir_dot_in_empty_cwd(self, synth_csv, tmp_path):
+        # the artifacts are staged beside the absolute outdir; a subprocess,
+        # because the rename replaces its working directory
+        import os
+
+        import qpdecomp
+
+        work = tmp_path / "work"
+        work.mkdir()
+        src = str(Path(qpdecomp.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpdecomp", "run", "--input", synth_csv[0],
+             "--outdir", ".", "--delays", "6", "--epsilon", "2.0",
+             "--num-eigen", "40", "--L0", "8", "--train-end", "600",
+             "--predict-start", "620", "--predict-end", "680"],
+            cwd=work, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (work / "manifest.txt").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+
     def test_flag_input_resolves_against_cwd(self, synth_csv, tmp_path,
                                              monkeypatch):
         # a relative input in a config file resolves against the file's
@@ -275,7 +312,7 @@ class TestRunCommand:
 
     def test_removed_solver_keys_rejected(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv
-        for line in ("solver = dense", "seed = 0"):
+        for line in ("solver = dense", "seed = 0", "mode = insample"):
             cfg = tmp_path / "old.conf"
             cfg.write_text(
                 f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
@@ -285,6 +322,12 @@ class TestRunCommand:
                             tmp_path / "o"])
             assert code == 2
             assert "unknown key" in capsys.readouterr().err
+        # run writes the in-sample reconstruction; the free run is
+        # `reconstruct --mode freerun` on its model.npz
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", cfg, "--mode", "freerun"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_old_manifest_with_solver_and_seed_reruns(self, synth_csv,
                                                        tmp_path):
@@ -296,14 +339,14 @@ class TestRunCommand:
                         "--train-end", "600", "--predict-start", "620",
                         "--predict-end", "680"]) == 0
         manifest = tmp_path / "old_manifest.txt"
-        manifest.write_text("solver = arpack\nseed = 0\n"
+        manifest.write_text("solver = arpack\nseed = 0\nmode = freerun\n"
                             + (first / "manifest.txt").read_text(),
                             encoding="utf-8")
         second = tmp_path / "second"
         assert run_cli(["run", "--manifest", manifest,
                         "--outdir", second]) == 0
-        assert ((second / "frequencies.csv").read_bytes()
-                == (first / "frequencies.csv").read_bytes())
+        for name in ("frequencies.csv", "reconstruction.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_removed_max_points_key_rejected(self, synth_csv, tmp_path,
                                              capsys):

@@ -119,12 +119,22 @@ class TestRunPipeline:
             run_pipeline(config)
         assert not (tmp_path / "out").exists()
 
-    def test_lock_file_guards_outdir(self, smoke_input, tmp_path):
+    def test_stale_lock_file_is_not_empty(self, smoke_input, tmp_path,
+                                          monkeypatch):
+        # earlier versions kept a .lock in the output directory; it is
+        # refused before the fit starts
+        import qpdecomp.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
         outdir = tmp_path / "run"
         outdir.mkdir()
         (outdir / ".lock").touch()
-        with pytest.raises(ConfigError, match="locked"):
+        with pytest.raises(ConfigError, match="not empty"):
             run_pipeline(smoke_config(smoke_input, outdir))
+        assert [p.name for p in outdir.iterdir()] == [".lock"]
 
     def test_nonempty_outdir_rejected(self, smoke_input, tmp_path):
         outdir = tmp_path / "run"
@@ -133,12 +143,65 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="not empty"):
             run_pipeline(smoke_config(smoke_input, outdir))
 
-    def test_predict_window_beyond_data(self, smoke_input, tmp_path):
+    def test_predict_window_beyond_data(self, smoke_input, tmp_path,
+                                        monkeypatch):
+        import qpdecomp.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel was built")
+
         config = smoke_config(smoke_input, tmp_path / "run",
                               predict_end=100000)
+        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
         with pytest.raises(DataError, match="exceeds"):
             run_pipeline(config)
-        assert not (tmp_path / "run").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["absent", "empty"])
+    def test_late_failure_leaves_outdir_as_it_was(self, smoke_input, tmp_path,
+                                                  monkeypatch, existed):
+        import qpdecomp.decompose
+
+        def full_disk(model, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(qpdecomp.decompose, "save_model", full_disk)
+        outdir = tmp_path / "run"
+        if existed:
+            outdir.mkdir()
+        with pytest.raises(OSError, match="no space"):
+            run_pipeline(smoke_config(smoke_input, outdir))
+        assert [p.name for p in tmp_path.iterdir()] == (["run"] if existed
+                                                        else [])
+        if existed:
+            assert list(outdir.iterdir()) == []
+
+    def test_file_written_into_outdir_during_run(self, smoke_input, tmp_path,
+                                                 monkeypatch, capsys):
+        # the staged directory cannot replace a directory that is no longer
+        # empty: the run fails and leaves the other writer's file alone
+        from qpdecomp import pipeline
+        from qpdecomp.cli import main
+
+        outdir = tmp_path / "run"
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\n".join(config_lines(
+            smoke_config(smoke_input, outdir))) + "\n", encoding="utf-8")
+        write_diagnostics = pipeline.write_diagnostics
+
+        def intruder(path, result):
+            write_diagnostics(path, result)
+            outdir.mkdir()
+            (outdir / "theirs.txt").write_text("foreign", encoding="utf-8")
+
+        monkeypatch.setattr(pipeline, "write_diagnostics", intruder)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and "not empty" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run",
+                                                              "run.conf"]
+        assert [p.name for p in outdir.iterdir()] == ["theirs.txt"]
+        assert (outdir / "theirs.txt").read_text(encoding="utf-8") == "foreign"
 
     def test_csv_floats_round_trip_exactly(self, smoke_input, tmp_path):
         out = run_pipeline(smoke_config(smoke_input, tmp_path / "run"))
@@ -167,10 +230,25 @@ class TestRunPipeline:
             assert a[rel] == b[rel]
 
     def test_freerun_mode(self, smoke_input, tmp_path):
-        out = run_pipeline(smoke_config(smoke_input, tmp_path / "run",
-                                        mode="freerun"))
-        lines = (out / "reconstruction.csv").read_text().splitlines()
+        # run writes the in-sample reconstruction; the free run over the
+        # training window comes from its model, and is predict's free run
+        # from the first full delay window
+        from qpdecomp.cli import main
+
+        out = run_pipeline(smoke_config(smoke_input, tmp_path / "run"))
+        freerun, pred = tmp_path / "freerun.csv", tmp_path / "pred.csv"
+        assert main(["reconstruct", "--model", str(out / "model.npz"),
+                     "--mode", "freerun", "--out", str(freerun)]) == 0
+        lines = freerun.read_text().splitlines()
         assert len(lines) == 1 + SMOKE["train_end"] - SMOKE["delays"] - 1
+        start = SMOKE["delays"] + 1
+        assert main(["predict", "--model", str(out / "model.npz"),
+                     "--input", str(smoke_input), "--init-at", str(start),
+                     "--steps", str(SMOKE["train_end"] - start),
+                     "--out", str(pred)]) == 0
+        np.testing.assert_array_equal(
+            np.loadtxt(freerun, delimiter=",", skiprows=1),
+            np.loadtxt(pred, delimiter=",", skiprows=1))
 
     def test_case_study_shaped_config_validates(self, tmp_path):
         # the corridor protocol: 2-minute grid, train on the first 20000
@@ -253,7 +331,7 @@ class TestConfigParsing:
                     predict_start=30, predict_end=40)
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
                dict(L0=500), dict(resample_method="spline"),
-               dict(mode="both"), dict(ma_windows=(0,))]
+               dict(ma_windows=(0,))]
         for extra in bad:
             with pytest.raises(ConfigError):
                 build_config({**base, **extra})
@@ -292,7 +370,7 @@ NON_DEFAULT = dict(
     max_gap_factor=4.5, standardize=True, delays=7, epsilon=0.25,
     num_eigen=50, eps1=0.2, eps2=3.5, L0=12, merge_adjacent=True,
     train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
-    mode="freerun", clip_factor=1.5, basis_cache="/data/cache",
+    clip_factor=1.5, basis_cache="/data/cache",
 )
 
 
