@@ -130,15 +130,11 @@ def _cmd_reconstruct(args):
         times = (q + np.arange(model.n)) * model.dt
         recon = (dc.eval_periodic(model, times)
                  + dc.chaotic_at_training_points(model))
-        truth = train.values[q:]
+        pipeline.write_estimate(args.out, train.channel_names, times, "recon",
+                                recon, train.values[q:])
     else:
-        init = dc.state_before(train, q + 1, q)
-        steps = train.n - (q + 1)
-        recon = dc.reconstruct(model, init, steps, (q + 1) * model.dt).values
-        times = (q + 1 + np.arange(steps)) * model.dt
-        truth = train.values[q + 1:]
-    pipeline.write_estimate(args.out, train.channel_names, times, "recon",
-                            recon, truth)
+        pipeline.write_prediction(args.out, model, train, q + 1,
+                                  train.n - (q + 1), label="recon")
     print(f"wrote {args.mode} reconstruction to {args.out}")
     return 0
 

@@ -20,8 +20,16 @@ eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))`` with
 the shifted kernel weights of :func:`spectral.extension_weights` and the
 N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds
 the training points, epsilon, M and the extension bounds, never an N x N
-matrix, and each free-run step costs one matrix-vector product with the
-points.
+matrix.
+
+The free run keeps the N dot products ``P = points @ window`` of the
+training points with the current window.  Point m is samples m..m+q of the
+training series x, and the shifted window drops its oldest block ``old``
+and appends the new sample, so the products slide forward in O(N k) per
+step: ``P[m] <- P[m-1] - x[m-1] . old + x[m+q] . y_new`` for m >= 1, with
+``P[0]`` computed afresh.  This is the sliding update of the STOMP matrix
+profile algorithm (Zhu et al., ICDM 2016).  A full recompute every
+``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon.
 """
 
 from dataclasses import dataclass, field
@@ -32,13 +40,15 @@ from ._npz import write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection, SelectionParams
 from .series import DelayEmbedding, TimeSeries, delay_embed
-from .spectral import SpectralBasis, extension_bounds, extension_weights, project
+from .spectral import (SpectralBasis, extension_bounds, extension_weights,
+                       project, shifted_weights)
 
 MODEL_FORMAT = "qpdecomp-model-2"
 
 # Rows per block when harmonics or the extension are evaluated at many times
 # or points: a block holds a (rows x m) complex phase matrix or a (rows x N)
-# weight matrix, 8 MB at m = 2048 bins or N = 4096 points.
+# weight matrix, 8 MB at m = 2048 bins or N = 4096 points.  Also the number
+# of free-run steps between full recomputes of the slid dot products.
 _BLOCK_ROWS = 256
 
 
@@ -204,11 +214,16 @@ def eval_periodic(model: QPModel, t):
     return evaluate_harmonics(model.A, model.selection.omegas, t)
 
 
-def _chaos_eval(model: QPModel, y):
-    """g_chaos at one delay state (dim,) or a block of states (B, dim)."""
-    w = extension_weights(model.embedding.points, model.sq, model.epsilon, y)
+def _chaos_from_weights(model: QPModel, w):
+    """g_chaos from the shifted kernel weights (N,) or (B, N) of its states."""
     return (np.sqrt(model.n) * (w @ model.M)
             / w.sum(axis=-1, keepdims=True))
+
+
+def _chaos_eval(model: QPModel, y):
+    """g_chaos at one delay state (dim,) or a block of states (B, dim)."""
+    return _chaos_from_weights(model, extension_weights(
+        model.embedding.points, model.sq, model.epsilon, y))
 
 
 def eval_chaotic(model: QPModel, y_delay) -> np.ndarray:
@@ -258,8 +273,12 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
     generated sample, embedding layout, oldest block first), generates
     samples at times ``t_start + n*dt`` for n = 0..n_steps-1: each new sample
     is ``g_per(time) + g_chaos(previous window)``, after which the window
-    shifts by one sample.  Deterministic: identical model and init give
-    bit-identical trajectories.
+    shifts by one sample.  The kernel dot products of the window with the
+    training points slide forward with it, O(N k) per step, and are
+    recomputed in full, O(N k (q+1)), every ``_BLOCK_ROWS`` (256) steps (see
+    the module docstring); they agree with a full recompute at every step
+    to rounding.  Deterministic: identical model and init give bit-identical
+    trajectories.
 
     Parameters
     ----------
@@ -278,13 +297,21 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
         )
     k = model.k
     source = model.embedding.source
+    points = model.embedding.points
+    # column m-1 holds rows m-1 and m+q of the training series, so that
+    # (-old, y_new) @ slide slides the products of points m = 1..N-1
+    slide = np.hstack([source.values[:model.n - 1],
+                       source.values[model.q + 1:]]).T.copy()
     cap = None
     if clip_factor is not None:
         train_norms = np.linalg.norm(source.values, axis=1)
         cap = clip_factor * train_norms.max()
     out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
     for i in range(n_steps):
-        y_new = out[i] + _chaos_eval(model, state)
+        if i % _BLOCK_ROWS == 0:
+            products = state @ points.T
+        w = shifted_weights(model.sq, model.epsilon, products)
+        y_new = out[i] + _chaos_from_weights(model, w)
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         if cap is not None:
@@ -292,7 +319,11 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
             if norm > cap:
                 y_new = y_new * (cap / norm)
         out[i] = y_new
+        step = np.concatenate([-state[:k], y_new]) @ slide
+        step += products[:-1]
+        products[1:] = step
         state = np.concatenate([state[k:], y_new])
+        products[0] = points[0] @ state
     return TimeSeries(out, dt=model.dt, t0=float(t_start),
                       channel_names=source.channel_names)
 

@@ -389,9 +389,10 @@ def error_columns(truth, estimate, ma_windows):
 
 
 def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
-                     start, steps, clip_factor=0.0, ma_window=0):
+                     start, steps, clip_factor=0.0, ma_window=0, label="pred"):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
-    ``data`` and write them as ``prediction.csv``.
+    ``data`` and write them as ``prediction.csv``, in ``<label>_<c>``
+    columns.
 
     The table holds the observed window too when ``data`` covers it, and
     then, if ``ma_window`` is set, that window's error columns.  Returns the
@@ -417,7 +418,7 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
         truth = series.window(data, start, start + steps)
         if ma_window:
             extra = error_columns(truth, pred, [ma_window])
-    write_estimate(path, data.channel_names, times, "pred", pred.values,
+    write_estimate(path, data.channel_names, times, label, pred.values,
                    None if truth is None else truth.values, extra)
     return times, pred, truth
 

@@ -31,7 +31,7 @@ from qpdecomp.decompose import (
 )
 from qpdecomp.freqfilter import FrequencySelection, SelectionParams, rkhs_norm_table, select
 from qpdecomp.kernel import sqdist_quantile
-from qpdecomp.spectral import decompose, synthesize
+from qpdecomp.spectral import decompose, extension_weights, synthesize
 
 from conftest import torus_series
 
@@ -106,28 +106,77 @@ def einsum_chaos(basis, E, y):
     return np.sqrt(basis.n) * (w @ M) / w.sum()
 
 
-@pytest.fixture(scope="module")
-def model_basis():
-    """Eigenbasis of a bin-exact 2-torus series with q=3, and the series."""
-    n, q, dt = 515, 3, 1.0
-    n_emb = n - q
+def gemv_reconstruct(model, init, n_steps, t_start, clip_factor=None):
+    """Reference free run: every step takes the kernel weights of the window
+    from a full matrix-vector product with the N x k(q+1) points, where
+    :func:`reconstruct` slides the dot products forward.  Returns the
+    (n_steps, k) samples."""
+    state = np.asarray(init, dtype=float).ravel().copy()
+    k = model.k
+    cap = None
+    if clip_factor is not None:
+        cap = clip_factor * np.linalg.norm(model.embedding.source.values,
+                                           axis=1).max()
+    out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
+    for i in range(n_steps):
+        w = extension_weights(model.embedding.points, model.sq, model.epsilon,
+                              state)
+        y_new = out[i] + np.sqrt(model.n) * (w @ model.M) / w.sum()
+        if cap is not None:
+            norm = np.linalg.norm(y_new)
+            if norm > cap:
+                y_new = y_new * (cap / norm)
+        out[i] = y_new
+        state = np.concatenate([state[k:], y_new])
+    return out
+
+
+def with_random_chaos(basis, model):
+    """``model`` with a seeded random E, entries of standard deviation
+    ``0.3 / sqrt(L)``.
+
+    The fitted E of a pure torus is rounding noise, so wrong kernel weights
+    in its free run would not show; with this E the chaotic part is about
+    half of each sample.
+    """
+    rng = np.random.default_rng(0)
+    E = 0.3 * rng.standard_normal(model.E.shape) / np.sqrt(model.E.shape[0])
+    return QPModel.from_basis(basis, model.selection, model.A, E)
+
+
+def fit_torus(n, q):
+    """Eigenbasis of a bin-exact 2-torus series with q delays, the model
+    fitted end to end on it, its periodic fit, and the series."""
+    n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
     eps = 0.02 * sqdist_quantile(emb, 0.5)
-    return decompose(gaussian_kernel(emb, eps), 40), s
-
-
-@pytest.fixture(scope="module")
-def torus_model(model_basis):
-    """Model fitted end to end on the model_basis series."""
-    basis, s = model_basis
-    q, dt = basis.kernel.embedding.q, s.dt
+    basis = decompose(gaussian_kernel(emb, eps), 40)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
     E = fit_chaotic(pfit.residual, basis)
-    return QPModel.from_basis(basis, sel, pfit.A, E), pfit, s
+    return basis, QPModel.from_basis(basis, sel, pfit.A, E), pfit, s
+
+
+@pytest.fixture(scope="module")
+def fitted_torus():
+    return fit_torus(515, 3)
+
+
+@pytest.fixture(scope="module")
+def model_basis(fitted_torus):
+    """Eigenbasis of a bin-exact 2-torus series with q=3, and the series."""
+    basis, _, _, s = fitted_torus
+    return basis, s
+
+
+@pytest.fixture(scope="module")
+def torus_model(fitted_torus):
+    """Model fitted end to end on the model_basis series."""
+    _, model, pfit, s = fitted_torus
+    return model, pfit, s
 
 
 class TestFitPeriodic:
@@ -404,6 +453,45 @@ class TestReconstruct:
         model, _, _ = torus_model
         with pytest.raises(DataError, match="dimension"):
             reconstruct(model, np.ones(3), 10, 0.0)
+
+
+class TestSlidingProducts:
+    """The free run slides the window's kernel dot products forward and
+    recomputes them every 256 steps; 800 steps cross three recomputes."""
+
+    STEPS = 800
+
+    @pytest.fixture(scope="class")
+    def cases(self, fitted_torus):
+        basis, model, _, s = fitted_torus
+        chaotic = with_random_chaos(basis, model)
+        basis0, model0, _, s0 = fit_torus(515, 0)
+        return {
+            "torus": (model, s, None),
+            "clipped": (chaotic, s, 0.5),
+            "q0": (with_random_chaos(basis0, model0), s0, None),
+            "chaotic": (chaotic, s, None),
+        }
+
+    @pytest.mark.parametrize("case", ["torus", "clipped", "q0", "chaotic"])
+    def test_matches_gemv_oracle(self, cases, case):
+        model, s, clip = cases[case]
+        q = model.q
+        assert (q == 0) == (case == "q0")
+        init = state_before(s, q + 1, q)
+        t_start = (q + 1) * model.dt
+        ref = gemv_reconstruct(model, init, self.STEPS, t_start, clip)
+        got = reconstruct(model, init, self.STEPS, t_start, clip_factor=clip)
+        scale = np.abs(ref).max()
+        assert np.abs(got.values - ref).max() <= 1e-12 * scale
+        if case != "torus":
+            # the chaotic part carries weight, so wrong weights would show
+            times = t_start + np.arange(self.STEPS) * model.dt
+            chaos = ref - eval_periodic(model, times)
+            assert np.abs(chaos).max() >= 0.1 * scale
+        if case == "clipped":
+            cap = clip * np.linalg.norm(s.values, axis=1).max()
+            assert (np.linalg.norm(ref, axis=1) >= cap * (1 - 1e-12)).sum() >= 100
 
 
 class TestDecompositionIdentity:
