@@ -48,7 +48,9 @@ def _fit_parser():
                    help="training window length in samples; 0 uses everything")
     p.add_argument("--delays", metavar="Q")
     p.add_argument("--epsilon",
-                   help="Gaussian kernel bandwidth (squared-distance units)")
+                   help="Gaussian kernel bandwidth (squared-distance units); "
+                        "0, the default, takes the 1%% quantile of the "
+                        "squared delay distances")
     p.add_argument("--num-eigen", metavar="L")
     p.add_argument("--eps1")
     p.add_argument("--eps2")
@@ -71,10 +73,7 @@ def _overrides(args):
 def _fit(args):
     """Fit the series exactly as ``run`` does, from this command's flags."""
     from . import pipeline
-    from .errors import ConfigError
 
-    if args.epsilon is None:
-        raise ConfigError("--epsilon is required")
     return pipeline.fit(pipeline.build_config(_overrides(args)))
 
 

@@ -23,6 +23,9 @@ from .errors import DataError, NumericalError
 from .series import DelayEmbedding
 
 _DEGREE_FLOOR = 1e-300
+# epsilon = 0 asks for this quantile of the off-diagonal squared distances, a
+# distance-quantile bandwidth (Coifman et al., IEEE TIP 2008)
+EPSILON_QUANTILE = 0.01
 # rows per block of the in-place passes; each block temporary is
 # _BLOCK x N floats, 33 MB at N = 16384
 _BLOCK = 256
@@ -42,9 +45,10 @@ class KernelSystem:
     """Normalized kernel, degree vectors and the squared-distance histogram
     for one embedding at one bandwidth.
 
-    ``sqdist_histogram`` is ``(counts, edges)`` of the off-diagonal squared
-    distances in 64 bins, the bandwidth diagnostic the CLI writes; there is
-    deliberately no automatic epsilon tuning.
+    ``epsilon`` is the bandwidth the kernel was built with, the derived one
+    when :func:`gaussian_kernel` was asked for 0.  ``sqdist_histogram`` is
+    ``(counts, edges)`` of the off-diagonal squared distances in 64 bins,
+    the bandwidth diagnostic the CLI writes.
     """
 
     epsilon: float
@@ -142,25 +146,30 @@ def _available_bytes():
         return None
 
 
-def gaussian_kernel(embedding: DelayEmbedding, epsilon: float) -> KernelSystem:
+def gaussian_kernel(embedding: DelayEmbedding,
+                    epsilon: float = 0.0) -> KernelSystem:
     """Assemble the degree vectors, the bistochastically normalized Ktilde
     and the squared-distance histogram.
 
     Everything is built in one N x N buffer: squared distances, then (after
-    the histogram is taken) ``K = exp(-d2 / epsilon)`` in place, then Ktilde
-    in place.  K itself is not kept.  A run needs Ktilde plus the Gram matrix
-    of the eigensolve, ``2 N^2`` float64 values; when that exceeds the memory
-    available, a ``DataError`` is raised before anything N x N is allocated.
+    the histogram, and for ``epsilon = 0`` the bandwidth, are taken)
+    ``K = exp(-d2 / epsilon)`` in place, then Ktilde in place.  K itself is
+    not kept.  A run needs Ktilde plus the Gram matrix of the eigensolve,
+    ``2 N^2`` float64 values; when that exceeds the memory available, a
+    ``DataError`` is raised before anything N x N is allocated.  The derived
+    bandwidth's 0.5 N^2 copy is freed before the ``exp``.
 
     Parameters
     ----------
     embedding : DelayEmbedding
         Embedded data; at least two points.
     epsilon : float
-        Gaussian bandwidth applied to squared distances.
+        Gaussian bandwidth applied to squared distances; 0 takes the
+        ``EPSILON_QUANTILE`` quantile of the off-diagonal squared distances.
     """
-    if not epsilon > 0:
-        raise DataError(f"epsilon must be positive, got {epsilon}")
+    if not epsilon >= 0:
+        raise DataError(f"epsilon must be positive (or 0 to derive it), "
+                        f"got {epsilon}")
     if not isinstance(embedding, DelayEmbedding):
         raise DataError("gaussian_kernel requires a DelayEmbedding")
     n = embedding.n_points
@@ -174,6 +183,14 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float) -> KernelSystem:
         )
     K = pairwise_sqdist(embedding)
     hist = sqdist_histogram(K)
+    if epsilon == 0:
+        epsilon = sqdist_quantile(K, EPSILON_QUANTILE)
+        if epsilon == 0:
+            raise DataError(
+                f"the {EPSILON_QUANTILE:.0%} quantile of the squared delay "
+                f"distances is 0, as over {EPSILON_QUANTILE:.0%} of the "
+                f"delay-vector pairs coincide; set --epsilon"
+            )
     K /= -epsilon
     np.exp(K, out=K)
     if not (np.diagonal(K) == 1.0).all():
@@ -193,15 +210,16 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float) -> KernelSystem:
                         embedding=embedding, sqdist_histogram=hist)
 
 
-def sqdist_quantile(embedding, quantile: float) -> float:
-    """Quantile of the off-diagonal squared distances (bandwidth diagnostics).
+def sqdist_quantile(d2, quantile: float) -> float:
+    """Quantile of the off-diagonal squared distances.
 
-    Peaks at 1.5 N^2 floats: the distances plus one copy of their upper
-    triangle, which the quantile then partitions in place.  The copy's order
-    differs from ``d2[np.triu_indices(n, 1)]``, which no quantile sees.
+    ``d2`` is a symmetric distance matrix as :func:`pairwise_sqdist` returns
+    it.  Equals ``np.quantile(d2[np.triu_indices(n, 1)], quantile)`` bit for
+    bit: one copy of the upper triangle, 0.5 N^2 floats taken row block by
+    row block, which the quantile then partitions in place.  The copy's
+    order differs from that of ``triu_indices``, which no quantile sees.
     """
-    d2 = pairwise_sqdist(embedding)
-    n = d2.shape[0]
+    n = len(d2)
     if n < 2:
         raise DataError("need at least two points")
     upper = np.empty(n * (n - 1) // 2)
@@ -209,5 +227,4 @@ def sqdist_quantile(embedding, quantile: float) -> float:
     for blk in _upper_triangle_blocks(d2):
         upper[pos:pos + blk.size].reshape(blk.shape)[...] = blk
         pos += blk.size
-    del d2
     return float(np.quantile(upper, quantile, overwrite_input=True))

@@ -62,7 +62,7 @@ class PipelineConfig:
     max_gap_factor: float = 10.0
     standardize: bool = False
     delays: int = 20
-    epsilon: float = 0.1
+    epsilon: float = 0.0                # 0: 1% quantile of squared distances
     num_eigen: int = 300
     eps1: float = 0.1
     eps2: float = 2.5
@@ -91,8 +91,9 @@ class PipelineConfig:
             raise ConfigError("max_gap_factor must be positive")
         if self.delays < 0:
             raise ConfigError("delays must be >= 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not self.epsilon >= 0:   # NaN too
+            raise ConfigError("epsilon must be positive (or 0 to derive it "
+                              "from the data)")
         if self.num_eigen < 1:
             raise ConfigError("num_eigen must be >= 1")
         if self.eps1 <= 0 or self.eps2 <= 0:
@@ -516,9 +517,11 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     dc.save_model(model, outdir / "model.npz")
     write_diagnostics(outdir / "diagnostics", result)
 
-    # manifest last: every parameter plus content hashes
+    # manifest last: every parameter, with the bandwidth the kernel used, so
+    # that a re-run does not derive it again, plus content hashes
     absolute_input = str(Path(config.input).resolve())
-    lines = config_lines(replace(config, input=absolute_input))
+    lines = config_lines(replace(config, input=absolute_input,
+                                 epsilon=basis.kernel.epsilon))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

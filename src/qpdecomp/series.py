@@ -158,11 +158,12 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
         (reported with line numbers), or non-increasing timestamps.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        # (file line number, text) of the non-blank lines
+        lines = [(no, ln.rstrip("\r\n")) for no, ln in enumerate(fh, start=1)
+                 if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if timestamp not in header:
         raise DataError(f"{path}: no timestamp column named {timestamp!r}")
     if channels is None:
@@ -177,13 +178,14 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
 
     t_idx = header.index(timestamp)
     c_idx = [header.index(c) for c in channels]
-    times, rows, bad = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    times, rows, row_lines, bad = [], [], [], []
+    for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             bad.append(f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
             continue
         times.append(_parse_timestamp(cells[t_idx], line_no))
+        row_lines.append(line_no)
         row = np.empty(len(c_idx))
         for j, (col, name) in enumerate(zip(c_idx, channels)):
             try:
@@ -203,9 +205,8 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
     steps = np.diff(times)
     if len(steps) and not (steps > 0).all():
         first = int(np.argmin(steps > 0))
-        raise DataError(
-            f"{path}: timestamps not strictly increasing at line {first + 3}"
-        )
+        raise DataError(f"{path}: timestamps not strictly increasing at "
+                        f"line {row_lines[first + 1]}")
     if len(steps) == 0:
         return TimeSeries(values, dt=1.0, t0=float(times[0]),
                           channel_names=tuple(channels))

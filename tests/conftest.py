@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
-from qpdecomp.kernel import sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import decompose
 
 
@@ -28,7 +28,7 @@ def blob_series(n, dim, seed=0):
 def blob_basis():
     """Well-conditioned small kernel basis on random data (L = N/2)."""
     emb = delay_embed(blob_series(120, 5, seed=2), 0)
-    eps = 0.3 * sqdist_quantile(emb, 0.5)
+    eps = 0.3 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
     ks = gaussian_kernel(emb, eps)
     return decompose(ks, 60)
 
@@ -37,7 +37,7 @@ def blob_basis():
 def full_blob_basis():
     """Complete basis (L = N) on random data, small epsilon keeps it conditioned."""
     emb = delay_embed(blob_series(80, 5, seed=3), 0)
-    eps = 0.1 * sqdist_quantile(emb, 0.5)
+    eps = 0.1 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
     ks = gaussian_kernel(emb, eps)
     return decompose(ks, 80)
 
@@ -49,6 +49,6 @@ def torus_basis():
     s = torus_series(516, [2 * np.pi * 34 / 512, 2 * np.pi * 55 / 512],
                      mix_seed=7, n_channels=3)
     emb = delay_embed(s, 4)
-    eps = 0.02 * sqdist_quantile(emb, 0.5)
+    eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
     ks = gaussian_kernel(emb, eps)
     return decompose(ks, 40)

@@ -50,7 +50,7 @@ def tuned_epsilon(emb):
     # bandwidth read off the low shoulder of the squared-distance histogram:
     # small enough that the eigenvalue decay stays above the inversion floor
     # at L=300, large enough to connect neighbouring trajectory strands
-    return sqdist_quantile(emb, 0.01)
+    return sqdist_quantile(pairwise_sqdist(emb), 0.01)
 
 
 def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
@@ -184,7 +184,8 @@ class TestCriterion3SpectralInvariants:
             self.check(pure_torus_run["basis"])
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-            ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(emb, 0.5))
+            ks = gaussian_kernel(
+                emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
             self.check(decompose(ks, 60))
 
 
@@ -196,7 +197,7 @@ class TestCriterion4SmallNOracles:
 
             pts = np.random.default_rng(1).standard_normal((400, 5))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-            eps = 0.4 * sqdist_quantile(emb, 0.5)
+            eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
             ks = gaussian_kernel(emb, eps)
             L = 40
             u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
@@ -316,7 +317,7 @@ class TestCriterion7MonotonicityAndReproducibility:
             sim = simulate(standard_testbed("pure_torus_2"), 800, DT, seed=0)
             write_csv(sim.series, src)
             emb = delay_embed(window(load_csv(src), 0, 600), 6)
-            eps = sqdist_quantile(emb, 0.02)
+            eps = sqdist_quantile(pairwise_sqdist(emb), 0.02)
             blobs = []
             for name in ("r1", "r2"):
                 outdir = tmp_path / name

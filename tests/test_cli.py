@@ -25,6 +25,21 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+# the fit flags of the tests below that leave epsilon to its default
+FIT_FLAGS = ["--delays", "6", "--num-eigen", "40", "--L0", "8",
+             "--train-end", "600"]
+
+
+@pytest.fixture(scope="module")
+def derived_run(synth_csv, tmp_path_factory):
+    """A `run` without --epsilon: the kernel derives its bandwidth."""
+    outdir = tmp_path_factory.mktemp("derived") / "run"
+    assert run_cli(["run", "--input", synth_csv[0], *FIT_FLAGS,
+                    "--outdir", outdir, "--predict-start", "620",
+                    "--predict-end", "680"]) == 0
+    return outdir
+
+
 class TestSynthCommand:
     def test_writes_series_and_latent(self, synth_csv):
         out, latent = synth_csv
@@ -431,9 +446,9 @@ class TestRunCommand:
         ["--num-eigen", "10", "--L0", "50"],
         ["--delays", "-1"],
         ["--epsilon", "-2"],
-        ["--epsilon", "0"],
+        ["--epsilon", "nan"],
     ], ids=["L0_above_num_eigen", "negative_delays", "negative_epsilon",
-            "zero_epsilon"])
+            "nan_epsilon"])
     @pytest.mark.parametrize("command", ["run", "frequencies", "decompose",
                                          "diagnostics"])
     def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
@@ -458,15 +473,69 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
 
-    @pytest.mark.parametrize("command", ["frequencies", "decompose",
-                                         "diagnostics"])
-    def test_epsilon_required_by_subcommands(self, synth_csv, tmp_path,
-                                             capsys, command):
-        code = run_cli([command, "--input", synth_csv[0],
-                        {"frequencies": "--out", "decompose": "--model-out",
-                         "diagnostics": "--outdir"}[command], tmp_path / "x"])
-        assert code == 2
-        assert "epsilon is required" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag, target, artifacts", [
+        ("frequencies", "--out", "f.csv", {"f.csv": "frequencies.csv"}),
+        ("decompose", "--model-out", "m.npz", {"m.npz": "model.npz"}),
+        ("diagnostics", "--outdir", "diag",
+         {f"diag/{name}": f"diagnostics/{name}"
+          for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
+                       "growth_ratio_sorted.csv", "eigenvalues.csv")}),
+    ], ids=["frequencies", "decompose", "diagnostics"])
+    def test_subcommands_run_without_epsilon(self, synth_csv, derived_run,
+                                             tmp_path, command, flag, target,
+                                             artifacts):
+        # without --epsilon a subcommand derives the bandwidth as run does,
+        # and writes run's bytes
+        assert run_cli([command, "--input", synth_csv[0], *FIT_FLAGS,
+                        flag, tmp_path / target]) == 0
+        for mine, theirs in artifacts.items():
+            assert ((tmp_path / mine).read_bytes()
+                    == (derived_run / theirs).read_bytes()), mine
+
+    def test_run_without_epsilon_records_it_in_the_manifest(
+            self, synth_csv, derived_run, tmp_path):
+        # the manifest holds the 1% quantile of the training window's squared
+        # delay distances, and re-runs with it explicitly to the same bytes
+        from qpdecomp.kernel import pairwise_sqdist
+        from qpdecomp.series import delay_embed, window
+
+        emb = delay_embed(window(load_csv(synth_csv[0]), 0, 600), 6)
+        d2 = pairwise_sqdist(emb)
+        eps = float(np.quantile(d2[np.triu_indices(len(d2), 1)], 0.01))
+        manifest = (derived_run / "manifest.txt").read_text().splitlines()
+        assert f"epsilon = {eps!r}" in manifest
+        rerun = tmp_path / "rerun"
+        assert run_cli(["run", "--manifest", derived_run / "manifest.txt",
+                        "--outdir", rerun]) == 0
+        names = sorted(str(p.relative_to(derived_run))
+                       for p in derived_run.rglob("*")
+                       if p.suffix in (".csv", ".npz"))
+        assert len(names) == 11
+        for name in names:
+            assert ((rerun / name).read_bytes()
+                    == (derived_run / name).read_bytes()), name
+
+    def test_derived_epsilon_of_zero_exits_3(self, synth_csv, tmp_path,
+                                             capsys):
+        # a constant stretch of 150 samples makes over 1% of the delay-vector
+        # pairs coincide, so the derived bandwidth would be 0
+        header, *rows = synth_csv[0].read_text().splitlines()
+        first = rows[0].split(",")[1:]
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join(
+            [header] + [",".join([r.split(",")[0], *first])
+                        if 100 <= i < 250 else r for i, r in enumerate(rows)])
+            + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
+                        "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: DataError:") and err.count("\n") == 1
+        assert "1% quantile" in err and "--epsilon" in err
+        assert not out.exists()
+        assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
+                        "--epsilon", "8", "--out", out]) == 0
+        assert out.is_file()
 
     @pytest.mark.parametrize("gapped", [False, True], ids=["clean", "gapped"])
     def test_subcommands_match_run(self, synth_csv, tmp_path, capsys, gapped):

@@ -30,7 +30,7 @@ from qpdecomp.decompose import (
     state_before,
 )
 from qpdecomp.freqfilter import FrequencySelection, SelectionParams, rkhs_norm_table, select
-from qpdecomp.kernel import sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import decompose, extension_weights, synthesize
 
 from conftest import torus_series
@@ -151,7 +151,7 @@ def fit_torus(n, q):
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
-    eps = 0.02 * sqdist_quantile(emb, 0.5)
+    eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
     basis = decompose(gaussian_kernel(emb, eps), 40)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
@@ -614,8 +614,8 @@ class TestModelRoundTrip:
         s = torus_series(n, [TWO_PI * 200 / (n - q), TWO_PI * 321 / (n - q)],
                          mix_seed=7, n_channels=3, dt=dt)
         emb = delay_embed(s, q)
-        basis = decompose(gaussian_kernel(emb, 0.02 * sqdist_quantile(emb, 0.5)),
-                          40)
+        eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        basis = decompose(gaussian_kernel(emb, eps), 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
         pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
         model = QPModel.from_basis(basis, sel, pfit.A,

@@ -20,7 +20,7 @@ from qpdecomp.freqfilter import (
     selection_growth,
     threshold_diagnostics,
 )
-from qpdecomp.kernel import sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import SpectralBasis, decompose
 from qpdecomp.synth import lattice_frequencies
 
@@ -266,7 +266,7 @@ class TestShiftInvariance:
         tables = []
         for values in (s.values, np.roll(s.values, -41, axis=0)):
             emb = delay_embed(TimeSeries(values, dt=1.0), 0)
-            eps = 0.02 * sqdist_quantile(emb, 0.5)
+            eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
             ks = gaussian_kernel(emb, eps)
             basis = decompose(ks, L)
             tables.append(rkhs_norm_table(basis, dt=1.0).W)
@@ -275,7 +275,7 @@ class TestShiftInvariance:
 
 def run_filter(values, q, L, L0, eps_quantile=0.01):
     emb = delay_embed(TimeSeries(values, dt=1.0), q)
-    eps = sqdist_quantile(emb, eps_quantile)
+    eps = sqdist_quantile(pairwise_sqdist(emb), eps_quantile)
     ks = gaussian_kernel(emb, eps)
     basis = decompose(ks, L)
     table = rkhs_norm_table(basis, dt=1.0)

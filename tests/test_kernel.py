@@ -171,8 +171,9 @@ class TestGaussianKernel:
             gaussian_kernel(embed_points([[1.0, 2.0]]), 1.0)
 
     def test_bad_epsilon(self):
-        with pytest.raises(DataError, match="epsilon"):
-            gaussian_kernel(embed_points([[0.0], [1.0]]), 0.0)
+        for eps in (-1.0, np.nan):
+            with pytest.raises(DataError, match="epsilon must be positive"):
+                gaussian_kernel(embed_points([[0.0], [1.0]]), eps)
 
 
 class TestOneBufferKernel:
@@ -198,6 +199,29 @@ class TestOneBufferKernel:
         assert np.array_equal(ks.sqdist_histogram[0], counts)
         assert np.array_equal(ks.sqdist_histogram[1], edges)
 
+    @pytest.mark.parametrize("n, dim, seed", [
+        (2, 1, 0),
+        (300, 5, 1),                            # one row block
+        (2 * kernel_module._BLOCK, 21, 2),      # an exact multiple
+        (2 * kernel_module._BLOCK + 37, 3, 3),  # a ragged last block
+    ])
+    def test_derived_epsilon_is_the_explicit_quantile(self, n, dim, seed):
+        # epsilon = 0 takes the 1% quantile of the off-diagonal squared
+        # distances, and then builds the kernel that quantile builds
+        emb = embed_points(np.random.default_rng(seed).standard_normal((n, dim)))
+        d2 = pairwise_sqdist(emb)
+        eps = float(np.quantile(d2[np.triu_indices(n, 1)], 0.01))
+        derived = gaussian_kernel(emb, 0)
+        explicit = gaussian_kernel(emb, eps)
+        assert derived.epsilon == eps == explicit.epsilon
+        assert gaussian_kernel(emb).epsilon == eps
+        assert np.array_equal(derived.Ktilde, explicit.Ktilde)
+        assert np.array_equal(derived.d, explicit.d)
+        assert np.array_equal(derived.q, explicit.q)
+        for got, want in zip(derived.sqdist_histogram,
+                             explicit.sqdist_histogram):
+            assert np.array_equal(got, want)
+
     def test_equal_distances_histogram(self):
         # every off-diagonal distance equal: np.histogram widens the range
         emb = embed_points(np.eye(4))
@@ -217,6 +241,20 @@ class TestOneBufferKernel:
             tracemalloc.stop()
         assert ks.n == n
         assert peak <= 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
+
+    def test_peak_allocation_with_derived_epsilon(self):
+        # the distances plus the quantile's copy of their upper triangle,
+        # inside the 2 N^2 budget that the kernel checks
+        n = 1500
+        emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
+        tracemalloc.start()
+        try:
+            ks = gaussian_kernel(emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ks.n == n and ks.epsilon > 0
+        assert peak <= 2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
 
 
 class TestKernelVectorAt:
@@ -274,9 +312,10 @@ def test_sqdist_quantile_matches_triu_oracle():
     d2 = pairwise_sqdist(emb)
     upper = d2[np.triu_indices(300, 1)]
     for quantile in (0.0, 0.01, 0.5, 0.999, 1.0):
-        assert sqdist_quantile(emb, quantile) == np.quantile(upper, quantile)
+        assert sqdist_quantile(d2, quantile) == np.quantile(upper, quantile)
+    assert np.array_equal(d2, pairwise_sqdist(emb))    # d2 is left as it was
 
 
 def test_sqdist_quantile_needs_two_points():
     with pytest.raises(DataError, match="at least two points"):
-        sqdist_quantile(embed_points([[1.0, 2.0]]), 0.5)
+        sqdist_quantile(pairwise_sqdist(embed_points([[1.0, 2.0]])), 0.5)

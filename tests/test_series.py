@@ -31,6 +31,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="strictly increasing"):
             load_csv(p)
 
+    def test_bad_cell_reports_file_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1,q2", "0,1,2", "", "60,3,4", "120,oops,5"])
+        with pytest.raises(DataError,
+                           match=r"malformed rows: line 5: column 'q1' "
+                                 r"value 'oops'$"):
+            load_csv(p)
+
+    def test_non_increasing_timestamp_reports_file_line_past_blank_lines(
+            self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1", "0,1", "", "120,2", "", "60,3"])
+        with pytest.raises(DataError,
+                           match=r"strictly increasing at line 6$"):
+            load_csv(p)
+
     def test_empty_selection(self, tmp_path):
         p = tmp_path / "a.csv"
         write_lines(p, ["time", "0", "120"])

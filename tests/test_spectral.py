@@ -82,7 +82,7 @@ class TestDecompose:
     def test_ordering_and_truncation_error(self):
         pts = np.random.default_rng(0).standard_normal((200, 4))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(emb, 0.5))
+        ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
         basis = decompose(ks, 50)
         assert (np.diff(basis.lam) <= 1e-15).all()
         # spectral truncation error equals the next singular value
@@ -94,7 +94,7 @@ class TestDecompose:
     def test_dense_svd_oracle_agreement(self):
         pts = np.random.default_rng(1).standard_normal((300, 5))
         emb = embed_points(pts)
-        eps = 0.4 * sqdist_quantile(emb, 0.5)
+        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
         ks = gaussian_kernel(emb, eps)
         u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
         basis = decompose(ks, 30)
@@ -115,7 +115,7 @@ class TestDecompose:
 
         pts = np.random.default_rng(1).standard_normal((300, 5))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 0.4 * sqdist_quantile(emb, 0.5))
+        ks = gaussian_kernel(emb, 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
         monkeypatch.setattr(spectral_module, "_SYRK_MAX_N", 100)
         monkeypatch.setattr(spectral_module, "_GRAM_BLOCK", 64)
         gram = spectral_module._gram(ks.Ktilde)
@@ -136,7 +136,7 @@ class TestDecompose:
         # the operator, so this is where its lost precision would show
         pts = np.random.default_rng(7).standard_normal((400, 2))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 2.0 * sqdist_quantile(emb, 0.5))
+        ks = gaussian_kernel(emb, 2.0 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
         L = 39
         s_full = np.linalg.svd(ks.Ktilde, compute_uv=False)
         assert 1e-13 < s_full[L - 1] ** 2 < 1e-11
