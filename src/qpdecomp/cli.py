@@ -4,23 +4,17 @@ Subcommands: synth, frequencies, decompose, reconstruct, predict, run,
 diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.  Errors are reported as one machine-parsable line on
 standard error: ``qpdecomp: <ErrorClass>: <message>``.
-
-The environment variable QPDECOMP_THREADS caps the BLAS/OpenMP thread count;
-it must take effect before numpy loads, so the numeric modules are imported
-lazily inside the command handlers.
 """
 
 import argparse
-import os
 import sys
 
+import numpy as np
 
-def _apply_thread_env():
-    threads = os.environ.get("QPDECOMP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+from . import decompose as dc
+from . import pipeline, synth
+from .errors import ConfigError, DataError, NumericalError, QpdecompError
+from .series import write_csv, write_table
 
 
 def _ingestion_parser():
@@ -64,23 +58,16 @@ def _fit_parser():
 
 def _overrides(args):
     """The parsed flags that set a config key."""
-    from .pipeline import CONFIG_KEYS
-
     return {k: v for k, v in vars(args).items()
-            if k in CONFIG_KEYS and v is not None}
+            if k in pipeline.CONFIG_KEYS and v is not None}
 
 
 def _fit(args):
     """Fit the series exactly as ``run`` does, from this command's flags."""
-    from . import pipeline
-
     return pipeline.fit(pipeline.build_config(_overrides(args)))
 
 
 def _cmd_synth(args):
-    from . import synth
-    from .series import write_csv, write_table
-
     system = synth.standard_testbed(args.testbed)
     result = synth.simulate(system, args.steps, args.dt, seed=args.seed)
     write_csv(result.series, args.out)
@@ -95,8 +82,6 @@ def _cmd_synth(args):
 
 
 def _cmd_frequencies(args):
-    from . import pipeline
-
     result = _fit(args)
     pipeline.write_frequencies(args.out, result)
     print(pipeline.report_periods(result.selection))
@@ -104,10 +89,6 @@ def _cmd_frequencies(args):
 
 
 def _cmd_decompose(args):
-    import numpy as np
-
-    from . import decompose as dc
-
     result = _fit(args)
     dc.save_model(result.model, args.model_out)
     resid = float(np.abs(result.periodic.residual).max())
@@ -117,11 +98,6 @@ def _cmd_decompose(args):
 
 
 def _cmd_reconstruct(args):
-    import numpy as np
-
-    from . import decompose as dc
-    from . import pipeline
-
     model = dc.load_model(args.model)
     train = model.embedding.source
     q = model.q
@@ -139,9 +115,6 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_predict(args):
-    from . import decompose as dc
-    from . import pipeline
-
     config = pipeline.build_config(_overrides(args))
     model = dc.load_model(args.model)
     pipeline.write_prediction(args.out, model, pipeline.load_series(config),
@@ -152,17 +125,12 @@ def _cmd_predict(args):
 
 
 def _cmd_diagnostics(args):
-    from . import pipeline
-
     pipeline.write_diagnostics(args.outdir, _fit(args))
     print(f"wrote diagnostics to {args.outdir}")
     return 0
 
 
 def _cmd_run(args):
-    from . import pipeline
-    from .errors import ConfigError
-
     overrides = _overrides(args)
     if args.config and args.manifest:
         raise ConfigError("--config and --manifest cannot be combined")
@@ -248,11 +216,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .errors import ConfigError, DataError, NumericalError, QpdecompError
-
     codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
     try:
         return args.func(args)

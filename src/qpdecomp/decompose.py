@@ -187,11 +187,6 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
 
 def fit_chaotic(Y_non, basis: SpectralBasis) -> np.ndarray:
     """Coefficients of the residual on the eigenbasis (empirical inner product)."""
-    Y_non = np.asarray(Y_non, dtype=float)
-    if Y_non.ndim == 1:
-        Y_non = Y_non[:, None]
-    if Y_non.shape[0] != basis.n:
-        raise DataError(f"residual has {Y_non.shape[0]} rows, basis has {basis.n}")
     return project(basis, Y_non)
 
 

@@ -83,20 +83,21 @@ class PipelineConfig:
             if not name or any(ch.isspace() for ch in name):
                 raise ConfigError(f"channel name {name!r} is empty or "
                                   f"contains whitespace")
-        if self.dt_seconds < 0:
+        # written as `not x >= 0` / `not x > 0`, so that NaN fails them too
+        if not self.dt_seconds >= 0:
             raise ConfigError("dt_seconds must be positive (or 0 to keep the grid)")
         if self.resample_method not in ("hold", "linear"):
             raise ConfigError(f"unknown resample_method {self.resample_method!r}")
-        if self.max_gap_factor <= 0:
+        if not self.max_gap_factor > 0:
             raise ConfigError("max_gap_factor must be positive")
         if self.delays < 0:
             raise ConfigError("delays must be >= 0")
-        if not self.epsilon >= 0:   # NaN too
+        if not self.epsilon >= 0:
             raise ConfigError("epsilon must be positive (or 0 to derive it "
                               "from the data)")
         if self.num_eigen < 1:
             raise ConfigError("num_eigen must be >= 1")
-        if self.eps1 <= 0 or self.eps2 <= 0:
+        if not (self.eps1 > 0 and self.eps2 > 0):
             raise ConfigError("eps1 and eps2 must be positive")
         if not (1 < self.L0 <= self.num_eigen):
             raise ConfigError(f"L0={self.L0} out of range 2..num_eigen")
@@ -104,7 +105,7 @@ class PipelineConfig:
             raise ConfigError("train_end must be >= 0")
         if any(w < 1 for w in self.ma_windows):
             raise ConfigError("ma_windows entries must be >= 1")
-        if self.clip_factor < 0:
+        if not self.clip_factor >= 0:
             raise ConfigError("clip_factor must be >= 0")
 
 
@@ -254,18 +255,10 @@ def load_series(config: PipelineConfig) -> series.TimeSeries:
     if not Path(config.input).is_file():
         raise DataError(f"input file {config.input} does not exist")
     data = series.load_csv(config.input, timestamp=config.timestamp_column,
-                           channels=list(config.channels) or None)
-    if config.dt_seconds > 0:
-        data = series.resample(data, config.dt_seconds,
-                               method=config.resample_method,
-                               max_gap=config.max_gap_factor * config.dt_seconds)
-    elif not data.regular:
-        raise DataError(
-            "input sampling is irregular; set dt_seconds to resample it"
-        )
-    if config.standardize:
-        data = series.standardize(data)
-    return data
+                           channels=list(config.channels) or None,
+                           dt=config.dt_seconds, method=config.resample_method,
+                           max_gap=config.max_gap_factor * config.dt_seconds)
+    return series.standardize(data) if config.standardize else data
 
 
 class Fit(NamedTuple):

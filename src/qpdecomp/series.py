@@ -2,13 +2,13 @@
 and delay-coordinate embedding.
 
 A :class:`TimeSeries` stores an (N, k) value matrix on a regular grid with
-step ``dt`` seconds.  CSV ingestion accepts irregular timestamps; such a
-series carries its raw timestamps and is flagged ``regular=False`` until it
-has been passed through :func:`resample`.  All values are immutable after
-construction; no operation mutates shared state.
+step ``dt`` seconds.  :func:`load_csv` puts uneven timestamps on a grid as it
+reads them (through :func:`resample`) or rejects them, so every series is on
+its grid.  All values are immutable after construction; no operation mutates
+shared state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,23 +28,17 @@ class TimeSeries:
     values : ndarray, shape (N, k)
         One row per sample, one column per channel.  NaNs are rejected.
     dt : float
-        Seconds per sample (median spacing while the series is irregular).
+        Seconds per sample.
     t0 : float
         Epoch offset of the first sample, in seconds.
     channel_names : tuple of str
         One label per channel; generated as ``ch0, ch1, ...`` when omitted.
-    regular : bool
-        False only for freshly ingested series with uneven spacing.
-    timestamps : ndarray or None
-        Absolute sample times in seconds; present exactly when irregular.
     """
 
     values: np.ndarray
     dt: float
     t0: float = 0.0
     channel_names: tuple = ()
-    regular: bool = True
-    timestamps: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -65,14 +59,6 @@ class TimeSeries:
                 f"{len(names)} channel names for {values.shape[1]} channels"
             )
         object.__setattr__(self, "channel_names", names)
-        if self.regular:
-            if self.timestamps is not None:
-                raise DataError("regular series must not carry raw timestamps")
-        else:
-            ts = np.asarray(self.timestamps, dtype=float)
-            if ts.shape != (values.shape[0],):
-                raise DataError("timestamps must have one entry per sample")
-            object.__setattr__(self, "timestamps", ts)
 
     @property
     def n(self) -> int:
@@ -84,8 +70,6 @@ class TimeSeries:
 
     def times(self) -> np.ndarray:
         """Absolute sample times in seconds."""
-        if self.timestamps is not None:
-            return self.timestamps.copy()
         return self.t0 + np.arange(self.n) * self.dt
 
 
@@ -137,7 +121,8 @@ def _parse_timestamp(text, line_no):
     return parsed.timestamp()
 
 
-def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
+def load_csv(path, timestamp="time", channels=None, dt=0.0, method="hold",
+             max_gap=None) -> TimeSeries:
     """Read a CSV file with a header row into a :class:`TimeSeries`.
 
     Parameters
@@ -150,12 +135,17 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
     channels : sequence of str, optional
         Value columns to keep, in the given order.  Defaults to every
         non-timestamp column.
+    dt : float
+        Step of the grid to resample onto, in seconds (see :func:`resample`,
+        which ``method`` and ``max_gap`` are passed to).  0 keeps the file's
+        own grid, which its timestamps must then form.
 
     Raises
     ------
     DataError
         Missing columns, empty channel selection, malformed numeric cells
-        (reported with line numbers), or non-increasing timestamps.
+        (reported with line numbers), non-increasing timestamps, uneven
+        timestamps with ``dt = 0``, or a failed resampling.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # (file line number, text) of the non-blank lines
@@ -207,17 +197,20 @@ def load_csv(path, timestamp="time", channels=None) -> TimeSeries:
         first = int(np.argmin(steps > 0))
         raise DataError(f"{path}: timestamps not strictly increasing at "
                         f"line {row_lines[first + 1]}")
-    if len(steps) == 0:
-        return TimeSeries(values, dt=1.0, t0=float(times[0]),
-                          channel_names=tuple(channels))
-    dt = float(np.median(steps))
-    regular = bool(np.abs(steps - dt).max() <= _GRID_RTOL * dt)
-    if regular:
-        return TimeSeries(values, dt=dt, t0=float(times[0]),
-                          channel_names=tuple(channels))
-    return TimeSeries(values, dt=dt, t0=float(times[0]),
-                      channel_names=tuple(channels),
-                      regular=False, timestamps=times)
+    step = 1.0
+    if len(steps):
+        step = float(np.median(steps))
+        if np.abs(steps - step).max() <= _GRID_RTOL * step:
+            # evenly spaced: the grid itself, without the timestamps' rounding
+            times = times[0] + np.arange(len(times)) * step
+        elif not dt:
+            raise DataError(f"{path}: input sampling is irregular; set "
+                            f"dt_seconds to resample it")
+    if dt:
+        values = resample(times, values, dt, method, max_gap)
+        step = float(dt)
+    return TimeSeries(values, dt=step, t0=float(times[0]),
+                      channel_names=tuple(channels))
 
 
 def write_table(path, header, columns):
@@ -237,13 +230,15 @@ def write_csv(series: TimeSeries, path, timestamp="time"):
                 [series.times(), *series.values.T])
 
 
-def resample(series: TimeSeries, dt: float, method="hold", max_gap=None) -> TimeSeries:
-    """Resample onto the regular grid t0, t0+dt, ... covering the input span.
+def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
+    """Values on the grid times[0], times[0]+dt, ... covering the input span.
 
     Parameters
     ----------
-    series : TimeSeries
-        Input; may be irregular.
+    times : ndarray, shape (N,)
+        Strictly increasing sample times in seconds; the spacing may vary.
+    values : ndarray, shape (N, k)
+        One row per sample.
     dt : float
         Target step in seconds.
     method : {"hold", "linear"}
@@ -253,34 +248,41 @@ def resample(series: TimeSeries, dt: float, method="hold", max_gap=None) -> Time
         Largest tolerated spacing between consecutive input samples before
         interpolation is considered unsafe.  Defaults to ``10 * dt``; a wider
         gap raises :class:`DataError` rather than silently bridging an outage.
+
+    Returns
+    -------
+    ndarray, shape (M, k)
+        One row per grid time.
     """
     if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
     if method not in ("hold", "linear"):
         raise DataError(f"unknown resample method {method!r}")
-    times = series.times()
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError("values contain NaN or infinite entries")
     span = times[-1] - times[0]
-    if series.n > 1 and dt > span:
+    if len(times) > 1 and dt > span:
         raise DataError(f"dt={dt} exceeds total span {span}")
     if max_gap is None:
         max_gap = 10.0 * dt
+    elif not max_gap > 0:   # NaN too
+        raise DataError(f"max_gap must be positive, got {max_gap}")
     gaps = np.diff(times)
     if len(gaps) and gaps.max() > max_gap:
         at = int(np.argmax(gaps))
         raise DataError(
             f"gap of {gaps[at]:g} s after sample {at} exceeds max gap {max_gap:g} s"
         )
-    n_out = int(np.floor(span / dt)) + 1 if series.n > 1 else 1
+    n_out = int(np.floor(span / dt)) + 1 if len(times) > 1 else 1
     grid = times[0] + np.arange(n_out) * dt
     if method == "hold":
         idx = np.searchsorted(times, grid, side="right") - 1
-        out = series.values[np.maximum(idx, 0)]
-    else:
-        out = np.column_stack(
-            [np.interp(grid, times, series.values[:, j]) for j in range(series.k)]
-        )
-    return TimeSeries(out, dt=float(dt), t0=float(times[0]),
-                      channel_names=series.channel_names)
+        return values[np.maximum(idx, 0)]
+    return np.column_stack(
+        [np.interp(grid, times, values[:, j]) for j in range(values.shape[1])]
+    )
 
 
 def window(series: TimeSeries, start: int, end: int) -> TimeSeries:
@@ -291,13 +293,8 @@ def window(series: TimeSeries, start: int, end: int) -> TimeSeries:
         raise DataError(
             f"window [{start}, {end}) out of range for {series.n} samples"
         )
-    values = series.values[start:end]
-    if series.timestamps is not None:
-        ts = series.timestamps[start:end]
-        return TimeSeries(values, dt=series.dt, t0=float(ts[0]),
-                          channel_names=series.channel_names,
-                          regular=False, timestamps=ts)
-    return TimeSeries(values, dt=series.dt, t0=series.t0 + start * series.dt,
+    return TimeSeries(series.values[start:end], dt=series.dt,
+                      t0=series.t0 + start * series.dt,
                       channel_names=series.channel_names)
 
 
@@ -310,19 +307,15 @@ def standardize(series: TimeSeries) -> TimeSeries:
         names = [series.channel_names[i] for i in flat]
         raise DataError(f"cannot standardize constant channels {names}")
     return TimeSeries((series.values - mean) / std, dt=series.dt, t0=series.t0,
-                      channel_names=series.channel_names, regular=series.regular,
-                      timestamps=None if series.timestamps is None
-                      else series.timestamps.copy())
+                      channel_names=series.channel_names)
 
 
 def delay_embed(series: TimeSeries, q: int) -> DelayEmbedding:
     """Embed with q delays: row n of the result is (y_n, y_{n+1}, ..., y_{n+q}).
 
-    Requires a regular series and q < N.  The output has N - q rows in
-    k(q+1) dimensions; each row concatenates source rows bit-exactly.
+    Requires q < N.  The output has N - q rows in k(q+1) dimensions; each
+    row concatenates source rows bit-exactly.
     """
-    if not series.regular:
-        raise DataError("delay embedding requires a regular series; resample first")
     if not (isinstance(q, (int, np.integer)) and q >= 0):
         raise DataError(f"q must be a non-negative integer, got {q}")
     if q >= series.n:

@@ -447,8 +447,13 @@ class TestRunCommand:
         ["--delays", "-1"],
         ["--epsilon", "-2"],
         ["--epsilon", "nan"],
+        ["--dt-seconds", "nan"],
+        ["--dt-seconds", "1", "--max-gap-factor", "nan"],
+        ["--eps1", "nan"],
+        ["--eps2", "nan"],
     ], ids=["L0_above_num_eigen", "negative_delays", "negative_epsilon",
-            "nan_epsilon"])
+            "nan_epsilon", "nan_dt_seconds", "nan_max_gap_factor", "nan_eps1",
+            "nan_eps2"])
     @pytest.mark.parametrize("command", ["run", "frequencies", "decompose",
                                          "diagnostics"])
     def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
@@ -596,15 +601,3 @@ def test_module_invocation_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
 
-
-def test_thread_env_applied(monkeypatch):
-    import os
-
-    from qpdecomp.cli import _apply_thread_env
-
-    monkeypatch.setenv("QPDECOMP_THREADS", "2")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    _apply_thread_env()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"

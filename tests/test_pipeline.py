@@ -332,7 +332,12 @@ class TestConfigParsing:
                     predict_start=30, predict_end=40)
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
                dict(L0=500), dict(resample_method="spline"),
-               dict(ma_windows=(0,))]
+               dict(ma_windows=(0,)), dict(dt_seconds=-1),
+               dict(max_gap_factor=0), dict(clip_factor=-1)]
+        # NaN fails every float check
+        bad += [{key: "nan"} for key in ("dt_seconds", "max_gap_factor",
+                                         "epsilon", "eps1", "eps2",
+                                         "clip_factor")]
         for extra in bad:
             with pytest.raises(ConfigError):
                 build_config({**base, **extra})

@@ -16,7 +16,6 @@ class TestLoadCsv:
         s = load_csv(p)
         assert s.n == 3 and s.k == 1
         assert s.dt == 120.0
-        assert s.regular
         np.testing.assert_array_equal(s.values[:, 0], [1.5, 2.5, 3.5])
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
@@ -24,6 +23,14 @@ class TestLoadCsv:
         write_lines(p, ["time,q1,q2", "0,1,2", "60,oops,3", "120,4,5"])
         with pytest.raises(DataError, match=r"line 3.*'q1'.*oops"):
             load_csv(p)
+
+    @pytest.mark.parametrize("dt", [0.0, 120.0])
+    def test_nan_cell_rejected(self, tmp_path, dt):
+        # hold resampling at 120 s would step over the NaN sample
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1", "0,1", "60,nan", "120,3", "180,4"])
+        with pytest.raises(DataError, match="NaN"):
+            load_csv(p, dt=dt)
 
     def test_non_monotonic_timestamps(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -76,8 +83,9 @@ class TestLoadCsv:
         s = load_csv(p)
         assert s.k == 9
         assert s.channel_names == tuple(names)
-        r = resample(s, 120.0, method="hold")
-        assert r.dt == 120.0 and r.k == 9
+        r = load_csv(p, dt=120.0, method="hold")
+        assert r.dt == 120.0 and r.k == 9 and r.channel_names == s.channel_names
+        np.testing.assert_array_equal(r.values, s.values[::4])
 
     def test_iso8601_timestamps(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -87,15 +95,39 @@ class TestLoadCsv:
                         "2021-03-01T00:04:00,3"])
         s = load_csv(p)
         assert s.dt == 120.0
-        assert s.regular
 
-    def test_irregular_flagged_with_median_dt(self, tmp_path):
+    def test_irregular_rejected_without_dt_resampled_with_it(self, tmp_path):
+        times = np.array([0.0, 10, 20, 35, 45])
+        values = np.array([[1.0, -1], [2, -4], [3, -9], [4, -16], [5, -25]])
         p = tmp_path / "a.csv"
-        write_lines(p, ["time,q1", "0,1", "10,2", "20,3", "35,4", "45,5"])
-        s = load_csv(p)
-        assert not s.regular
-        assert s.dt == 10.0
-        np.testing.assert_array_equal(s.timestamps, [0, 10, 20, 35, 45])
+        write_lines(p, ["time,q1,q2"] + [f"{t:g},{a:g},{b:g}"
+                                         for t, (a, b) in zip(times, values)])
+        with pytest.raises(DataError, match="irregular"):
+            load_csv(p)
+        grid = np.arange(0.0, 46.0, 5.0)
+        hold = values[np.searchsorted(times, grid, side="right") - 1]
+        linear = np.column_stack([np.interp(grid, times, values[:, j])
+                                  for j in range(2)])
+        for method, oracle in (("hold", hold), ("linear", linear)):
+            s = load_csv(p, dt=5.0, method=method)
+            np.testing.assert_array_equal(s.values, oracle)
+            assert s.dt == 5.0 and s.t0 == 0.0
+            assert s.channel_names == ("q1", "q2")
+
+    def test_even_timestamps_resample_from_their_grid(self, tmp_path):
+        # decimal timestamps round off the grid; an evenly spaced file is
+        # resampled from t0 + k * step, its median step, all the same
+        values = np.random.default_rng(2).standard_normal((50, 1))
+        times = np.array([float(f"{0.1 * k:.1f}") for k in range(50)])
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1"] + [f"{t:.1f},{v:.17g}"
+                                      for t, v in zip(times, values[:, 0])])
+        grid = np.arange(50) * float(np.median(np.diff(times)))
+        assert not np.array_equal(grid, times)
+        for method in ("hold", "linear"):
+            np.testing.assert_array_equal(
+                load_csv(p, dt=0.1, method=method).values,
+                resample(grid, values, 0.1, method=method))
 
     def test_write_read_round_trip(self, tmp_path):
         s = TimeSeries(np.random.default_rng(1).standard_normal((17, 3)), dt=2.5,
@@ -125,45 +157,50 @@ class TestTimeSeriesInvariants:
 
 
 class TestResample:
-    def test_identity_on_regular_grid(self):
-        s = TimeSeries(np.random.default_rng(0).standard_normal((50, 2)), dt=3.0)
+    def test_identity_on_regular_grid(self, tmp_path):
+        s = TimeSeries(np.random.default_rng(0).standard_normal((50, 2)), dt=3.0,
+                       t0=7.0)
+        p = tmp_path / "a.csv"
+        write_csv(s, p)
         for method in ("hold", "linear"):
-            r = resample(s, 3.0, method=method)
+            r = resample(s.times(), s.values, 3.0, method=method)
+            np.testing.assert_array_equal(r, s.values)
+            r = load_csv(p, dt=3.0, method=method)
             np.testing.assert_array_equal(r.values, s.values)
             assert r.dt == s.dt and r.t0 == s.t0
 
     def test_hold_semantics(self):
-        s = TimeSeries(np.array([[1.0], [2.0], [3.0]]), dt=100.0)
-        r = resample(s, 50.0, method="hold")
-        np.testing.assert_array_equal(r.values[:, 0], [1, 1, 2, 2, 3])
+        r = resample([0.0, 100.0, 200.0], [[1.0], [2.0], [3.0]], 50.0,
+                     method="hold")
+        np.testing.assert_array_equal(r[:, 0], [1, 1, 2, 2, 3])
 
     def test_linear_midpoint(self):
-        s = TimeSeries(np.array([[0.0], [10.0]]), dt=100.0)
-        r = resample(s, 50.0, method="linear")
-        np.testing.assert_allclose(r.values[:, 0], [0.0, 5.0, 10.0])
+        r = resample([0.0, 100.0], [[0.0], [10.0]], 50.0, method="linear")
+        np.testing.assert_allclose(r[:, 0], [0.0, 5.0, 10.0])
 
     def test_dt_beyond_span(self):
-        s = TimeSeries(np.ones((3, 1)), dt=10.0)
         with pytest.raises(DataError, match="span"):
-            resample(s, 100.0)
+            resample([0.0, 10.0, 20.0], np.ones((3, 1)), 100.0)
 
     def test_irregular_input_uses_timestamps(self):
-        s = TimeSeries(np.array([[0.0], [10.0], [20.0]]), dt=10.0,
-                       regular=False, timestamps=np.array([0.0, 10.0, 30.0]))
-        r = resample(s, 10.0, method="linear")
-        np.testing.assert_allclose(r.values[:, 0], [0, 10, 15, 20])
-        assert r.regular
+        r = resample([0.0, 10.0, 30.0], [[0.0], [10.0], [20.0]], 10.0,
+                     method="linear")
+        np.testing.assert_allclose(r[:, 0], [0, 10, 15, 20])
 
     def test_long_gap_rejected(self):
-        s = TimeSeries(np.array([[0.0], [1.0], [2.0]]), dt=1.0,
-                       regular=False, timestamps=np.array([0.0, 1.0, 100.0]))
         with pytest.raises(DataError, match="gap"):
-            resample(s, 1.0)
+            resample([0.0, 1.0, 100.0], [[0.0], [1.0], [2.0]], 1.0)
+
+    @pytest.mark.parametrize("max_gap", [0.0, -1.0, np.nan])
+    def test_max_gap_must_be_positive(self, max_gap):
+        # a NaN max_gap would otherwise bridge every gap: no gap exceeds it
+        with pytest.raises(DataError, match="max_gap"):
+            resample([0.0, 1.0, 100.0], [[0.0], [1.0], [2.0]], 1.0,
+                     max_gap=max_gap)
 
     def test_unknown_method(self):
-        s = TimeSeries(np.ones((3, 1)), dt=1.0)
         with pytest.raises(DataError, match="method"):
-            resample(s, 1.0, method="cubic")
+            resample([0.0, 1.0, 2.0], np.ones((3, 1)), 1.0, method="cubic")
 
 
 class TestDelayEmbed:
@@ -198,12 +235,6 @@ class TestDelayEmbed:
         s = TimeSeries(np.ones((5, 1)), dt=1.0)
         with pytest.raises(DataError, match="q"):
             delay_embed(s, 5)
-
-    def test_requires_regular(self):
-        s = TimeSeries(np.ones((3, 1)), dt=1.0, regular=False,
-                       timestamps=np.array([0.0, 1.0, 3.0]))
-        with pytest.raises(DataError, match="regular"):
-            delay_embed(s, 1)
 
 
 class TestWindow:
