@@ -22,7 +22,6 @@ from .errors import ConfigError, DataError, NumericalError, QpdecompError
 from .freqfilter import (
     FrequencySelection,
     RkhsNormTable,
-    merge_adjacent,
     rkhs_norm_table,
     select,
     threshold_diagnostics,
@@ -71,7 +70,6 @@ __all__ = [
     "load_config",
     "load_csv",
     "load_model",
-    "merge_adjacent",
     "moving_average",
     "pairwise_sqdist",
     "project",

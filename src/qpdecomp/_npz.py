@@ -1,16 +1,59 @@
-"""Deterministic npz writing: fixed zip timestamps keep files byte-stable."""
+"""npz files: byte-stable, written whole, and read with a DataError for any
+file that is not one."""
 
 import io
+import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 
 def write_npz(path, arrays):
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, arr in arrays.items():
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asanyarray(arr),
-                                      allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+    """Write ``arrays`` with fixed zip timestamps, so that equal arrays give
+    equal bytes, under a temporary name beside ``path`` that is then renamed
+    onto it: ``path`` holds its earlier content or the whole new archive."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh, \
+                zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+            for name, arr in arrays.items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.asanyarray(arr),
+                                          allow_pickle=False)
+                info = zipfile.ZipInfo(name + ".npy",
+                                       date_time=(1980, 1, 1, 0, 0, 0))
+                zf.writestr(info, buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+class _Arrays(dict):
+    """The arrays of one file; a missing name is a DataError naming it."""
+
+    def __missing__(self, name):
+        raise DataError(f"{self.source} holds no array {name!r}")
+
+
+def read_npz(path, what):
+    """Every array of the npz archive at ``path``, by name.  A missing,
+    truncated or foreign file, or a missing array, is a :class:`DataError`
+    naming ``what`` the file should be and its path."""
+    arrays = _Arrays()
+    arrays.source = f"{what} {path}"
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays.update((name, data[name]) for name in data.files)
+    except OSError as exc:
+        raise DataError(f"cannot read {arrays.source}: "
+                        f"{exc.strerror or exc}") from None
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
+        # TypeError: np.load returns a bare .npy array, not an archive
+        raise DataError(f"{arrays.source} is not a readable npz archive "
+                        f"(truncated, or another format)") from None
+    return arrays

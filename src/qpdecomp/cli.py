@@ -49,7 +49,6 @@ def _fit_parser():
     p.add_argument("--eps1")
     p.add_argument("--eps2")
     p.add_argument("--L0")
-    p.add_argument("--merge-adjacent", action="store_true", default=None)
     p.add_argument("--basis-cache", metavar="DIR",
                    help="directory for content-addressed reuse of the "
                         "eigenbasis across runs")
@@ -101,16 +100,12 @@ def _cmd_reconstruct(args):
     model = dc.load_model(args.model)
     train = model.embedding.source
     q = model.q
-    if args.mode == "insample":
-        times = (q + np.arange(model.n)) * model.dt
-        recon = (dc.eval_periodic(model, times)
-                 + dc.chaotic_at_training_points(model))
-        pipeline.write_estimate(args.out, train.channel_names, times, "recon",
-                                recon, train.values[q:])
-    else:
-        pipeline.write_prediction(args.out, model, train, q + 1,
-                                  train.n - (q + 1), label="recon")
-    print(f"wrote {args.mode} reconstruction to {args.out}")
+    times = (q + np.arange(model.n)) * model.dt
+    recon = (dc.eval_periodic(model, times)
+             + dc.chaotic_at_training_points(model))
+    pipeline.write_estimate(args.out, train.channel_names, times, "recon",
+                            recon, train.values[q:])
+    print(f"wrote in-sample reconstruction to {args.out}")
     return 0
 
 
@@ -118,8 +113,7 @@ def _cmd_predict(args):
     config = pipeline.build_config(_overrides(args))
     model = dc.load_model(args.model)
     pipeline.write_prediction(args.out, model, pipeline.load_series(config),
-                              args.init_at, args.steps, config.clip_factor,
-                              args.ma_window)
+                              args.init_at, args.steps, args.ma_window)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
 
@@ -176,11 +170,11 @@ def build_parser():
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("reconstruct",
-                       help="reconstruct the training window from a model")
+    # no abbreviations, so that the removed --mode is not taken for --model
+    p = sub.add_parser("reconstruct", allow_abbrev=False,
+                       help="reconstruct the training window in sample from "
+                            "a model (the Nystrom check)")
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("insample", "freerun"),
-                   default="insample")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -192,7 +186,6 @@ def build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--ma-window", type=int, default=0,
                    help="moving-average window for the error columns")
-    p.add_argument("--clip-factor")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -210,7 +203,6 @@ def build_parser():
     p.add_argument("--predict-start")
     p.add_argument("--predict-end")
     p.add_argument("--ma-windows", nargs="+")
-    p.add_argument("--clip-factor")
     p.set_defaults(func=_cmd_run)
     return parser
 

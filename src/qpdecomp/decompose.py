@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._npz import write_npz
+from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection, SelectionParams
 from .series import DelayEmbedding, TimeSeries, delay_embed
@@ -260,8 +260,8 @@ def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
     return series.values[index - (q + 1):index].ravel().copy()
 
 
-def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
-                clip_factor: float = None) -> TimeSeries:
+def reconstruct(model: QPModel, init, n_steps: int,
+                t_start: float) -> TimeSeries:
     """Free-run the standalone model.
 
     Starting from ``init`` (the k(q+1) delay window preceding the first
@@ -275,12 +275,9 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
     to rounding.  Deterministic: identical model and init give bit-identical
     trajectories.
 
-    Parameters
-    ----------
-    clip_factor : float, optional
-        Off by default (open-loop behaviour).  When set, the generated
-        sample norm is capped at ``clip_factor`` times the largest training
-        sample norm, as a divergence diagnostic.
+    g_chaos is a kernel-weighted average of the rows of ``sqrt(N) * M``, so
+    the run is bounded by construction; a non-finite sample (from non-finite
+    coefficients) raises :class:`NumericalError`.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
@@ -297,10 +294,6 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
     # (-old, y_new) @ slide slides the products of points m = 1..N-1
     slide = np.hstack([source.values[:model.n - 1],
                        source.values[model.q + 1:]]).T.copy()
-    cap = None
-    if clip_factor is not None:
-        train_norms = np.linalg.norm(source.values, axis=1)
-        cap = clip_factor * train_norms.max()
     out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
     for i in range(n_steps):
         if i % _BLOCK_ROWS == 0:
@@ -309,10 +302,6 @@ def reconstruct(model: QPModel, init, n_steps: int, t_start: float,
         y_new = out[i] + _chaos_from_weights(model, w)
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
-        if cap is not None:
-            norm = np.linalg.norm(y_new)
-            if norm > cap:
-                y_new = y_new * (cap / norm)
         out[i] = y_new
         step = np.concatenate([-state[:k], y_new]) @ slide
         step += products[:-1]
@@ -407,33 +396,34 @@ def load_model(path) -> QPModel:
     Raises
     ------
     DataError
-        The file is not a ``qpdecomp-model-2`` file (a ``qpdecomp-model-1``
-        file must be rewritten with ``qpdecomp decompose``), or its training
-        data do not match the stored hash.
+        The file is missing or unreadable, is not a ``qpdecomp-model-2``
+        file (a ``qpdecomp-model-1`` file must be rewritten with ``qpdecomp
+        decompose``) or lacks one of its arrays, or its training data do not
+        match the stored hash.
     """
-    with np.load(path, allow_pickle=False) as data:
-        fmt = str(data["format"][0])
-        if fmt == "qpdecomp-model-1":
-            raise DataError(
-                f"{path}: model format {fmt!r} is no longer readable; re-run "
-                f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
-            )
-        if fmt != MODEL_FORMAT:
-            raise DataError(f"{path}: unknown model format {fmt!r}")
-        src = TimeSeries(data["train_values"], dt=float(data["train_dt"]),
-                         t0=float(data["train_t0"]),
-                         channel_names=tuple(str(c) for c in data["channel_names"]))
-        stored_hash = str(data["train_hash"][0])
-        if training_data_hash(src) != stored_hash:
-            raise DataError(f"{path}: training data does not match its stored hash")
-        emb = delay_embed(src, int(data["q"]))
-        p = data["sel_params"]
-        sel = FrequencySelection(
-            indices=data["sel_indices"],
-            omegas=data["sel_omegas"],
-            amplitudes=data["sel_amplitudes"],
-            params=SelectionParams(float(p[0]), float(p[1]), int(p[2]), int(p[3])),
+    data = read_npz(path, "model file")
+    fmt = str(data["format"][0])
+    if fmt == "qpdecomp-model-1":
+        raise DataError(
+            f"{path}: model format {fmt!r} is no longer readable; re-run "
+            f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
         )
-        return QPModel(selection=sel, A=data["A"], E=data["E"], M=data["M"],
-                       ext_bounds=data["ext_bounds"], embedding=emb,
-                       epsilon=float(data["epsilon"]))
+    if fmt != MODEL_FORMAT:
+        raise DataError(f"{path}: unknown model format {fmt!r}")
+    src = TimeSeries(data["train_values"], dt=float(data["train_dt"]),
+                     t0=float(data["train_t0"]),
+                     channel_names=tuple(str(c) for c in data["channel_names"]))
+    stored_hash = str(data["train_hash"][0])
+    if training_data_hash(src) != stored_hash:
+        raise DataError(f"{path}: training data does not match its stored hash")
+    emb = delay_embed(src, int(data["q"]))
+    p = data["sel_params"]
+    sel = FrequencySelection(
+        indices=data["sel_indices"],
+        omegas=data["sel_omegas"],
+        amplitudes=data["sel_amplitudes"],
+        params=SelectionParams(float(p[0]), float(p[1]), int(p[2]), int(p[3])),
+    )
+    return QPModel(selection=sel, A=data["A"], E=data["E"], M=data["M"],
+                   ext_bounds=data["ext_bounds"], embedding=emb,
+                   epsilon=float(data["epsilon"]))

@@ -184,36 +184,6 @@ def selection_growth(table: RkhsNormTable, selection: FrequencySelection) -> np.
     return log_growth(table, selection.params.L0, selection.indices)
 
 
-def merge_adjacent(selection: FrequencySelection) -> FrequencySelection:
-    """Collapse each run of consecutive selected bins to its largest-amplitude bin.
-
-    Bin 0 is exempt and always retained.  True frequencies falling between
-    bins often light up both straddling bins; this merges such pairs.
-    """
-    nz = selection.indices[selection.indices > 0]
-    if len(nz) == 0:
-        return selection
-    amps = dict(zip(selection.indices.tolist(), selection.amplitudes.tolist()))
-    keep = [0]
-    run = [int(nz[0])]
-    for j in nz[1:]:
-        j = int(j)
-        if j == run[-1] + 1:
-            run.append(j)
-        else:
-            keep.append(max(run, key=lambda b: amps[b]))
-            run = [j]
-    keep.append(max(run, key=lambda b: amps[b]))
-    keep = np.array(sorted(keep), dtype=int)
-    pick = np.searchsorted(selection.indices, keep)
-    return FrequencySelection(
-        indices=keep,
-        omegas=selection.omegas[pick],
-        amplitudes=selection.amplitudes[pick],
-        params=selection.params,
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdDiagnostics:
     """Curves for choosing L0 and eps2 by eye; no automatic choice is made.

@@ -67,12 +67,10 @@ class PipelineConfig:
     eps1: float = 0.1
     eps2: float = 2.5
     L0: int = 100
-    merge_adjacent: bool = False
     train_end: int = 0                  # 0: use the full series
     predict_start: int = 0
     predict_end: int = 0
     ma_windows: tuple[int, ...] = (1, 10, 100)
-    clip_factor: float = 0.0            # 0: no clipping
     basis_cache: str = ""               # directory for eigenbasis reuse
 
     def __post_init__(self):
@@ -105,14 +103,15 @@ class PipelineConfig:
             raise ConfigError("train_end must be >= 0")
         if any(w < 1 for w in self.ma_windows):
             raise ConfigError("ma_windows entries must be >= 1")
-        if not self.clip_factor >= 0:
-            raise ConfigError("clip_factor must be >= 0")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 CONFIG_KEYS = set(_FIELD_TYPES)
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
+# removed keys, with the default that earlier manifests wrote for them: any
+# other value asks for a result that can no longer be produced
+_RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0"}
 
 
 def _parse(kind, value):
@@ -151,9 +150,10 @@ def _read_config(path, overrides, manifest):
     apply the overrides that are not None, and build the config.
 
     A config file rejects unknown keys; a manifest skips them, so that it
-    can carry hashes and keys that earlier versions wrote.  A relative
-    ``input`` in the file resolves against the file's directory; an
-    override is taken as it is.
+    can carry hashes and keys that earlier versions wrote, but not a key of
+    ``_RETIRED_KEYS`` away from its old default.  A relative ``input`` in
+    the file resolves against the file's directory; an override is taken
+    as it is.
     """
     path = Path(path)
     what = "manifest" if manifest else "config file"
@@ -166,9 +166,12 @@ def _read_config(path, overrides, manifest):
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, raw = stripped.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if sep and key in CONFIG_KEYS:
-            values[key] = raw.strip()
+            values[key] = raw
+        elif manifest and key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key]:
+            raise ConfigError(f"manifest line {line_no}: {key} = {raw} was "
+                              f"removed; only its old default re-runs")
         elif manifest:
             continue
         elif not sep:
@@ -298,9 +301,6 @@ def fit(config: PipelineConfig) -> Fit:
     table = freqfilter.rkhs_norm_table(basis, data.dt)
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)
-    if config.merge_adjacent:
-        selection = freqfilter.merge_adjacent(selection)
-
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
     model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
@@ -380,13 +380,10 @@ def error_columns(truth, estimate, ma_windows):
     return header, cols
 
 
-
-
 def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
-                     start, steps, clip_factor=0.0, ma_window=0, label="pred"):
+                     start, steps, ma_window=0):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
-    ``data`` and write them as ``prediction.csv``, in ``<label>_<c>``
-    columns.
+    ``data`` and write them as ``prediction.csv``, in ``pred_<c>`` columns.
 
     The table holds the observed window too when ``data`` covers it, and
     then, if ``ma_window`` is set, that window's error columns.  Returns the
@@ -404,15 +401,14 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
         raise DataError(f"prediction start {start} is beyond series length "
                         f"{data.n}")
     init = dc.state_before(data, start, q)
-    pred = dc.reconstruct(model, init, steps, start * model.dt,
-                          clip_factor=clip_factor or None)
+    pred = dc.reconstruct(model, init, steps, start * model.dt)
     times = (start + np.arange(steps)) * model.dt
     truth, extra = None, ((), ())
     if start + steps <= data.n:
         truth = series.window(data, start, start + steps)
         if ma_window:
             extra = error_columns(truth, pred, [ma_window])
-    write_estimate(path, data.channel_names, times, label, pred.values,
+    write_estimate(path, data.channel_names, times, "pred", pred.values,
                    None if truth is None else truth.values, extra)
     return times, pred, truth
 
@@ -422,8 +418,9 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     Writes frequencies.csv, periodic.csv, chaotic_coeffs.csv, the in-sample
     reconstruction.csv, prediction.csv, errors.csv, model.npz, diagnostics/,
-    and a manifest listing every parameter and content hash.  The free-run
-    reconstruction is ``qpdecomp reconstruct --mode freerun`` on model.npz.
+    and a manifest listing every parameter and content hash.  A free run
+    over the training window is ``qpdecomp predict --init-at <q+1>`` on
+    model.npz and the input.
 
     ``outdir`` must be absent or empty.  The artifacts are written into a
     fresh staging directory beside it, which is renamed onto ``outdir`` at
@@ -498,8 +495,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
     pred_times, pred, truth = write_prediction(
-        outdir / "prediction.csv", model, data, ps, pe - ps,
-        config.clip_factor)
+        outdir / "prediction.csv", model, data, ps, pe - ps)
     err_names, err_cols = error_columns(truth, pred, config.ma_windows)
     _write_table(
         outdir / "errors.csv",

@@ -275,14 +275,20 @@ def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
         raise DataError(
             f"gap of {gaps[at]:g} s after sample {at} exceeds max gap {max_gap:g} s"
         )
-    n_out = int(np.floor(span / dt)) + 1 if len(times) > 1 else 1
+    # a sample within _GRID_RTOL * dt of a grid time is taken to be on it,
+    # so that decimal timestamps that round off the grid keep their samples
+    tol = _GRID_RTOL * dt
+    n_out = int(np.floor((span + tol) / dt)) + 1 if len(times) > 1 else 1
     grid = times[0] + np.arange(n_out) * dt
+    idx = np.maximum(np.searchsorted(times, grid + tol, side="right") - 1, 0)
     if method == "hold":
-        idx = np.searchsorted(times, grid, side="right") - 1
-        return values[np.maximum(idx, 0)]
-    return np.column_stack(
+        return values[idx]
+    out = np.column_stack(
         [np.interp(grid, times, values[:, j]) for j in range(values.shape[1])]
     )
+    on_grid = np.abs(times[idx] - grid) <= tol
+    out[on_grid] = values[idx[on_grid]]
+    return out
 
 
 def window(series: TimeSeries, start: int, end: int) -> TimeSeries:

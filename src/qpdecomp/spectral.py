@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._npz import write_npz
+from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .kernel import KernelSystem
 
@@ -254,10 +254,12 @@ def save_basis_cache(basis: SpectralBasis, directory) -> Path:
 
 
 def load_basis_cache(directory, kernel: KernelSystem, L: int):
-    """Return the cached basis for (embedding, epsilon, L), or None on a miss."""
+    """Return the cached basis for (embedding, epsilon, L), or None on a miss.
+    An unreadable entry is a :class:`DataError` naming it: delete it to
+    recompute the basis."""
     path = Path(directory) / (basis_cache_key(kernel, L) + ".npz")
     if not path.is_file():
         return None
-    with np.load(path, allow_pickle=False) as data:
-        return SpectralBasis(lam=data["lam"], Phi=data["Phi"],
-                             Gamma=data["Gamma"], kernel=kernel)
+    data = read_npz(path, "basis cache entry")
+    return SpectralBasis(lam=data["lam"], Phi=data["Phi"], Gamma=data["Gamma"],
+                         kernel=kernel)

@@ -120,19 +120,25 @@ class TestDecomposeReconstructPredict:
         assert "not a DFT bin" in capsys.readouterr().err
 
     def test_reconstruct_modes(self, model_file, tmp_path):
-        for mode in ("insample", "freerun"):
-            out = tmp_path / f"recon_{mode}.csv"
-            assert run_cli(["reconstruct", "--model", model_file,
-                            "--mode", mode, "--out", out]) == 0
-            lines = out.read_text().splitlines()
-            assert lines[0].startswith("time_s,truth_")
-            assert len(lines) > 500
+        # reconstruct writes the in-sample reconstruction and takes no
+        # --mode; a free run over the training window is
+        # `predict --init-at <q+1>`
+        out = tmp_path / "recon.csv"
+        assert run_cli(["reconstruct", "--model", model_file,
+                        "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("time_s,truth_")
+        assert len(lines) > 500
+        for flags in (["--mode", "insample"], ["--mode", "freerun"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["reconstruct", "--model", model_file, *flags,
+                         "--out", out])
+            assert exc.value.code == 2
 
     def test_insample_reconstruction_is_close(self, model_file, synth_csv, tmp_path):
         out, _ = synth_csv
         recon = tmp_path / "recon.csv"
-        run_cli(["reconstruct", "--model", model_file, "--mode", "insample",
-                 "--out", recon])
+        run_cli(["reconstruct", "--model", model_file, "--out", recon])
         rows = np.loadtxt(recon, delimiter=",", skiprows=1)
         k = (rows.shape[1] - 1) // 2
         truth, est = rows[:, 1:1 + k], rows[:, 1 + k:]
@@ -198,6 +204,22 @@ class TestDecomposeReconstructPredict:
         err = capsys.readouterr().err
         assert "qpdecomp-model-1" in err and "qpdecomp decompose" in err
 
+    @pytest.mark.parametrize("case", ["not_npz", "missing", "format_only"])
+    def test_predict_unreadable_model_exits_3(self, synth_csv, tmp_path,
+                                              capsys, case):
+        model = tmp_path / "m.npz"
+        if case == "not_npz":
+            model.write_bytes(b"not a model\n" * 100)
+        elif case == "format_only":
+            np.savez(model, format=np.array(["qpdecomp-model-2"]))
+        code = run_cli(["predict", "--model", model, "--input", synth_csv[0],
+                        "--init-at", "620", "--steps", "20",
+                        "--out", tmp_path / "p.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: DataError:") and str(model) in err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_insample_reconstruct_matches_pipeline(self, synth_csv, tmp_path):
         # the saved model's extension at the training points reproduces the
         # pipeline's Phi @ E reconstruction
@@ -209,7 +231,7 @@ class TestDecomposeReconstructPredict:
                         "--predict-start", "620", "--predict-end", "680"]) == 0
         recon = tmp_path / "recon.csv"
         assert run_cli(["reconstruct", "--model", outdir / "model.npz",
-                        "--mode", "insample", "--out", recon]) == 0
+                        "--out", recon]) == 0
         ref = np.loadtxt(outdir / "reconstruction.csv", delimiter=",",
                          skiprows=1)
         got = np.loadtxt(recon, delimiter=",", skiprows=1)
@@ -337,8 +359,8 @@ class TestRunCommand:
                             tmp_path / "o"])
             assert code == 2
             assert "unknown key" in capsys.readouterr().err
-        # run writes the in-sample reconstruction; the free run is
-        # `reconstruct --mode freerun` on its model.npz
+        # run writes the in-sample reconstruction; the free run over the
+        # training window is `predict --init-at <q+1>` on its model.npz
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--config", cfg, "--mode", "freerun"])
         assert exc.value.code == 2
@@ -394,6 +416,64 @@ class TestRunCommand:
                         "--outdir", second]) == 0
         assert ((second / "frequencies.csv").read_bytes()
                 == (first / "frequencies.csv").read_bytes())
+
+    def test_removed_merge_and_clip_flags_rejected(self, synth_csv,
+                                                   tmp_path):
+        out, _ = synth_csv
+        for argv in (["run", "--merge-adjacent"],
+                     ["frequencies", "--merge-adjacent", "--out", "f.csv"],
+                     ["decompose", "--merge-adjacent", "--model-out", "m.npz"],
+                     ["diagnostics", "--merge-adjacent", "--outdir", "d"],
+                     ["run", "--clip-factor", "1.5"],
+                     ["predict", "--clip-factor", "1.5", "--model", "m.npz",
+                      "--init-at", "620", "--steps", "5", "--out", "p.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*argv, "--input", out])
+            assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_old_manifest_with_merge_and_clip_keys(self, synth_csv, tmp_path,
+                                                   monkeypatch, capsys):
+        # manifests written before merge_adjacent and clip_factor were
+        # removed hold both at their defaults, and re-run to the same bytes;
+        # any other value is a ConfigError naming the key, before fitting
+        from qpdecomp import pipeline
+
+        out, _ = synth_csv
+        first = tmp_path / "first"
+        assert run_cli(["run", "--input", out, "--outdir", first,
+                        "--delays", "6", "--epsilon", "2.0",
+                        "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", "--predict-start", "620",
+                        "--predict-end", "680"]) == 0
+        text = (first / "manifest.txt").read_text(encoding="utf-8")
+        manifest = tmp_path / "old_manifest.txt"
+        manifest.write_text("merge_adjacent = false\nclip_factor = 0.0\n"
+                            + text, encoding="utf-8")
+        second = tmp_path / "second"
+        assert run_cli(["run", "--manifest", manifest,
+                        "--outdir", second]) == 0
+        names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
+                       if p.is_file() and p.name != "manifest.txt")
+        assert "model.npz" in names
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the series was fitted")
+
+        monkeypatch.setattr(pipeline, "fit", unreachable)
+        capsys.readouterr()
+        for key, value in (("merge_adjacent", "true"),
+                           ("clip_factor", "1.5")):
+            manifest.write_text(f"{key} = {value}\n" + text, encoding="utf-8")
+            code = run_cli(["run", "--manifest", manifest,
+                            "--outdir", tmp_path / "third"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("qpdecomp: ConfigError:") and key in err
+            assert err.count("\n") == 1
+            assert not (tmp_path / "third").exists()
 
     @pytest.mark.parametrize("command, target", [
         ("frequencies", ["--out", "f.csv"]),

@@ -8,7 +8,6 @@ from qpdecomp import (
     TimeSeries,
     delay_embed,
     gaussian_kernel,
-    merge_adjacent,
     rkhs_norm_table,
     select,
 )
@@ -229,31 +228,6 @@ class TestSelectionGrowth:
         np.testing.assert_array_equal(
             threshold_diagnostics(table, L0).sorted_growth,
             np.sort(full[np.isfinite(full)]))
-
-
-class TestMergeAdjacent:
-    def test_collapses_runs_to_max_amplitude(self):
-        sel = FrequencySelection(
-            indices=np.array([0, 5, 6, 7, 12, 20, 21]),
-            omegas=np.array([0.0, 5.0, 6.0, 7.0, 12.0, 20.0, 21.0]) * 0.01,
-            amplitudes=np.array([1.0, 0.2, 0.9, 0.3, 0.5, 0.6, 0.4]),
-            params=SelectionParams(0.1, 2.5, 5, 20),
-        )
-        merged = merge_adjacent(sel)
-        np.testing.assert_array_equal(merged.indices, [0, 6, 12, 20])
-        np.testing.assert_allclose(merged.amplitudes, [1.0, 0.9, 0.5, 0.6])
-        np.testing.assert_array_equal(
-            merged.periods, np.r_[np.inf, TWO_PI / merged.omegas[1:]])
-
-    def test_noop_without_runs(self):
-        sel = FrequencySelection(
-            indices=np.array([0, 3, 9]),
-            omegas=np.array([0.0, 3.0, 9.0]),
-            amplitudes=np.array([1.0, 0.5, 0.4]),
-            params=SelectionParams(0.1, 2.5, 5, 20),
-        )
-        merged = merge_adjacent(sel)
-        np.testing.assert_array_equal(merged.indices, sel.indices)
 
 
 class TestShiftInvariance:

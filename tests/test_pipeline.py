@@ -229,26 +229,17 @@ class TestRunPipeline:
         for rel in ARTIFACTS:
             assert a[rel] == b[rel]
 
-    def test_freerun_mode(self, smoke_input, tmp_path):
-        # run writes the in-sample reconstruction; the free run over the
-        # training window comes from its model, and is predict's free run
-        # from the first full delay window
-        from qpdecomp.cli import main
-
-        out = run_pipeline(smoke_config(smoke_input, tmp_path / "run"))
-        freerun, pred = tmp_path / "freerun.csv", tmp_path / "pred.csv"
-        assert main(["reconstruct", "--model", str(out / "model.npz"),
-                     "--mode", "freerun", "--out", str(freerun)]) == 0
-        lines = freerun.read_text().splitlines()
-        assert len(lines) == 1 + SMOKE["train_end"] - SMOKE["delays"] - 1
-        start = SMOKE["delays"] + 1
-        assert main(["predict", "--model", str(out / "model.npz"),
-                     "--input", str(smoke_input), "--init-at", str(start),
-                     "--steps", str(SMOKE["train_end"] - start),
-                     "--out", str(pred)]) == 0
-        np.testing.assert_array_equal(
-            np.loadtxt(freerun, delimiter=",", skiprows=1),
-            np.loadtxt(pred, delimiter=",", skiprows=1))
+    def test_truncated_basis_cache_entry_is_a_data_error(self, smoke_input,
+                                                         tmp_path):
+        cache = tmp_path / "cache"
+        run_pipeline(smoke_config(smoke_input, tmp_path / "r1",
+                                  basis_cache=str(cache)))
+        (entry,) = cache.iterdir()
+        entry.write_bytes(entry.read_bytes()[:5000])
+        with pytest.raises(DataError, match=re.escape(str(entry))):
+            run_pipeline(smoke_config(smoke_input, tmp_path / "r2",
+                                      basis_cache=str(cache)))
+        assert not (tmp_path / "r2").exists()
 
     def test_case_study_shaped_config_validates(self, tmp_path):
         # the corridor protocol: 2-minute grid, train on the first 20000
@@ -333,11 +324,10 @@ class TestConfigParsing:
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
                dict(L0=500), dict(resample_method="spline"),
                dict(ma_windows=(0,)), dict(dt_seconds=-1),
-               dict(max_gap_factor=0), dict(clip_factor=-1)]
+               dict(max_gap_factor=0)]
         # NaN fails every float check
         bad += [{key: "nan"} for key in ("dt_seconds", "max_gap_factor",
-                                         "epsilon", "eps1", "eps2",
-                                         "clip_factor")]
+                                         "epsilon", "eps1", "eps2")]
         for extra in bad:
             with pytest.raises(ConfigError):
                 build_config({**base, **extra})
@@ -374,9 +364,9 @@ NON_DEFAULT = dict(
     input="/data/in.csv", outdir="/data/out", timestamp_column="stamp",
     channels=("a", "b"), dt_seconds=120.0, resample_method="linear",
     max_gap_factor=4.5, standardize=True, delays=7, epsilon=0.25,
-    num_eigen=50, eps1=0.2, eps2=3.5, L0=12, merge_adjacent=True,
+    num_eigen=50, eps1=0.2, eps2=3.5, L0=12,
     train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
-    clip_factor=1.5, basis_cache="/data/cache",
+    basis_cache="/data/cache",
 )
 
 

@@ -129,6 +129,22 @@ class TestLoadCsv:
                 load_csv(p, dt=0.1, method=method).values,
                 resample(grid, values, 0.1, method=method))
 
+    @pytest.mark.parametrize("method", ["hold", "linear"])
+    @pytest.mark.parametrize("t0, step", [(0.0, 0.1), (7.0, 0.1), (0.0, 0.3)])
+    def test_decimal_timestamps_on_their_step_give_the_file_back(
+            self, tmp_path, t0, step, method):
+        # "%.1f" timestamps round off the grid by a few ulps either way;
+        # resampling onto their own step must neither hold the sample
+        # before each one (from 0.0 at 0.1 s) nor drop the last (from 7.0,
+        # or at 0.3 s)
+        values = np.arange(50.0)[:, None]
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1"] + [f"{t0 + step * k:.1f},{k}"
+                                      for k in range(50)])
+        s = load_csv(p, dt=step, method=method)
+        np.testing.assert_array_equal(s.values, values)
+        assert s.dt == step and s.t0 == t0
+
     def test_write_read_round_trip(self, tmp_path):
         s = TimeSeries(np.random.default_rng(1).standard_normal((17, 3)), dt=2.5,
                        t0=100.0, channel_names=("a", "b", "c"))
