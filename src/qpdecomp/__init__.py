@@ -34,7 +34,6 @@ from .series import (
     delay_embed,
     load_csv,
     resample,
-    standardize,
     window,
     write_csv,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "select",
     "simulate",
     "standard_testbed",
-    "standardize",
     "synthesize",
     "threshold_diagnostics",
     "window",

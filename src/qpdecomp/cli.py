@@ -29,10 +29,8 @@ def _ingestion_parser():
                    help="value columns to keep (default: all non-timestamp)")
     p.add_argument("--dt-seconds",
                    help="resample to this step; 0 keeps the input grid")
-    p.add_argument("--resample-method")
     p.add_argument("--max-gap-factor",
                    help="widest input gap to resample across, in steps")
-    p.add_argument("--standardize", action="store_true", default=None)
     return p
 
 

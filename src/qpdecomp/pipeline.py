@@ -58,9 +58,7 @@ class PipelineConfig:
     timestamp_column: str = "time"
     channels: tuple[str, ...] = ()      # empty: every non-timestamp column
     dt_seconds: float = 0.0             # 0: keep the input grid (must be regular)
-    resample_method: str = "hold"
     max_gap_factor: float = 10.0
-    standardize: bool = False
     delays: int = 20
     epsilon: float = 0.0                # 0: 1% quantile of squared distances
     num_eigen: int = 300
@@ -76,16 +74,16 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.input:
             raise ConfigError("input is required")
-        for name in self.channels:
+        for i, name in enumerate(self.channels):
             # a manifest writes the channels as one whitespace-separated line
             if not name or any(ch.isspace() for ch in name):
                 raise ConfigError(f"channel name {name!r} is empty or "
                                   f"contains whitespace")
+            if name in self.channels[:i]:
+                raise ConfigError(f"channel {name!r} is named twice")
         # written as `not x >= 0` / `not x > 0`, so that NaN fails them too
         if not self.dt_seconds >= 0:
             raise ConfigError("dt_seconds must be positive (or 0 to keep the grid)")
-        if self.resample_method not in ("hold", "linear"):
-            raise ConfigError(f"unknown resample_method {self.resample_method!r}")
         if not self.max_gap_factor > 0:
             raise ConfigError("max_gap_factor must be positive")
         if self.delays < 0:
@@ -107,11 +105,10 @@ class PipelineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 CONFIG_KEYS = set(_FIELD_TYPES)
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
 # removed keys, with the default that earlier manifests wrote for them: any
 # other value asks for a result that can no longer be produced
-_RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0"}
+_RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0",
+                 "standardize": "false", "resample_method": "hold"}
 
 
 def _parse(kind, value):
@@ -121,8 +118,6 @@ def _parse(kind, value):
         item = typing.get_args(kind)[0]
         parts = value.split() if isinstance(value, str) else value
         return tuple(_parse(item, v) for v in parts)
-    if kind is bool and not isinstance(value, bool):
-        return _BOOL_WORDS[str(value).lower()]
     return kind(value)
 
 
@@ -130,7 +125,7 @@ def _coerce(key, raw):
     value = raw.strip() if isinstance(raw, str) else raw
     try:
         return _parse(_FIELD_TYPES[key], value)
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError):
         raise ConfigError(f"cannot parse config value {key} = {raw!r}") from None
 
 
@@ -204,8 +199,6 @@ def config_lines(config: PipelineConfig):
         val = getattr(config, f.name)
         if isinstance(val, tuple):
             val = " ".join(str(v) for v in val)
-        elif isinstance(val, bool):
-            val = "true" if val else "false"
         out.append(f"{f.name} = {val}")
     return out
 
@@ -253,15 +246,14 @@ def report_periods(selection) -> str:
 
 
 def load_series(config: PipelineConfig) -> series.TimeSeries:
-    """Read the input series, resample it onto ``dt_seconds`` (bridging gaps
-    up to ``max_gap_factor`` steps) and standardize it, as ``config`` says."""
+    """Read the input series and, if ``dt_seconds`` is set, resample it onto
+    that step, bridging gaps of up to ``max_gap_factor`` steps."""
     if not Path(config.input).is_file():
         raise DataError(f"input file {config.input} does not exist")
-    data = series.load_csv(config.input, timestamp=config.timestamp_column,
+    return series.load_csv(config.input, timestamp=config.timestamp_column,
                            channels=list(config.channels) or None,
-                           dt=config.dt_seconds, method=config.resample_method,
+                           dt=config.dt_seconds,
                            max_gap=config.max_gap_factor * config.dt_seconds)
-    return series.standardize(data) if config.standardize else data
 
 
 class Fit(NamedTuple):
@@ -385,11 +377,16 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
     ``data`` and write them as ``prediction.csv``, in ``pred_<c>`` columns.
 
+    ``data`` must hold the model's channels, in its order, on its step.
     The table holds the observed window too when ``data`` covers it, and
     then, if ``ma_window`` is set, that window's error columns.  Returns the
     times, the prediction and the observed window (None when ``data`` ends
     first).
     """
+    trained = model.embedding.source.channel_names
+    if data.channel_names != trained:
+        raise DataError(f"input channels {list(data.channel_names)} differ "
+                        f"from the model's {list(trained)}")
     if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")

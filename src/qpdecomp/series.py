@@ -17,6 +17,19 @@ from .errors import DataError
 
 # Relative tolerance used to decide whether raw timestamps form a regular grid.
 _GRID_RTOL = 1e-9
+# Float spacings of the largest timestamp allowed on top of that: each parsed
+# timestamp is off by up to half a spacing (1.2e-7 s for seconds since the
+# epoch), so a step is off by up to one, and its distance to the median step
+# by up to two.
+_GRID_ULPS = 4
+
+
+def _time_tol(times, step):
+    """How far apart two timestamps near ``times`` may be and still count as
+    one grid time: ``_GRID_RTOL`` of ``step`` plus the rounding of the
+    timestamps themselves."""
+    spacing = float(np.spacing(np.abs(times).max()))
+    return _GRID_RTOL * step + _GRID_ULPS * spacing
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ def _parse_timestamp(text, line_no):
     return parsed.timestamp()
 
 
-def load_csv(path, timestamp="time", channels=None, dt=0.0, method="hold",
+def load_csv(path, timestamp="time", channels=None, dt=0.0,
              max_gap=None) -> TimeSeries:
     """Read a CSV file with a header row into a :class:`TimeSeries`.
 
@@ -137,8 +150,8 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0, method="hold",
         non-timestamp column.
     dt : float
         Step of the grid to resample onto, in seconds (see :func:`resample`,
-        which ``method`` and ``max_gap`` are passed to).  0 keeps the file's
-        own grid, which its timestamps must then form.
+        which ``max_gap`` is passed to).  0 keeps the file's own grid, which
+        its timestamps must then form.
 
     Raises
     ------
@@ -147,7 +160,8 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0, method="hold",
         (reported with line numbers), non-increasing timestamps, uneven
         timestamps with ``dt = 0``, or a failed resampling.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # (file line number, text) of the non-blank lines
         lines = [(no, ln.rstrip("\r\n")) for no, ln in enumerate(fh, start=1)
                  if ln.strip()]
@@ -197,18 +211,13 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0, method="hold",
         first = int(np.argmin(steps > 0))
         raise DataError(f"{path}: timestamps not strictly increasing at "
                         f"line {row_lines[first + 1]}")
-    step = 1.0
-    if len(steps):
-        step = float(np.median(steps))
-        if np.abs(steps - step).max() <= _GRID_RTOL * step:
-            # evenly spaced: the grid itself, without the timestamps' rounding
-            times = times[0] + np.arange(len(times)) * step
-        elif not dt:
-            raise DataError(f"{path}: input sampling is irregular; set "
-                            f"dt_seconds to resample it")
+    step = float(np.median(steps)) if len(steps) else 1.0
     if dt:
-        values = resample(times, values, dt, method, max_gap)
+        values = resample(times, values, dt, max_gap)
         step = float(dt)
+    elif len(steps) and np.abs(steps - step).max() > _time_tol(times, step):
+        raise DataError(f"{path}: input sampling is irregular; set "
+                        f"dt_seconds to resample it")
     return TimeSeries(values, dt=step, t0=float(times[0]),
                       channel_names=tuple(channels))
 
@@ -230,8 +239,9 @@ def write_csv(series: TimeSeries, path, timestamp="time"):
                 [series.times(), *series.values.T])
 
 
-def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
-    """Values on the grid times[0], times[0]+dt, ... covering the input span.
+def resample(times, values, dt, max_gap=None) -> np.ndarray:
+    """Values on the grid times[0], times[0]+dt, ... covering the input span,
+    each the last input sample at or before its grid time (a hold).
 
     Parameters
     ----------
@@ -241,13 +251,11 @@ def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
         One row per sample.
     dt : float
         Target step in seconds.
-    method : {"hold", "linear"}
-        "hold" carries the previous input value forward; "linear"
-        interpolates between neighbours.
     max_gap : float, optional
         Largest tolerated spacing between consecutive input samples before
-        interpolation is considered unsafe.  Defaults to ``10 * dt``; a wider
-        gap raises :class:`DataError` rather than silently bridging an outage.
+        holding a sample across it is considered unsafe.  Defaults to
+        ``10 * dt``; a wider gap raises :class:`DataError` rather than
+        silently bridging an outage.
 
     Returns
     -------
@@ -256,8 +264,6 @@ def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
     """
     if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
-    if method not in ("hold", "linear"):
-        raise DataError(f"unknown resample method {method!r}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
@@ -275,20 +281,13 @@ def resample(times, values, dt, method="hold", max_gap=None) -> np.ndarray:
         raise DataError(
             f"gap of {gaps[at]:g} s after sample {at} exceeds max gap {max_gap:g} s"
         )
-    # a sample within _GRID_RTOL * dt of a grid time is taken to be on it,
-    # so that decimal timestamps that round off the grid keep their samples
-    tol = _GRID_RTOL * dt
+    # a sample within _time_tol of a grid time is taken to be on it, so that
+    # decimal timestamps that round off the grid keep their samples
+    tol = _time_tol(times, dt)
     n_out = int(np.floor((span + tol) / dt)) + 1 if len(times) > 1 else 1
     grid = times[0] + np.arange(n_out) * dt
     idx = np.maximum(np.searchsorted(times, grid + tol, side="right") - 1, 0)
-    if method == "hold":
-        return values[idx]
-    out = np.column_stack(
-        [np.interp(grid, times, values[:, j]) for j in range(values.shape[1])]
-    )
-    on_grid = np.abs(times[idx] - grid) <= tol
-    out[on_grid] = values[idx[on_grid]]
-    return out
+    return values[idx]
 
 
 def window(series: TimeSeries, start: int, end: int) -> TimeSeries:
@@ -301,18 +300,6 @@ def window(series: TimeSeries, start: int, end: int) -> TimeSeries:
         )
     return TimeSeries(series.values[start:end], dt=series.dt,
                       t0=series.t0 + start * series.dt,
-                      channel_names=series.channel_names)
-
-
-def standardize(series: TimeSeries) -> TimeSeries:
-    """Z-score each channel. Off by default in the pipeline; constant channels are rejected."""
-    mean = series.values.mean(axis=0)
-    std = series.values.std(axis=0)
-    flat = np.where(std == 0)[0]
-    if len(flat):
-        names = [series.channel_names[i] for i in flat]
-        raise DataError(f"cannot standardize constant channels {names}")
-    return TimeSeries((series.values - mean) / std, dt=series.dt, t0=series.t0,
                       channel_names=series.channel_names)
 
 

@@ -192,6 +192,48 @@ class TestDecomposeReconstructPredict:
         assert code == 3
         assert "irregular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["time,ch1,ch0,ch2", "time,z0,z1,z2"],
+                             ids=["swapped", "renamed"])
+    def test_predict_rejects_other_channels(self, model_file, synth_csv,
+                                            tmp_path, capsys, header):
+        # the model was fitted on ch0,ch1,ch2; the same file with two
+        # columns swapped, or renamed, is not its input
+        lines = synth_csv[0].read_text().splitlines()
+        assert lines[0] == "time,ch0,ch1,ch2"
+        if header.startswith("time,ch1"):
+            lines = [",".join([t, b, a, c]) for t, a, b, c in
+                     (line.split(",") for line in lines)]
+        else:
+            lines[0] = header
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / "p.csv"
+        code = run_cli(["predict", "--model", model_file, "--input", other,
+                        "--init-at", "620", "--steps", "20", "--out", pred])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: DataError:")
+        assert f"{header.split(',')[1:]}" in err
+        assert "['ch0', 'ch1', 'ch2']" in err
+        assert not pred.exists()
+
+    def test_predict_selects_the_model_channels(self, model_file, synth_csv,
+                                                tmp_path):
+        # the model's channels picked by --channels from a file that holds
+        # them in another order give the prediction on the original file
+        lines = synth_csv[0].read_text().splitlines()
+        moved = tmp_path / "moved.csv"
+        moved.write_text("\n".join(",".join([t, c, a, b]) for t, a, b, c in
+                                   (line.split(",") for line in lines)) + "\n")
+        preds = []
+        for src, channels in ((synth_csv[0], []),
+                              (moved, ["--channels", "ch0", "ch1", "ch2"])):
+            preds.append(tmp_path / f"p{len(preds)}.csv")
+            assert run_cli(["predict", "--model", model_file, "--input", src,
+                            *channels, "--init-at", "620", "--steps", "20",
+                            "--out", preds[-1]]) == 0
+        assert preds[0].read_bytes() == preds[1].read_bytes()
+
     def test_predict_rejects_format_1_model(self, synth_csv, tmp_path, capsys):
         old = tmp_path / "old.npz"
         np.savez(old, format=np.array(["qpdecomp-model-1"]),
@@ -253,6 +295,50 @@ class TestDiagnosticsCommand:
         for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
                      "growth_ratio_sorted.csv", "eigenvalues.csv"):
             assert (outdir / name).is_file()
+
+
+def check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys, retired):
+    """A manifest holding each removed key of ``retired`` (key: (old
+    default, other value)) at its old default re-runs to the bytes of the
+    run that wrote it; at the other value it is one ConfigError line naming
+    the key, before fitting, and no output directory."""
+    from qpdecomp import pipeline
+
+    out, _ = synth_csv
+    first = tmp_path / "first"
+    assert run_cli(["run", "--input", out, "--outdir", first,
+                    "--delays", "6", "--epsilon", "2.0",
+                    "--num-eigen", "40", "--L0", "8",
+                    "--train-end", "600", "--predict-start", "620",
+                    "--predict-end", "680"]) == 0
+    text = (first / "manifest.txt").read_text(encoding="utf-8")
+    manifest = tmp_path / "old_manifest.txt"
+    manifest.write_text("".join(f"{key} = {old}\n"
+                                for key, (old, _) in retired.items())
+                        + text, encoding="utf-8")
+    second = tmp_path / "second"
+    assert run_cli(["run", "--manifest", manifest,
+                    "--outdir", second]) == 0
+    names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
+                   if p.is_file() and p.name != "manifest.txt")
+    assert "model.npz" in names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the series was fitted")
+
+    monkeypatch.setattr(pipeline, "fit", unreachable)
+    capsys.readouterr()
+    for key, (_, value) in retired.items():
+        manifest.write_text(f"{key} = {value}\n" + text, encoding="utf-8")
+        code = run_cli(["run", "--manifest", manifest,
+                        "--outdir", tmp_path / "third"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "third").exists()
 
 
 class TestRunCommand:
@@ -437,43 +523,42 @@ class TestRunCommand:
         # manifests written before merge_adjacent and clip_factor were
         # removed hold both at their defaults, and re-run to the same bytes;
         # any other value is a ConfigError naming the key, before fitting
-        from qpdecomp import pipeline
+        check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys,
+                           {"merge_adjacent": ("false", "true"),
+                            "clip_factor": ("0.0", "1.5")})
 
+    @pytest.mark.parametrize("command, target", [
+        ("run", []), ("frequencies", ["--out", "f.csv"]),
+        ("decompose", ["--model-out", "m.npz"]),
+        ("diagnostics", ["--outdir", "d"]),
+        ("predict", ["--model", "m.npz", "--init-at", "620", "--steps", "5",
+                     "--out", "p.csv"]),
+    ])
+    def test_removed_ingestion_flags_rejected(self, synth_csv, tmp_path,
+                                              command, target):
         out, _ = synth_csv
-        first = tmp_path / "first"
-        assert run_cli(["run", "--input", out, "--outdir", first,
-                        "--delays", "6", "--epsilon", "2.0",
-                        "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--predict-start", "620",
-                        "--predict-end", "680"]) == 0
-        text = (first / "manifest.txt").read_text(encoding="utf-8")
-        manifest = tmp_path / "old_manifest.txt"
-        manifest.write_text("merge_adjacent = false\nclip_factor = 0.0\n"
-                            + text, encoding="utf-8")
-        second = tmp_path / "second"
-        assert run_cli(["run", "--manifest", manifest,
-                        "--outdir", second]) == 0
-        names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
-                       if p.is_file() and p.name != "manifest.txt")
-        assert "model.npz" in names
-        for name in names:
-            assert (second / name).read_bytes() == (first / name).read_bytes()
+        for flag in (["--standardize"], ["--resample-method", "hold"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([command, *flag, "--input", out, *target])
+            assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the series was fitted")
+    def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
+        out, _ = synth_csv
+        code = run_cli(["frequencies", "--input", out, "--channels", "ch0",
+                        "ch0", *FIT_FLAGS, "--out", tmp_path / "f.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and "twice" in err
+        assert not (tmp_path / "f.csv").exists()
 
-        monkeypatch.setattr(pipeline, "fit", unreachable)
-        capsys.readouterr()
-        for key, value in (("merge_adjacent", "true"),
-                           ("clip_factor", "1.5")):
-            manifest.write_text(f"{key} = {value}\n" + text, encoding="utf-8")
-            code = run_cli(["run", "--manifest", manifest,
-                            "--outdir", tmp_path / "third"])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith("qpdecomp: ConfigError:") and key in err
-            assert err.count("\n") == 1
-            assert not (tmp_path / "third").exists()
+    def test_old_manifest_with_standardize_and_resample_keys(
+            self, synth_csv, tmp_path, monkeypatch, capsys):
+        # manifests written before standardize and resample_method were
+        # removed hold both at their defaults, as merge_adjacent above
+        check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys,
+                           {"standardize": ("false", "true"),
+                            "resample_method": ("hold", "linear")})
 
     @pytest.mark.parametrize("command, target", [
         ("frequencies", ["--out", "f.csv"]),

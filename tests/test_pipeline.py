@@ -299,15 +299,13 @@ class TestConfigParsing:
             "L0 = 5\n"
             "predict_start = 30\n"
             "predict_end = 50\n"
-            "ma_windows = 1 5 25\n"
-            "standardize = true\n",
+            "ma_windows = 1 5 25\n",
             encoding="utf-8",
         )
         (tmp_path / "data.csv").write_text("time,a\n0,1\n1,2\n")
         config = load_config(cfg)
         assert config.delays == 4
         assert config.ma_windows == (1, 5, 25)
-        assert config.standardize is True
         assert config.input == str(tmp_path / "data.csv")
         over = load_config(cfg, overrides={"delays": 9, "epsilon": 2.0})
         assert over.delays == 9 and over.epsilon == 2.0
@@ -322,8 +320,7 @@ class TestConfigParsing:
         base = dict(input="a.csv", outdir=str(tmp_path / "out"),
                     predict_start=30, predict_end=40)
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
-               dict(L0=500), dict(resample_method="spline"),
-               dict(ma_windows=(0,)), dict(dt_seconds=-1),
+               dict(L0=500), dict(ma_windows=(0,)), dict(dt_seconds=-1),
                dict(max_gap_factor=0)]
         # NaN fails every float check
         bad += [{key: "nan"} for key in ("dt_seconds", "max_gap_factor",
@@ -362,9 +359,8 @@ class TestConfigParsing:
 # every field at a value other than its default
 NON_DEFAULT = dict(
     input="/data/in.csv", outdir="/data/out", timestamp_column="stamp",
-    channels=("a", "b"), dt_seconds=120.0, resample_method="linear",
-    max_gap_factor=4.5, standardize=True, delays=7, epsilon=0.25,
-    num_eigen=50, eps1=0.2, eps2=3.5, L0=12,
+    channels=("a", "b"), dt_seconds=120.0, max_gap_factor=4.5, delays=7,
+    epsilon=0.25, num_eigen=50, eps1=0.2, eps2=3.5, L0=12,
     train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
     basis_cache="/data/cache",
 )
@@ -375,9 +371,7 @@ def run_flags(values):
     flags = []
     for key, val in values.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(val, bool):
-            flags += [flag] if val else []
-        elif isinstance(val, tuple):
+        if isinstance(val, tuple):
             flags += [flag, *map(str, val)]
         else:
             flags += [flag, str(val)]
@@ -388,6 +382,8 @@ class TestConfigSchema:
     def test_non_default_values_cover_every_field(self):
         defaults = PipelineConfig(input="x")
         assert set(NON_DEFAULT) == CONFIG_KEYS
+        # the schema parses no booleans: bool("false") would be True
+        assert not any(f.type is bool for f in dataclasses.fields(defaults))
         for key, val in NON_DEFAULT.items():
             assert getattr(defaults, key) != val, key
 
@@ -414,17 +410,8 @@ class TestConfigSchema:
         over = config_from_manifest(manifest, {"input": "b.csv", "delays": "3"})
         assert (over.input, over.delays) == ("b.csv", 3)
 
-    @pytest.mark.parametrize("word, value", [
-        ("true", True), ("1", True), ("Yes", True),
-        ("false", False), ("0", False), ("no", False),
-    ])
-    def test_boolean_spellings(self, word, value):
-        config = build_config({"input": "a.csv", "standardize": f" {word} "})
-        assert config.standardize is value
-
     @pytest.mark.parametrize("key, bad", [
-        ("standardize", "maybe"), ("delays", "3.5"), ("epsilon", "x"),
-        ("ma_windows", "1 a"),
+        ("delays", "3.5"), ("epsilon", "x"), ("ma_windows", "1 a"),
     ])
     def test_bad_value_names_key(self, tmp_path, key, bad):
         cfg = tmp_path / "bad.conf"
@@ -439,10 +426,8 @@ class TestConfigSchema:
         (["--delays", "3.5"], "delays"), (["--delays", "abc"], "delays"),
         (["--epsilon", "x"], "epsilon"), (["--ma-windows", "1", "a"],
                                           "ma_windows"),
-        (["--resample-method", "spline"], "resample_method"),
     ])
     def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flag, key):
-        # the boolean flags take no value, so they cannot be misspelt
         from qpdecomp.cli import main
 
         code = main(["run", "--input", str(tmp_path / "a.csv"), "--outdir",
@@ -458,6 +443,11 @@ class TestConfigSchema:
     def test_channel_names_must_survive_the_manifest(self, name):
         with pytest.raises(ConfigError, match="channel name"):
             build_config({"input": "a.csv", "channels": ("ok", name)})
+
+    def test_channel_named_twice(self):
+        # it would write two columns of the same name
+        with pytest.raises(ConfigError, match="'ch0' is named twice"):
+            build_config({"input": "a.csv", "channels": "ch0 ch1 ch0"})
 
 
 class TestPeriodRendering:

@@ -1,8 +1,10 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
 from qpdecomp import DataError, TimeSeries, delay_embed, load_csv, resample, window
-from qpdecomp.series import standardize, write_csv
+from qpdecomp.series import write_csv
 
 
 def write_lines(path, lines):
@@ -83,7 +85,7 @@ class TestLoadCsv:
         s = load_csv(p)
         assert s.k == 9
         assert s.channel_names == tuple(names)
-        r = load_csv(p, dt=120.0, method="hold")
+        r = load_csv(p, dt=120.0)
         assert r.dt == 120.0 and r.k == 9 and r.channel_names == s.channel_names
         np.testing.assert_array_equal(r.values, s.values[::4])
 
@@ -106,17 +108,14 @@ class TestLoadCsv:
             load_csv(p)
         grid = np.arange(0.0, 46.0, 5.0)
         hold = values[np.searchsorted(times, grid, side="right") - 1]
-        linear = np.column_stack([np.interp(grid, times, values[:, j])
-                                  for j in range(2)])
-        for method, oracle in (("hold", hold), ("linear", linear)):
-            s = load_csv(p, dt=5.0, method=method)
-            np.testing.assert_array_equal(s.values, oracle)
-            assert s.dt == 5.0 and s.t0 == 0.0
-            assert s.channel_names == ("q1", "q2")
+        s = load_csv(p, dt=5.0)
+        np.testing.assert_array_equal(s.values, hold)
+        assert s.dt == 5.0 and s.t0 == 0.0
+        assert s.channel_names == ("q1", "q2")
 
     def test_even_timestamps_resample_from_their_grid(self, tmp_path):
-        # decimal timestamps round off the grid; an evenly spaced file is
-        # resampled from t0 + k * step, its median step, all the same
+        # decimal timestamps round off the grid; an evenly spaced file
+        # resamples as its grid t0 + k * step, at its median step, would
         values = np.random.default_rng(2).standard_normal((50, 1))
         times = np.array([float(f"{0.1 * k:.1f}") for k in range(50)])
         p = tmp_path / "a.csv"
@@ -124,15 +123,12 @@ class TestLoadCsv:
                                       for t, v in zip(times, values[:, 0])])
         grid = np.arange(50) * float(np.median(np.diff(times)))
         assert not np.array_equal(grid, times)
-        for method in ("hold", "linear"):
-            np.testing.assert_array_equal(
-                load_csv(p, dt=0.1, method=method).values,
-                resample(grid, values, 0.1, method=method))
+        np.testing.assert_array_equal(load_csv(p, dt=0.1).values,
+                                      resample(grid, values, 0.1))
 
-    @pytest.mark.parametrize("method", ["hold", "linear"])
     @pytest.mark.parametrize("t0, step", [(0.0, 0.1), (7.0, 0.1), (0.0, 0.3)])
     def test_decimal_timestamps_on_their_step_give_the_file_back(
-            self, tmp_path, t0, step, method):
+            self, tmp_path, t0, step):
         # "%.1f" timestamps round off the grid by a few ulps either way;
         # resampling onto their own step must neither hold the sample
         # before each one (from 0.0 at 0.1 s) nor drop the last (from 7.0,
@@ -141,9 +137,73 @@ class TestLoadCsv:
         p = tmp_path / "a.csv"
         write_lines(p, ["time,q1"] + [f"{t0 + step * k:.1f},{k}"
                                       for k in range(50)])
-        s = load_csv(p, dt=step, method=method)
+        s = load_csv(p, dt=step)
         np.testing.assert_array_equal(s.values, values)
         assert s.dt == step and s.t0 == t0
+
+    @pytest.mark.parametrize("stamp", ["epoch", "iso"])
+    def test_sub_second_timestamps_are_even(self, tmp_path, stamp):
+        # adjacent steps of 0.1 s at 1.7e9 s differ by one float spacing
+        # (2.4e-7 s); they are still one grid, with or without dt
+        if stamp == "epoch":
+            times = [f"{1.7e9 + 0.1 * k:.1f}" for k in range(50)]
+        else:
+            base = datetime(2024, 1, 1, tzinfo=timezone.utc)
+            times = [(base + timedelta(milliseconds=100 * (k + 1))).isoformat()
+                     for k in range(50)]
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in enumerate(times)])
+        for dt in (0.0, 0.1):
+            s = load_csv(p, dt=dt)
+            np.testing.assert_array_equal(s.values[:, 0], np.arange(50.0))
+            assert abs(s.dt - 0.1) <= 1e-5 * 0.1
+        # one step 1% off is still uneven
+        times[20] = (f"{1.7e9 + 0.1 * 20 + 0.001:.3f}" if stamp == "epoch"
+                     else (base + timedelta(milliseconds=2101)).isoformat())
+        write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in enumerate(times)])
+        with pytest.raises(DataError, match="irregular"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("stamp", ["epoch", "iso"])
+    def test_sub_second_gaps_hold_the_sample_before(self, tmp_path, stamp):
+        # resampled onto 0.1 s, a grid time on a sample takes that sample,
+        # though the grid and the timestamps round apart at 1.7e9 s
+        kept = [k for k in range(50) if k % 7 != 6]
+        if stamp == "epoch":
+            times = [f"{1.7e9 + 0.1 * k:.1f}" for k in kept]
+        else:
+            base = datetime(2024, 1, 1, tzinfo=timezone.utc)
+            times = [(base + timedelta(milliseconds=100 * (k + 1))).isoformat()
+                     for k in kept]
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in zip(kept, times)])
+        s = load_csv(p, dt=0.1)
+        held = [max(k for k in kept if k <= j) for j in range(50)]
+        np.testing.assert_array_equal(s.values[:, 0], held)
+
+    @pytest.mark.parametrize("stamp", ["%d", "%.1f"])
+    def test_small_timestamps_keep_their_step(self, tmp_path, stamp):
+        # integer seconds and "%.1f" tenths from zero load as before: the
+        # median of their parsed steps
+        step = 1 if stamp == "%d" else 0.1
+        times = [stamp % (step * k) for k in range(50)]
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in enumerate(times)])
+        s = load_csv(p)
+        parsed = np.array([float(t) for t in times])
+        assert s.dt == float(np.median(np.diff(parsed))) and s.t0 == 0.0
+        np.testing.assert_array_equal(s.values[:, 0], np.arange(50.0))
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start the header with a UTF-8 byte-order mark
+        text = "time,q1,q2\n0,1.5,2\n60,2.5,3\n120,3.5,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_csv(marked), load_csv(plain)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert (a.dt, a.t0, a.channel_names) == (b.dt, b.t0, b.channel_names)
 
     def test_write_read_round_trip(self, tmp_path):
         s = TimeSeries(np.random.default_rng(1).standard_normal((17, 3)), dt=2.5,
@@ -178,30 +238,23 @@ class TestResample:
                        t0=7.0)
         p = tmp_path / "a.csv"
         write_csv(s, p)
-        for method in ("hold", "linear"):
-            r = resample(s.times(), s.values, 3.0, method=method)
-            np.testing.assert_array_equal(r, s.values)
-            r = load_csv(p, dt=3.0, method=method)
-            np.testing.assert_array_equal(r.values, s.values)
-            assert r.dt == s.dt and r.t0 == s.t0
+        r = resample(s.times(), s.values, 3.0)
+        np.testing.assert_array_equal(r, s.values)
+        r = load_csv(p, dt=3.0)
+        np.testing.assert_array_equal(r.values, s.values)
+        assert r.dt == s.dt and r.t0 == s.t0
 
     def test_hold_semantics(self):
-        r = resample([0.0, 100.0, 200.0], [[1.0], [2.0], [3.0]], 50.0,
-                     method="hold")
+        r = resample([0.0, 100.0, 200.0], [[1.0], [2.0], [3.0]], 50.0)
         np.testing.assert_array_equal(r[:, 0], [1, 1, 2, 2, 3])
-
-    def test_linear_midpoint(self):
-        r = resample([0.0, 100.0], [[0.0], [10.0]], 50.0, method="linear")
-        np.testing.assert_allclose(r[:, 0], [0.0, 5.0, 10.0])
 
     def test_dt_beyond_span(self):
         with pytest.raises(DataError, match="span"):
             resample([0.0, 10.0, 20.0], np.ones((3, 1)), 100.0)
 
     def test_irregular_input_uses_timestamps(self):
-        r = resample([0.0, 10.0, 30.0], [[0.0], [10.0], [20.0]], 10.0,
-                     method="linear")
-        np.testing.assert_allclose(r[:, 0], [0, 10, 15, 20])
+        r = resample([0.0, 10.0, 30.0], [[0.0], [10.0], [20.0]], 10.0)
+        np.testing.assert_array_equal(r[:, 0], [0, 10, 10, 20])
 
     def test_long_gap_rejected(self):
         with pytest.raises(DataError, match="gap"):
@@ -213,10 +266,6 @@ class TestResample:
         with pytest.raises(DataError, match="max_gap"):
             resample([0.0, 1.0, 100.0], [[0.0], [1.0], [2.0]], 1.0,
                      max_gap=max_gap)
-
-    def test_unknown_method(self):
-        with pytest.raises(DataError, match="method"):
-            resample([0.0, 1.0, 2.0], np.ones((3, 1)), 1.0, method="cubic")
 
 
 class TestDelayEmbed:
@@ -282,16 +331,3 @@ class TestWindow:
         np.testing.assert_array_equal(inner.values, direct.values)
         assert inner.t0 == direct.t0
 
-
-class TestStandardize:
-    def test_zero_mean_unit_std(self):
-        s = TimeSeries(np.random.default_rng(0).standard_normal((200, 3)) * 5 + 2,
-                       dt=1.0)
-        z = standardize(s)
-        np.testing.assert_allclose(z.values.mean(0), 0, atol=1e-12)
-        np.testing.assert_allclose(z.values.std(0), 1, atol=1e-12)
-
-    def test_constant_channel_rejected(self):
-        s = TimeSeries(np.column_stack([np.ones(5), np.arange(5.0)]), dt=1.0)
-        with pytest.raises(DataError, match="constant"):
-            standardize(s)
