@@ -47,9 +47,6 @@ def _fit_parser():
     p.add_argument("--eps1")
     p.add_argument("--eps2")
     p.add_argument("--L0")
-    p.add_argument("--basis-cache", metavar="DIR",
-                   help="directory for content-addressed reuse of the "
-                        "eigenbasis across runs")
     return p
 
 
@@ -109,6 +106,10 @@ def _cmd_reconstruct(args):
 
 def _cmd_predict(args):
     config = pipeline.build_config(_overrides(args))
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.ma_window < 0:
+        raise ConfigError(f"--ma-window must be >= 0, got {args.ma_window}")
     model = dc.load_model(args.model)
     pipeline.write_prediction(args.out, model, pipeline.load_series(config),
                               args.init_at, args.steps, args.ma_window)
@@ -152,7 +153,9 @@ def build_parser():
     p.add_argument("--testbed", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds torus_plus_damped's noise; the other "
+                        "testbeds draw none")
     p.add_argument("--out", required=True)
     p.add_argument("--latent-out", default=None,
                    help="also write the latent (theta, x) trajectory")

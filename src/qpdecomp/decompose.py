@@ -361,8 +361,7 @@ def save_model(model: QPModel, path):
     Stores the training window with a content hash of it, q, epsilon, the
     frequency selection, A, E, the chaos matrix M and the extension bounds:
     everything the free run and the sup-norm bounds read, and no N x N or
-    N x L matrix.  The eigenbasis itself is not stored (keep it with a basis
-    cache if it is needed again).
+    N x L matrix.  The eigenbasis itself is not stored: a fit computes it.
     """
     src = model.embedding.source
     sel = model.selection

@@ -69,7 +69,6 @@ class PipelineConfig:
     predict_start: int = 0
     predict_end: int = 0
     ma_windows: tuple[int, ...] = (1, 10, 100)
-    basis_cache: str = ""               # directory for eigenbasis reuse
 
     def __post_init__(self):
         if not self.input:
@@ -282,14 +281,7 @@ def fit(config: PipelineConfig) -> Fit:
     q = config.delays
     emb = series.delay_embed(train, q)
     ks = kernel.gaussian_kernel(emb, config.epsilon)
-    basis = None
-    if config.basis_cache:
-        basis = spectral.load_basis_cache(config.basis_cache, ks,
-                                          config.num_eigen)
-    if basis is None:
-        basis = spectral.decompose(ks, config.num_eigen)
-        if config.basis_cache:
-            spectral.save_basis_cache(basis, config.basis_cache)
+    basis = spectral.decompose(ks, config.num_eigen)
     table = freqfilter.rkhs_norm_table(basis, data.dt)
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)

@@ -19,7 +19,7 @@ from .errors import DataError
 _GRID_RTOL = 1e-9
 # Float spacings of the largest timestamp allowed on top of that: each parsed
 # timestamp is off by up to half a spacing (1.2e-7 s for seconds since the
-# epoch), so a step is off by up to one, and its distance to the median step
+# epoch), so a step is off by up to one, and its distance to the mean step
 # by up to two.
 _GRID_ULPS = 4
 
@@ -211,7 +211,8 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
         first = int(np.argmin(steps > 0))
         raise DataError(f"{path}: timestamps not strictly increasing at "
                         f"line {row_lines[first + 1]}")
-    step = float(np.median(steps)) if len(steps) else 1.0
+    # the span, so that the timestamps' float rounding does not add up
+    step = float((times[-1] - times[0]) / len(steps)) if len(steps) else 1.0
     if dt:
         values = resample(times, values, dt, max_gap)
         step = float(dt)

@@ -27,13 +27,10 @@ the common kernel scale cancels and far-away queries stay finite instead of
 underflowing to 0/0.
 """
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .kernel import KernelSystem
 
@@ -233,33 +230,3 @@ def synthesize(basis: SpectralBasis, coeffs) -> np.ndarray:
         raise DataError(f"{coeffs.shape[0]} coefficient rows for L={basis.L}")
     return basis.Phi @ coeffs
 
-
-def basis_cache_key(kernel: KernelSystem, L: int) -> str:
-    """Content hash of (embedding, epsilon, L) identifying a cached basis."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(kernel.embedding.points).tobytes())
-    h.update(np.int64(kernel.embedding.q).tobytes())
-    h.update(np.float64(kernel.epsilon).tobytes())
-    h.update(np.int64(L).tobytes())
-    return h.hexdigest()
-
-
-def save_basis_cache(basis: SpectralBasis, directory) -> Path:
-    """Write the basis to ``<directory>/<content hash>.npz`` and return the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (basis_cache_key(basis.kernel, basis.L) + ".npz")
-    write_npz(path, {"lam": basis.lam, "Phi": basis.Phi, "Gamma": basis.Gamma})
-    return path
-
-
-def load_basis_cache(directory, kernel: KernelSystem, L: int):
-    """Return the cached basis for (embedding, epsilon, L), or None on a miss.
-    An unreadable entry is a :class:`DataError` naming it: delete it to
-    recompute the basis."""
-    path = Path(directory) / (basis_cache_key(kernel, L) + ".npz")
-    if not path.is_file():
-        return None
-    data = read_npz(path, "basis cache entry")
-    return SpectralBasis(lam=data["lam"], Phi=data["Phi"], Gamma=data["Gamma"],
-                         kernel=kernel)

@@ -433,9 +433,17 @@ class TestRunCommand:
         assert err.startswith("qpdecomp: ConfigError:") and "'queue 1'" in err
         assert not (tmp_path / "o").exists()
 
-    def test_removed_solver_keys_rejected(self, synth_csv, tmp_path, capsys):
+    def test_removed_solver_keys_rejected(self, synth_csv, tmp_path,
+                                          monkeypatch, capsys):
+        import qpdecomp.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the kernel was built")
+
+        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
         out, _ = synth_csv
-        for line in ("solver = dense", "seed = 0", "mode = insample"):
+        for line in ("solver = dense", "seed = 0", "mode = insample",
+                     f"basis_cache = {tmp_path / 'c'}"):
             cfg = tmp_path / "old.conf"
             cfg.write_text(
                 f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
@@ -450,7 +458,7 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--config", cfg, "--mode", "freerun"])
         assert exc.value.code == 2
-        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
 
     def test_old_manifest_with_solver_and_seed_reruns(self, synth_csv,
                                                        tmp_path):
@@ -461,15 +469,23 @@ class TestRunCommand:
                         "--num-eigen", "40", "--L0", "8",
                         "--train-end", "600", "--predict-start", "620",
                         "--predict-end", "680"]) == 0
+        # the eigenbasis cache never changed a result, so a manifest that
+        # names a cache directory re-runs without reading or writing it
+        cache = tmp_path / "cache"
         manifest = tmp_path / "old_manifest.txt"
         manifest.write_text("solver = arpack\nseed = 0\nmode = freerun\n"
+                            f"basis_cache = {cache}\n"
                             + (first / "manifest.txt").read_text(),
                             encoding="utf-8")
         second = tmp_path / "second"
         assert run_cli(["run", "--manifest", manifest,
                         "--outdir", second]) == 0
-        for name in ("frequencies.csv", "reconstruction.csv"):
+        names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
+                       if p.is_file() and p.name != "manifest.txt")
+        assert "model.npz" in names and "chaotic_coeffs.csv" in names
+        for name in names:
             assert (second / name).read_bytes() == (first / name).read_bytes()
+        assert not cache.exists()
 
     def test_removed_max_points_key_rejected(self, synth_csv, tmp_path,
                                              capsys):
@@ -506,13 +522,19 @@ class TestRunCommand:
     def test_removed_merge_and_clip_flags_rejected(self, synth_csv,
                                                    tmp_path):
         out, _ = synth_csv
+        cache = tmp_path / "c"
         for argv in (["run", "--merge-adjacent"],
                      ["frequencies", "--merge-adjacent", "--out", "f.csv"],
                      ["decompose", "--merge-adjacent", "--model-out", "m.npz"],
                      ["diagnostics", "--merge-adjacent", "--outdir", "d"],
                      ["run", "--clip-factor", "1.5"],
                      ["predict", "--clip-factor", "1.5", "--model", "m.npz",
-                      "--init-at", "620", "--steps", "5", "--out", "p.csv"]):
+                      "--init-at", "620", "--steps", "5", "--out", "p.csv"],
+                     ["run", "--basis-cache", cache],
+                     ["frequencies", "--basis-cache", cache, "--out", "f.csv"],
+                     ["decompose", "--basis-cache", cache,
+                      "--model-out", "m.npz"],
+                     ["diagnostics", "--basis-cache", cache, "--outdir", "d"]):
             with pytest.raises(SystemExit) as exc:
                 run_cli([*argv, "--input", out])
             assert exc.value.code == 2
@@ -606,6 +628,18 @@ class TestRunCommand:
         assert code == 4
         err = capsys.readouterr().err
         assert "NumericalError" in err
+        # config error: a bad predict count or window, checked before the
+        # model (absent here) is read, also when the truth window lies
+        # past the data
+        for init_at, steps, ma_window in ((620, 0, 0), (620, -5, 0),
+                                          (620, 5, -1), (690, 50, -1)):
+            code = run_cli(["predict", "--model", tmp_path / "absent.npz",
+                            "--input", out, "--init-at", init_at,
+                            "--steps", steps, "--ma-window", ma_window,
+                            "--out", tmp_path / "p.csv"])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("case", [
         ["--num-eigen", "10", "--L0", "50"],

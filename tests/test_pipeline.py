@@ -216,31 +216,6 @@ class TestRunPipeline:
         for j, h in enumerate(truth_cols):
             assert float(first[h]) == data.values[ps, j]
 
-    def test_basis_cache_reuse_preserves_artifacts(self, smoke_input, tmp_path):
-        cache = tmp_path / "cache"
-        out1 = run_pipeline(smoke_config(smoke_input, tmp_path / "r1",
-                                         basis_cache=str(cache)))
-        cached = list(cache.glob("*.npz"))
-        assert len(cached) == 1
-        out2 = run_pipeline(smoke_config(smoke_input, tmp_path / "r2",
-                                         basis_cache=str(cache)))
-        assert list(cache.glob("*.npz")) == cached
-        a, b = artifact_bytes(out1), artifact_bytes(out2)
-        for rel in ARTIFACTS:
-            assert a[rel] == b[rel]
-
-    def test_truncated_basis_cache_entry_is_a_data_error(self, smoke_input,
-                                                         tmp_path):
-        cache = tmp_path / "cache"
-        run_pipeline(smoke_config(smoke_input, tmp_path / "r1",
-                                  basis_cache=str(cache)))
-        (entry,) = cache.iterdir()
-        entry.write_bytes(entry.read_bytes()[:5000])
-        with pytest.raises(DataError, match=re.escape(str(entry))):
-            run_pipeline(smoke_config(smoke_input, tmp_path / "r2",
-                                      basis_cache=str(cache)))
-        assert not (tmp_path / "r2").exists()
-
     def test_case_study_shaped_config_validates(self, tmp_path):
         # the corridor protocol: 2-minute grid, train on the first 20000
         # snapshots, predict over [22000, 26000)
@@ -362,7 +337,6 @@ NON_DEFAULT = dict(
     channels=("a", "b"), dt_seconds=120.0, max_gap_factor=4.5, delays=7,
     epsilon=0.25, num_eigen=50, eps1=0.2, eps2=3.5, L0=12,
     train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
-    basis_cache="/data/cache",
 )
 
 

@@ -153,10 +153,15 @@ class TestLoadCsv:
                      for k in range(50)]
         p = tmp_path / "a.csv"
         write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in enumerate(times)])
+        last = (float(times[-1]) if stamp == "epoch"
+                else datetime.fromisoformat(times[-1]).timestamp())
         for dt in (0.0, 0.1):
             s = load_csv(p, dt=dt)
             np.testing.assert_array_equal(s.values[:, 0], np.arange(50.0))
-            assert abs(s.dt - 0.1) <= 1e-5 * 0.1
+            # the grid ends on the last timestamp; 49 steps at 1.7e9 s pin
+            # the step to one float spacing over the span, 5e-8 of 0.1 s
+            assert abs(s.dt - 0.1) <= 1e-7 * 0.1
+            assert abs(s.times()[-1] - last) <= np.spacing(last)
         # one step 1% off is still uneven
         times[20] = (f"{1.7e9 + 0.1 * 20 + 0.001:.3f}" if stamp == "epoch"
                      else (base + timedelta(milliseconds=2101)).isoformat())
@@ -183,15 +188,15 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("stamp", ["%d", "%.1f"])
     def test_small_timestamps_keep_their_step(self, tmp_path, stamp):
-        # integer seconds and "%.1f" tenths from zero load as before: the
-        # median of their parsed steps
+        # integer seconds and "%.1f" tenths from zero keep their step
+        # exactly: the span over the number of steps (the median of the
+        # parsed "%.1f" steps is 0.10000000000000009)
         step = 1 if stamp == "%d" else 0.1
         times = [stamp % (step * k) for k in range(50)]
         p = tmp_path / "a.csv"
         write_lines(p, ["time,q1"] + [f"{t},{k}" for k, t in enumerate(times)])
         s = load_csv(p)
-        parsed = np.array([float(t) for t in times])
-        assert s.dt == float(np.median(np.diff(parsed))) and s.t0 == 0.0
+        assert s.dt == step and s.t0 == 0.0
         np.testing.assert_array_equal(s.values[:, 0], np.arange(50.0))
 
     def test_byte_order_mark(self, tmp_path):

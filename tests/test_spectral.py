@@ -10,13 +10,10 @@ from qpdecomp import (
 )
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import (
-    basis_cache_key,
     decompose,
     extension_bounds,
     extension_weights,
-    load_basis_cache,
     project,
-    save_basis_cache,
     synthesize,
 )
 
@@ -260,23 +257,3 @@ class TestProjectSynthesize:
         with pytest.raises(DataError):
             project(blob_basis, np.ones(blob_basis.n + 1))
 
-
-class TestBasisCache:
-    def test_round_trip_and_keying(self, blob_basis, tmp_path):
-        ks = blob_basis.kernel
-        assert load_basis_cache(tmp_path, ks, blob_basis.L) is None
-        path = save_basis_cache(blob_basis, tmp_path)
-        assert path.name == basis_cache_key(ks, blob_basis.L) + ".npz"
-        back = load_basis_cache(tmp_path, ks, blob_basis.L)
-        assert np.array_equal(back.Phi, blob_basis.Phi)
-        assert np.array_equal(back.Gamma, blob_basis.Gamma)
-        assert np.array_equal(back.lam, blob_basis.lam)
-        # a different truncation misses
-        assert load_basis_cache(tmp_path, ks, blob_basis.L - 1) is None
-
-    def test_key_depends_on_inputs(self, blob_basis):
-        ks = blob_basis.kernel
-        base = basis_cache_key(ks, 10)
-        assert basis_cache_key(ks, 11) != base
-        other = gaussian_kernel(ks.embedding, ks.epsilon * 2.0)
-        assert basis_cache_key(other, 10) != base
