@@ -19,8 +19,8 @@ where the window is the register before the step, then the register shifts.
 eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))`` with
 the shifted kernel weights of :func:`spectral.extension_weights` and the
 N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds
-the training points, epsilon, M and the extension bounds, never an N x N
-matrix.
+the harmonics (omega, A), the training series, epsilon and M: what the free
+run reads, never an N x N matrix, the eigenbasis or E.
 
 The free run keeps the N dot products ``P = points @ window`` of the
 training points with the current window.  Point m is samples m..m+q of the
@@ -38,12 +38,12 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
-from .freqfilter import FrequencySelection, SelectionParams
+from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed
-from .spectral import (SpectralBasis, extension_bounds, extension_weights,
-                       project, shifted_weights)
+from .spectral import (SpectralBasis, extension_weights, project,
+                       shifted_weights)
 
-MODEL_FORMAT = "qpdecomp-model-2"
+MODEL_FORMAT = "qpdecomp-model-3"
 
 # Rows per block when harmonics or the extension are evaluated at many times
 # or points: a block holds a (rows x m) complex phase matrix or a (rows x N)
@@ -66,43 +66,43 @@ class PeriodicFit:
 class QPModel:
     """Fitted quasiperiodic + chaotic model: what the free run reads.
 
-    ``embedding`` holds the training series, q and the embedded points;
-    ``sq``, their squared row norms, is derived from it.  ``M`` (N x k) maps
-    shifted kernel weights to the chaotic component and ``ext_bounds`` (L)
-    bounds each extended eigenfunction; build both from a basis with
-    :meth:`from_basis`.
+    ``omegas`` (m) and ``A`` (m x k) are the harmonics of the periodic
+    component.  ``embedding`` holds the training series, q and the embedded
+    points; ``sq``, their squared row norms, is derived from it.  ``M``
+    (N x k) maps shifted kernel weights to the chaotic component; build it
+    from a basis with :meth:`from_basis`.  Other shapes, a non-finite
+    frequency or ``epsilon <= 0`` are a :class:`DataError`.
     """
 
-    selection: FrequencySelection
+    omegas: np.ndarray
     A: np.ndarray
-    E: np.ndarray
     M: np.ndarray
-    ext_bounds: np.ndarray
     embedding: DelayEmbedding
     epsilon: float
     sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        omegas, n, k = self.omegas, self.n, self.k
+        if omegas.ndim != 1 or not np.isfinite(omegas).all():
+            raise DataError("model frequencies must be a finite vector")
+        if self.A.shape != (len(omegas), k) or self.M.shape != (n, k):
+            raise DataError(f"model A {self.A.shape} and M {self.M.shape} do "
+                            f"not match {len(omegas)} frequencies, {n} "
+                            f"training points and {k} channels")
+        if not self.epsilon > 0:
+            raise DataError(f"model epsilon {self.epsilon} is not positive")
+        if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
+            raise NumericalError("zero-frequency coefficient must be real")
         pts = self.embedding.points
         object.__setattr__(self, "sq", np.einsum("ij,ij->i", pts, pts))
-        if self.selection.omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
-            raise NumericalError("zero-frequency coefficient must be real")
-        n, k, L = self.n, self.k, len(self.ext_bounds)
-        if self.M.shape != (n, k) or self.E.shape != (L, k):
-            raise DataError(
-                f"model M {self.M.shape} and E {self.E.shape} do not match "
-                f"{n} training points, {L} eigenfunctions and {k} channels"
-            )
 
     @classmethod
-    def from_basis(cls, basis: SpectralBasis, selection: FrequencySelection,
-                   A, E) -> "QPModel":
-        """Model with periodic coefficients A and chaotic coefficients E on
-        ``basis``; the basis itself is not kept."""
+    def from_basis(cls, basis: SpectralBasis, omegas, A, E) -> "QPModel":
+        """Model with harmonics (omegas, A) and chaotic coefficients E on
+        ``basis``; neither E nor the basis is kept."""
         c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
-        return cls(selection=selection, A=A, E=E,
+        return cls(omegas=np.asarray(omegas, dtype=float), A=A,
                    M=(c / basis.sigma[None, :]) @ E,
-                   ext_bounds=extension_bounds(basis),
                    embedding=basis.kernel.embedding,
                    epsilon=basis.kernel.epsilon)
 
@@ -121,7 +121,7 @@ class QPModel:
 
     @property
     def k(self) -> int:
-        return self.A.shape[1]
+        return self.embedding.source.k
 
     @property
     def state_dim(self) -> int:
@@ -206,7 +206,7 @@ def evaluate_harmonics(A, omegas, t):
 
 def eval_periodic(model: QPModel, t):
     """Periodic component at time t seconds (scalar -> (k,), vector -> (n, k))."""
-    return evaluate_harmonics(model.A, model.selection.omegas, t)
+    return evaluate_harmonics(model.A, model.omegas, t)
 
 
 def _chaos_from_weights(model: QPModel, w):
@@ -239,13 +239,14 @@ def chaotic_at_training_points(model: QPModel) -> np.ndarray:
 
 def periodic_sup_bound(model: QPModel) -> float:
     """sup_t |g_per(t)|_2 <= sum_j (2 - delta_{j,1}) |A[j, :]|_2 (triangle inequality)."""
-    weights = np.where(model.selection.omegas == 0.0, 1.0, 2.0)
+    weights = np.where(model.omegas == 0.0, 1.0, 2.0)
     return float((weights * np.linalg.norm(model.A, axis=1)).sum())
 
 
 def chaotic_sup_bound(model: QPModel) -> float:
-    """sup_y |g_chaos(y)|_2 <= sum_l |E[l, :]|_2 * sup|ext_l| (finite by kernel decay)."""
-    return float((np.linalg.norm(model.E, axis=1) * model.ext_bounds).sum())
+    """sup_y |g_chaos(y)|_2 <= sqrt(N) * max_n |M[n, :]|_2: g_chaos is a
+    kernel-weighted average of the rows of sqrt(N) * M."""
+    return float(np.sqrt(model.n) * np.linalg.norm(model.M, axis=1).max())
 
 
 def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
@@ -356,15 +357,13 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize the model as a ``qpdecomp-model-2`` file.
+    """Serialize the model as a ``qpdecomp-model-3`` file.
 
     Stores the training window with a content hash of it, q, epsilon, the
-    frequency selection, A, E, the chaos matrix M and the extension bounds:
-    everything the free run and the sup-norm bounds read, and no N x N or
-    N x L matrix.  The eigenbasis itself is not stored: a fit computes it.
+    harmonics (omegas, A) and the chaos matrix M: everything the free run
+    and the sup-norm bounds read, and no N x N or N x L matrix.
     """
     src = model.embedding.source
-    sel = model.selection
     write_npz(path, {
         "format": np.array([MODEL_FORMAT]),
         "train_values": src.values,
@@ -374,15 +373,9 @@ def save_model(model: QPModel, path):
         "train_hash": np.array([training_data_hash(src)]),
         "q": np.int64(model.q),
         "epsilon": np.float64(model.epsilon),
-        "sel_indices": sel.indices,
-        "sel_omegas": sel.omegas,
-        "sel_amplitudes": sel.amplitudes,
-        "sel_params": np.array([sel.params.eps1, sel.params.eps2,
-                                float(sel.params.L0), float(sel.params.L)]),
+        "omegas": model.omegas,
         "A": model.A,
-        "E": model.E,
         "M": model.M,
-        "ext_bounds": model.ext_bounds,
     })
 
 
@@ -395,20 +388,18 @@ def load_model(path) -> QPModel:
     Raises
     ------
     DataError
-        The file is missing or unreadable, is not a ``qpdecomp-model-2``
-        file (a ``qpdecomp-model-1`` file must be rewritten with ``qpdecomp
-        decompose``) or lacks one of its arrays, or its training data do not
-        match the stored hash.
+        The file is missing or unreadable, is not a ``qpdecomp-model-3``
+        file (an older one must be rewritten with ``qpdecomp decompose``),
+        lacks one of its arrays or holds one of the wrong shape, or its
+        training data do not match the stored hash.
     """
     data = read_npz(path, "model file")
     fmt = str(data["format"][0])
-    if fmt == "qpdecomp-model-1":
+    if fmt != MODEL_FORMAT:
         raise DataError(
-            f"{path}: model format {fmt!r} is no longer readable; re-run "
+            f"{path}: model format {fmt!r} is not readable; re-run "
             f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
         )
-    if fmt != MODEL_FORMAT:
-        raise DataError(f"{path}: unknown model format {fmt!r}")
     src = TimeSeries(data["train_values"], dt=float(data["train_dt"]),
                      t0=float(data["train_t0"]),
                      channel_names=tuple(str(c) for c in data["channel_names"]))
@@ -416,13 +407,8 @@ def load_model(path) -> QPModel:
     if training_data_hash(src) != stored_hash:
         raise DataError(f"{path}: training data does not match its stored hash")
     emb = delay_embed(src, int(data["q"]))
-    p = data["sel_params"]
-    sel = FrequencySelection(
-        indices=data["sel_indices"],
-        omegas=data["sel_omegas"],
-        amplitudes=data["sel_amplitudes"],
-        params=SelectionParams(float(p[0]), float(p[1]), int(p[2]), int(p[3])),
-    )
-    return QPModel(selection=sel, A=data["A"], E=data["E"], M=data["M"],
-                   ext_bounds=data["ext_bounds"], embedding=emb,
-                   epsilon=float(data["epsilon"]))
+    try:
+        return QPModel(omegas=data["omegas"], A=data["A"], M=data["M"],
+                       embedding=emb, epsilon=float(data["epsilon"]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -256,7 +256,7 @@ def load_series(config: PipelineConfig) -> series.TimeSeries:
 
 
 class Fit(NamedTuple):
-    """The method fitted on the training window of the loaded series."""
+    """The method fitted on the training window (``chaotic`` holds E)."""
 
     data: series.TimeSeries
     train: series.TimeSeries
@@ -264,6 +264,7 @@ class Fit(NamedTuple):
     table: freqfilter.RkhsNormTable
     selection: freqfilter.FrequencySelection
     periodic: dc.PeriodicFit
+    chaotic: np.ndarray
     model: dc.QPModel
 
 
@@ -287,8 +288,8 @@ def fit(config: PipelineConfig) -> Fit:
                                   L0=config.L0)
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel.from_basis(basis, selection, pfit.A, E)
-    return Fit(data, train, basis, table, selection, pfit, model)
+    model = dc.QPModel.from_basis(basis, pfit.omegas, pfit.A, E)
+    return Fit(data, train, basis, table, selection, pfit, E, model)
 
 
 def write_frequencies(path, result: Fit):
@@ -455,7 +456,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
 def _run_stages(config: PipelineConfig, outdir: Path):
     result = fit(config)
     data, train, basis = result.data, result.train, result.basis
-    pfit, model = result.periodic, result.model
+    pfit, E, model = result.periodic, result.chaotic, result.model
     q = config.delays
 
     write_frequencies(outdir / "frequencies.csv", result)
@@ -472,13 +473,13 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     _write_table(
         outdir / "chaotic_coeffs.csv",
         ["l", *(f"E_{c}" for c in data.channel_names)],
-        [[str(l) for l in range(1, basis.L + 1)], *model.E.T],
+        [[str(l) for l in range(1, basis.L + 1)], *E.T],
     )
 
     # in-sample reconstruction over the training rows
     write_estimate(outdir / "reconstruction.csv", data.channel_names,
                    fit_times, "recon",
-                   pfit.fitted + spectral.synthesize(basis, model.E),
+                   pfit.fitted + spectral.synthesize(basis, E),
                    train.values[q:])
 
     # prediction over the held-out window, which fit() checked lies in data

@@ -204,12 +204,6 @@ def shifted_weights(sq, epsilon, products):
     return np.exp(d2, out=d2)
 
 
-def extension_bounds(basis: SpectralBasis) -> np.ndarray:
-    """Computable sup-norm bound of each extended eigenfunction over all of space."""
-    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
-    return np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
-
-
 def project(basis: SpectralBasis, f) -> np.ndarray:
     """Coefficients of f (N x m) on the basis under the empirical inner product."""
     f = np.asarray(f, dtype=float)

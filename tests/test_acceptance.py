@@ -72,7 +72,7 @@ def fit_model(run):
     pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT,
                            t0=Q * DT)
     E = dc.fit_chaotic(pfit.residual, basis)
-    return dc.QPModel.from_basis(basis, run["selection"], pfit.A, E)
+    return dc.QPModel.from_basis(basis, pfit.omegas, pfit.A, E)
 
 
 @pytest.fixture(scope="module")

@@ -246,14 +246,29 @@ class TestDecomposeReconstructPredict:
         err = capsys.readouterr().err
         assert "qpdecomp-model-1" in err and "qpdecomp decompose" in err
 
-    @pytest.mark.parametrize("case", ["not_npz", "missing", "format_only"])
-    def test_predict_unreadable_model_exits_3(self, synth_csv, tmp_path,
-                                              capsys, case):
+    @pytest.mark.parametrize("case", ["not_npz", "missing", "format_only",
+                                      "A_row_short", "A_flat",
+                                      "epsilon_zero", "omega_nan"])
+    def test_predict_unreadable_model_exits_3(self, model_file, synth_csv,
+                                              tmp_path, capsys, case):
+        # a model file of the wrong shape or content is a DataError before
+        # the free run, not a traceback or a diverged run
         model = tmp_path / "m.npz"
         if case == "not_npz":
             model.write_bytes(b"not a model\n" * 100)
         elif case == "format_only":
-            np.savez(model, format=np.array(["qpdecomp-model-2"]))
+            np.savez(model, format=np.array(["qpdecomp-model-3"]))
+        elif case != "missing":
+            arrays = dict(np.load(model_file))
+            if case == "A_row_short":
+                arrays["A"] = arrays["A"][:-1]
+            elif case == "A_flat":
+                arrays["A"] = arrays["A"][:, 0]
+            elif case == "epsilon_zero":
+                arrays["epsilon"] = np.float64(0.0)
+            else:
+                arrays["omegas"][-1] = np.nan
+            np.savez(model, **arrays)
         code = run_cli(["predict", "--model", model, "--input", synth_csv[0],
                         "--init-at", "620", "--steps", "20",
                         "--out", tmp_path / "p.csv"])

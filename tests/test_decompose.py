@@ -123,8 +123,8 @@ def gemv_reconstruct(model, init, n_steps, t_start):
     return out
 
 
-def with_random_chaos(basis, model):
-    """``model`` with a seeded random E, entries of standard deviation
+def random_chaos(basis, k):
+    """A seeded random E (L x k), entries of standard deviation
     ``0.3 / sqrt(L)``.
 
     The fitted E of a pure torus is rounding noise, so wrong kernel weights
@@ -132,8 +132,22 @@ def with_random_chaos(basis, model):
     half of each sample.
     """
     rng = np.random.default_rng(0)
-    E = 0.3 * rng.standard_normal(model.E.shape) / np.sqrt(model.E.shape[0])
-    return QPModel.from_basis(basis, model.selection, model.A, E)
+    return 0.3 * rng.standard_normal((basis.L, k)) / np.sqrt(basis.L)
+
+
+def with_random_chaos(basis, model):
+    """``model`` with the chaotic coefficients of :func:`random_chaos`."""
+    return QPModel.from_basis(basis, model.omegas, model.A,
+                              random_chaos(basis, model.k))
+
+
+def sum_of_extension_bounds(basis, E):
+    """The earlier chaotic sup bound ``sum_l |E[l, :]|_2 * sup|ext_l|``,
+    with ``sup|ext_l| <= sqrt(N) max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``;
+    :func:`chaotic_sup_bound` is never above it."""
+    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    ext = np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
+    return float((np.linalg.norm(E, axis=1) * ext).sum())
 
 
 def fit_torus(n, q):
@@ -149,7 +163,7 @@ def fit_torus(n, q):
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
     E = fit_chaotic(pfit.residual, basis)
-    return basis, QPModel.from_basis(basis, sel, pfit.A, E), pfit, s
+    return basis, QPModel.from_basis(basis, pfit.omegas, pfit.A, E), pfit, s
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +183,13 @@ def torus_model(fitted_torus):
     """Model fitted end to end on the model_basis series."""
     _, model, pfit, s = fitted_torus
     return model, pfit, s
+
+
+@pytest.fixture(scope="module")
+def torus_E(fitted_torus):
+    """Chaotic coefficients E of the torus_model fit."""
+    basis, _, pfit, _ = fitted_torus
+    return fit_chaotic(pfit.residual, basis)
 
 
 class TestFitPeriodic:
@@ -332,10 +353,10 @@ class TestEvalPeriodic:
 
 
 class TestEvalChaotic:
-    def test_in_sample_consistency(self, torus_model, model_basis):
+    def test_in_sample_consistency(self, torus_model, model_basis, torus_E):
         model, pfit, s = torus_model
         basis, _ = model_basis
-        synth_rows = synthesize(basis, model.E)
+        synth_rows = synthesize(basis, torus_E)
         pts = basis.kernel.embedding.points
         for n in (0, 100, 400):
             got = eval_chaotic(model, pts[n])
@@ -345,8 +366,8 @@ class TestEvalChaotic:
     def test_zero_model_returns_zero(self, torus_model, model_basis):
         model, pfit, s = torus_model
         basis, _ = model_basis
-        zero_model = QPModel.from_basis(basis, model.selection, model.A,
-                                        np.zeros_like(model.E))
+        zero_model = QPModel.from_basis(basis, model.omegas, model.A,
+                                        np.zeros((basis.L, model.k)))
         out = eval_chaotic(zero_model, model.embedding.points[10])
         np.testing.assert_array_equal(out, np.zeros(model.k))
 
@@ -363,7 +384,8 @@ class TestEvalChaotic:
         with pytest.raises(DataError, match="dimension"):
             eval_chaotic(model, np.ones(model.state_dim + 1))
 
-    def test_matches_exact_difference_oracle(self, torus_model, model_basis):
+    def test_matches_exact_difference_oracle(self, torus_model, model_basis,
+                                             torus_E):
         model, _, _ = torus_model
         basis, _ = model_basis
         pts = model.embedding.points
@@ -373,16 +395,17 @@ class TestEvalChaotic:
                    rng.uniform(-3.0, 3.0, pts.shape[1]),
                    np.full(model.state_dim, 1e5)]
         for y in queries:
-            ref = einsum_chaos(basis, model.E, y)
+            ref = einsum_chaos(basis, torus_E, y)
             got = eval_chaotic(model, y)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_training_points_in_blocks(self, torus_model, model_basis):
+    def test_training_points_in_blocks(self, torus_model, model_basis,
+                                       torus_E):
         # all rows at once, across several row blocks, against Phi @ E
         model, _, _ = torus_model
         basis, _ = model_basis
         got = chaotic_at_training_points(model)
-        ref = synthesize(basis, model.E)
+        ref = synthesize(basis, torus_E)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -390,8 +413,9 @@ class TestEvalChaotic:
 class TestReconstruct:
     def test_periodic_only_matches_eval_grid(self, torus_model, model_basis):
         model, pfit, s = torus_model
-        per_model = QPModel.from_basis(model_basis[0], model.selection,
-                                       model.A, np.zeros_like(model.E))
+        basis = model_basis[0]
+        per_model = QPModel.from_basis(basis, model.omegas, model.A,
+                                       np.zeros((basis.L, model.k)))
         init = state_before(s, model.q + 1, model.q)
         ts = reconstruct(per_model, init, 300, t_start=50.0)
         grid = 50.0 + np.arange(300) * model.dt
@@ -418,20 +442,28 @@ class TestReconstruct:
         b = reconstruct(model, init, 100, 0.0)
         assert np.array_equal(a.values, b.values)
 
-    def test_divergence_reports_step(self, torus_model, model_basis):
+    def test_divergence_reports_step(self, torus_model, model_basis, torus_E):
         model, pfit, s = torus_model
-        bad = QPModel.from_basis(model_basis[0], model.selection,
-                                 np.full_like(model.A, np.inf), model.E)
+        bad = QPModel.from_basis(model_basis[0], model.omegas,
+                                 np.full_like(model.A, np.inf), torus_E)
         init = state_before(s, model.q + 1, model.q)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="step 0"):
             reconstruct(bad, init, 10, 0.0)
 
-    def test_free_run_respects_computable_bound(self, torus_model):
+    def test_free_run_respects_computable_bound(self, torus_model,
+                                                model_basis, torus_E):
+        # on the fitted torus, whose E is rounding noise, and with a random
+        # E that makes chaos about half of each sample
         model, pfit, s = torus_model
-        bound = periodic_sup_bound(model) + chaotic_sup_bound(model)
-        init = state_before(s, model.q + 1, model.q)
-        run = reconstruct(model, init, 2 * s.n, 0.0)
-        assert np.linalg.norm(run.values, axis=1).max() <= bound + 1e-9
+        basis, _ = model_basis
+        chaos_E = random_chaos(basis, model.k)
+        for E in (torus_E, chaos_E):
+            m = QPModel.from_basis(basis, model.omegas, model.A, E)
+            assert chaotic_sup_bound(m) <= sum_of_extension_bounds(basis, E)
+            bound = periodic_sup_bound(m) + chaotic_sup_bound(m)
+            init = state_before(s, m.q + 1, m.q)
+            run = reconstruct(m, init, 2 * s.n, 0.0)
+            assert np.linalg.norm(run.values, axis=1).max() <= bound + 1e-9
 
     def test_bad_init(self, torus_model):
         model, _, _ = torus_model
@@ -474,21 +506,21 @@ class TestSlidingProducts:
 
 
 class TestDecompositionIdentity:
-    def test_three_way_split(self, torus_model, model_basis):
+    def test_three_way_split(self, torus_model, model_basis, torus_E):
         # Y = periodic fit + basis synthesis + remainder, with the remainder
         # orthogonal to both the harmonic design and the basis
         model, pfit, s = torus_model
         basis, _ = model_basis
         q = model.q
         y = s.values[q:]
-        synth_rows = synthesize(basis, model.E)
+        synth_rows = synthesize(basis, torus_E)
         remainder = y - pfit.fitted - synth_rows
         np.testing.assert_allclose(pfit.fitted + pfit.residual, y, atol=1e-10)
         inner = basis.Phi.T @ remainder / basis.n
         assert np.abs(inner).max() <= 1e-8
         t = (q + np.arange(len(y))) * model.dt
         cols = [np.ones(len(y))]
-        for om in model.selection.omegas[1:]:
+        for om in model.omegas[1:]:
             cols += [np.cos(om * t), np.sin(om * t)]
         G = np.stack(cols, 1)
         assert np.abs(G.T @ pfit.residual).max() / len(y) <= 1e-8
@@ -560,11 +592,9 @@ class TestModelRoundTrip:
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
-        for name in ("A", "E", "M", "ext_bounds"):
+        for name in ("omegas", "A", "M"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(model, name))
-        np.testing.assert_array_equal(back.selection.indices,
-                                      model.selection.indices)
         assert chaotic_sup_bound(back) == chaotic_sup_bound(model)
         assert periodic_sup_bound(back) == periodic_sup_bound(model)
         init = state_before(s, model.q + 1, model.q)
@@ -595,14 +625,31 @@ class TestModelRoundTrip:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_format_1_file_rejected(self, tmp_path):
-        path = tmp_path / "old.npz"
-        np.savez(path, format=np.array(["qpdecomp-model-1"]),
-                 train_values=np.zeros((8, 1)), lam=np.ones(2),
-                 Phi=np.ones((6, 2)), Gamma=np.ones((6, 2)))
-        with pytest.raises(DataError,
-                           match="qpdecomp-model-1.*qpdecomp decompose"):
-            load_model(path)
+    def test_format_1_file_rejected(self, torus_model, tmp_path):
+        # format 1 stored the eigenbasis, format 2 the selection, E and the
+        # extension bounds; neither is read, both name the way to a new file
+        model, _, _ = torus_model
+        save_model(model, tmp_path / "new.npz")
+        v2 = dict(np.load(tmp_path / "new.npz"))
+        m = len(v2["omegas"])
+        v2.update(format=np.array(["qpdecomp-model-2"]),
+                  sel_indices=np.arange(m), sel_omegas=v2.pop("omegas"),
+                  sel_amplitudes=np.ones(m),
+                  sel_params=np.array([0.1, 2.5, 10.0, 40.0]),
+                  E=np.zeros((40, model.k)), ext_bounds=np.ones(40))
+        files = {
+            "qpdecomp-model-1": dict(
+                format=np.array(["qpdecomp-model-1"]),
+                train_values=np.zeros((8, 1)), lam=np.ones(2),
+                Phi=np.ones((6, 2)), Gamma=np.ones((6, 2))),
+            "qpdecomp-model-2": v2,
+        }
+        for fmt, arrays in files.items():
+            path = tmp_path / f"{fmt}.npz"
+            np.savez(path, **arrays)
+            with pytest.raises(DataError,
+                               match=f"{fmt}.*qpdecomp decompose"):
+                load_model(path)
 
     def test_load_and_free_run_build_no_n_by_n_array(self, tmp_path):
         n, q, dt = 1503, 3, 1.0
@@ -613,7 +660,7 @@ class TestModelRoundTrip:
         basis = decompose(gaussian_kernel(emb, eps), 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
         pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
-        model = QPModel.from_basis(basis, sel, pfit.A,
+        model = QPModel.from_basis(basis, pfit.omegas, pfit.A,
                                    fit_chaotic(pfit.residual, basis))
         path = tmp_path / "model.npz"
         save_model(model, path)

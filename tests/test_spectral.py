@@ -11,7 +11,6 @@ from qpdecomp import (
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import (
     decompose,
-    extension_bounds,
     extension_weights,
     project,
     synthesize,
@@ -48,6 +47,14 @@ def nystrom_extend(basis, y, l):
                           basis.kernel.epsilon, np.ravel(y))
     c = basis.Gamma[:, l - 1] / np.sqrt(basis.kernel.q)
     return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
+
+
+def extension_bounds(basis):
+    """Sup-norm bound of each extended eigenfunction over all of space,
+    ``sqrt(N) * max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``: the extension
+    is a kernel-weighted average of ``sqrt(N) * Gamma[:, l] / sqrt(q)``."""
+    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    return np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
 
 
 class TestDecompose:
