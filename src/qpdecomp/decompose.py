@@ -39,7 +39,7 @@ import numpy as np
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection
-from .series import DelayEmbedding, TimeSeries, delay_embed
+from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
 from .spectral import (SpectralBasis, extension_weights, project,
                        shifted_weights)
 
@@ -319,7 +319,7 @@ def relative_error(truth: TimeSeries, estimate: TimeSeries) -> np.ndarray:
         raise DataError(
             f"shape mismatch: {truth.values.shape} vs {estimate.values.shape}"
         )
-    if truth.dt != estimate.dt:
+    if not same_step(truth, estimate):
         raise DataError(f"dt mismatch: {truth.dt} vs {estimate.dt}")
     denom = np.abs(truth.values).max(axis=0)
     zero = np.where(denom == 0)[0]
@@ -379,6 +379,13 @@ def save_model(model: QPModel, path):
     })
 
 
+# the dtype kind and shape that save_model writes each one-entry array with
+_MODEL_SCALARS = {"format": ("U", (1,)), "train_dt": ("f", ()),
+                  "train_t0": ("f", ()), "train_hash": ("U", (1,)),
+                  "q": ("i", ()), "epsilon": ("f", ())}
+_KINDS = {"U": "a string", "f": "a float", "i": "an integer"}
+
+
 def load_model(path) -> QPModel:
     """Read a model saved by :func:`save_model`.
 
@@ -394,21 +401,30 @@ def load_model(path) -> QPModel:
         training data do not match the stored hash.
     """
     data = read_npz(path, "model file")
-    fmt = str(data["format"][0])
+
+    def scalar(name):
+        kind, shape = _MODEL_SCALARS[name]
+        arr = data[name]
+        if arr.dtype.kind != kind or arr.shape != shape:
+            raise DataError(f"{path}: model array {name!r} is {arr.dtype} of "
+                            f"shape {arr.shape}, not {_KINDS[kind]} of shape "
+                            f"{shape}")
+        return arr.item()
+
+    fmt = scalar("format")
     if fmt != MODEL_FORMAT:
         raise DataError(
             f"{path}: model format {fmt!r} is not readable; re-run "
             f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
         )
-    src = TimeSeries(data["train_values"], dt=float(data["train_dt"]),
-                     t0=float(data["train_t0"]),
+    src = TimeSeries(data["train_values"], dt=scalar("train_dt"),
+                     t0=scalar("train_t0"),
                      channel_names=tuple(str(c) for c in data["channel_names"]))
-    stored_hash = str(data["train_hash"][0])
-    if training_data_hash(src) != stored_hash:
+    if training_data_hash(src) != scalar("train_hash"):
         raise DataError(f"{path}: training data does not match its stored hash")
-    emb = delay_embed(src, int(data["q"]))
+    emb, epsilon = delay_embed(src, scalar("q")), scalar("epsilon")
     try:
         return QPModel(omegas=data["omegas"], A=data["A"], M=data["M"],
-                       embedding=emb, epsilon=float(data["epsilon"]))
+                       embedding=emb, epsilon=epsilon)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

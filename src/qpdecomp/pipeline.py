@@ -380,7 +380,7 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     if data.channel_names != trained:
         raise DataError(f"input channels {list(data.channel_names)} differ "
                         f"from the model's {list(trained)}")
-    if abs(data.dt - model.dt) > series._GRID_RTOL * model.dt:
+    if not series.same_step(data, model.embedding.source):
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")
     q = model.q
@@ -392,6 +392,8 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
                         f"{data.n}")
     init = dc.state_before(data, start, q)
     pred = dc.reconstruct(model, init, steps, start * model.dt)
+    # the free run predicts samples of data, on the step it was matched to
+    pred = replace(pred, dt=data.dt)
     times = (start + np.arange(steps)) * model.dt
     truth, extra = None, ((), ())
     if start + steps <= data.n:

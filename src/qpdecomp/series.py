@@ -32,6 +32,23 @@ def _time_tol(times, step):
     return _GRID_RTOL * step + _GRID_ULPS * spacing
 
 
+def same_step(a: "TimeSeries", b: "TimeSeries") -> bool:
+    """Whether series a and b are sampled on one step.
+
+    A step read from timestamps is their span over the step count, and each
+    timestamp is off by up to half a float spacing, so the step of n samples
+    is off by up to one spacing of its largest time over n - 1 (at 1.7e9 s,
+    2.4e-7 s over n - 1).  The rule allows ``_GRID_RTOL`` of the step plus
+    that rounding of both steps.
+    """
+    def rounding(s):
+        end = max(abs(s.t0), abs(s.t0 + (s.n - 1) * s.dt))
+        return float(np.spacing(end)) / max(s.n - 1, 1)
+
+    tol = _GRID_RTOL * max(a.dt, b.dt) + rounding(a) + rounding(b)
+    return abs(a.dt - b.dt) <= tol
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Regularly sampled k-channel real-valued series.

@@ -40,9 +40,8 @@ LAMBDA_FLOOR = 1e-14
 
 _LAMBDA_ONE_TOL = 1e-6
 
-# largest N whose Gram matrix comes from one syrk call (see _gram)
-_SYRK_MAX_N = 8192
-_GRAM_BLOCK = 1024
+# rows of Ktilde per rank update of the Gram matrix
+_GRAM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -99,26 +98,6 @@ def _fix_signs(u, v):
     return u, v
 
 
-def _gram(kt):
-    """``kt^T kt``, exact in its upper triangle.
-
-    Up to ``_SYRK_MAX_N`` columns this is one BLAS ``syrk`` call.  Above it
-    the upper triangle is built from ``_GRAM_BLOCK``-row ``gemm`` products,
-    and the entries below the diagonal blocks stay zero: the two-thread
-    ``dsyrk`` of OpenBLAS 0.3.30 and 0.3.31 crashed with a segmentation
-    fault at 15500 and 16000 columns on a 2-core x86-64 machine, where
-    ``gemm`` ran.  The two paths agree to rounding, not bit for bit.
-    """
-    n = kt.shape[1]
-    if n <= _SYRK_MAX_N:
-        return kt.T @ kt
-    gram = np.zeros((n, n))
-    for a in range(0, n, _GRAM_BLOCK):
-        b = min(a + _GRAM_BLOCK, n)
-        np.matmul(kt[:, a:b].T, kt[:, a:], out=gram[a:b, a:])
-    return gram
-
-
 def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     """Top-L singular triplets of Ktilde.
 
@@ -126,7 +105,11 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     leading right singular subspace; a Rayleigh-Ritz step (thin SVD of
     ``Ktilde @ V``) then rotates them into singular vectors, so that
     ``Ktilde @ Gamma = U * sigma`` holds to rounding whatever the subspace
-    error.  The result is deterministic.  Forming the Gram matrix squares the
+    error.  The Gram matrix is built one way at every N: its upper triangle
+    is summed in one Fortran-ordered N x N array by rank-256 BLAS ``syrk``
+    updates, one per block of 256 rows of ``Ktilde``, and the eigensolver
+    overwrites that array in place, so the eigensolve holds no second N x N
+    matrix.  The result is deterministic.  Forming the Gram matrix squares the
     conditioning, so eigenvalues close to the floor carry fewer correct
     digits: on 400 random planar points the worst relative error was about
     1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
@@ -149,16 +132,18 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     # imported here because only the eigensolve needs scipy: loading it
     # costs about 0.35 s, which a forecast from a saved model need not pay
     import scipy.linalg
+    from scipy.linalg.blas import dsyrk
 
     n = kernel.n
     if not (1 <= L <= n):
         raise DataError(f"L={L} out of range 1..{n}")
     kt = kernel.Ktilde
-    gram = _gram(kt)
-    # the transpose is a Fortran-ordered view that LAPACK overwrites in place
-    # instead of copying; its lower triangle, the one eigh reads, is the
-    # upper triangle of gram
-    _, v = scipy.linalg.eigh(gram.T, subset_by_index=[n - L, n - 1],
+    gram = np.zeros((n, n), order="F")
+    for a in range(0, n, _GRAM_ROWS):
+        # the transposed row block is a Fortran-ordered N x 256 view, so
+        # dsyrk adds its outer product into gram without copying either
+        dsyrk(1.0, kt[a:a + _GRAM_ROWS].T, beta=1.0, c=gram, overwrite_c=1)
+    _, v = scipy.linalg.eigh(gram, lower=False, subset_by_index=[n - L, n - 1],
                              overwrite_a=True)
     del gram
     u, s, wt = np.linalg.svd(kt @ v, full_matrices=False)

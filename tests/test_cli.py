@@ -248,19 +248,27 @@ class TestDecomposeReconstructPredict:
 
     @pytest.mark.parametrize("case", ["not_npz", "missing", "format_only",
                                       "A_row_short", "A_flat",
-                                      "epsilon_zero", "omega_nan"])
+                                      "epsilon_zero", "omega_nan",
+                                      "format_0d", "train_hash_0d",
+                                      "train_dt_2", "train_t0_2", "q_2",
+                                      "epsilon_2"])
     def test_predict_unreadable_model_exits_3(self, model_file, synth_csv,
                                               tmp_path, capsys, case):
         # a model file of the wrong shape or content is a DataError before
         # the free run, not a traceback or a diverged run
         model = tmp_path / "m.npz"
+        name, _, reshape = case.rpartition("_")
         if case == "not_npz":
             model.write_bytes(b"not a model\n" * 100)
         elif case == "format_only":
             np.savez(model, format=np.array(["qpdecomp-model-3"]))
         elif case != "missing":
             arrays = dict(np.load(model_file))
-            if case == "A_row_short":
+            if reshape in ("0d", "2"):
+                # a one-entry array saved 0-d, or a 0-d one with two entries
+                value = arrays[name]
+                arrays[name] = value[0] if value.ndim else np.repeat(value, 2)
+            elif case == "A_row_short":
                 arrays["A"] = arrays["A"][:-1]
             elif case == "A_flat":
                 arrays["A"] = arrays["A"][:, 0]
@@ -275,6 +283,8 @@ class TestDecomposeReconstructPredict:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("qpdecomp: DataError:") and str(model) in err
+        if reshape in ("0d", "2"):
+            assert f"model array {name!r}" in err
         assert not (tmp_path / "p.csv").exists()
 
     def test_insample_reconstruct_matches_pipeline(self, synth_csv, tmp_path):
@@ -296,6 +306,65 @@ class TestDecomposeReconstructPredict:
         np.testing.assert_array_equal(got[:, :4], ref[:, :4])
         scale = np.abs(ref[:, 1:4]).max()
         assert np.abs(got[:, 4:] - ref[:, 4:]).max() <= 1e-8 * scale
+
+
+@pytest.fixture(scope="module")
+def stamp_rows(tmp_path_factory):
+    """Writes the first rows of an 800-sample series, stamped
+    ``base + step * k`` in a given format, and returns the file."""
+    src = tmp_path_factory.mktemp("stamped") / "torus.csv"
+    assert run_cli(["synth", "--testbed", "pure_torus_2", "--steps", "800",
+                    "--dt", "1", "--seed", "0", "--out", src]) == 0
+    header, *rows = src.read_text().splitlines()
+
+    def write(path, rows_kept, base=1.7e9, step=0.1, fmt=".1f"):
+        path.write_text("\n".join(
+            [header] + [f"{base + step * k:{fmt}},{r.split(',', 1)[1]}"
+                        for k, r in enumerate(rows[:rows_kept])]) + "\n")
+        return path
+
+    return write
+
+
+class TestPredictStep:
+    """A step read from timestamps is a span over a step count, so a model
+    fitted on the first rows of a file and the whole file round apart."""
+
+    def predict(self, stamp_rows, tmp_path, train_rows, flags=(),
+                base=1.7e9, **stamp):
+        model = tmp_path / "m.npz"
+        assert run_cli(["decompose", "--input",
+                        stamp_rows(tmp_path / "train.csv", train_rows, base),
+                        "--epsilon", "2.0", "--delays", "6", "--num-eigen",
+                        "40", "--L0", "8", "--model-out", model]) == 0
+        return run_cli(["predict", "--model", model, "--input",
+                        stamp_rows(tmp_path / "data.csv", 800, base, **stamp),
+                        "--init-at", "700", "--steps", "100", *flags,
+                        "--out", tmp_path / "p.csv"])
+
+    @pytest.mark.parametrize("train_rows", [100, 200, 300])
+    def test_epoch_model_from_first_rows(self, stamp_rows, tmp_path,
+                                         train_rows):
+        # at 1.7e9 s the 100-row step is 8.4e-9 relative off the 800-row one
+        assert self.predict(stamp_rows, tmp_path, train_rows) == 0
+
+    @pytest.mark.parametrize("train_rows,base", [(600, 1.7e9), (700, 1.7e9),
+                                                 (600, 0.0)],
+                             ids=["epoch-600", "epoch-700", "from_zero-600"])
+    def test_error_columns_on_the_same_rule(self, stamp_rows, tmp_path,
+                                            train_rows, base):
+        # the error columns compare the steps as the input check does; from
+        # 0 s the 600-row step is 0.09999999999999999 and the 800-row one 0.1
+        assert self.predict(stamp_rows, tmp_path, train_rows,
+                            ["--ma-window", "5"], base=base) == 0
+        header = (tmp_path / "p.csv").read_text().splitlines()[0]
+        assert "err_ch0_ma5" in header
+
+    def test_step_off_by_1e_6_exits_3(self, stamp_rows, tmp_path, capsys):
+        code = self.predict(stamp_rows, tmp_path, 200,
+                            step=0.1 * (1 + 1e-6), fmt=".7f")
+        assert code == 3
+        assert "differs from the model's dt" in capsys.readouterr().err
 
 
 class TestDiagnosticsCommand:

@@ -111,27 +111,21 @@ class TestDecompose:
             sign = 1.0 if a @ b >= 0 else -1.0
             assert np.abs(a - sign * b).max() <= 1e-6
 
-    def test_blocked_gram_path_matches_dense_svd(self, monkeypatch):
-        # above _SYRK_MAX_N points the Gram matrix is built from blocked
-        # gemm products over its upper triangle; same gates as the dense
-        # SVD oracle test, with a ragged last block
-        import qpdecomp.spectral as spectral_module
-
-        pts = np.random.default_rng(1).standard_normal((300, 5))
+    @pytest.mark.parametrize("n", [255, 256, 257, 300],
+                             ids=["partial", "one_block", "one_over", "ragged"])
+    def test_row_block_gram_matches_dense_svd(self, n):
+        # the Gram matrix is summed from 256-row blocks of Ktilde: one
+        # partial block, exactly one, one row over, and a ragged last block;
+        # same gates as the dense SVD oracle test
+        pts = np.random.default_rng(1).standard_normal((n, 5))
         emb = embed_points(pts)
         ks = gaussian_kernel(emb, 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
-        monkeypatch.setattr(spectral_module, "_SYRK_MAX_N", 100)
-        monkeypatch.setattr(spectral_module, "_GRAM_BLOCK", 64)
-        gram = spectral_module._gram(ks.Ktilde)
-        ref = ks.Ktilde.T @ ks.Ktilde
-        upper = np.triu_indices(300)
-        assert np.abs(gram[upper] - ref[upper]).max() <= 1e-15 * ref.max()
         u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
         basis = decompose(ks, 30)
         rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
         assert rel.max() <= 1e-10
         for l in range(30):
-            a, b = np.sqrt(300) * u_full[:, l], basis.Phi[:, l]
+            a, b = np.sqrt(n) * u_full[:, l], basis.Phi[:, l]
             sign = 1.0 if a @ b >= 0 else -1.0
             assert np.abs(a - sign * b).max() <= 1e-6
 
