@@ -26,7 +26,7 @@ from .freqfilter import (
     select,
     threshold_diagnostics,
 )
-from .kernel import KernelSystem, gaussian_kernel, pairwise_sqdist
+from .kernel import gaussian_kernel, pairwise_sqdist
 from .pipeline import PipelineConfig, load_config, report_periods, run_pipeline
 from .series import (
     DelayEmbedding,
@@ -49,7 +49,6 @@ __all__ = [
     "DataError",
     "DelayEmbedding",
     "FrequencySelection",
-    "KernelSystem",
     "NumericalError",
     "PipelineConfig",
     "QPModel",

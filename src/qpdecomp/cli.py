@@ -95,11 +95,10 @@ def _cmd_reconstruct(args):
     model = dc.load_model(args.model)
     train = model.embedding.source
     q = model.q
-    times = (q + np.arange(model.n)) * model.dt
-    recon = (dc.eval_periodic(model, times)
+    recon = (dc.eval_periodic(model, (q + np.arange(model.n)) * model.dt)
              + dc.chaotic_at_training_points(model))
-    pipeline.write_estimate(args.out, train.channel_names, times, "recon",
-                            recon, train.values[q:])
+    pipeline.write_estimate(args.out, train.channel_names, train.times()[q:],
+                            "recon", recon, train.values[q:])
     print(f"wrote in-sample reconstruction to {args.out}")
     return 0
 

@@ -100,11 +100,10 @@ class QPModel:
     def from_basis(cls, basis: SpectralBasis, omegas, A, E) -> "QPModel":
         """Model with harmonics (omegas, A) and chaotic coefficients E on
         ``basis``; neither E nor the basis is kept."""
-        c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+        c = basis.Gamma / np.sqrt(basis.q)[:, None]
         return cls(omegas=np.asarray(omegas, dtype=float), A=A,
                    M=(c / basis.sigma[None, :]) @ E,
-                   embedding=basis.kernel.embedding,
-                   epsilon=basis.kernel.epsilon)
+                   embedding=basis.embedding, epsilon=basis.epsilon)
 
     @property
     def q(self) -> int:

@@ -45,7 +45,6 @@ class RkhsNormTable:
 
     W: np.ndarray
     freqs: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if self.W.shape[0] != len(self.freqs):
@@ -113,7 +112,7 @@ def rkhs_norm_table(basis: SpectralBasis, dt: float) -> RkhsNormTable:
     W = np.cumsum(H, axis=1)
     n_bins = n // 2 + 1
     freqs = 2.0 * np.pi * np.arange(n_bins) / (n * dt)
-    return RkhsNormTable(W=W[:n_bins], freqs=freqs, dt=float(dt))
+    return RkhsNormTable(W=W[:n_bins], freqs=freqs)
 
 
 def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,

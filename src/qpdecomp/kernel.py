@@ -11,11 +11,10 @@ square-rooted).  Degrees and the normalized matrix follow
 
 With this scaling P = Kt Kt^T is symmetric, non-negative and exactly
 row-stochastic, so its top eigenvalue is 1 with a constant eigenvector; the
-downstream spectral module relies on both facts.
+downstream spectral module relies on both facts.  :func:`gaussian_kernel`
+returns Kt to its one caller, :func:`spectral.decompose`, which drops it
+after the eigensolve and keeps q, the bandwidth and the histogram.
 """
-
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,33 +37,6 @@ def _points_of(embedding):
     if pts.ndim != 2:
         raise DataError("expected a DelayEmbedding or an (N, dim) matrix")
     return pts
-
-
-@dataclass(frozen=True)
-class KernelSystem:
-    """Normalized kernel, degree vectors and the squared-distance histogram
-    for one embedding at one bandwidth.
-
-    ``epsilon`` is the bandwidth the kernel was built with, the derived one
-    when :func:`gaussian_kernel` was asked for 0.  ``sqdist_histogram`` is
-    ``(counts, edges)`` of the off-diagonal squared distances in 64 bins,
-    the bandwidth diagnostic the CLI writes.
-    """
-
-    epsilon: float
-    d: np.ndarray
-    q: np.ndarray
-    Ktilde: np.ndarray
-    embedding: DelayEmbedding
-    sqdist_histogram: tuple
-
-    def __post_init__(self):
-        if self.d.min() <= 0 or self.q.min() <= 0:
-            raise NumericalError("degree vectors must be strictly positive")
-
-    @property
-    def n(self) -> int:
-        return self.Ktilde.shape[0]
 
 
 def _row_blocks(n, start=0):
@@ -131,33 +103,20 @@ def sqdist_histogram(d2, bins: int = 64):
     return counts, edges
 
 
-def _available_bytes():
-    """Memory the kernel may take: MemAvailable, else free physical pages."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, AttributeError):
-        return None
+def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0):
+    """The bistochastically normalized kernel of ``embedding``.
 
-
-def gaussian_kernel(embedding: DelayEmbedding,
-                    epsilon: float = 0.0) -> KernelSystem:
-    """Assemble the degree vectors, the bistochastically normalized Ktilde
-    and the squared-distance histogram.
+    Returns ``(Ktilde, epsilon, q, sqdist_histogram)``: the N x N matrix
+    Kt, the bandwidth it was built with (the derived one when asked for 0),
+    the degree vector q, and ``(counts, edges)`` of the off-diagonal squared
+    distances in 64 bins, the bandwidth diagnostic the CLI writes.
 
     Everything is built in one N x N buffer: squared distances, then (after
     the histogram, and for ``epsilon = 0`` the bandwidth, are taken)
-    ``K = exp(-d2 / epsilon)`` in place, then Ktilde in place.  K itself is
-    not kept.  A run needs Ktilde plus the Gram matrix of the eigensolve,
-    ``2 N^2`` float64 values; when that exceeds the memory available, a
-    ``DataError`` is raised before anything N x N is allocated.  The derived
-    bandwidth's 0.5 N^2 copy is freed before the ``exp``.
+    ``K = exp(-d2 / epsilon)`` in place, then Ktilde in place.  K and the
+    degree vector d are not kept.  The derived bandwidth's 0.5 N^2 copy is
+    freed before the ``exp``.  :func:`spectral.decompose` checks the memory
+    this and its Gram matrix need before it calls here.
 
     Parameters
     ----------
@@ -173,14 +132,6 @@ def gaussian_kernel(embedding: DelayEmbedding,
     if not isinstance(embedding, DelayEmbedding):
         raise DataError("gaussian_kernel requires a DelayEmbedding")
     n = embedding.n_points
-    need = 2 * n * n * 8
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise DataError(
-            f"{n} points need {need / 1e6:.0f} MB for the kernel and its Gram "
-            f"matrix (2 N x N float64), but only {available / 1e6:.0f} MB of "
-            f"memory is available"
-        )
     K = pairwise_sqdist(embedding)
     hist = sqdist_histogram(K)
     if epsilon == 0:
@@ -206,8 +157,7 @@ def gaussian_kernel(embedding: DelayEmbedding,
     sqrt_q = np.sqrt(q)
     for a, b in _row_blocks(n):
         K[a:b] /= (n * d[a:b, None]) * sqrt_q[None, :]
-    return KernelSystem(epsilon=float(epsilon), d=d, q=q, Ktilde=K,
-                        embedding=embedding, sqdist_histogram=hist)
+    return K, float(epsilon), q, hist
 
 
 def sqdist_quantile(d2, quantile: float) -> float:

@@ -22,7 +22,10 @@ count.
 Pipeline clock: row m of the embedded training data spans source samples
 m..m+q and is anchored at its newest sample, so fits use times
 ``(m + q) * dt`` and a prediction starting at source index s uses
-``t_start = s * dt`` on the same clock.
+``t_start = s * dt`` on the same clock, which counts from the input's first
+row.  The harmonics keep that clock; every written ``time_s`` column reads
+the input's own, ``t0 + index * dt``.  The kernel's N x N arrays live only
+inside :func:`spectral.decompose`, so nothing in a :class:`Fit` is N x N.
 """
 
 import errno
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import decompose as dc
-from . import freqfilter, kernel, series, spectral
+from . import freqfilter, series, spectral
 from .errors import ConfigError, DataError
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
@@ -281,8 +284,7 @@ def fit(config: PipelineConfig) -> Fit:
     train = series.window(data, 0, train_end)
     q = config.delays
     emb = series.delay_embed(train, q)
-    ks = kernel.gaussian_kernel(emb, config.epsilon)
-    basis = spectral.decompose(ks, config.num_eigen)
+    basis = spectral.decompose(emb, config.epsilon, config.num_eigen)
     table = freqfilter.rkhs_norm_table(basis, data.dt)
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)
@@ -314,7 +316,7 @@ def write_diagnostics(outdir, result: Fit):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     basis = result.basis
-    counts, edges = basis.kernel.sqdist_histogram
+    counts, edges = basis.sqdist_histogram
     _write_table(
         outdir / "sqdist_histogram.csv",
         ["bin_left", "bin_right", "count"],
@@ -373,8 +375,8 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     ``data`` must hold the model's channels, in its order, on its step.
     The table holds the observed window too when ``data`` covers it, and
     then, if ``ma_window`` is set, that window's error columns.  Returns the
-    times, the prediction and the observed window (None when ``data`` ends
-    first).
+    times, on ``data``'s own clock, the prediction and the observed window
+    (None when ``data`` ends first).
     """
     trained = model.embedding.source.channel_names
     if data.channel_names != trained:
@@ -394,7 +396,7 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     pred = dc.reconstruct(model, init, steps, start * model.dt)
     # the free run predicts samples of data, on the step it was matched to
     pred = replace(pred, dt=data.dt)
-    times = (start + np.arange(steps)) * model.dt
+    times = data.t0 + (start + np.arange(steps)) * data.dt
     truth, extra = None, ((), ())
     if start + steps <= data.n:
         truth = series.window(data, start, start + steps)
@@ -464,7 +466,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     write_frequencies(outdir / "frequencies.csv", result)
 
     # periodic component over the training rows
-    fit_times = (q + np.arange(basis.n)) * data.dt
+    fit_times = train.times()[q:]
     _write_table(
         outdir / "periodic.csv",
         ["time_s", *(f"per_{c}" for c in data.channel_names)],
@@ -502,7 +504,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     # that a re-run does not derive it again, plus content hashes
     absolute_input = str(Path(config.input).resolve())
     lines = config_lines(replace(config, input=absolute_input,
-                                 epsilon=basis.kernel.epsilon))
+                                 epsilon=basis.epsilon))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

@@ -4,6 +4,9 @@ extension.
 The basis is the top-L singular triplets of ``Ktilde``, computed as the top-L
 eigenvectors of the Gram matrix ``Ktilde^T Ktilde`` followed by a
 Rayleigh-Ritz step (a thin SVD of ``Ktilde`` applied to those eigenvectors).
+:func:`decompose` builds the kernel itself and drops Ktilde and the Gram
+matrix before it returns, so a :class:`SpectralBasis` holds no N x N array:
+besides the triplets it keeps only the kernel facts that later stages read.
 
 Inner-product convention (declared once, carried explicitly everywhere):
 
@@ -27,12 +30,14 @@ the common kernel scale cancels and far-away queries stay finite instead of
 underflowing to 0/0.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import DataError, NumericalError
-from .kernel import KernelSystem
+from .series import DelayEmbedding
 
 # Eigenvalues below this floor may not be inverted; requests that cross it
 # fail loudly instead of clamping (clamping would fabricate eigenfunctions).
@@ -46,12 +51,23 @@ _GRAM_ROWS = 256
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Top-L singular triplets of Ktilde in the declared conventions."""
+    """Top-L singular triplets of Ktilde in the declared conventions, with
+    the kernel facts that later stages read.
+
+    ``epsilon`` is the bandwidth the kernel was built with, ``q`` its degree
+    vector (N), ``embedding`` the embedded training data (its delay count is
+    ``embedding.q``), and ``sqdist_histogram`` the ``(counts, edges)`` of
+    the off-diagonal squared distances, as :func:`kernel.gaussian_kernel`
+    returns them.
+    """
 
     lam: np.ndarray
     Phi: np.ndarray
     Gamma: np.ndarray
-    kernel: KernelSystem
+    epsilon: float
+    q: np.ndarray
+    embedding: DelayEmbedding
+    sqdist_histogram: tuple
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -98,33 +114,56 @@ def _fix_signs(u, v):
     return u, v
 
 
-def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
-    """Top-L singular triplets of Ktilde.
+def _available_bytes():
+    """Memory the eigenbasis may take: MemAvailable, else free physical pages."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
 
-    The top L eigenvectors of the Gram matrix ``Ktilde^T Ktilde`` span the
-    leading right singular subspace; a Rayleigh-Ritz step (thin SVD of
-    ``Ktilde @ V``) then rotates them into singular vectors, so that
-    ``Ktilde @ Gamma = U * sigma`` holds to rounding whatever the subspace
-    error.  The Gram matrix is built one way at every N: its upper triangle
-    is summed in one Fortran-ordered N x N array by rank-256 BLAS ``syrk``
-    updates, one per block of 256 rows of ``Ktilde``, and the eigensolver
-    overwrites that array in place, so the eigensolve holds no second N x N
-    matrix.  The result is deterministic.  Forming the Gram matrix squares the
-    conditioning, so eigenvalues close to the floor carry fewer correct
-    digits: on 400 random planar points the worst relative error was about
-    1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
+
+def decompose(embedding: DelayEmbedding, epsilon: float,
+              L: int) -> SpectralBasis:
+    """Top-L singular triplets of the normalized kernel of ``embedding``.
+
+    The kernel is built by :func:`kernel.gaussian_kernel` at ``epsilon`` (0
+    derives it).  The top L eigenvectors of the Gram matrix
+    ``Ktilde^T Ktilde`` span the leading right singular subspace; a
+    Rayleigh-Ritz step (thin SVD of ``Ktilde @ V``) then rotates them into
+    singular vectors, so that ``Ktilde @ Gamma = U * sigma`` holds to
+    rounding whatever the subspace error.  The Gram matrix is built one way
+    at every N: its upper triangle is summed in one Fortran-ordered N x N
+    array by rank-256 BLAS ``syrk`` updates, one per block of 256 rows of
+    ``Ktilde``, and the eigensolver overwrites that array in place, so the
+    call holds at most Ktilde and the Gram matrix, ``2 N^2`` float64 values,
+    and returns neither.  The result is deterministic.  Forming the Gram
+    matrix squares the conditioning, so eigenvalues close to the floor carry
+    fewer correct digits: on 400 random planar points the worst relative
+    error was about 1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
 
     Parameters
     ----------
-    kernel : KernelSystem
-        Normalized kernel system.
+    embedding : DelayEmbedding
+        Embedded data; at least two points.
+    epsilon : float
+        Gaussian bandwidth applied to squared distances; 0 takes the
+        ``kernel.EPSILON_QUANTILE`` quantile of them.
     L : int
         Truncation size, 1 <= L <= N.
 
     Raises
     ------
     DataError
-        When L is outside 1..N.
+        When L is outside 1..N, or the ``2 N^2`` float64 values exceed the
+        memory available; both are checked before anything N x N is
+        allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L").
@@ -134,10 +173,18 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
     import scipy.linalg
     from scipy.linalg.blas import dsyrk
 
-    n = kernel.n
+    n = embedding.n_points
     if not (1 <= L <= n):
         raise DataError(f"L={L} out of range 1..{n}")
-    kt = kernel.Ktilde
+    need = 2 * n * n * 8
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise DataError(
+            f"{n} points need {need / 1e6:.0f} MB for the kernel and its Gram "
+            f"matrix (2 N x N float64), but only {available / 1e6:.0f} MB of "
+            f"memory is available"
+        )
+    kt, epsilon, q, hist = kernel.gaussian_kernel(embedding, epsilon)
     gram = np.zeros((n, n), order="F")
     for a in range(0, n, _GRAM_ROWS):
         # the transposed row block is a Fortran-ordered N x 256 view, so
@@ -156,7 +203,8 @@ def decompose(kernel: KernelSystem, L: int) -> SpectralBasis:
             f"increase epsilon or decrease L"
         )
     u, v = _fix_signs(u, v)
-    return SpectralBasis(lam=lam, Phi=np.sqrt(n) * u, Gamma=v, kernel=kernel)
+    return SpectralBasis(lam=lam, Phi=np.sqrt(n) * u, Gamma=v, epsilon=epsilon,
+                         q=q, embedding=embedding, sqdist_histogram=hist)
 
 
 def extension_weights(points, sq, epsilon, y):

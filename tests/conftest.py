@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
+from qpdecomp import TimeSeries, delay_embed
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import decompose
 
@@ -29,8 +29,7 @@ def blob_basis():
     """Well-conditioned small kernel basis on random data (L = N/2)."""
     emb = delay_embed(blob_series(120, 5, seed=2), 0)
     eps = 0.3 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-    ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 60)
+    return decompose(emb, eps, 60)
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +37,7 @@ def full_blob_basis():
     """Complete basis (L = N) on random data, small epsilon keeps it conditioned."""
     emb = delay_embed(blob_series(80, 5, seed=3), 0)
     eps = 0.1 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-    ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 80)
+    return decompose(emb, eps, 80)
 
 
 @pytest.fixture(scope="session")
@@ -50,5 +48,4 @@ def torus_basis():
                      mix_seed=7, n_channels=3)
     emb = delay_embed(s, 4)
     eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-    ks = gaussian_kernel(emb, eps)
-    return decompose(ks, 40)
+    return decompose(emb, eps, 40)

@@ -58,12 +58,11 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
     sim = simulate(system, n_samples, DT, seed=seed)
     emb = delay_embed(sim.series, Q)
     eps = tuned_epsilon(emb)
-    ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, num_eigen)
+    basis = decompose(emb, eps, num_eigen)
     table = rkhs_norm_table(basis, DT)
     selection = select(table, eps1=0.1, eps2=2.5, L0=100)
     elapsed = time.monotonic() - t0
-    return dict(system=system, sim=sim, emb=emb, ks=ks, basis=basis,
+    return dict(system=system, sim=sim, emb=emb, basis=basis,
                 table=table, selection=selection, elapsed=elapsed)
 
 
@@ -146,8 +145,7 @@ class TestCriterion2ChaosRobustness:
                     sim = simulate(chaos_only_system(seed), 1024, DT,
                                    seed=seed)
                     emb = delay_embed(sim.series, Q)
-                    ks = gaussian_kernel(emb, tuned_epsilon(emb))
-                    basis = decompose(ks, 256)
+                    basis = decompose(emb, tuned_epsilon(emb), 256)
                     table = rkhs_norm_table(basis, DT)
                     got = select(table, eps1=0.1, eps2=2.5, L0=5)
                     if (got.omegas > 0).sum() == 0:
@@ -165,13 +163,15 @@ class TestCriterion3SpectralInvariants:
         assert abs(basis.lam[0] - 1.0) <= 1e-6
         phi1 = basis.Phi[:, 0]
         assert phi1.std() / abs(phi1.mean()) <= 1e-6
-        ks = basis.kernel
-        p_rows = ks.Ktilde @ (ks.Ktilde.T @ np.ones(n))
+        # Ktilde recomputed at the basis's bandwidth, as the basis keeps none
+        kt, _, q, _ = gaussian_kernel(basis.embedding, basis.epsilon)
+        assert np.array_equal(q, basis.q)
+        p_rows = kt @ (kt.T @ np.ones(n))
         assert np.abs(p_rows - 1.0).max() <= 1e-8
         # the continuous-extension identity at every data point
-        K = np.exp(-pairwise_sqdist(ks.embedding) / ks.epsilon)
-        ext = (K @ (basis.Gamma / np.sqrt(ks.q)[:, None]))
-        ext /= (np.sqrt(n) * ks.d)[:, None]
+        K = np.exp(-pairwise_sqdist(basis.embedding) / basis.epsilon)
+        ext = (K @ (basis.Gamma / np.sqrt(basis.q)[:, None]))
+        ext /= (np.sqrt(n) * K.mean(axis=1))[:, None]
         ext /= basis.sigma[None, :]
         col_scale = np.abs(basis.Phi).max(axis=0)
         rel = (np.abs(ext - basis.Phi) / col_scale[None, :]).max()
@@ -184,9 +184,8 @@ class TestCriterion3SpectralInvariants:
             self.check(pure_torus_run["basis"])
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-            ks = gaussian_kernel(
-                emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
-            self.check(decompose(ks, 60))
+            self.check(decompose(
+                emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5), 60))
 
 
 class TestCriterion4SmallNOracles:
@@ -198,12 +197,11 @@ class TestCriterion4SmallNOracles:
             pts = np.random.default_rng(1).standard_normal((400, 5))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
             eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-            ks = gaussian_kernel(emb, eps)
             L = 40
-            u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
+            u_full, s_full, _ = np.linalg.svd(gaussian_kernel(emb, eps)[0])
             gap = s_full[L - 1] - s_full[L]
             assert gap > 1e-6 * s_full[0], "test data must have a gap at L"
-            part = decompose(ks, L)
+            part = decompose(emb, eps, L)
             rel = np.abs(part.sigma - s_full[:L]) / s_full[:L]
             assert rel.max() <= 1e-10
             angles = scipy.linalg.subspace_angles(u_full[:, :L],
@@ -216,11 +214,15 @@ class TestCriterion4SmallNOracles:
                               for a in small])
             assert np.abs(d2 - brute).max() / brute.max() <= 1e-10
             eps2 = 3.0
-            ks2 = gaussian_kernel(delay_embed(TimeSeries(small, dt=1.0), 0),
-                                  eps2)
-            K2 = np.exp(-pairwise_sqdist(ks2.embedding) / eps2)
+            emb2 = delay_embed(TimeSeries(small, dt=1.0), 0)
+            kt2, _, q2, _ = gaussian_kernel(emb2, eps2)
+            K2 = np.exp(-pairwise_sqdist(emb2) / eps2)
             assert np.abs(K2 - np.exp(-brute / eps2)).max() <= 1e-10
-            assert np.array_equal(ks2.d, K2.mean(axis=1))
+            d2 = K2.mean(axis=1)
+            n2 = len(small)
+            assert np.array_equal(q2, K2.dot(1.0 / d2) / n2)
+            assert np.array_equal(
+                kt2, K2 / (n2 * d2[:, None] * np.sqrt(q2)[None, :]))
 
 
 class TestCriterion5DecompositionExactness:

@@ -308,6 +308,36 @@ class TestDecomposeReconstructPredict:
         assert np.abs(got[:, 4:] - ref[:, 4:]).max() <= 1e-8 * scale
 
 
+def test_time_columns_read_the_input_clock(synth_csv, tmp_path):
+    # every written time_s column is the input's own clock, t0 + index * dt,
+    # while the harmonics keep the clock that counts from the first row: a
+    # copy stamped from 1.7e9 s writes the same values at shifted times
+    header, *rows = synth_csv[0].read_text().splitlines()
+    stamps = [f"{1.7e9 + k:.17g}" for k in range(len(rows))]
+    epoch = tmp_path / "epoch.csv"
+    epoch.write_text("\n".join(
+        [header] + [f"{t},{r.split(',', 1)[1]}"
+                    for t, r in zip(stamps, rows)]) + "\n")
+    for name, path in (("zero", synth_csv[0]), ("epoch", epoch)):
+        outdir = tmp_path / name
+        assert run_cli(["run", "--input", path, "--outdir", outdir,
+                        "--epsilon", "2.0", "--delays", "6",
+                        "--num-eigen", "40", "--L0", "8", "--train-end", "600",
+                        "--predict-start", "620", "--predict-end", "680"]) == 0
+        assert run_cli(["reconstruct", "--model", outdir / "model.npz",
+                        "--out", outdir / "recon.csv"]) == 0
+    first_row = {"prediction.csv": 620, "errors.csv": 620, "periodic.csv": 6,
+                 "reconstruction.csv": 6, "recon.csv": 6}
+    for table, row in first_row.items():
+        zero = np.loadtxt(tmp_path / "zero" / table, delimiter=",",
+                          skiprows=1)
+        shifted = np.loadtxt(tmp_path / "epoch" / table, delimiter=",",
+                             skiprows=1)
+        assert shifted[0, 0] == float(stamps[row]), table
+        np.testing.assert_array_equal(shifted[:, 0], 1.7e9 + zero[:, 0])
+        np.testing.assert_array_equal(shifted[:, 1:], zero[:, 1:])
+
+
 @pytest.fixture(scope="module")
 def stamp_rows(tmp_path_factory):
     """Writes the first rows of an 800-sample series, stamped
@@ -347,6 +377,14 @@ class TestPredictStep:
                                          train_rows):
         # at 1.7e9 s the 100-row step is 8.4e-9 relative off the 800-row one
         assert self.predict(stamp_rows, tmp_path, train_rows) == 0
+        # each predicted row is stamped with the input's own time, to the
+        # rounding of the timestamps themselves
+        times = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1,
+                           usecols=0)
+        stamps = np.loadtxt(tmp_path / "data.csv", delimiter=",", skiprows=1,
+                            usecols=0)
+        assert times[0] == stamps[700] == 1700000070.0
+        np.testing.assert_allclose(times, stamps[700:], rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("train_rows,base", [(600, 1.7e9), (700, 1.7e9),
                                                  (600, 0.0)],
@@ -673,9 +711,9 @@ class TestRunCommand:
     ])
     def test_byte_budget_exit_code(self, synth_csv, tmp_path, monkeypatch,
                                    capsys, command, target):
-        import qpdecomp.kernel
+        import qpdecomp.spectral
 
-        monkeypatch.setattr(qpdecomp.kernel, "_available_bytes",
+        monkeypatch.setattr(qpdecomp.spectral, "_available_bytes",
                             lambda: 1_000_000)
         out, _ = synth_csv
         code = run_cli([command, "--input", out, "--epsilon", "2.0",

@@ -9,7 +9,6 @@ from qpdecomp import (
     NumericalError,
     TimeSeries,
     delay_embed,
-    gaussian_kernel,
 )
 from qpdecomp.decompose import (
     PeriodicFit,
@@ -97,12 +96,12 @@ def einsum_chaos(basis, E, y):
     """Reference chaotic step: exact differences ``points - y`` and the
     chaos matrix rebuilt from the basis (slow; the model uses squared norms
     and a stored matrix)."""
-    pts = basis.kernel.embedding.points
-    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    pts = basis.embedding.points
+    c = basis.Gamma / np.sqrt(basis.q)[:, None]
     M = (c / basis.sigma[None, :]) @ E
     diff = pts - y[None, :]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    w = np.exp(-(d2 - d2.min()) / basis.kernel.epsilon)
+    w = np.exp(-(d2 - d2.min()) / basis.epsilon)
     return np.sqrt(basis.n) * (w @ M) / w.sum()
 
 
@@ -145,7 +144,7 @@ def sum_of_extension_bounds(basis, E):
     """The earlier chaotic sup bound ``sum_l |E[l, :]|_2 * sup|ext_l|``,
     with ``sup|ext_l| <= sqrt(N) max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``;
     :func:`chaotic_sup_bound` is never above it."""
-    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    c = basis.Gamma / np.sqrt(basis.q)[:, None]
     ext = np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
     return float((np.linalg.norm(E, axis=1) * ext).sum())
 
@@ -158,7 +157,7 @@ def fit_torus(n, q):
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
     eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-    basis = decompose(gaussian_kernel(emb, eps), 40)
+    basis = decompose(emb, eps, 40)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
@@ -357,7 +356,7 @@ class TestEvalChaotic:
         model, pfit, s = torus_model
         basis, _ = model_basis
         synth_rows = synthesize(basis, torus_E)
-        pts = basis.kernel.embedding.points
+        pts = basis.embedding.points
         for n in (0, 100, 400):
             got = eval_chaotic(model, pts[n])
             ref = synth_rows[n]
@@ -657,7 +656,7 @@ class TestModelRoundTrip:
                          mix_seed=7, n_channels=3, dt=dt)
         emb = delay_embed(s, q)
         eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-        basis = decompose(gaussian_kernel(emb, eps), 40)
+        basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
         pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
         model = QPModel.from_basis(basis, pfit.omegas, pfit.A,

@@ -33,16 +33,18 @@ def fabricated_basis(phi_columns, lam):
     phi = np.column_stack(phi_columns)
     n, L = phi.shape
     pts = np.random.default_rng(0).standard_normal((n, 2))
-    ks = gaussian_kernel(delay_embed(TimeSeries(pts, dt=1.0), 0), 50.0)
+    emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
+    _, eps, q, hist = gaussian_kernel(emb, 50.0)
     gamma = np.eye(n)[:, :L]
     return SpectralBasis(lam=np.asarray(lam, dtype=float), Phi=phi,
-                         Gamma=gamma, kernel=ks)
+                         Gamma=gamma, epsilon=eps, q=q, embedding=emb,
+                         sqdist_histogram=hist)
 
 
 def make_table(W, dt=1.0):
     n_bins = W.shape[0]
     freqs = TWO_PI * np.arange(n_bins) / ((2 * (n_bins - 1)) * dt)
-    return RkhsNormTable(W=np.asarray(W, dtype=float), freqs=freqs, dt=dt)
+    return RkhsNormTable(W=np.asarray(W, dtype=float), freqs=freqs)
 
 
 class TestRkhsNormTable:
@@ -206,7 +208,7 @@ class TestSelectionGrowth:
         table = rkhs_norm_table(torus_basis, dt=1.0)
         W = table.W.copy()
         W[[3, 7], :4] = 0.0              # bins with W[j, L0] = 0
-        table = RkhsNormTable(W=W, freqs=table.freqs, dt=1.0)
+        table = RkhsNormTable(W=W, freqs=table.freqs)
         L0, eps1 = 4, 0.1
         w_l0, w_l = W[:, L0 - 1], W[:, -1]
         growth = log_growth(table, L0)
@@ -241,8 +243,7 @@ class TestShiftInvariance:
         for values in (s.values, np.roll(s.values, -41, axis=0)):
             emb = delay_embed(TimeSeries(values, dt=1.0), 0)
             eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-            ks = gaussian_kernel(emb, eps)
-            basis = decompose(ks, L)
+            basis = decompose(emb, eps, L)
             tables.append(rkhs_norm_table(basis, dt=1.0).W)
         assert np.abs(tables[0] - tables[1]).max() <= 1e-6
 
@@ -250,8 +251,7 @@ class TestShiftInvariance:
 def run_filter(values, q, L, L0, eps_quantile=0.01):
     emb = delay_embed(TimeSeries(values, dt=1.0), q)
     eps = sqdist_quantile(pairwise_sqdist(emb), eps_quantile)
-    ks = gaussian_kernel(emb, eps)
-    basis = decompose(ks, L)
+    basis = decompose(emb, eps, L)
     table = rkhs_norm_table(basis, dt=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpdecomp.kernel as kernel_module
+import qpdecomp.spectral as spectral_module
 from qpdecomp import (
     DataError,
     TimeSeries,
@@ -19,9 +20,9 @@ def embed_points(points):
     return delay_embed(TimeSeries(np.asarray(points, dtype=float), dt=1.0), 0)
 
 
-def kernel_matrix(ks):
-    """The unnormalized kernel K, which the KernelSystem does not keep."""
-    return np.exp(-pairwise_sqdist(ks.embedding) / ks.epsilon)
+def kernel_matrix(emb, eps):
+    """The unnormalized kernel K, which gaussian_kernel does not return."""
+    return np.exp(-pairwise_sqdist(emb) / eps)
 
 
 def whole_matrix_kernel(emb, eps):
@@ -43,17 +44,16 @@ def whole_matrix_kernel(emb, eps):
     return d2, kt, d, q, counts, edges
 
 
-def kernel_vector_at(ks, y):
+def kernel_vector_at(emb, eps, y):
     """Exact-difference kernel values exp(-|y - y_n|^2 / epsilon): the
     unshifted oracle for ``spectral.extension_weights``."""
-    diff = ks.embedding.points - np.ravel(y)[None, :]
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / ks.epsilon)
+    diff = emb.points - np.ravel(y)[None, :]
+    return np.exp(-np.einsum("ij,ij->i", diff, diff) / eps)
 
 
-def weights_at(ks, y):
-    pts = ks.embedding.points
-    return extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
-                             ks.epsilon, y)
+def weights_at(emb, eps, y):
+    pts = emb.points
+    return extension_weights(pts, np.einsum("ij,ij->i", pts, pts), eps, y)
 
 
 def brute_sqdist(pts):
@@ -90,80 +90,87 @@ class TestPairwiseSqdist:
 
 class TestGaussianKernel:
     def test_duplicate_points_degenerate(self):
-        ks = gaussian_kernel(embed_points([[1.0, 1.0], [1.0, 1.0]]), 0.5)
-        np.testing.assert_array_equal(kernel_matrix(ks), np.ones((2, 2)))
-        np.testing.assert_array_equal(ks.d, [1.0, 1.0])
-        np.testing.assert_array_equal(ks.q, [1.0, 1.0])
+        emb = embed_points([[1.0, 1.0], [1.0, 1.0]])
+        _, _, q, _ = gaussian_kernel(emb, 0.5)
+        K = kernel_matrix(emb, 0.5)
+        np.testing.assert_array_equal(K, np.ones((2, 2)))
+        np.testing.assert_array_equal(K.mean(axis=1), [1.0, 1.0])
+        np.testing.assert_array_equal(q, [1.0, 1.0])
 
     def test_exp_minus_one_at_distance_epsilon(self):
         eps = 7.3
-        ks = gaussian_kernel(embed_points([[0.0], [np.sqrt(eps)]]), eps)
-        np.testing.assert_allclose(kernel_matrix(ks)[0, 1], np.exp(-1.0),
-                                   rtol=1e-12)
+        emb = embed_points([[0.0], [np.sqrt(eps)]])
+        assert gaussian_kernel(emb, eps)[1] == eps
+        np.testing.assert_allclose(kernel_matrix(emb, eps)[0, 1],
+                                   np.exp(-1.0), rtol=1e-12)
 
     def test_kernel_against_double_loop_oracle(self):
         pts = np.random.default_rng(2).standard_normal((80, 4))
         eps = 2.0
-        ks = gaussian_kernel(embed_points(pts), eps)
         oracle = np.exp(-brute_sqdist(pts) / eps)
-        assert np.abs(kernel_matrix(ks) - oracle).max() <= 1e-10
+        K = kernel_matrix(embed_points(pts), eps)
+        assert np.abs(K - oracle).max() <= 1e-10
 
     def test_case_study_bandwidth_runs(self):
         # corridor-style parameterization with epsilon = 0.1
-        pts = np.random.default_rng(3).random((50, 9)) * 0.1
-        ks = gaussian_kernel(embed_points(pts), 0.1)
-        assert ks.epsilon == 0.1
-        assert kernel_matrix(ks).min() > 0
+        emb = embed_points(np.random.default_rng(3).random((50, 9)) * 0.1)
+        _, eps, _, _ = gaussian_kernel(emb, 0.1)
+        assert eps == 0.1
+        assert kernel_matrix(emb, eps).min() > 0
 
     def test_normalization_definitions(self):
-        pts = np.random.default_rng(4).standard_normal((40, 3))
-        ks = gaussian_kernel(embed_points(pts), 3.0)
+        emb = embed_points(np.random.default_rng(4).standard_normal((40, 3)))
+        kt, _, q, _ = gaussian_kernel(emb, 3.0)
         n = 40
-        K = kernel_matrix(ks)
-        np.testing.assert_allclose(ks.d, K.mean(axis=1), rtol=1e-14)
-        q_oracle = np.array([(K[i] / ks.d).mean() for i in range(n)])
-        np.testing.assert_allclose(ks.q, q_oracle, rtol=1e-12)
-        kt_oracle = K / (n * ks.d[:, None] * np.sqrt(ks.q)[None, :])
-        np.testing.assert_allclose(ks.Ktilde, kt_oracle, rtol=1e-14)
+        K = kernel_matrix(emb, 3.0)
+        d = K.mean(axis=1)
+        q_oracle = np.array([(K[i] / d).mean() for i in range(n)])
+        np.testing.assert_allclose(q, q_oracle, rtol=1e-12)
+        kt_oracle = K / (n * d[:, None] * np.sqrt(q)[None, :])
+        np.testing.assert_allclose(kt, kt_oracle, rtol=1e-14)
 
     def test_markov_property_of_p(self):
         # P = Ktilde Ktilde^T applied to the constant vector returns it:
         # the N in the normalization cancels the 1/N of the empirical measure
         pts = np.random.default_rng(5).standard_normal((150, 4))
-        ks = gaussian_kernel(embed_points(pts), 4.0)
-        p_row_sums = ks.Ktilde @ (ks.Ktilde.T @ np.ones(150))
+        kt = gaussian_kernel(embed_points(pts), 4.0)[0]
+        p_row_sums = kt @ (kt.T @ np.ones(150))
         assert np.abs(p_row_sums - 1.0).max() <= 1e-8
 
     def test_degree_positivity(self):
         pts = np.vstack([np.zeros((5, 2)),
                          np.random.default_rng(6).standard_normal((45, 2)) * 50])
-        ks = gaussian_kernel(embed_points(pts), 0.5)
-        assert ks.d.min() > 0 and ks.q.min() > 0
+        emb = embed_points(pts)
+        _, _, q, _ = gaussian_kernel(emb, 0.5)
+        assert kernel_matrix(emb, 0.5).mean(axis=1).min() > 0 and q.min() > 0
 
     def test_scaling_consistency_power_of_two(self):
         pts = np.random.default_rng(7).standard_normal((30, 6))
         eps = 1.7
-        base = gaussian_kernel(embed_points(pts), eps)
-        scaled = gaussian_kernel(embed_points(pts * 2.0), eps * 4.0)
-        assert np.array_equal(kernel_matrix(base), kernel_matrix(scaled))
-        assert np.array_equal(base.Ktilde, scaled.Ktilde)
+        base, scaled = embed_points(pts), embed_points(pts * 2.0)
+        assert np.array_equal(kernel_matrix(base, eps),
+                              kernel_matrix(scaled, eps * 4.0))
+        assert np.array_equal(gaussian_kernel(base, eps)[0],
+                              gaussian_kernel(scaled, eps * 4.0)[0])
 
     def test_byte_budget_refuses_before_allocating(self, monkeypatch):
+        # spectral.decompose, which builds the kernel, checks the budget of
+        # Ktilde and its Gram matrix before the kernel is called
         n = 1500
         emb = embed_points(np.random.default_rng(8).standard_normal((n, 2)))
-        monkeypatch.setattr(kernel_module, "_available_bytes",
+        monkeypatch.setattr(spectral_module, "_available_bytes",
                             lambda: 1_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match=r"36 MB.*only 1 MB"):
-                gaussian_kernel(emb, 1.0)
+                spectral_module.decompose(emb, 1.0, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 100, f"peak {peak} bytes"
 
     def test_available_bytes_is_positive(self):
-        avail = kernel_module._available_bytes()
+        avail = spectral_module._available_bytes()
         assert avail is None or avail > 0
 
     def test_fewer_than_two_points(self):
@@ -190,14 +197,14 @@ class TestOneBufferKernel:
         pts = np.random.default_rng(seed).standard_normal((n, dim))
         pts[n // 3] = pts[n - 1]    # a repeated point: a zero distance
         emb = embed_points(pts)
-        d2, kt, d, q, counts, edges = whole_matrix_kernel(emb, 2.5)
-        ks = gaussian_kernel(emb, 2.5)
+        d2, kt, _, q, counts, edges = whole_matrix_kernel(emb, 2.5)
+        got_kt, eps, got_q, (got_counts, got_edges) = gaussian_kernel(emb, 2.5)
         assert np.array_equal(pairwise_sqdist(emb), d2)
-        assert np.array_equal(ks.Ktilde, kt)
-        assert np.array_equal(ks.d, d)
-        assert np.array_equal(ks.q, q)
-        assert np.array_equal(ks.sqdist_histogram[0], counts)
-        assert np.array_equal(ks.sqdist_histogram[1], edges)
+        assert eps == 2.5
+        assert np.array_equal(got_kt, kt)
+        assert np.array_equal(got_q, q)
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got_edges, edges)
 
     @pytest.mark.parametrize("n, dim, seed", [
         (2, 1, 0),
@@ -213,47 +220,45 @@ class TestOneBufferKernel:
         eps = float(np.quantile(d2[np.triu_indices(n, 1)], 0.01))
         derived = gaussian_kernel(emb, 0)
         explicit = gaussian_kernel(emb, eps)
-        assert derived.epsilon == eps == explicit.epsilon
-        assert gaussian_kernel(emb).epsilon == eps
-        assert np.array_equal(derived.Ktilde, explicit.Ktilde)
-        assert np.array_equal(derived.d, explicit.d)
-        assert np.array_equal(derived.q, explicit.q)
-        for got, want in zip(derived.sqdist_histogram,
-                             explicit.sqdist_histogram):
+        assert derived[1] == eps == explicit[1]
+        assert gaussian_kernel(emb)[1] == eps
+        for part in (0, 2):     # Ktilde and q
+            assert np.array_equal(derived[part], explicit[part])
+        for got, want in zip(derived[3], explicit[3]):
             assert np.array_equal(got, want)
 
     def test_equal_distances_histogram(self):
         # every off-diagonal distance equal: np.histogram widens the range
         emb = embed_points(np.eye(4))
         _, _, _, _, counts, edges = whole_matrix_kernel(emb, 1.0)
-        ks = gaussian_kernel(emb, 1.0)
-        assert np.array_equal(ks.sqdist_histogram[0], counts)
-        assert np.array_equal(ks.sqdist_histogram[1], edges)
+        got_counts, got_edges = gaussian_kernel(emb, 1.0)[3]
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got_edges, edges)
 
     def test_peak_allocation_is_one_buffer(self):
         n = 1500
         emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
         tracemalloc.start()
         try:
-            ks = gaussian_kernel(emb, 30.0)
+            kt = gaussian_kernel(emb, 30.0)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ks.n == n
+        assert kt.shape == (n, n)
         assert peak <= 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
 
     def test_peak_allocation_with_derived_epsilon(self):
         # the distances plus the quantile's copy of their upper triangle,
-        # inside the 2 N^2 budget that the kernel checks
+        # inside the 2 N^2 budget that spectral.decompose checks
         n = 1500
         emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
         tracemalloc.start()
         try:
-            ks = gaussian_kernel(emb)
+            kt, eps, _, _ = gaussian_kernel(emb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ks.n == n and ks.epsilon > 0
+        assert kt.shape == (n, n) and eps > 0
         assert peak <= 2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
 
 
@@ -263,37 +268,34 @@ class TestKernelVectorAt:
 
     def test_self_similarity(self):
         pts = np.random.default_rng(9).standard_normal((25, 3))
-        ks = gaussian_kernel(embed_points(pts), 2.0)
-        vec = weights_at(ks, pts[7])
+        emb = embed_points(pts)
+        vec = weights_at(emb, 2.0, pts[7])
         np.testing.assert_allclose(vec[7], 1.0)
-        np.testing.assert_allclose(vec, kernel_matrix(ks)[7], atol=1e-12)
+        np.testing.assert_allclose(vec, kernel_matrix(emb, 2.0)[7], atol=1e-12)
 
     def test_far_point_underflows(self):
         # the unshifted kernel underflows far away; the shifted weights stay
         # finite with the nearest point at weight 1
-        pts = np.random.default_rng(10).standard_normal((10, 2))
-        ks = gaussian_kernel(embed_points(pts), 1.0)
+        emb = embed_points(np.random.default_rng(10).standard_normal((10, 2)))
         y = np.full(2, 1e4)
-        assert (kernel_vector_at(ks, y) == 0.0).all()
-        vec = weights_at(ks, y)
+        assert (kernel_vector_at(emb, 1.0, y) == 0.0).all()
+        vec = weights_at(emb, 1.0, y)
         assert np.isfinite(vec).all() and vec.max() == 1.0
 
     def test_per_entry_formula_oracle(self):
         pts = np.random.default_rng(11).standard_normal((40, 4))
         eps = 1.3
-        ks = gaussian_kernel(embed_points(pts), eps)
         y = np.random.default_rng(12).standard_normal(4)
         dmin = ((pts - y) ** 2).sum(axis=1).min()
-        vec = weights_at(ks, y) * np.exp(-dmin / eps)
+        vec = weights_at(embed_points(pts), eps, y) * np.exp(-dmin / eps)
         for i in range(40):
             expected = np.exp(-((y - pts[i]) ** 2).sum() / eps)
             assert abs(vec[i] - expected) <= 1e-12 * max(1.0, expected)
 
     def test_dimension_mismatch(self):
-        pts = np.random.default_rng(13).standard_normal((10, 3))
-        ks = gaussian_kernel(embed_points(pts), 1.0)
+        emb = embed_points(np.random.default_rng(13).standard_normal((10, 3)))
         with pytest.raises(DataError, match="dimension"):
-            weights_at(ks, np.ones(4))
+            weights_at(emb, 1.0, np.ones(4))
 
 
 def test_sqdist_histogram_counts_all_pairs():
@@ -302,7 +304,7 @@ def test_sqdist_histogram_counts_all_pairs():
                                      bins=10)
     assert counts.sum() == 20 * 19 // 2
     assert len(edges) == 11
-    counts, edges = gaussian_kernel(embed_points(pts), 1.0).sqdist_histogram
+    counts, edges = gaussian_kernel(embed_points(pts), 1.0)[3]
     assert counts.sum() == 20 * 19 // 2
     assert len(edges) == 65
 

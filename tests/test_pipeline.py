@@ -230,6 +230,45 @@ class TestRunPipeline:
         assert config.num_eigen == 1001 and config.epsilon == 0.1
 
 
+@pytest.mark.parametrize("num_eigen", [595, 99999])
+def test_num_eigen_is_checked_before_the_kernel(smoke_input, tmp_path,
+                                                 monkeypatch, num_eigen):
+    # 600 training rows embed to 594 points; more eigenpairs than points is
+    # a DataError before anything N x N is allocated
+    import qpdecomp.kernel
+    from qpdecomp.pipeline import fit
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the kernel was built")
+
+    config = smoke_config(smoke_input, tmp_path / "run", num_eigen=num_eigen)
+    monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+    with pytest.raises(DataError, match=rf"L={num_eigen} out of range 1\.\.594"):
+        fit(config)
+
+
+def test_fit_holds_no_n_by_n_array(smoke_input, tmp_path):
+    # the kernel and the Gram matrix live only inside spectral.decompose:
+    # what a Fit keeps is O(N) by O(L), O(k) or O(q k)
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (its import would count as held)
+    import scipy.linalg.blas  # noqa: F401
+
+    from qpdecomp.pipeline import fit
+
+    config = smoke_config(smoke_input, tmp_path / "run")
+    tracemalloc.start()
+    try:
+        result = fit(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = result.basis.n
+    assert n == 594
+    assert held < 0.5 * n * n * 8, f"held {held / (n * n * 8):.2f} N^2"
+
+
 def test_run_peak_allocation_is_two_buffers(tmp_path):
     # the run's N x N arrays are Ktilde plus the eigensolve's Gram matrix
     import tracemalloc

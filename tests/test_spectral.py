@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,20 @@ def embed_points(points):
     return delay_embed(TimeSeries(np.asarray(points, dtype=float), dt=1.0), 0)
 
 
-def kernel_matrix(ks):
-    """The unnormalized kernel K, which the KernelSystem does not keep."""
-    return np.exp(-pairwise_sqdist(ks.embedding) / ks.epsilon)
+def kernel_matrix(emb, eps):
+    """The unnormalized kernel K, which no stage keeps."""
+    return np.exp(-pairwise_sqdist(emb) / eps)
 
 
-def kernel_vector_at(ks, y):
+def ktilde(emb, eps):
+    """The normalized kernel Ktilde, which the basis does not keep."""
+    return gaussian_kernel(emb, eps)[0]
+
+
+def kernel_vector_at(basis, y):
     """Exact-difference kernel values exp(-|y - y_n|^2 / epsilon)."""
-    diff = ks.embedding.points - np.ravel(y)[None, :]
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / ks.epsilon)
+    diff = basis.embedding.points - np.ravel(y)[None, :]
+    return np.exp(-np.einsum("ij,ij->i", diff, diff) / basis.epsilon)
 
 
 def nystrom_extend(basis, y, l):
@@ -42,10 +49,10 @@ def nystrom_extend(basis, y, l):
     """
     if not (1 <= l <= basis.L):
         raise DataError(f"l={l} out of range 1..{basis.L}")
-    pts = basis.kernel.embedding.points
+    pts = basis.embedding.points
     w = extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
-                          basis.kernel.epsilon, np.ravel(y))
-    c = basis.Gamma[:, l - 1] / np.sqrt(basis.kernel.q)
+                          basis.epsilon, np.ravel(y))
+    c = basis.Gamma[:, l - 1] / np.sqrt(basis.q)
     return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 
 
@@ -53,14 +60,13 @@ def extension_bounds(basis):
     """Sup-norm bound of each extended eigenfunction over all of space,
     ``sqrt(N) * max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``: the extension
     is a kernel-weighted average of ``sqrt(N) * Gamma[:, l] / sqrt(q)``."""
-    c = basis.Gamma / np.sqrt(basis.kernel.q)[:, None]
+    c = basis.Gamma / np.sqrt(basis.q)[:, None]
     return np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
 
 
 class TestDecompose:
     def test_rank_one_duplicate_points(self):
-        ks = gaussian_kernel(embed_points([[2.0], [2.0]]), 1.0)
-        basis = decompose(ks, 1)
+        basis = decompose(embed_points([[2.0], [2.0]]), 1.0, 1)
         np.testing.assert_allclose(basis.lam[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(basis.Phi[:, 0], [1.0, 1.0], atol=1e-12)
 
@@ -73,7 +79,7 @@ class TestDecompose:
 
     def test_svd_consistency(self, blob_basis):
         # Ktilde gamma_l = sigma_l u_l with u_l = Phi_l / sqrt(N)
-        kt = blob_basis.kernel.Ktilde
+        kt = ktilde(blob_basis.embedding, blob_basis.epsilon)
         u = blob_basis.Phi / np.sqrt(blob_basis.n)
         resid = kt @ blob_basis.Gamma - u * blob_basis.sigma[None, :]
         assert np.abs(resid).max() <= 1e-8
@@ -86,22 +92,22 @@ class TestDecompose:
     def test_ordering_and_truncation_error(self):
         pts = np.random.default_rng(0).standard_normal((200, 4))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
-        basis = decompose(ks, 50)
+        eps = 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        basis = decompose(emb, eps, 50)
         assert (np.diff(basis.lam) <= 1e-15).all()
         # spectral truncation error equals the next singular value
-        full_s = np.linalg.svd(ks.Ktilde, compute_uv=False)
+        kt = ktilde(emb, eps)
+        full_s = np.linalg.svd(kt, compute_uv=False)
         approx = (basis.Phi / np.sqrt(200)) * basis.sigma[None, :] @ basis.Gamma.T
-        gap = np.linalg.norm(ks.Ktilde - approx, ord=2)
+        gap = np.linalg.norm(kt - approx, ord=2)
         np.testing.assert_allclose(gap, full_s[50], rtol=1e-6)
 
     def test_dense_svd_oracle_agreement(self):
         pts = np.random.default_rng(1).standard_normal((300, 5))
         emb = embed_points(pts)
         eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-        ks = gaussian_kernel(emb, eps)
-        u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
-        basis = decompose(ks, 30)
+        u_full, s_full, _ = np.linalg.svd(ktilde(emb, eps))
+        basis = decompose(emb, eps, 30)
         rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
         assert rel.max() <= 1e-10
         # vectors agree per column up to sign (the sum-based sign rule is
@@ -119,9 +125,9 @@ class TestDecompose:
         # same gates as the dense SVD oracle test
         pts = np.random.default_rng(1).standard_normal((n, 5))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
-        u_full, s_full, _ = np.linalg.svd(ks.Ktilde)
-        basis = decompose(ks, 30)
+        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        u_full, s_full, _ = np.linalg.svd(ktilde(emb, eps))
+        basis = decompose(emb, eps, 30)
         rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
         assert rel.max() <= 1e-10
         for l in range(30):
@@ -134,17 +140,18 @@ class TestDecompose:
         # the operator, so this is where its lost precision would show
         pts = np.random.default_rng(7).standard_normal((400, 2))
         emb = embed_points(pts)
-        ks = gaussian_kernel(emb, 2.0 * sqdist_quantile(pairwise_sqdist(emb), 0.5))
+        eps = 2.0 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
         L = 39
-        s_full = np.linalg.svd(ks.Ktilde, compute_uv=False)
+        s_full = np.linalg.svd(ktilde(emb, eps), compute_uv=False)
         assert 1e-13 < s_full[L - 1] ** 2 < 1e-11
-        basis = decompose(ks, L)
+        basis = decompose(emb, eps, L)
         rel = np.abs(basis.sigma - s_full[:L]) / s_full[:L]
         assert rel.max() <= 1e-8
         gram_phi = basis.Phi.T @ basis.Phi / basis.n
         assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
-        ext = kernel_matrix(ks) @ (basis.Gamma / np.sqrt(ks.q)[:, None])
-        ext /= (np.sqrt(basis.n) * ks.d)[:, None] * basis.sigma[None, :]
+        K = kernel_matrix(emb, eps)
+        ext = K @ (basis.Gamma / np.sqrt(basis.q)[:, None])
+        ext /= (np.sqrt(basis.n) * K.mean(axis=1))[:, None] * basis.sigma[None, :]
         col_scale = np.abs(basis.Phi).max(axis=0)
         assert (np.abs(ext - basis.Phi) / col_scale[None, :]).max() <= 1e-8
 
@@ -154,9 +161,9 @@ class TestDecompose:
 
     def test_bitwise_determinism(self):
         pts = np.random.default_rng(2).standard_normal((250, 3))
-        ks = gaussian_kernel(embed_points(pts), 2.0)
-        a = decompose(ks, 20)
-        b = decompose(ks, 20)
+        emb = embed_points(pts)
+        a = decompose(emb, 2.0, 20)
+        b = decompose(emb, 2.0, 20)
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.Phi, b.Phi)
         assert np.array_equal(a.Gamma, b.Gamma)
@@ -164,21 +171,39 @@ class TestDecompose:
     def test_lambda_floor_error(self):
         # tightly clustered points at huge bandwidth: rank collapses
         pts = np.random.default_rng(3).standard_normal((50, 3)) * 1e-3
-        ks = gaussian_kernel(embed_points(pts), 1e3)
         with pytest.raises(NumericalError, match="increase epsilon or decrease L"):
-            decompose(ks, 10)
+            decompose(embed_points(pts), 1e3, 10)
 
     def test_bad_L(self):
-        ks = gaussian_kernel(embed_points(np.eye(5)), 2.0)
+        emb = embed_points(np.eye(5))
         with pytest.raises(DataError):
-            decompose(ks, 0)
+            decompose(emb, 2.0, 0)
         with pytest.raises(DataError):
-            decompose(ks, 6)
+            decompose(emb, 2.0, 6)
+
+
+    def test_returns_no_n_by_n_array(self):
+        # Ktilde and the Gram matrix are dropped inside the call: the basis
+        # holds N x L arrays and N-vectors, far below one N x N array
+        import scipy.linalg  # noqa: F401  (its import would count as held)
+        import scipy.linalg.blas  # noqa: F401
+
+        n = 600
+        emb = embed_points(np.random.default_rng(8).standard_normal((n, 5)))
+        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        tracemalloc.start()
+        try:
+            basis = decompose(emb, eps, 40)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert basis.L == 40 and basis.n == n
+        assert held < 0.5 * n * n * 8, f"held {held / (n * n * 8):.2f} N^2"
 
 
 class TestNystromExtension:
     def test_reproduces_phi_at_data_points(self, blob_basis):
-        pts = blob_basis.kernel.embedding.points
+        pts = blob_basis.embedding.points
         for n in (0, 17, 63, 119):
             for l in (1, 2, blob_basis.L):
                 got = nystrom_extend(blob_basis, pts[n], l)
@@ -187,7 +212,7 @@ class TestNystromExtension:
 
     def test_constant_eigenfunction_level(self, blob_basis):
         rng = np.random.default_rng(4)
-        pts = blob_basis.kernel.embedding.points
+        pts = blob_basis.embedding.points
         level = blob_basis.Phi[:, 0].mean()
         for _ in range(5):
             # in-distribution query: jitter around a data point
@@ -197,27 +222,27 @@ class TestNystromExtension:
 
     def test_midpoint_formula_oracle(self, blob_basis):
         # re-evaluate the defining formula directly at an off-sample point
-        pts = blob_basis.kernel.embedding.points
+        pts = blob_basis.embedding.points
         y = (pts[3] + pts[4]) / 2.0
-        kvec = kernel_vector_at(blob_basis.kernel, y)
+        kvec = kernel_vector_at(blob_basis, y)
         deg = kvec.mean()
         n = blob_basis.n
         for l in (1, 3, 10):
-            oracle = (kvec @ (blob_basis.Gamma[:, l - 1] / np.sqrt(blob_basis.kernel.q))
+            oracle = (kvec @ (blob_basis.Gamma[:, l - 1] / np.sqrt(blob_basis.q))
                       / (np.sqrt(n) * blob_basis.sigma[l - 1] * deg))
             got = nystrom_extend(blob_basis, y, l)
             np.testing.assert_allclose(got, oracle, rtol=1e-10)
 
     def test_far_query_stays_within_bound(self, blob_basis):
         bounds = extension_bounds(blob_basis)
-        y = np.full(blob_basis.kernel.embedding.dim, 500.0)
+        y = np.full(blob_basis.embedding.dim, 500.0)
         for l in (1, 5, blob_basis.L):
             val = nystrom_extend(blob_basis, y, l)
             assert np.isfinite(val)
             assert abs(val) <= bounds[l - 1] + 1e-9
 
     def test_bad_inputs(self, blob_basis):
-        y = blob_basis.kernel.embedding.points[0]
+        y = blob_basis.embedding.points[0]
         with pytest.raises(DataError):
             nystrom_extend(blob_basis, y, 0)
         with pytest.raises(DataError):
