@@ -39,7 +39,7 @@ from .series import (
 )
 # spectral.decompose is deliberately not re-exported here: the name would
 # shadow the qpdecomp.decompose submodule; use qpdecomp.spectral.decompose
-from .spectral import SpectralBasis, project, synthesize
+from .spectral import SpectralBasis, project
 from .synth import SimulationResult, SkewProductSystem, TorusDriver, simulate, standard_testbed
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "select",
     "simulate",
     "standard_testbed",
-    "synthesize",
     "threshold_diagnostics",
     "window",
     "write_csv",

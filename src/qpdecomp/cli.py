@@ -62,7 +62,16 @@ def _fit(args):
 
 
 def _cmd_synth(args):
-    system = synth.standard_testbed(args.testbed)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if not 0 < args.dt < np.inf:
+        raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        system = synth.standard_testbed(args.testbed)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     result = synth.simulate(system, args.steps, args.dt, seed=args.seed)
     write_csv(result.series, args.out)
     if args.latent_out:
@@ -92,13 +101,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_reconstruct(args):
-    model = dc.load_model(args.model)
-    train = model.embedding.source
-    q = model.q
-    recon = (dc.eval_periodic(model, (q + np.arange(model.n)) * model.dt)
-             + dc.chaotic_at_training_points(model))
-    pipeline.write_estimate(args.out, train.channel_names, train.times()[q:],
-                            "recon", recon, train.values[q:])
+    pipeline.write_reconstruction(args.out, dc.load_model(args.model))
     print(f"wrote in-sample reconstruction to {args.out}")
     return 0
 

@@ -10,7 +10,8 @@ the rows, the selected bins kept and rotated to the time of row 0, and the
 Nyquist bin of even N halved, since the factor 2 counts a conjugate pair
 and that bin is its own conjugate.  Row 0 (the zero frequency) is real; the
 Nyquist row is real to rounding when t0 is a multiple of dt, as in the
-pipeline.
+pipeline.  The fitted rows, the in-sample reconstruction and the free run
+all take g_per from :func:`evaluate_harmonics` on a uniform time grid.
 
 The standalone model advances a k(q+1) shift register in embedding layout
 (oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
@@ -71,7 +72,8 @@ class QPModel:
     points; ``sq``, their squared row norms, is derived from it.  ``M``
     (N x k) maps shifted kernel weights to the chaotic component; build it
     from a basis with :meth:`from_basis`.  Other shapes, a non-finite
-    frequency or ``epsilon <= 0`` are a :class:`DataError`.
+    frequency, a zero-frequency coefficient that is not real or
+    ``epsilon <= 0`` are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -92,7 +94,7 @@ class QPModel:
         if not self.epsilon > 0:
             raise DataError(f"model epsilon {self.epsilon} is not positive")
         if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
-            raise NumericalError("zero-frequency coefficient must be real")
+            raise DataError("model zero-frequency coefficient is not real")
         pts = self.embedding.points
         object.__setattr__(self, "sq", np.einsum("ij,ij->i", pts, pts))
 
@@ -135,8 +137,8 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
     N-row grid the fit uses, so the cos/sin columns are orthogonal and the
     least-squares fit is the orthogonal projection onto those bins:
     ``A_j = rfft(Y)[j] / N * exp(-i omega_j t0)``, halved at the Nyquist bin
-    of even N, and the fitted rows are the inverse rFFT of the masked
-    spectrum.
+    of even N.  The fitted rows are these harmonics evaluated at the row
+    times by :func:`evaluate_harmonics`, and the residual is Y less them.
 
     Parameters
     ----------
@@ -177,9 +179,7 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
     A = F[idx] / n * np.exp(-1j * omegas * t0)[:, None]
     if n % 2 == 0:
         A[idx == n // 2] /= 2.0
-    mask = np.zeros(n // 2 + 1, dtype=bool)
-    mask[idx] = True
-    fitted = np.fft.irfft(F * mask[:, None], n=n, axis=0)
+    fitted = evaluate_harmonics(A, omegas, t0, dt, n)
     return PeriodicFit(A=A, omegas=omegas.copy(), fitted=fitted,
                        residual=Y - fitted)
 
@@ -189,23 +189,26 @@ def fit_chaotic(Y_non, basis: SpectralBasis) -> np.ndarray:
     return project(basis, Y_non)
 
 
-def evaluate_harmonics(A, omegas, t):
-    """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) for scalar or vector t
-    (a vector in blocks of times)."""
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    omegas = np.asarray(omegas)
-    weights = np.where(omegas == 0.0, 1.0, 2.0)
-    out = np.empty((len(t), A.shape[1]))
-    for i in range(0, len(t), _BLOCK_ROWS):
-        phases = np.exp(1j * t[i:i + _BLOCK_ROWS, None] * omegas[None, :])
-        out[i:i + _BLOCK_ROWS] = ((phases * weights[None, :]) @ A).real
-    return out[0] if scalar else out
+def evaluate_harmonics(A, omegas, t0, dt, n):
+    """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) at the n times
+    ``t = t0 + r*dt``, (n, k): each block of ``_BLOCK_ROWS`` rows multiplies
+    one table of step phases ``exp(i omega_j s dt)``, s < ``_BLOCK_ROWS``, by
+    the coefficients rotated to its own start, so rounding does not grow
+    with n."""
+    omegas = np.asarray(omegas, dtype=float)
+    weighted = np.where(omegas == 0.0, 1.0, 2.0)[:, None] * A
+    steps = np.exp(1j * np.outer(np.arange(min(n, _BLOCK_ROWS)) * dt, omegas))
+    out = np.empty((n, A.shape[1]))
+    for i in range(0, n, _BLOCK_ROWS):
+        anchor = np.exp(1j * omegas * (t0 + i * dt))
+        rows = steps[:n - i] @ (anchor[:, None] * weighted)
+        out[i:i + _BLOCK_ROWS] = rows.real
+    return out
 
 
-def eval_periodic(model: QPModel, t):
-    """Periodic component at time t seconds (scalar -> (k,), vector -> (n, k))."""
-    return evaluate_harmonics(model.A, model.omegas, t)
+def eval_periodic(model: QPModel, t0: float, n: int) -> np.ndarray:
+    """Periodic component at the n times ``t0 + r*dt`` seconds, (n, k)."""
+    return evaluate_harmonics(model.A, model.omegas, t0, model.dt, n)
 
 
 def _chaos_from_weights(model: QPModel, w):
@@ -214,15 +217,11 @@ def _chaos_from_weights(model: QPModel, w):
             / w.sum(axis=-1, keepdims=True))
 
 
-def _chaos_eval(model: QPModel, y):
-    """g_chaos at one delay state (dim,) or a block of states (B, dim)."""
+def eval_chaotic(model: QPModel, y) -> np.ndarray:
+    """Chaotic component at one delay state (dim,) or a block of states
+    (B, dim), in embedding layout."""
     return _chaos_from_weights(model, extension_weights(
         model.embedding.points, model.sq, model.epsilon, y))
-
-
-def eval_chaotic(model: QPModel, y_delay) -> np.ndarray:
-    """Chaotic component at a delay-coordinate point (embedding layout)."""
-    return _chaos_eval(model, np.asarray(y_delay, dtype=float).ravel())
 
 
 def chaotic_at_training_points(model: QPModel) -> np.ndarray:
@@ -232,7 +231,7 @@ def chaotic_at_training_points(model: QPModel) -> np.ndarray:
     rounding, without storing Phi.  Evaluated in row blocks.
     """
     pts = model.embedding.points
-    return np.concatenate([_chaos_eval(model, pts[i:i + _BLOCK_ROWS])
+    return np.concatenate([eval_chaotic(model, pts[i:i + _BLOCK_ROWS])
                            for i in range(0, model.n, _BLOCK_ROWS)])
 
 
@@ -294,7 +293,7 @@ def reconstruct(model: QPModel, init, n_steps: int,
     # (-old, y_new) @ slide slides the products of points m = 1..N-1
     slide = np.hstack([source.values[:model.n - 1],
                        source.values[model.q + 1:]]).T.copy()
-    out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
+    out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
         if i % _BLOCK_ROWS == 0:
             products = state @ points.T
@@ -378,11 +377,15 @@ def save_model(model: QPModel, path):
     })
 
 
-# the dtype kind and shape that save_model writes each one-entry array with
-_MODEL_SCALARS = {"format": ("U", (1,)), "train_dt": ("f", ()),
-                  "train_t0": ("f", ()), "train_hash": ("U", (1,)),
-                  "q": ("i", ()), "epsilon": ("f", ())}
-_KINDS = {"U": "a string", "f": "a float", "i": "an integer"}
+# the dtype kind that save_model writes each array with, and the shape of
+# each one-entry array, read as a scalar (None: TimeSeries or QPModel
+# checks the shape)
+_MODEL_ARRAYS = {"format": ("U", (1,)), "train_values": ("f", None),
+                 "train_dt": ("f", ()), "train_t0": ("f", ()),
+                 "channel_names": ("U", None), "train_hash": ("U", (1,)),
+                 "q": ("i", ()), "epsilon": ("f", ()), "omegas": ("f", None),
+                 "A": ("c", None), "M": ("f", None)}
+_KINDS = {"U": "a string", "f": "a float", "i": "an integer", "c": "a complex"}
 
 
 def load_model(path) -> QPModel:
@@ -396,34 +399,35 @@ def load_model(path) -> QPModel:
     DataError
         The file is missing or unreadable, is not a ``qpdecomp-model-3``
         file (an older one must be rewritten with ``qpdecomp decompose``),
-        lacks one of its arrays or holds one of the wrong shape, or its
-        training data do not match the stored hash.
+        lacks one of its arrays or holds one of another dtype kind or shape
+        than :func:`save_model` writes, or its training data do not match
+        the stored hash.
     """
     data = read_npz(path, "model file")
 
-    def scalar(name):
-        kind, shape = _MODEL_SCALARS[name]
+    def read(name):
+        kind, shape = _MODEL_ARRAYS[name]
         arr = data[name]
-        if arr.dtype.kind != kind or arr.shape != shape:
+        if arr.dtype.kind != kind or shape not in (None, arr.shape):
+            want = "array" if shape is None else f"of shape {shape}"
             raise DataError(f"{path}: model array {name!r} is {arr.dtype} of "
-                            f"shape {arr.shape}, not {_KINDS[kind]} of shape "
-                            f"{shape}")
-        return arr.item()
+                            f"shape {arr.shape}, not {_KINDS[kind]} {want}")
+        return arr if shape is None else arr.item()
 
-    fmt = scalar("format")
+    fmt = read("format")
     if fmt != MODEL_FORMAT:
         raise DataError(
             f"{path}: model format {fmt!r} is not readable; re-run "
             f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
         )
-    src = TimeSeries(data["train_values"], dt=scalar("train_dt"),
-                     t0=scalar("train_t0"),
-                     channel_names=tuple(str(c) for c in data["channel_names"]))
-    if training_data_hash(src) != scalar("train_hash"):
+    src = TimeSeries(read("train_values"), dt=read("train_dt"),
+                     t0=read("train_t0"),
+                     channel_names=tuple(str(c) for c in read("channel_names")))
+    if training_data_hash(src) != read("train_hash"):
         raise DataError(f"{path}: training data does not match its stored hash")
-    emb, epsilon = delay_embed(src, scalar("q")), scalar("epsilon")
+    emb, epsilon = delay_embed(src, read("q")), read("epsilon")
     try:
-        return QPModel(omegas=data["omegas"], A=data["A"], M=data["M"],
+        return QPModel(omegas=read("omegas"), A=read("A"), M=read("M"),
                        embedding=emb, epsilon=epsilon)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

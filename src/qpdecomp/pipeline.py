@@ -5,10 +5,11 @@ artifacts and a manifest sufficient to re-run the pipeline.
 Every command that reads a series goes through :func:`load_series`, and every
 command that fits goes through :func:`fit`, so the same configuration gives
 the same selection and model from ``run`` and from the single-step
-subcommands.  :func:`write_frequencies`, :func:`write_diagnostics` and
-:func:`write_prediction` write the tables that both share, so ``run`` is the
-subcommands plus a manifest: its output directory appears whole or not at
-all (:func:`run_pipeline`).
+subcommands.  :func:`write_frequencies`, :func:`write_diagnostics`,
+:func:`write_reconstruction` and :func:`write_prediction` write the tables
+that both share, the last two from the model alone, so ``run`` is the
+subcommands plus a manifest and writes their bytes: its output directory
+appears whole or not at all (:func:`run_pipeline`).
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -367,6 +368,16 @@ def error_columns(truth, estimate, ma_windows):
     return header, cols
 
 
+def write_reconstruction(path, model: dc.QPModel):
+    """Write ``reconstruction.csv`` from the model alone: the training rows,
+    then g_per at their times plus g_chaos at the training points."""
+    train, q = model.embedding.source, model.q
+    recon = (dc.eval_periodic(model, q * model.dt, model.n)
+             + dc.chaotic_at_training_points(model))
+    write_estimate(path, train.channel_names, train.times()[q:], "recon",
+                   recon, train.values[q:])
+
+
 def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
                      start, steps, ma_window=0):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
@@ -480,11 +491,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
         [[str(l) for l in range(1, basis.L + 1)], *E.T],
     )
 
-    # in-sample reconstruction over the training rows
-    write_estimate(outdir / "reconstruction.csv", data.channel_names,
-                   fit_times, "recon",
-                   pfit.fitted + spectral.synthesize(basis, E),
-                   train.values[q:])
+    write_reconstruction(outdir / "reconstruction.csv", model)
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end

@@ -245,15 +245,3 @@ def project(basis: SpectralBasis, f) -> np.ndarray:
     if f.shape[0] != basis.n:
         raise DataError(f"f has {f.shape[0]} rows, basis has {basis.n}")
     return basis.Phi.T @ f / basis.n
-
-
-def synthesize(basis: SpectralBasis, coeffs) -> np.ndarray:
-    """Sum of basis columns weighted by coefficients; inverse of :func:`project`
-    on span(Phi)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[:, None]
-    if coeffs.shape[0] != basis.L:
-        raise DataError(f"{coeffs.shape[0]} coefficient rows for L={basis.L}")
-    return basis.Phi @ coeffs
-

@@ -27,8 +27,6 @@ TWO_PI = 2.0 * np.pi
 # Embedded-row count of the default testbed geometry (4096 samples, 20 delays).
 _TESTBED_GRID = 4076.0
 
-_TESTBED_NAMES = ("pure_torus_2", "torus_plus_logistic", "torus_plus_damped")
-
 
 @dataclass(frozen=True)
 class TorusDriver:
@@ -210,7 +208,7 @@ def standard_testbed(name: str) -> SkewProductSystem:
         builder = _TESTBEDS[name]
     except KeyError:
         raise DataError(
-            f"unknown testbed {name!r}; available: {', '.join(_TESTBED_NAMES)}"
+            f"unknown testbed {name!r}; available: {', '.join(_TESTBEDS)}"
         ) from None
     return builder()
 

@@ -19,6 +19,31 @@ def torus_series(n, omegas, theta0=None, mix_seed=1, n_channels=2, dt=1.0):
     return TimeSeries(lift @ mix, dt=dt)
 
 
+def direct_harmonics(A, omegas, t):
+    """Oracle of g_per: the direct sum
+    ``Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t)`` at any times t (n,),
+    one complex exponential per time and frequency."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    omegas = np.asarray(omegas, dtype=float)
+    weights = np.where(omegas == 0.0, 1.0, 2.0)
+    return ((np.exp(1j * t[:, None] * omegas[None, :]) * weights) @ A).real
+
+
+def masked_irfft(Y, indices):
+    """Oracle of a harmonic fit on DFT bins of the rows of Y (N, k): the
+    inverse rFFT of the spectrum of Y with only the bins ``indices`` kept."""
+    n = len(Y)
+    mask = np.zeros(n // 2 + 1, dtype=bool)
+    mask[indices] = True
+    return np.fft.irfft(np.fft.rfft(Y, axis=0) * mask[:, None], n=n, axis=0)
+
+
+def synthesize(basis, E):
+    """Oracle of the chaotic component on the training rows: ``Phi @ E``,
+    the inverse of ``spectral.project`` on span(Phi)."""
+    return basis.Phi @ np.asarray(E, dtype=float).reshape(basis.L, -1)
+
+
 def blob_series(n, dim, seed=0):
     """Unstructured point cloud wrapped as a q=0 series."""
     return TimeSeries(np.random.default_rng(seed).standard_normal((n, dim)), dt=1.0)

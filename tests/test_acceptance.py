@@ -231,7 +231,7 @@ class TestCriterion5DecompositionExactness:
                           "DFT, normal-equation orthogonality, complete "
                           "chaotic fit)"):
             from qpdecomp.freqfilter import FrequencySelection, SelectionParams
-            from qpdecomp.spectral import synthesize
+            from conftest import synthesize
 
             rng = np.random.default_rng(3)
             n, dt = 256, 1.0

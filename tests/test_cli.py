@@ -51,10 +51,35 @@ class TestSynthCommand:
     def test_unknown_testbed_exit_code(self, tmp_path, capsys):
         code = run_cli(["synth", "--testbed", "nope", "--steps", "10",
                         "--out", tmp_path / "x.csv"])
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: DataError:")
-        assert err.count("\n") == 1
+        assert err.startswith("qpdecomp: ConfigError:")
+        assert "pure_torus_2" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "0"], ["--steps", "-5"], ["--dt", "0"], ["--dt", "-1"],
+        ["--dt", "nan"], ["--dt", "inf"], ["--seed", "-1"],
+    ], ids=["steps_0", "steps_negative", "dt_0", "dt_negative", "dt_nan",
+            "dt_inf", "seed_negative"])
+    def test_bad_flags_exit_2_before_simulating(self, tmp_path, monkeypatch,
+                                                capsys, flags):
+        import qpdecomp.synth
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the system was simulated")
+
+        monkeypatch.setattr(qpdecomp.synth, "simulate", unreachable)
+        args = {"--testbed": "pure_torus_2", "--steps": "10", "--dt": "1",
+                "--seed": "0"}
+        args[flags[0]] = flags[1]
+        out = tmp_path / "x.csv"
+        code = run_cli(["synth", *(a for kv in args.items() for a in kv),
+                        "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -251,7 +276,10 @@ class TestDecomposeReconstructPredict:
                                       "epsilon_zero", "omega_nan",
                                       "format_0d", "train_hash_0d",
                                       "train_dt_2", "train_t0_2", "q_2",
-                                      "epsilon_2"])
+                                      "epsilon_2", "omegas_str", "A_str",
+                                      "M_str", "train_values_str",
+                                      "omegas_complex", "M_complex",
+                                      "A0_imag"])
     def test_predict_unreadable_model_exits_3(self, model_file, synth_csv,
                                               tmp_path, capsys, case):
         # a model file of the wrong shape or content is a DataError before
@@ -274,6 +302,12 @@ class TestDecomposeReconstructPredict:
                 arrays["A"] = arrays["A"][:, 0]
             elif case == "epsilon_zero":
                 arrays["epsilon"] = np.float64(0.0)
+            elif reshape in ("str", "complex"):
+                # another dtype kind than save_model writes
+                arrays[name] = arrays[name].astype(reshape)
+            elif case == "A0_imag":
+                assert arrays["omegas"][0] == 0.0
+                arrays["A"][0] += 1j
             else:
                 arrays["omegas"][-1] = np.nan
             np.savez(model, **arrays)
@@ -281,15 +315,16 @@ class TestDecomposeReconstructPredict:
                         "--init-at", "620", "--steps", "20",
                         "--out", tmp_path / "p.csv"])
         assert code == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("qpdecomp: DataError:") and str(model) in err
-        if reshape in ("0d", "2"):
+        if reshape in ("0d", "2", "str", "complex"):
             assert f"model array {name!r}" in err
+        assert err.count("\n") == 1 and not out
         assert not (tmp_path / "p.csv").exists()
 
     def test_insample_reconstruct_matches_pipeline(self, synth_csv, tmp_path):
-        # the saved model's extension at the training points reproduces the
-        # pipeline's Phi @ E reconstruction
+        # run and reconstruct write the in-sample table from the model, one
+        # way, so reconstruct on run's model writes run's bytes
         out, _ = synth_csv
         outdir = tmp_path / "run"
         assert run_cli(["run", "--input", out, "--outdir", outdir,
@@ -299,13 +334,7 @@ class TestDecomposeReconstructPredict:
         recon = tmp_path / "recon.csv"
         assert run_cli(["reconstruct", "--model", outdir / "model.npz",
                         "--out", recon]) == 0
-        ref = np.loadtxt(outdir / "reconstruction.csv", delimiter=",",
-                         skiprows=1)
-        got = np.loadtxt(recon, delimiter=",", skiprows=1)
-        assert got.shape == ref.shape
-        np.testing.assert_array_equal(got[:, :4], ref[:, :4])
-        scale = np.abs(ref[:, 1:4]).max()
-        assert np.abs(got[:, 4:] - ref[:, 4:]).max() <= 1e-8 * scale
+        assert recon.read_bytes() == (outdir / "reconstruction.csv").read_bytes()
 
 
 def test_time_columns_read_the_input_clock(synth_csv, tmp_path):

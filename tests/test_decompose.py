@@ -30,9 +30,9 @@ from qpdecomp.decompose import (
 )
 from qpdecomp.freqfilter import FrequencySelection, SelectionParams, rkhs_norm_table, select
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
-from qpdecomp.spectral import decompose, extension_weights, synthesize
+from qpdecomp.spectral import decompose, extension_weights
 
-from conftest import torus_series
+from conftest import direct_harmonics, masked_irfft, synthesize, torus_series
 
 TWO_PI = 2 * np.pi
 
@@ -112,7 +112,7 @@ def gemv_reconstruct(model, init, n_steps, t_start):
     (n_steps, k) samples."""
     state = np.asarray(init, dtype=float).ravel().copy()
     k = model.k
-    out = eval_periodic(model, t_start + np.arange(n_steps) * model.dt)
+    out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
         w = extension_weights(model.embedding.points, model.sq, model.epsilon,
                               state)
@@ -258,7 +258,7 @@ class TestFitPeriodic:
         sel = make_selection([0.0, omega_nyq], n, dt)
         fit = fit_periodic(y, sel, dt)
         assert np.abs(fit.residual).max() <= 1e-9
-        recon = evaluate_harmonics(fit.A, fit.omegas, t)
+        recon = evaluate_harmonics(fit.A, fit.omegas, 0.0, dt, n)
         np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
 
     def test_too_few_rows(self):
@@ -276,7 +276,7 @@ class TestFitPeriodic:
         sel = make_selection(omegas, n, dt)
         fit = fit_periodic(y, sel, dt)
         assert np.abs(fit.residual).max() <= 1e-8
-        recon = evaluate_harmonics(fit.A, fit.omegas, np.arange(n) * dt)
+        recon = evaluate_harmonics(fit.A, fit.omegas, 0.0, dt, n)
         assert np.abs(recon - y).max() <= 1e-8
 
     @pytest.mark.parametrize("n, dt, bins, t0", [
@@ -294,6 +294,10 @@ class TestFitPeriodic:
         scale = np.abs(y).max()
         assert np.abs(fit.A - A).max() <= 1e-12 * scale
         assert np.abs(fit.fitted - fitted).max() <= 1e-12 * scale
+        # the fitted rows are the masked inverse rFFT of the rows
+        oracle = masked_irfft(y, sel.indices)
+        assert np.abs(fit.fitted - oracle).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(fit.residual, y - fit.fitted)
 
 
 class TestFitChaotic:
@@ -326,8 +330,9 @@ class TestEvalPeriodic:
     def test_constant_model(self):
         sel = make_selection([0.0], 20, 1.0)
         fit = fit_periodic(np.full((20, 1), 2.5), sel, 1.0)
-        model_eval = evaluate_harmonics(fit.A, fit.omegas, np.array([0.0, 17.3, 1e6]))
-        np.testing.assert_allclose(model_eval, 2.5)
+        for t0, dt, n in ((0.0, 17.3, 2), (1e6, 1.0, 1)):
+            model_eval = evaluate_harmonics(fit.A, fit.omegas, t0, dt, n)
+            np.testing.assert_allclose(model_eval, 2.5)
 
     def test_bin_lattice_periodicity(self):
         # every bin frequency has period dividing N*dt
@@ -336,8 +341,7 @@ class TestEvalPeriodic:
         y = rng.standard_normal((n, 1))
         omegas = TWO_PI * np.array([0, 3, 7, 20]) / (n * dt)
         fit = fit_periodic(y, make_selection(omegas, n, dt), dt)
-        a = evaluate_harmonics(fit.A, fit.omegas, 0.0)
-        b = evaluate_harmonics(fit.A, fit.omegas, n * dt)
+        a, b = evaluate_harmonics(fit.A, fit.omegas, 0.0, n * dt, 2)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_fit_eval_consistency(self):
@@ -347,8 +351,25 @@ class TestEvalPeriodic:
         omegas = TWO_PI * np.array([0, 15, 37]) / (n * dt)
         times = (5 + np.arange(n)) * dt
         fit = fit_periodic(y, make_selection(omegas, n, dt), dt, t0=times[0])
-        recon = evaluate_harmonics(fit.A, fit.omegas, times)
+        recon = direct_harmonics(fit.A, fit.omegas, times)
         assert np.abs(recon - fit.fitted).max() <= 1e-10
+
+    @pytest.mark.parametrize("t0_steps", [0, 10**6])
+    @pytest.mark.parametrize("n", [1, 600])
+    def test_grid_matches_direct_sum(self, t0_steps, n):
+        # re-anchored blocks of 256 rows, the last one partial at n = 600,
+        # and far from the clock's origin, where either sum rounds phases
+        # of up to 3e6 rad, so each is off the exact sum by up to 4e-11
+        rng = np.random.default_rng(9)
+        n_fit, dt = 150, 0.7
+        y = rng.standard_normal((n_fit, 2))
+        omegas = TWO_PI * np.array([0, 15, 37, 75]) / (n_fit * dt)
+        fit = fit_periodic(y, make_selection(omegas, n_fit, dt), dt)
+        t0 = t0_steps * dt
+        got = evaluate_harmonics(fit.A, fit.omegas, t0, dt, n)
+        ref = direct_harmonics(fit.A, fit.omegas, t0 + np.arange(n) * dt)
+        assert got.shape == (n, 2)
+        assert np.abs(got - ref).max() <= 1e-10
 
 
 class TestEvalChaotic:
@@ -417,8 +438,7 @@ class TestReconstruct:
                                        np.zeros((basis.L, model.k)))
         init = state_before(s, model.q + 1, model.q)
         ts = reconstruct(per_model, init, 300, t_start=50.0)
-        grid = 50.0 + np.arange(300) * model.dt
-        np.testing.assert_allclose(ts.values, eval_periodic(model, grid),
+        np.testing.assert_allclose(ts.values, eval_periodic(model, 50.0, 300),
                                    atol=1e-12)
         assert ts.t0 == 50.0 and ts.dt == model.dt
 
@@ -499,8 +519,7 @@ class TestSlidingProducts:
         assert np.abs(got.values - ref).max() <= 1e-12 * scale
         if case != "torus":
             # the chaotic part carries weight, so wrong weights would show
-            times = t_start + np.arange(self.STEPS) * model.dt
-            chaos = ref - eval_periodic(model, times)
+            chaos = ref - eval_periodic(model, t_start, self.STEPS)
             assert np.abs(chaos).max() >= 0.1 * scale
 
 

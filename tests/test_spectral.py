@@ -11,12 +11,9 @@ from qpdecomp import (
     gaussian_kernel,
 )
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
-from qpdecomp.spectral import (
-    decompose,
-    extension_weights,
-    project,
-    synthesize,
-)
+from qpdecomp.spectral import decompose, extension_weights, project
+
+from conftest import synthesize
 
 
 def embed_points(points):
