@@ -39,7 +39,7 @@ from .series import (
 )
 # spectral.decompose is deliberately not re-exported here: the name would
 # shadow the qpdecomp.decompose submodule; use qpdecomp.spectral.decompose
-from .spectral import SpectralBasis, project
+from .spectral import SpectralBasis
 from .synth import SimulationResult, SkewProductSystem, TorusDriver, simulate, standard_testbed
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "load_model",
     "moving_average",
     "pairwise_sqdist",
-    "project",
     "reconstruct",
     "relative_error",
     "report_periods",

@@ -33,27 +33,17 @@ def write_npz(path, arrays):
         raise
 
 
-class _Arrays(dict):
-    """The arrays of one file; a missing name is a DataError naming it."""
-
-    def __missing__(self, name):
-        raise DataError(f"{self.source} holds no array {name!r}")
-
-
 def read_npz(path, what):
     """Every array of the npz archive at ``path``, by name.  A missing,
-    truncated or foreign file, or a missing array, is a :class:`DataError`
-    naming ``what`` the file should be and its path."""
-    arrays = _Arrays()
-    arrays.source = f"{what} {path}"
+    truncated or foreign file is a :class:`DataError` naming ``what`` the
+    file should be and its path."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            arrays.update((name, data[name]) for name in data.files)
+            return {name: data[name] for name in data.files}
     except OSError as exc:
-        raise DataError(f"cannot read {arrays.source}: "
+        raise DataError(f"cannot read {what} {path}: "
                         f"{exc.strerror or exc}") from None
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
         # TypeError: np.load returns a bare .npy array, not an archive
-        raise DataError(f"{arrays.source} is not a readable npz archive "
+        raise DataError(f"{what} {path} is not a readable npz archive "
                         f"(truncated, or another format)") from None
-    return arrays

@@ -2,11 +2,14 @@
 
 Subcommands: synth, frequencies, decompose, reconstruct, predict, run,
 diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.  Errors are reported as one machine-parsable line on
-standard error: ``qpdecomp: <ErrorClass>: <message>``.
+4 numerical failure; an output file whose directory does not exist, or
+that names a directory, is a configuration error.  Errors are reported as
+one machine-parsable line on standard error:
+``qpdecomp: <ErrorClass>: <message>``.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -140,6 +143,25 @@ def _cmd_run(args):
     return 0
 
 
+def _check_outputs(args):
+    """Each file that the command writes must be named, must go into an
+    existing directory and must not name one; checked before any input is
+    read.  ``run`` and ``diagnostics`` create their ``--outdir``."""
+    for flag in ("out", "model_out", "latent_out"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        if not path:
+            raise ConfigError(f"{option} is empty")
+        if os.path.isdir(path):
+            raise ConfigError(f"{option} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{option} {path}: there is no directory "
+                              f"{parent}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qpdecomp",
@@ -215,6 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
     try:
+        _check_outputs(args)
         return args.func(args)
     except QpdecompError as exc:
         code = next((c for cls, c in codes.items() if isinstance(exc, cls)), 1)

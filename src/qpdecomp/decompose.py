@@ -41,8 +41,7 @@ from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
-from .spectral import (SpectralBasis, extension_weights, project,
-                       shifted_weights)
+from .spectral import SpectralBasis, extension_weights, shifted_weights
 
 MODEL_FORMAT = "qpdecomp-model-3"
 
@@ -185,8 +184,14 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
 
 
 def fit_chaotic(Y_non, basis: SpectralBasis) -> np.ndarray:
-    """Coefficients of the residual on the eigenbasis (empirical inner product)."""
-    return project(basis, Y_non)
+    """Coefficients E (L x k) of the residual rows Y_non (N x k) on the
+    eigenbasis under the empirical inner product: ``Phi^T Y_non / N``."""
+    Y = np.asarray(Y_non, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.shape[0] != basis.n:
+        raise DataError(f"residual has {Y.shape[0]} rows, basis has {basis.n}")
+    return basis.Phi.T @ Y / basis.n
 
 
 def evaluate_harmonics(A, omegas, t0, dt, n):
@@ -401,33 +406,36 @@ def load_model(path) -> QPModel:
         file (an older one must be rewritten with ``qpdecomp decompose``),
         lacks one of its arrays or holds one of another dtype kind or shape
         than :func:`save_model` writes, or its training data do not match
-        the stored hash.
+        the stored hash.  Every message names the path.
     """
     data = read_npz(path, "model file")
 
     def read(name):
         kind, shape = _MODEL_ARRAYS[name]
+        if name not in data:
+            raise DataError(f"model array {name!r} is missing")
         arr = data[name]
         if arr.dtype.kind != kind or shape not in (None, arr.shape):
             want = "array" if shape is None else f"of shape {shape}"
-            raise DataError(f"{path}: model array {name!r} is {arr.dtype} of "
-                            f"shape {arr.shape}, not {_KINDS[kind]} {want}")
+            raise DataError(f"model array {name!r} is {arr.dtype} of shape "
+                            f"{arr.shape}, not {_KINDS[kind]} {want}")
         return arr if shape is None else arr.item()
 
-    fmt = read("format")
-    if fmt != MODEL_FORMAT:
-        raise DataError(
-            f"{path}: model format {fmt!r} is not readable; re-run "
-            f"`qpdecomp decompose` to write a {MODEL_FORMAT!r} file"
-        )
-    src = TimeSeries(read("train_values"), dt=read("train_dt"),
-                     t0=read("train_t0"),
-                     channel_names=tuple(str(c) for c in read("channel_names")))
-    if training_data_hash(src) != read("train_hash"):
-        raise DataError(f"{path}: training data does not match its stored hash")
-    emb, epsilon = delay_embed(src, read("q")), read("epsilon")
+    # every check below names what is wrong; this names the file
     try:
+        fmt = read("format")
+        if fmt != MODEL_FORMAT:
+            raise DataError(
+                f"model format {fmt!r} is not readable; re-run `qpdecomp "
+                f"decompose` to write a {MODEL_FORMAT!r} file"
+            )
+        names = tuple(str(c) for c in read("channel_names"))
+        src = TimeSeries(read("train_values"), dt=read("train_dt"),
+                         t0=read("train_t0"), channel_names=names)
+        if training_data_hash(src) != read("train_hash"):
+            raise DataError("training data does not match its stored hash")
         return QPModel(omegas=read("omegas"), A=read("A"), M=read("M"),
-                       embedding=emb, epsilon=epsilon)
+                       embedding=delay_embed(src, read("q")),
+                       epsilon=read("epsilon"))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .spectral import LAMBDA_FLOOR, SpectralBasis
+from .errors import DataError
+from .spectral import SpectralBasis
 
 
 class SelectionParams(NamedTuple):
@@ -97,15 +97,11 @@ def rkhs_norm_table(basis: SpectralBasis, dt: float) -> RkhsNormTable:
     """Build the cumulative table W from a spectral basis.
 
     Column l accumulates ``|fft(Phi[:, :l+1])| / sqrt(lam)`` at every bin up
-    to the Nyquist bin of the eigenfunction grid.
+    to the Nyquist bin of the eigenfunction grid; the basis keeps every
+    ``lam`` at or above ``spectral.LAMBDA_FLOOR``.
     """
     if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
-    if basis.lam[-1] <= LAMBDA_FLOOR:
-        raise NumericalError(
-            f"eigenvalue {basis.L} at {basis.lam[-1]:.3e} is below the "
-            f"{LAMBDA_FLOOR} floor"
-        )
     n = basis.n
     amp = np.abs(np.fft.rfft(basis.Phi, axis=0)) / n
     H = amp / np.sqrt(basis.lam)[None, :]

@@ -30,31 +30,27 @@ EPSILON_QUANTILE = 0.01
 _BLOCK = 256
 
 
-def _points_of(embedding):
-    if isinstance(embedding, DelayEmbedding):
-        return embedding.points
-    pts = np.asarray(embedding, dtype=float)
-    if pts.ndim != 2:
-        raise DataError("expected a DelayEmbedding or an (N, dim) matrix")
-    return pts
-
-
-def _row_blocks(n, start=0):
-    for a in range(start, n, _BLOCK):
+def _row_blocks(n):
+    for a in range(0, n, _BLOCK):
         yield a, min(a + _BLOCK, n)
 
 
-def pairwise_sqdist(embedding) -> np.ndarray:
+def pairwise_sqdist(embedding: DelayEmbedding) -> np.ndarray:
     """Squared Euclidean distances between all embedded points.
 
-    Symmetric with an exactly zero diagonal.  Computed with the Gram-matrix
-    identity ``(sq_i + sq_j) - 2 g_ij`` and symmetrized as ``(a + a^T) / 2``,
-    so scaling all points by a power of two and epsilon by its square leaves
-    the downstream kernel bit-identical.  The N x N Gram matrix is the only
-    N x N allocation: it becomes the distances in place, one row block (or
-    block pair) at a time.
+    Computed with the Gram-matrix identity ``(sq_i + sq_j) - 2 g_ij``, so
+    scaling all points by a power of two and epsilon by its square leaves
+    the downstream kernel bit-identical.  The result is exactly symmetric:
+    numpy forms ``pts @ pts.T`` as a symmetric rank-k product, whose two
+    triangles are copies, and floating-point addition commutes, so entries
+    (i, j) and (j, i) round alike.  The diagonal is set to exactly zero.
+    The N x N Gram matrix is the only N x N allocation: it becomes the
+    distances in place, one row block at a time.
     """
-    pts = _points_of(embedding)
+    if not isinstance(embedding, DelayEmbedding):
+        raise DataError(f"expected a DelayEmbedding, got "
+                        f"{type(embedding).__name__}")
+    pts = embedding.points
     if pts.shape[0] < 1:
         raise DataError("embedding is empty")
     sq = np.einsum("ij,ij->i", pts, pts)
@@ -64,12 +60,6 @@ def pairwise_sqdist(embedding) -> np.ndarray:
         blk *= 2.0
         np.subtract(sq[a:b, None] + sq[None, :], blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
-    for a, b in _row_blocks(len(d2)):
-        for c, e in _row_blocks(len(d2), start=a):
-            sym = d2[a:b, c:e] + d2[c:e, a:b].T
-            sym /= 2.0
-            d2[a:b, c:e] = sym
-            d2[c:e, a:b] = sym.T
     np.fill_diagonal(d2, 0.0)
     return d2
 
@@ -129,10 +119,8 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0):
     if not epsilon >= 0:
         raise DataError(f"epsilon must be positive (or 0 to derive it), "
                         f"got {epsilon}")
-    if not isinstance(embedding, DelayEmbedding):
-        raise DataError("gaussian_kernel requires a DelayEmbedding")
-    n = embedding.n_points
     K = pairwise_sqdist(embedding)
+    n = len(K)
     hist = sqdist_histogram(K)
     if epsilon == 0:
         epsilon = sqdist_quantile(K, EPSILON_QUANTILE)

@@ -260,7 +260,7 @@ def load_series(config: PipelineConfig) -> series.TimeSeries:
 
 
 class Fit(NamedTuple):
-    """The method fitted on the training window (``chaotic`` holds E)."""
+    """The method fitted on the training window."""
 
     data: series.TimeSeries
     train: series.TimeSeries
@@ -268,13 +268,15 @@ class Fit(NamedTuple):
     table: freqfilter.RkhsNormTable
     selection: freqfilter.FrequencySelection
     periodic: dc.PeriodicFit
-    chaotic: np.ndarray
     model: dc.QPModel
 
 
 def fit(config: PipelineConfig) -> Fit:
     """Load the series and fit it: delay embedding, kernel, eigenbasis,
-    frequency selection, periodic fit and chaotic fit."""
+    frequency selection, periodic fit and chaotic fit.  The chaotic
+    coefficients E are not kept: within near-equal eigenvalue pairs they
+    rotate with the BLAS's rounding, while the model's M, which is built
+    from them, moves only by rounding."""
     data = load_series(config)
     train_end = config.train_end or data.n
     if train_end > data.n:
@@ -292,7 +294,7 @@ def fit(config: PipelineConfig) -> Fit:
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
     E = dc.fit_chaotic(pfit.residual, basis)
     model = dc.QPModel.from_basis(basis, pfit.omegas, pfit.A, E)
-    return Fit(data, train, basis, table, selection, pfit, E, model)
+    return Fit(data, train, basis, table, selection, pfit, model)
 
 
 def write_frequencies(path, result: Fit):
@@ -421,11 +423,11 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run the full pipeline and write the artifact directory.
 
-    Writes frequencies.csv, periodic.csv, chaotic_coeffs.csv, the in-sample
-    reconstruction.csv, prediction.csv, errors.csv, model.npz, diagnostics/,
-    and a manifest listing every parameter and content hash.  A free run
-    over the training window is ``qpdecomp predict --init-at <q+1>`` on
-    model.npz and the input.
+    Writes frequencies.csv, periodic.csv, the in-sample reconstruction.csv,
+    prediction.csv, errors.csv, model.npz, diagnostics/, and a manifest
+    listing every parameter and content hash.  A free run over the
+    training window is ``qpdecomp predict --init-at <q+1>`` on model.npz
+    and the input.
 
     ``outdir`` must be absent or empty.  The artifacts are written into a
     fresh staging directory beside it, which is renamed onto ``outdir`` at
@@ -470,8 +472,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
 def _run_stages(config: PipelineConfig, outdir: Path):
     result = fit(config)
-    data, train, basis = result.data, result.train, result.basis
-    pfit, E, model = result.periodic, result.chaotic, result.model
+    data, train, model = result.data, result.train, result.model
     q = config.delays
 
     write_frequencies(outdir / "frequencies.csv", result)
@@ -481,14 +482,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     _write_table(
         outdir / "periodic.csv",
         ["time_s", *(f"per_{c}" for c in data.channel_names)],
-        [fit_times, *pfit.fitted.T],
-    )
-
-    # chaotic coefficients
-    _write_table(
-        outdir / "chaotic_coeffs.csv",
-        ["l", *(f"E_{c}" for c in data.channel_names)],
-        [[str(l) for l in range(1, basis.L + 1)], *E.T],
+        [fit_times, *result.periodic.fitted.T],
     )
 
     write_reconstruction(outdir / "reconstruction.csv", model)
@@ -511,7 +505,7 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     # that a re-run does not derive it again, plus content hashes
     absolute_input = str(Path(config.input).resolve())
     lines = config_lines(replace(config, input=absolute_input,
-                                 epsilon=basis.epsilon))
+                                 epsilon=model.epsilon))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

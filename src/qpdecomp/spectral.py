@@ -58,7 +58,9 @@ class SpectralBasis:
     vector (N), ``embedding`` the embedded training data (its delay count is
     ``embedding.q``), and ``sqdist_histogram`` the ``(counts, edges)`` of
     the off-diagonal squared distances, as :func:`kernel.gaussian_kernel`
-    returns them.
+    returns them.  Construction checks the conventions the later stages
+    invert: eigenvalues non-increasing, none below ``LAMBDA_FLOOR``, the
+    leading one 1 and its eigenfunction constant.
     """
 
     lam: np.ndarray
@@ -75,8 +77,11 @@ class SpectralBasis:
             raise NumericalError("lam must be a non-empty vector")
         if np.any(np.diff(lam) > 0):
             raise NumericalError("eigenvalues must be non-increasing")
-        if lam[-1] <= 0:
-            raise NumericalError("eigenvalues must be strictly positive")
+        if lam[-1] < LAMBDA_FLOOR:
+            raise NumericalError(
+                f"eigenvalue {len(lam)} is {lam[-1]:.3e}, below the "
+                f"{LAMBDA_FLOOR} floor; increase epsilon or decrease L"
+            )
         if abs(lam[0] - 1.0) > _LAMBDA_ONE_TOL:
             raise NumericalError(
                 f"leading eigenvalue {lam[0]} departs from 1 beyond {_LAMBDA_ONE_TOL}"
@@ -166,7 +171,7 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
         allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
-        decrease L").
+        decrease L"), as :class:`SpectralBasis` checks.
     """
     # imported here because only the eigensolve needs scipy: loading it
     # costs about 0.35 s, which a forecast from a saved model need not pay
@@ -196,15 +201,10 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
     u, s, wt = np.linalg.svd(kt @ v, full_matrices=False)
     v = v @ wt.T
 
-    lam = s ** 2
-    if lam[-1] < LAMBDA_FLOOR:
-        raise NumericalError(
-            f"eigenvalue {L} is {lam[-1]:.3e}, below the {LAMBDA_FLOOR} floor; "
-            f"increase epsilon or decrease L"
-        )
     u, v = _fix_signs(u, v)
-    return SpectralBasis(lam=lam, Phi=np.sqrt(n) * u, Gamma=v, epsilon=epsilon,
-                         q=q, embedding=embedding, sqdist_histogram=hist)
+    return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, Gamma=v,
+                         epsilon=epsilon, q=q, embedding=embedding,
+                         sqdist_histogram=hist)
 
 
 def extension_weights(points, sq, epsilon, y):
@@ -236,12 +236,3 @@ def shifted_weights(sq, epsilon, products):
     d2 /= -epsilon
     return np.exp(d2, out=d2)
 
-
-def project(basis: SpectralBasis, f) -> np.ndarray:
-    """Coefficients of f (N x m) on the basis under the empirical inner product."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape[0] != basis.n:
-        raise DataError(f"f has {f.shape[0]} rows, basis has {basis.n}")
-    return basis.Phi.T @ f / basis.n

@@ -40,7 +40,7 @@ def masked_irfft(Y, indices):
 
 def synthesize(basis, E):
     """Oracle of the chaotic component on the training rows: ``Phi @ E``,
-    the inverse of ``spectral.project`` on span(Phi)."""
+    the inverse of ``decompose.fit_chaotic`` on span(Phi)."""
     return basis.Phi @ np.asarray(E, dtype=float).reshape(basis.L, -1)
 
 

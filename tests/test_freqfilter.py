@@ -5,6 +5,7 @@ import pytest
 
 from qpdecomp import (
     DataError,
+    NumericalError,
     TimeSeries,
     delay_embed,
     gaussian_kernel,
@@ -20,7 +21,7 @@ from qpdecomp.freqfilter import (
     threshold_diagnostics,
 )
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
-from qpdecomp.spectral import SpectralBasis, decompose
+from qpdecomp.spectral import LAMBDA_FLOOR, SpectralBasis, decompose
 from qpdecomp.synth import lattice_frequencies
 
 from conftest import torus_series
@@ -80,10 +81,13 @@ class TestRkhsNormTable:
         assert (table.W >= 0).all()
 
     def test_lambda_floor_guard(self):
-        basis = fabricated_basis([np.ones(32), np.cos(np.arange(32.0))],
-                                 [1.0, 1e-20])
-        with pytest.raises(Exception, match="floor"):
-            rkhs_norm_table(basis, dt=1.0)
+        # the basis itself refuses an eigenvalue below the floor, so no
+        # table is built from one; one exactly at the floor is accepted
+        columns = [np.ones(32), np.cos(np.arange(32.0))]
+        with pytest.raises(NumericalError, match="floor"):
+            fabricated_basis(columns, [1.0, 1e-20])
+        basis = fabricated_basis(columns, [1.0, LAMBDA_FLOOR])
+        assert rkhs_norm_table(basis, dt=1.0).L == 2
 
 
 class TestSelect:

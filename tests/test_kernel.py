@@ -81,8 +81,15 @@ class TestPairwiseSqdist:
         scale = oracle.max()
         assert np.abs(d2 - oracle).max() / scale <= 1e-10
 
-    def test_exact_symmetry_and_zero_diagonal(self):
-        pts = np.random.default_rng(1).standard_normal((60, 8)) * 10
+    @pytest.mark.parametrize("n, dim, seed", [
+        (60, 8, 1),
+        (2 * kernel_module._BLOCK + 37, 3, 2),  # ragged, across row blocks
+        (1500, 21, 3),
+    ])
+    def test_exact_symmetry_and_zero_diagonal(self, n, dim, seed):
+        # no symmetrizing pass: the rank-k product and the commuting sum
+        # make entries (i, j) and (j, i) bit-equal, block boundaries included
+        pts = np.random.default_rng(seed).standard_normal((n, dim)) * 10
         d2 = pairwise_sqdist(embed_points(pts))
         assert np.abs(d2 - d2.T).max() == 0.0
         assert np.abs(np.diagonal(d2)).max() == 0.0
