@@ -3,8 +3,9 @@
 Subcommands: synth, frequencies, decompose, reconstruct, predict, run,
 diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure; an output file whose directory does not exist, or
-that names a directory, is a configuration error.  Errors are reported as
-one machine-parsable line on standard error:
+that names a directory, and an output directory that is or lies under a
+file, are configuration errors.  Errors are reported as one
+machine-parsable line on standard error:
 ``qpdecomp: <ErrorClass>: <message>``.
 """
 
@@ -146,7 +147,10 @@ def _cmd_run(args):
 def _check_outputs(args):
     """Each file that the command writes must be named, must go into an
     existing directory and must not name one; checked before any input is
-    read.  ``run`` and ``diagnostics`` create their ``--outdir``."""
+    read.  ``run`` and ``diagnostics`` create their ``--outdir``, which
+    must not be, or lie under, a file."""
+    if getattr(args, "outdir", None):
+        pipeline.check_outdir(args.outdir, "--outdir")
     for flag in ("out", "model_out", "latent_out"):
         path = getattr(args, flag, None)
         if path is None:

@@ -23,14 +23,21 @@ N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds
 the harmonics (omega, A), the training series, epsilon and M: what the free
 run reads, never an N x N matrix, the eigenbasis or E.
 
-The free run keeps the N dot products ``P = points @ window`` of the
-training points with the current window.  Point m is samples m..m+q of the
-training series x, and the shifted window drops its oldest block ``old``
-and appends the new sample, so the products slide forward in O(N k) per
-step: ``P[m] <- P[m-1] - x[m-1] . old + x[m+q] . y_new`` for m >= 1, with
-``P[0]`` computed afresh.  This is the sliding update of the STOMP matrix
-profile algorithm (Zhu et al., ICDM 2016).  A full recompute every
-``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon.
+The free run keeps the scaled log-weights ``z = (2 P - sq) / epsilon`` of
+the window, where ``P = points @ window`` are the N dot products of the
+training points with it: the weights are ``exp(z - max z)``, since
+``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``.  Point m is samples
+m..m+q of the training series x, and the shifted window drops its oldest
+block ``old`` and appends the new sample, so z slides forward in O(N k) per
+step: ``z[m] <- z[m-1] + (2 (x[m+q] . y_new - x[m-1] . old) + sq[m-1] -
+sq[m]) / epsilon`` for m >= 1, one GEMV of ``(-old, y_new, 1)`` whose last
+row folds in the squared norms, with ``z[0]`` computed afresh.  This is the
+sliding update of the STOMP matrix profile algorithm (Zhu et al., ICDM
+2016).  z lives in a buffer of ``N + _BLOCK_ROWS`` values and each step
+views it one place earlier, so the slid ``z[1:]`` is already where the last
+``z[:-1]`` was.  One more GEMV of the weights with ``[sqrt(N) M | 1]`` gives
+the numerator and the weight sum of g_chaos together.  A full recompute
+every ``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +48,7 @@ from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
-from .spectral import SpectralBasis, extension_weights, shifted_weights
+from .spectral import SpectralBasis, extension_weights
 
 MODEL_FORMAT = "qpdecomp-model-3"
 
@@ -216,17 +223,12 @@ def eval_periodic(model: QPModel, t0: float, n: int) -> np.ndarray:
     return evaluate_harmonics(model.A, model.omegas, t0, model.dt, n)
 
 
-def _chaos_from_weights(model: QPModel, w):
-    """g_chaos from the shifted kernel weights (N,) or (B, N) of its states."""
-    return (np.sqrt(model.n) * (w @ model.M)
-            / w.sum(axis=-1, keepdims=True))
-
-
 def eval_chaotic(model: QPModel, y) -> np.ndarray:
     """Chaotic component at one delay state (dim,) or a block of states
     (B, dim), in embedding layout."""
-    return _chaos_from_weights(model, extension_weights(
-        model.embedding.points, model.sq, model.epsilon, y))
+    w = extension_weights(model.embedding.points, model.sq, model.epsilon, y)
+    return (np.sqrt(model.n) * (w @ model.M)
+            / w.sum(axis=-1, keepdims=True))
 
 
 def chaotic_at_training_points(model: QPModel) -> np.ndarray:
@@ -272,12 +274,15 @@ def reconstruct(model: QPModel, init, n_steps: int,
     generated sample, embedding layout, oldest block first), generates
     samples at times ``t_start + n*dt`` for n = 0..n_steps-1: each new sample
     is ``g_per(time) + g_chaos(previous window)``, after which the window
-    shifts by one sample.  The kernel dot products of the window with the
-    training points slide forward with it, O(N k) per step, and are
-    recomputed in full, O(N k (q+1)), every ``_BLOCK_ROWS`` (256) steps (see
-    the module docstring); they agree with a full recompute at every step
-    to rounding.  Deterministic: identical model and init give bit-identical
-    trajectories.
+    shifts by one sample.  The scaled log-weights ``z = (2 P - sq) / epsilon``
+    of the window slide forward with it, O(N k) per step, by one GEMV of
+    ``(-old block, new sample, 1)`` whose last row is the folded
+    ``(sq[m-1] - sq[m]) / epsilon``, and are recomputed in full,
+    O(N k (q+1)), every ``_BLOCK_ROWS`` (256) steps, so they agree with a
+    full recompute at every step to rounding.  The weights are
+    ``exp(z - max z)``, and one GEMV of them with ``[sqrt(N) M | 1]`` gives
+    the numerator and the weight sum of g_chaos (see the module docstring).
+    Deterministic: identical model and init give bit-identical trajectories.
 
     g_chaos is a kernel-weighted average of the rows of ``sqrt(N) * M``, so
     the run is bounded by construction; a non-finite sample (from non-finite
@@ -291,27 +296,51 @@ def reconstruct(model: QPModel, init, n_steps: int,
             f"init has dimension {state.shape[0]}, model state is "
             f"{model.state_dim}"
         )
-    k = model.k
+    k, n, eps, sq = model.k, model.n, model.epsilon, model.sq
     source = model.embedding.source
     points = model.embedding.points
-    # column m-1 holds rows m-1 and m+q of the training series, so that
-    # (-old, y_new) @ slide slides the products of points m = 1..N-1
-    slide = np.hstack([source.values[:model.n - 1],
-                       source.values[model.q + 1:]]).T.copy()
+    # column m-1 holds rows m-1 and m+q of the training series, times
+    # 2/eps, and (sq[m-1] - sq[m]) / eps, so that (-old, y_new, 1) @ slide
+    # carries z[m-1] of one step to z[m] of the next, m = 1..N-1.  Both
+    # GEMV matrices are filled in C order, because a GEMV over long
+    # contiguous rows is the fast one (np.vstack of the transposes gives F)
+    x = source.values * (2.0 / eps)
+    slide = np.empty((2 * k + 1, n - 1))
+    slide[:k] = x[:n - 1].T
+    slide[k:2 * k] = x[model.q + 1:].T
+    slide[2 * k] = (sq[:-1] - sq[1:]) / eps
+    # rows sqrt(N) M[:, c] and 1: ratio @ w is the numerator and sum(w)
+    ratio = np.empty((k + 1, n))
+    ratio[:k] = np.sqrt(n) * model.M.T
+    ratio[k] = 1.0
+    # step j of a block views z at buf[R-j:], so the slid z[1:] of the next
+    # step is the memory of this step's z[:-1] and nothing is shifted
+    buf = np.empty(n + _BLOCK_ROWS)
+    w = np.empty(n)
+    shift = np.empty(2 * k + 1)
+    shift[2 * k] = 1.0
     out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
-        if i % _BLOCK_ROWS == 0:
-            products = state @ points.T
-        w = shifted_weights(model.sq, model.epsilon, products)
-        y_new = out[i] + _chaos_from_weights(model, w)
+        j = i % _BLOCK_ROWS
+        z = buf[_BLOCK_ROWS - j:_BLOCK_ROWS - j + n]
+        if j == 0:
+            np.matmul(points, state, out=z)
+            z *= 2.0
+            z -= sq
+            z /= eps
+        else:
+            z[1:] += shift @ slide
+            z[0] = (2.0 * (points[0] @ state) - sq[0]) / eps
+        np.subtract(z, z.max(), out=w)
+        np.exp(w, out=w)
+        num = ratio @ w
+        y_new = out[i] + num[:k] / num[k]
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         out[i] = y_new
-        step = np.concatenate([-state[:k], y_new]) @ slide
-        step += products[:-1]
-        products[1:] = step
+        np.negative(state[:k], out=shift[:k])
+        shift[k:2 * k] = y_new
         state = np.concatenate([state[k:], y_new])
-        products[0] = points[0] @ state
     return TimeSeries(out, dt=model.dt, t0=float(t_start),
                       channel_names=source.channel_names)
 

@@ -420,6 +420,18 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     return times, pred, truth
 
 
+def check_outdir(outdir, name="outdir"):
+    """Raise :class:`ConfigError` when ``outdir``, or a directory above it,
+    exists and is not a directory, so that nothing could be written there;
+    ``name`` is the key or flag that set it."""
+    path = Path(os.path.abspath(outdir))
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"{name} {outdir}: {p} is not a directory")
+            return
+
+
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run the full pipeline and write the artifact directory.
 
@@ -429,14 +441,17 @@ def run_pipeline(config: PipelineConfig) -> Path:
     training window is ``qpdecomp predict --init-at <q+1>`` on model.npz
     and the input.
 
-    ``outdir`` must be absent or empty.  The artifacts are written into a
-    fresh staging directory beside it, which is renamed onto ``outdir`` at
-    the end, so ``outdir`` appears whole or not at all; if a file appears
-    in ``outdir`` meanwhile, the rename fails with :class:`ConfigError`.  A
-    failure removes the staging directory and nothing else.
+    ``outdir`` must be absent or an empty directory, and lie under no file;
+    both are checked before the input is read.  The artifacts are written
+    into a fresh staging directory beside it, which is renamed onto
+    ``outdir`` at the end, so ``outdir`` appears whole or not at all; if a
+    file appears in ``outdir`` meanwhile, the rename fails with
+    :class:`ConfigError`.  A failure removes the staging directory and
+    nothing else.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
+    check_outdir(config.outdir)
     if not (0 < config.predict_start < config.predict_end):
         raise ConfigError(
             "predict window is required and must satisfy 0 < start < end"
@@ -448,7 +463,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
         )
     # absolute, so that "." and ".." name a directory to stage beside
     outdir = Path(os.path.abspath(config.outdir))
-    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+    if outdir.is_dir() and any(outdir.iterdir()):
         raise ConfigError(f"output directory {outdir} is not empty")
     outdir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.staging-",

@@ -223,14 +223,9 @@ def extension_weights(points, sq, epsilon, y):
             f"query dimension {y.shape[-1]} does not match embedding dimension "
             f"{points.shape[1]}"
         )
-    return shifted_weights(sq, epsilon, y @ points.T)
-
-
-def shifted_weights(sq, epsilon, products):
-    """The weights of :func:`extension_weights` from the dot products
-    ``products`` (N,) or (B, N) of the queries with the points."""
-    # in one buffer; rounds exactly as sq - 2 * products does
-    d2 = -2.0 * products
+    # in one buffer; rounds exactly as sq - 2 * y @ points.T does
+    d2 = y @ points.T
+    d2 *= -2.0
     d2 += sq
     d2 -= d2.min(axis=-1, keepdims=True)
     d2 /= -epsilon

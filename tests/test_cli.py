@@ -503,6 +503,39 @@ class TestDiagnosticsCommand:
             assert (outdir / name).is_file()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["diagnostics", "run", "run_config"])
+def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, monkeypatch,
+                                            capsys, command, below):
+    # an --outdir (or a config's outdir) that is a file, or lies under one,
+    # is one ConfigError line before the kernel is built, and leaves no
+    # staging directory
+    import qpdecomp.kernel
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+    blocker = tmp_path / "taken.csv"
+    blocker.write_text("x\n", encoding="utf-8")
+    outdir = blocker / below if below else blocker
+    fit = ["--input", synth_csv[0], "--epsilon", "2.0", *FIT_FLAGS]
+    predict = ["--predict-start", "620", "--predict-end", "680"]
+    if command == "run_config":
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"outdir = {outdir}\n", encoding="utf-8")
+        args = ["run", "--config", cfg, *fit, *predict]
+    else:
+        args = [command, *fit, "--outdir", outdir,
+                *(predict if command == "run" else [])]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
+    assert f"{blocker} is not a directory" in err
+    assert blocker.read_text(encoding="utf-8") == "x\n"
+    assert not list(tmp_path.glob(".*staging*"))
+
+
 def check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys, retired):
     """A manifest holding each removed key of ``retired`` (key: (old
     default, other value)) at its old default re-runs to the bytes of the

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,8 +109,8 @@ def einsum_chaos(basis, E, y):
 def gemv_reconstruct(model, init, n_steps, t_start):
     """Reference free run: every step takes the kernel weights of the window
     from a full matrix-vector product with the N x k(q+1) points, where
-    :func:`reconstruct` slides the dot products forward.  Returns the
-    (n_steps, k) samples."""
+    :func:`reconstruct` slides their scaled log-weights forward.  Returns
+    the (n_steps, k) samples."""
     state = np.asarray(init, dtype=float).ravel().copy()
     k = model.k
     out = eval_periodic(model, t_start, n_steps)
@@ -461,13 +462,15 @@ class TestReconstruct:
         b = reconstruct(model, init, 100, 0.0)
         assert np.array_equal(a.values, b.values)
 
-    def test_divergence_reports_step(self, torus_model, model_basis, torus_E):
+    def test_divergence_reports_step(self, torus_model):
+        # a non-finite A reaches the step through g_per, a non-finite M
+        # through the GEMV of the weights with [sqrt(N) M | 1]
         model, pfit, s = torus_model
-        bad = QPModel.from_basis(model_basis[0], model.omegas,
-                                 np.full_like(model.A, np.inf), torus_E)
         init = state_before(s, model.q + 1, model.q)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="step 0"):
-            reconstruct(bad, init, 10, 0.0)
+        for bad in (replace(model, A=np.full_like(model.A, np.inf)),
+                    replace(model, M=np.full_like(model.M, np.inf))):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="step 0"):
+                reconstruct(bad, init, 10, 0.0)
 
     def test_free_run_respects_computable_bound(self, torus_model,
                                                 model_basis, torus_E):
@@ -521,6 +524,16 @@ class TestSlidingProducts:
             # the chaotic part carries weight, so wrong weights would show
             chaos = ref - eval_periodic(model, t_start, self.STEPS)
             assert np.abs(chaos).max() >= 0.1 * scale
+
+    def test_long_horizon_matches_gemv_oracle(self, cases):
+        # 2100 steps cross 8 recomputes and end inside a block of 52
+        model, s = cases["chaotic"]
+        q, steps = model.q, 2100
+        init = state_before(s, q + 1, q)
+        t_start = (q + 1) * model.dt
+        ref = gemv_reconstruct(model, init, steps, t_start)
+        got = reconstruct(model, init, steps, t_start)
+        assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 class TestDecompositionIdentity:
