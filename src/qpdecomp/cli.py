@@ -148,9 +148,12 @@ def _check_outputs(args):
     """Each file that the command writes must be named, must go into an
     existing directory and must not name one; checked before any input is
     read.  ``run`` and ``diagnostics`` create their ``--outdir``, which
-    must not be, or lie under, a file."""
-    if getattr(args, "outdir", None):
-        pipeline.check_outdir(args.outdir, "--outdir")
+    must not be empty, or be or lie under a file."""
+    outdir = getattr(args, "outdir", None)
+    if outdir is not None:
+        if not outdir:
+            raise ConfigError("--outdir is empty")
+        pipeline.check_outdir(outdir, "--outdir")
     for flag in ("out", "model_out", "latent_out"):
         path = getattr(args, flag, None)
         if path is None:

@@ -17,16 +17,21 @@ The standalone model advances a k(q+1) shift register in embedding layout
 (oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
 where the window is the register before the step, then the register shifts.
 ``g_chaos`` is the geometric-harmonics (Nystrom) extension of the fitted
-eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))`` with
-the shifted kernel weights of :func:`spectral.extension_weights` and the
-N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds
-the harmonics (omega, A), the training series, epsilon and M: what the free
-run reads, never an N x N matrix, the eigenbasis or E.
+eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))``
+with w the Gaussian kernel weights of y against the training points and
+the N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore
+holds the harmonics (omega, A), the training series, epsilon and M: what
+the free run reads, never an N x N matrix, the eigenbasis or E.
 
-The free run keeps the scaled log-weights ``z = (2 P - sq) / epsilon`` of
-the window, where ``P = points @ window`` are the N dot products of the
-training points with it: the weights are ``exp(z - max z)``, since
-``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``.  Point m is samples
+g_chaos has one evaluator, which :func:`eval_chaotic`, the free run and
+the in-sample reconstruction share.  :func:`log_weights` gives the scaled
+log-weights ``z = (2 P - sq) / epsilon`` of a state y, where
+``P = points @ y``: the weights are ``exp(z - max z)``, since
+``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``.  :func:`kernel_average`
+makes one product of them with the rows ``[sqrt(N) M^T; 1]``, which gives
+the numerator and the weight sum of g_chaos together.
+
+The free run slides z instead of recomputing it.  Point m is samples
 m..m+q of the training series x, and the shifted window drops its oldest
 block ``old`` and appends the new sample, so z slides forward in O(N k) per
 step: ``z[m] <- z[m-1] + (2 (x[m+q] . y_new - x[m-1] . old) + sq[m-1] -
@@ -35,9 +40,9 @@ row folds in the squared norms, with ``z[0]`` computed afresh.  This is the
 sliding update of the STOMP matrix profile algorithm (Zhu et al., ICDM
 2016).  z lives in a buffer of ``N + _BLOCK_ROWS`` values and each step
 views it one place earlier, so the slid ``z[1:]`` is already where the last
-``z[:-1]`` was.  One more GEMV of the weights with ``[sqrt(N) M | 1]`` gives
-the numerator and the weight sum of g_chaos together.  A full recompute
-every ``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon.
+``z[:-1]`` was.  A full recompute by :func:`log_weights` every
+``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon, and
+makes those steps equal ``eval_periodic + eval_chaotic`` bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -48,14 +53,14 @@ from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError
 from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
-from .spectral import SpectralBasis, extension_weights
+from .spectral import SpectralBasis
 
 MODEL_FORMAT = "qpdecomp-model-3"
 
-# Rows per block when harmonics or the extension are evaluated at many times
-# or points: a block holds a (rows x m) complex phase matrix or a (rows x N)
+# Rows per block when harmonics or g_chaos are evaluated at many times or
+# states: a block holds a (rows x m) complex phase matrix or an (N x rows)
 # weight matrix, 8 MB at m = 2048 bins or N = 4096 points.  Also the number
-# of free-run steps between full recomputes of the slid dot products.
+# of free-run steps between full recomputes of the slid log-weights.
 _BLOCK_ROWS = 256
 
 
@@ -77,9 +82,10 @@ class QPModel:
     component.  ``embedding`` holds the training series, q and the embedded
     points; ``sq``, their squared row norms, is derived from it.  ``M``
     (N x k) maps shifted kernel weights to the chaotic component; build it
-    from a basis with :meth:`from_basis`.  Other shapes, a non-finite
-    frequency, a zero-frequency coefficient that is not real or
-    ``epsilon <= 0`` are a :class:`DataError`.
+    from a basis with :meth:`from_basis`; ``rows``, the C-ordered
+    ``[sqrt(N) M^T; 1]`` of :func:`kernel_average`, is derived from it.
+    Other shapes, a non-finite frequency, a zero-frequency coefficient that
+    is not real or ``epsilon <= 0`` are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -88,6 +94,7 @@ class QPModel:
     embedding: DelayEmbedding
     epsilon: float
     sq: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         omegas, n, k = self.omegas, self.n, self.k
@@ -103,6 +110,10 @@ class QPModel:
             raise DataError("model zero-frequency coefficient is not real")
         pts = self.embedding.points
         object.__setattr__(self, "sq", np.einsum("ij,ij->i", pts, pts))
+        rows = np.empty((k + 1, n))
+        rows[:k] = np.sqrt(n) * self.M.T
+        rows[k] = 1.0
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_basis(cls, basis: SpectralBasis, omegas, A, E) -> "QPModel":
@@ -223,23 +234,48 @@ def eval_periodic(model: QPModel, t0: float, n: int) -> np.ndarray:
     return evaluate_harmonics(model.A, model.omegas, t0, model.dt, n)
 
 
+def log_weights(points, sq, epsilon, y, out=None) -> np.ndarray:
+    """Scaled log kernel weights ``z = (2 points @ y - sq) / epsilon``, into
+    ``out`` when given: (N,) for one state y (dim,), (N, B) for a block
+    (B, dim).  ``sq`` holds the squared row norms of the (N, dim) points.
+    A query of another dimension is a :class:`DataError`."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != points.shape[1]:
+        raise DataError(
+            f"query dimension {y.shape[-1]} does not match embedding dimension "
+            f"{points.shape[1]}"
+        )
+    z = np.matmul(points, y.T, out=out)
+    z *= 2.0
+    np.subtract(z.T, sq, out=z.T)
+    z /= epsilon
+    return z
+
+
+def kernel_average(rows, z, w) -> np.ndarray:
+    """``(rows[:-1] @ w) / (rows[-1] @ w)`` for the weights ``exp(z - max z)``
+    of the log-weights z, (N,) or (N, B), which go into the buffer w of z's
+    shape (z itself may be it).  Returns (k,) or (k, B)."""
+    np.subtract(z, z.max(axis=0), out=w)
+    np.exp(w, out=w)
+    num = rows @ w
+    return num[:-1] / num[-1]
+
+
 def eval_chaotic(model: QPModel, y) -> np.ndarray:
-    """Chaotic component at one delay state (dim,) or a block of states
-    (B, dim), in embedding layout."""
-    w = extension_weights(model.embedding.points, model.sq, model.epsilon, y)
-    return (np.sqrt(model.n) * (w @ model.M)
-            / w.sum(axis=-1, keepdims=True))
-
-
-def chaotic_at_training_points(model: QPModel) -> np.ndarray:
-    """Chaotic component at every training point, (N, k).
-
-    By the Nystrom identity this is ``Phi @ E`` of the fitted basis, to
-    rounding, without storing Phi.  Evaluated in row blocks.
-    """
-    pts = model.embedding.points
-    return np.concatenate([eval_chaotic(model, pts[i:i + _BLOCK_ROWS])
-                           for i in range(0, model.n, _BLOCK_ROWS)])
+    """Chaotic component at one delay state (dim,) or at each of a block of
+    states (B, dim), ``_BLOCK_ROWS`` at a time, in embedding layout.  At the
+    training points it is ``Phi @ E`` of the fitted basis, to rounding."""
+    y = np.asarray(y, dtype=float)
+    pts, sq, eps = model.embedding.points, model.sq, model.epsilon
+    if y.ndim == 1:
+        z = log_weights(pts, sq, eps, y)
+        return kernel_average(model.rows, z, z)
+    out = np.empty((len(y), model.k))
+    for i in range(0, len(y), _BLOCK_ROWS):
+        z = log_weights(pts, sq, eps, y[i:i + _BLOCK_ROWS])
+        out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z, z).T
+    return out
 
 
 def periodic_sup_bound(model: QPModel) -> float:
@@ -274,15 +310,13 @@ def reconstruct(model: QPModel, init, n_steps: int,
     generated sample, embedding layout, oldest block first), generates
     samples at times ``t_start + n*dt`` for n = 0..n_steps-1: each new sample
     is ``g_per(time) + g_chaos(previous window)``, after which the window
-    shifts by one sample.  The scaled log-weights ``z = (2 P - sq) / epsilon``
-    of the window slide forward with it, O(N k) per step, by one GEMV of
-    ``(-old block, new sample, 1)`` whose last row is the folded
-    ``(sq[m-1] - sq[m]) / epsilon``, and are recomputed in full,
-    O(N k (q+1)), every ``_BLOCK_ROWS`` (256) steps, so they agree with a
-    full recompute at every step to rounding.  The weights are
-    ``exp(z - max z)``, and one GEMV of them with ``[sqrt(N) M | 1]`` gives
-    the numerator and the weight sum of g_chaos (see the module docstring).
-    Deterministic: identical model and init give bit-identical trajectories.
+    shifts by one sample.  The scaled log-weights of the window slide
+    forward with it, O(N k) per step, and :func:`log_weights` recomputes
+    them in full every ``_BLOCK_ROWS`` (256) steps, so they agree with a
+    full recompute at every step to rounding, and such a step equals
+    ``eval_periodic + eval_chaotic`` bit for bit (see the module
+    docstring).  Deterministic: identical model and init give
+    bit-identical trajectories.
 
     g_chaos is a kernel-weighted average of the rows of ``sqrt(N) * M``, so
     the run is bounded by construction; a non-finite sample (from non-finite
@@ -301,18 +335,14 @@ def reconstruct(model: QPModel, init, n_steps: int,
     points = model.embedding.points
     # column m-1 holds rows m-1 and m+q of the training series, times
     # 2/eps, and (sq[m-1] - sq[m]) / eps, so that (-old, y_new, 1) @ slide
-    # carries z[m-1] of one step to z[m] of the next, m = 1..N-1.  Both
-    # GEMV matrices are filled in C order, because a GEMV over long
+    # carries z[m-1] of one step to z[m] of the next, m = 1..N-1.  It is
+    # filled in C order, as model.rows is, because a GEMV over long
     # contiguous rows is the fast one (np.vstack of the transposes gives F)
     x = source.values * (2.0 / eps)
     slide = np.empty((2 * k + 1, n - 1))
     slide[:k] = x[:n - 1].T
     slide[k:2 * k] = x[model.q + 1:].T
     slide[2 * k] = (sq[:-1] - sq[1:]) / eps
-    # rows sqrt(N) M[:, c] and 1: ratio @ w is the numerator and sum(w)
-    ratio = np.empty((k + 1, n))
-    ratio[:k] = np.sqrt(n) * model.M.T
-    ratio[k] = 1.0
     # step j of a block views z at buf[R-j:], so the slid z[1:] of the next
     # step is the memory of this step's z[:-1] and nothing is shifted
     buf = np.empty(n + _BLOCK_ROWS)
@@ -324,17 +354,11 @@ def reconstruct(model: QPModel, init, n_steps: int,
         j = i % _BLOCK_ROWS
         z = buf[_BLOCK_ROWS - j:_BLOCK_ROWS - j + n]
         if j == 0:
-            np.matmul(points, state, out=z)
-            z *= 2.0
-            z -= sq
-            z /= eps
+            log_weights(points, sq, eps, state, out=z)
         else:
             z[1:] += shift @ slide
             z[0] = (2.0 * (points[0] @ state) - sq[0]) / eps
-        np.subtract(z, z.max(), out=w)
-        np.exp(w, out=w)
-        num = ratio @ w
-        y_new = out[i] + num[:k] / num[k]
+        y_new = out[i] + kernel_average(model.rows, z, w)
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         out[i] = y_new

@@ -192,7 +192,6 @@ class ThresholdDiagnostics:
     column_mean: np.ndarray
     column_max: np.ndarray
     sorted_growth: np.ndarray
-    L0: int
 
 
 def threshold_diagnostics(table: RkhsNormTable, L0: int) -> ThresholdDiagnostics:
@@ -205,5 +204,4 @@ def threshold_diagnostics(table: RkhsNormTable, L0: int) -> ThresholdDiagnostics
         column_mean=table.W.mean(axis=0),
         column_max=table.W.max(axis=0),
         sorted_growth=np.sort(growth),
-        L0=int(L0),
     )

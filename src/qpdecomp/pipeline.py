@@ -375,7 +375,7 @@ def write_reconstruction(path, model: dc.QPModel):
     then g_per at their times plus g_chaos at the training points."""
     train, q = model.embedding.source, model.q
     recon = (dc.eval_periodic(model, q * model.dt, model.n)
-             + dc.chaotic_at_training_points(model))
+             + dc.eval_chaotic(model, model.embedding.points))
     write_estimate(path, train.channel_names, train.times()[q:], "recon",
                    recon, train.values[q:])
 

@@ -1,5 +1,4 @@
-"""Truncated eigenbasis of the normalized kernel matrix and out-of-sample
-extension.
+"""Truncated eigenbasis of the normalized kernel matrix.
 
 The basis is the top-L singular triplets of ``Ktilde``, computed as the top-L
 eigenvectors of the Gram matrix ``Ktilde^T Ktilde`` followed by a
@@ -17,17 +16,6 @@ Inner-product convention (declared once, carried explicitly everywhere):
 * ``Gamma`` columns are plain Euclidean-orthonormal right singular vectors:
   the Gram eigenvectors rotated by the Rayleigh-Ritz step.
 * ``lam[l] = sigma[l]**2`` are the kernel-operator eigenvalues.
-
-The out-of-sample extension of eigenfunction l is
-
-    ext_l(y) = kvec(y) . (Q^{-1/2} Gamma[:, l]) / (sqrt(N) * sigma_l * deg(y))
-
-with ``deg(y) = mean(kvec(y))`` the out-of-sample degree.  At a stored data
-point this reproduces the corresponding entry of Phi exactly (the identity
-``Ktilde @ Gamma = U * sigma``, which the Rayleigh-Ritz step enforces), which
-is the contract the tests pin down.  Evaluation uses a shifted-ratio form so
-the common kernel scale cancels and far-away queries stay finite instead of
-underflowing to 0/0.
 """
 
 import os
@@ -205,29 +193,4 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
     return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, Gamma=v,
                          epsilon=epsilon, q=q, embedding=embedding,
                          sqdist_histogram=hist)
-
-
-def extension_weights(points, sq, epsilon, y):
-    """Shifted kernel weights between query rows y and the stored points.
-
-    ``points`` is (N, dim) with squared row norms ``sq``; y is one query
-    (dim,) or a block of queries (B, dim).  Returns ``w`` of shape (N,) or
-    (B, N) with ``w_n = exp(-(D_n - min D) / epsilon)``, where
-    ``D_n = sq_n - 2 points_n . y`` is the squared distance less |y|^2.
-    The dropped |y|^2 and the common scale ``exp(-Dmin/epsilon)`` cancel in
-    every ratio ``(w @ c) / sum(w)``, which stays finite for far queries.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != points.shape[1]:
-        raise DataError(
-            f"query dimension {y.shape[-1]} does not match embedding dimension "
-            f"{points.shape[1]}"
-        )
-    # in one buffer; rounds exactly as sq - 2 * y @ points.T does
-    d2 = y @ points.T
-    d2 *= -2.0
-    d2 += sq
-    d2 -= d2.min(axis=-1, keepdims=True)
-    d2 /= -epsilon
-    return np.exp(d2, out=d2)
 

@@ -68,7 +68,6 @@ class SkewProductSystem:
     g_per: Callable
     g_chaos: Callable
     observation: Callable
-    n_channels: int
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -138,7 +137,7 @@ def _pure_torus_2() -> SkewProductSystem:
 
     return SkewProductSystem(driver=driver, x0=np.zeros(1),
                              g_per=_zero_map(1), g_chaos=_zero_map(1),
-                             observation=observation, n_channels=3)
+                             observation=observation)
 
 
 def _torus_plus_logistic() -> SkewProductSystem:
@@ -161,7 +160,7 @@ def _torus_plus_logistic() -> SkewProductSystem:
 
     return SkewProductSystem(driver=driver, x0=np.array([0.0, 0.37]),
                              g_per=g_per, g_chaos=g_chaos,
-                             observation=observation, n_channels=2)
+                             observation=observation)
 
 
 def _torus_plus_damped() -> SkewProductSystem:
@@ -182,7 +181,7 @@ def _torus_plus_damped() -> SkewProductSystem:
 
     return SkewProductSystem(driver=driver, x0=np.zeros(1),
                              g_per=g_per, g_chaos=g_chaos,
-                             observation=observation, n_channels=2)
+                             observation=observation)
 
 
 _TESTBEDS = {

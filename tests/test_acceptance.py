@@ -97,7 +97,6 @@ def chaos_only_system(seed):
         g_chaos=lambda th, x, rng_: np.array([0.3 * (2 * x[1] - 1),
                                               4.0 * x[1] * (1 - x[1])]),
         observation=lambda th, x: x @ mix,
-        n_channels=2,
     )
 
 

@@ -536,6 +536,31 @@ def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, monkeypatch,
     assert not list(tmp_path.glob(".*staging*"))
 
 
+@pytest.mark.parametrize("command", ["diagnostics", "run"])
+def test_empty_outdir_exits_2_before_reading(synth_csv, tmp_path, monkeypatch,
+                                             capsys, command):
+    # an empty --outdir is one ConfigError line, as an empty --out is,
+    # before the input is read or the kernel built; nothing is written
+    # into the working directory
+    import qpdecomp.kernel
+    import qpdecomp.series
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an input was read or fitted")
+
+    monkeypatch.setattr(qpdecomp.series, "load_csv", unreachable)
+    monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--input", synth_csv[0], "--epsilon", "2.0",
+            *FIT_FLAGS, "--outdir", ""]
+    if command == "run":
+        args += ["--predict-start", "620", "--predict-end", "680"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == (
+        "qpdecomp: ConfigError: --outdir is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys, retired):
     """A manifest holding each removed key of ``retired`` (key: (old
     default, other value)) at its old default re-runs to the bytes of the

@@ -14,7 +14,6 @@ from qpdecomp import (
 from qpdecomp.decompose import (
     PeriodicFit,
     QPModel,
-    chaotic_at_training_points,
     chaotic_sup_bound,
     eval_chaotic,
     eval_periodic,
@@ -22,6 +21,7 @@ from qpdecomp.decompose import (
     fit_chaotic,
     fit_periodic,
     load_model,
+    log_weights,
     moving_average,
     periodic_sup_bound,
     reconstruct,
@@ -31,7 +31,7 @@ from qpdecomp.decompose import (
 )
 from qpdecomp.freqfilter import FrequencySelection, SelectionParams, rkhs_norm_table, select
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
-from qpdecomp.spectral import decompose, extension_weights
+from qpdecomp.spectral import decompose
 
 from conftest import direct_harmonics, masked_irfft, synthesize, torus_series
 
@@ -107,17 +107,15 @@ def einsum_chaos(basis, E, y):
 
 
 def gemv_reconstruct(model, init, n_steps, t_start):
-    """Reference free run: every step takes the kernel weights of the window
-    from a full matrix-vector product with the N x k(q+1) points, where
-    :func:`reconstruct` slides their scaled log-weights forward.  Returns
-    the (n_steps, k) samples."""
+    """Reference free run: every step evaluates g_chaos of the window afresh
+    by :func:`eval_chaotic`, a full matrix-vector product with the
+    N x k(q+1) points, where :func:`reconstruct` slides their scaled
+    log-weights forward.  Returns the (n_steps, k) samples."""
     state = np.asarray(init, dtype=float).ravel().copy()
     k = model.k
     out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
-        w = extension_weights(model.embedding.points, model.sq, model.epsilon,
-                              state)
-        y_new = out[i] + np.sqrt(model.n) * (w @ model.M) / w.sum()
+        y_new = out[i] + eval_chaotic(model, state)
         out[i] = y_new
         state = np.concatenate([state[k:], y_new])
     return out
@@ -425,10 +423,66 @@ class TestEvalChaotic:
         # all rows at once, across several row blocks, against Phi @ E
         model, _, _ = torus_model
         basis, _ = model_basis
-        got = chaotic_at_training_points(model)
+        got = eval_chaotic(model, model.embedding.points)
         ref = synthesize(basis, torus_E)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    def test_ragged_blocks_match_each_state(self, fitted_torus):
+        # 600 states are row blocks of 256, 256 and 88; the model has random
+        # chaos, so that each state's value carries weight
+        basis, model, _, _ = fitted_torus
+        model = with_random_chaos(basis, model)
+        pts = model.embedding.points
+        rng = np.random.default_rng(3)
+        extra = pts[:600 - len(pts)] + 0.1 * rng.standard_normal(
+            (600 - len(pts), pts.shape[1]))
+        states = np.concatenate([pts, extra])
+        got = eval_chaotic(model, states)
+        ref = np.array([eval_chaotic(model, y) for y in states])
+        assert got.shape == (600, model.k)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLogWeights:
+    """The scaled log-weights z of a query: ``exp(z - max z)`` are its kernel
+    values, shifted so that the nearest point weighs 1."""
+
+    @staticmethod
+    def weights_at(pts, eps, y):
+        z = log_weights(pts, np.einsum("ij,ij->i", pts, pts), eps, y)
+        return np.exp(z - z.max(axis=0))
+
+    def test_self_similarity(self):
+        pts = np.random.default_rng(9).standard_normal((25, 3))
+        vec = self.weights_at(pts, 2.0, pts[7])
+        np.testing.assert_allclose(vec[7], 1.0)
+        kernel_row = np.exp(-((pts - pts[7]) ** 2).sum(axis=1) / 2.0)
+        np.testing.assert_allclose(vec, kernel_row, atol=1e-12)
+
+    def test_far_point_underflows(self):
+        # the unshifted kernel underflows far away; the shifted weights stay
+        # finite with the nearest point at weight 1
+        pts = np.random.default_rng(10).standard_normal((10, 2))
+        y = np.full(2, 1e4)
+        assert (np.exp(-((pts - y) ** 2).sum(axis=1)) == 0.0).all()
+        vec = self.weights_at(pts, 1.0, y)
+        assert np.isfinite(vec).all() and vec.max() == 1.0
+
+    def test_per_entry_formula_oracle(self):
+        pts = np.random.default_rng(11).standard_normal((40, 4))
+        eps = 1.3
+        y = np.random.default_rng(12).standard_normal(4)
+        dmin = ((pts - y) ** 2).sum(axis=1).min()
+        vec = self.weights_at(pts, eps, y) * np.exp(-dmin / eps)
+        for i in range(40):
+            expected = np.exp(-((y - pts[i]) ** 2).sum() / eps)
+            assert abs(vec[i] - expected) <= 1e-12 * max(1.0, expected)
+
+    def test_dimension_mismatch(self):
+        pts = np.random.default_rng(13).standard_normal((10, 3))
+        with pytest.raises(DataError, match="dimension"):
+            log_weights(pts, np.einsum("ij,ij->i", pts, pts), 1.0, np.ones(4))
 
 
 class TestReconstruct:
@@ -534,6 +588,21 @@ class TestSlidingProducts:
         ref = gemv_reconstruct(model, init, steps, t_start)
         got = reconstruct(model, init, steps, t_start)
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["torus", "q0", "chaotic"])
+    def test_recompute_steps_equal_the_evaluators(self, cases, case):
+        # steps 0 and 256 recompute the log-weights: there the free run is
+        # eval_periodic + eval_chaotic of its window, bit for bit
+        model, s = cases[case]
+        q, k, steps = model.q, model.k, 300
+        init = state_before(s, q + 1, q)
+        t_start = (q + 1) * model.dt
+        got = reconstruct(model, init, steps, t_start).values
+        history = np.concatenate([init.reshape(q + 1, k), got])
+        per = eval_periodic(model, t_start, steps)
+        for i in (0, 256):
+            window = history[i:i + q + 1].ravel()
+            assert np.array_equal(got[i], per[i] + eval_chaotic(model, window))
 
 
 class TestDecompositionIdentity:

@@ -295,7 +295,6 @@ class TestThresholdDiagnostics:
         assert (np.diff(diag.column_mean) >= 0).all()
         assert (np.diff(diag.column_max) >= 0).all()
         assert (np.diff(diag.sorted_growth) >= -1e-15).all()
-        assert diag.L0 == 10
 
     def test_plateau_gap_separates_lattice_from_noise(self, torus_basis):
         # numeric rendering of the two-panel threshold diagnostic: growth

@@ -13,7 +13,6 @@ from qpdecomp import (
     pairwise_sqdist,
 )
 from qpdecomp.kernel import sqdist_histogram, sqdist_quantile
-from qpdecomp.spectral import extension_weights
 
 
 def embed_points(points):
@@ -42,18 +41,6 @@ def whole_matrix_kernel(emb, eps):
     kt = K / (n * d[:, None] * np.sqrt(q)[None, :])
     counts, edges = np.histogram(d2[np.triu_indices(n, 1)], bins=64)
     return d2, kt, d, q, counts, edges
-
-
-def kernel_vector_at(emb, eps, y):
-    """Exact-difference kernel values exp(-|y - y_n|^2 / epsilon): the
-    unshifted oracle for ``spectral.extension_weights``."""
-    diff = emb.points - np.ravel(y)[None, :]
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / eps)
-
-
-def weights_at(emb, eps, y):
-    pts = emb.points
-    return extension_weights(pts, np.einsum("ij,ij->i", pts, pts), eps, y)
 
 
 def brute_sqdist(pts):
@@ -267,42 +254,6 @@ class TestOneBufferKernel:
             tracemalloc.stop()
         assert kt.shape == (n, n) and eps > 0
         assert peak <= 2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
-
-
-class TestKernelVectorAt:
-    """Kernel values at a query point, as ``spectral.extension_weights``
-    computes them: shifted so that the nearest point weighs 1."""
-
-    def test_self_similarity(self):
-        pts = np.random.default_rng(9).standard_normal((25, 3))
-        emb = embed_points(pts)
-        vec = weights_at(emb, 2.0, pts[7])
-        np.testing.assert_allclose(vec[7], 1.0)
-        np.testing.assert_allclose(vec, kernel_matrix(emb, 2.0)[7], atol=1e-12)
-
-    def test_far_point_underflows(self):
-        # the unshifted kernel underflows far away; the shifted weights stay
-        # finite with the nearest point at weight 1
-        emb = embed_points(np.random.default_rng(10).standard_normal((10, 2)))
-        y = np.full(2, 1e4)
-        assert (kernel_vector_at(emb, 1.0, y) == 0.0).all()
-        vec = weights_at(emb, 1.0, y)
-        assert np.isfinite(vec).all() and vec.max() == 1.0
-
-    def test_per_entry_formula_oracle(self):
-        pts = np.random.default_rng(11).standard_normal((40, 4))
-        eps = 1.3
-        y = np.random.default_rng(12).standard_normal(4)
-        dmin = ((pts - y) ** 2).sum(axis=1).min()
-        vec = weights_at(embed_points(pts), eps, y) * np.exp(-dmin / eps)
-        for i in range(40):
-            expected = np.exp(-((y - pts[i]) ** 2).sum() / eps)
-            assert abs(vec[i] - expected) <= 1e-12 * max(1.0, expected)
-
-    def test_dimension_mismatch(self):
-        emb = embed_points(np.random.default_rng(13).standard_normal((10, 3)))
-        with pytest.raises(DataError, match="dimension"):
-            weights_at(emb, 1.0, np.ones(4))
 
 
 def test_sqdist_histogram_counts_all_pairs():

@@ -12,7 +12,7 @@ from qpdecomp import (
 )
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.decompose import fit_chaotic
-from qpdecomp.spectral import decompose, extension_weights
+from qpdecomp.spectral import decompose
 
 from conftest import synthesize
 
@@ -47,9 +47,14 @@ def nystrom_extend(basis, y, l):
     """
     if not (1 <= l <= basis.L):
         raise DataError(f"l={l} out of range 1..{basis.L}")
-    pts = basis.embedding.points
-    w = extension_weights(pts, np.einsum("ij,ij->i", pts, pts),
-                          basis.epsilon, np.ravel(y))
+    y = np.ravel(y)
+    if y.shape != (basis.embedding.dim,):
+        raise DataError(f"query dimension {y.size} is not "
+                        f"{basis.embedding.dim}")
+    # exact differences, shifted so that the nearest point weighs 1
+    diff = basis.embedding.points - y[None, :]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    w = np.exp(-(d2 - d2.min()) / basis.epsilon)
     c = basis.Gamma[:, l - 1] / np.sqrt(basis.q)
     return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 

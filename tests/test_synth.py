@@ -15,7 +15,6 @@ def cosine_system(period_samples, dt):
         g_per=lambda th: np.zeros(1),
         g_chaos=lambda th, x, rng: np.zeros(1),
         observation=lambda th, x: np.cos(th[:, :1]),
-        n_channels=1,
     )
 
 
@@ -79,7 +78,6 @@ class TestSimulate:
             g_per=lambda th: np.zeros(1),
             g_chaos=lambda th, x, rng: x * x * 100.0,
             observation=lambda th, x: x,
-            n_channels=1,
         )
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="step"):
             simulate(sys, 100, 1.0, seed=0)
