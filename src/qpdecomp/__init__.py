@@ -24,7 +24,6 @@ from .freqfilter import (
     RkhsNormTable,
     rkhs_norm_table,
     select,
-    threshold_diagnostics,
 )
 from .kernel import gaussian_kernel, pairwise_sqdist
 from .pipeline import PipelineConfig, load_config, report_periods, run_pipeline
@@ -80,7 +79,6 @@ __all__ = [
     "select",
     "simulate",
     "standard_testbed",
-    "threshold_diagnostics",
     "window",
     "write_csv",
 ]

@@ -1,5 +1,5 @@
-"""Spectral filtering of eigenfunction Fourier content: cumulative norm
-table, two-threshold frequency selection, and threshold diagnostics.
+"""Spectral filtering of eigenfunction Fourier content: the cumulative norm
+table and the two-threshold frequency selection.
 
 Each basis column is Fourier-transformed along its row index with the
 forward DFT scaled by 1/N, so entries of ``|fft(Phi)|`` are amplitude-like
@@ -15,23 +15,18 @@ Columns are weighted by ``lam**-0.5`` and accumulated:
 A bin whose cumulative norm keeps growing through late columns carries
 continuous-spectrum energy and is discarded; a bin with substantial early
 mass and flat growth is kept as a genuine eigenfrequency of the dynamics.
+The growth of bin j past a reference column L0 is
+``ln W[j, L] - ln W[j, L0]`` (:func:`log_growth`); the selection keeps it
+for its bins, and the diagnostics sort it over all bins.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .spectral import SpectralBasis
-
-
-class SelectionParams(NamedTuple):
-    eps1: float
-    eps2: float
-    L0: int
-    L: int
 
 
 @dataclass(frozen=True)
@@ -60,19 +55,20 @@ class RkhsNormTable:
     def L(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def bin_width(self) -> float:
-        return float(self.freqs[1]) if len(self.freqs) > 1 else 0.0
-
 
 @dataclass(frozen=True)
 class FrequencySelection:
-    """Bins surviving both thresholds, sorted by frequency; bin 0 always present."""
+    """Bins surviving both thresholds, sorted by frequency; bin 0 always present.
+
+    ``amplitudes`` is W[j, L0] and ``growth`` ln W[j, L] - ln W[j, L0] of
+    each kept bin j, at the reference column ``L0``.
+    """
 
     indices: np.ndarray
     omegas: np.ndarray
     amplitudes: np.ndarray
-    params: SelectionParams
+    growth: np.ndarray
+    L0: int
 
     def __post_init__(self):
         if len(self.indices) < 1 or self.indices[0] != 0:
@@ -111,8 +107,8 @@ def rkhs_norm_table(basis: SpectralBasis, dt: float) -> RkhsNormTable:
     return RkhsNormTable(W=W[:n_bins], freqs=freqs)
 
 
-def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
-           L0: int = None) -> FrequencySelection:
+def select(table: RkhsNormTable, eps1: float, eps2: float,
+           L0: int) -> FrequencySelection:
     """Two-threshold frequency selection.
 
     Bin j is kept iff ``W[j, L0] >= eps1`` and
@@ -131,15 +127,13 @@ def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
         Reference column, 1 < L0 <= L.  Required: the useful value depends
         on where the eigenvalue decay of the data sets in.
     """
-    if L0 is None:
-        raise DataError("L0 is required")
     if not (eps1 > 0 and eps2 > 0):
         raise DataError("thresholds must be positive")
     if not (1 < L0 <= table.L):
         raise DataError(f"L0={L0} out of range 2..{table.L}")
     w_l0 = table.W[:, L0 - 1]
-    keep = w_l0 >= eps1
-    selected = np.where(keep & (log_growth(table, L0) <= eps2))[0]
+    growth = log_growth(table, L0)
+    selected = np.where((w_l0 >= eps1) & (growth <= eps2))[0]
     selected = np.union1d(selected, [0]).astype(int)
     if len(selected) == 1:
         warnings.warn(
@@ -161,47 +155,15 @@ def select(table: RkhsNormTable, eps1: float = 0.1, eps2: float = 2.5,
         indices=selected,
         omegas=table.freqs[selected],
         amplitudes=w_l0[selected],
-        params=SelectionParams(float(eps1), float(eps2), int(L0), int(table.L)),
+        growth=growth[selected],
+        L0=int(L0),
     )
 
 
-def log_growth(table: RkhsNormTable, L0: int, rows=slice(None)) -> np.ndarray:
-    """ln W[j, L] - ln W[j, L0] for the bins ``rows``; +inf where W[j, L0] = 0."""
-    w_l0 = table.W[rows, L0 - 1]
+def log_growth(table: RkhsNormTable, L0: int) -> np.ndarray:
+    """ln W[j, L] - ln W[j, L0] for every bin j; +inf where W[j, L0] = 0."""
+    w_l0 = table.W[:, L0 - 1]
     out = np.full(len(w_l0), np.inf)
     pos = w_l0 > 0
-    out[pos] = np.log(table.W[rows, -1][pos]) - np.log(w_l0[pos])
+    out[pos] = np.log(table.W[pos, -1]) - np.log(w_l0[pos])
     return out
-
-
-def selection_growth(table: RkhsNormTable, selection: FrequencySelection) -> np.ndarray:
-    """ln W[j, L] - ln W[j, L0] for each selected bin (reporting column)."""
-    return log_growth(table, selection.params.L0, selection.indices)
-
-
-@dataclass(frozen=True)
-class ThresholdDiagnostics:
-    """Curves for choosing L0 and eps2 by eye; no automatic choice is made.
-
-    ``column_mean``/``column_max`` trace the growth of W across columns (the
-    abrupt-jump curve locating L0); ``sorted_growth`` is the ascending
-    ln(W[:, L]/W[:, L0]) over all bins, whose inflection suggests eps2.
-    """
-
-    column_index: np.ndarray
-    column_mean: np.ndarray
-    column_max: np.ndarray
-    sorted_growth: np.ndarray
-
-
-def threshold_diagnostics(table: RkhsNormTable, L0: int) -> ThresholdDiagnostics:
-    if not (1 < L0 <= table.L):
-        raise DataError(f"L0={L0} out of range 2..{table.L}")
-    growth = log_growth(table, L0)
-    growth = growth[np.isfinite(growth)]
-    return ThresholdDiagnostics(
-        column_index=np.arange(1, table.L + 1),
-        column_mean=table.W.mean(axis=0),
-        column_max=table.W.max(axis=0),
-        sorted_growth=np.sort(growth),
-    )

@@ -310,7 +310,7 @@ def write_frequencies(path, result: Fit):
          periods,
          [format_period(p) for p in periods],
          selection.amplitudes,
-         freqfilter.selection_growth(result.table, selection)],
+         selection.growth],
     )
 
 
@@ -325,17 +325,21 @@ def write_diagnostics(outdir, result: Fit):
         ["bin_left", "bin_right", "count"],
         [edges[:-1], edges[1:], [str(int(c)) for c in counts]],
     )
-    tdiag = freqfilter.threshold_diagnostics(result.table,
-                                             result.selection.params.L0)
+    # the growth of W across columns locates L0; the inflection of the
+    # sorted growths past it suggests eps2
+    W = result.table.W
     _write_table(
         outdir / "norm_growth_by_column.csv",
         ["l", "w_mean", "w_max"],
-        [[str(l) for l in tdiag.column_index], tdiag.column_mean, tdiag.column_max],
+        [[str(l) for l in range(1, W.shape[1] + 1)], W.mean(axis=0),
+         W.max(axis=0)],
     )
+    growth = freqfilter.log_growth(result.table, result.selection.L0)
+    growth = np.sort(growth[np.isfinite(growth)])
     _write_table(
         outdir / "growth_ratio_sorted.csv",
         ["rank", "ln_ratio"],
-        [[str(r) for r in range(len(tdiag.sorted_growth))], tdiag.sorted_growth],
+        [[str(r) for r in range(len(growth))], growth],
     )
     _write_table(
         outdir / "eigenvalues.csv",

@@ -58,7 +58,7 @@ class TimeSeries:
     values : ndarray, shape (N, k)
         One row per sample, one column per channel.  NaNs are rejected.
     dt : float
-        Seconds per sample.
+        Seconds per sample; finite and positive.
     t0 : float
         Epoch offset of the first sample, in seconds.
     channel_names : tuple of str
@@ -78,8 +78,8 @@ class TimeSeries:
             raise DataError("values must be a non-empty N x k matrix")
         if not np.isfinite(values).all():
             raise DataError("values contain NaN or infinite entries")
-        if not self.dt > 0:
-            raise DataError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise DataError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "values", values)
         names = tuple(self.channel_names) or tuple(
             f"ch{i}" for i in range(values.shape[1])
@@ -173,9 +173,10 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
     Raises
     ------
     DataError
-        Missing columns, empty channel selection, malformed numeric cells
-        (reported with line numbers), non-increasing timestamps, uneven
-        timestamps with ``dt = 0``, or a failed resampling.
+        Missing columns, empty channel selection, malformed or non-finite
+        numeric cells (reported with line numbers), non-increasing
+        timestamps, uneven timestamps with ``dt = 0``, or a failed
+        resampling.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -223,6 +224,14 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
 
     times = np.asarray(times)
     values = np.asarray(rows)
+    # a cell such as nan, inf or 1e400 parses as a float
+    cells = np.column_stack([times, values])
+    if not np.isfinite(cells).all():
+        row, col = np.argwhere(~np.isfinite(cells))[0]
+        what = ("timestamp" if col == 0
+                else f"column {channels[col - 1]!r} value")
+        raise DataError(f"{path}: line {row_lines[row]}: {what} "
+                        f"{cells[row, col]} is NaN or infinite")
     steps = np.diff(times)
     if len(steps) and not (steps > 0).all():
         first = int(np.argmin(steps > 0))

@@ -229,7 +229,7 @@ class TestCriterion5DecompositionExactness:
         with criterion(5, "decomposition exactness (full-lattice inverse "
                           "DFT, normal-equation orthogonality, complete "
                           "chaotic fit)"):
-            from qpdecomp.freqfilter import FrequencySelection, SelectionParams
+            from qpdecomp.freqfilter import FrequencySelection
             from conftest import synthesize
 
             rng = np.random.default_rng(3)
@@ -239,14 +239,13 @@ class TestCriterion5DecompositionExactness:
             sel = FrequencySelection(
                 indices=np.arange(len(omegas)), omegas=omegas,
                 amplitudes=np.ones(len(omegas)),
-                params=SelectionParams(0.1, 2.5, 5, 10))
+                growth=np.zeros(len(omegas)), L0=5)
             fit = dc.fit_periodic(y, sel, dt)
             assert np.abs(fit.residual).max() <= 1e-8
 
             few = FrequencySelection(
                 indices=np.arange(4), omegas=omegas[:4].copy(),
-                amplitudes=np.ones(4),
-                params=SelectionParams(0.1, 2.5, 2, 4))
+                amplitudes=np.ones(4), growth=np.zeros(4), L0=2)
             fit2 = dc.fit_periodic(y, few, dt)
             t = np.arange(n) * dt
             cols = [np.ones(n)]
@@ -352,11 +351,11 @@ class TestCriterion8PeriodRendering:
             for seconds, label in cases.items():
                 omega = TWO_PI / seconds
                 assert format_period(TWO_PI / omega) == label
-            from qpdecomp.freqfilter import FrequencySelection, SelectionParams
+            from qpdecomp.freqfilter import FrequencySelection
             omegas = np.array([0.0] + sorted(TWO_PI / s for s in cases))
             sel = FrequencySelection(
                 indices=np.arange(4), omegas=omegas,
-                amplitudes=np.ones(4), params=SelectionParams(0.1, 2.5, 5, 10))
+                amplitudes=np.ones(4), growth=np.zeros(4), L0=5)
             report = report_periods(sel)
             for label in cases.values():
                 assert label in report

@@ -105,6 +105,31 @@ class TestFrequenciesCommand:
         report = capsys.readouterr().out
         assert "long periods" in report and "short periods" in report
 
+    @pytest.mark.parametrize("case", ["inf_time", "inf_time_resampled",
+                                      "nan_cell"])
+    def test_non_finite_input_exits_3_naming_the_file(self, synth_csv,
+                                                      tmp_path, capsys, case):
+        lines = synth_csv[0].read_text().splitlines()
+        flags = []
+        if case == "nan_cell":
+            t, a, b, c = lines[300].split(",")
+            lines[300] = ",".join([t, a, "nan", c])
+        else:
+            lines[-1] = "inf," + lines[-1].split(",", 1)[1]
+            if case == "inf_time_resampled":
+                flags = ["--dt-seconds", "1", "--max-gap-factor", "inf"]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "f.csv"
+        code = run_cli(["frequencies", "--input", bad, *FIT_FLAGS, *flags,
+                        "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qpdecomp: DataError:") and err.count("\n") == 1
+        assert str(bad) in err
+        assert ("line 301" if case == "nan_cell" else "line 701") in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def model_file(synth_csv, tmp_path_factory):

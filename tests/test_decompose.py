@@ -29,7 +29,7 @@ from qpdecomp.decompose import (
     save_model,
     state_before,
 )
-from qpdecomp.freqfilter import FrequencySelection, SelectionParams, rkhs_norm_table, select
+from qpdecomp.freqfilter import FrequencySelection, rkhs_norm_table, select
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import decompose
 
@@ -46,7 +46,8 @@ def make_selection(omegas, n, dt):
         indices=np.rint(omegas * n * dt / TWO_PI).astype(int),
         omegas=omegas,
         amplitudes=np.ones(len(omegas)),
-        params=SelectionParams(0.1, 2.5, 2, 4),
+        growth=np.zeros(len(omegas)),
+        L0=2,
     )
 
 
@@ -237,7 +238,8 @@ class TestFitPeriodic:
             make_selection(omegas, n, dt)
         sel = make_selection(omegas[:2], n, dt)
         near = FrequencySelection(indices=np.array([0, 2, 3]), omegas=omegas,
-                                  amplitudes=np.ones(3), params=sel.params)
+                                  amplitudes=np.ones(3), growth=np.zeros(3),
+                                  L0=sel.L0)
         with pytest.raises(DataError, match=r"bin 3 at 0\.314159"):
             fit_periodic(np.zeros((n, 1)), near, dt)
 

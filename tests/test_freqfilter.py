@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,10 @@ from qpdecomp import (
 from qpdecomp.freqfilter import (
     FrequencySelection,
     RkhsNormTable,
-    SelectionParams,
     log_growth,
-    selection_growth,
-    threshold_diagnostics,
 )
 from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
+from qpdecomp.pipeline import write_diagnostics
 from qpdecomp.spectral import LAMBDA_FLOOR, SpectralBasis, decompose
 from qpdecomp.synth import lattice_frequencies
 
@@ -40,6 +39,20 @@ def fabricated_basis(phi_columns, lam):
     return SpectralBasis(lam=np.asarray(lam, dtype=float), Phi=phi,
                          Gamma=gamma, epsilon=eps, q=q, embedding=emb,
                          sqdist_histogram=hist)
+
+
+def written_curves(outdir, basis, table, selection):
+    """The threshold curves as ``write_diagnostics`` writes them: the
+    (l, w_mean, w_max) rows, and the sorted growths."""
+    write_diagnostics(outdir, SimpleNamespace(basis=basis, table=table,
+                                              selection=selection))
+
+    def rows(name):
+        lines = (outdir / name).read_text().splitlines()[1:]
+        return np.array([[float(c) for c in ln.split(",")] for ln in lines])
+
+    return (rows("norm_growth_by_column.csv"),
+            rows("growth_ratio_sorted.csv")[:, 1])
 
 
 def make_table(W, dt=1.0):
@@ -73,7 +86,7 @@ class TestRkhsNormTable:
         table = rkhs_norm_table(basis, dt=dt)
         np.testing.assert_allclose(table.freqs,
                                    TWO_PI * np.arange(51) / (n * dt))
-        assert table.bin_width == TWO_PI / (n * dt)
+        assert table.freqs[1] == TWO_PI / (n * dt)
 
     def test_rows_cumulative_exact(self, torus_basis):
         table = rkhs_norm_table(torus_basis, dt=1.0)
@@ -116,7 +129,7 @@ class TestSelect:
     def test_periods_derive_from_omegas(self):
         sel = FrequencySelection(
             indices=np.array([0, 3, 9]), omegas=np.array([0.0, 0.3, 0.9]),
-            amplitudes=np.ones(3), params=SelectionParams(0.1, 2.5, 5, 20))
+            amplitudes=np.ones(3), growth=np.zeros(3), L0=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             periods = sel.periods
@@ -125,7 +138,7 @@ class TestSelect:
         with pytest.raises(TypeError):
             FrequencySelection(indices=sel.indices, omegas=sel.omegas,
                                periods=periods, amplitudes=sel.amplitudes,
-                               params=sel.params)
+                               growth=sel.growth, L0=sel.L0)
 
     def test_empty_nonzero_selection_warns_not_raises(self):
         table = make_table(np.full((6, 3), 1e-9))
@@ -177,7 +190,7 @@ class TestSelect:
             select(table, eps1=0.1, eps2=1.0, L0=1)
         with pytest.raises(DataError):
             select(table, eps1=0.1, eps2=1.0, L0=4)
-        with pytest.raises(DataError):
+        with pytest.raises(TypeError):
             select(table, eps1=0.1, eps2=1.0)
 
     def test_torus_selection_on_lattice(self, torus_basis):
@@ -187,7 +200,7 @@ class TestSelect:
         omega = np.array([TWO_PI * 34 / 512, TWO_PI * 55 / 512])
         assert 34 in sel.indices and 55 in sel.indices
         lattice = lattice_frequencies(omega, 12, table.freqs[-1] + 1.0)
-        tol = table.bin_width
+        tol = table.freqs[1]
         nonzero = sel.omegas[sel.omegas > 0]
         assert len(nonzero) > 0
         for om in nonzero:
@@ -200,15 +213,16 @@ class TestSelectionGrowth:
         W = np.cumsum(np.abs(rng.standard_normal((20, 6))) + 0.1, axis=1)
         table = make_table(W)
         sel = select(table, eps1=0.01, eps2=100.0, L0=3)
-        growth = selection_growth(table, sel)
+        growth = sel.growth
         expected = np.log(W[sel.indices, -1]) - np.log(W[sel.indices, 2])
         np.testing.assert_allclose(growth, expected, rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_one_helper_matches_the_former_formulas_bitwise(self, torus_basis):
-        # each caller used to take the logs itself: select over the kept
-        # bins, selection_growth over the selected ones, and
-        # threshold_diagnostics over the whole strided column
+    def test_one_helper_matches_the_former_formulas_bitwise(self, torus_basis,
+                                                            tmp_path):
+        # the oracles take the logs directly: over the kept bins, over the
+        # selected ones (the frequency table), and over the whole strided
+        # column (the diagnostics)
         table = rkhs_norm_table(torus_basis, dt=1.0)
         W = table.W.copy()
         W[[3, 7], :4] = 0.0              # bins with W[j, L0] = 0
@@ -227,12 +241,12 @@ class TestSelectionGrowth:
         w0 = W[sel.indices, L0 - 1]
         ok = w0 > 0
         former[ok] = np.log(W[sel.indices, -1][ok]) - np.log(w0[ok])
-        np.testing.assert_array_equal(selection_growth(table, sel), former)
+        np.testing.assert_array_equal(sel.growth, former)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             full = np.log(w_l) - np.log(w_l0)
         np.testing.assert_array_equal(
-            threshold_diagnostics(table, L0).sorted_growth,
+            written_curves(tmp_path, torus_basis, table, sel)[1],
             np.sort(full[np.isfinite(full)]))
 
 
@@ -289,12 +303,14 @@ class TestRejectionOfBroadbandSignals:
 
 
 class TestThresholdDiagnostics:
-    def test_curves_are_monotone_and_sorted(self, torus_basis):
+    def test_curves_are_monotone_and_sorted(self, torus_basis, tmp_path):
         table = rkhs_norm_table(torus_basis, dt=1.0)
-        diag = threshold_diagnostics(table, L0=10)
-        assert (np.diff(diag.column_mean) >= 0).all()
-        assert (np.diff(diag.column_max) >= 0).all()
-        assert (np.diff(diag.sorted_growth) >= -1e-15).all()
+        sel = select(table, eps1=0.1, eps2=2.5, L0=10)
+        columns, growth = written_curves(tmp_path, torus_basis, table, sel)
+        np.testing.assert_array_equal(columns[:, 0], np.arange(1, table.L + 1))
+        assert (np.diff(columns[:, 1]) >= 0).all()
+        assert (np.diff(columns[:, 2]) >= 0).all()
+        assert (np.diff(growth) >= -1e-15).all()
 
     def test_plateau_gap_separates_lattice_from_noise(self, torus_basis):
         # numeric rendering of the two-panel threshold diagnostic: growth
@@ -307,7 +323,7 @@ class TestThresholdDiagnostics:
         omega = np.array([TWO_PI * 34 / 512, TWO_PI * 55 / 512])
         lattice = lattice_frequencies(omega, 12, table.freqs[-1] + 1.0)
         dist = np.abs(table.freqs[:, None] - lattice[None, :]).min(axis=1)
-        on = dist <= table.bin_width
+        on = dist <= table.freqs[1]
         # compare only bins carrying genuine early mass against the rest
         strong = table.W[:, L0 - 1] >= 0.1
         if strong[~on].any():

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from qpdecomp import ConfigError, DataError, run_pipeline
-from qpdecomp.freqfilter import FrequencySelection, SelectionParams
+from qpdecomp.freqfilter import FrequencySelection, log_growth
 from qpdecomp.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
     build_config,
     config_from_manifest,
     config_lines,
+    fit,
     format_period,
     load_config,
     report_periods,
+    write_frequencies,
 )
 from qpdecomp.series import write_csv
 from qpdecomp.synth import simulate, standard_testbed
@@ -217,6 +219,17 @@ class TestRunPipeline:
         truth_cols = [h for h in header if h.startswith("truth_")]
         for j, h in enumerate(truth_cols):
             assert float(first[h]) == data.values[ps, j]
+
+    def test_growth_column_is_the_log_growth_of_the_kept_bins(
+            self, smoke_input, tmp_path):
+        config = smoke_config(smoke_input, tmp_path / "run")
+        result = fit(config)
+        write_frequencies(tmp_path / "f.csv", result)
+        rows = (tmp_path / "f.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "growth"
+        got = np.array([float(r.split(",")[-1]) for r in rows[1:]])
+        want = log_growth(result.table, config.L0)[result.selection.indices]
+        assert got.tobytes() == want.tobytes()
 
     def test_case_study_shaped_config_validates(self, tmp_path):
         # the corridor protocol: 2-minute grid, train on the first 20000
@@ -481,7 +494,7 @@ class TestPeriodRendering:
         omegas = np.array([0.0] + sorted(TWO_PI / p for p in periods))
         sel = FrequencySelection(indices=np.arange(len(omegas)), omegas=omegas,
                                  amplitudes=np.ones(len(omegas)),
-                                 params=SelectionParams(0.1, 2.5, 5, 100))
+                                 growth=np.zeros(len(omegas)), L0=5)
         report = report_periods(sel)
         for label in ["1 h", "2 h", "3 h", "6 h", "12 h", "14 h",
                       "3.5 d", "7 d", "14 d", "∞ (mean)"]:

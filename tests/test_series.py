@@ -28,11 +28,29 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("dt", [0.0, 120.0])
     def test_nan_cell_rejected(self, tmp_path, dt):
-        # hold resampling at 120 s would step over the NaN sample
+        # hold resampling at 120 s would step over the NaN sample; the error
+        # names the file, the line past a blank one, and the column
         p = tmp_path / "a.csv"
-        write_lines(p, ["time,q1", "0,1", "60,nan", "120,3", "180,4"])
-        with pytest.raises(DataError, match="NaN"):
-            load_csv(p, dt=dt)
+        for cell in ("nan", "inf", "-inf", "1e400"):
+            write_lines(p, ["time,q1,q2", "0,1,2", "", f"60,3,{cell}",
+                            "120,4,5", "180,6,7"])
+            with pytest.raises(DataError,
+                               match=r"a\.csv: line 4: column 'q2' value .* "
+                                     r"is NaN or infinite$"):
+                load_csv(p, dt=dt)
+
+    # an infinite last timestamp makes an infinite step, which passes the
+    # increasing check, and an infinite gap allowance bridges it
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("dt,max_gap", [(0.0, None), (60.0, np.inf)])
+    def test_non_finite_timestamp_names_file_and_line(self, tmp_path, dt,
+                                                      max_gap, cell):
+        p = tmp_path / "a.csv"
+        write_lines(p, ["time,q1", "0,1", "", "60,2", f"{cell},3"])
+        with pytest.raises(DataError,
+                           match=r"a\.csv: line 5: timestamp .* is NaN "
+                                 r"or infinite$"):
+            load_csv(p, dt=dt, max_gap=max_gap)
 
     def test_non_monotonic_timestamps(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -229,8 +247,9 @@ class TestTimeSeriesInvariants:
             TimeSeries(vals, dt=1.0)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(DataError, match="dt"):
-            TimeSeries(np.ones((3, 1)), dt=0.0)
+        for dt in (0.0, np.inf, np.nan):
+            with pytest.raises(DataError, match="dt must be finite and positive"):
+                TimeSeries(np.ones((3, 1)), dt=dt)
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
