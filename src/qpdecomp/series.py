@@ -131,7 +131,9 @@ class DelayEmbedding:
         return self.points.shape[1]
 
 
-def _parse_timestamp(text, line_no):
+def _parse_timestamp(text):
+    """Seconds from a timestamp cell, or ValueError if it is neither a
+    number nor ISO-8601."""
     try:
         return float(text)
     except ValueError:
@@ -139,12 +141,7 @@ def _parse_timestamp(text, line_no):
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(raw)
-    except ValueError:
-        raise DataError(
-            f"line {line_no}: timestamp {text!r} is neither seconds nor ISO-8601"
-        ) from None
+    parsed = datetime.fromisoformat(raw)
     if parsed.tzinfo is None:
         # naive ISO timestamps are taken as UTC; no other timezone arithmetic
         parsed = parsed.replace(tzinfo=timezone.utc)
@@ -174,9 +171,9 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
     ------
     DataError
         Missing columns, empty channel selection, malformed or non-finite
-        numeric cells (reported with line numbers), non-increasing
-        timestamps, uneven timestamps with ``dt = 0``, or a failed
-        resampling.
+        cells (reported with line numbers), non-increasing timestamps,
+        uneven timestamps with ``dt = 0``, or a failed resampling; every
+        message starts with ``path``.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -206,7 +203,11 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
         if len(cells) != len(header):
             bad.append(f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
             continue
-        times.append(_parse_timestamp(cells[t_idx], line_no))
+        try:
+            times.append(_parse_timestamp(cells[t_idx]))
+        except ValueError:
+            bad.append(f"line {line_no}: timestamp {cells[t_idx]!r} is "
+                       f"neither seconds nor ISO-8601")
         row_lines.append(line_no)
         row = np.empty(len(c_idx))
         for j, (col, name) in enumerate(zip(c_idx, channels)):
@@ -240,7 +241,10 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
     # the span, so that the timestamps' float rounding does not add up
     step = float((times[-1] - times[0]) / len(steps)) if len(steps) else 1.0
     if dt:
-        values = resample(times, values, dt, max_gap)
+        try:
+            values = resample(times, values, dt, max_gap)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         step = float(dt)
     elif len(steps) and np.abs(steps - step).max() > _time_tol(times, step):
         raise DataError(f"{path}: input sampling is irregular; set "

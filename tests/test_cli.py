@@ -1,3 +1,5 @@
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,58 @@ def run_cli(args):
 # the fit flags of the tests below that leave epsilon to its default
 FIT_FLAGS = ["--delays", "6", "--num-eigen", "40", "--L0", "8",
              "--train-end", "600"]
+PREDICT_WINDOW = ["--predict-start", "620", "--predict-end", "680"]
+
+
+def command_args(command, src, model, out):
+    """The arguments of a ``command`` that exits 0 on the series ``src`` or
+    the model ``model`` and writes ``out``."""
+    fit = ["--input", src, *FIT_FLAGS, "--epsilon", "2.0"]
+    return {"run": ["run", *fit, "--outdir", out, *PREDICT_WINDOW],
+            "frequencies": ["frequencies", *fit, "--out", out],
+            "decompose": ["decompose", *fit, "--model-out", out],
+            "diagnostics": ["diagnostics", *fit, "--outdir", out],
+            "predict": ["predict", "--model", model, "--input", src,
+                        "--init-at", "620", "--steps", "20", "--out", out],
+            "reconstruct": ["reconstruct", "--model", model,
+                            "--out", out]}[command]
+
+
+def thinned(src, dest, keep):
+    """Writes the header and the data rows ``i`` of ``src`` with ``keep(i)``
+    to ``dest``."""
+    header, *rows = src.read_text().splitlines()
+    dest.write_text("\n".join([header] + [r for i, r in enumerate(rows)
+                                          if keep(i)]) + "\n")
+    return dest
+
+
+def gapped(i):
+    """A 16 s gap after sample 300."""
+    return not 301 <= i < 316
+
+
+def uneven(i):
+    """Every 7th sample dropped, and six in a row after sample 299."""
+    return i % 7 != 6 and not 300 <= i < 306
+
+
+def assert_same_artifacts(ref, other):
+    """Every artifact of the run in ``ref`` but its manifest has the same
+    bytes in ``other``."""
+    names = sorted(p.relative_to(ref) for p in ref.rglob("*")
+                   if p.suffix in (".csv", ".npz"))
+    assert len(names) == 10
+    for name in names:
+        assert (other / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def fitted_run(synth_csv, tmp_path_factory):
+    """A `run` at --epsilon 2.0."""
+    outdir = tmp_path_factory.mktemp("fitted") / "run"
+    assert run_cli(command_args("run", synth_csv[0], None, outdir)) == 0
+    return outdir
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +89,17 @@ def derived_run(synth_csv, tmp_path_factory):
     """A `run` without --epsilon: the kernel derives its bandwidth."""
     outdir = tmp_path_factory.mktemp("derived") / "run"
     assert run_cli(["run", "--input", synth_csv[0], *FIT_FLAGS,
-                    "--outdir", outdir, "--predict-start", "620",
-                    "--predict-end", "680"]) == 0
+                    "--outdir", outdir, *PREDICT_WINDOW]) == 0
     return outdir
+
+
+@pytest.fixture(scope="module")
+def torus_800(tmp_path_factory):
+    """The series of the README's quick start and configs/smoke.conf."""
+    out = tmp_path_factory.mktemp("quickstart") / "torus.csv"
+    assert run_cli(["synth", "--testbed", "pure_torus_2", "--steps", "800",
+                    "--dt", "1", "--seed", "0", "--out", out]) == 0
+    return out
 
 
 class TestSynthCommand:
@@ -91,13 +153,9 @@ class TestSynthCommand:
 
 class TestFrequenciesCommand:
     def test_writes_frequency_table(self, synth_csv, tmp_path, capsys):
-        out, _ = synth_csv
         freq_csv = tmp_path / "freqs.csv"
-        code = run_cli(["frequencies", "--input", out, "--epsilon", "2.0",
-                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600",
-                        "--out", freq_csv])
-        assert code == 0
+        assert run_cli(command_args("frequencies", synth_csv[0], None,
+                                    freq_csv)) == 0
         lines = freq_csv.read_text().splitlines()
         assert lines[0] == "bin,omega_rad_per_s,period_s,period_human,amplitude,growth"
         assert len(lines) >= 2
@@ -105,42 +163,61 @@ class TestFrequenciesCommand:
         report = capsys.readouterr().out
         assert "long periods" in report and "short periods" in report
 
-    @pytest.mark.parametrize("case", ["inf_time", "inf_time_resampled",
-                                      "nan_cell"])
-    def test_non_finite_input_exits_3_naming_the_file(self, synth_csv,
-                                                      tmp_path, capsys, case):
-        lines = synth_csv[0].read_text().splitlines()
-        flags = []
-        if case == "nan_cell":
-            t, a, b, c = lines[300].split(",")
-            lines[300] = ",".join([t, a, "nan", c])
-        else:
-            lines[-1] = "inf," + lines[-1].split(",", 1)[1]
-            if case == "inf_time_resampled":
-                flags = ["--dt-seconds", "1", "--max-gap-factor", "inf"]
+    # each edit is a function of the data rows to keep, or the (line
+    # index, column, cell) triples to write
+    @pytest.mark.parametrize("edit, flags, message", [
+        pytest.param([(-1, 0, "inf")], [],
+                     "line 701: timestamp inf is NaN or infinite",
+                     id="inf_time"),
+        pytest.param([(-1, 0, "inf")],
+                     ["--dt-seconds", "1", "--max-gap-factor", "inf"],
+                     "line 701: timestamp inf is NaN or infinite",
+                     id="inf_time_resampled"),
+        pytest.param([(300, 2, "nan")], [],
+                     "line 301: column 'ch1' value nan is NaN or infinite",
+                     id="nan_cell"),
+        pytest.param([(300, 0, "abc")], [],
+                     "malformed rows: line 301: timestamp 'abc' is neither "
+                     "seconds nor ISO-8601", id="bad_time"),
+        pytest.param([(300, 0, "abc"), (301, 2, "x")], [],
+                     "malformed rows: line 301: timestamp 'abc' is neither "
+                     "seconds nor ISO-8601; line 302: column 'ch1' value 'x'",
+                     id="bad_time_and_cell"),
+        pytest.param(gapped, ["--dt-seconds", "1"],
+                     "gap of 16 s after sample 300 exceeds max gap 10 s",
+                     id="gap"),
+        pytest.param(uneven, [], "input sampling is irregular; set "
+                                 "dt_seconds to resample it", id="uneven"),
+        pytest.param([], ["--dt-seconds", "5000"],
+                     "dt=5000.0 exceeds total span 699.0", id="dt_over_span"),
+    ])
+    def test_bad_input_exits_3_naming_the_file(self, synth_csv, tmp_path,
+                                               capsys, edit, flags, message):
+        # a bad cell or timestamp, or an input that does not resample onto
+        # an even grid, is one DataError line that starts with the path, from
+        # every command that reads it
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "f.csv"
-        code = run_cli(["frequencies", "--input", bad, *FIT_FLAGS, *flags,
-                        "--out", out])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: DataError:") and err.count("\n") == 1
-        assert str(bad) in err
-        assert ("line 301" if case == "nan_cell" else "line 701") in err
-        assert not out.exists()
+        if callable(edit):
+            thinned(synth_csv[0], bad, edit)
+        else:
+            lines = synth_csv[0].read_text().splitlines()
+            for row, col, cell in edit:
+                cells = lines[row].split(",")
+                cells[col] = cell
+                lines[row] = ",".join(cells)
+            bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        for command in ("frequencies", "run"):
+            assert run_cli([*command_args(command, bad, None, out),
+                            *flags]) == 3
+            assert capsys.readouterr().err == (
+                f"qpdecomp: DataError: {bad}: {message}\n")
+            assert not out.exists()
 
 
 @pytest.fixture(scope="module")
-def model_file(synth_csv, tmp_path_factory):
-    out, _ = synth_csv
-    model = tmp_path_factory.mktemp("model") / "m.npz"
-    code = run_cli(["decompose", "--input", out, "--epsilon", "2.0",
-                    "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                    "--train-end", "600",
-                    "--model-out", model])
-    assert code == 0
-    return model
+def model_file(fitted_run):
+    return fitted_run / "model.npz"
 
 
 class TestDecomposeReconstructPredict:
@@ -161,12 +238,8 @@ class TestDecomposeReconstructPredict:
             return dataclasses.replace(sel, omegas=omegas)
 
         monkeypatch.setattr(freqfilter, "select", nudged)
-        out, _ = synth_csv
-        code = run_cli(["decompose", "--input", out, "--epsilon", "2.0",
-                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600",
-                        "--model-out", tmp_path / "m.npz"])
-        assert code == 3
+        assert run_cli(command_args("decompose", synth_csv[0], None,
+                                    tmp_path / "m.npz")) == 3
         assert "not a DFT bin" in capsys.readouterr().err
 
     def test_reconstruct_modes(self, model_file, tmp_path):
@@ -194,6 +267,15 @@ class TestDecomposeReconstructPredict:
         truth, est = rows[:, 1:1 + k], rows[:, 1 + k:]
         scale = np.abs(truth).max(axis=0)
         assert (np.abs(truth - est).max(axis=0) / scale).max() < 0.1
+
+    def test_insample_reconstruct_matches_pipeline(self, fitted_run, tmp_path):
+        # run and reconstruct write the in-sample table from the model, one
+        # way, so reconstruct on run's model writes run's bytes
+        recon = tmp_path / "recon.csv"
+        assert run_cli(["reconstruct", "--model", fitted_run / "model.npz",
+                        "--out", recon]) == 0
+        assert recon.read_bytes() == \
+            (fitted_run / "reconstruction.csv").read_bytes()
 
     def test_predict_case_study_protocol(self, model_file, synth_csv, tmp_path):
         out, _ = synth_csv
@@ -232,10 +314,7 @@ class TestDecomposeReconstructPredict:
 
     def test_predict_rejects_irregular_input(self, model_file, synth_csv,
                                              tmp_path, capsys):
-        header, *rows = synth_csv[0].read_text().splitlines()
-        gappy = tmp_path / "gappy.csv"
-        gappy.write_text("\n".join(
-            [header] + [r for i, r in enumerate(rows) if i % 7 != 6]) + "\n")
+        gappy = thinned(synth_csv[0], tmp_path / "gappy.csv", uneven)
         code = run_cli(["predict", "--model", model_file, "--input", gappy,
                         "--init-at", "520", "--steps", "20",
                         "--out", tmp_path / "p.csv"])
@@ -354,20 +433,6 @@ class TestDecomposeReconstructPredict:
         assert err.count("\n") == 1 and not out
         assert not (tmp_path / "p.csv").exists()
 
-    def test_insample_reconstruct_matches_pipeline(self, synth_csv, tmp_path):
-        # run and reconstruct write the in-sample table from the model, one
-        # way, so reconstruct on run's model writes run's bytes
-        out, _ = synth_csv
-        outdir = tmp_path / "run"
-        assert run_cli(["run", "--input", out, "--outdir", outdir,
-                        "--epsilon", "2.0", "--delays", "6",
-                        "--num-eigen", "40", "--L0", "8", "--train-end", "600",
-                        "--predict-start", "620", "--predict-end", "680"]) == 0
-        recon = tmp_path / "recon.csv"
-        assert run_cli(["reconstruct", "--model", outdir / "model.npz",
-                        "--out", recon]) == 0
-        assert recon.read_bytes() == (outdir / "reconstruction.csv").read_bytes()
-
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
 @pytest.mark.parametrize("command", ["synth", "synth_latent", "frequencies",
@@ -398,17 +463,12 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
     else:
         target = tmp_path / "absent" / "x.csv"
     synth = ["synth", "--testbed", "pure_torus_2", "--steps", "10"]
-    fit = ["--input", synth_csv[0], *FIT_FLAGS]
-    args = {"synth": [*synth, "--out", target],
-            "synth_latent": [*synth, "--out", tmp_path / "s.csv",
-                             "--latent-out", target],
-            "frequencies": ["frequencies", *fit, "--out", target],
-            "decompose": ["decompose", *fit, "--model-out", target],
-            "predict": ["predict", "--model", model_file, "--input",
-                        synth_csv[0], "--init-at", "620", "--steps", "20",
-                        "--out", target],
-            "reconstruct": ["reconstruct", "--model", model_file,
-                            "--out", target]}[command]
+    if command == "synth":
+        args = [*synth, "--out", target]
+    elif command == "synth_latent":
+        args = [*synth, "--out", tmp_path / "s.csv", "--latent-out", target]
+    else:
+        args = command_args(command, synth_csv[0], model_file, target)
     before = sorted(tmp_path.rglob("*"))
     assert run_cli(args) == 2
     out, err = capsys.readouterr()
@@ -417,7 +477,7 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_time_columns_read_the_input_clock(synth_csv, tmp_path):
+def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
     # every written time_s column is the input's own clock, t0 + index * dt,
     # while the harmonics keep the clock that counts from the first row: a
     # copy stamped from 1.7e9 s writes the same values at shifted times
@@ -427,19 +487,16 @@ def test_time_columns_read_the_input_clock(synth_csv, tmp_path):
     epoch.write_text("\n".join(
         [header] + [f"{t},{r.split(',', 1)[1]}"
                     for t, r in zip(stamps, rows)]) + "\n")
-    for name, path in (("zero", synth_csv[0]), ("epoch", epoch)):
-        outdir = tmp_path / name
-        assert run_cli(["run", "--input", path, "--outdir", outdir,
-                        "--epsilon", "2.0", "--delays", "6",
-                        "--num-eigen", "40", "--L0", "8", "--train-end", "600",
-                        "--predict-start", "620", "--predict-end", "680"]) == 0
-        assert run_cli(["reconstruct", "--model", outdir / "model.npz",
-                        "--out", outdir / "recon.csv"]) == 0
+    # reconstruct reads the clock back out of the model's train_t0
+    assert run_cli(command_args("run", epoch, None, tmp_path / "epoch")) == 0
+    assert run_cli(["reconstruct", "--model", tmp_path / "epoch" / "model.npz",
+                    "--out", tmp_path / "epoch" / "recon.csv"]) == 0
     first_row = {"prediction.csv": 620, "errors.csv": 620, "periodic.csv": 6,
                  "reconstruction.csv": 6, "recon.csv": 6}
     for table, row in first_row.items():
-        zero = np.loadtxt(tmp_path / "zero" / table, delimiter=",",
-                          skiprows=1)
+        zero = np.loadtxt(fitted_run / ("reconstruction.csv"
+                                        if table == "recon.csv" else table),
+                          delimiter=",", skiprows=1)
         shifted = np.loadtxt(tmp_path / "epoch" / table, delimiter=",",
                              skiprows=1)
         assert shifted[0, 0] == float(stamps[row]), table
@@ -448,13 +505,10 @@ def test_time_columns_read_the_input_clock(synth_csv, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def stamp_rows(tmp_path_factory):
+def stamp_rows(torus_800):
     """Writes the first rows of an 800-sample series, stamped
     ``base + step * k`` in a given format, and returns the file."""
-    src = tmp_path_factory.mktemp("stamped") / "torus.csv"
-    assert run_cli(["synth", "--testbed", "pure_torus_2", "--steps", "800",
-                    "--dt", "1", "--seed", "0", "--out", src]) == 0
-    header, *rows = src.read_text().splitlines()
+    header, *rows = torus_800.read_text().splitlines()
 
     def write(path, rows_kept, base=1.7e9, step=0.1, fmt=".1f"):
         path.write_text("\n".join(
@@ -463,6 +517,20 @@ def stamp_rows(tmp_path_factory):
         return path
 
     return write
+
+
+def test_sub_second_epoch_stamps_give_the_bins_at_1_s(torus_800, stamp_rows,
+                                                      tmp_path):
+    # 0.1 s steps in seconds since the epoch are even, though adjacent
+    # steps differ by a float spacing; the bins are those at 1 s
+    bins = []
+    for src in (torus_800, stamp_rows(tmp_path / "epoch.csv", 800)):
+        out = tmp_path / f"f{len(bins)}.csv"
+        assert run_cli(["frequencies", "--input", src, *FIT_FLAGS,
+                        "--out", out]) == 0
+        bins.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=0))
+    assert bins[0].size > 1
+    np.testing.assert_array_equal(bins[0], bins[1])
 
 
 class TestPredictStep:
@@ -496,8 +564,9 @@ class TestPredictStep:
         np.testing.assert_allclose(times, stamps[700:], rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("train_rows,base", [(600, 1.7e9), (700, 1.7e9),
-                                                 (600, 0.0)],
-                             ids=["epoch-600", "epoch-700", "from_zero-600"])
+                                                 (600, 0.0), (200, 1.7e9)],
+                             ids=["epoch-600", "epoch-700", "from_zero-600",
+                                  "epoch-200"])
     def test_error_columns_on_the_same_rule(self, stamp_rows, tmp_path,
                                             train_rows, base):
         # the error columns compare the steps as the input check does; from
@@ -516,13 +585,9 @@ class TestPredictStep:
 
 class TestDiagnosticsCommand:
     def test_writes_diagnostic_curves(self, synth_csv, tmp_path):
-        out, _ = synth_csv
         outdir = tmp_path / "diag"
-        code = run_cli(["diagnostics", "--input", out, "--epsilon", "2.0",
-                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600",
-                        "--outdir", outdir])
-        assert code == 0
+        assert run_cli(command_args("diagnostics", synth_csv[0], None,
+                                    outdir)) == 0
         for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
                      "growth_ratio_sorted.csv", "eigenvalues.csv"):
             assert (outdir / name).is_file()
@@ -544,15 +609,13 @@ def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, monkeypatch,
     blocker = tmp_path / "taken.csv"
     blocker.write_text("x\n", encoding="utf-8")
     outdir = blocker / below if below else blocker
-    fit = ["--input", synth_csv[0], "--epsilon", "2.0", *FIT_FLAGS]
-    predict = ["--predict-start", "620", "--predict-end", "680"]
     if command == "run_config":
         cfg = tmp_path / "run.conf"
         cfg.write_text(f"outdir = {outdir}\n", encoding="utf-8")
-        args = ["run", "--config", cfg, *fit, *predict]
+        args = ["run", "--config", cfg, "--input", synth_csv[0],
+                "--epsilon", "2.0", *FIT_FLAGS, *PREDICT_WINDOW]
     else:
-        args = [command, *fit, "--outdir", outdir,
-                *(predict if command == "run" else [])]
+        args = command_args(command, synth_csv[0], None, outdir)
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
@@ -576,58 +639,64 @@ def test_empty_outdir_exits_2_before_reading(synth_csv, tmp_path, monkeypatch,
     monkeypatch.setattr(qpdecomp.series, "load_csv", unreachable)
     monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
     monkeypatch.chdir(tmp_path)
-    args = [command, "--input", synth_csv[0], "--epsilon", "2.0",
-            *FIT_FLAGS, "--outdir", ""]
-    if command == "run":
-        args += ["--predict-start", "620", "--predict-end", "680"]
-    assert run_cli(args) == 2
+    assert run_cli(command_args(command, synth_csv[0], None, "")) == 2
     assert capsys.readouterr().err == (
         "qpdecomp: ConfigError: --outdir is empty\n")
     assert list(tmp_path.iterdir()) == []
 
 
-def check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys, retired):
-    """A manifest holding each removed key of ``retired`` (key: (old
-    default, other value)) at its old default re-runs to the bytes of the
-    run that wrote it; at the other value it is one ConfigError line naming
-    the key, before fitting, and no output directory."""
-    from qpdecomp import pipeline
+# the options that were removed, as each command's flags, or as lines of a
+# config file
+REMOVED_OPTIONS = {
+    "run": ["--merge-adjacent", "--clip-factor 1.5", "--standardize",
+            "--resample-method hold", "--basis-cache c", "--max-points 100",
+            "--mode freerun"],
+    **{command: ["--merge-adjacent", "--standardize", "--resample-method hold",
+                 "--basis-cache c"]
+       for command in ("frequencies", "decompose", "diagnostics")},
+    "predict": ["--clip-factor 1.5", "--standardize", "--resample-method hold"],
+    "config": ["solver = dense", "seed = 0", "mode = insample",
+               "basis_cache = c", "max_points = 25000"],
+}
 
-    out, _ = synth_csv
-    first = tmp_path / "first"
-    assert run_cli(["run", "--input", out, "--outdir", first,
-                    "--delays", "6", "--epsilon", "2.0",
-                    "--num-eigen", "40", "--L0", "8",
-                    "--train-end", "600", "--predict-start", "620",
-                    "--predict-end", "680"]) == 0
-    text = (first / "manifest.txt").read_text(encoding="utf-8")
-    manifest = tmp_path / "old_manifest.txt"
-    manifest.write_text("".join(f"{key} = {old}\n"
-                                for key, (old, _) in retired.items())
-                        + text, encoding="utf-8")
-    second = tmp_path / "second"
-    assert run_cli(["run", "--manifest", manifest,
-                    "--outdir", second]) == 0
-    names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
-                   if p.is_file() and p.name != "manifest.txt")
-    assert "model.npz" in names
-    for name in names:
-        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{command}:{option}"
+                 .replace(" = ", "=").replace(" ", "="))
+    for command, options in REMOVED_OPTIONS.items() for option in options])
+def test_removed_option_exits_2(synth_csv, model_file, tmp_path, monkeypatch,
+                                capsys, command, option):
+    # a removed option on a command line that works without it is a
+    # configuration error: exit 2 before any input is read or fitted, and
+    # nothing written
+    import qpdecomp.decompose
+    import qpdecomp.kernel
+    import qpdecomp.series
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("the series was fitted")
+        raise AssertionError("an input was read or fitted")
 
-    monkeypatch.setattr(pipeline, "fit", unreachable)
-    capsys.readouterr()
-    for key, (_, value) in retired.items():
-        manifest.write_text(f"{key} = {value}\n" + text, encoding="utf-8")
-        code = run_cli(["run", "--manifest", manifest,
-                        "--outdir", tmp_path / "third"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:") and key in err
-        assert err.count("\n") == 1
-        assert not (tmp_path / "third").exists()
+    for module, name in ((qpdecomp.series, "load_csv"),
+                         (qpdecomp.decompose, "load_model"),
+                         (qpdecomp.kernel, "gaussian_kernel")):
+        monkeypatch.setattr(module, name, unreachable)
+    monkeypatch.chdir(tmp_path)
+    if command == "config":
+        Path("old.conf").write_text(option + "\n", encoding="utf-8")
+        assert run_cli(["run", "--config", "old.conf", *command_args(
+            "run", synth_csv[0], None, "o")[1:]]) == 2
+        key = option.split()[0]
+        assert capsys.readouterr().err == (
+            f"qpdecomp: ConfigError: config line 1: unknown key {key!r}\n")
+        assert os.listdir() == ["old.conf"]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command_args(command, synth_csv[0], model_file, "o"),
+                     *option.split()])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"unrecognized arguments: {option}\n")
+        assert os.listdir() == []
 
 
 class TestRunCommand:
@@ -667,41 +736,44 @@ class TestRunCommand:
     def test_outdir_dot_in_empty_cwd(self, synth_csv, tmp_path):
         # the artifacts are staged beside the absolute outdir; a subprocess,
         # because the rename replaces its working directory
-        import os
-
         import qpdecomp
 
         work = tmp_path / "work"
         work.mkdir()
         src = str(Path(qpdecomp.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "qpdecomp", "run", "--input", synth_csv[0],
-             "--outdir", ".", "--delays", "6", "--epsilon", "2.0",
-             "--num-eigen", "40", "--L0", "8", "--train-end", "600",
-             "--predict-start", "620", "--predict-end", "680"],
+            [sys.executable, "-m", "qpdecomp",
+             *map(str, command_args("run", synth_csv[0], None, "."))],
             cwd=work, env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (work / "manifest.txt").is_file()
         assert [p.name for p in tmp_path.iterdir()] == ["work"]
 
-    def test_flag_input_resolves_against_cwd(self, synth_csv, tmp_path,
+    def test_flag_input_resolves_against_cwd(self, torus_800, tmp_path,
                                              monkeypatch):
-        # a relative input in a config file resolves against the file's
-        # directory; the same from a flag resolves against the cwd
-        out, _ = synth_csv
-        (tmp_path / "data.csv").write_bytes(out.read_bytes())
-        (tmp_path / "sub").mkdir()
-        (tmp_path / "sub" / "x.conf").write_text(
-            "input = absent.csv\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
-            "L0 = 8\ntrain_end = 600\npredict_start = 620\npredict_end = 680\n",
-            encoding="utf-8")
+        # configs/smoke.conf as checked in, beside the series its comment
+        # generates: its relative input resolves against the file's
+        # directory, and an --input flag against the working directory
+        (tmp_path / "configs").mkdir()
+        shutil.copy(Path(__file__).parents[1] / "configs" / "smoke.conf",
+                    tmp_path / "configs")
+        shutil.copy(torus_800, tmp_path / "torus.csv")
+        shutil.copy(torus_800, tmp_path / "data.csv")
         monkeypatch.chdir(tmp_path)
-        assert run_cli(["run", "--config", "sub/x.conf", "--input",
-                        "data.csv", "--outdir", "out"]) == 0
-        manifest = (tmp_path / "out" / "manifest.txt").read_text()
-        assert (f"input = {(tmp_path / 'data.csv').resolve()}"
-                in manifest.splitlines())
+        for outdir, flag in (("smoke", []), ("flag", ["--input", "data.csv"])):
+            assert run_cli(["run", "--config", "configs/smoke.conf", *flag,
+                            "--outdir", outdir]) == 0
+        for outdir, src in (("smoke", "torus.csv"), ("flag", "data.csv")):
+            manifest = (tmp_path / outdir / "manifest.txt").read_text()
+            assert f"input = {tmp_path.resolve() / src}" in manifest.splitlines()
+        assert_same_artifacts(tmp_path / "smoke", tmp_path / "flag")
+        # the file's settings are these flags
+        assert run_cli(["frequencies", "--input", "torus.csv", "--delays", "6",
+                        "--epsilon", "2.0", "--num-eigen", "40", "--L0", "8",
+                        "--train-end", "600", "--out", "f.csv"]) == 0
+        assert ((tmp_path / "f.csv").read_bytes()
+                == (tmp_path / "smoke" / "frequencies.csv").read_bytes())
 
     def test_channel_name_with_whitespace_rejected(self, synth_csv, tmp_path,
                                                    capsys):
@@ -712,147 +784,48 @@ class TestRunCommand:
         spaced = tmp_path / "spaced.csv"
         spaced.write_text("\n".join([header.replace("ch0", "queue 1"), *rows])
                           + "\n", encoding="utf-8")
-        code = run_cli(["run", "--input", spaced, "--channels", "queue 1",
-                        "--outdir", tmp_path / "o", "--delays", "6",
-                        "--epsilon", "2.0", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--predict-start", "620",
-                        "--predict-end", "680"])
-        assert code == 2
+        assert run_cli([*command_args("run", spaced, None, tmp_path / "o"),
+                        "--channels", "queue 1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("qpdecomp: ConfigError:") and "'queue 1'" in err
         assert not (tmp_path / "o").exists()
 
-    def test_removed_solver_keys_rejected(self, synth_csv, tmp_path,
-                                          monkeypatch, capsys):
-        import qpdecomp.kernel
+    @pytest.mark.parametrize("line, code", [
+        pytest.param(line, code, id=line.replace(" ", ""))
+        for line, code in [
+            ("solver = arpack", 0), ("seed = 0", 0), ("mode = freerun", 0),
+            ("max_points = 25000", 0),
+            ("merge_adjacent = false", 0), ("merge_adjacent = true", 2),
+            ("clip_factor = 0.0", 0), ("clip_factor = 1.5", 2),
+            ("standardize = false", 0), ("standardize = true", 2),
+            ("resample_method = hold", 0), ("resample_method = linear", 2)]])
+    def test_old_manifest_line(self, fitted_run, tmp_path, monkeypatch,
+                               capsys, line, code):
+        # manifests of earlier versions hold keys that are gone.  A key that
+        # never changed a result, or a removed option at the default those
+        # manifests wrote, re-runs to the bytes of the run; a removed option
+        # at another value asks for a result that can no longer be made, and
+        # is one ConfigError line naming the key, before fitting
+        from qpdecomp import pipeline
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the kernel was built")
-
-        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
-        out, _ = synth_csv
-        for line in ("solver = dense", "seed = 0", "mode = insample",
-                     f"basis_cache = {tmp_path / 'c'}"):
-            cfg = tmp_path / "old.conf"
-            cfg.write_text(
-                f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
-                f"L0 = 8\npredict_start = 620\npredict_end = 680\n{line}\n",
-                encoding="utf-8")
-            code = run_cli(["run", "--config", cfg, "--outdir",
-                            tmp_path / "o"])
-            assert code == 2
-            assert "unknown key" in capsys.readouterr().err
-        # run writes the in-sample reconstruction; the free run over the
-        # training window is `predict --init-at <q+1>` on its model.npz
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["run", "--config", cfg, "--mode", "freerun"])
-        assert exc.value.code == 2
-        assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
-
-    def test_old_manifest_with_solver_and_seed_reruns(self, synth_csv,
-                                                       tmp_path):
-        out, _ = synth_csv
-        first = tmp_path / "first"
-        assert run_cli(["run", "--input", out, "--outdir", first,
-                        "--delays", "6", "--epsilon", "2.0",
-                        "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--predict-start", "620",
-                        "--predict-end", "680"]) == 0
-        # the eigenbasis cache never changed a result, so a manifest that
-        # names a cache directory re-runs without reading or writing it
-        cache = tmp_path / "cache"
         manifest = tmp_path / "old_manifest.txt"
-        manifest.write_text("solver = arpack\nseed = 0\nmode = freerun\n"
-                            f"basis_cache = {cache}\n"
-                            + (first / "manifest.txt").read_text(),
-                            encoding="utf-8")
-        second = tmp_path / "second"
+        manifest.write_text(f"{line}\n" + (fitted_run / "manifest.txt")
+                            .read_text(encoding="utf-8"), encoding="utf-8")
+        if code:
+            def unreachable(*args, **kwargs):
+                raise AssertionError("the series was fitted")
+
+            monkeypatch.setattr(pipeline, "fit", unreachable)
+        outdir = tmp_path / "rerun"
         assert run_cli(["run", "--manifest", manifest,
-                        "--outdir", second]) == 0
-        names = sorted(str(p.relative_to(first)) for p in first.rglob("*")
-                       if p.is_file() and p.name != "manifest.txt")
-        assert "model.npz" in names
-        for name in names:
-            assert (second / name).read_bytes() == (first / name).read_bytes()
-        assert not cache.exists()
-
-    def test_removed_max_points_key_rejected(self, synth_csv, tmp_path,
-                                             capsys):
-        out, _ = synth_csv
-        cfg = tmp_path / "old.conf"
-        cfg.write_text(
-            f"input = {out}\ndelays = 6\nepsilon = 2.0\nnum_eigen = 40\n"
-            "L0 = 8\npredict_start = 620\npredict_end = 680\n"
-            "max_points = 25000\n", encoding="utf-8")
-        code = run_cli(["run", "--config", cfg, "--outdir", tmp_path / "o"])
-        assert code == 2
-        assert "unknown key" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            run_cli(["run", "--config", cfg, "--max-points", "100"])
-
-    def test_old_manifest_with_max_points_reruns(self, synth_csv, tmp_path):
-        out, _ = synth_csv
-        first = tmp_path / "first"
-        assert run_cli(["run", "--input", out, "--outdir", first,
-                        "--delays", "6", "--epsilon", "2.0",
-                        "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--predict-start", "620",
-                        "--predict-end", "680"]) == 0
-        manifest = tmp_path / "old_manifest.txt"
-        manifest.write_text("max_points = 25000\n"
-                            + (first / "manifest.txt").read_text(),
-                            encoding="utf-8")
-        second = tmp_path / "second"
-        assert run_cli(["run", "--manifest", manifest,
-                        "--outdir", second]) == 0
-        assert ((second / "frequencies.csv").read_bytes()
-                == (first / "frequencies.csv").read_bytes())
-
-    def test_removed_merge_and_clip_flags_rejected(self, synth_csv,
-                                                   tmp_path):
-        out, _ = synth_csv
-        cache = tmp_path / "c"
-        for argv in (["run", "--merge-adjacent"],
-                     ["frequencies", "--merge-adjacent", "--out", "f.csv"],
-                     ["decompose", "--merge-adjacent", "--model-out", "m.npz"],
-                     ["diagnostics", "--merge-adjacent", "--outdir", "d"],
-                     ["run", "--clip-factor", "1.5"],
-                     ["predict", "--clip-factor", "1.5", "--model", "m.npz",
-                      "--init-at", "620", "--steps", "5", "--out", "p.csv"],
-                     ["run", "--basis-cache", cache],
-                     ["frequencies", "--basis-cache", cache, "--out", "f.csv"],
-                     ["decompose", "--basis-cache", cache,
-                      "--model-out", "m.npz"],
-                     ["diagnostics", "--basis-cache", cache, "--outdir", "d"]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli([*argv, "--input", out])
-            assert exc.value.code == 2
-        assert not list(tmp_path.iterdir())
-
-    def test_old_manifest_with_merge_and_clip_keys(self, synth_csv, tmp_path,
-                                                   monkeypatch, capsys):
-        # manifests written before merge_adjacent and clip_factor were
-        # removed hold both at their defaults, and re-run to the same bytes;
-        # any other value is a ConfigError naming the key, before fitting
-        check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys,
-                           {"merge_adjacent": ("false", "true"),
-                            "clip_factor": ("0.0", "1.5")})
-
-    @pytest.mark.parametrize("command, target", [
-        ("run", []), ("frequencies", ["--out", "f.csv"]),
-        ("decompose", ["--model-out", "m.npz"]),
-        ("diagnostics", ["--outdir", "d"]),
-        ("predict", ["--model", "m.npz", "--init-at", "620", "--steps", "5",
-                     "--out", "p.csv"]),
-    ])
-    def test_removed_ingestion_flags_rejected(self, synth_csv, tmp_path,
-                                              command, target):
-        out, _ = synth_csv
-        for flag in (["--standardize"], ["--resample-method", "hold"]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli([command, *flag, "--input", out, *target])
-            assert exc.value.code == 2
-        assert not list(tmp_path.iterdir())
+                        "--outdir", outdir]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("qpdecomp: ConfigError:")
+            assert line.split()[0] in err and err.count("\n") == 1
+            assert not outdir.exists()
+        else:
+            assert_same_artifacts(fitted_run, outdir)
 
     def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv
@@ -862,14 +835,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("qpdecomp: ConfigError:") and "twice" in err
         assert not (tmp_path / "f.csv").exists()
-
-    def test_old_manifest_with_standardize_and_resample_keys(
-            self, synth_csv, tmp_path, monkeypatch, capsys):
-        # manifests written before standardize and resample_method were
-        # removed hold both at their defaults, as merge_adjacent above
-        check_retired_keys(synth_csv, tmp_path, monkeypatch, capsys,
-                           {"standardize": ("false", "true"),
-                            "resample_method": ("hold", "linear")})
 
     @pytest.mark.parametrize("command, target", [
         ("frequencies", ["--out", "f.csv"]),
@@ -882,13 +847,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(qpdecomp.spectral, "_available_bytes",
                             lambda: 1_000_000)
-        out, _ = synth_csv
-        code = run_cli([command, "--input", out, "--epsilon", "2.0",
-                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600",
-                        *[tmp_path / t if t.endswith(("csv", "npz", "diag"))
-                          else t for t in target]])
-        assert code == 3
+        assert run_cli(command_args(command, synth_csv[0], None,
+                                    tmp_path / target[1])) == 3
         err = capsys.readouterr().err
         assert "DataError" in err and "MB of memory is available" in err
 
@@ -955,15 +915,8 @@ class TestRunCommand:
             raise AssertionError("the kernel was built")
 
         monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
-        target = {"run": ["--outdir", tmp_path / "o", "--predict-start", "620",
-                          "--predict-end", "680"],
-                  "frequencies": ["--out", tmp_path / "f.csv"],
-                  "decompose": ["--model-out", tmp_path / "m.npz"],
-                  "diagnostics": ["--outdir", tmp_path / "diag"]}[command]
-        code = run_cli([command, "--input", synth_csv[0], "--epsilon", "2.0",
-                        "--delays", "6", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", *case, *target])
-        assert code == 2
+        assert run_cli([*command_args(command, synth_csv[0], None,
+                                      tmp_path / "out"), *case]) == 2
         assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
 
     @pytest.mark.parametrize("command, flag, target, artifacts", [
@@ -1000,13 +953,7 @@ class TestRunCommand:
         rerun = tmp_path / "rerun"
         assert run_cli(["run", "--manifest", derived_run / "manifest.txt",
                         "--outdir", rerun]) == 0
-        names = sorted(str(p.relative_to(derived_run))
-                       for p in derived_run.rglob("*")
-                       if p.suffix in (".csv", ".npz"))
-        assert len(names) == 10
-        for name in names:
-            assert ((rerun / name).read_bytes()
-                    == (derived_run / name).read_bytes()), name
+        assert_same_artifacts(derived_run, rerun)
 
     def test_derived_epsilon_of_zero_exits_3(self, synth_csv, tmp_path,
                                              capsys):
@@ -1030,53 +977,47 @@ class TestRunCommand:
                         "--epsilon", "8", "--out", out]) == 0
         assert out.is_file()
 
-    @pytest.mark.parametrize("gapped", [False, True], ids=["clean", "gapped"])
-    def test_subcommands_match_run(self, synth_csv, tmp_path, capsys, gapped):
+    @pytest.mark.parametrize("keep, resample", [
+        (None, []), (gapped, ["--dt-seconds", "1", "--max-gap-factor", "20"]),
+        (uneven, ["--dt-seconds", "1"]),
+    ], ids=["clean", "gapped", "uneven"])
+    def test_subcommands_match_run(self, synth_csv, tmp_path, keep, resample):
         # the same flags give the same bytes from a single-step command as
-        # from `run`; the gapped input drops a 16 s stretch, which only
-        # resampling with a wider gap allowance accepts
-        src, resample = synth_csv[0], []
-        if gapped:
-            header, *rows = src.read_text().splitlines()
-            src = tmp_path / "gapped.csv"
-            src.write_text("\n".join([header] + rows[:301] + rows[316:])
-                           + "\n")
-            resample = ["--dt-seconds", "1", "--max-gap-factor", "20"]
-        flags = ["--input", src, "--epsilon", "2.0", "--delays", "6",
-                 "--num-eigen", "40", "--L0", "8", "--train-end", "600",
-                 *resample]
-        if gapped:
-            # at the default allowance of 10 steps both refuse the gap
-            for command, target in (("run", ["--outdir", tmp_path / "r",
-                                             "--predict-start", "620",
-                                             "--predict-end", "680"]),
-                                    ("frequencies", ["--out",
-                                                     tmp_path / "r.csv"])):
-                assert run_cli([command, *flags[:-2], *target]) == 3
-                assert "gap" in capsys.readouterr().err
-        ref = tmp_path / "run"
-        assert run_cli(["run", *flags, "--outdir", ref, "--predict-start",
-                        "620", "--predict-end", "680"]) == 0
-
-        assert run_cli(["frequencies", *flags,
-                        "--out", tmp_path / "f.csv"]) == 0
-        assert ((tmp_path / "f.csv").read_bytes()
-                == (ref / "frequencies.csv").read_bytes())
-        assert run_cli(["diagnostics", *flags,
-                        "--outdir", tmp_path / "diag"]) == 0
-        for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
-                     "growth_ratio_sorted.csv", "eigenvalues.csv"):
-            assert ((tmp_path / "diag" / name).read_bytes()
-                    == (ref / "diagnostics" / name).read_bytes()), name
-        assert run_cli(["decompose", *flags,
-                        "--model-out", tmp_path / "m.npz"]) == 0
-        assert ((tmp_path / "m.npz").read_bytes()
-                == (ref / "model.npz").read_bytes())
-        assert run_cli(["predict", "--model", tmp_path / "m.npz",
-                        *flags[:2], *resample, "--init-at", "620",
-                        "--steps", "60", "--out", tmp_path / "p.csv"]) == 0
-        assert ((tmp_path / "p.csv").read_bytes()
-                == (ref / "prediction.csv").read_bytes())
+        # from `run`, and so do reconstruct on run's model and run on run's
+        # manifest.  The gapped input is resampled with a wider gap allowance
+        # than the default, the uneven one within it.  The manifest names the
+        # eigenbasis cache of earlier versions, which never changed a result;
+        # it is neither read nor written
+        src = thinned(synth_csv[0], tmp_path / "in.csv", keep) if keep \
+            else synth_csv[0]
+        fit = ["--input", src, "--epsilon", "2.0", *FIT_FLAGS, *resample]
+        ref, mine = tmp_path / "run", tmp_path / "mine"
+        assert run_cli(["run", *fit, "--outdir", ref, *PREDICT_WINDOW]) == 0
+        mine.mkdir()
+        model = ref / "model.npz"
+        for args in (["frequencies", *fit, "--out", mine / "frequencies.csv"],
+                     ["diagnostics", *fit, "--outdir", mine / "diagnostics"],
+                     ["decompose", *fit, "--model-out", mine / "model.npz"],
+                     ["predict", "--model", model, "--input", src, *resample,
+                      "--init-at", "620", "--steps", "60",
+                      "--out", mine / "prediction.csv"],
+                     ["reconstruct", "--model", model,
+                      "--out", mine / "reconstruction.csv"]):
+            assert run_cli(args) == 0
+        written = [p.relative_to(mine) for p in mine.rglob("*.*")]
+        assert len(written) == 8
+        for name in written:
+            assert (mine / name).read_bytes() == (ref / name).read_bytes(), name
+        cache = tmp_path / "cache"
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"basis_cache = {cache}\n"
+                            + (ref / "manifest.txt").read_text(),
+                            encoding="utf-8")
+        assert run_cli(["run", "--manifest", manifest,
+                        "--outdir", tmp_path / "rerun"]) == 0
+        assert_same_artifacts(ref, tmp_path / "rerun")
+        assert not cache.exists()
+        assert not list(tmp_path.glob(".*staging*"))
 
 
 def test_module_invocation_smoke(tmp_path):
