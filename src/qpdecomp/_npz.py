@@ -33,17 +33,15 @@ def write_npz(path, arrays):
         raise
 
 
-def read_npz(path, what):
-    """Every array of the npz archive at ``path``, by name.  A missing,
-    truncated or foreign file is a :class:`DataError` naming ``what`` the
-    file should be and its path."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return {name: data[name] for name in data.files}
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: "
-                        f"{exc.strerror or exc}") from None
-    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
-        # TypeError: np.load returns a bare .npy array, not an archive
-        raise DataError(f"{what} {path} is not a readable npz archive "
-                        f"(truncated, or another format)") from None
+def read_npz(path):
+    """Every array of the npz archive at ``path``, by name; the file is closed
+    also when np.load fails.  A truncated or foreign file is a
+    :class:`DataError`; the caller names it (see :func:`errors.reading`)."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                return {name: data[name] for name in data.files}
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile):
+            # TypeError: np.load returns a bare .npy array, not an archive
+            raise DataError("not a readable npz archive (truncated, or "
+                            "another format)") from None

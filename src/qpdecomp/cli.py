@@ -6,12 +6,14 @@ diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
 that names a directory, and an output directory that is or lies under a
 file, are configuration errors.  Errors are reported as one
 machine-parsable line on standard error:
-``qpdecomp: <ErrorClass>: <message>``.
+``qpdecomp: <ErrorClass>: <message>``, and each warning as one line
+``qpdecomp: warning: <message>``.
 """
 
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -239,18 +241,23 @@ def build_parser():
     return parser
 
 
+def _print_line(kind, message):
+    """Print ``qpdecomp: <kind>: <message>`` as one line on stderr."""
+    print(f"qpdecomp: {kind}: {' '.join(str(message).split())}",
+          file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
-    try:
-        _check_outputs(args)
-        return args.func(args)
-    except QpdecompError as exc:
-        code = next((c for cls, c in codes.items() if isinstance(exc, cls)), 1)
-        message = " ".join(str(exc).split())
-        print(f"qpdecomp: {type(exc).__name__}: {message}", file=sys.stderr)
-        return code
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: _print_line("warning", msg)
+        try:
+            _check_outputs(args)
+            return args.func(args)
+        except QpdecompError as exc:
+            _print_line(type(exc).__name__, exc)
+            return codes.get(type(exc), 1)
 
 
 def entrypoint():

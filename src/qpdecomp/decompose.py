@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._npz import read_npz, write_npz
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, reading
 from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
 from .spectral import SpectralBasis
@@ -84,8 +84,9 @@ class QPModel:
     (N x k) maps shifted kernel weights to the chaotic component; build it
     from a basis with :meth:`from_basis`; ``rows``, the C-ordered
     ``[sqrt(N) M^T; 1]`` of :func:`kernel_average`, is derived from it.
-    Other shapes, a non-finite frequency, a zero-frequency coefficient that
-    is not real or ``epsilon <= 0`` are a :class:`DataError`.
+    Other shapes, a non-finite entry of ``omegas``, ``A`` or ``M``, a
+    zero-frequency coefficient that is not real, or an ``epsilon`` that is not
+    positive and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -104,8 +105,12 @@ class QPModel:
             raise DataError(f"model A {self.A.shape} and M {self.M.shape} do "
                             f"not match {len(omegas)} frequencies, {n} "
                             f"training points and {k} channels")
-        if not self.epsilon > 0:
-            raise DataError(f"model epsilon {self.epsilon} is not positive")
+        for name in ("A", "M"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"model {name} has NaN or infinite entries")
+        if not 0 < self.epsilon < np.inf:
+            raise DataError(f"model epsilon {self.epsilon} is not positive "
+                            f"and finite")
         if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
             raise DataError("model zero-frequency coefficient is not real")
         pts = self.embedding.points
@@ -295,10 +300,12 @@ def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
 
     This is the initial condition for generating sample ``index`` onward.
     """
-    if index - (q + 1) < 0 or index > series.n:
-        raise DataError(
-            f"cannot take a {q + 1}-sample window ending before index {index}"
-        )
+    if index < q + 1:
+        raise DataError(f"prediction start {index} must be >= {q + 1} so a "
+                        f"delay window exists")
+    if index > series.n:
+        raise DataError(f"prediction start {index} is beyond series length "
+                        f"{series.n}")
     return series.values[index - (q + 1):index].ravel().copy()
 
 
@@ -436,8 +443,8 @@ def save_model(model: QPModel, path):
 
 
 # the dtype kind that save_model writes each array with, and the shape of
-# each one-entry array, read as a scalar (None: TimeSeries or QPModel
-# checks the shape)
+# each one-entry array, read as a scalar (None: load_model, TimeSeries or
+# QPModel checks the shape)
 _MODEL_ARRAYS = {"format": ("U", (1,)), "train_values": ("f", None),
                  "train_dt": ("f", ()), "train_t0": ("f", ()),
                  "channel_names": ("U", None), "train_hash": ("U", (1,)),
@@ -458,11 +465,11 @@ def load_model(path) -> QPModel:
         The file is missing or unreadable, is not a ``qpdecomp-model-3``
         file (an older one must be rewritten with ``qpdecomp decompose``),
         lacks one of its arrays or holds one of another dtype kind or shape
-        than :func:`save_model` writes, or its training data do not match
-        the stored hash.  Every message names the path.
+        than :func:`save_model` writes, holds other than one channel name
+        per channel, fails a check of :class:`TimeSeries` or
+        :class:`QPModel`, or its training data do not match the stored hash.
+        Every message names the path.
     """
-    data = read_npz(path, "model file")
-
     def read(name):
         kind, shape = _MODEL_ARRAYS[name]
         if name not in data:
@@ -474,21 +481,23 @@ def load_model(path) -> QPModel:
                             f"{arr.shape}, not {_KINDS[kind]} {want}")
         return arr if shape is None else arr.item()
 
-    # every check below names what is wrong; this names the file
-    try:
+    with reading(path):
+        data = read_npz(path)
         fmt = read("format")
         if fmt != MODEL_FORMAT:
             raise DataError(
                 f"model format {fmt!r} is not readable; re-run `qpdecomp "
                 f"decompose` to write a {MODEL_FORMAT!r} file"
             )
-        names = tuple(str(c) for c in read("channel_names"))
-        src = TimeSeries(read("train_values"), dt=read("train_dt"),
-                         t0=read("train_t0"), channel_names=names)
+        names, values = read("channel_names"), read("train_values")
+        if names.shape != values.shape[1:]:
+            raise DataError(f"model array 'channel_names' has shape "
+                            f"{names.shape}, not one name per channel of "
+                            f"'train_values' {values.shape}")
+        src = TimeSeries(values, dt=read("train_dt"), t0=read("train_t0"),
+                         channel_names=tuple(str(c) for c in names))
         if training_data_hash(src) != read("train_hash"):
             raise DataError("training data does not match its stored hash")
         return QPModel(omegas=read("omegas"), A=read("A"), M=read("M"),
                        embedding=delay_embed(src, read("q")),
                        epsilon=read("epsilon"))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None

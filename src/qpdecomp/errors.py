@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exceptions shared across the package, and how a read error names its file.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, data problems with 3, numerical failures with 4.
 """
+
+from contextlib import contextmanager
 
 
 class QpdecompError(Exception):
@@ -19,3 +21,19 @@ class DataError(QpdecompError):
 
 class NumericalError(QpdecompError):
     """A numerical procedure failed or left its validity range."""
+
+
+@contextmanager
+def reading(path, error=DataError):
+    """Name ``path`` in every error raised while reading it: a
+    :class:`QpdecompError` keeps its class and gets the prefix
+    ``<path>: ``, and a file that cannot be opened or is not UTF-8 text (an
+    ``OSError`` or ``UnicodeDecodeError``) becomes
+    ``error("<path>: cannot read: ...")``."""
+    try:
+        yield
+    except QpdecompError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"{path}: cannot read: {reason}") from None

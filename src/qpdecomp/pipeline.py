@@ -44,7 +44,7 @@ import numpy as np
 
 from . import decompose as dc
 from . import freqfilter, series, spectral
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
 
@@ -154,28 +154,24 @@ def _read_config(path, overrides, manifest):
     as it is.
     """
     path = Path(path)
-    what = "manifest" if manifest else "config file"
-    if not path.is_file():
-        raise ConfigError(f"{what} {path} does not exist")
     values = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if sep and key in CONFIG_KEYS:
-            values[key] = raw
-        elif manifest and key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key]:
-            raise ConfigError(f"manifest line {line_no}: {key} = {raw} was "
-                              f"removed; only its old default re-runs")
-        elif manifest:
-            continue
-        elif not sep:
-            raise ConfigError(f"config line {line_no}: expected 'key = value'")
-        else:
-            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+    with reading(path, ConfigError):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for line_no, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            key, sep, raw = stripped.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if not sep:
+                raise ConfigError(f"line {line_no}: expected 'key = value'")
+            if key in CONFIG_KEYS:
+                values[key] = raw
+            elif not manifest:
+                raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            elif key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key]:
+                raise ConfigError(f"line {line_no}: {key} = {raw} was "
+                                  f"removed; only its old default re-runs")
     if values.get("input") and not os.path.isabs(values["input"]):
         values["input"] = str((path.parent / values["input"]).resolve())
     overrides = overrides or {}
@@ -226,8 +222,6 @@ def format_period(seconds: float) -> str:
 
 def report_periods(selection) -> str:
     """Human-readable period table, split at one day as in the diagnostics plots."""
-    if selection.m < 1:
-        raise DataError("empty selection")
     rows = sorted(zip(selection.periods, selection.omegas, selection.amplitudes),
                   key=lambda r: -r[0])
     long_rows = [r for r in rows if r[0] >= 86400.0 or not np.isfinite(r[0])]
@@ -251,8 +245,6 @@ def report_periods(selection) -> str:
 def load_series(config: PipelineConfig) -> series.TimeSeries:
     """Read the input series and, if ``dt_seconds`` is set, resample it onto
     that step, bridging gaps of up to ``max_gap_factor`` steps."""
-    if not Path(config.input).is_file():
-        raise DataError(f"input file {config.input} does not exist")
     return series.load_csv(config.input, timestamp=config.timestamp_column,
                            channels=list(config.channels) or None,
                            dt=config.dt_seconds,
@@ -402,14 +394,7 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     if not series.same_step(data, model.embedding.source):
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")
-    q = model.q
-    if start < q + 1:
-        raise DataError(f"prediction start {start} must be >= {q + 1} so a "
-                        f"delay window exists")
-    if start > data.n:
-        raise DataError(f"prediction start {start} is beyond series length "
-                        f"{data.n}")
-    init = dc.state_before(data, start, q)
+    init = dc.state_before(data, start, model.q)
     pred = dc.reconstruct(model, init, steps, start * model.dt)
     # the free run predicts samples of data, on the step it was matched to
     pred = replace(pred, dt=data.dt)

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 # Relative tolerance used to decide whether raw timestamps form a regular grid.
 _GRID_RTOL = 1e-9
@@ -80,6 +80,8 @@ class TimeSeries:
             raise DataError("values contain NaN or infinite entries")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise DataError(f"dt must be finite and positive, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise DataError(f"t0 must be finite, got {self.t0}")
         object.__setattr__(self, "values", values)
         names = tuple(self.channel_names) or tuple(
             f"ch{i}" for i in range(values.shape[1])
@@ -173,84 +175,84 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
         Missing columns, empty channel selection, malformed or non-finite
         cells (reported with line numbers), non-increasing timestamps,
         uneven timestamps with ``dt = 0``, or a failed resampling; every
-        message starts with ``path``.
+        message starts with ``path`` (see :func:`errors.reading`).
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports write
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        # (file line number, text) of the non-blank lines
-        lines = [(no, ln.rstrip("\r\n")) for no, ln in enumerate(fh, start=1)
-                 if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0][1].split(",")]
-    if timestamp not in header:
-        raise DataError(f"{path}: no timestamp column named {timestamp!r}")
-    if channels is None:
-        channels = [c for c in header if c != timestamp]
-    else:
-        channels = list(channels)
-        missing = [c for c in channels if c not in header]
-        if missing:
-            raise DataError(f"{path}: unknown channel columns {missing}")
-    if not channels:
-        raise DataError(f"{path}: empty channel selection")
+    with reading(path):
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            # (file line number, text) of the non-blank lines
+            lines = [(no, ln.rstrip("\r\n"))
+                     for no, ln in enumerate(fh, start=1) if ln.strip()]
+        if not lines:
+            raise DataError("empty file")
+        header = [c.strip() for c in lines[0][1].split(",")]
+        if timestamp not in header:
+            raise DataError(f"no timestamp column named {timestamp!r}")
+        if channels is None:
+            channels = [c for c in header if c != timestamp]
+        else:
+            channels = list(channels)
+            missing = [c for c in channels if c not in header]
+            if missing:
+                raise DataError(f"unknown channel columns {missing}")
+        if not channels:
+            raise DataError("empty channel selection")
 
-    t_idx = header.index(timestamp)
-    c_idx = [header.index(c) for c in channels]
-    times, rows, row_lines, bad = [], [], [], []
-    for line_no, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            bad.append(f"line {line_no}: expected {len(header)} cells, got {len(cells)}")
-            continue
-        try:
-            times.append(_parse_timestamp(cells[t_idx]))
-        except ValueError:
-            bad.append(f"line {line_no}: timestamp {cells[t_idx]!r} is "
-                       f"neither seconds nor ISO-8601")
-        row_lines.append(line_no)
-        row = np.empty(len(c_idx))
-        for j, (col, name) in enumerate(zip(c_idx, channels)):
+        t_idx = header.index(timestamp)
+        c_idx = [header.index(c) for c in channels]
+        times, rows, row_lines, bad = [], [], [], []
+        for line_no, line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) != len(header):
+                bad.append(f"line {line_no}: expected {len(header)} cells, "
+                           f"got {len(cells)}")
+                continue
             try:
-                row[j] = float(cells[col])
+                times.append(_parse_timestamp(cells[t_idx]))
             except ValueError:
-                bad.append(f"line {line_no}: column {name!r} value {cells[col]!r}")
-        rows.append(row)
-    if bad:
-        shown = "; ".join(bad[:10])
-        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
-        raise DataError(f"{path}: malformed rows: {shown}{more}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+                bad.append(f"line {line_no}: timestamp {cells[t_idx]!r} is "
+                           f"neither seconds nor ISO-8601")
+            row_lines.append(line_no)
+            row = np.empty(len(c_idx))
+            for j, (col, name) in enumerate(zip(c_idx, channels)):
+                try:
+                    row[j] = float(cells[col])
+                except ValueError:
+                    bad.append(f"line {line_no}: column {name!r} value "
+                               f"{cells[col]!r}")
+            rows.append(row)
+        if bad:
+            shown = "; ".join(bad[:10])
+            more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+            raise DataError(f"malformed rows: {shown}{more}")
+        if not rows:
+            raise DataError("no data rows")
 
-    times = np.asarray(times)
-    values = np.asarray(rows)
-    # a cell such as nan, inf or 1e400 parses as a float
-    cells = np.column_stack([times, values])
-    if not np.isfinite(cells).all():
-        row, col = np.argwhere(~np.isfinite(cells))[0]
-        what = ("timestamp" if col == 0
-                else f"column {channels[col - 1]!r} value")
-        raise DataError(f"{path}: line {row_lines[row]}: {what} "
-                        f"{cells[row, col]} is NaN or infinite")
-    steps = np.diff(times)
-    if len(steps) and not (steps > 0).all():
-        first = int(np.argmin(steps > 0))
-        raise DataError(f"{path}: timestamps not strictly increasing at "
-                        f"line {row_lines[first + 1]}")
-    # the span, so that the timestamps' float rounding does not add up
-    step = float((times[-1] - times[0]) / len(steps)) if len(steps) else 1.0
-    if dt:
-        try:
+        times = np.asarray(times)
+        values = np.asarray(rows)
+        # a cell such as nan, inf or 1e400 parses as a float
+        cells = np.column_stack([times, values])
+        if not np.isfinite(cells).all():
+            row, col = np.argwhere(~np.isfinite(cells))[0]
+            what = ("timestamp" if col == 0
+                    else f"column {channels[col - 1]!r} value")
+            raise DataError(f"line {row_lines[row]}: {what} "
+                            f"{cells[row, col]} is NaN or infinite")
+        steps = np.diff(times)
+        if len(steps) and not (steps > 0).all():
+            first = int(np.argmin(steps > 0))
+            raise DataError(f"timestamps not strictly increasing at "
+                            f"line {row_lines[first + 1]}")
+        # the span, so that the timestamps' float rounding does not add up
+        step = float((times[-1] - times[0]) / len(steps)) if len(steps) else 1.0
+        if dt:
             values = resample(times, values, dt, max_gap)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        step = float(dt)
-    elif len(steps) and np.abs(steps - step).max() > _time_tol(times, step):
-        raise DataError(f"{path}: input sampling is irregular; set "
-                        f"dt_seconds to resample it")
-    return TimeSeries(values, dt=step, t0=float(times[0]),
-                      channel_names=tuple(channels))
+            step = float(dt)
+        elif len(steps) and np.abs(steps - step).max() > _time_tol(times, step):
+            raise DataError("input sampling is irregular; set dt_seconds "
+                            "to resample it")
+        return TimeSeries(values, dt=step, t0=float(times[0]),
+                          channel_names=tuple(channels))
 
 
 def write_table(path, header, columns):

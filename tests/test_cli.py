@@ -1,4 +1,6 @@
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +27,17 @@ def synth_csv(tmp_path_factory):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """``forbid("series.load_csv", ...)`` fails the test if one of these
+    functions of the package is called."""
+    def forbid(*names):
+        for name in names:
+            monkeypatch.setattr(f"qpdecomp.{name}", lambda *args, _name=name,
+                                **kwargs: pytest.fail(f"{_name} was called"))
+    return forbid
 
 
 # the fit flags of the tests below that leave epsilon to its default
@@ -76,6 +89,170 @@ def assert_same_artifacts(ref, other):
         assert (other / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+# The reader contract: a bad input, model or config file is one stderr line
+# `qpdecomp: <Class>: <path>: <what>`, exit 3 (2 for a config file or a
+# manifest), nothing on stdout and nothing written.  The tables below list
+# the bad files; each is run through every command that reads its kind.
+
+def assert_fails(args, root, capsys, code, line):
+    """``args`` exits ``code`` with one stderr line that ``line``, a regular
+    expression, matches, prints nothing on stdout, and leaves the files
+    under ``root`` as they were."""
+    before = sorted(root.rglob("*"))
+    assert run_cli(args) == code
+    out, err = capsys.readouterr()
+    assert re.fullmatch(f"{line}\n", err) and not out, err
+    assert sorted(root.rglob("*")) == before
+
+
+def file_error(cls, path, what):
+    """The stderr line of an error in the file ``path``, a regular
+    expression; ``what`` is one too."""
+    return f"qpdecomp: {cls}: {re.escape(str(path))}: {what}"
+
+
+def edited_csv(edits):
+    """Six samples 1 s apart below the header, with file line n replaced by
+    ``edits[n]``, or removed when that is None."""
+    lines = ["time,ch0,ch1,ch2", *(f"{t},{t},{t + 1},{t + 2}"
+                                   for t in range(6))]
+    kept = (edits.get(n, line) for n, line in enumerate(lines, start=1))
+    return "".join(f"{line}\n" for line in kept if line is not None)
+
+
+CANNOT_OPEN = "cannot read: No such file or directory"
+NOT_UTF8 = ("cannot read: 'utf-8' codec can't decode byte 0xff in position "
+            "11: invalid start byte")
+MALFORMED = "malformed rows: line 4: "
+# name: (file line edits, the file's bytes, or None for no file; extra
+# flags; the message after the path)
+BAD_CSV = {
+    "no_file": (None, [], CANNOT_OPEN),
+    "empty_file": (b"", [], "empty file"),
+    "not_utf8": (b"time,ch0\n0,\xff\n", [], NOT_UTF8),
+    "header_only": ({n: None for n in range(2, 8)}, [], "no data rows"),
+    "truncated_row": ({4: "2,2"}, [], MALFORMED + "expected 4 cells, got 2"),
+    "bad_time": ({4: "abc,2,3,4"}, [], MALFORMED + "timestamp 'abc' is "
+                 "neither seconds nor ISO-8601"),
+    "bad_time_and_cell": ({4: "abc,2,3,4", 5: "3,3,x,5"}, [], MALFORMED +
+                          "timestamp 'abc' is neither seconds nor ISO-8601; "
+                          "line 5: column 'ch1' value 'x'"),
+    # a blank line counts
+    "bad_cell": ({2: "\n0,0,1,2", 4: "2,2,x,4"}, [],
+                 "malformed rows: line 5: column 'ch1' value 'x'"),
+    "nan_cell": ({4: "2,2,nan,4"}, [],
+                 "line 4: column 'ch1' value nan is NaN or infinite"),
+    "nan_column": ({n: f"{n - 2},{n - 2},nan,{n}" for n in range(2, 8)}, [],
+                   "line 2: column 'ch1' value nan is NaN or infinite"),
+    # an infinite last timestamp makes an infinite step, which passes the
+    # increasing check, and an infinite gap allowance bridges it
+    "inf_time": ({7: "inf,5,6,7"}, [],
+                 "line 7: timestamp inf is NaN or infinite"),
+    "inf_time_resampled": ({7: "inf,5,6,7"},
+                           ["--dt-seconds", "1", "--max-gap-factor", "inf"],
+                           "line 7: timestamp inf is NaN or infinite"),
+    "repeated_time": ({5: "2,3,4,5"}, [],
+                      "timestamps not strictly increasing at line 5"),
+    "decreasing_time": ({5: "1,3,4,5"}, [],
+                        "timestamps not strictly increasing at line 5"),
+    "uneven": ({4: "2.5,2,3,4"}, [],
+               "input sampling is irregular; set dt_seconds to resample it"),
+    "gap": ({5: "18,3,4,5", 6: "19,4,5,6", 7: "20,5,6,7"},
+            ["--dt-seconds", "1"],
+            "gap of 16 s after sample 2 exceeds max gap 10 s"),
+    "dt_over_span": ({}, ["--dt-seconds", "5000"],
+                     "dt=5000.0 exceeds total span 5.0"),
+}
+# (flag, name, the file's text or bytes, or None for no file, the message
+# after the path).  A manifest skips unknown keys, which earlier versions
+# wrote, so its bad key is a removed one away from its old default
+BAD_CONFIGS = [(flag, *row) for flag in ("--config", "--manifest") for row in [
+    ("missing", None, CANNOT_OPEN),
+    ("not_utf8", b"delays = 6\n\xff\n", NOT_UTF8),
+    ("no_equals", "delays = 6\nL0 8\n", "line 2: expected 'key = value'"),
+    ("unknown_key", "delays = 6\nsolver = dense\n",
+     "line 2: unknown key 'solver'") if flag == "--config" else
+    ("retired_key", "delays = 6\nmerge_adjacent = true\n", "line 2: "
+     "merge_adjacent = true was removed; only its old default re-runs")]]
+
+# every array that save_model writes: its dtype kind and rank
+MODEL_ARRAYS = {"format": ("str", 1), "train_values": ("float", 2),
+                "train_dt": ("float", 0), "train_t0": ("float", 0),
+                "channel_names": ("str", 1), "train_hash": ("str", 1),
+                "q": ("int", 0), "epsilon": ("float", 0),
+                "omegas": ("float", 1), "A": ("complex", 2),
+                "M": ("float", 2)}
+
+
+def with_array(name, change=None):
+    """An edit of the saved arrays that replaces array ``name`` by
+    ``change`` of it, or drops it."""
+    def edit(arrays):
+        value = arrays.pop(name)
+        if change is not None:
+            arrays[name] = change(value)
+        return arrays
+    return edit
+
+
+def npz_bytes(arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def bad_models():
+    """name: (edit of the saved arrays, or None for no file; the message
+    after the path, a regular expression).  Each array is missing, of each
+    other dtype kind, of another rank (one axis fewer, or two entries for a
+    scalar), empty and, if it holds floats, NaN or infinite."""
+    not_npz = re.escape("not a readable npz archive (truncated, or another "
+                        "format)")
+    rows = {
+        "missing": (None, CANNOT_OPEN),
+        "not_npz": (lambda arrays: b"not a model\n" * 100, not_npz),
+        "truncated": (lambda arrays: npz_bytes(arrays)[:1000], not_npz),
+        "format_only": (lambda arrays: {"format": arrays["format"]},
+                        "model array 'channel_names' is missing"),
+        "A_row_short": (with_array("A", lambda a: a[:-1]),
+                        r"model A \(\d+, 3\) and M .+ do not match .+"),
+        "A0_imag": (with_array("A", lambda a: a + 1j),
+                    "model zero-frequency coefficient is not real"),
+        "epsilon_zero": (with_array("epsilon", lambda a: 0.0 * a),
+                         "model epsilon 0.0 is not positive and finite"),
+        "train_values_edited": (with_array("train_values", lambda a: a + 1),
+                                "training data does not match its stored "
+                                "hash"),
+    }
+    for fmt in ("qpdecomp-model-1", "qpdecomp-model-2"):
+        rows[f"format_{fmt[-1]}"] = (
+            with_array("format", lambda a, fmt=fmt: np.array([fmt])),
+            re.escape(f"model format '{fmt}' is not readable; re-run "
+                      f"`qpdecomp decompose` to write a 'qpdecomp-model-3' "
+                      f"file"))
+    for name, (kind, ndim) in MODEL_ARRAYS.items():
+        rows[f"{name}_missing"] = (with_array(name),
+                                   f"model array '{name}' is missing")
+        for other in ("str", "float", "complex"):
+            rows[f"{name}_{other}"] = (
+                with_array(name, lambda a, o=other: np.zeros(a.shape, o)),
+                f"model array '{name}' is .+")
+        rows.pop(f"{name}_{kind}", None)
+        rows[f"{name}_{['2', '0d', '1d'][ndim]}"] = (with_array(
+            name, lambda a: np.repeat(a, 2) if a.ndim == 0 else a[..., 0]),
+            ".+")
+        rows[f"{name}_empty"] = (with_array(
+            name, lambda a: np.empty((0, *a.shape[1:]), a.dtype)), ".+")
+        if kind in ("float", "complex"):
+            for value in (np.nan, np.inf):
+                rows[f"{name}_{value}"] = (with_array(
+                    name, lambda a, v=value: np.full_like(a, v)), ".+")
+    return rows
+
+
+BAD_MODELS = bad_models()
+
+
 @pytest.fixture(scope="module")
 def fitted_run(synth_csv, tmp_path_factory):
     """A `run` at --epsilon 2.0."""
@@ -111,37 +288,24 @@ class TestSynthCommand:
         assert header == ["time", "theta0", "theta1", "x0"]
 
     def test_unknown_testbed_exit_code(self, tmp_path, capsys):
-        code = run_cli(["synth", "--testbed", "nope", "--steps", "10",
-                        "--out", tmp_path / "x.csv"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:")
-        assert "pure_torus_2" in err and err.count("\n") == 1
-        assert not (tmp_path / "x.csv").exists()
+        assert_fails(["synth", "--testbed", "nope", "--steps", "10", "--out",
+                      tmp_path / "x.csv"], tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: .*pure_torus_2.*")
 
     @pytest.mark.parametrize("flags", [
         ["--steps", "0"], ["--steps", "-5"], ["--dt", "0"], ["--dt", "-1"],
         ["--dt", "nan"], ["--dt", "inf"], ["--seed", "-1"],
     ], ids=["steps_0", "steps_negative", "dt_0", "dt_negative", "dt_nan",
             "dt_inf", "seed_negative"])
-    def test_bad_flags_exit_2_before_simulating(self, tmp_path, monkeypatch,
+    def test_bad_flags_exit_2_before_simulating(self, tmp_path, forbid,
                                                 capsys, flags):
-        import qpdecomp.synth
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the system was simulated")
-
-        monkeypatch.setattr(qpdecomp.synth, "simulate", unreachable)
+        forbid("synth.simulate")
         args = {"--testbed": "pure_torus_2", "--steps": "10", "--dt": "1",
                 "--seed": "0"}
         args[flags[0]] = flags[1]
-        out = tmp_path / "x.csv"
-        code = run_cli(["synth", *(a for kv in args.items() for a in kv),
-                        "--out", out])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
-        assert not out.exists()
+        assert_fails(["synth", *(a for kv in args.items() for a in kv),
+                      "--out", tmp_path / "x.csv"], tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: .+")
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -163,56 +327,21 @@ class TestFrequenciesCommand:
         report = capsys.readouterr().out
         assert "long periods" in report and "short periods" in report
 
-    # each edit is a function of the data rows to keep, or the (line
-    # index, column, cell) triples to write
-    @pytest.mark.parametrize("edit, flags, message", [
-        pytest.param([(-1, 0, "inf")], [],
-                     "line 701: timestamp inf is NaN or infinite",
-                     id="inf_time"),
-        pytest.param([(-1, 0, "inf")],
-                     ["--dt-seconds", "1", "--max-gap-factor", "inf"],
-                     "line 701: timestamp inf is NaN or infinite",
-                     id="inf_time_resampled"),
-        pytest.param([(300, 2, "nan")], [],
-                     "line 301: column 'ch1' value nan is NaN or infinite",
-                     id="nan_cell"),
-        pytest.param([(300, 0, "abc")], [],
-                     "malformed rows: line 301: timestamp 'abc' is neither "
-                     "seconds nor ISO-8601", id="bad_time"),
-        pytest.param([(300, 0, "abc"), (301, 2, "x")], [],
-                     "malformed rows: line 301: timestamp 'abc' is neither "
-                     "seconds nor ISO-8601; line 302: column 'ch1' value 'x'",
-                     id="bad_time_and_cell"),
-        pytest.param(gapped, ["--dt-seconds", "1"],
-                     "gap of 16 s after sample 300 exceeds max gap 10 s",
-                     id="gap"),
-        pytest.param(uneven, [], "input sampling is irregular; set "
-                                 "dt_seconds to resample it", id="uneven"),
-        pytest.param([], ["--dt-seconds", "5000"],
-                     "dt=5000.0 exceeds total span 699.0", id="dt_over_span"),
-    ])
-    def test_bad_input_exits_3_naming_the_file(self, synth_csv, tmp_path,
-                                               capsys, edit, flags, message):
-        # a bad cell or timestamp, or an input that does not resample onto
-        # an even grid, is one DataError line that starts with the path, from
-        # every command that reads it
+    @pytest.mark.parametrize("edits, flags, what", [
+        pytest.param(edits, flags, what, id=name)
+        for name, (edits, flags, what) in BAD_CSV.items()])
+    def test_bad_input_exits_3_naming_the_file(self, model_file, tmp_path,
+                                               capsys, edits, flags, what):
+        # every command that reads a series: the reader contract
         bad = tmp_path / "bad.csv"
-        if callable(edit):
-            thinned(synth_csv[0], bad, edit)
-        else:
-            lines = synth_csv[0].read_text().splitlines()
-            for row, col, cell in edit:
-                cells = lines[row].split(",")
-                cells[col] = cell
-                lines[row] = ",".join(cells)
-            bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        for command in ("frequencies", "run"):
-            assert run_cli([*command_args(command, bad, None, out),
-                            *flags]) == 3
-            assert capsys.readouterr().err == (
-                f"qpdecomp: DataError: {bad}: {message}\n")
-            assert not out.exists()
+        if edits is not None:
+            bad.write_bytes(edits if isinstance(edits, bytes)
+                            else edited_csv(edits).encode())
+        for command in ("frequencies", "decompose", "diagnostics", "run",
+                        "predict"):
+            args = command_args(command, bad, model_file, tmp_path / "out")
+            assert_fails([*args, *flags], tmp_path, capsys, 3,
+                         file_error("DataError", bad, re.escape(what)))
 
 
 @pytest.fixture(scope="module")
@@ -291,12 +420,10 @@ class TestDecomposeReconstructPredict:
         assert any(h.startswith("err_") and h.endswith("_ma10") for h in header)
 
     def test_predict_init_too_early(self, model_file, synth_csv, tmp_path, capsys):
-        out, _ = synth_csv
-        code = run_cli(["predict", "--model", model_file, "--input", out,
-                        "--init-at", "2", "--steps", "5",
-                        "--out", tmp_path / "p.csv"])
-        assert code == 3
-        assert "delay window" in capsys.readouterr().err
+        assert_fails(["predict", "--model", model_file, "--input", synth_csv[0],
+                      "--init-at", "2", "--steps", "5", "--out",
+                      tmp_path / "p.csv"], tmp_path, capsys, 3,
+                     "qpdecomp: DataError: .*so a delay window exists")
 
     def test_predict_rejects_other_step(self, model_file, synth_csv,
                                         tmp_path, capsys):
@@ -306,20 +433,9 @@ class TestDecomposeReconstructPredict:
         coarse.write_text("\n".join(
             [header] + [f"{2 * int(float(t))},{rest}"
                         for t, rest in (r.split(",", 1) for r in rows)]) + "\n")
-        code = run_cli(["predict", "--model", model_file, "--input", coarse,
-                        "--init-at", "620", "--steps", "20",
-                        "--out", tmp_path / "p.csv"])
-        assert code == 3
-        assert "differs from the model's dt" in capsys.readouterr().err
-
-    def test_predict_rejects_irregular_input(self, model_file, synth_csv,
-                                             tmp_path, capsys):
-        gappy = thinned(synth_csv[0], tmp_path / "gappy.csv", uneven)
-        code = run_cli(["predict", "--model", model_file, "--input", gappy,
-                        "--init-at", "520", "--steps", "20",
-                        "--out", tmp_path / "p.csv"])
-        assert code == 3
-        assert "irregular" in capsys.readouterr().err
+        assert_fails(command_args("predict", coarse, model_file,
+                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
+                     "qpdecomp: DataError: .*differs from the model's dt.*")
 
     @pytest.mark.parametrize("header", ["time,ch1,ch0,ch2", "time,z0,z1,z2"],
                              ids=["swapped", "renamed"])
@@ -336,15 +452,11 @@ class TestDecomposeReconstructPredict:
             lines[0] = header
         other = tmp_path / "other.csv"
         other.write_text("\n".join(lines) + "\n")
-        pred = tmp_path / "p.csv"
-        code = run_cli(["predict", "--model", model_file, "--input", other,
-                        "--init-at", "620", "--steps", "20", "--out", pred])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: DataError:")
-        assert f"{header.split(',')[1:]}" in err
-        assert "['ch0', 'ch1', 'ch2']" in err
-        assert not pred.exists()
+        assert_fails(command_args("predict", other, model_file,
+                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
+                     re.escape(f"qpdecomp: DataError: input channels "
+                               f"{header.split(',')[1:]} differ from the "
+                               f"model's ['ch0', 'ch1', 'ch2']"))
 
     def test_predict_selects_the_model_channels(self, model_file, synth_csv,
                                                 tmp_path):
@@ -363,98 +475,37 @@ class TestDecomposeReconstructPredict:
                             "--out", preds[-1]]) == 0
         assert preds[0].read_bytes() == preds[1].read_bytes()
 
-    def test_predict_rejects_format_1_model(self, synth_csv, tmp_path, capsys):
-        old = tmp_path / "old.npz"
-        np.savez(old, format=np.array(["qpdecomp-model-1"]),
-                 train_values=np.zeros((8, 3)), lam=np.ones(2),
-                 Phi=np.ones((6, 2)), Gamma=np.ones((6, 2)))
-        code = run_cli(["predict", "--model", old, "--input", synth_csv[0],
-                        "--init-at", "620", "--steps", "20",
-                        "--out", tmp_path / "p.csv"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "qpdecomp-model-1" in err and "qpdecomp decompose" in err
-
-    @pytest.mark.parametrize("case", ["not_npz", "missing", "format_only",
-                                      "A_row_short", "A_flat",
-                                      "epsilon_zero", "omega_nan",
-                                      "format_0d", "train_hash_0d",
-                                      "train_dt_2", "train_t0_2", "q_2",
-                                      "epsilon_2", "omegas_str", "A_str",
-                                      "M_str", "train_values_str",
-                                      "omegas_complex", "M_complex",
-                                      "A0_imag", "train_values_1d",
-                                      "train_values_nan"])
+    @pytest.mark.parametrize("edit, what", [
+        pytest.param(edit, what, id=name)
+        for name, (edit, what) in BAD_MODELS.items()])
     def test_predict_unreadable_model_exits_3(self, model_file, synth_csv,
-                                              tmp_path, capsys, case):
-        # a model file of the wrong shape or content is a DataError before
-        # the free run, not a traceback or a diverged run
+                                              tmp_path, capsys, edit, what):
+        # every command that reads a model, predict and reconstruct: the
+        # reader contract, before the free run
         model = tmp_path / "m.npz"
-        name, _, reshape = case.rpartition("_")
-        if case == "not_npz":
-            model.write_bytes(b"not a model\n" * 100)
-        elif case == "format_only":
-            np.savez(model, format=np.array(["qpdecomp-model-3"]))
-        elif case != "missing":
-            arrays = dict(np.load(model_file))
-            if reshape in ("0d", "2"):
-                # a one-entry array saved 0-d, or a 0-d one with two entries
-                value = arrays[name]
-                arrays[name] = value[0] if value.ndim else np.repeat(value, 2)
-            elif case == "A_row_short":
-                arrays["A"] = arrays["A"][:-1]
-            elif case == "A_flat":
-                arrays["A"] = arrays["A"][:, 0]
-            elif case == "epsilon_zero":
-                arrays["epsilon"] = np.float64(0.0)
-            elif reshape in ("str", "complex"):
-                # another dtype kind than save_model writes
-                arrays[name] = arrays[name].astype(reshape)
-            elif case == "A0_imag":
-                assert arrays["omegas"][0] == 0.0
-                arrays["A"][0] += 1j
-            elif case == "train_values_1d":
-                # this case and the next fail in TimeSeries, whose message
-                # load_model prefixes with the path
-                arrays[name] = arrays[name][:, 0]
-            elif case == "train_values_nan":
-                arrays[name][5, 0] = np.nan
-            else:
-                arrays["omegas"][-1] = np.nan
-            np.savez(model, **arrays)
-        code = run_cli(["predict", "--model", model, "--input", synth_csv[0],
-                        "--init-at", "620", "--steps", "20",
-                        "--out", tmp_path / "p.csv"])
-        assert code == 3
-        out, err = capsys.readouterr()
-        assert err.startswith("qpdecomp: DataError:") and str(model) in err
-        if reshape in ("0d", "2", "str", "complex"):
-            assert f"model array {name!r}" in err
-        assert err.count("\n") == 1 and not out
-        assert not (tmp_path / "p.csv").exists()
+        if edit is not None:
+            with np.load(model_file) as saved:
+                arrays = dict(saved)
+            assert set(arrays) == set(MODEL_ARRAYS)
+            content = edit(arrays)
+            model.write_bytes(content if isinstance(content, bytes)
+                              else npz_bytes(content))
+        for command in ("predict", "reconstruct"):
+            args = command_args(command, synth_csv[0], model, tmp_path / "o")
+            assert_fails(args, tmp_path, capsys, 3,
+                         file_error("DataError", model, what))
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
 @pytest.mark.parametrize("command", ["synth", "synth_latent", "frequencies",
                                      "decompose", "predict", "reconstruct"])
 def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
-                                                  tmp_path, monkeypatch,
-                                                  capsys, command, where):
+                                                  tmp_path, forbid, capsys,
+                                                  command, where):
     # every file output is checked before any input is read, simulated or
     # fitted: one ConfigError line naming the path, exit 2, and no file
-    import qpdecomp.decompose
-    import qpdecomp.series
-    import qpdecomp.spectral
-    import qpdecomp.synth
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("an input was read or fitted")
-
-    for module, name in ((qpdecomp.series, "load_csv"),
-                         (qpdecomp.decompose, "load_model"),
-                         (qpdecomp.spectral, "decompose"),
-                         (qpdecomp.synth, "simulate")):
-        monkeypatch.setattr(module, name, unreachable)
+    forbid("series.load_csv", "decompose.load_model", "spectral.decompose",
+           "synth.simulate")
     if where == "directory":
         target = tmp_path / "taken"
         target.mkdir()
@@ -469,12 +520,8 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
         args = [*synth, "--out", tmp_path / "s.csv", "--latent-out", target]
     else:
         args = command_args(command, synth_csv[0], model_file, target)
-    before = sorted(tmp_path.rglob("*"))
-    assert run_cli(args) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("qpdecomp: ConfigError:") and str(target) in err
-    assert err.count("\n") == 1 and not out
-    assert sorted(tmp_path.rglob("*")) == before
+    assert_fails(args, tmp_path, capsys, 2,
+                 f"qpdecomp: ConfigError: .*{re.escape(str(target))}.*")
 
 
 def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
@@ -577,9 +624,8 @@ class TestPredictStep:
         assert "err_ch0_ma5" in header
 
     def test_step_off_by_1e_6_exits_3(self, stamp_rows, tmp_path, capsys):
-        code = self.predict(stamp_rows, tmp_path, 200,
-                            step=0.1 * (1 + 1e-6), fmt=".7f")
-        assert code == 3
+        assert self.predict(stamp_rows, tmp_path, 200,
+                            step=0.1 * (1 + 1e-6), fmt=".7f") == 3
         assert "differs from the model's dt" in capsys.readouterr().err
 
 
@@ -595,17 +641,12 @@ class TestDiagnosticsCommand:
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
 @pytest.mark.parametrize("command", ["diagnostics", "run", "run_config"])
-def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, monkeypatch,
+def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, forbid,
                                             capsys, command, below):
     # an --outdir (or a config's outdir) that is a file, or lies under one,
     # is one ConfigError line before the kernel is built, and leaves no
     # staging directory
-    import qpdecomp.kernel
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the kernel was built")
-
-    monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+    forbid("kernel.gaussian_kernel")
     blocker = tmp_path / "taken.csv"
     blocker.write_text("x\n", encoding="utf-8")
     outdir = blocker / below if below else blocker
@@ -616,33 +657,21 @@ def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, monkeypatch,
                 "--epsilon", "2.0", *FIT_FLAGS, *PREDICT_WINDOW]
     else:
         args = command_args(command, synth_csv[0], None, outdir)
-    assert run_cli(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
-    assert f"{blocker} is not a directory" in err
+    assert_fails(args, tmp_path, capsys, 2, "qpdecomp: ConfigError: .*"
+                 + re.escape(f"{blocker} is not a directory"))
     assert blocker.read_text(encoding="utf-8") == "x\n"
-    assert not list(tmp_path.glob(".*staging*"))
 
 
 @pytest.mark.parametrize("command", ["diagnostics", "run"])
 def test_empty_outdir_exits_2_before_reading(synth_csv, tmp_path, monkeypatch,
-                                             capsys, command):
+                                             forbid, capsys, command):
     # an empty --outdir is one ConfigError line, as an empty --out is,
     # before the input is read or the kernel built; nothing is written
     # into the working directory
-    import qpdecomp.kernel
-    import qpdecomp.series
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("an input was read or fitted")
-
-    monkeypatch.setattr(qpdecomp.series, "load_csv", unreachable)
-    monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+    forbid("series.load_csv", "kernel.gaussian_kernel")
     monkeypatch.chdir(tmp_path)
-    assert run_cli(command_args(command, synth_csv[0], None, "")) == 2
-    assert capsys.readouterr().err == (
-        "qpdecomp: ConfigError: --outdir is empty\n")
-    assert list(tmp_path.iterdir()) == []
+    assert_fails(command_args(command, synth_csv[0], None, ""), tmp_path,
+                 capsys, 2, "qpdecomp: ConfigError: --outdir is empty")
 
 
 # the options that were removed, as each command's flags, or as lines of a
@@ -665,30 +694,18 @@ REMOVED_OPTIONS = {
                  .replace(" = ", "=").replace(" ", "="))
     for command, options in REMOVED_OPTIONS.items() for option in options])
 def test_removed_option_exits_2(synth_csv, model_file, tmp_path, monkeypatch,
-                                capsys, command, option):
+                                forbid, capsys, command, option):
     # a removed option on a command line that works without it is a
     # configuration error: exit 2 before any input is read or fitted, and
     # nothing written
-    import qpdecomp.decompose
-    import qpdecomp.kernel
-    import qpdecomp.series
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("an input was read or fitted")
-
-    for module, name in ((qpdecomp.series, "load_csv"),
-                         (qpdecomp.decompose, "load_model"),
-                         (qpdecomp.kernel, "gaussian_kernel")):
-        monkeypatch.setattr(module, name, unreachable)
+    forbid("series.load_csv", "decompose.load_model", "kernel.gaussian_kernel")
     monkeypatch.chdir(tmp_path)
     if command == "config":
         Path("old.conf").write_text(option + "\n", encoding="utf-8")
-        assert run_cli(["run", "--config", "old.conf", *command_args(
-            "run", synth_csv[0], None, "o")[1:]]) == 2
-        key = option.split()[0]
-        assert capsys.readouterr().err == (
-            f"qpdecomp: ConfigError: config line 1: unknown key {key!r}\n")
-        assert os.listdir() == ["old.conf"]
+        assert_fails(["run", "--config", "old.conf", *command_args(
+            "run", synth_csv[0], None, "o")[1:]], tmp_path, capsys, 2,
+            file_error("ConfigError", "old.conf",
+                       f"line 1: unknown key '{option.split()[0]}'"))
     else:
         with pytest.raises(SystemExit) as exc:
             run_cli([*command_args(command, synth_csv[0], model_file, "o"),
@@ -724,14 +741,10 @@ class TestRunCommand:
             f"input = {synth_csv[0]}\ndelays = 6\nepsilon = 2.0\n"
             "num_eigen = 40\nL0 = 8\ntrain_end = 600\npredict_start = 620\n"
             "predict_end = 680\n", encoding="utf-8")
-        code = run_cli(["run", "--config", cfg, "--manifest",
-                        tmp_path / "absent" / "manifest.txt",
-                        "--outdir", tmp_path / "o"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:") and err.count("\n") == 1
-        assert "--config" in err and "--manifest" in err
-        assert not (tmp_path / "o").exists()
+        assert_fails(["run", "--config", cfg, "--manifest",
+                      tmp_path / "absent" / "manifest.txt",
+                      "--outdir", tmp_path / "o"], tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: --config and --manifest .+")
 
     def test_outdir_dot_in_empty_cwd(self, synth_csv, tmp_path):
         # the artifacts are staged beside the absolute outdir; a subprocess,
@@ -784,11 +797,9 @@ class TestRunCommand:
         spaced = tmp_path / "spaced.csv"
         spaced.write_text("\n".join([header.replace("ch0", "queue 1"), *rows])
                           + "\n", encoding="utf-8")
-        assert run_cli([*command_args("run", spaced, None, tmp_path / "o"),
-                        "--channels", "queue 1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:") and "'queue 1'" in err
-        assert not (tmp_path / "o").exists()
+        assert_fails([*command_args("run", spaced, None, tmp_path / "o"),
+                      "--channels", "queue 1"], tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: .*'queue 1'.*")
 
     @pytest.mark.parametrize("line, code", [
         pytest.param(line, code, id=line.replace(" ", ""))
@@ -799,42 +810,58 @@ class TestRunCommand:
             ("clip_factor = 0.0", 0), ("clip_factor = 1.5", 2),
             ("standardize = false", 0), ("standardize = true", 2),
             ("resample_method = hold", 0), ("resample_method = linear", 2)]])
-    def test_old_manifest_line(self, fitted_run, tmp_path, monkeypatch,
-                               capsys, line, code):
+    def test_old_manifest_line(self, fitted_run, tmp_path, forbid, capsys,
+                               line, code):
         # manifests of earlier versions hold keys that are gone.  A key that
         # never changed a result, or a removed option at the default those
         # manifests wrote, re-runs to the bytes of the run; a removed option
         # at another value asks for a result that can no longer be made, and
         # is one ConfigError line naming the key, before fitting
-        from qpdecomp import pipeline
-
         manifest = tmp_path / "old_manifest.txt"
         manifest.write_text(f"{line}\n" + (fitted_run / "manifest.txt")
                             .read_text(encoding="utf-8"), encoding="utf-8")
-        if code:
-            def unreachable(*args, **kwargs):
-                raise AssertionError("the series was fitted")
-
-            monkeypatch.setattr(pipeline, "fit", unreachable)
         outdir = tmp_path / "rerun"
-        assert run_cli(["run", "--manifest", manifest,
-                        "--outdir", outdir]) == code
+        args = ["run", "--manifest", manifest, "--outdir", outdir]
         if code:
-            err = capsys.readouterr().err
-            assert err.startswith("qpdecomp: ConfigError:")
-            assert line.split()[0] in err and err.count("\n") == 1
-            assert not outdir.exists()
+            forbid("pipeline.fit")
+            assert_fails(args, tmp_path, capsys, code,
+                         file_error("ConfigError", manifest,
+                                    f"line 1: {re.escape(line)} was .+"))
         else:
+            assert run_cli(args) == 0
             assert_same_artifacts(fitted_run, outdir)
 
+    @pytest.mark.parametrize("flag, content, what", [
+        pytest.param(flag, content, what, id=f"{flag[2:]}-{name}")
+        for flag, name, content, what in BAD_CONFIGS])
+    def test_bad_config_exits_2_naming_the_file(self, tmp_path, capsys, flag,
+                                                content, what):
+        # the reader contract for config files and manifests
+        conf = tmp_path / "bad.conf"
+        if content is not None:
+            conf.write_bytes(content if isinstance(content, bytes)
+                             else content.encode())
+        assert_fails(["run", flag, conf, "--outdir", tmp_path / "o"],
+                     tmp_path, capsys, 2,
+                     file_error("ConfigError", conf, re.escape(what)))
+
+    def test_warning_is_one_line(self, synth_csv, tmp_path, capsys):
+        # a warning, here that the thresholds keep no nonzero bin, is one
+        # `qpdecomp: warning:` line, and the command still succeeds
+        out = tmp_path / "f.csv"
+        assert run_cli([*command_args("frequencies", synth_csv[0], None, out),
+                        "--eps1", "1e9"]) == 0
+        assert capsys.readouterr().err == (
+            "qpdecomp: warning: no nonzero frequency survived the "
+            "thresholds; the series has no detectable quasiperiodic "
+            "component at these parameters\n")
+        assert out.is_file()
+
     def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
-        out, _ = synth_csv
-        code = run_cli(["frequencies", "--input", out, "--channels", "ch0",
-                        "ch0", *FIT_FLAGS, "--out", tmp_path / "f.csv"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: ConfigError:") and "twice" in err
-        assert not (tmp_path / "f.csv").exists()
+        assert_fails(["frequencies", "--input", synth_csv[0], "--channels",
+                      "ch0", "ch0", *FIT_FLAGS, "--out", tmp_path / "f.csv"],
+                     tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: channel 'ch0' is named twice")
 
     @pytest.mark.parametrize("command, target", [
         ("frequencies", ["--out", "f.csv"]),
@@ -858,12 +885,6 @@ class TestRunCommand:
         code = run_cli(["run", "--input", out, "--outdir", tmp_path / "o1",
                         "--epsilon", "2.0", "--num-eigen", "10", "--L0", "50"])
         assert code == 2
-        # data error: missing input
-        code = run_cli(["run", "--input", tmp_path / "absent.csv",
-                        "--outdir", tmp_path / "o2", "--epsilon", "2.0",
-                        "--num-eigen", "40", "--L0", "8",
-                        "--predict-start", "30", "--predict-end", "40"])
-        assert code == 3
         # numerical error: eigenvalue floor (near-duplicate data, huge eps)
         flat = tmp_path / "flat.csv"
         rng = np.random.default_rng(0)
@@ -905,16 +926,11 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["run", "frequencies", "decompose",
                                          "diagnostics"])
     def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
-                                                  monkeypatch, capsys,
-                                                  command, case):
+                                                  forbid, capsys, command,
+                                                  case):
         # every fitting command validates the same keys the same way, and
         # does so before it builds the kernel
-        import qpdecomp.kernel
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the kernel was built")
-
-        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
+        forbid("kernel.gaussian_kernel")
         assert run_cli([*command_args(command, synth_csv[0], None,
                                       tmp_path / "out"), *case]) == 2
         assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
@@ -967,12 +983,9 @@ class TestRunCommand:
                         if 100 <= i < 250 else r for i, r in enumerate(rows)])
             + "\n", encoding="utf-8")
         out = tmp_path / "f.csv"
-        assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
-                        "--out", out]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("qpdecomp: DataError:") and err.count("\n") == 1
-        assert "1% quantile" in err and "--epsilon" in err
-        assert not out.exists()
+        assert_fails(["frequencies", "--input", flat, *FIT_FLAGS, "--out", out],
+                     tmp_path, capsys, 3,
+                     "qpdecomp: DataError: .*1% quantile.*--epsilon.*")
         assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
                         "--epsilon", "8", "--out", out]) == 0
         assert out.is_file()

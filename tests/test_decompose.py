@@ -519,14 +519,18 @@ class TestReconstruct:
         assert np.array_equal(a.values, b.values)
 
     def test_divergence_reports_step(self, torus_model):
-        # a non-finite A reaches the step through g_per, a non-finite M
-        # through the GEMV of the weights with [sqrt(N) M | 1]
+        # a model holds no non-finite A or M, but a huge A overflows g_per,
+        # and a huge M the GEMV of the weights with [sqrt(N) M | 1]
         model, pfit, s = torus_model
         init = state_before(s, model.q + 1, model.q)
-        for bad in (replace(model, A=np.full_like(model.A, np.inf)),
-                    replace(model, M=np.full_like(model.M, np.inf))):
-            with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="step 0"):
-                reconstruct(bad, init, 10, 0.0)
+        for name in ("A", "M"):
+            full = np.full_like(getattr(model, name), np.inf)
+            with pytest.raises(DataError, match=f"model {name} has NaN"):
+                replace(model, **{name: full})
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = replace(model, **{name: np.full_like(full, 1e308)})
+                with pytest.raises(NumericalError, match="step 0"):
+                    reconstruct(bad, init, 10, 0.0)
 
     def test_free_run_respects_computable_bound(self, torus_model,
                                                 model_basis, torus_E):
@@ -726,32 +730,6 @@ class TestModelRoundTrip:
                              "bad": np.array([object()], dtype=object)})
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
-
-    def test_format_1_file_rejected(self, torus_model, tmp_path):
-        # format 1 stored the eigenbasis, format 2 the selection, E and the
-        # extension bounds; neither is read, both name the way to a new file
-        model, _, _ = torus_model
-        save_model(model, tmp_path / "new.npz")
-        v2 = dict(np.load(tmp_path / "new.npz"))
-        m = len(v2["omegas"])
-        v2.update(format=np.array(["qpdecomp-model-2"]),
-                  sel_indices=np.arange(m), sel_omegas=v2.pop("omegas"),
-                  sel_amplitudes=np.ones(m),
-                  sel_params=np.array([0.1, 2.5, 10.0, 40.0]),
-                  E=np.zeros((40, model.k)), ext_bounds=np.ones(40))
-        files = {
-            "qpdecomp-model-1": dict(
-                format=np.array(["qpdecomp-model-1"]),
-                train_values=np.zeros((8, 1)), lam=np.ones(2),
-                Phi=np.ones((6, 2)), Gamma=np.ones((6, 2))),
-            "qpdecomp-model-2": v2,
-        }
-        for fmt, arrays in files.items():
-            path = tmp_path / f"{fmt}.npz"
-            np.savez(path, **arrays)
-            with pytest.raises(DataError,
-                               match=f"{fmt}.*qpdecomp decompose"):
-                load_model(path)
 
     def test_load_and_free_run_build_no_n_by_n_array(self, tmp_path):
         n, q, dt = 1503, 3, 1.0

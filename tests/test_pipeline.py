@@ -119,7 +119,7 @@ class TestRunPipeline:
         config = build_config(dict(SMOKE, epsilon=1.0,
                                    input=str(tmp_path / "absent.csv"),
                                    outdir=str(tmp_path / "out")))
-        with pytest.raises(DataError, match="does not exist"):
+        with pytest.raises(DataError, match="absent.csv: cannot read"):
             run_pipeline(config)
         assert not (tmp_path / "out").exists()
 
