@@ -437,7 +437,17 @@ class TestDecomposeReconstructPredict:
                                   tmp_path / "p.csv"), tmp_path, capsys, 3,
                      "qpdecomp: DataError: .*differs from the model's dt.*")
 
-    @pytest.mark.parametrize("header", ["time,ch1,ch0,ch2", "time,z0,z1,z2"],
+    def test_predict_rejects_irregular_input(self, model_file, synth_csv,
+                                             tmp_path, capsys):
+        # the fitted series with samples dropped: no single dt to predict at
+        gappy = thinned(synth_csv[0], tmp_path / "gappy.csv", uneven)
+        assert_fails(command_args("predict", gappy, model_file,
+                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
+                     file_error("DataError", gappy, re.escape(
+                         "input sampling is irregular; set dt_seconds to "
+                         "resample it")))
+
+    @pytest.mark.parametrize("header",["time,ch1,ch0,ch2", "time,z0,z1,z2"],
                              ids=["swapped", "renamed"])
     def test_predict_rejects_other_channels(self, model_file, synth_csv,
                                             tmp_path, capsys, header):
