@@ -182,6 +182,9 @@ MODEL_ARRAYS = {"format": ("str", 1), "train_values": ("float", 2),
                 "q": ("int", 0), "epsilon": ("float", 0),
                 "omegas": ("float", 1), "A": ("complex", 2),
                 "M": ("float", 2)}
+# the arrays whose shape save_model fixes: load_model rejects any other shape
+# of them itself, naming the array
+FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "q", "epsilon"}
 
 
 def with_array(name, change=None):
@@ -238,11 +241,14 @@ def bad_models():
                 with_array(name, lambda a, o=other: np.zeros(a.shape, o)),
                 f"model array '{name}' is .+")
         rows.pop(f"{name}_{kind}", None)
+        # a fixed shape is checked by load_model; any other by TimeSeries
+        # or QPModel, in their own words
+        reshaped = f"model array '{name}' is .+" if name in FIXED_SHAPE else ".+"
         rows[f"{name}_{['2', '0d', '1d'][ndim]}"] = (with_array(
             name, lambda a: np.repeat(a, 2) if a.ndim == 0 else a[..., 0]),
-            ".+")
+            reshaped)
         rows[f"{name}_empty"] = (with_array(
-            name, lambda a: np.empty((0, *a.shape[1:]), a.dtype)), ".+")
+            name, lambda a: np.empty((0, *a.shape[1:]), a.dtype)), reshaped)
         if kind in ("float", "complex"):
             for value in (np.nan, np.inf):
                 rows[f"{name}_{value}"] = (with_array(
@@ -447,7 +453,7 @@ class TestDecomposeReconstructPredict:
                          "input sampling is irregular; set dt_seconds to "
                          "resample it")))
 
-    @pytest.mark.parametrize("header",["time,ch1,ch0,ch2", "time,z0,z1,z2"],
+    @pytest.mark.parametrize("header", ["time,ch1,ch0,ch2", "time,z0,z1,z2"],
                              ids=["swapped", "renamed"])
     def test_predict_rejects_other_channels(self, model_file, synth_csv,
                                             tmp_path, capsys, header):
