@@ -243,7 +243,8 @@ def bad_models():
         rows.pop(f"{name}_{kind}", None)
         # a fixed shape is checked by load_model; any other by TimeSeries
         # or QPModel, in their own words
-        reshaped = f"model array '{name}' is .+" if name in FIXED_SHAPE else ".+"
+        reshaped = (f"model array '{name}' is .+" if name in FIXED_SHAPE
+                    else ".+")
         rows[f"{name}_{['2', '0d', '1d'][ndim]}"] = (with_array(
             name, lambda a: np.repeat(a, 2) if a.ndim == 0 else a[..., 0]),
             reshaped)
