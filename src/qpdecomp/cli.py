@@ -19,7 +19,8 @@ import numpy as np
 
 from . import decompose as dc
 from . import pipeline, synth
-from .errors import ConfigError, DataError, NumericalError, QpdecompError
+from .errors import (ConfigError, DataError, NumericalError, QpdecompError,
+                     reading)
 from .series import write_csv, write_table
 
 
@@ -119,8 +120,11 @@ def _cmd_predict(args):
     if args.ma_window < 0:
         raise ConfigError(f"--ma-window must be >= 0, got {args.ma_window}")
     model = dc.load_model(args.model)
-    pipeline.write_prediction(args.out, model, pipeline.load_series(config),
-                              args.init_at, args.steps, args.ma_window)
+    data = pipeline.load_series(config)
+    # an error of the input against the model names both files
+    with reading(config.input), reading(args.model):
+        forecast = pipeline.predict(model, data, args.init_at, args.steps)
+    pipeline.write_prediction(args.out, forecast, args.ma_window)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
 

@@ -25,7 +25,8 @@ class NumericalError(QpdecompError):
 
 @contextmanager
 def reading(path, error=DataError):
-    """Name ``path`` in every error raised while reading it: a
+    """Name ``path`` in every error raised while reading it, or while
+    checking it against a model or a parameter: a
     :class:`QpdecompError` keeps its class and gets the prefix
     ``<path>: ``, and a file that cannot be opened or is not UTF-8 text (an
     ``OSError`` or ``UnicodeDecodeError``) becomes

@@ -7,9 +7,10 @@ command that fits goes through :func:`fit`, so the same configuration gives
 the same selection and model from ``run`` and from the single-step
 subcommands.  :func:`write_frequencies`, :func:`write_diagnostics`,
 :func:`write_reconstruction` and :func:`write_prediction` write the tables
-that both share, the last two from the model alone, so ``run`` is the
-subcommands plus a manifest and writes their bytes: its output directory
-appears whole or not at all (:func:`run_pipeline`).
+that both share, the last two from the model alone (the prediction from its
+:func:`predict` free run), so ``run`` is the subcommands plus a manifest and
+writes their bytes: its output directory appears whole or not at all
+(:func:`run_pipeline`).
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -35,6 +36,7 @@ import os
 import shutil
 import tempfile
 import typing
+import warnings
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -151,10 +153,11 @@ def _read_config(path, overrides, manifest):
     can carry hashes and keys that earlier versions wrote, but not a key of
     ``_RETIRED_KEYS`` away from its old default.  A relative ``input`` in
     the file resolves against the file's directory; an override is taken
-    as it is.
+    as it is.  When a manifest's own input no longer has the SHA-256 that
+    the manifest records, a warning names both files.
     """
     path = Path(path)
-    values = {}
+    values, recorded = {}, None
     with reading(path, ConfigError):
         lines = path.read_text(encoding="utf-8").splitlines()
         for line_no, line in enumerate(lines, start=1):
@@ -169,6 +172,8 @@ def _read_config(path, overrides, manifest):
                 values[key] = raw
             elif not manifest:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            elif key == "input_sha256":
+                recorded = raw
             elif key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key]:
                 raise ConfigError(f"line {line_no}: {key} = {raw} was "
                                   f"removed; only its old default re-runs")
@@ -176,7 +181,17 @@ def _read_config(path, overrides, manifest):
         values["input"] = str((path.parent / values["input"]).resolve())
     overrides = overrides or {}
     values.update((k, v) for k, v in overrides.items() if v is not None)
-    return build_config(values)
+    config = build_config(values)
+    if recorded is not None and overrides.get("input") is None:
+        try:
+            changed = _sha256(config.input) != recorded
+        except OSError:
+            changed = False     # reading the input reports it
+        if changed:
+            warnings.warn(f"{path}: input {config.input} has changed since "
+                          f"the manifest was written (its SHA-256 differs), "
+                          f"so the re-run may not reproduce its artifacts")
+    return config
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
@@ -268,18 +283,22 @@ def fit(config: PipelineConfig) -> Fit:
     frequency selection, periodic fit and chaotic fit.  The chaotic
     coefficients E are not kept: within near-equal eigenvalue pairs they
     rotate with the BLAS's rounding, while the model's M, which is built
-    from them, moves only by rounding."""
+    from them, moves only by rounding.  An error of the windows, the delays
+    or the eigensolve against the series names the input."""
     data = load_series(config)
-    train_end = config.train_end or data.n
-    if train_end > data.n:
-        raise DataError(f"train_end={train_end} exceeds series length {data.n}")
-    if config.predict_end > data.n:
-        raise DataError(f"predict window end {config.predict_end} exceeds "
-                        f"series length {data.n}")
-    train = series.window(data, 0, train_end)
-    q = config.delays
-    emb = series.delay_embed(train, q)
-    basis = spectral.decompose(emb, config.epsilon, config.num_eigen)
+    # the parameters meet the series here, so an error names the input
+    with reading(config.input):
+        train_end = config.train_end or data.n
+        if train_end > data.n:
+            raise DataError(f"train_end={train_end} exceeds series length "
+                            f"{data.n}")
+        if config.predict_end > data.n:
+            raise DataError(f"predict window end {config.predict_end} exceeds "
+                            f"series length {data.n}")
+        train = series.window(data, 0, train_end)
+        q = config.delays
+        emb = series.delay_embed(train, q)
+        basis = spectral.decompose(emb, config.epsilon, config.num_eigen)
     table = freqfilter.rkhs_norm_table(basis, data.dt)
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)
@@ -376,17 +395,11 @@ def write_reconstruction(path, model: dc.QPModel):
                    recon, train.values[q:])
 
 
-def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
-                     start, steps, ma_window=0):
+def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
-    ``data`` and write them as ``prediction.csv``, in ``pred_<c>`` columns.
-
-    ``data`` must hold the model's channels, in its order, on its step.
-    The table holds the observed window too when ``data`` covers it, and
-    then, if ``ma_window`` is set, that window's error columns.  Returns the
-    times, on ``data``'s own clock, the prediction and the observed window
-    (None when ``data`` ends first).
-    """
+    ``data``, which must hold the model's channels, in its order, on its
+    step.  Returns the times, on ``data``'s own clock, the prediction and
+    the observed window (None when ``data`` ends first)."""
     trained = model.embedding.source.channel_names
     if data.channel_names != trained:
         raise DataError(f"input channels {list(data.channel_names)} differ "
@@ -399,14 +412,25 @@ def write_prediction(path, model: dc.QPModel, data: series.TimeSeries,
     # the free run predicts samples of data, on the step it was matched to
     pred = replace(pred, dt=data.dt)
     times = data.t0 + (start + np.arange(steps)) * data.dt
-    truth, extra = None, ((), ())
-    if start + steps <= data.n:
-        truth = series.window(data, start, start + steps)
-        if ma_window:
-            extra = error_columns(truth, pred, [ma_window])
-    write_estimate(path, data.channel_names, times, "pred", pred.values,
-                   None if truth is None else truth.values, extra)
+    truth = (series.window(data, start, start + steps)
+             if start + steps <= data.n else None)
     return times, pred, truth
+
+
+def write_prediction(path, forecast, ma_window=0):
+    """Write a :func:`predict` result as ``prediction.csv``: the ``pred_<c>``
+    columns, with the observed window when there is one and then, if
+    ``ma_window`` is set, its error columns; a set ``ma_window`` without
+    an observed window warns."""
+    times, pred, truth = forecast
+    extra = ((), ())
+    if ma_window and truth is None:
+        warnings.warn("no error columns: they need the observed window, and "
+                      "the input ends before the prediction does")
+    elif ma_window:
+        extra = error_columns(truth, pred, [ma_window])
+    write_estimate(path, pred.channel_names, times, "pred", pred.values,
+                   None if truth is None else truth.values, extra)
 
 
 def check_outdir(outdir, name="outdir"):
@@ -493,8 +517,9 @@ def _run_stages(config: PipelineConfig, outdir: Path):
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
-    pred_times, pred, truth = write_prediction(
-        outdir / "prediction.csv", model, data, ps, pe - ps)
+    forecast = predict(model, data, ps, pe - ps)
+    write_prediction(outdir / "prediction.csv", forecast)
+    pred_times, pred, truth = forecast
     err_names, err_cols = error_columns(truth, pred, config.ma_windows)
     _write_table(
         outdir / "errors.csv",

@@ -213,10 +213,10 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
                 bad.append(f"line {line_no}: timestamp {cells[t_idx]!r} is "
                            f"neither seconds nor ISO-8601")
             row_lines.append(line_no)
-            row = np.empty(len(c_idx))
-            for j, (col, name) in enumerate(zip(c_idx, channels)):
+            row = []
+            for col, name in zip(c_idx, channels):
                 try:
-                    row[j] = float(cells[col])
+                    row.append(float(cells[col]))
                 except ValueError:
                     bad.append(f"line {line_no}: column {name!r} value "
                                f"{cells[col]!r}")
@@ -256,14 +256,15 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
 
 
 def write_table(path, header, columns):
-    """Write equal-length columns as CSV under ``header``: a string cell as
-    it is, a number with 17 significant digits, so it reads back exactly."""
-    columns = [np.asarray(c).tolist() for c in columns]
+    """Write equal-length columns as CSV under ``header``: a string column's
+    cells as they are, a number with 17 significant digits, so it reads back
+    exactly."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}"
+                   for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            cells = [c if isinstance(c, str) else f"{c:.17g}" for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(map(row.format, *(c.tolist() for c in columns)))
 
 
 def write_csv(series: TimeSeries, path, timestamp="time"):

@@ -260,6 +260,51 @@ def bad_models():
 BAD_MODELS = bad_models()
 
 
+def swapped(lines):
+    """Columns ch0 and ch1 swapped, header and all."""
+    return [",".join([t, b, a, c]) for t, a, b, c in
+            (line.split(",") for line in lines)]
+
+
+def renamed(lines):
+    return ["time,z0,z1,z2", *lines[1:]]
+
+
+def stamped_2_s_apart(lines):
+    return [lines[0], *(f"{2 * int(float(t))},{rest}" for t, rest in
+                        (line.split(",", 1) for line in lines[1:]))]
+
+
+FIT_COMMANDS = ["frequencies", "decompose", "diagnostics", "run"]
+# An input that fails against the model or a parameter.  name: (edit of the
+# lines of the 700-sample series, or None; the commands that meet it; extra
+# flags; the message after the input's path, and the model's for predict)
+BAD_PAIRS = {
+    "swapped_channels": (swapped, ["predict"], [], "input channels ['ch1', "
+                         "'ch0', 'ch2'] differ from the model's ['ch0', "
+                         "'ch1', 'ch2']"),
+    "renamed_channels": (renamed, ["predict"], [], "input channels ['z0', "
+                         "'z1', 'z2'] differ from the model's ['ch0', "
+                         "'ch1', 'ch2']"),
+    "other_step": (stamped_2_s_apart, ["predict"], [],
+                   "input step 2 s differs from the model's dt 1 s"),
+    "start_before_window": (None, ["predict"], ["--init-at", "6"],
+                            "prediction start 6 must be >= 7 so a delay "
+                            "window exists"),
+    "start_past_input": (None, ["predict"], ["--init-at", "701"],
+                         "prediction start 701 is beyond series length 700"),
+    "train_end_past_input": (None, FIT_COMMANDS, ["--train-end", "701"],
+                             "train_end=701 exceeds series length 700"),
+    "predict_end_past_input": (None, ["run"], ["--predict-end", "701"],
+                               "predict window end 701 exceeds series "
+                               "length 700"),
+    "num_eigen_over_points": (None, FIT_COMMANDS, ["--num-eigen", "595"],
+                              "L=595 out of range 1..594"),
+    "delays_over_train_end": (None, FIT_COMMANDS, ["--delays", "600"],
+                              "q=600 must be smaller than N=600"),
+}
+
+
 @pytest.fixture(scope="module")
 def fitted_run(synth_csv, tmp_path_factory):
     """A `run` at --epsilon 2.0."""
@@ -426,23 +471,19 @@ class TestDecomposeReconstructPredict:
         assert float(lines[1].split(",")[0]) == 620.0
         assert any(h.startswith("err_") and h.endswith("_ma10") for h in header)
 
-    def test_predict_init_too_early(self, model_file, synth_csv, tmp_path, capsys):
-        assert_fails(["predict", "--model", model_file, "--input", synth_csv[0],
-                      "--init-at", "2", "--steps", "5", "--out",
-                      tmp_path / "p.csv"], tmp_path, capsys, 3,
-                     "qpdecomp: DataError: .*so a delay window exists")
-
-    def test_predict_rejects_other_step(self, model_file, synth_csv,
-                                        tmp_path, capsys):
-        # the model was fitted at dt = 1 s; the same rows stamped 2 s apart
-        header, *rows = synth_csv[0].read_text().splitlines()
-        coarse = tmp_path / "dt2.csv"
-        coarse.write_text("\n".join(
-            [header] + [f"{2 * int(float(t))},{rest}"
-                        for t, rest in (r.split(",", 1) for r in rows)]) + "\n")
-        assert_fails(command_args("predict", coarse, model_file,
-                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
-                     "qpdecomp: DataError: .*differs from the model's dt.*")
+    def test_error_columns_past_the_input_warn(self, model_file, synth_csv,
+                                               tmp_path, capsys):
+        # the 700-sample input ends 10 samples into the run: the prediction
+        # is written, without error columns, and one warning says why
+        pred = tmp_path / "p.csv"
+        assert run_cli(["predict", "--model", model_file, "--input",
+                        synth_csv[0], "--init-at", "690", "--steps", "20",
+                        "--ma-window", "10", "--out", pred]) == 0
+        assert capsys.readouterr().err == (
+            "qpdecomp: warning: no error columns: they need the observed "
+            "window, and the input ends before the prediction does\n")
+        assert pred.read_text().splitlines()[0] == \
+            "time_s,pred_ch0,pred_ch1,pred_ch2"
 
     def test_predict_rejects_irregular_input(self, model_file, synth_csv,
                                              tmp_path, capsys):
@@ -454,26 +495,23 @@ class TestDecomposeReconstructPredict:
                          "input sampling is irregular; set dt_seconds to "
                          "resample it")))
 
-    @pytest.mark.parametrize("header", ["time,ch1,ch0,ch2", "time,z0,z1,z2"],
-                             ids=["swapped", "renamed"])
-    def test_predict_rejects_other_channels(self, model_file, synth_csv,
-                                            tmp_path, capsys, header):
-        # the model was fitted on ch0,ch1,ch2; the same file with two
-        # columns swapped, or renamed, is not its input
+    @pytest.mark.parametrize("edit, commands, flags, what", [
+        pytest.param(*row, id=name) for name, row in BAD_PAIRS.items()])
+    def test_pair_names_its_files(self, model_file, synth_csv, tmp_path,
+                                  forbid, capsys, edit, commands, flags,
+                                  what):
+        # every command that meets the pair: the reader contract, with the
+        # input's path first and then the model's, before any kernel
+        forbid("kernel.gaussian_kernel")
         lines = synth_csv[0].read_text().splitlines()
-        assert lines[0] == "time,ch0,ch1,ch2"
-        if header.startswith("time,ch1"):
-            lines = [",".join([t, b, a, c]) for t, a, b, c in
-                     (line.split(",") for line in lines)]
-        else:
-            lines[0] = header
-        other = tmp_path / "other.csv"
-        other.write_text("\n".join(lines) + "\n")
-        assert_fails(command_args("predict", other, model_file,
-                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
-                     re.escape(f"qpdecomp: DataError: input channels "
-                               f"{header.split(',')[1:]} differ from the "
-                               f"model's ['ch0', 'ch1', 'ch2']"))
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(edit(lines) if edit else lines) + "\n")
+        for command in commands:
+            args = command_args(command, src, model_file, tmp_path / "out")
+            model = (re.escape(f"{model_file}: ") if command == "predict"
+                     else "")
+            assert_fails([*args, *flags], tmp_path, capsys, 3,
+                         file_error("DataError", src, model + re.escape(what)))
 
     def test_predict_selects_the_model_channels(self, model_file, synth_csv,
                                                 tmp_path):
@@ -874,6 +912,31 @@ class TestRunCommand:
             "component at these parameters\n")
         assert out.is_file()
 
+    def test_manifest_rerun_warns_on_a_changed_input(self, fitted_run,
+                                                     synth_csv, tmp_path,
+                                                     capsys):
+        # the manifest's input, with its last row edited: the re-run warns
+        # once, naming both files, and still writes its artifacts; an
+        # --input flag is taken as it is
+        lines = synth_csv[0].read_text().splitlines()
+        lines[-1] = lines[-1].split(",")[0] + ",0,0,0"
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join(lines) + "\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(re.sub(
+            "(?m)^input = .*$", lambda m: f"input = {changed}",
+            (fitted_run / "manifest.txt").read_text()))
+        assert run_cli(["run", "--manifest", manifest,
+                        "--outdir", tmp_path / "a"]) == 0
+        assert capsys.readouterr().err == (
+            f"qpdecomp: warning: {manifest}: input {changed} has changed "
+            f"since the manifest was written (its SHA-256 differs), so the "
+            f"re-run may not reproduce its artifacts\n")
+        assert run_cli(["run", "--manifest", manifest, "--input", changed,
+                        "--outdir", tmp_path / "b"]) == 0
+        assert capsys.readouterr().err == ""
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
     def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
         assert_fails(["frequencies", "--input", synth_csv[0], "--channels",
                       "ch0", "ch0", *FIT_FLAGS, "--out", tmp_path / "f.csv"],
@@ -972,9 +1035,10 @@ class TestRunCommand:
                     == (derived_run / theirs).read_bytes()), mine
 
     def test_run_without_epsilon_records_it_in_the_manifest(
-            self, synth_csv, derived_run, tmp_path):
+            self, synth_csv, derived_run, tmp_path, capsys):
         # the manifest holds the 1% quantile of the training window's squared
-        # delay distances, and re-runs with it explicitly to the same bytes
+        # delay distances, and re-runs with it explicitly to the same bytes,
+        # with no warning, since its input is unchanged
         from qpdecomp.kernel import pairwise_sqdist
         from qpdecomp.series import delay_embed, window
 
@@ -984,8 +1048,10 @@ class TestRunCommand:
         manifest = (derived_run / "manifest.txt").read_text().splitlines()
         assert f"epsilon = {eps!r}" in manifest
         rerun = tmp_path / "rerun"
+        capsys.readouterr()
         assert run_cli(["run", "--manifest", derived_run / "manifest.txt",
                         "--outdir", rerun]) == 0
+        assert capsys.readouterr().err == ""
         assert_same_artifacts(derived_run, rerun)
 
     def test_derived_epsilon_of_zero_exits_3(self, synth_csv, tmp_path,
@@ -1002,7 +1068,8 @@ class TestRunCommand:
         out = tmp_path / "f.csv"
         assert_fails(["frequencies", "--input", flat, *FIT_FLAGS, "--out", out],
                      tmp_path, capsys, 3,
-                     "qpdecomp: DataError: .*1% quantile.*--epsilon.*")
+                     file_error("DataError", flat,
+                                ".*1% quantile.*--epsilon.*"))
         assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
                         "--epsilon", "8", "--out", out]) == 0
         assert out.is_file()

@@ -147,20 +147,6 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="not empty"):
             run_pipeline(smoke_config(smoke_input, outdir))
 
-    def test_predict_window_beyond_data(self, smoke_input, tmp_path,
-                                        monkeypatch):
-        import qpdecomp.kernel
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the kernel was built")
-
-        config = smoke_config(smoke_input, tmp_path / "run",
-                              predict_end=100000)
-        monkeypatch.setattr(qpdecomp.kernel, "gaussian_kernel", unreachable)
-        with pytest.raises(DataError, match="exceeds"):
-            run_pipeline(config)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("existed", [False, True], ids=["absent", "empty"])
     def test_late_failure_leaves_outdir_as_it_was(self, smoke_input, tmp_path,
                                                   monkeypatch, existed):
