@@ -2,35 +2,26 @@
 file that is not one."""
 
 import io
-import os
 import zipfile
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, writing
 
 
 def write_npz(path, arrays):
     """Write ``arrays`` with fixed zip timestamps, so that equal arrays give
-    equal bytes, under a temporary name beside ``path`` that is then renamed
-    onto it: ``path`` holds its earlier content or the whole new archive."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh, \
-                zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-            for name, arr in arrays.items():
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asanyarray(arr),
-                                          allow_pickle=False)
-                info = zipfile.ZipInfo(name + ".npy",
-                                       date_time=(1980, 1, 1, 0, 0, 0))
-                zf.writestr(info, buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    equal bytes, through :func:`errors.writing`: ``path`` holds its earlier
+    content or the whole new archive."""
+    with writing(path, binary=True) as fh, \
+            zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asanyarray(arr),
+                                      allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy",
+                                   date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())
 
 
 def read_npz(path):

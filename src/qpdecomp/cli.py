@@ -2,12 +2,18 @@
 
 Subcommands: synth, frequencies, decompose, reconstruct, predict, run,
 diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure; an output file whose directory does not exist, or
-that names a directory, and an output directory that is or lies under a
-file, are configuration errors.  Errors are reported as one
-machine-parsable line on standard error:
-``qpdecomp: <ErrorClass>: <message>``, and each warning as one line
-``qpdecomp: warning: <message>``.
+4 numerical failure.  Errors are reported as one machine-parsable line on
+standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
+one line ``qpdecomp: warning: <message>``.
+
+The reader rule (:func:`errors.reading`): an error in a file that a command
+reads starts with that file's path.  The writer rule
+(:func:`errors.writing`): every file is written under a temporary name
+beside its path and renamed onto it, so it holds its earlier content or
+the whole new one, and a write that fails is ``qpdecomp: ConfigError:
+<path>: cannot write: <reason>`` with exit 2.  An output must be absent or
+a regular file, in an existing directory; an output directory must not be
+or lie under a file.  Both are checked before any input is read.
 """
 
 import argparse
@@ -20,7 +26,7 @@ import numpy as np
 from . import decompose as dc
 from . import pipeline, synth
 from .errors import (ConfigError, DataError, NumericalError, QpdecompError,
-                     reading)
+                     check_target, reading)
 from .series import write_csv, write_table
 
 
@@ -121,9 +127,13 @@ def _cmd_predict(args):
         raise ConfigError(f"--ma-window must be >= 0, got {args.ma_window}")
     model = dc.load_model(args.model)
     data = pipeline.load_series(config)
-    # an error of the input against the model names both files
-    with reading(config.input), reading(args.model):
-        forecast = pipeline.predict(model, data, args.init_at, args.steps)
+    with reading(config.input):
+        if args.ma_window:
+            pipeline.check_observed(data, args.init_at,
+                                    args.init_at + args.steps)
+        # an error of the input against the model names both files
+        with reading(args.model):
+            forecast = pipeline.predict(model, data, args.init_at, args.steps)
     pipeline.write_prediction(args.out, forecast, args.ma_window)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
@@ -152,14 +162,14 @@ def _cmd_run(args):
 
 def _check_outputs(args):
     """Each file that the command writes must be named, must go into an
-    existing directory and must not name one; checked before any input is
-    read.  ``run`` and ``diagnostics`` create their ``--outdir``, which
-    must not be empty, or be or lie under a file."""
+    existing directory and must be absent or a regular file; checked before
+    any input is read.  ``run`` and ``diagnostics`` create their
+    ``--outdir``, which must not be empty, or be or lie under a file."""
     outdir = getattr(args, "outdir", None)
     if outdir is not None:
         if not outdir:
             raise ConfigError("--outdir is empty")
-        pipeline.check_outdir(outdir, "--outdir")
+        pipeline.check_outdir(outdir)
     for flag in ("out", "model_out", "latent_out"):
         path = getattr(args, flag, None)
         if path is None:
@@ -173,6 +183,7 @@ def _check_outputs(args):
         if not os.path.isdir(parent):
             raise ConfigError(f"{option} {path}: there is no directory "
                               f"{parent}")
+        check_target(path)
 
 
 def build_parser():

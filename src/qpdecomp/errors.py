@@ -1,10 +1,14 @@
-"""Exceptions shared across the package, and how a read error names its file.
+"""Exceptions shared across the package, and how a read or a write error
+names its file.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, data problems with 3, numerical failures with 4.
 """
 
-from contextlib import contextmanager
+import os
+import stat
+from contextlib import contextmanager, suppress
+from pathlib import Path
 
 
 class QpdecompError(Exception):
@@ -38,3 +42,52 @@ def reading(path, error=DataError):
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise error(f"{path}: cannot read: {reason}") from None
+
+
+def cannot_write(path, reason):
+    """The :class:`ConfigError` of a failed write of ``path``; ``reason``
+    is an ``OSError`` or a text."""
+    reason = getattr(reason, "strerror", None) or reason
+    return ConfigError(f"{path}: cannot write: {reason}")
+
+
+def check_target(path):
+    """Raise :func:`cannot_write` unless ``path`` is absent or, through any
+    symlinks, a regular file: a FIFO, a device or a socket is refused."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise cannot_write(path, exc) from None
+    if not stat.S_ISREG(mode):
+        raise cannot_write(path, "not a regular file")
+
+
+@contextmanager
+def writing(path, binary=False):
+    """Yield a new file (UTF-8 text with ``\\n`` line ends, or ``binary``)
+    whose content replaces ``path`` when the block ends, so ``path`` holds
+    its earlier content or the whole new one.
+
+    The file is a hidden temporary ``.<name>.<hex>.tmp`` beside ``path``, or
+    beside the file that a symlink ``path`` points to, and is renamed onto
+    it; it gets the default mode.  On any failure the temporary is removed
+    and the error raised in the block propagates, except that an
+    ``OSError`` becomes :func:`cannot_write`.  A target that is neither
+    absent nor a regular file is refused (:func:`check_target`).
+    """
+    real = Path(os.path.realpath(path))
+    tmp = real.with_name(f".{real.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        check_target(path)
+        with (open(tmp, "xb") if binary else
+              open(tmp, "x", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+        os.replace(tmp, real)
+    except OSError as exc:
+        raise cannot_write(path, exc) from None
+    finally:
+        # the first error is the one to report, not the cleanup's own
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)

@@ -26,8 +26,9 @@ _DEGREE_FLOOR = 1e-300
 # distance-quantile bandwidth (Coifman et al., IEEE TIP 2008)
 EPSILON_QUANTILE = 0.01
 # rows per block of the in-place passes; each block temporary is
-# _BLOCK x N floats, 33 MB at N = 16384
-_BLOCK = 256
+# _BLOCK x N floats, 2 MB at N = 4096 (about one core's L2 cache) and 8 MB
+# at N = 16384.  The results do not depend on it.
+_BLOCK = 64
 
 
 def _row_blocks(n):

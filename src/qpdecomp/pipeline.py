@@ -46,7 +46,7 @@ import numpy as np
 
 from . import decompose as dc
 from . import freqfilter, series, spectral
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, cannot_write, reading, writing
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
 
@@ -283,8 +283,9 @@ def fit(config: PipelineConfig) -> Fit:
     frequency selection, periodic fit and chaotic fit.  The chaotic
     coefficients E are not kept: within near-equal eigenvalue pairs they
     rotate with the BLAS's rounding, while the model's M, which is built
-    from them, moves only by rounding.  An error of the windows, the delays
-    or the eigensolve against the series names the input."""
+    from them, moves only by rounding.  An error of the windows (the
+    predict window's observed values among them, :func:`check_observed`),
+    the delays or the eigensolve against the series names the input."""
     data = load_series(config)
     # the parameters meet the series here, so an error names the input
     with reading(config.input):
@@ -295,6 +296,7 @@ def fit(config: PipelineConfig) -> Fit:
         if config.predict_end > data.n:
             raise DataError(f"predict window end {config.predict_end} exceeds "
                             f"series length {data.n}")
+        check_observed(data, config.predict_start, config.predict_end)
         train = series.window(data, 0, train_end)
         q = config.delays
         emb = series.delay_embed(train, q)
@@ -328,7 +330,10 @@ def write_frequencies(path, result: Fit):
 def write_diagnostics(outdir, result: Fit):
     """Write the bandwidth and threshold diagnostic tables into ``outdir``."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise cannot_write(outdir, exc) from None
     basis = result.basis
     counts, edges = basis.sqdist_histogram
     _write_table(
@@ -371,6 +376,21 @@ def write_estimate(path, names, times, label, estimate, truth=None,
     header += [f"{label}_{c}" for c in names]
     cols += list(estimate.T)
     _write_table(path, [*header, *extra[0]], [*cols, *extra[1]])
+
+
+def check_observed(data: series.TimeSeries, start, end):
+    """Raise :class:`DataError` when a channel of ``data`` is all zero over
+    samples ``start`` to ``end`` (exclusive), the observed window whose
+    peak the error columns divide by (:func:`decompose.relative_error`), so
+    that a run stops before it fits or free-runs; a window that does not
+    lie in ``data`` has no error columns, and passes."""
+    if not 0 <= start < end <= data.n:
+        return
+    window = data.values[start:end]
+    zero = [c for c, col in zip(data.channel_names, window.T) if not col.any()]
+    if zero:
+        raise DataError(f"all-zero truth channels {zero} in samples "
+                        f"{start}..{end - 1}: error is undefined")
 
 
 def error_columns(truth, estimate, ma_windows):
@@ -433,16 +453,19 @@ def write_prediction(path, forecast, ma_window=0):
                    None if truth is None else truth.values, extra)
 
 
-def check_outdir(outdir, name="outdir"):
-    """Raise :class:`ConfigError` when ``outdir``, or a directory above it,
-    exists and is not a directory, so that nothing could be written there;
-    ``name`` is the key or flag that set it."""
+def check_outdir(outdir):
+    """Raise :func:`errors.cannot_write` for ``outdir`` when it, or a
+    directory above it, exists and is not a directory, or cannot be
+    looked up, so that nothing could be written there."""
     path = Path(os.path.abspath(outdir))
-    for p in (path, *path.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise ConfigError(f"{name} {outdir}: {p} is not a directory")
-            return
+    try:
+        for p in (path, *path.parents):
+            if p.exists():
+                if not p.is_dir():
+                    raise cannot_write(outdir, f"{p} is not a directory")
+                return
+    except OSError as exc:
+        raise cannot_write(outdir, exc) from None
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
@@ -460,7 +483,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
     ``outdir`` at the end, so ``outdir`` appears whole or not at all; if a
     file appears in ``outdir`` meanwhile, the rename fails with
     :class:`ConfigError`.  A failure removes the staging directory and
-    nothing else.
+    nothing else, and a write error names the file under ``outdir`` as
+    given, not its staged copy.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
@@ -476,21 +500,32 @@ def run_pipeline(config: PipelineConfig) -> Path:
         )
     # absolute, so that "." and ".." name a directory to stage beside
     outdir = Path(os.path.abspath(config.outdir))
-    if outdir.is_dir() and any(outdir.iterdir()):
-        raise ConfigError(f"output directory {outdir} is not empty")
-    outdir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.staging-",
-                                    dir=outdir.parent))
+    try:
+        if outdir.is_dir() and any(outdir.iterdir()):
+            raise ConfigError(f"output directory {outdir} is not empty")
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.staging-",
+                                        dir=outdir.parent))
+    except OSError as exc:
+        raise cannot_write(config.outdir, exc) from None
     try:
         # made by mkdir rather than mkdtemp, so the umask sets its mode
         work = staging / outdir.name
         work.mkdir()
-        _run_stages(config, work)
+        try:
+            _run_stages(config, work)
+        except ConfigError as exc:
+            # a write error names the file under outdir as the user gave it
+            staged = f"{work}{os.sep}"
+            if not str(exc).startswith(staged):
+                raise
+            raise ConfigError(os.path.join(config.outdir,
+                                           str(exc)[len(staged):])) from None
         try:
             os.rename(work, outdir)
         except OSError as exc:
             if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST, errno.ENOTDIR):
-                raise
+                raise cannot_write(config.outdir, exc) from None
             raise ConfigError(f"output directory {outdir} is not empty "
                               f"(written during the run)") from None
     finally:
@@ -540,5 +575,5 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):
         lines.append(f"artifact_sha256 {p.relative_to(outdir)} = {_sha256(p)}")
     lines.append(f"created_utc = {datetime.now(timezone.utc).isoformat()}")
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+    with writing(outdir / "manifest.txt") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, reading
+from .errors import DataError, reading, writing
 
 # Relative tolerance used to decide whether raw timestamps form a regular grid.
 _GRID_RTOL = 1e-9
@@ -258,11 +258,12 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
 def write_table(path, header, columns):
     """Write equal-length columns as CSV under ``header``: a string column's
     cells as they are, a number with 17 significant digits, so it reads back
-    exactly."""
+    exactly.  The file is written whole or not at all
+    (:func:`errors.writing`)."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}"
                    for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with writing(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(map(row.format, *(c.tolist() for c in columns)))
 

@@ -1,7 +1,9 @@
 import io
 import os
 import re
+import resource
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qpdecomp
 from qpdecomp.cli import main
 from qpdecomp.series import load_csv
+
+SRC = str(Path(qpdecomp.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -275,33 +280,52 @@ def stamped_2_s_apart(lines):
                         (line.split(",", 1) for line in lines[1:]))]
 
 
+def zeroed(lines):
+    """Channel ch2, the last column, all 0."""
+    return [lines[0], *(line.rsplit(",", 1)[0] + ",0" for line in lines[1:])]
+
+
 FIT_COMMANDS = ["frequencies", "decompose", "diagnostics", "run"]
+FREE_RUN = "decompose.reconstruct"
 # An input that fails against the model or a parameter.  name: (edit of the
 # lines of the 700-sample series, or None; the commands that meet it; extra
-# flags; the message after the input's path, and the model's for predict)
+# flags; the message after the input's path, where {model} stands for the
+# model's path; the function that the commands stop before)
 BAD_PAIRS = {
-    "swapped_channels": (swapped, ["predict"], [], "input channels ['ch1', "
-                         "'ch0', 'ch2'] differ from the model's ['ch0', "
-                         "'ch1', 'ch2']"),
-    "renamed_channels": (renamed, ["predict"], [], "input channels ['z0', "
-                         "'z1', 'z2'] differ from the model's ['ch0', "
-                         "'ch1', 'ch2']"),
-    "other_step": (stamped_2_s_apart, ["predict"], [],
-                   "input step 2 s differs from the model's dt 1 s"),
+    "swapped_channels": (swapped, ["predict"], [], "{model}: input channels "
+                         "['ch1', 'ch0', 'ch2'] differ from the model's "
+                         "['ch0', 'ch1', 'ch2']", FREE_RUN),
+    "renamed_channels": (renamed, ["predict"], [], "{model}: input channels "
+                         "['z0', 'z1', 'z2'] differ from the model's ['ch0', "
+                         "'ch1', 'ch2']", FREE_RUN),
+    "other_step": (stamped_2_s_apart, ["predict"], [], "{model}: input step "
+                   "2 s differs from the model's dt 1 s", FREE_RUN),
     "start_before_window": (None, ["predict"], ["--init-at", "6"],
-                            "prediction start 6 must be >= 7 so a delay "
-                            "window exists"),
+                            "{model}: prediction start 6 must be >= 7 so a "
+                            "delay window exists", FREE_RUN),
     "start_past_input": (None, ["predict"], ["--init-at", "701"],
-                         "prediction start 701 is beyond series length 700"),
+                         "{model}: prediction start 701 is beyond series "
+                         "length 700", FREE_RUN),
     "train_end_past_input": (None, FIT_COMMANDS, ["--train-end", "701"],
-                             "train_end=701 exceeds series length 700"),
+                             "train_end=701 exceeds series length 700",
+                             "spectral.decompose"),
     "predict_end_past_input": (None, ["run"], ["--predict-end", "701"],
                                "predict window end 701 exceeds series "
-                               "length 700"),
+                               "length 700", "spectral.decompose"),
     "num_eigen_over_points": (None, FIT_COMMANDS, ["--num-eigen", "595"],
-                              "L=595 out of range 1..594"),
+                              "L=595 out of range 1..594",
+                              "kernel.gaussian_kernel"),
     "delays_over_train_end": (None, FIT_COMMANDS, ["--delays", "600"],
-                              "q=600 must be smaller than N=600"),
+                              "q=600 must be smaller than N=600",
+                              "spectral.decompose"),
+    # the error columns divide by each channel's peak over the observed
+    # window; the model takes no part
+    "zero_truth_run": (zeroed, ["run"], [], "all-zero truth channels "
+                       "['ch2'] in samples 620..679: error is undefined",
+                       "spectral.decompose"),
+    "zero_truth_predict": (zeroed, ["predict"], ["--ma-window", "3"],
+                           "all-zero truth channels ['ch2'] in samples "
+                           "620..639: error is undefined", FREE_RUN),
 }
 
 
@@ -495,23 +519,23 @@ class TestDecomposeReconstructPredict:
                          "input sampling is irregular; set dt_seconds to "
                          "resample it")))
 
-    @pytest.mark.parametrize("edit, commands, flags, what", [
+    @pytest.mark.parametrize("edit, commands, flags, what, before", [
         pytest.param(*row, id=name) for name, row in BAD_PAIRS.items()])
     def test_pair_names_its_files(self, model_file, synth_csv, tmp_path,
                                   forbid, capsys, edit, commands, flags,
-                                  what):
+                                  what, before):
         # every command that meets the pair: the reader contract, with the
-        # input's path first and then the model's, before any kernel
-        forbid("kernel.gaussian_kernel")
+        # input's path first and then the model's if it takes part, before
+        # the eigensolve or the free run that the error would waste
+        forbid(before)
         lines = synth_csv[0].read_text().splitlines()
         src = tmp_path / "in.csv"
         src.write_text("\n".join(edit(lines) if edit else lines) + "\n")
+        line = file_error("DataError", src,
+                          re.escape(what.format(model=model_file)))
         for command in commands:
             args = command_args(command, src, model_file, tmp_path / "out")
-            model = (re.escape(f"{model_file}: ") if command == "predict"
-                     else "")
-            assert_fails([*args, *flags], tmp_path, capsys, 3,
-                         file_error("DataError", src, model + re.escape(what)))
+            assert_fails([*args, *flags], tmp_path, capsys, 3, line)
 
     def test_predict_selects_the_model_channels(self, model_file, synth_csv,
                                                 tmp_path):
@@ -551,7 +575,12 @@ class TestDecomposeReconstructPredict:
                          file_error("DataError", model, what))
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
+# a file name over the 255 bytes that a directory entry holds
+LONG_NAME = "x" * 300 + ".csv"
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory", "empty",
+                                   "fifo", "long_name"])
 @pytest.mark.parametrize("command", ["synth", "synth_latent", "frequencies",
                                      "decompose", "predict", "reconstruct"])
 def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
@@ -566,6 +595,11 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
         target.mkdir()
     elif where == "empty":
         target = ""
+    elif where == "fifo":
+        target = tmp_path / "pipe"
+        os.mkfifo(target)
+    elif where == "long_name":
+        target = tmp_path / LONG_NAME
     else:
         target = tmp_path / "absent" / "x.csv"
     synth = ["synth", "--testbed", "pure_torus_2", "--steps", "10"]
@@ -577,6 +611,86 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
         args = command_args(command, synth_csv[0], model_file, target)
     assert_fails(args, tmp_path, capsys, 2,
                  f"qpdecomp: ConfigError: .*{re.escape(str(target))}.*")
+
+
+# The writer contract: every file goes through errors.writing, so a write
+# that fails is one stderr line `qpdecomp: ConfigError: <path>: cannot
+# write: <reason>`, exit 2, with nothing on stdout, no temporary left and
+# the target as it was.  Each bad target runs through every command that
+# writes, in a child process: a file-size limit then binds the child alone,
+# and a timeout ends a writer that opens a FIFO and waits for a reader.
+
+WRITERS = ["synth", "synth_latent", "frequencies", "decompose", "reconstruct",
+           "predict", "diagnostics", "run"]
+# the file of each --outdir command that is written first
+FIRST_FILE = {"diagnostics": "sqdist_histogram.csv", "run": "frequencies.csv"}
+# name: (the file-size limit in bytes, or None; the reason the line gives)
+BAD_TARGETS = {
+    "long_name": (None, "File name too long"),
+    "fifo": (None, "not a regular file"),
+    "file_size_limit": (16, "File too large"),
+}
+
+
+def writer_args(command, synth_csv, model, target, tmp_path):
+    """The arguments of a writing ``command`` that exits 0 when ``target``
+    is writable."""
+    if command.startswith("synth"):
+        # torus_plus_logistic's latent rows are longer than its series rows
+        latent = (["--out", tmp_path / "s.csv", "--latent-out", target]
+                  if command == "synth_latent" else ["--out", target])
+        return ["synth", "--testbed", "torus_plus_logistic", "--steps", "50",
+                *latent]
+    return command_args(command, synth_csv[0], model, target)
+
+
+def run_child(args, fsize=None, cwd=None):
+    """``python -m qpdecomp args`` in a child process, with files limited to
+    ``fsize`` bytes if it is set."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+
+    return subprocess.run(
+        [sys.executable, "-m", "qpdecomp", *map(str, args)], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=None if fsize is None else limit)
+
+
+@pytest.mark.parametrize("command", WRITERS)
+@pytest.mark.parametrize("bad", BAD_TARGETS)
+def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
+                                   bad):
+    # long_name is absent, fifo a FIFO, and file_size_limit an existing
+    # file, or an empty --outdir; each is left as it was
+    fsize, reason = BAD_TARGETS[bad]
+    outdir = command in FIRST_FILE
+    target = named = tmp_path / (LONG_NAME if bad == "long_name" else "out")
+    if bad == "fifo":
+        os.mkfifo(target)
+        if outdir:
+            reason = f"{target} is not a directory"
+    elif bad == "file_size_limit":
+        if outdir:
+            target.mkdir()
+            named = target / FIRST_FILE[command]
+        else:
+            target.write_bytes(b"old\n")
+    args = writer_args(command, synth_csv, model_file, target, tmp_path)
+    if command == "synth_latent" and fsize is not None:
+        # a limit that the series file just meets and the latent one passes
+        assert run_child(args[:-2]).returncode == 0
+        fsize = (tmp_path / "s.csv").stat().st_size
+    listing = sorted(tmp_path.rglob("*"))
+    proc = run_child(args, fsize)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"qpdecomp: ConfigError: {named}: cannot write: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == listing
+    if bad == "fifo":
+        assert stat.S_ISFIFO(target.stat().st_mode)
+    elif bad == "file_size_limit":
+        assert (list(target.iterdir()) == [] if outdir
+                else target.read_bytes() == b"old\n")
 
 
 def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
@@ -804,16 +918,10 @@ class TestRunCommand:
     def test_outdir_dot_in_empty_cwd(self, synth_csv, tmp_path):
         # the artifacts are staged beside the absolute outdir; a subprocess,
         # because the rename replaces its working directory
-        import qpdecomp
-
         work = tmp_path / "work"
         work.mkdir()
-        src = str(Path(qpdecomp.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "qpdecomp",
-             *map(str, command_args("run", synth_csv[0], None, "."))],
-            cwd=work, env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True)
+        proc = run_child(command_args("run", synth_csv[0], None, "."),
+                         cwd=work)
         assert proc.returncode == 0, proc.stderr
         assert (work / "manifest.txt").is_file()
         assert [p.name for p in tmp_path.iterdir()] == ["work"]
