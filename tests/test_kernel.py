@@ -15,6 +15,18 @@ from qpdecomp import (
 from qpdecomp.kernel import sqdist_histogram, sqdist_quantile
 
 
+# point counts that span several row blocks of the kernel passes: a whole
+# number of blocks, and a whole number and 37 rows (test_block_sizes)
+WHOLE_BLOCK_ROWS = 512
+RAGGED_ROWS = 549
+
+
+def test_block_sizes():
+    block = kernel_module._BLOCK
+    assert WHOLE_BLOCK_ROWS % block == 0 and WHOLE_BLOCK_ROWS > block
+    assert RAGGED_ROWS % block == 37 and RAGGED_ROWS > block
+
+
 def embed_points(points):
     return delay_embed(TimeSeries(np.asarray(points, dtype=float), dt=1.0), 0)
 
@@ -70,7 +82,7 @@ class TestPairwiseSqdist:
 
     @pytest.mark.parametrize("n, dim, seed", [
         (60, 8, 1),
-        (2 * kernel_module._BLOCK + 37, 3, 2),  # ragged, across row blocks
+        (RAGGED_ROWS, 3, 2),    # ragged, across row blocks
         (1500, 21, 3),
     ])
     def test_exact_symmetry_and_zero_diagonal(self, n, dim, seed):
@@ -181,10 +193,10 @@ class TestOneBufferKernel:
     """The in-place kernel against the whole-matrix oracle, bit for bit."""
 
     @pytest.mark.parametrize("n, dim, seed", [
-        (2, 1, 0),
-        (300, 5, 1),                            # one row block
-        (2 * kernel_module._BLOCK, 21, 2),      # an exact multiple
-        (2 * kernel_module._BLOCK + 37, 3, 3),  # a ragged last block
+        (2, 1, 0),              # one row block
+        (300, 5, 1),
+        (WHOLE_BLOCK_ROWS, 21, 2),  # an exact multiple
+        (RAGGED_ROWS, 3, 3),    # a ragged last block
         (700, 9, 4),
     ])
     def test_matches_whole_matrix_oracle(self, n, dim, seed):
@@ -201,10 +213,10 @@ class TestOneBufferKernel:
         assert np.array_equal(got_edges, edges)
 
     @pytest.mark.parametrize("n, dim, seed", [
-        (2, 1, 0),
-        (300, 5, 1),                            # one row block
-        (2 * kernel_module._BLOCK, 21, 2),      # an exact multiple
-        (2 * kernel_module._BLOCK + 37, 3, 3),  # a ragged last block
+        (2, 1, 0),              # one row block
+        (300, 5, 1),
+        (WHOLE_BLOCK_ROWS, 21, 2),  # an exact multiple
+        (RAGGED_ROWS, 3, 3),    # a ragged last block
     ])
     def test_derived_epsilon_is_the_explicit_quantile(self, n, dim, seed):
         # epsilon = 0 takes the 1% quantile of the off-diagonal squared
