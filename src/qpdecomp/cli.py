@@ -7,13 +7,14 @@ standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
 one line ``qpdecomp: warning: <message>``.
 
 The reader rule (:func:`errors.reading`): an error in a file that a command
-reads starts with that file's path.  The writer rule
-(:func:`errors.writing`): every file is written under a temporary name
-beside its path and renamed onto it, so it holds its earlier content or
-the whole new one, and a write that fails is ``qpdecomp: ConfigError:
-<path>: cannot write: <reason>`` with exit 2.  An output must be absent or
-a regular file, in an existing directory; an output directory must not be
-or lie under a file.  Both are checked before any input is read.
+reads starts with that file's path.  The writer rule (:func:`errors.writing`
+and :func:`errors.writing_dir`): every file, and the ``--outdir`` of
+``run`` and ``diagnostics``, is built as ``.qpdecomp-<hex>.tmp`` beside its
+path and renamed onto it, so it holds its earlier content or the whole new
+one, and a write that fails is ``qpdecomp: ConfigError: <path>: cannot
+write: <reason>`` with exit 2.  An output must be absent or a regular
+file, in an existing directory; an ``--outdir`` absent or an empty
+directory, under no file.  Both are checked before any input is read.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import numpy as np
 from . import decompose as dc
 from . import pipeline, synth
 from .errors import (ConfigError, DataError, NumericalError, QpdecompError,
-                     check_target, reading)
+                     check_target, reading, writing_dir)
 from .series import write_csv, write_table
 
 
@@ -140,7 +141,8 @@ def _cmd_predict(args):
 
 
 def _cmd_diagnostics(args):
-    pipeline.write_diagnostics(args.outdir, _fit(args))
+    with writing_dir(args.outdir) as staged:
+        pipeline.write_diagnostics(staged, _fit(args))
     print(f"wrote diagnostics to {args.outdir}")
     return 0
 
@@ -163,13 +165,11 @@ def _cmd_run(args):
 def _check_outputs(args):
     """Each file that the command writes must be named, must go into an
     existing directory and must be absent or a regular file; checked before
-    any input is read.  ``run`` and ``diagnostics`` create their
-    ``--outdir``, which must not be empty, or be or lie under a file."""
-    outdir = getattr(args, "outdir", None)
-    if outdir is not None:
-        if not outdir:
-            raise ConfigError("--outdir is empty")
-        pipeline.check_outdir(outdir)
+    any input is read.  An ``--outdir`` must be named; the rest of its
+    checks are :func:`errors.writing_dir`'s, which the command enters before
+    it reads the input."""
+    if getattr(args, "outdir", None) == "":
+        raise ConfigError("--outdir is empty")
     for flag in ("out", "model_out", "latent_out"):
         path = getattr(args, flag, None)
         if path is None:

@@ -1,11 +1,12 @@
-"""Exceptions shared across the package, and how a read or a write error
-names its file.
+"""Exceptions shared across the package, how a read or a write error names
+its file, and the one way to write a file and a directory whole.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, data problems with 3, numerical failures with 4.
 """
 
 import os
+import shutil
 import stat
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -64,21 +65,27 @@ def check_target(path):
         raise cannot_write(path, "not a regular file")
 
 
+def _temporary(directory):
+    """A new ``.qpdecomp-<12 hex>.tmp`` in ``directory``: 26 bytes,
+    whatever the target's name."""
+    return Path(directory) / f".qpdecomp-{os.urandom(6).hex()}.tmp"
+
+
 @contextmanager
 def writing(path, binary=False):
     """Yield a new file (UTF-8 text with ``\\n`` line ends, or ``binary``)
     whose content replaces ``path`` when the block ends, so ``path`` holds
     its earlier content or the whole new one.
 
-    The file is a hidden temporary ``.<name>.<hex>.tmp`` beside ``path``, or
-    beside the file that a symlink ``path`` points to, and is renamed onto
-    it; it gets the default mode.  On any failure the temporary is removed
-    and the error raised in the block propagates, except that an
-    ``OSError`` becomes :func:`cannot_write`.  A target that is neither
-    absent nor a regular file is refused (:func:`check_target`).
+    The file is a :func:`_temporary` beside ``path``, or beside the file
+    that a symlink ``path`` points to, and is renamed onto it; it gets the
+    default mode.  On any failure the temporary is removed and the error
+    raised in the block propagates, except that an ``OSError`` becomes
+    :func:`cannot_write`.  A target that is neither absent nor a regular
+    file is refused (:func:`check_target`).
     """
     real = Path(os.path.realpath(path))
-    tmp = real.with_name(f".{real.name}.{os.urandom(6).hex()}.tmp")
+    tmp = _temporary(real.parent)
     try:
         check_target(path)
         with (open(tmp, "xb") if binary else
@@ -91,3 +98,43 @@ def writing(path, binary=False):
         # the first error is the one to report, not the cleanup's own
         with suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def writing_dir(path):
+    """The twin of :func:`writing` for a directory: yield a new empty
+    directory, a :func:`_temporary` beside ``path`` with the default mode,
+    that is renamed onto ``path`` when the block ends.
+
+    On entry, before the block runs, ``path`` must be absent or an empty
+    directory, under no file.  On any failure the temporary is removed,
+    ``path`` is left as it was, and the error raised in the block
+    propagates, naming a file in the temporary under ``path`` as given; an
+    ``OSError`` of making or renaming the directory, as when a file appears
+    in ``path`` meanwhile, becomes :func:`cannot_write`.
+    """
+    # absolute, so that "." and ".." name a directory to stage beside
+    target = Path(os.path.abspath(path))
+    tmp = _temporary(target.parent)
+    try:
+        # "/" exists, so some directory on the way up does
+        p = next(p for p in (target, *target.parents) if p.exists())
+        if not p.is_dir():
+            raise cannot_write(path, f"{p} is not a directory")
+        if p == target and any(p.iterdir()):
+            raise cannot_write(path, "directory is not empty")
+        tmp.mkdir(parents=True)
+    except OSError as exc:
+        raise cannot_write(path, exc) from None
+    try:
+        yield tmp
+    except QpdecompError as exc:
+        named = str(exc).replace(os.path.join(tmp, ""), os.path.join(path, ""))
+        raise type(exc)(named) from None
+    else:
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise cannot_write(path, exc) from None
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)

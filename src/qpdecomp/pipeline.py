@@ -9,8 +9,8 @@ subcommands.  :func:`write_frequencies`, :func:`write_diagnostics`,
 :func:`write_reconstruction` and :func:`write_prediction` write the tables
 that both share, the last two from the model alone (the prediction from its
 :func:`predict` free run), so ``run`` is the subcommands plus a manifest and
-writes their bytes: its output directory appears whole or not at all
-(:func:`run_pipeline`).
+writes their bytes.  Its output directory, like ``diagnostics``', is written
+through :func:`errors.writing_dir` and appears whole or not at all.
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -30,11 +30,8 @@ the input's own, ``t0 + index * dt``.  The kernel's N x N arrays live only
 inside :func:`spectral.decompose`, so nothing in a :class:`Fit` is N x N.
 """
 
-import errno
 import hashlib
 import os
-import shutil
-import tempfile
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -46,7 +43,7 @@ import numpy as np
 
 from . import decompose as dc
 from . import freqfilter, series, spectral
-from .errors import ConfigError, DataError, cannot_write, reading, writing
+from .errors import ConfigError, DataError, reading, writing, writing_dir
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
 
@@ -330,10 +327,6 @@ def write_frequencies(path, result: Fit):
 def write_diagnostics(outdir, result: Fit):
     """Write the bandwidth and threshold diagnostic tables into ``outdir``."""
     outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise cannot_write(outdir, exc) from None
     basis = result.basis
     counts, edges = basis.sqdist_histogram
     _write_table(
@@ -453,21 +446,6 @@ def write_prediction(path, forecast, ma_window=0):
                    None if truth is None else truth.values, extra)
 
 
-def check_outdir(outdir):
-    """Raise :func:`errors.cannot_write` for ``outdir`` when it, or a
-    directory above it, exists and is not a directory, or cannot be
-    looked up, so that nothing could be written there."""
-    path = Path(os.path.abspath(outdir))
-    try:
-        for p in (path, *path.parents):
-            if p.exists():
-                if not p.is_dir():
-                    raise cannot_write(outdir, f"{p} is not a directory")
-                return
-    except OSError as exc:
-        raise cannot_write(outdir, exc) from None
-
-
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run the full pipeline and write the artifact directory.
 
@@ -477,18 +455,13 @@ def run_pipeline(config: PipelineConfig) -> Path:
     training window is ``qpdecomp predict --init-at <q+1>`` on model.npz
     and the input.
 
-    ``outdir`` must be absent or an empty directory, and lie under no file;
-    both are checked before the input is read.  The artifacts are written
-    into a fresh staging directory beside it, which is renamed onto
-    ``outdir`` at the end, so ``outdir`` appears whole or not at all; if a
-    file appears in ``outdir`` meanwhile, the rename fails with
-    :class:`ConfigError`.  A failure removes the staging directory and
-    nothing else, and a write error names the file under ``outdir`` as
-    given, not its staged copy.
+    ``outdir``, and ``diagnostics/`` in it, are written through
+    :func:`errors.writing_dir`, as ``qpdecomp diagnostics --outdir`` is:
+    ``outdir`` must be absent or empty, which is checked before the input is
+    read, and appears whole or not at all.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
-    check_outdir(config.outdir)
     if not (0 < config.predict_start < config.predict_end):
         raise ConfigError(
             "predict window is required and must satisfy 0 < start < end"
@@ -498,38 +471,10 @@ def run_pipeline(config: PipelineConfig) -> Path:
             f"predict_start must be >= delays+1 ({config.delays + 1}) so an "
             f"initial delay window exists"
         )
-    # absolute, so that "." and ".." name a directory to stage beside
+    # before the rename, which may replace the working directory
     outdir = Path(os.path.abspath(config.outdir))
-    try:
-        if outdir.is_dir() and any(outdir.iterdir()):
-            raise ConfigError(f"output directory {outdir} is not empty")
-        outdir.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.staging-",
-                                        dir=outdir.parent))
-    except OSError as exc:
-        raise cannot_write(config.outdir, exc) from None
-    try:
-        # made by mkdir rather than mkdtemp, so the umask sets its mode
-        work = staging / outdir.name
-        work.mkdir()
-        try:
-            _run_stages(config, work)
-        except ConfigError as exc:
-            # a write error names the file under outdir as the user gave it
-            staged = f"{work}{os.sep}"
-            if not str(exc).startswith(staged):
-                raise
-            raise ConfigError(os.path.join(config.outdir,
-                                           str(exc)[len(staged):])) from None
-        try:
-            os.rename(work, outdir)
-        except OSError as exc:
-            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST, errno.ENOTDIR):
-                raise cannot_write(config.outdir, exc) from None
-            raise ConfigError(f"output directory {outdir} is not empty "
-                              f"(written during the run)") from None
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    with writing_dir(config.outdir) as staged:
+        _run_stages(config, staged)
     return outdir
 
 
@@ -563,7 +508,8 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     )
 
     dc.save_model(model, outdir / "model.npz")
-    write_diagnostics(outdir / "diagnostics", result)
+    with writing_dir(outdir / "diagnostics") as staged:
+        write_diagnostics(staged, result)
 
     # manifest last: every parameter, with the bandwidth the kernel used, so
     # that a re-run does not derive it again, plus content hashes

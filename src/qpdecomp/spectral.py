@@ -161,11 +161,6 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L"), as :class:`SpectralBasis` checks.
     """
-    # imported here because only the eigensolve needs scipy: loading it
-    # costs about 0.35 s, which a forecast from a saved model need not pay
-    import scipy.linalg
-    from scipy.linalg.blas import dsyrk
-
     n = embedding.n_points
     if not (1 <= L <= n):
         raise DataError(f"L={L} out of range 1..{n}")
@@ -177,6 +172,11 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
             f"matrix (2 N x N float64), but only {available / 1e6:.0f} MB of "
             f"memory is available"
         )
+    # imported after the checks, as only the eigensolve needs scipy: loading
+    # it costs about 0.35 s, which a forecast or a refused fit need not pay
+    import scipy.linalg
+    from scipy.linalg.blas import dsyrk
+
     kt, epsilon, q, hist = kernel.gaussian_kernel(embedding, epsilon)
     gram = np.zeros((n, n), order="F")
     for a in range(0, n, _GRAM_ROWS):

@@ -577,6 +577,9 @@ class TestDecomposeReconstructPredict:
 
 # a file name over the 255 bytes that a directory entry holds
 LONG_NAME = "x" * 300 + ".csv"
+# a name that a directory entry holds, but not with the 18 bytes that a
+# temporary named after its target would add
+LEGAL_LONG_NAME = "y" * 250
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory", "empty",
@@ -662,7 +665,8 @@ def run_child(args, fsize=None, cwd=None):
 def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
                                    bad):
     # long_name is absent, fifo a FIFO, and file_size_limit an existing
-    # file, or an empty --outdir; each is left as it was
+    # file, or an --outdir that is empty and one that is absent; each is
+    # left as it was, with no temporary beside it
     fsize, reason = BAD_TARGETS[bad]
     outdir = command in FIRST_FILE
     target = named = tmp_path / (LONG_NAME if bad == "long_name" else "out")
@@ -681,16 +685,33 @@ def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
         # a limit that the series file just meets and the latent one passes
         assert run_child(args[:-2]).returncode == 0
         fsize = (tmp_path / "s.csv").stat().st_size
+    runs = [(args, named)]
+    if outdir and bad == "file_size_limit":
+        absent = tmp_path / "absent"
+        runs.append((writer_args(command, synth_csv, model_file, absent,
+                                 tmp_path), absent / FIRST_FILE[command]))
     listing = sorted(tmp_path.rglob("*"))
-    proc = run_child(args, fsize)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"qpdecomp: ConfigError: {named}: cannot write: {reason}\n")
-    assert sorted(tmp_path.rglob("*")) == listing
+    for args, named in runs:
+        proc = run_child(args, fsize)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"qpdecomp: ConfigError: {named}: cannot write: {reason}\n")
+        assert sorted(tmp_path.rglob("*")) == listing
     if bad == "fifo":
         assert stat.S_ISFIFO(target.stat().st_mode)
     elif bad == "file_size_limit":
         assert (list(target.iterdir()) == [] if outdir
                 else target.read_bytes() == b"old\n")
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_long_legal_name_is_written(synth_csv, model_file, tmp_path, command):
+    # no temporary's name grows with its target's, so every writer takes a
+    # 250-byte target, and leaves no temporary
+    target = tmp_path / LEGAL_LONG_NAME
+    assert run_cli(writer_args(command, synth_csv, model_file, target,
+                               tmp_path)) == 0
+    assert target.is_dir() if command in FIRST_FILE else target.is_file()
+    assert not list(tmp_path.rglob(".*"))
 
 
 def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
@@ -829,6 +850,22 @@ def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, forbid,
     assert_fails(args, tmp_path, capsys, 2, "qpdecomp: ConfigError: .*"
                  + re.escape(f"{blocker} is not a directory"))
     assert blocker.read_text(encoding="utf-8") == "x\n"
+
+
+@pytest.mark.parametrize("command", ["diagnostics", "run"])
+def test_nonempty_outdir_exits_2_before_fitting(synth_csv, tmp_path, forbid,
+                                                capsys, command):
+    # both commands stage their --outdir by one rule: one that holds a file
+    # is one ConfigError line before the eigenbasis is computed, and is left
+    # as it was
+    forbid("spectral.decompose")
+    outdir = tmp_path / "ne"
+    outdir.mkdir()
+    (outdir / "keep.txt").write_text("k\n", encoding="utf-8")
+    assert_fails(command_args(command, synth_csv[0], None, outdir), tmp_path,
+                 capsys, 2, file_error("ConfigError", outdir,
+                                       "cannot write: directory is not empty"))
+    assert (outdir / "keep.txt").read_text(encoding="utf-8") == "k\n"
 
 
 @pytest.mark.parametrize("command", ["diagnostics", "run"])
@@ -1222,7 +1259,7 @@ class TestRunCommand:
                         "--outdir", tmp_path / "rerun"]) == 0
         assert_same_artifacts(ref, tmp_path / "rerun")
         assert not cache.exists()
-        assert not list(tmp_path.glob(".*staging*"))
+        assert not list(tmp_path.glob(".qpdecomp-*"))
 
 
 def test_module_invocation_smoke(tmp_path):
