@@ -1,20 +1,24 @@
 """Command-line front end.
 
-Subcommands: synth, frequencies, decompose, reconstruct, predict, run,
-diagnostics.  Exit codes: 0 success, 2 configuration error, 3 data error,
+Subcommands: synth, run, predict, and decompose, which saves the model
+that ``run`` also writes.  ``run`` fits a series and writes every artifact;
+without a predict window it leaves out the prediction and its errors.  The
+removed commands of :data:`pipeline.RETIRED_COMMANDS` (``frequencies``,
+``diagnostics``, ``reconstruct``) exit 2, whatever their flags, naming what
+replaces them.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.  Errors are reported as one machine-parsable line on
 standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
 one line ``qpdecomp: warning: <message>``.
 
 The reader rule (:func:`errors.reading`): an error in a file that a command
 reads starts with that file's path.  The writer rule (:func:`errors.writing`
-and :func:`errors.writing_dir`): every file, and the ``--outdir`` of
-``run`` and ``diagnostics``, is built as ``.qpdecomp-<hex>.tmp`` beside its
-path and renamed onto it, so it holds its earlier content or the whole new
-one, and a write that fails is ``qpdecomp: ConfigError: <path>: cannot
-write: <reason>`` with exit 2.  An output must be absent or a regular
-file, in an existing directory; an ``--outdir`` absent or an empty
-directory, under no file.  Both are checked before any input is read.
+and :func:`errors.writing_dir`): every file, and ``run``'s ``--outdir``, is
+built as ``.qpdecomp-<hex>.tmp`` beside its path and renamed onto it, so it
+holds its earlier content or the whole new one, and a write that fails is
+``qpdecomp: ConfigError: <path>: cannot write: <reason>`` with exit 2.  An
+output must be absent or a regular file, in an existing directory; an
+``--outdir`` absent or an empty directory, under no file.  Both are checked
+before any input is read.
 """
 
 import argparse
@@ -27,7 +31,7 @@ import numpy as np
 from . import decompose as dc
 from . import pipeline, synth
 from .errors import (ConfigError, DataError, NumericalError, QpdecompError,
-                     check_target, reading, writing_dir)
+                     check_target, reading)
 from .series import write_csv, write_table
 
 
@@ -70,11 +74,6 @@ def _overrides(args):
             if k in pipeline.CONFIG_KEYS and v is not None}
 
 
-def _fit(args):
-    """Fit the series exactly as ``run`` does, from this command's flags."""
-    return pipeline.fit(pipeline.build_config(_overrides(args)))
-
-
 def _cmd_synth(args):
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
@@ -98,25 +97,13 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_frequencies(args):
-    result = _fit(args)
-    pipeline.write_frequencies(args.out, result)
-    print(pipeline.report_periods(result.selection))
-    return 0
-
-
 def _cmd_decompose(args):
-    result = _fit(args)
+    # the fit of `run`, from the same flags
+    result = pipeline.fit(pipeline.build_config(_overrides(args)))
     dc.save_model(result.model, args.model_out)
     resid = float(np.abs(result.periodic.residual).max())
     print(f"wrote model to {args.model_out} "
           f"({result.selection.m} frequencies, max periodic residual {resid:.3g})")
-    return 0
-
-
-def _cmd_reconstruct(args):
-    pipeline.write_reconstruction(args.out, dc.load_model(args.model))
-    print(f"wrote in-sample reconstruction to {args.out}")
     return 0
 
 
@@ -140,13 +127,6 @@ def _cmd_predict(args):
     return 0
 
 
-def _cmd_diagnostics(args):
-    with writing_dir(args.outdir) as staged:
-        pipeline.write_diagnostics(staged, _fit(args))
-    print(f"wrote diagnostics to {args.outdir}")
-    return 0
-
-
 def _cmd_run(args):
     overrides = _overrides(args)
     if args.config and args.manifest:
@@ -157,7 +137,10 @@ def _cmd_run(args):
         config = pipeline.config_from_manifest(args.manifest, overrides)
     else:
         config = pipeline.build_config(overrides)
-    outdir = pipeline.run_pipeline(config)
+    # before the rename, which may replace the working directory
+    outdir = os.path.abspath(config.outdir)
+    result = pipeline.run_pipeline(config)
+    print(pipeline.report_periods(result.selection))
     print(f"pipeline artifacts written to {outdir}")
     return 0
 
@@ -209,23 +192,10 @@ def build_parser():
                    help="also write the latent (theta, x) trajectory")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("frequencies", parents=[ingest, filt],
-                       help="identify eigenfrequencies and write them as CSV")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_frequencies)
-
     p = sub.add_parser("decompose", parents=[ingest, filt],
                        help="fit the periodic+chaotic model and save it")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_decompose)
-
-    # no abbreviations, so that the removed --mode is not taken for --model
-    p = sub.add_parser("reconstruct", allow_abbrev=False,
-                       help="reconstruct the training window in sample from "
-                            "a model (the Nystrom check)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("predict", parents=[ingest],
                        help="free-run prediction from a model")
@@ -238,18 +208,16 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("diagnostics", parents=[ingest, filt],
-                       help="write bandwidth and threshold diagnostic curves")
-    p.add_argument("--outdir", required=True)
-    p.set_defaults(func=_cmd_diagnostics)
-
     p = sub.add_parser("run", parents=[ingest, filt],
-                       help="run the full pipeline from a config file")
+                       help="fit a series and write every artifact, with a "
+                            "prediction when a predict window is set")
     p.add_argument("--config", default=None)
     p.add_argument("--manifest", default=None,
                    help="re-run from a previous manifest instead of a config")
     p.add_argument("--outdir")
-    p.add_argument("--predict-start")
+    p.add_argument("--predict-start",
+                   help="first sample of the predict window; set both ends "
+                        "or neither")
     p.add_argument("--predict-end")
     p.add_argument("--ma-windows", nargs="+")
     p.set_defaults(func=_cmd_run)
@@ -263,11 +231,17 @@ def _print_line(kind, message):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
     with warnings.catch_warnings():
         warnings.showwarning = lambda msg, *_: _print_line("warning", msg)
         try:
+            # a removed command, whatever its flags, names what replaces it
+            retired = pipeline.RETIRED_COMMANDS.get(argv[0] if argv else "")
+            if retired:
+                raise ConfigError(f"the {argv[0]} command was removed; use "
+                                  f"{retired}")
+            args = build_parser().parse_args(argv)
             _check_outputs(args)
             return args.func(args)
         except QpdecompError as exc:

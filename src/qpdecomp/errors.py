@@ -107,34 +107,46 @@ def writing_dir(path):
     that is renamed onto ``path`` when the block ends.
 
     On entry, before the block runs, ``path`` must be absent or an empty
-    directory, under no file.  On any failure the temporary is removed,
-    ``path`` is left as it was, and the error raised in the block
-    propagates, naming a file in the temporary under ``path`` as given; an
-    ``OSError`` of making or renaming the directory, as when a file appears
-    in ``path`` meanwhile, becomes :func:`cannot_write`.
+    directory, under no file; its missing parents are made.  On any failure
+    the temporary and the parents that this call made are removed, ``path``
+    is left as it was, and the error raised in the block propagates,
+    naming a file in the temporary under ``path`` as given; an ``OSError``
+    of making or renaming the directory, as when a file appears in ``path``
+    meanwhile, becomes :func:`cannot_write`.
     """
     # absolute, so that "." and ".." name a directory to stage beside
     target = Path(os.path.abspath(path))
     tmp = _temporary(target.parent)
+    made = []           # the parents made here, deepest first
     try:
-        # "/" exists, so some directory on the way up does
-        p = next(p for p in (target, *target.parents) if p.exists())
-        if not p.is_dir():
-            raise cannot_write(path, f"{p} is not a directory")
-        if p == target and any(p.iterdir()):
-            raise cannot_write(path, "directory is not empty")
-        tmp.mkdir(parents=True)
-    except OSError as exc:
-        raise cannot_write(path, exc) from None
-    try:
-        yield tmp
-    except QpdecompError as exc:
-        named = str(exc).replace(os.path.join(tmp, ""), os.path.join(path, ""))
-        raise type(exc)(named) from None
-    else:
+        try:
+            # "/" exists, so some directory on the way up does
+            chain = (target, *target.parents)
+            i = next(i for i, p in enumerate(chain) if p.exists())
+            if not chain[i].is_dir():
+                raise cannot_write(path, f"{chain[i]} is not a directory")
+            if i == 0 and any(target.iterdir()):
+                raise cannot_write(path, "directory is not empty")
+            for parent in reversed(chain[1:i]):
+                parent.mkdir()
+                made.insert(0, parent)
+            tmp.mkdir()
+        except OSError as exc:
+            raise cannot_write(path, exc) from None
+        try:
+            yield tmp
+        except QpdecompError as exc:
+            named = str(exc).replace(os.path.join(tmp, ""),
+                                     os.path.join(path, ""))
+            raise type(exc)(named) from None
         try:
             os.replace(tmp, target)
         except OSError as exc:
             raise cannot_write(path, exc) from None
+        made = []
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        # a parent that another writer has filled meanwhile stays
+        for parent in made:
+            with suppress(OSError):
+                parent.rmdir()

@@ -3,14 +3,14 @@ filter -> decomposition -> reconstruction/prediction, with plot-ready CSV
 artifacts and a manifest sufficient to re-run the pipeline.
 
 Every command that reads a series goes through :func:`load_series`, and every
-command that fits goes through :func:`fit`, so the same configuration gives
-the same selection and model from ``run`` and from the single-step
-subcommands.  :func:`write_frequencies`, :func:`write_diagnostics`,
-:func:`write_reconstruction` and :func:`write_prediction` write the tables
-that both share, the last two from the model alone (the prediction from its
-:func:`predict` free run), so ``run`` is the subcommands plus a manifest and
-writes their bytes.  Its output directory, like ``diagnostics``', is written
-through :func:`errors.writing_dir` and appears whole or not at all.
+command that fits goes through :func:`fit`, so ``run`` and ``decompose`` give
+the same selection and model from the same configuration.
+:func:`run_pipeline` writes every artifact of a fit:
+:func:`write_frequencies`, :func:`write_diagnostics`,
+:func:`write_reconstruction` from the model alone and, with a predict
+window, :func:`write_prediction` from the :func:`predict` free run that the
+``predict`` command shares.  Its output directory is written through
+:func:`errors.writing_dir` and appears whole or not at all.
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -111,6 +111,14 @@ CONFIG_KEYS = set(_FIELD_TYPES)
 # other value asks for a result that can no longer be produced
 _RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0",
                  "standardize": "false", "resample_method": "hold"}
+# removed commands, with what writes their output now
+RETIRED_COMMANDS = {
+    "frequencies": "`run` without a predict window, which writes "
+                   "frequencies.csv and prints the period table",
+    "diagnostics": "`run`, which writes the same tables into diagnostics/",
+    "reconstruct": "`run`'s reconstruction.csv, or `predict --init-at <q+1>` "
+                   "for a free run over the training window",
+}
 
 
 def _parse(kind, value):
@@ -446,39 +454,36 @@ def write_prediction(path, forecast, ma_window=0):
                    None if truth is None else truth.values, extra)
 
 
-def run_pipeline(config: PipelineConfig) -> Path:
-    """Run the full pipeline and write the artifact directory.
+def run_pipeline(config: PipelineConfig) -> Fit:
+    """Fit, write the artifact directory, and return the fit.
 
     Writes frequencies.csv, periodic.csv, the in-sample reconstruction.csv,
-    prediction.csv, errors.csv, model.npz, diagnostics/, and a manifest
-    listing every parameter and content hash.  A free run over the
-    training window is ``qpdecomp predict --init-at <q+1>`` on model.npz
-    and the input.
+    model.npz, diagnostics/, and a manifest listing every parameter and
+    content hash; with a predict window (``predict_start`` and
+    ``predict_end`` both set) also prediction.csv and errors.csv.  A free
+    run over the training window is ``qpdecomp predict --init-at <q+1>`` on
+    model.npz and the input.
 
     ``outdir``, and ``diagnostics/`` in it, are written through
-    :func:`errors.writing_dir`, as ``qpdecomp diagnostics --outdir`` is:
-    ``outdir`` must be absent or empty, which is checked before the input is
-    read, and appears whole or not at all.
+    :func:`errors.writing_dir`: ``outdir`` must be absent or empty, which is
+    checked before the input is read, and appears whole or not at all.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
-    if not (0 < config.predict_start < config.predict_end):
-        raise ConfigError(
-            "predict window is required and must satisfy 0 < start < end"
-        )
-    if config.predict_start < config.delays + 1:
-        raise ConfigError(
-            f"predict_start must be >= delays+1 ({config.delays + 1}) so an "
-            f"initial delay window exists"
-        )
-    # before the rename, which may replace the working directory
-    outdir = Path(os.path.abspath(config.outdir))
+    if config.predict_start or config.predict_end:
+        if not 0 < config.predict_start < config.predict_end:
+            raise ConfigError("a predict window needs both ends, with "
+                              "0 < predict_start < predict_end")
+        if config.predict_start < config.delays + 1:
+            raise ConfigError(
+                f"predict_start must be >= delays+1 ({config.delays + 1}) so "
+                f"an initial delay window exists"
+            )
     with writing_dir(config.outdir) as staged:
-        _run_stages(config, staged)
-    return outdir
+        return _run_stages(config, staged)
 
 
-def _run_stages(config: PipelineConfig, outdir: Path):
+def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     result = fit(config)
     data, train, model = result.data, result.train, result.model
     q = config.delays
@@ -497,15 +502,16 @@ def _run_stages(config: PipelineConfig, outdir: Path):
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
-    forecast = predict(model, data, ps, pe - ps)
-    write_prediction(outdir / "prediction.csv", forecast)
-    pred_times, pred, truth = forecast
-    err_names, err_cols = error_columns(truth, pred, config.ma_windows)
-    _write_table(
-        outdir / "errors.csv",
-        ["time_s", *err_names],
-        [pred_times, *err_cols],
-    )
+    if pe:
+        forecast = predict(model, data, ps, pe - ps)
+        write_prediction(outdir / "prediction.csv", forecast)
+        pred_times, pred, truth = forecast
+        err_names, err_cols = error_columns(truth, pred, config.ma_windows)
+        _write_table(
+            outdir / "errors.csv",
+            ["time_s", *err_names],
+            [pred_times, *err_cols],
+        )
 
     dc.save_model(model, outdir / "model.npz")
     with writing_dir(outdir / "diagnostics") as staged:
@@ -523,3 +529,4 @@ def _run_stages(config: PipelineConfig, outdir: Path):
     lines.append(f"created_utc = {datetime.now(timezone.utc).isoformat()}")
     with writing(outdir / "manifest.txt") as fh:
         fh.write("\n".join(lines) + "\n")
+    return result

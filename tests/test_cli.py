@@ -56,13 +56,10 @@ def command_args(command, src, model, out):
     the model ``model`` and writes ``out``."""
     fit = ["--input", src, *FIT_FLAGS, "--epsilon", "2.0"]
     return {"run": ["run", *fit, "--outdir", out, *PREDICT_WINDOW],
-            "frequencies": ["frequencies", *fit, "--out", out],
             "decompose": ["decompose", *fit, "--model-out", out],
-            "diagnostics": ["diagnostics", *fit, "--outdir", out],
             "predict": ["predict", "--model", model, "--input", src,
-                        "--init-at", "620", "--steps", "20", "--out", out],
-            "reconstruct": ["reconstruct", "--model", model,
-                            "--out", out]}[command]
+                        "--init-at", "620", "--steps", "20",
+                        "--out", out]}[command]
 
 
 def thinned(src, dest, keep):
@@ -84,12 +81,12 @@ def uneven(i):
     return i % 7 != 6 and not 300 <= i < 306
 
 
-def assert_same_artifacts(ref, other):
-    """Every artifact of the run in ``ref`` but its manifest has the same
-    bytes in ``other``."""
+def assert_same_artifacts(ref, other, count=10):
+    """Every artifact of the run in ``ref`` but its manifest, ``count`` of
+    them, has the same bytes in ``other``."""
     names = sorted(p.relative_to(ref) for p in ref.rglob("*")
                    if p.suffix in (".csv", ".npz"))
-    assert len(names) == 10
+    assert len(names) == count
     for name in names:
         assert (other / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -285,7 +282,7 @@ def zeroed(lines):
     return [lines[0], *(line.rsplit(",", 1)[0] + ",0" for line in lines[1:])]
 
 
-FIT_COMMANDS = ["frequencies", "decompose", "diagnostics", "run"]
+FIT_COMMANDS = ["decompose", "run"]
 FREE_RUN = "decompose.reconstruct"
 # An input that fails against the model or a parameter.  name: (edit of the
 # lines of the 700-sample series, or None; the commands that meet it; extra
@@ -391,33 +388,20 @@ class TestSynthCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestFrequenciesCommand:
-    def test_writes_frequency_table(self, synth_csv, tmp_path, capsys):
-        freq_csv = tmp_path / "freqs.csv"
-        assert run_cli(command_args("frequencies", synth_csv[0], None,
-                                    freq_csv)) == 0
-        lines = freq_csv.read_text().splitlines()
-        assert lines[0] == "bin,omega_rad_per_s,period_s,period_human,amplitude,growth"
-        assert len(lines) >= 2
-        assert lines[1].split(",")[0] == "0"
-        report = capsys.readouterr().out
-        assert "long periods" in report and "short periods" in report
-
-    @pytest.mark.parametrize("edits, flags, what", [
-        pytest.param(edits, flags, what, id=name)
-        for name, (edits, flags, what) in BAD_CSV.items()])
-    def test_bad_input_exits_3_naming_the_file(self, model_file, tmp_path,
-                                               capsys, edits, flags, what):
-        # every command that reads a series: the reader contract
-        bad = tmp_path / "bad.csv"
-        if edits is not None:
-            bad.write_bytes(edits if isinstance(edits, bytes)
-                            else edited_csv(edits).encode())
-        for command in ("frequencies", "decompose", "diagnostics", "run",
-                        "predict"):
-            args = command_args(command, bad, model_file, tmp_path / "out")
-            assert_fails([*args, *flags], tmp_path, capsys, 3,
-                         file_error("DataError", bad, re.escape(what)))
+@pytest.mark.parametrize("edits, flags, what", [
+    pytest.param(edits, flags, what, id=name)
+    for name, (edits, flags, what) in BAD_CSV.items()])
+def test_bad_input_exits_3_naming_the_file(model_file, tmp_path, capsys,
+                                           edits, flags, what):
+    # every command that reads a series: the reader contract
+    bad = tmp_path / "bad.csv"
+    if edits is not None:
+        bad.write_bytes(edits if isinstance(edits, bytes)
+                        else edited_csv(edits).encode())
+    for command in ("decompose", "run", "predict"):
+        args = command_args(command, bad, model_file, tmp_path / "out")
+        assert_fails([*args, *flags], tmp_path, capsys, 3,
+                     file_error("DataError", bad, re.escape(what)))
 
 
 @pytest.fixture(scope="module")
@@ -447,26 +431,11 @@ class TestDecomposeReconstructPredict:
                                     tmp_path / "m.npz")) == 3
         assert "not a DFT bin" in capsys.readouterr().err
 
-    def test_reconstruct_modes(self, model_file, tmp_path):
-        # reconstruct writes the in-sample reconstruction and takes no
-        # --mode; a free run over the training window is
-        # `predict --init-at <q+1>`
-        out = tmp_path / "recon.csv"
-        assert run_cli(["reconstruct", "--model", model_file,
-                        "--out", out]) == 0
-        lines = out.read_text().splitlines()
+    def test_insample_reconstruction_is_close(self, fitted_run):
+        recon = fitted_run / "reconstruction.csv"
+        lines = recon.read_text().splitlines()
         assert lines[0].startswith("time_s,truth_")
         assert len(lines) > 500
-        for flags in (["--mode", "insample"], ["--mode", "freerun"]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli(["reconstruct", "--model", model_file, *flags,
-                         "--out", out])
-            assert exc.value.code == 2
-
-    def test_insample_reconstruction_is_close(self, model_file, synth_csv, tmp_path):
-        out, _ = synth_csv
-        recon = tmp_path / "recon.csv"
-        run_cli(["reconstruct", "--model", model_file, "--out", recon])
         rows = np.loadtxt(recon, delimiter=",", skiprows=1)
         k = (rows.shape[1] - 1) // 2
         truth, est = rows[:, 1:1 + k], rows[:, 1 + k:]
@@ -474,11 +443,13 @@ class TestDecomposeReconstructPredict:
         assert (np.abs(truth - est).max(axis=0) / scale).max() < 0.1
 
     def test_insample_reconstruct_matches_pipeline(self, fitted_run, tmp_path):
-        # run and reconstruct write the in-sample table from the model, one
-        # way, so reconstruct on run's model writes run's bytes
+        # run writes the in-sample table from the model alone, so the saved
+        # model gives run's bytes
+        from qpdecomp.decompose import load_model
+        from qpdecomp.pipeline import write_reconstruction
+
         recon = tmp_path / "recon.csv"
-        assert run_cli(["reconstruct", "--model", fitted_run / "model.npz",
-                        "--out", recon]) == 0
+        write_reconstruction(recon, load_model(fitted_run / "model.npz"))
         assert recon.read_bytes() == \
             (fitted_run / "reconstruction.csv").read_bytes()
 
@@ -559,8 +530,8 @@ class TestDecomposeReconstructPredict:
         for name, (edit, what) in BAD_MODELS.items()])
     def test_predict_unreadable_model_exits_3(self, model_file, synth_csv,
                                               tmp_path, capsys, edit, what):
-        # every command that reads a model, predict and reconstruct: the
-        # reader contract, before the free run
+        # the command that reads a model: the reader contract, before the
+        # free run
         model = tmp_path / "m.npz"
         if edit is not None:
             with np.load(model_file) as saved:
@@ -569,10 +540,9 @@ class TestDecomposeReconstructPredict:
             content = edit(arrays)
             model.write_bytes(content if isinstance(content, bytes)
                               else npz_bytes(content))
-        for command in ("predict", "reconstruct"):
-            args = command_args(command, synth_csv[0], model, tmp_path / "o")
-            assert_fails(args, tmp_path, capsys, 3,
-                         file_error("DataError", model, what))
+        args = command_args("predict", synth_csv[0], model, tmp_path / "o")
+        assert_fails(args, tmp_path, capsys, 3,
+                     file_error("DataError", model, what))
 
 
 # a file name over the 255 bytes that a directory entry holds
@@ -584,8 +554,8 @@ LEGAL_LONG_NAME = "y" * 250
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory", "empty",
                                    "fifo", "long_name"])
-@pytest.mark.parametrize("command", ["synth", "synth_latent", "frequencies",
-                                     "decompose", "predict", "reconstruct"])
+@pytest.mark.parametrize("command", ["synth", "synth_latent", "decompose",
+                                     "predict"])
 def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
                                                   tmp_path, forbid, capsys,
                                                   command, where):
@@ -623,10 +593,9 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
 # writes, in a child process: a file-size limit then binds the child alone,
 # and a timeout ends a writer that opens a FIFO and waits for a reader.
 
-WRITERS = ["synth", "synth_latent", "frequencies", "decompose", "reconstruct",
-           "predict", "diagnostics", "run"]
+WRITERS = ["synth", "synth_latent", "decompose", "predict", "run"]
 # the file of each --outdir command that is written first
-FIRST_FILE = {"diagnostics": "sqdist_histogram.csv", "run": "frequencies.csv"}
+FIRST_FILE = {"run": "frequencies.csv"}
 # name: (the file-size limit in bytes, or None; the reason the line gives)
 BAD_TARGETS = {
     "long_name": (None, "File name too long"),
@@ -665,8 +634,9 @@ def run_child(args, fsize=None, cwd=None):
 def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
                                    bad):
     # long_name is absent, fifo a FIFO, and file_size_limit an existing
-    # file, or an --outdir that is empty and one that is absent; each is
-    # left as it was, with no temporary beside it
+    # file, or an --outdir that is empty, one that is absent and one whose
+    # parents are absent too; each is left as it was, with no temporary
+    # beside it and no parent that the run made
     fsize, reason = BAD_TARGETS[bad]
     outdir = command in FIRST_FILE
     target = named = tmp_path / (LONG_NAME if bad == "long_name" else "out")
@@ -687,9 +657,9 @@ def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
         fsize = (tmp_path / "s.csv").stat().st_size
     runs = [(args, named)]
     if outdir and bad == "file_size_limit":
-        absent = tmp_path / "absent"
-        runs.append((writer_args(command, synth_csv, model_file, absent,
-                                 tmp_path), absent / FIRST_FILE[command]))
+        for absent in (tmp_path / "absent", tmp_path / "x" / "y" / "z"):
+            runs.append((writer_args(command, synth_csv, model_file, absent,
+                                     tmp_path), absent / FIRST_FILE[command]))
     listing = sorted(tmp_path.rglob("*"))
     for args, named in runs:
         proc = run_child(args, fsize)
@@ -724,16 +694,11 @@ def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
     epoch.write_text("\n".join(
         [header] + [f"{t},{r.split(',', 1)[1]}"
                     for t, r in zip(stamps, rows)]) + "\n")
-    # reconstruct reads the clock back out of the model's train_t0
     assert run_cli(command_args("run", epoch, None, tmp_path / "epoch")) == 0
-    assert run_cli(["reconstruct", "--model", tmp_path / "epoch" / "model.npz",
-                    "--out", tmp_path / "epoch" / "recon.csv"]) == 0
     first_row = {"prediction.csv": 620, "errors.csv": 620, "periodic.csv": 6,
-                 "reconstruction.csv": 6, "recon.csv": 6}
+                 "reconstruction.csv": 6}
     for table, row in first_row.items():
-        zero = np.loadtxt(fitted_run / ("reconstruction.csv"
-                                        if table == "recon.csv" else table),
-                          delimiter=",", skiprows=1)
+        zero = np.loadtxt(fitted_run / table, delimiter=",", skiprows=1)
         shifted = np.loadtxt(tmp_path / "epoch" / table, delimiter=",",
                              skiprows=1)
         assert shifted[0, 0] == float(stamps[row]), table
@@ -762,10 +727,11 @@ def test_sub_second_epoch_stamps_give_the_bins_at_1_s(torus_800, stamp_rows,
     # steps differ by a float spacing; the bins are those at 1 s
     bins = []
     for src in (torus_800, stamp_rows(tmp_path / "epoch.csv", 800)):
-        out = tmp_path / f"f{len(bins)}.csv"
-        assert run_cli(["frequencies", "--input", src, *FIT_FLAGS,
-                        "--out", out]) == 0
-        bins.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=0))
+        out = tmp_path / f"f{len(bins)}"
+        assert run_cli(["run", "--input", src, *FIT_FLAGS,
+                        "--outdir", out]) == 0
+        bins.append(np.loadtxt(out / "frequencies.csv", delimiter=",",
+                               skiprows=1, usecols=0))
     assert bins[0].size > 1
     np.testing.assert_array_equal(bins[0], bins[1])
 
@@ -819,18 +785,8 @@ class TestPredictStep:
         assert "differs from the model's dt" in capsys.readouterr().err
 
 
-class TestDiagnosticsCommand:
-    def test_writes_diagnostic_curves(self, synth_csv, tmp_path):
-        outdir = tmp_path / "diag"
-        assert run_cli(command_args("diagnostics", synth_csv[0], None,
-                                    outdir)) == 0
-        for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
-                     "growth_ratio_sorted.csv", "eigenvalues.csv"):
-            assert (outdir / name).is_file()
-
-
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
-@pytest.mark.parametrize("command", ["diagnostics", "run", "run_config"])
+@pytest.mark.parametrize("command", ["run", "run_config"])
 def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, forbid,
                                             capsys, command, below):
     # an --outdir (or a config's outdir) that is a file, or lies under one,
@@ -852,12 +808,11 @@ def test_outdir_file_exits_2_before_fitting(synth_csv, tmp_path, forbid,
     assert blocker.read_text(encoding="utf-8") == "x\n"
 
 
-@pytest.mark.parametrize("command", ["diagnostics", "run"])
+@pytest.mark.parametrize("command", ["run"])
 def test_nonempty_outdir_exits_2_before_fitting(synth_csv, tmp_path, forbid,
                                                 capsys, command):
-    # both commands stage their --outdir by one rule: one that holds a file
-    # is one ConfigError line before the eigenbasis is computed, and is left
-    # as it was
+    # an --outdir that holds a file is one ConfigError line before the
+    # eigenbasis is computed, and is left as it was
     forbid("spectral.decompose")
     outdir = tmp_path / "ne"
     outdir.mkdir()
@@ -868,7 +823,7 @@ def test_nonempty_outdir_exits_2_before_fitting(synth_csv, tmp_path, forbid,
     assert (outdir / "keep.txt").read_text(encoding="utf-8") == "k\n"
 
 
-@pytest.mark.parametrize("command", ["diagnostics", "run"])
+@pytest.mark.parametrize("command", ["run"])
 def test_empty_outdir_exits_2_before_reading(synth_csv, tmp_path, monkeypatch,
                                              forbid, capsys, command):
     # an empty --outdir is one ConfigError line, as an empty --out is,
@@ -886,9 +841,8 @@ REMOVED_OPTIONS = {
     "run": ["--merge-adjacent", "--clip-factor 1.5", "--standardize",
             "--resample-method hold", "--basis-cache c", "--max-points 100",
             "--mode freerun"],
-    **{command: ["--merge-adjacent", "--standardize", "--resample-method hold",
-                 "--basis-cache c"]
-       for command in ("frequencies", "decompose", "diagnostics")},
+    "decompose": ["--merge-adjacent", "--standardize",
+                  "--resample-method hold", "--basis-cache c"],
     "predict": ["--clip-factor 1.5", "--standardize", "--resample-method hold"],
     "config": ["solver = dense", "seed = 0", "mode = insample",
                "basis_cache = c", "max_points = 25000"],
@@ -920,6 +874,25 @@ def test_removed_option_exits_2(synth_csv, model_file, tmp_path, monkeypatch,
         assert capsys.readouterr().err.endswith(
             f"unrecognized arguments: {option}\n")
         assert os.listdir() == []
+
+
+@pytest.mark.parametrize("args, replacement", [
+    (["frequencies", "--input", "in.csv", "--out", "f"], "`run` without a "),
+    (["frequencies", "--no-such-flag"], "`run` without a predict window"),
+    (["diagnostics", "--input", "in.csv", "--outdir", "d"], "`run`, which"),
+    (["reconstruct", "--model", "m.npz", "--mode", "freerun"],
+     "`run`'s reconstruction.csv, or `predict --init-at <q+1>`"),
+], ids=["frequencies", "frequencies_bad_flag", "diagnostics", "reconstruct"])
+def test_removed_command_exits_2(tmp_path, monkeypatch, forbid, capsys, args,
+                                 replacement):
+    # a removed command, whatever its flags, is one ConfigError line naming
+    # what replaces it, before any input or model is read
+    forbid("series.load_csv", "decompose.load_model")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.csv").write_text("time,a\n0,1\n1,2\n")
+    assert_fails(args, tmp_path, capsys, 2,
+                 f"qpdecomp: ConfigError: the {args[0]} command was removed; "
+                 f"use {re.escape(replacement)}.*")
 
 
 class TestRunCommand:
@@ -982,11 +955,10 @@ class TestRunCommand:
             assert f"input = {tmp_path.resolve() / src}" in manifest.splitlines()
         assert_same_artifacts(tmp_path / "smoke", tmp_path / "flag")
         # the file's settings are these flags
-        assert run_cli(["frequencies", "--input", "torus.csv", "--delays", "6",
+        assert run_cli(["run", "--input", "torus.csv", "--delays", "6",
                         "--epsilon", "2.0", "--num-eigen", "40", "--L0", "8",
-                        "--train-end", "600", "--out", "f.csv"]) == 0
-        assert ((tmp_path / "f.csv").read_bytes()
-                == (tmp_path / "smoke" / "frequencies.csv").read_bytes())
+                        "--train-end", "600", "--outdir", "fit"]) == 0
+        assert_same_artifacts(tmp_path / "fit", tmp_path / "smoke", count=8)
 
     def test_channel_name_with_whitespace_rejected(self, synth_csv, tmp_path,
                                                    capsys):
@@ -1048,14 +1020,15 @@ class TestRunCommand:
     def test_warning_is_one_line(self, synth_csv, tmp_path, capsys):
         # a warning, here that the thresholds keep no nonzero bin, is one
         # `qpdecomp: warning:` line, and the command still succeeds
-        out = tmp_path / "f.csv"
-        assert run_cli([*command_args("frequencies", synth_csv[0], None, out),
-                        "--eps1", "1e9"]) == 0
+        out = tmp_path / "fit"
+        assert run_cli(["run", "--input", synth_csv[0], *FIT_FLAGS,
+                        "--epsilon", "2.0", "--eps1", "1e9",
+                        "--outdir", out]) == 0
         assert capsys.readouterr().err == (
             "qpdecomp: warning: no nonzero frequency survived the "
             "thresholds; the series has no detectable quasiperiodic "
             "component at these parameters\n")
-        assert out.is_file()
+        assert (out / "frequencies.csv").is_file()
 
     def test_manifest_rerun_warns_on_a_changed_input(self, fitted_run,
                                                      synth_csv, tmp_path,
@@ -1083,24 +1056,20 @@ class TestRunCommand:
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
-        assert_fails(["frequencies", "--input", synth_csv[0], "--channels",
-                      "ch0", "ch0", *FIT_FLAGS, "--out", tmp_path / "f.csv"],
+        assert_fails(["run", "--input", synth_csv[0], "--channels",
+                      "ch0", "ch0", *FIT_FLAGS, "--outdir", tmp_path / "o"],
                      tmp_path, capsys, 2,
                      "qpdecomp: ConfigError: channel 'ch0' is named twice")
 
-    @pytest.mark.parametrize("command, target", [
-        ("frequencies", ["--out", "f.csv"]),
-        ("decompose", ["--model-out", "m.npz"]),
-        ("diagnostics", ["--outdir", "diag"]),
-    ])
+    @pytest.mark.parametrize("command", ["decompose", "run"])
     def test_byte_budget_exit_code(self, synth_csv, tmp_path, monkeypatch,
-                                   capsys, command, target):
+                                   capsys, command):
         import qpdecomp.spectral
 
         monkeypatch.setattr(qpdecomp.spectral, "_available_bytes",
                             lambda: 1_000_000)
         assert run_cli(command_args(command, synth_csv[0], None,
-                                    tmp_path / target[1])) == 3
+                                    tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "DataError" in err and "MB of memory is available" in err
 
@@ -1148,8 +1117,7 @@ class TestRunCommand:
     ], ids=["L0_above_num_eigen", "negative_delays", "negative_epsilon",
             "nan_epsilon", "nan_dt_seconds", "nan_max_gap_factor", "nan_eps1",
             "nan_eps2"])
-    @pytest.mark.parametrize("command", ["run", "frequencies", "decompose",
-                                         "diagnostics"])
+    @pytest.mark.parametrize("command", ["run", "decompose"])
     def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
                                                   forbid, capsys, command,
                                                   case):
@@ -1160,24 +1128,21 @@ class TestRunCommand:
                                       tmp_path / "out"), *case]) == 2
         assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
 
-    @pytest.mark.parametrize("command, flag, target, artifacts", [
-        ("frequencies", "--out", "f.csv", {"f.csv": "frequencies.csv"}),
-        ("decompose", "--model-out", "m.npz", {"m.npz": "model.npz"}),
-        ("diagnostics", "--outdir", "diag",
-         {f"diag/{name}": f"diagnostics/{name}"
-          for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
-                       "growth_ratio_sorted.csv", "eigenvalues.csv")}),
-    ], ids=["frequencies", "decompose", "diagnostics"])
+    @pytest.mark.parametrize("command, flag, target", [
+        ("decompose", "--model-out", "model.npz"),
+        ("run", "--outdir", "fit"),
+    ], ids=["decompose", "run"])
     def test_subcommands_run_without_epsilon(self, synth_csv, derived_run,
-                                             tmp_path, command, flag, target,
-                                             artifacts):
-        # without --epsilon a subcommand derives the bandwidth as run does,
-        # and writes run's bytes
+                                             tmp_path, command, flag, target):
+        # without --epsilon, decompose and run without a predict window
+        # derive the bandwidth as the run with one does, and write its bytes
         assert run_cli([command, "--input", synth_csv[0], *FIT_FLAGS,
                         flag, tmp_path / target]) == 0
-        for mine, theirs in artifacts.items():
-            assert ((tmp_path / mine).read_bytes()
-                    == (derived_run / theirs).read_bytes()), mine
+        if command == "run":
+            assert_same_artifacts(tmp_path / target, derived_run, count=8)
+        else:
+            assert ((tmp_path / target).read_bytes()
+                    == (derived_run / target).read_bytes())
 
     def test_run_without_epsilon_records_it_in_the_manifest(
             self, synth_csv, derived_run, tmp_path, capsys):
@@ -1210,26 +1175,29 @@ class TestRunCommand:
             [header] + [",".join([r.split(",")[0], *first])
                         if 100 <= i < 250 else r for i, r in enumerate(rows)])
             + "\n", encoding="utf-8")
-        out = tmp_path / "f.csv"
-        assert_fails(["frequencies", "--input", flat, *FIT_FLAGS, "--out", out],
+        out = tmp_path / "fit"
+        assert_fails(["run", "--input", flat, *FIT_FLAGS, "--outdir", out],
                      tmp_path, capsys, 3,
                      file_error("DataError", flat,
                                 ".*1% quantile.*--epsilon.*"))
-        assert run_cli(["frequencies", "--input", flat, *FIT_FLAGS,
-                        "--epsilon", "8", "--out", out]) == 0
-        assert out.is_file()
+        assert run_cli(["run", "--input", flat, *FIT_FLAGS,
+                        "--epsilon", "8", "--outdir", out]) == 0
+        assert (out / "frequencies.csv").is_file()
 
     @pytest.mark.parametrize("keep, resample", [
         (None, []), (gapped, ["--dt-seconds", "1", "--max-gap-factor", "20"]),
         (uneven, ["--dt-seconds", "1"]),
     ], ids=["clean", "gapped", "uneven"])
-    def test_subcommands_match_run(self, synth_csv, tmp_path, keep, resample):
-        # the same flags give the same bytes from a single-step command as
-        # from `run`, and so do reconstruct on run's model and run on run's
-        # manifest.  The gapped input is resampled with a wider gap allowance
-        # than the default, the uneven one within it.  The manifest names the
-        # eigenbasis cache of earlier versions, which never changed a result;
-        # it is neither read nor written
+    def test_subcommands_match_run(self, synth_csv, tmp_path, capsys, keep,
+                                   resample):
+        # the same flags give the same bytes from decompose and predict as
+        # from `run`, and so do run without a predict window, for every
+        # artifact it writes (all but prediction.csv and errors.csv), with
+        # the period table on stdout, and run on run's manifest.  The gapped
+        # input is resampled with a wider gap allowance than the default,
+        # the uneven one within it.  The manifest names the eigenbasis cache
+        # of earlier versions, which never changed a result; it is neither
+        # read nor written
         src = thinned(synth_csv[0], tmp_path / "in.csv", keep) if keep \
             else synth_csv[0]
         fit = ["--input", src, "--epsilon", "2.0", *FIT_FLAGS, *resample]
@@ -1237,19 +1205,23 @@ class TestRunCommand:
         assert run_cli(["run", *fit, "--outdir", ref, *PREDICT_WINDOW]) == 0
         mine.mkdir()
         model = ref / "model.npz"
-        for args in (["frequencies", *fit, "--out", mine / "frequencies.csv"],
-                     ["diagnostics", *fit, "--outdir", mine / "diagnostics"],
-                     ["decompose", *fit, "--model-out", mine / "model.npz"],
+        for args in (["decompose", *fit, "--model-out", mine / "model.npz"],
                      ["predict", "--model", model, "--input", src, *resample,
                       "--init-at", "620", "--steps", "60",
-                      "--out", mine / "prediction.csv"],
-                     ["reconstruct", "--model", model,
-                      "--out", mine / "reconstruction.csv"]):
+                      "--out", mine / "prediction.csv"]):
             assert run_cli(args) == 0
         written = [p.relative_to(mine) for p in mine.rglob("*.*")]
-        assert len(written) == 8
+        assert len(written) == 2
         for name in written:
             assert (mine / name).read_bytes() == (ref / name).read_bytes(), name
+        capsys.readouterr()
+        assert run_cli(["run", *fit, "--outdir", tmp_path / "fit"]) == 0
+        assert re.match("long periods .+short periods .+written to",
+                        capsys.readouterr().out, re.S)
+        assert_same_artifacts(tmp_path / "fit", ref, count=8)
+        assert run_cli(["run", "--manifest", tmp_path / "fit" / "manifest.txt",
+                        "--outdir", tmp_path / "refit"]) == 0
+        assert_same_artifacts(tmp_path / "fit", tmp_path / "refit", count=8)
         cache = tmp_path / "cache"
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"basis_cache = {cache}\n"

@@ -84,11 +84,14 @@ def test_a_directory_replaces_the_target_with_the_default_mode(tmp_path,
     assert os.listdir(target) == ["a.csv"]
 
 
-@pytest.mark.parametrize("existed", [False, True], ids=["absent", "empty"])
+@pytest.mark.parametrize("existed", [False, True, None],
+                         ids=["absent", "empty", "parents_absent"])
 def test_a_failed_directory_is_left_as_it_was(tmp_path, existed):
     # the error names the staged file under the target as given, nested
-    # directories too, and the temporaries are gone
-    target = tmp_path / "out"
+    # directories too, and the temporaries are gone, with the parents that
+    # were made for them
+    target = tmp_path / "out" if existed is not None else \
+        tmp_path / "a" / "b" / "out"
     if existed:
         target.mkdir()
     with pytest.raises(DataError) as info:
@@ -106,6 +109,8 @@ def test_a_failed_directory_is_left_as_it_was(tmp_path, existed):
     ("file", "{tmp_path}/file is not a directory"),
     ("file/sub", "{tmp_path}/file is not a directory"),
     ("x" * 300, "File name too long"),
+    # the parent "new" is made, and removed when the next one fails
+    ("new/" + "x" * 300 + "/out", "File name too long"),
 ])
 def test_a_taken_directory_is_refused_before_the_block(tmp_path, target,
                                                        reason):

@@ -83,8 +83,9 @@ def artifact_bytes(outdir):
 
 class TestRunPipeline:
     def test_full_artifact_set_and_determinism(self, smoke_input, tmp_path):
-        out1 = run_pipeline(smoke_config(smoke_input, tmp_path / "run1"))
-        out2 = run_pipeline(smoke_config(smoke_input, tmp_path / "run2"))
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        run_pipeline(smoke_config(smoke_input, out1))
+        run_pipeline(smoke_config(smoke_input, out2))
         written = sorted(str(p.relative_to(out1)) for p in out1.rglob("*")
                          if p.is_file())
         assert written == sorted(ARTIFACTS)
@@ -97,7 +98,8 @@ class TestRunPipeline:
 
     def test_manifest_hashes_match_artifacts(self, smoke_input, tmp_path):
         import hashlib
-        out = run_pipeline(smoke_config(smoke_input, tmp_path / "run"))
+        out = tmp_path / "run"
+        run_pipeline(smoke_config(smoke_input, out))
         manifest = (out / "manifest.txt").read_text()
         hashes = dict(re.findall(r"artifact_sha256 (\S+) = ([0-9a-f]{64})", manifest))
         assert set(hashes) == {a for a in ARTIFACTS if a != "manifest.txt"}
@@ -105,23 +107,25 @@ class TestRunPipeline:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
     def test_manifest_round_trip(self, smoke_input, tmp_path):
-        out1 = run_pipeline(smoke_config(smoke_input, tmp_path / "run1"))
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        run_pipeline(smoke_config(smoke_input, out1))
         config = config_from_manifest(out1 / "manifest.txt")
         config = build_config({**{f: getattr(config, f) for f in
                                   config.__dataclass_fields__},
-                               "outdir": str(tmp_path / "run2")})
-        out2 = run_pipeline(config)
+                               "outdir": str(out2)})
+        run_pipeline(config)
         a, b = artifact_bytes(out1), artifact_bytes(out2)
         for rel in ARTIFACTS:
             assert a[rel] == b[rel]
 
     def test_missing_input_leaves_no_artifacts(self, tmp_path):
+        # nor the missing parents of outdir, which were made for it
         config = build_config(dict(SMOKE, epsilon=1.0,
                                    input=str(tmp_path / "absent.csv"),
-                                   outdir=str(tmp_path / "out")))
+                                   outdir=str(tmp_path / "x" / "y" / "z")))
         with pytest.raises(DataError, match="absent.csv: cannot read"):
             run_pipeline(config)
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_stale_lock_file_is_not_empty(self, smoke_input, tmp_path,
                                           monkeypatch):
@@ -194,7 +198,8 @@ class TestRunPipeline:
         assert (outdir / "theirs.txt").read_text(encoding="utf-8") == "foreign"
 
     def test_csv_floats_round_trip_exactly(self, smoke_input, tmp_path):
-        out = run_pipeline(smoke_config(smoke_input, tmp_path / "run"))
+        out = tmp_path / "run"
+        run_pipeline(smoke_config(smoke_input, out))
         from qpdecomp.series import load_csv
         pred = (out / "prediction.csv").read_text().splitlines()
         header = pred[0].split(",")
@@ -344,9 +349,10 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 build_config({**base, **extra})
         # only a full run reads the predict window: run_pipeline checks it
-        # before it touches the output directory
+        # before it touches the output directory.  Neither end set is no
+        # window; one end alone is an error
         run_only = [dict(predict_start=5, predict_end=4),
-                    dict(predict_start=0, predict_end=0),
+                    dict(predict_start=0), dict(predict_end=0),
                     dict(predict_start=3, predict_end=50, delays=20)]
         for extra in run_only:
             config = build_config({**base, **extra})
