@@ -388,20 +388,31 @@ class TestSynthCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("edits, flags, what", [
-    pytest.param(edits, flags, what, id=name)
-    for name, (edits, flags, what) in BAD_CSV.items()])
-def test_bad_input_exits_3_naming_the_file(model_file, tmp_path, capsys,
-                                           edits, flags, what):
-    # every command that reads a series: the reader contract
-    bad = tmp_path / "bad.csv"
-    if edits is not None:
-        bad.write_bytes(edits if isinstance(edits, bytes)
-                        else edited_csv(edits).encode())
-    for command in ("decompose", "run", "predict"):
-        args = command_args(command, bad, model_file, tmp_path / "out")
-        assert_fails([*args, *flags], tmp_path, capsys, 3,
-                     file_error("DataError", bad, re.escape(what)))
+class TestFrequenciesCommand:
+    def test_writes_frequency_table(self, synth_csv, tmp_path, capsys):
+        # `run` without a predict window took the place of `frequencies`
+        assert run_cli(["run", "--input", synth_csv[0], *FIT_FLAGS,
+                        "--epsilon", "2.0", "--outdir", tmp_path / "f"]) == 0
+        lines = (tmp_path / "f" / "frequencies.csv").read_text().splitlines()
+        assert lines[0] == "bin,omega_rad_per_s,period_s,period_human,amplitude,growth"
+        assert len(lines) >= 2 and lines[1].split(",")[0] == "0"
+        assert re.match("long periods .+short periods ",
+                        capsys.readouterr().out, re.S)
+
+    @pytest.mark.parametrize("edits, flags, what", [
+        pytest.param(edits, flags, what, id=name)
+        for name, (edits, flags, what) in BAD_CSV.items()])
+    def test_bad_input_exits_3_naming_the_file(self, model_file, tmp_path,
+                                               capsys, edits, flags, what):
+        # every command that reads a series: the reader contract
+        bad = tmp_path / "bad.csv"
+        if edits is not None:
+            bad.write_bytes(edits if isinstance(edits, bytes)
+                            else edited_csv(edits).encode())
+        for command in ("decompose", "run", "predict"):
+            args = command_args(command, bad, model_file, tmp_path / "out")
+            assert_fails([*args, *flags], tmp_path, capsys, 3,
+                         file_error("DataError", bad, re.escape(what)))
 
 
 @pytest.fixture(scope="module")
@@ -431,11 +442,14 @@ class TestDecomposeReconstructPredict:
                                     tmp_path / "m.npz")) == 3
         assert "not a DFT bin" in capsys.readouterr().err
 
-    def test_insample_reconstruction_is_close(self, fitted_run):
-        recon = fitted_run / "reconstruction.csv"
-        lines = recon.read_text().splitlines()
+    def test_reconstruct_modes(self, fitted_run):
+        # run writes the in-sample reconstruction that `reconstruct` wrote
+        lines = (fitted_run / "reconstruction.csv").read_text().splitlines()
         assert lines[0].startswith("time_s,truth_")
         assert len(lines) > 500
+
+    def test_insample_reconstruction_is_close(self, fitted_run):
+        recon = fitted_run / "reconstruction.csv"
         rows = np.loadtxt(recon, delimiter=",", skiprows=1)
         k = (rows.shape[1] - 1) // 2
         truth, est = rows[:, 1:1 + k], rows[:, 1 + k:]
@@ -594,8 +608,6 @@ def test_unwritable_output_exits_2_before_reading(synth_csv, model_file,
 # and a timeout ends a writer that opens a FIFO and waits for a reader.
 
 WRITERS = ["synth", "synth_latent", "decompose", "predict", "run"]
-# the file of each --outdir command that is written first
-FIRST_FILE = {"run": "frequencies.csv"}
 # name: (the file-size limit in bytes, or None; the reason the line gives)
 BAD_TARGETS = {
     "long_name": (None, "File name too long"),
@@ -638,7 +650,7 @@ def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
     # parents are absent too; each is left as it was, with no temporary
     # beside it and no parent that the run made
     fsize, reason = BAD_TARGETS[bad]
-    outdir = command in FIRST_FILE
+    outdir = command == "run"
     target = named = tmp_path / (LONG_NAME if bad == "long_name" else "out")
     if bad == "fifo":
         os.mkfifo(target)
@@ -647,7 +659,7 @@ def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
     elif bad == "file_size_limit":
         if outdir:
             target.mkdir()
-            named = target / FIRST_FILE[command]
+            named = target / "frequencies.csv"  # run's first file
         else:
             target.write_bytes(b"old\n")
     args = writer_args(command, synth_csv, model_file, target, tmp_path)
@@ -659,7 +671,7 @@ def test_unwritable_target_exits_2(synth_csv, model_file, tmp_path, command,
     if outdir and bad == "file_size_limit":
         for absent in (tmp_path / "absent", tmp_path / "x" / "y" / "z"):
             runs.append((writer_args(command, synth_csv, model_file, absent,
-                                     tmp_path), absent / FIRST_FILE[command]))
+                                     tmp_path), absent / "frequencies.csv"))
     listing = sorted(tmp_path.rglob("*"))
     for args, named in runs:
         proc = run_child(args, fsize)
@@ -680,7 +692,7 @@ def test_long_legal_name_is_written(synth_csv, model_file, tmp_path, command):
     target = tmp_path / LEGAL_LONG_NAME
     assert run_cli(writer_args(command, synth_csv, model_file, target,
                                tmp_path)) == 0
-    assert target.is_dir() if command in FIRST_FILE else target.is_file()
+    assert target.is_dir() if command == "run" else target.is_file()
     assert not list(tmp_path.rglob(".*"))
 
 
@@ -783,6 +795,14 @@ class TestPredictStep:
         assert self.predict(stamp_rows, tmp_path, 200,
                             step=0.1 * (1 + 1e-6), fmt=".7f") == 3
         assert "differs from the model's dt" in capsys.readouterr().err
+
+
+class TestDiagnosticsCommand:
+    def test_writes_diagnostic_curves(self, fitted_run):
+        # run's diagnostics/ took the place of the `diagnostics` command
+        for name in ("sqdist_histogram.csv", "norm_growth_by_column.csv",
+                     "growth_ratio_sorted.csv", "eigenvalues.csv"):
+            assert (fitted_run / "diagnostics" / name).is_file()
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
@@ -1190,24 +1210,20 @@ class TestRunCommand:
     ], ids=["clean", "gapped", "uneven"])
     def test_subcommands_match_run(self, synth_csv, tmp_path, capsys, keep,
                                    resample):
-        # the same flags give the same bytes from decompose and predict as
-        # from `run`, and so do run without a predict window, for every
-        # artifact it writes (all but prediction.csv and errors.csv), with
-        # the period table on stdout, and run on run's manifest.  The gapped
-        # input is resampled with a wider gap allowance than the default,
-        # the uneven one within it.  The manifest names the eigenbasis cache
-        # of earlier versions, which never changed a result; it is neither
-        # read nor written
+        # on the same flags decompose, predict, run without a predict window
+        # (its 8 artifacts and the period table on stdout) and run on either
+        # run's manifest write run's bytes; the gapped input is resampled with
+        # a wider gap allowance than the default, the uneven one within it;
+        # the eigenbasis cache that old manifests name is not touched
         src = thinned(synth_csv[0], tmp_path / "in.csv", keep) if keep \
             else synth_csv[0]
         fit = ["--input", src, "--epsilon", "2.0", *FIT_FLAGS, *resample]
         ref, mine = tmp_path / "run", tmp_path / "mine"
         assert run_cli(["run", *fit, "--outdir", ref, *PREDICT_WINDOW]) == 0
         mine.mkdir()
-        model = ref / "model.npz"
         for args in (["decompose", *fit, "--model-out", mine / "model.npz"],
-                     ["predict", "--model", model, "--input", src, *resample,
-                      "--init-at", "620", "--steps", "60",
+                     ["predict", "--model", ref / "model.npz", "--input", src,
+                      *resample, "--init-at", "620", "--steps", "60",
                       "--out", mine / "prediction.csv"]):
             assert run_cli(args) == 0
         written = [p.relative_to(mine) for p in mine.rglob("*.*")]
