@@ -61,6 +61,10 @@ def _fit_parser():
                    help="Gaussian kernel bandwidth (squared-distance units); "
                         "0, the default, takes the 1%% quantile of the "
                         "squared delay distances")
+    p.add_argument("--reference-points", metavar="M",
+                   help="kernel reference points: every ceil(N/M)-th delay "
+                        "vector; 0, the default, takes M = 2048, and any M "
+                        "of at least N keeps all N")
     p.add_argument("--num-eigen", metavar="L")
     p.add_argument("--eps1")
     p.add_argument("--eps2")

@@ -17,21 +17,24 @@ The standalone model advances a k(q+1) shift register in embedding layout
 (oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
 where the window is the register before the step, then the register shifts.
 ``g_chaos`` is the geometric-harmonics (Nystrom) extension of the fitted
-eigenbasis expansion, ``g_chaos(y) = sqrt(N) * (w(y) @ M) / sum(w(y))``
-with w the Gaussian kernel weights of y against the training points and
-the N x k matrix ``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore
-holds the harmonics (omega, A), the training series, epsilon and M: what
-the free run reads, never an N x N matrix, the eigenbasis or E.
+eigenbasis expansion over the M reference points of the kernel (every s-th
+training point, all N at stride s = 1),
+``g_chaos(y) = sqrt(M) * (w(y) @ M) / sum(w(y))`` with w the Gaussian
+kernel weights of y against the references and the M x k matrix
+``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds the
+harmonics (omega, A), the training series, epsilon, the stride and M: what
+the free run reads, never an N x N or N x M matrix, the eigenbasis or E.
 
 g_chaos has one evaluator, which :func:`eval_chaotic`, the free run and
 the in-sample reconstruction share.  :func:`log_weights` gives the scaled
 log-weights ``z = (2 P - sq) / epsilon`` of a state y, where
 ``P = points @ y``: the weights are ``exp(z - max z)``, since
 ``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``.  :func:`kernel_average`
-makes one product of them with the rows ``[sqrt(N) M^T; 1]``, which gives
+makes one product of them with the rows ``[sqrt(M) M^T; 1]``, which gives
 the numerator and the weight sum of g_chaos together.
 
-The free run slides z instead of recomputing it.  Point m is samples
+The free run slides z over all N training points instead of recomputing
+it, and reads the references' entries ``z[::s]``.  Point m is samples
 m..m+q of the training series x, and the shifted window drops its oldest
 block ``old`` and appends the new sample, so z slides forward in O(N k) per
 step: ``z[m] <- z[m-1] + (2 (x[m+q] . y_new - x[m-1] . old) + sq[m-1] -
@@ -41,8 +44,10 @@ sliding update of the STOMP matrix profile algorithm (Zhu et al., ICDM
 2016).  z lives in a buffer of ``N + _BLOCK_ROWS`` values and each step
 views it one place earlier, so the slid ``z[1:]`` is already where the last
 ``z[:-1]`` was.  A full recompute by :func:`log_weights` every
-``_BLOCK_ROWS`` steps bounds the rounding drift whatever the horizon, and
-makes those steps equal ``eval_periodic + eval_chaotic`` bit for bit.
+``_BLOCK_ROWS`` steps, whose reference entries come from the references
+alone, as in :func:`eval_chaotic`, bounds the rounding drift whatever the
+horizon, and makes those steps equal ``eval_periodic + eval_chaotic`` bit
+for bit.
 """
 
 from dataclasses import dataclass, field
@@ -50,17 +55,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._npz import read_npz, write_npz
-from .errors import DataError, NumericalError, reading
+from .errors import DataError, NumericalError, check_memory, reading
 from .freqfilter import FrequencySelection
 from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
 from .spectral import SpectralBasis
 
-MODEL_FORMAT = "qpdecomp-model-3"
+MODEL_FORMAT = "qpdecomp-model-4"
 
 # Rows per block when harmonics or g_chaos are evaluated at many times or
-# states: a block holds a (rows x m) complex phase matrix or an (N x rows)
-# weight matrix, 8 MB at m = 2048 bins or N = 4096 points.  Also the number
-# of free-run steps between full recomputes of the slid log-weights.
+# states: a block holds a (rows x m) complex phase matrix or an (M x rows)
+# weight matrix, 8 MB at m = 2048 bins or M = 4096 reference points.  Also
+# the number of free-run steps between full recomputes of the slid
+# log-weights.
 _BLOCK_ROWS = 256
 
 
@@ -79,14 +85,17 @@ class QPModel:
     """Fitted quasiperiodic + chaotic model: what the free run reads.
 
     ``omegas`` (m) and ``A`` (m x k) are the harmonics of the periodic
-    component.  ``embedding`` holds the training series, q and the embedded
-    points; ``sq``, their squared row norms, is derived from it.  ``M``
-    (N x k) maps shifted kernel weights to the chaotic component; build it
+    component.  ``embedding`` holds the training series, q and the N
+    embedded points; ``sq``, their squared row norms, is derived from it.
+    Every ``stride``-th point is a reference point; ``references`` and
+    ``sq_ref``, their rows and squared norms, are derived too (at stride 1,
+    the points and ``sq`` themselves).  ``M`` (one row per reference point
+    x k) maps shifted kernel weights to the chaotic component; build it
     from a basis with :meth:`from_basis`; ``rows``, the C-ordered
-    ``[sqrt(N) M^T; 1]`` of :func:`kernel_average`, is derived from it.
+    ``[sqrt(M) M^T; 1]`` of :func:`kernel_average`, is derived from it.
     Other shapes, a non-finite entry of ``omegas``, ``A`` or ``M``, a
-    zero-frequency coefficient that is not real, or an ``epsilon`` that is not
-    positive and finite are a :class:`DataError`.
+    zero-frequency coefficient that is not real, a ``stride`` below 1 or an
+    ``epsilon`` that is not positive and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -94,17 +103,23 @@ class QPModel:
     M: np.ndarray
     embedding: DelayEmbedding
     epsilon: float
+    stride: int = 1
     sq: np.ndarray = field(init=False, repr=False)
+    references: np.ndarray = field(init=False, repr=False)
+    sq_ref: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omegas, n, k = self.omegas, self.n, self.k
+        omegas, n, k, s = self.omegas, self.n, self.k, self.stride
         if omegas.ndim != 1 or not np.isfinite(omegas).all():
             raise DataError("model frequencies must be a finite vector")
-        if self.A.shape != (len(omegas), k) or self.M.shape != (n, k):
+        if not s >= 1:
+            raise DataError(f"model stride {s} is not a positive integer")
+        m = -(-n // s)
+        if self.A.shape != (len(omegas), k) or self.M.shape != (m, k):
             raise DataError(f"model A {self.A.shape} and M {self.M.shape} do "
-                            f"not match {len(omegas)} frequencies, {n} "
-                            f"training points and {k} channels")
+                            f"not match {len(omegas)} frequencies, {m} "
+                            f"reference points and {k} channels")
         for name in ("A", "M"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"model {name} has NaN or infinite entries")
@@ -114,9 +129,14 @@ class QPModel:
         if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
             raise DataError("model zero-frequency coefficient is not real")
         pts = self.embedding.points
-        object.__setattr__(self, "sq", np.einsum("ij,ij->i", pts, pts))
-        rows = np.empty((k + 1, n))
-        rows[:k] = np.sqrt(n) * self.M.T
+        sq = np.einsum("ij,ij->i", pts, pts)
+        object.__setattr__(self, "sq", sq)
+        object.__setattr__(self, "references",
+                           pts if s == 1 else np.ascontiguousarray(pts[::s]))
+        object.__setattr__(self, "sq_ref",
+                           sq if s == 1 else np.ascontiguousarray(sq[::s]))
+        rows = np.empty((k + 1, m))
+        rows[:k] = np.sqrt(m) * self.M.T
         rows[k] = 1.0
         object.__setattr__(self, "rows", rows)
 
@@ -127,7 +147,8 @@ class QPModel:
         c = basis.Gamma / np.sqrt(basis.q)[:, None]
         return cls(omegas=np.asarray(omegas, dtype=float), A=A,
                    M=(c / basis.sigma[None, :]) @ E,
-                   embedding=basis.embedding, epsilon=basis.epsilon)
+                   embedding=basis.embedding, epsilon=basis.epsilon,
+                   stride=basis.stride)
 
     @property
     def q(self) -> int:
@@ -141,6 +162,11 @@ class QPModel:
     def n(self) -> int:
         """Number of training points (embedded rows)."""
         return self.embedding.n_points
+
+    @property
+    def m(self) -> int:
+        """Number of reference points, the rows of ``M``."""
+        return self.M.shape[0]
 
     @property
     def k(self) -> int:
@@ -269,16 +295,17 @@ def kernel_average(rows, z, w) -> np.ndarray:
 
 def eval_chaotic(model: QPModel, y) -> np.ndarray:
     """Chaotic component at one delay state (dim,) or at each of a block of
-    states (B, dim), ``_BLOCK_ROWS`` at a time, in embedding layout.  At the
-    training points it is ``Phi @ E`` of the fitted basis, to rounding."""
+    states (B, dim), ``_BLOCK_ROWS`` at a time, in embedding layout, from
+    the kernel weights against the M reference points.  At the training
+    points it is ``Phi @ E`` of the fitted basis, to rounding."""
     y = np.asarray(y, dtype=float)
-    pts, sq, eps = model.embedding.points, model.sq, model.epsilon
+    refs, sq, eps = model.references, model.sq_ref, model.epsilon
     if y.ndim == 1:
-        z = log_weights(pts, sq, eps, y)
+        z = log_weights(refs, sq, eps, y)
         return kernel_average(model.rows, z, z)
     out = np.empty((len(y), model.k))
     for i in range(0, len(y), _BLOCK_ROWS):
-        z = log_weights(pts, sq, eps, y[i:i + _BLOCK_ROWS])
+        z = log_weights(refs, sq, eps, y[i:i + _BLOCK_ROWS])
         out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z, z).T
     return out
 
@@ -290,9 +317,9 @@ def periodic_sup_bound(model: QPModel) -> float:
 
 
 def chaotic_sup_bound(model: QPModel) -> float:
-    """sup_y |g_chaos(y)|_2 <= sqrt(N) * max_n |M[n, :]|_2: g_chaos is a
-    kernel-weighted average of the rows of sqrt(N) * M."""
-    return float(np.sqrt(model.n) * np.linalg.norm(model.M, axis=1).max())
+    """sup_y |g_chaos(y)|_2 <= sqrt(M) * max_j |M[j, :]|_2: g_chaos is a
+    kernel-weighted average of the rows of sqrt(M) * M."""
+    return float(np.sqrt(model.m) * np.linalg.norm(model.M, axis=1).max())
 
 
 def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
@@ -317,17 +344,20 @@ def reconstruct(model: QPModel, init, n_steps: int,
     generated sample, embedding layout, oldest block first), generates
     samples at times ``t_start + n*dt`` for n = 0..n_steps-1: each new sample
     is ``g_per(time) + g_chaos(previous window)``, after which the window
-    shifts by one sample.  The scaled log-weights of the window slide
-    forward with it, O(N k) per step, and :func:`log_weights` recomputes
+    shifts by one sample.  The scaled log-weights of the window against all
+    N training points slide forward with it, O(N k) per step, and g_chaos
+    reads those of the reference points.  :func:`log_weights` recomputes
     them in full every ``_BLOCK_ROWS`` (256) steps, so they agree with a
     full recompute at every step to rounding, and such a step equals
     ``eval_periodic + eval_chaotic`` bit for bit (see the module
     docstring).  Deterministic: identical model and init give
     bit-identical trajectories.
 
-    g_chaos is a kernel-weighted average of the rows of ``sqrt(N) * M``, so
+    g_chaos is a kernel-weighted average of the rows of ``sqrt(M) * M``, so
     the run is bounded by construction; a non-finite sample (from non-finite
-    coefficients) raises :class:`NumericalError`.
+    coefficients) raises :class:`NumericalError`.  A run whose n_steps x k
+    samples exceed the memory available is a :class:`DataError`, raised
+    before they are allocated.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
@@ -337,9 +367,10 @@ def reconstruct(model: QPModel, init, n_steps: int,
             f"init has dimension {state.shape[0]}, model state is "
             f"{model.state_dim}"
         )
-    k, n, eps, sq = model.k, model.n, model.epsilon, model.sq
+    k, n, eps, sq, s = model.k, model.n, model.epsilon, model.sq, model.stride
+    check_memory(n_steps * k * 8, f"{n_steps} steps of {k} channels")
     source = model.embedding.source
-    points = model.embedding.points
+    points, refs = model.embedding.points, model.references
     # column m-1 holds rows m-1 and m+q of the training series, times
     # 2/eps, and (sq[m-1] - sq[m]) / eps, so that (-old, y_new, 1) @ slide
     # carries z[m-1] of one step to z[m] of the next, m = 1..N-1.  It is
@@ -353,7 +384,7 @@ def reconstruct(model: QPModel, init, n_steps: int,
     # step j of a block views z at buf[R-j:], so the slid z[1:] of the next
     # step is the memory of this step's z[:-1] and nothing is shifted
     buf = np.empty(n + _BLOCK_ROWS)
-    w = np.empty(n)
+    w = np.empty(model.m)
     shift = np.empty(2 * k + 1)
     shift[2 * k] = 1.0
     out = eval_periodic(model, t_start, n_steps)
@@ -362,10 +393,12 @@ def reconstruct(model: QPModel, init, n_steps: int,
         z = buf[_BLOCK_ROWS - j:_BLOCK_ROWS - j + n]
         if j == 0:
             log_weights(points, sq, eps, state, out=z)
+            if s > 1:
+                z[::s] = log_weights(refs, model.sq_ref, eps, state)
         else:
             z[1:] += shift @ slide
             z[0] = (2.0 * (points[0] @ state) - sq[0]) / eps
-        y_new = out[i] + kernel_average(model.rows, z, w)
+        y_new = out[i] + kernel_average(model.rows, z[::s], w)
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         out[i] = y_new
@@ -420,11 +453,12 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize the model as a ``qpdecomp-model-3`` file.
+    """Serialize the model as a ``qpdecomp-model-4`` file.
 
     Stores the training window with a content hash of it, q, epsilon, the
-    harmonics (omegas, A) and the chaos matrix M: everything the free run
-    and the sup-norm bounds read, and no N x N or N x L matrix.
+    reference stride, the harmonics (omegas, A) and the chaos matrix M (one
+    row per reference point): everything the free run and the sup-norm
+    bounds read, and no N x N or N x L matrix.
     """
     src = model.embedding.source
     write_npz(path, {
@@ -436,6 +470,7 @@ def save_model(model: QPModel, path):
         "train_hash": np.array([training_data_hash(src)]),
         "q": np.int64(model.q),
         "epsilon": np.float64(model.epsilon),
+        "stride": np.int64(model.stride),
         "omegas": model.omegas,
         "A": model.A,
         "M": model.M,
@@ -448,7 +483,8 @@ def save_model(model: QPModel, path):
 _MODEL_ARRAYS = {"format": ("U", (1,)), "train_values": ("f", None),
                  "train_dt": ("f", ()), "train_t0": ("f", ()),
                  "channel_names": ("U", None), "train_hash": ("U", (1,)),
-                 "q": ("i", ()), "epsilon": ("f", ()), "omegas": ("f", None),
+                 "q": ("i", ()), "epsilon": ("f", ()), "stride": ("i", ()),
+                 "omegas": ("f", None),
                  "A": ("c", None), "M": ("f", None)}
 _KINDS = {"U": "a string", "f": "a float", "i": "an integer", "c": "a complex"}
 
@@ -457,12 +493,13 @@ def load_model(path) -> QPModel:
     """Read a model saved by :func:`save_model`.
 
     Re-embeds the stored training series (checked against its hash) and
-    allocates nothing larger than the N x k(q+1) embedded points.
+    allocates nothing larger than the N x k(q+1) embedded points and the
+    copy of the reference points among them.
 
     Raises
     ------
     DataError
-        The file is missing or unreadable, is not a ``qpdecomp-model-3``
+        The file is missing or unreadable, is not a ``qpdecomp-model-4``
         file (an older one must be rewritten with ``qpdecomp decompose``),
         lacks one of its arrays or holds one of another dtype kind or shape
         than :func:`save_model` writes, holds other than one channel name
@@ -500,4 +537,4 @@ def load_model(path) -> QPModel:
             raise DataError("training data does not match its stored hash")
         return QPModel(omegas=read("omegas"), A=read("A"), M=read("M"),
                        embedding=delay_embed(src, read("q")),
-                       epsilon=read("epsilon"))
+                       epsilon=read("epsilon"), stride=read("stride"))

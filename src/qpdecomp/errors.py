@@ -1,5 +1,6 @@
 """Exceptions shared across the package, how a read or a write error names
-its file, and the one way to write a file and a directory whole.
+its file, the one way to write a file and a directory whole, and the one
+check that refuses a request for more memory than the machine has.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, data problems with 3, numerical failures with 4.
@@ -26,6 +27,31 @@ class DataError(QpdecompError):
 
 class NumericalError(QpdecompError):
     """A numerical procedure failed or left its validity range."""
+
+
+def _available_bytes():
+    """Memory a request may take: MemAvailable, else free physical pages;
+    None when neither can be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def check_memory(need, what):
+    """Raise :class:`DataError` when ``need`` bytes, which ``what`` needs,
+    exceed the memory available; called before anything is allocated."""
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise DataError(f"{what} need {need / 1e6:.0f} MB, but only "
+                        f"{available / 1e6:.0f} MB of memory is available")
 
 
 @contextmanager

@@ -1,19 +1,25 @@
 """Gaussian kernel assembly on delay-embedded data with bistochastic
-normalization.
+normalization against a reference set.
 
-Given embedded points y_1 .. y_N, the kernel matrix is
-``K_ij = exp(-|y_i - y_j|^2 / epsilon)`` (squared distances, never
+Given embedded points y_1 .. y_N and reference points r_1 .. r_M, every
+s-th of them (r_j = y_{(j-1)s+1}, M = ceil(N/s)), the kernel matrix is the
+N x M ``K_ij = exp(-|y_i - r_j|^2 / epsilon)`` (squared distances, never
 square-rooted).  Degrees and the normalized matrix follow
 
-    d_i      = (1/N) sum_j K_ij
-    q_i      = (1/N) sum_j K_ij / d_j
-    Kt_ij    = K_ij / (N * d_i * sqrt(q_j))
+    d_i      = (1/M) sum_j K_ij
+    q_j      = (1/N) sum_i K_ij / d_i
+    Kt_ij    = K_ij / (sqrt(N M) * d_i * sqrt(q_j))
 
-With this scaling P = Kt Kt^T is symmetric, non-negative and exactly
+This is the bistochastic kernel of Coifman & Hirn, "Bi-stochastic kernels
+via asymmetric affinity functions", ACHA 2013.  With this scaling
+P = Kt Kt^T (N x N, never formed) is symmetric, non-negative and exactly
 row-stochastic, so its top eigenvalue is 1 with a constant eigenvector; the
-downstream spectral module relies on both facts.  :func:`gaussian_kernel`
-returns Kt to its one caller, :func:`spectral.decompose`, which drops it
-after the eigensolve and keeps q, the bandwidth and the histogram.
+downstream spectral module relies on both facts.  At stride 1 the
+references are all the points, M = N and Kt is the symmetric N x N kernel.
+:func:`gaussian_kernel` returns Kt to its one caller,
+:func:`spectral.decompose`, which drops it after the eigensolve and keeps
+q, the bandwidth and the histogram.  :func:`reference_stride` derives s
+from N and the ``reference_points`` setting.
 """
 
 import numpy as np
@@ -25,15 +31,59 @@ _DEGREE_FLOOR = 1e-300
 # epsilon = 0 asks for this quantile of the off-diagonal squared distances, a
 # distance-quantile bandwidth (Coifman et al., IEEE TIP 2008)
 EPSILON_QUANTILE = 0.01
+# reference_points = 0 takes every s-th delay vector with s = ceil(N / 2048),
+# so that at most 2048 references are kept and all N when N <= 2048
+REFERENCE_CAP = 2048
+# bins of each histogram that locates a quantile of the pairs' distances,
+# and the most histograms it takes
+_SELECT_BINS = 4096
+_ZOOMS = 4
 # rows per block of the in-place passes; each block temporary is
-# _BLOCK x N floats, 2 MB at N = 4096 (about one core's L2 cache) and 8 MB
-# at N = 16384.  The results do not depend on it.
+# _BLOCK x M floats, 1 MB at M = 2048 (about one core's L2 cache) and 8 MB
+# at M = 16384.  The results do not depend on it.
 _BLOCK = 64
 
 
 def _row_blocks(n):
     for a in range(0, n, _BLOCK):
         yield a, min(a + _BLOCK, n)
+
+
+def reference_stride(n: int, reference_points: int = 0) -> int:
+    """The stride s of the reference set of n delay vectors: ``ceil(n /
+    reference_points)``, where ``reference_points = 0`` stands for
+    ``REFERENCE_CAP``.  Every s-th vector is a reference, ``ceil(n / s)``
+    of them, and any value of at least n gives stride 1, all n.  Recording
+    that count and deriving the stride from it again gives the same s."""
+    if reference_points < 0:
+        raise DataError(f"reference_points must be >= 0, got "
+                        f"{reference_points}")
+    return -(-n // (reference_points or REFERENCE_CAP))
+
+
+def _sqdist(pts, refs):
+    """(len(pts), len(refs)) squared distances ``(sq_i + sq_j) - 2 g_ij``,
+    formed in the one array of the products g and then in place, one row
+    block at a time.  When refs is pts, numpy forms ``pts @ pts.T`` as a
+    symmetric rank-k product, whose two triangles are copies."""
+    sq = np.einsum("ij,ij->i", pts, pts)
+    sq_ref = sq if refs is pts else np.einsum("ij,ij->i", refs, refs)
+    d2 = pts @ refs.T
+    for a, b in _row_blocks(len(d2)):
+        blk = d2[a:b]
+        blk *= 2.0
+        np.subtract(sq[a:b, None] + sq_ref[None, :], blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+    return d2
+
+
+def _points(embedding):
+    if not isinstance(embedding, DelayEmbedding):
+        raise DataError(f"expected a DelayEmbedding, got "
+                        f"{type(embedding).__name__}")
+    if embedding.points.shape[0] < 1:
+        raise DataError("embedding is empty")
+    return embedding.points
 
 
 def pairwise_sqdist(embedding: DelayEmbedding) -> np.ndarray:
@@ -48,19 +98,8 @@ def pairwise_sqdist(embedding: DelayEmbedding) -> np.ndarray:
     The N x N Gram matrix is the only N x N allocation: it becomes the
     distances in place, one row block at a time.
     """
-    if not isinstance(embedding, DelayEmbedding):
-        raise DataError(f"expected a DelayEmbedding, got "
-                        f"{type(embedding).__name__}")
-    pts = embedding.points
-    if pts.shape[0] < 1:
-        raise DataError("embedding is empty")
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = pts @ pts.T
-    for a, b in _row_blocks(len(d2)):
-        blk = d2[a:b]
-        blk *= 2.0
-        np.subtract(sq[a:b, None] + sq[None, :], blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
+    pts = _points(embedding)
+    d2 = _sqdist(pts, pts)
     np.fill_diagonal(d2, 0.0)
     return d2
 
@@ -75,39 +114,82 @@ def _upper_triangle_blocks(d2):
             yield d2[a:b, b:]
 
 
-def sqdist_histogram(d2, bins: int = 64):
-    """Histogram ``(counts, edges)`` of the off-diagonal squared distances.
+def _pair_blocks(d2, stride):
+    """The squared distances of distinct pairs, one row block at a time: at
+    stride 1 the strictly upper triangle of the symmetric N x N ``d2``; at
+    a larger stride every entry of the N x M ``d2`` but the M of a point
+    with itself as a reference, (i, i / stride) for i a multiple of it."""
+    if stride == 1:
+        yield from _upper_triangle_blocks(d2)
+        return
+    for a, b in _row_blocks(len(d2)):
+        own = np.arange(-(-a // stride) * stride, b, stride)
+        keep = np.ones((b - a, d2.shape[1]), dtype=bool)
+        keep[own - a, own // stride] = False
+        yield d2[a:b][keep]
 
-    ``d2`` is a symmetric distance matrix as :func:`pairwise_sqdist` returns
-    it.  Equals ``np.histogram(d2[np.triu_indices(n, 1)], bins)`` bit for bit
-    without that copy: the range is fixed from the same min and max, and the
-    counts, which are per element, are summed over row blocks.
-    """
-    if len(d2) < 2:
+
+def _count_pairs(d2, stride):
+    n = len(d2)
+    count = n * (n - 1) // 2 if stride == 1 else d2.size - d2.shape[1]
+    if count < 1:
         raise DataError("need at least two points")
-    lo = min(blk.min() for blk in _upper_triangle_blocks(d2) if blk.size)
-    hi = max(blk.max() for blk in _upper_triangle_blocks(d2) if blk.size)
+    return count
+
+
+def _pair_range(d2, stride):
+    lo, hi = np.inf, -np.inf
+    for blk in _pair_blocks(d2, stride):
+        if blk.size:
+            lo, hi = min(lo, blk.min()), max(hi, blk.max())
+    return lo, hi
+
+
+def _pair_histogram(d2, stride, bins, lo, hi):
+    # the pairs' distances in [lo, hi], counted per row block
     counts = 0
-    for blk in _upper_triangle_blocks(d2):
+    for blk in _pair_blocks(d2, stride):
         part, edges = np.histogram(blk, bins=bins, range=(lo, hi))
         counts = counts + part
     return counts, edges
 
 
-def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0):
-    """The bistochastically normalized kernel of ``embedding``.
+def sqdist_histogram(d2, bins: int = 64, stride: int = 1):
+    """Histogram ``(counts, edges)`` of the squared distances of distinct
+    pairs.
 
-    Returns ``(Ktilde, epsilon, q, sqdist_histogram)``: the N x N matrix
+    ``d2`` is the symmetric N x N distance matrix of :func:`pairwise_sqdist`
+    at ``stride`` 1, and otherwise the N x M distances of the points to
+    every ``stride``-th of them, those of a point to itself exactly 0.
+    Equals ``np.histogram`` of the pairs' distances bit for bit (at stride
+    1, of ``d2[np.triu_indices(n, 1)]``) without that copy: the range is
+    fixed from the same min and max, and the counts, which are per element,
+    are summed over row blocks.
+    """
+    _count_pairs(d2, stride)
+    return _pair_histogram(d2, stride, bins, *_pair_range(d2, stride))
+
+
+def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
+                    stride: int = 1):
+    """The bistochastically normalized kernel of ``embedding`` against its
+    every ``stride``-th point.
+
+    Returns ``(Ktilde, epsilon, q, sqdist_histogram)``: the N x M matrix
     Kt, the bandwidth it was built with (the derived one when asked for 0),
-    the degree vector q, and ``(counts, edges)`` of the off-diagonal squared
-    distances in 64 bins, the bandwidth diagnostic the CLI writes.
+    the degree vector q (M), and ``(counts, edges)`` of the squared
+    distances of distinct pairs in 64 bins, the bandwidth diagnostic the
+    CLI writes.  The pairs are those of :func:`sqdist_histogram`: of two
+    points at stride 1, and otherwise of a point and a reference point
+    other than itself, N M - M of them.
 
-    Everything is built in one N x N buffer: squared distances, then (after
-    the histogram, and for ``epsilon = 0`` the bandwidth, are taken)
+    Everything is built in one N x M buffer: squared distances, then
+    (after the histogram, and for ``epsilon = 0`` the bandwidth, are taken)
     ``K = exp(-d2 / epsilon)`` in place, then Ktilde in place.  K and the
-    degree vector d are not kept.  The derived bandwidth's 0.5 N^2 copy is
-    freed before the ``exp``.  :func:`spectral.decompose` checks the memory
-    this and its Gram matrix need before it calls here.
+    degree vector d are not kept.  The distance of a point to itself as a
+    reference is exactly 0.  The derived bandwidth copies about 1% of the
+    distances, and frees them before the ``exp``.  :func:`spectral.decompose`
+    checks the memory this and its Gram matrix need before it calls here.
 
     Parameters
     ----------
@@ -115,16 +197,24 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0):
         Embedded data; at least two points.
     epsilon : float
         Gaussian bandwidth applied to squared distances; 0 takes the
-        ``EPSILON_QUANTILE`` quantile of the off-diagonal squared distances.
+        ``EPSILON_QUANTILE`` quantile of the squared distances of those
+        pairs.
+    stride : int
+        The references are points 0, stride, 2 stride, ...; 1 keeps all.
     """
     if not epsilon >= 0:
         raise DataError(f"epsilon must be positive (or 0 to derive it), "
                         f"got {epsilon}")
-    K = pairwise_sqdist(embedding)
-    n = len(K)
-    hist = sqdist_histogram(K)
+    if stride < 1:
+        raise DataError(f"stride must be >= 1, got {stride}")
+    pts = _points(embedding)
+    refs = pts if stride == 1 else np.ascontiguousarray(pts[::stride])
+    n, m = len(pts), len(refs)
+    K = _sqdist(pts, refs)
+    np.fill_diagonal(K[::stride], 0.0)
+    hist = sqdist_histogram(K, stride=stride)
     if epsilon == 0:
-        epsilon = sqdist_quantile(K, EPSILON_QUANTILE)
+        epsilon = sqdist_quantile(K, EPSILON_QUANTILE, stride)
         if epsilon == 0:
             raise DataError(
                 f"the {EPSILON_QUANTILE:.0%} quantile of the squared delay "
@@ -133,37 +223,72 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0):
             )
     K /= -epsilon
     np.exp(K, out=K)
-    if not (np.diagonal(K) == 1.0).all():
+    if not (np.diagonal(K[::stride]) == 1.0).all():
         raise NumericalError("kernel diagonal must be exactly 1")
     d = K.mean(axis=1)
     if d.min() < _DEGREE_FLOOR:
         worst = int(np.argmin(d))
         raise NumericalError(f"isolated point {worst}; increase epsilon")
-    q = K.dot(1.0 / d) / n
+    # at stride 1 K is symmetric, and K @ (1/d), the same sums, keeps the
+    # bytes of earlier versions
+    q = (K if stride == 1 else K.T).dot(1.0 / d) / n
     if q.min() < _DEGREE_FLOOR:
-        worst = int(np.argmin(q))
+        worst = int(np.argmin(q)) * stride
         raise NumericalError(f"isolated point {worst}; increase epsilon")
     sqrt_q = np.sqrt(q)
+    # sqrt(N M) is N exactly at stride 1
+    scale = np.sqrt(float(n) * m)
     for a, b in _row_blocks(n):
-        K[a:b] /= (n * d[a:b, None]) * sqrt_q[None, :]
+        K[a:b] /= (scale * d[a:b, None]) * sqrt_q[None, :]
     return K, float(epsilon), q, hist
 
 
-def sqdist_quantile(d2, quantile: float) -> float:
-    """Quantile of the off-diagonal squared distances.
+def sqdist_quantile(d2, quantile: float, stride: int = 1) -> float:
+    """Quantile of the squared distances of distinct pairs, as
+    :func:`sqdist_histogram` takes them from ``d2`` at ``stride``.
 
-    ``d2`` is a symmetric distance matrix as :func:`pairwise_sqdist` returns
-    it.  Equals ``np.quantile(d2[np.triu_indices(n, 1)], quantile)`` bit for
-    bit: one copy of the upper triangle, 0.5 N^2 floats taken row block by
-    row block, which the quantile then partitions in place.  The copy's
-    order differs from that of ``triu_indices``, which no quantile sees.
+    Equals ``np.quantile`` of those distances (its default, linear method)
+    bit for bit, without a copy of them all: see
+    :func:`_order_statistics`.
     """
-    n = len(d2)
-    if n < 2:
-        raise DataError("need at least two points")
-    upper = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for blk in _upper_triangle_blocks(d2):
-        upper[pos:pos + blk.size].reshape(blk.shape)[...] = blk
-        pos += blk.size
-    return float(np.quantile(upper, quantile, overwrite_input=True))
+    n = _count_pairs(d2, stride)
+    # numpy's linear method: the order statistics k and k + 1 around the
+    # virtual index (n - 1) * quantile, interpolated as numpy's _lerp does
+    virtual = (n - 1) * quantile
+    if virtual >= n - 1:
+        return float(_pair_range(d2, stride)[1])
+    k = int(np.floor(virtual))
+    a, b = _order_statistics(d2, stride, k)
+    gamma = virtual - k
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+
+
+def _order_statistics(d2, stride, k):
+    """The pairs' distances of ranks k and k + 1, from 0.
+
+    A 4096-bin histogram over the pairs' range locates the bins that hold
+    the two; while more than M^2 distances (M = d2.shape[1]) share those
+    bins, as when a far outlier stretches the range, another histogram
+    over just those bins narrows them, at most ``_ZOOMS`` times.  Only the
+    distances left in the range are copied and partitioned: about 1% of
+    the pairs for the 1% quantile, and at most M^2 unless they tie.
+    """
+    lo, hi = _pair_range(d2, stride)
+    below = 0                   # pairs under lo
+    for _ in range(_ZOOMS):
+        counts, edges = _pair_histogram(d2, stride, _SELECT_BINS, lo, hi)
+        cum = below + np.cumsum(counts)
+        i, j = np.searchsorted(cum, [k + 1, k + 2])
+        if i:
+            below = int(cum[i - 1])
+        lo, hi = edges[i], edges[j + 1]
+        if lo == hi or cum[j] - below <= d2.shape[1] ** 2:
+            break
+    if lo == hi:
+        return lo, hi
+    # a distance equal to hi past bin j is above both wanted ones
+    kept = np.concatenate([blk[(blk >= lo) & (blk <= hi)]
+                           for blk in _pair_blocks(d2, stride)])
+    kept.partition([k - below, k + 1 - below])
+    return kept[k - below], kept[k + 1 - below]

@@ -26,12 +26,14 @@ m..m+q and is anchored at its newest sample, so fits use times
 ``(m + q) * dt`` and a prediction starting at source index s uses
 ``t_start = s * dt`` on the same clock, which counts from the input's first
 row.  The harmonics keep that clock; every written ``time_s`` column reads
-the input's own, ``t0 + index * dt``.  The kernel's N x N arrays live only
-inside :func:`spectral.decompose`, so nothing in a :class:`Fit` is N x N.
+the input's own, ``t0 + index * dt``.  The kernel's N x M and M x M arrays
+(M reference points, see :func:`kernel.reference_stride`) live only inside
+:func:`spectral.decompose`, so nothing in a :class:`Fit` is either.
 """
 
 import hashlib
 import os
+import sys
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import decompose as dc
-from . import freqfilter, series, spectral
+from . import freqfilter, kernel, series, spectral
 from .errors import ConfigError, DataError, reading, writing, writing_dir
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
@@ -64,6 +66,7 @@ class PipelineConfig:
     max_gap_factor: float = 10.0
     delays: int = 20
     epsilon: float = 0.0                # 0: 1% quantile of squared distances
+    reference_points: int = 0           # 0: every ceil(N/2048)-th delay vector
     num_eigen: int = 300
     eps1: float = 0.1
     eps2: float = 2.5
@@ -93,6 +96,9 @@ class PipelineConfig:
         if not self.epsilon >= 0:
             raise ConfigError("epsilon must be positive (or 0 to derive it "
                               "from the data)")
+        if self.reference_points < 0:
+            raise ConfigError("reference_points must be >= 0 (0 takes every "
+                              "ceil(N/2048)-th delay vector)")
         if self.num_eigen < 1:
             raise ConfigError("num_eigen must be >= 1")
         if not (self.eps1 > 0 and self.eps2 > 0):
@@ -111,6 +117,10 @@ CONFIG_KEYS = set(_FIELD_TYPES)
 # other value asks for a result that can no longer be produced
 _RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0",
                  "standardize": "false", "resample_method": "hold"}
+# added keys, with the value that re-runs a manifest written before them as
+# it ran: such a manifest's kernel took every delay vector as a reference,
+# which any count of at least N asks for
+_ADDED_KEYS = {"reference_points": str(sys.maxsize)}
 # removed commands, with what writes their output now
 RETIRED_COMMANDS = {
     "frequencies": "`run` without a predict window, which writes "
@@ -156,10 +166,12 @@ def _read_config(path, overrides, manifest):
 
     A config file rejects unknown keys; a manifest skips them, so that it
     can carry hashes and keys that earlier versions wrote, but not a key of
-    ``_RETIRED_KEYS`` away from its old default.  A relative ``input`` in
-    the file resolves against the file's directory; an override is taken
-    as it is.  When a manifest's own input no longer has the SHA-256 that
-    the manifest records, a warning names both files.
+    ``_RETIRED_KEYS`` away from its old default; a key of ``_ADDED_KEYS``
+    that a manifest lacks takes the value that earlier versions ran with.
+    A relative ``input`` in the file resolves against the file's
+    directory; an override is taken as it is.  When a manifest's own input
+    no longer has the SHA-256 that the manifest records, a warning names
+    both files.
     """
     path = Path(path)
     values, recorded = {}, None
@@ -182,6 +194,8 @@ def _read_config(path, overrides, manifest):
             elif key in _RETIRED_KEYS and raw != _RETIRED_KEYS[key]:
                 raise ConfigError(f"line {line_no}: {key} = {raw} was "
                                   f"removed; only its old default re-runs")
+    if manifest:
+        values = {**_ADDED_KEYS, **values}
     if values.get("input") and not os.path.isabs(values["input"]):
         values["input"] = str((path.parent / values["input"]).resolve())
     overrides = overrides or {}
@@ -305,7 +319,9 @@ def fit(config: PipelineConfig) -> Fit:
         train = series.window(data, 0, train_end)
         q = config.delays
         emb = series.delay_embed(train, q)
-        basis = spectral.decompose(emb, config.epsilon, config.num_eigen)
+        stride = kernel.reference_stride(emb.n_points, config.reference_points)
+        basis = spectral.decompose(emb, config.epsilon, config.num_eigen,
+                                   stride)
     table = freqfilter.rkhs_norm_table(basis, data.dt)
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)
@@ -517,11 +533,13 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     with writing_dir(outdir / "diagnostics") as staged:
         write_diagnostics(staged, result)
 
-    # manifest last: every parameter, with the bandwidth the kernel used, so
-    # that a re-run does not derive it again, plus content hashes
+    # manifest last: every parameter, with the bandwidth and the reference
+    # count the kernel used, so that a re-run does not derive them again,
+    # plus content hashes
     absolute_input = str(Path(config.input).resolve())
     lines = config_lines(replace(config, input=absolute_input,
-                                 epsilon=model.epsilon))
+                                 epsilon=model.epsilon,
+                                 reference_points=model.m))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

@@ -197,6 +197,10 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
                 raise DataError(f"unknown channel columns {missing}")
         if not channels:
             raise DataError("empty channel selection")
+        for name in (timestamp, *channels):
+            if header.count(name) > 1:
+                raise DataError(f"the header names column {name!r} "
+                                f"{header.count(name)} times")
 
         t_idx = header.index(timestamp)
         c_idx = [header.index(c) for c in channels]

@@ -1,11 +1,15 @@
 """Truncated eigenbasis of the normalized kernel matrix.
 
-The basis is the top-L singular triplets of ``Ktilde``, computed as the top-L
-eigenvectors of the Gram matrix ``Ktilde^T Ktilde`` followed by a
-Rayleigh-Ritz step (a thin SVD of ``Ktilde`` applied to those eigenvectors).
+The basis is the top-L singular triplets of the N x M ``Ktilde`` of
+:func:`kernel.gaussian_kernel` (M reference points, M = N at stride 1),
+computed as the top-L eigenvectors of the M x M Gram matrix
+``Ktilde^T Ktilde`` followed by a Rayleigh-Ritz step (a thin SVD of
+``Ktilde`` applied to those eigenvectors).  The Gram matrix sums over all N
+rows, so Phi holds all N rows and is orthonormal on them.
 :func:`decompose` builds the kernel itself and drops Ktilde and the Gram
-matrix before it returns, so a :class:`SpectralBasis` holds no N x N array:
-besides the triplets it keeps only the kernel facts that later stages read.
+matrix before it returns, so a :class:`SpectralBasis` holds no N x M or
+M x M array: besides the triplets it keeps only the kernel facts that later
+stages read.
 
 Inner-product convention (declared once, carried explicitly everywhere):
 
@@ -13,18 +17,18 @@ Inner-product convention (declared once, carried explicitly everywhere):
   ``<u, v> = (1/N) sum_n u_n v_n``; equivalently ``Phi = sqrt(N) * U`` for
   Euclidean-orthonormal left singular vectors U.  The leading column is then
   the constant function with value ~1.
-* ``Gamma`` columns are plain Euclidean-orthonormal right singular vectors:
-  the Gram eigenvectors rotated by the Rayleigh-Ritz step.
+* ``Gamma`` columns (M rows, one per reference point) are plain
+  Euclidean-orthonormal right singular vectors: the Gram eigenvectors
+  rotated by the Rayleigh-Ritz step.
 * ``lam[l] = sigma[l]**2`` are the kernel-operator eigenvalues.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_memory
 from .series import DelayEmbedding
 
 # Eigenvalues below this floor may not be inverted; requests that cross it
@@ -43,10 +47,11 @@ class SpectralBasis:
     the kernel facts that later stages read.
 
     ``epsilon`` is the bandwidth the kernel was built with, ``q`` its degree
-    vector (N), ``embedding`` the embedded training data (its delay count is
-    ``embedding.q``), and ``sqdist_histogram`` the ``(counts, edges)`` of
-    the off-diagonal squared distances, as :func:`kernel.gaussian_kernel`
-    returns them.  Construction checks the conventions the later stages
+    vector (M), ``embedding`` the embedded training data (its delay count is
+    ``embedding.q``), ``sqdist_histogram`` the ``(counts, edges)`` of the
+    squared distances of distinct pairs, as :func:`kernel.gaussian_kernel`
+    returns them, and ``stride`` the step between reference points (1:
+    every point).  Construction checks the conventions the later stages
     invert: eigenvalues non-increasing, none below ``LAMBDA_FLOOR``, the
     leading one 1 and its eigenfunction constant.
     """
@@ -58,6 +63,7 @@ class SpectralBasis:
     q: np.ndarray
     embedding: DelayEmbedding
     sqdist_histogram: tuple
+    stride: int = 1
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -107,39 +113,26 @@ def _fix_signs(u, v):
     return u, v
 
 
-def _available_bytes():
-    """Memory the eigenbasis may take: MemAvailable, else free physical pages."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, AttributeError):
-        return None
+def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
+              stride: int = 1) -> SpectralBasis:
+    """Top-L singular triplets of the normalized kernel of ``embedding``
+    against its every ``stride``-th point.
 
-
-def decompose(embedding: DelayEmbedding, epsilon: float,
-              L: int) -> SpectralBasis:
-    """Top-L singular triplets of the normalized kernel of ``embedding``.
-
-    The kernel is built by :func:`kernel.gaussian_kernel` at ``epsilon`` (0
-    derives it).  The top L eigenvectors of the Gram matrix
-    ``Ktilde^T Ktilde`` span the leading right singular subspace; a
+    The N x M kernel is built by :func:`kernel.gaussian_kernel` at
+    ``epsilon`` (0 derives it).  The top L eigenvectors of the M x M Gram
+    matrix ``Ktilde^T Ktilde`` span the leading right singular subspace; a
     Rayleigh-Ritz step (thin SVD of ``Ktilde @ V``) then rotates them into
     singular vectors, so that ``Ktilde @ Gamma = U * sigma`` holds to
     rounding whatever the subspace error.  The Gram matrix is built one way
-    at every N: its upper triangle is summed in one Fortran-ordered N x N
-    array by rank-256 BLAS ``syrk`` updates, one per block of 256 rows of
-    ``Ktilde``, and the eigensolver overwrites that array in place, so the
-    call holds at most Ktilde and the Gram matrix, ``2 N^2`` float64 values,
-    and returns neither.  The result is deterministic.  Forming the Gram
-    matrix squares the conditioning, so eigenvalues close to the floor carry
-    fewer correct digits: on 400 random planar points the worst relative
-    error was about 1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
+    at every N and M: its upper triangle is summed in one Fortran-ordered
+    M x M array by rank-256 BLAS ``syrk`` updates, one per block of 256 rows
+    of ``Ktilde``, and the eigensolver overwrites that array in place, so
+    the call holds at most Ktilde and the Gram matrix, ``N M + M^2``
+    float64 values (``2 N^2`` at stride 1), and returns neither.  The
+    result is deterministic.  Forming the Gram matrix squares the
+    conditioning, so eigenvalues close to the floor carry fewer correct
+    digits: on 400 random planar points the worst relative error was about
+    1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
 
     Parameters
     ----------
@@ -147,50 +140,56 @@ def decompose(embedding: DelayEmbedding, epsilon: float,
         Embedded data; at least two points.
     epsilon : float
         Gaussian bandwidth applied to squared distances; 0 takes the
-        ``kernel.EPSILON_QUANTILE`` quantile of them.
+        ``kernel.EPSILON_QUANTILE`` quantile of them, as
+        :func:`kernel.gaussian_kernel` does.
     L : int
-        Truncation size, 1 <= L <= N.
+        Truncation size, 1 <= L <= M.
+    stride : int
+        Step between reference points, as
+        :func:`kernel.reference_stride` derives it; 1 keeps all N.
 
     Raises
     ------
     DataError
-        When L is outside 1..N, or the ``2 N^2`` float64 values exceed the
-        memory available; both are checked before anything N x N is
+        When L is outside 1..M, or the ``N M + M^2`` float64 values exceed
+        the memory available; both are checked before anything N x M is
         allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L"), as :class:`SpectralBasis` checks.
     """
     n = embedding.n_points
-    if not (1 <= L <= n):
-        raise DataError(f"L={L} out of range 1..{n}")
-    need = 2 * n * n * 8
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise DataError(
-            f"{n} points need {need / 1e6:.0f} MB for the kernel and its Gram "
-            f"matrix (2 N x N float64), but only {available / 1e6:.0f} MB of "
-            f"memory is available"
-        )
+    if stride < 1:
+        raise DataError(f"stride must be >= 1, got {stride}")
+    m = -(-n // stride)
+    if not (1 <= L <= m):
+        refs = "" if m == n else f" ({m} reference points of {n})"
+        raise DataError(f"L={L} out of range 1..{m}{refs}")
+    check_memory((n * m + m * m) * 8,
+                 f"{n} points against {m} reference points (the kernel and "
+                 f"its Gram matrix, N M + M^2 float64)")
     # imported after the checks, as only the eigensolve needs scipy: loading
     # it costs about 0.35 s, which a forecast or a refused fit need not pay
     import scipy.linalg
     from scipy.linalg.blas import dsyrk
 
-    kt, epsilon, q, hist = kernel.gaussian_kernel(embedding, epsilon)
-    gram = np.zeros((n, n), order="F")
+    kt, epsilon, q, hist = kernel.gaussian_kernel(embedding, epsilon, stride)
+    gram = np.zeros((m, m), order="F")
     for a in range(0, n, _GRAM_ROWS):
-        # the transposed row block is a Fortran-ordered N x 256 view, so
+        # the transposed row block is a Fortran-ordered M x 256 view, so
         # dsyrk adds its outer product into gram without copying either
         dsyrk(1.0, kt[a:a + _GRAM_ROWS].T, beta=1.0, c=gram, overwrite_c=1)
-    _, v = scipy.linalg.eigh(gram, lower=False, subset_by_index=[n - L, n - 1],
+    _, v = scipy.linalg.eigh(gram, lower=False, subset_by_index=[m - L, m - 1],
                              overwrite_a=True)
     del gram
-    u, s, wt = np.linalg.svd(kt @ v, full_matrices=False)
+    # Ktilde is dropped before the SVD, whose N x L work arrays then
+    # replace it rather than add to it
+    kv = kt @ v
+    del kt
+    u, s, wt = np.linalg.svd(kv, full_matrices=False)
     v = v @ wt.T
 
     u, v = _fix_signs(u, v)
     return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, Gamma=v,
                          epsilon=epsilon, q=q, embedding=embedding,
-                         sqdist_histogram=hist)
-
+                         sqdist_histogram=hist, stride=stride)

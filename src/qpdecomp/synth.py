@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_memory
 from .series import TimeSeries
 
 TWO_PI = 2.0 * np.pi
@@ -90,6 +90,9 @@ def simulate(system: SkewProductSystem, n_steps: int, dt: float,
 
     Raises
     ------
+    DataError
+        If the step index, phases and driven state of ``n_steps`` steps
+        exceed the memory available, before they are allocated.
     NumericalError
         If the driven state leaves the finite range, reporting the step.
     """
@@ -97,9 +100,12 @@ def simulate(system: SkewProductSystem, n_steps: int, dt: float,
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
     if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
+    m = len(system.x0)
+    check_memory(n_steps * (1 + system.driver.dim + m) * 8,
+                 f"{n_steps} steps of a {system.driver.dim}-torus driving "
+                 f"{m} states")
     rng = np.random.default_rng(seed)
     theta = system.driver.phases(n_steps, dt)
-    m = len(system.x0)
     x = np.empty((n_steps, m))
     x[0] = system.x0
     for i in range(n_steps - 1):

@@ -13,6 +13,7 @@ import pytest
 
 import qpdecomp
 from qpdecomp.cli import main
+from qpdecomp.decompose import load_model
 from qpdecomp.series import load_csv
 
 SRC = str(Path(qpdecomp.__file__).resolve().parents[1])
@@ -164,6 +165,8 @@ BAD_CSV = {
             "gap of 16 s after sample 2 exceeds max gap 10 s"),
     "dt_over_span": ({}, ["--dt-seconds", "5000"],
                      "dt=5000.0 exceeds total span 5.0"),
+    "repeated_column": ({1: "time,ch0,ch1,ch1"}, [],
+                        "the header names column 'ch1' 2 times"),
 }
 # (flag, name, the file's text or bytes, or None for no file, the message
 # after the path).  A manifest skips unknown keys, which earlier versions
@@ -182,11 +185,12 @@ MODEL_ARRAYS = {"format": ("str", 1), "train_values": ("float", 2),
                 "train_dt": ("float", 0), "train_t0": ("float", 0),
                 "channel_names": ("str", 1), "train_hash": ("str", 1),
                 "q": ("int", 0), "epsilon": ("float", 0),
-                "omegas": ("float", 1), "A": ("complex", 2),
-                "M": ("float", 2)}
+                "stride": ("int", 0), "omegas": ("float", 1),
+                "A": ("complex", 2), "M": ("float", 2)}
 # the arrays whose shape save_model fixes: load_model rejects any other shape
 # of them itself, naming the array
-FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "q", "epsilon"}
+FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "q", "epsilon",
+               "stride"}
 
 
 def with_array(name, change=None):
@@ -225,15 +229,20 @@ def bad_models():
                     "model zero-frequency coefficient is not real"),
         "epsilon_zero": (with_array("epsilon", lambda a: 0.0 * a),
                          "model epsilon 0.0 is not positive and finite"),
+        "stride_zero": (with_array("stride", lambda a: 0 * a),
+                        "model stride 0 is not a positive integer"),
+        "stride_other": (with_array("stride", lambda a: a + 1),
+                         r"model A .+ and M .+ do not match .+ reference "
+                         r"points and 3 channels"),
         "train_values_edited": (with_array("train_values", lambda a: a + 1),
                                 "training data does not match its stored "
                                 "hash"),
     }
-    for fmt in ("qpdecomp-model-1", "qpdecomp-model-2"):
+    for fmt in ("qpdecomp-model-1", "qpdecomp-model-2", "qpdecomp-model-3"):
         rows[f"format_{fmt[-1]}"] = (
             with_array("format", lambda a, fmt=fmt: np.array([fmt])),
             re.escape(f"model format '{fmt}' is not readable; re-run "
-                      f"`qpdecomp decompose` to write a 'qpdecomp-model-3' "
+                      f"`qpdecomp decompose` to write a 'qpdecomp-model-4' "
                       f"file"))
     for name, (kind, ndim) in MODEL_ARRAYS.items():
         rows[f"{name}_missing"] = (with_array(name),
@@ -380,6 +389,14 @@ class TestSynthCommand:
                       "--out", tmp_path / "x.csv"], tmp_path, capsys, 2,
                      "qpdecomp: ConfigError: .+")
 
+    def test_oversized_step_count_exits_3(self, tmp_path, capsys):
+        # refused by the memory check before anything is allocated
+        assert_fails(["synth", "--testbed", "pure_torus_2", "--steps",
+                      10**12, "--out", tmp_path / "x.csv"], tmp_path, capsys,
+                     3, r"qpdecomp: DataError: 1000000000000 steps of a "
+                        r"2-torus driving 1 states need \d+ MB, but only "
+                        r"\d+ MB of memory is available")
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (a, b):
@@ -493,6 +510,16 @@ class TestDecomposeReconstructPredict:
             "window, and the input ends before the prediction does\n")
         assert pred.read_text().splitlines()[0] == \
             "time_s,pred_ch0,pred_ch1,pred_ch2"
+
+    def test_oversized_step_count_exits_3(self, model_file, synth_csv,
+                                          tmp_path, capsys):
+        # refused by the memory check before the free run allocates
+        assert_fails(["predict", "--model", model_file, "--input",
+                      synth_csv[0], "--init-at", "620", "--steps", 10**12,
+                      "--out", tmp_path / "p.csv"], tmp_path, capsys, 3,
+                     r"qpdecomp: DataError: .+: 1000000000000 steps of 3 "
+                     r"channels need \d+ MB, but only \d+ MB of memory is "
+                     r"available")
 
     def test_predict_rejects_irregular_input(self, model_file, synth_csv,
                                              tmp_path, capsys):
@@ -1023,6 +1050,36 @@ class TestRunCommand:
             assert run_cli(args) == 0
             assert_same_artifacts(fitted_run, outdir)
 
+    def test_reference_set_past_2048_rows(self, tmp_path):
+        # 2200 training samples, 6 delays: N = 2194 rows.  The default takes
+        # every second delay vector and records M = 1097 in the manifest;
+        # --reference-points N, and a manifest written before the key
+        # existed, take every row.  Each manifest re-runs to its bytes.
+        src = tmp_path / "torus.csv"
+        assert run_cli(["synth", "--testbed", "pure_torus_2", "--steps",
+                        "2400", "--out", src]) == 0
+        flags = ["--input", src, "--delays", "6", "--num-eigen", "40",
+                 "--L0", "8", "--train-end", "2200", "--predict-start",
+                 "2220", "--predict-end", "2300"]
+        for name, extra, m in [("default", [], 1097),
+                               ("all", ["--reference-points", "2194"], 2194)]:
+            outdir = tmp_path / name
+            assert run_cli(["run", *flags, *extra, "--outdir", outdir]) == 0
+            lines = (outdir / "manifest.txt").read_text().splitlines()
+            assert f"reference_points = {m}" in lines
+            assert load_model(outdir / "model.npz").m == m
+            rerun = tmp_path / f"{name}-rerun"
+            assert run_cli(["run", "--manifest", outdir / "manifest.txt",
+                            "--outdir", rerun]) == 0
+            assert_same_artifacts(outdir, rerun)
+        earlier = tmp_path / "earlier_manifest.txt"
+        earlier.write_text("".join(
+            f"{line}\n" for line in lines
+            if not line.startswith("reference_points")))
+        assert run_cli(["run", "--manifest", earlier, "--outdir",
+                        tmp_path / "earlier"]) == 0
+        assert_same_artifacts(tmp_path / "all", tmp_path / "earlier")
+
     @pytest.mark.parametrize("flag, content, what", [
         pytest.param(flag, content, what, id=f"{flag[2:]}-{name}")
         for flag, name, content, what in BAD_CONFIGS])
@@ -1084,9 +1141,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["decompose", "run"])
     def test_byte_budget_exit_code(self, synth_csv, tmp_path, monkeypatch,
                                    capsys, command):
-        import qpdecomp.spectral
+        import qpdecomp.errors
 
-        monkeypatch.setattr(qpdecomp.spectral, "_available_bytes",
+        monkeypatch.setattr(qpdecomp.errors, "_available_bytes",
                             lambda: 1_000_000)
         assert run_cli(command_args(command, synth_csv[0], None,
                                     tmp_path / "out")) == 3

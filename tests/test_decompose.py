@@ -149,15 +149,16 @@ def sum_of_extension_bounds(basis, E):
     return float((np.linalg.norm(E, axis=1) * ext).sum())
 
 
-def fit_torus(n, q):
-    """Eigenbasis of a bin-exact 2-torus series with q delays, the model
-    fitted end to end on it, its periodic fit, and the series."""
+def fit_torus(n, q, stride=1):
+    """Eigenbasis of a bin-exact 2-torus series with q delays against every
+    ``stride``-th point, the model fitted end to end on it, its periodic
+    fit, and the series."""
     n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
     eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
-    basis = decompose(emb, eps, 40)
+    basis = decompose(emb, eps, 40, stride)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
@@ -563,13 +564,15 @@ class TestSlidingProducts:
     def cases(self, fitted_torus):
         basis, model, _, s = fitted_torus
         basis0, model0, _, s0 = fit_torus(515, 0)
+        basis3, model3, _, s3 = fit_torus(515, 3, stride=3)
         return {
             "torus": (model, s),
             "q0": (with_random_chaos(basis0, model0), s0),
             "chaotic": (with_random_chaos(basis, model), s),
+            "strided": (with_random_chaos(basis3, model3), s3),
         }
 
-    @pytest.mark.parametrize("case", ["torus", "q0", "chaotic"])
+    @pytest.mark.parametrize("case", ["torus", "q0", "chaotic", "strided"])
     def test_matches_gemv_oracle(self, cases, case):
         model, s = cases[case]
         q = model.q
@@ -595,7 +598,7 @@ class TestSlidingProducts:
         got = reconstruct(model, init, steps, t_start)
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("case", ["torus", "q0", "chaotic"])
+    @pytest.mark.parametrize("case", ["torus", "q0", "chaotic", "strided"])
     def test_recompute_steps_equal_the_evaluators(self, cases, case):
         # steps 0 and 256 recompute the log-weights: there the free run is
         # eval_periodic + eval_chaotic of its window, bit for bit
@@ -755,6 +758,74 @@ class TestModelRoundTrip:
             tracemalloc.stop()
         n_pts = n - q
         assert peak < n_pts * n_pts * 8 / 4, f"peak {peak} bytes"
+
+
+class TestReferenceModel:
+    """A model on a basis against every third point: M rows of M, the
+    training points slid, the references weighed."""
+
+    @pytest.fixture(scope="class")
+    def strided(self):
+        basis, model, pfit, s = fit_torus(515, 3, stride=3)
+        return basis, with_random_chaos(basis, model), s
+
+    def test_one_row_of_m_per_reference(self, strided):
+        basis, model, _ = strided
+        assert model.stride == 3 and model.n == 512
+        assert model.m == 171 == len(basis.q)
+        np.testing.assert_array_equal(model.references,
+                                      model.embedding.points[::3])
+        np.testing.assert_array_equal(model.sq_ref, model.sq[::3])
+        with pytest.raises(DataError, match="171 reference points"):
+            replace(model, M=np.vstack([model.M, model.M[:1]]))
+        with pytest.raises(DataError, match="stride 0"):
+            replace(model, stride=0)
+
+    def test_in_sample_is_phi_e(self, strided):
+        # the Nystrom map over the references gives Phi @ E on all N rows
+        basis, model, _ = strided
+        E = random_chaos(basis, model.k)
+        got = eval_chaotic(model, model.embedding.points)
+        want = synthesize(basis, E)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_free_run_within_the_bound(self, strided):
+        _, model, s = strided
+        q = model.q
+        init = state_before(s, q + 1, q)
+        run = reconstruct(model, init, 600, (q + 1) * model.dt)
+        bound = periodic_sup_bound(model) + chaotic_sup_bound(model)
+        assert np.linalg.norm(run.values, axis=1).max() <= bound
+        chaos = run.values - eval_periodic(model, (q + 1) * model.dt, 600)
+        c = np.sqrt(model.m) * np.linalg.norm(model.M, axis=1).max()
+        assert chaotic_sup_bound(model) == c
+        assert np.linalg.norm(chaos, axis=1).max() <= c * (1 + 1e-12)
+
+    def test_round_trip_keeps_the_stride(self, strided, tmp_path):
+        _, model, s = strided
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.stride == 3
+        np.testing.assert_array_equal(back.M, model.M)
+        init = state_before(s, model.q + 1, model.q)
+        np.testing.assert_array_equal(
+            reconstruct(back, init, 300, 0.0).values,
+            reconstruct(model, init, 300, 0.0).values)
+
+    def test_step_count_over_budget_allocates_nothing(self, torus_model):
+        model, _, s = torus_model
+        init = state_before(s, model.q + 1, model.q)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="1000000000000 steps of 3 "
+                                                "channels need .+ MB of "
+                                                "memory is available"):
+                reconstruct(model, init, 10**12, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"peak {peak} bytes"
 
 
 class TestStateBefore:

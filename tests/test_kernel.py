@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qpdecomp.errors as errors_module
 import qpdecomp.kernel as kernel_module
 import qpdecomp.spectral as spectral_module
 from qpdecomp import (
@@ -164,7 +165,7 @@ class TestGaussianKernel:
         # Ktilde and its Gram matrix before the kernel is called
         n = 1500
         emb = embed_points(np.random.default_rng(8).standard_normal((n, 2)))
-        monkeypatch.setattr(spectral_module, "_available_bytes",
+        monkeypatch.setattr(errors_module, "_available_bytes",
                             lambda: 1_000_000)
         tracemalloc.start()
         try:
@@ -176,7 +177,7 @@ class TestGaussianKernel:
         assert peak < n * n * 8 / 100, f"peak {peak} bytes"
 
     def test_available_bytes_is_positive(self):
-        avail = spectral_module._available_bytes()
+        avail = errors_module._available_bytes()
         assert avail is None or avail > 0
 
     def test_fewer_than_two_points(self):
@@ -291,3 +292,156 @@ def test_sqdist_quantile_matches_triu_oracle():
 def test_sqdist_quantile_needs_two_points():
     with pytest.raises(DataError, match="at least two points"):
         sqdist_quantile(pairwise_sqdist(embed_points([[1.0, 2.0]])), 0.5)
+
+
+def reference_kernel_oracle(pts, stride, eps):
+    """The reference-set kernel from its defining formulas, with exact
+    differences and whole-matrix temporaries.  Returns (Ktilde, q, refs)."""
+    refs = pts[::stride]
+    n, m = len(pts), len(refs)
+    diff = pts[:, None, :] - refs[None, :, :]
+    K = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / eps)
+    d = K.mean(axis=1)
+    q = (K / d[:, None]).mean(axis=0)
+    return K / (np.sqrt(n * m) * d[:, None] * np.sqrt(q)[None, :]), q, refs
+
+
+def brute_sqdist_to(pts, refs):
+    diff = pts[:, None, :] - refs[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestReferenceSet:
+    """The kernel against every s-th point: N x M, never N x N."""
+
+    @pytest.mark.parametrize("n, setting, stride", [
+        (4076, 0, 2), (2048, 0, 1), (2049, 0, 2), (16364, 0, 8),
+        (4076, 4076, 1), (4076, 10**9, 1), (4076, 1019, 4), (10, 3, 4),
+    ])
+    def test_stride_rule(self, n, setting, stride):
+        assert kernel_module.reference_stride(n, setting) == stride
+
+    def test_recorded_count_gives_the_stride_again(self):
+        # a manifest records M = ceil(N / s); reading it back asks for s
+        for n in range(1, 400):
+            for setting in range(0, n + 2):
+                s = kernel_module.reference_stride(n, setting)
+                m = len(range(0, n, s))
+                assert kernel_module.reference_stride(n, m) == s
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DataError, match="reference_points"):
+            kernel_module.reference_stride(10, -1)
+
+    @pytest.mark.parametrize("n, dim, stride, seed", [
+        (300, 5, 2, 1),
+        (RAGGED_ROWS, 3, 3, 3),
+        (WHOLE_BLOCK_ROWS, 21, 7, 2),
+    ])
+    def test_matches_the_defining_formulas(self, n, dim, stride, seed):
+        pts = np.random.default_rng(seed).standard_normal((n, dim))
+        kt, eps, q, _ = gaussian_kernel(embed_points(pts), 2.5, stride)
+        want_kt, want_q, refs = reference_kernel_oracle(pts, stride, 2.5)
+        assert kt.shape == (n, len(refs)) and eps == 2.5
+        np.testing.assert_allclose(q, want_q, rtol=1e-12)
+        np.testing.assert_allclose(kt, want_kt, rtol=1e-12, atol=0)
+
+    def test_p_is_row_stochastic(self):
+        pts = np.random.default_rng(5).standard_normal((RAGGED_ROWS, 4))
+        kt = gaussian_kernel(embed_points(pts), 3.0, 4)[0]
+        rows = kt @ (kt.T @ np.ones(RAGGED_ROWS))
+        assert np.abs(rows - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, stride", [(RAGGED_ROWS, 3), (300, 2)])
+    def test_histogram_and_bandwidth_from_the_n_by_m_pairs(self, n, stride):
+        # both diagnostics take the N M - M distances of a point and a
+        # reference other than itself; those of every pair of references
+        # alone would miss every lag that is not a multiple of the stride
+        pts = np.random.default_rng(6).standard_normal((n, 4))
+        refs = pts[::stride]
+        m = len(refs)
+        d2 = brute_sqdist_to(pts, refs)
+        own = np.arange(m) * stride
+        keep = np.ones((n, m), dtype=bool)
+        keep[own, np.arange(m)] = False
+        pairs = d2[keep]
+        _, eps, _, (counts, edges) = gaussian_kernel(embed_points(pts), 0,
+                                                     stride)
+        np.testing.assert_allclose(eps, np.quantile(pairs, 0.01), rtol=1e-12)
+        want_counts, want_edges = np.histogram(pairs, bins=64)
+        assert counts.sum() == n * m - m
+        assert np.abs(counts - want_counts).sum() <= 2
+        np.testing.assert_allclose(edges, want_edges, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, dim, stride, points", [
+        (300, 5, 2, "normal"), (RAGGED_ROWS, 3, 3, "normal"),
+        (WHOLE_BLOCK_ROWS, 2, 64, "normal"),
+        (RAGGED_ROWS, 3, 3, "outlier"),     # the histograms must zoom in
+        (RAGGED_ROWS, 4, 2, "ties"),        # integer distances, many equal
+    ])
+    def test_quantile_and_histogram_are_numpys_of_the_pairs(self, n, dim,
+                                                            stride, points):
+        # bit for bit against np.quantile and np.histogram of the copied
+        # pairs of the same distance matrix, zero distances included
+        rng = np.random.default_rng(dim)
+        pts = (rng.integers(0, 3, (n, dim)).astype(float) if points == "ties"
+               else rng.standard_normal((n, dim)))
+        pts[n // 2] = pts[0]            # a zero distance that is a pair
+        pts[n // 3] = pts[n // 5]
+        if points == "outlier":
+            pts[7] = 1e7
+        refs = np.ascontiguousarray(pts[::stride])
+        d2 = kernel_module._sqdist(pts, refs)
+        np.fill_diagonal(d2[::stride], 0.0)
+        m = len(refs)
+        keep = np.ones(d2.shape, dtype=bool)
+        keep[np.arange(m) * stride, np.arange(m)] = False
+        pairs = d2[keep]
+        for quantile in (0.0, 1e-6, 0.01, 0.37, 0.5, 0.999, 1.0):
+            got = sqdist_quantile(d2, quantile, stride)
+            assert got == np.quantile(pairs, quantile), quantile
+        counts, edges = sqdist_histogram(d2, stride=stride)
+        want_counts, want_edges = np.histogram(pairs, bins=64)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(edges, want_edges)
+
+    def test_far_outlier_copies_little(self):
+        # one point 1e6 away puts every other distance into the first bin
+        # of the range; the zoomed histograms keep the copy under M^2
+        n, stride = 3000, 4
+        m = n // stride
+        pts = np.random.default_rng(3).standard_normal((n, 5))
+        pts[1] = 1e6
+        d2 = kernel_module._sqdist(pts, np.ascontiguousarray(pts[::stride]))
+        np.fill_diagonal(d2[::stride], 0.0)
+        tracemalloc.start()
+        try:
+            sqdist_quantile(d2, 0.01, stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * m * 8, f"peak {peak / (m * m * 8):.2f} M^2"
+
+    def test_peak_allocation_is_n_by_m(self):
+        # the N x M kernel, and before it the references' M x M distances
+        # with the quantile's copy, inside the N M + M^2 budget
+        n, stride = 3000, 4
+        m = n // stride
+        emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
+        tracemalloc.start()
+        try:
+            kt, eps, _, _ = gaussian_kernel(emb, 0, stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kt.shape == (n, m) and eps > 0
+        assert peak <= (n * m + m * m) * 8, f"peak {peak / (n * m * 8):.2f} NM"
+
+    def test_stride_below_one_rejected(self):
+        with pytest.raises(DataError, match="stride"):
+            gaussian_kernel(embed_points(np.eye(4)), 1.0, 0)
+
+    def test_one_reference_gives_the_constant(self):
+        # Kt Kt^T = 1/N everywhere: the chain jumps to any point alike
+        kt = gaussian_kernel(embed_points(np.eye(4)), 1.0, 4)[0]
+        np.testing.assert_allclose(kt, np.full((4, 1), 0.5), rtol=1e-15)

@@ -381,8 +381,9 @@ class TestConfigParsing:
 NON_DEFAULT = dict(
     input="/data/in.csv", outdir="/data/out", timestamp_column="stamp",
     channels=("a", "b"), dt_seconds=120.0, max_gap_factor=4.5, delays=7,
-    epsilon=0.25, num_eigen=50, eps1=0.2, eps2=3.5, L0=12,
-    train_end=900, predict_start=950, predict_end=1000, ma_windows=(2, 5),
+    epsilon=0.25, reference_points=300, num_eigen=50, eps1=0.2, eps2=3.5,
+    L0=12, train_end=900, predict_start=950, predict_end=1000,
+    ma_windows=(2, 5),
 )
 
 

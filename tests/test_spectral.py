@@ -286,3 +286,73 @@ class TestProjectSynthesize:
         with pytest.raises(DataError):
             fit_chaotic(np.ones(blob_basis.n + 1), blob_basis)
 
+
+
+class TestReferenceBasis:
+    """The basis against every s-th point: an M x M eigenproblem whose
+    eigenfunctions keep all N rows."""
+
+    N, STRIDE, L = 600, 3, 40
+
+    @pytest.fixture(scope="class")
+    def strided(self):
+        pts = np.random.default_rng(9).standard_normal((self.N, 5))
+        emb = embed_points(pts)
+        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        return decompose(emb, eps, self.L, self.STRIDE)
+
+    def test_leading_pair(self, strided):
+        assert abs(strided.lam[0] - 1.0) <= 1e-10
+        phi1 = strided.Phi[:, 0]
+        assert phi1.std() / abs(phi1.mean()) <= 1e-8
+
+    def test_phi_orthonormal_over_all_rows(self, strided):
+        m = len(range(0, self.N, self.STRIDE))
+        assert strided.Phi.shape == (self.N, self.L)
+        assert strided.Gamma.shape == (m, self.L) and strided.q.shape == (m,)
+        assert strided.stride == self.STRIDE
+        gram = strided.Phi.T @ strided.Phi / self.N
+        assert np.abs(gram - np.eye(self.L)).max() <= 1e-8
+        gram = strided.Gamma.T @ strided.Gamma
+        assert np.abs(gram - np.eye(self.L)).max() <= 1e-8
+
+    def test_dense_svd_oracle(self, strided):
+        import scipy.linalg
+
+        kt = gaussian_kernel(strided.embedding, strided.epsilon,
+                             self.STRIDE)[0]
+        u, s, _ = np.linalg.svd(kt, full_matrices=False)
+        rel = np.abs(strided.sigma - s[:self.L]) / s[:self.L]
+        assert rel.max() <= 1e-10
+        angles = scipy.linalg.subspace_angles(u[:, :self.L],
+                                              strided.Phi / np.sqrt(self.N))
+        assert angles.max() <= 1e-8
+
+    def test_extension_over_the_references_reproduces_phi(self, strided):
+        # sqrt(M) * sum_j K_ij Gamma_jl / sqrt(q_j) / sum_j K_ij / sigma_l,
+        # over the M references only, is Phi on every one of the N rows
+        pts = strided.embedding.points
+        refs = pts[::self.STRIDE]
+        diff = pts[:, None, :] - refs[None, :, :]
+        K = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / strided.epsilon)
+        c = strided.Gamma / np.sqrt(strided.q)[:, None]
+        ext = np.sqrt(len(refs)) * (K @ c) / K.sum(axis=1)[:, None]
+        ext /= strided.sigma[None, :]
+        scale = np.abs(strided.Phi).max(axis=0)
+        assert (np.abs(ext - strided.Phi) / scale).max() <= 1e-8
+
+    def test_L_beyond_the_references(self):
+        emb = embed_points(np.random.default_rng(3).standard_normal((50, 3)))
+        with pytest.raises(DataError, match=r"L=26 out of range 1\.\.25 "
+                                            r"\(25 reference points of 50\)"):
+            decompose(emb, 1.0, 26, 2)
+
+    def test_budget_is_n_m_plus_m_squared(self, monkeypatch):
+        import qpdecomp.errors as errors_module
+
+        emb = embed_points(np.random.default_rng(8).standard_normal((1500, 2)))
+        monkeypatch.setattr(errors_module, "_available_bytes",
+                            lambda: 1_000_000)
+        # (1500 * 500 + 500^2) * 8 bytes
+        with pytest.raises(DataError, match=r"need 8 MB, but only 1 MB"):
+            decompose(emb, 1.0, 10, 3)
