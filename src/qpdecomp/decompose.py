@@ -89,7 +89,7 @@ class QPModel:
     embedded points; ``sq``, their squared row norms, is derived from it.
     Every ``stride``-th point is a reference point; ``references`` and
     ``sq_ref``, their rows and squared norms, are derived too (at stride 1,
-    the points and ``sq`` themselves).  ``M`` (one row per reference point
+    views of the points and ``sq``).  ``M`` (one row per reference point
     x k) maps shifted kernel weights to the chaotic component; build it
     from a basis with :meth:`from_basis`; ``rows``, the C-ordered
     ``[sqrt(M) M^T; 1]`` of :func:`kernel_average`, is derived from it.
@@ -131,10 +131,8 @@ class QPModel:
         pts = self.embedding.points
         sq = np.einsum("ij,ij->i", pts, pts)
         object.__setattr__(self, "sq", sq)
-        object.__setattr__(self, "references",
-                           pts if s == 1 else np.ascontiguousarray(pts[::s]))
-        object.__setattr__(self, "sq_ref",
-                           sq if s == 1 else np.ascontiguousarray(sq[::s]))
+        object.__setattr__(self, "references", np.ascontiguousarray(pts[::s]))
+        object.__setattr__(self, "sq_ref", np.ascontiguousarray(sq[::s]))
         rows = np.empty((k + 1, m))
         rows[:k] = np.sqrt(m) * self.M.T
         rows[k] = 1.0
@@ -393,8 +391,7 @@ def reconstruct(model: QPModel, init, n_steps: int,
         z = buf[_BLOCK_ROWS - j:_BLOCK_ROWS - j + n]
         if j == 0:
             log_weights(points, sq, eps, state, out=z)
-            if s > 1:
-                z[::s] = log_weights(refs, model.sq_ref, eps, state)
+            z[::s] = log_weights(refs, model.sq_ref, eps, state)
         else:
             z[1:] += shift @ slide
             z[0] = (2.0 * (points[0] @ state) - sq[0]) / eps

@@ -34,8 +34,8 @@ EPSILON_QUANTILE = 0.01
 # reference_points = 0 takes every s-th delay vector with s = ceil(N / 2048),
 # so that at most 2048 references are kept and all N when N <= 2048
 REFERENCE_CAP = 2048
-# bins of each histogram that locates a quantile of the pairs' distances,
-# and the most histograms it takes
+# bins of each histogram that narrows down a quantile of the pairs'
+# distances, and the most of them it takes
 _SELECT_BINS = 4096
 _ZOOMS = 4
 # rows per block of the in-place passes; each block temporary is
@@ -64,10 +64,11 @@ def reference_stride(n: int, reference_points: int = 0) -> int:
 def _sqdist(pts, refs):
     """(len(pts), len(refs)) squared distances ``(sq_i + sq_j) - 2 g_ij``,
     formed in the one array of the products g and then in place, one row
-    block at a time.  When refs is pts, numpy forms ``pts @ pts.T`` as a
-    symmetric rank-k product, whose two triangles are copies."""
+    block at a time.  When refs views the memory of pts, as ``pts[::1]``
+    does, numpy forms ``pts @ refs.T`` as a symmetric rank-k product, whose
+    two triangles are copies."""
     sq = np.einsum("ij,ij->i", pts, pts)
-    sq_ref = sq if refs is pts else np.einsum("ij,ij->i", refs, refs)
+    sq_ref = np.einsum("ij,ij->i", refs, refs)
     d2 = pts @ refs.T
     for a, b in _row_blocks(len(d2)):
         blk = d2[a:b]
@@ -104,70 +105,54 @@ def pairwise_sqdist(embedding: DelayEmbedding) -> np.ndarray:
     return d2
 
 
-def _upper_triangle_blocks(d2):
-    # the strictly upper triangle of a symmetric matrix, per row block: the
-    # triangle inside the diagonal block, then the rectangle right of it
-    upper = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
-    for a, b in _row_blocks(len(d2)):
-        yield d2[a:b, a:b][upper[:b - a, :b - a]]
-        if b < len(d2):
-            yield d2[a:b, b:]
-
-
-def _pair_blocks(d2, stride):
-    """The squared distances of distinct pairs, one row block at a time: at
-    stride 1 the strictly upper triangle of the symmetric N x N ``d2``; at
-    a larger stride every entry of the N x M ``d2`` but the M of a point
-    with itself as a reference, (i, i / stride) for i a multiple of it."""
-    if stride == 1:
-        yield from _upper_triangle_blocks(d2)
-        return
-    for a, b in _row_blocks(len(d2)):
-        own = np.arange(-(-a // stride) * stride, b, stride)
-        keep = np.ones((b - a, d2.shape[1]), dtype=bool)
-        keep[own - a, own // stride] = False
-        yield d2[a:b][keep]
+def _multiplicity(stride):
+    # the entries of d2 per pair: two at stride 1, where d2 is symmetric
+    return 2 if stride == 1 else 1
 
 
 def _count_pairs(d2, stride):
-    n = len(d2)
-    count = n * (n - 1) // 2 if stride == 1 else d2.size - d2.shape[1]
+    count = (d2.size - d2.shape[1]) // _multiplicity(stride)
     if count < 1:
         raise DataError("need at least two points")
     return count
 
 
-def _pair_range(d2, stride):
-    lo, hi = np.inf, -np.inf
-    for blk in _pair_blocks(d2, stride):
-        if blk.size:
-            lo, hi = min(lo, blk.min()), max(hi, blk.max())
-    return lo, hi
+def _pair_range(d2):
+    # the least pair is 0 when more entries are 0 than the M self entries,
+    # and otherwise the least positive entry
+    lo, hi, zeros = np.inf, 0.0, 0
+    for a, b in _row_blocks(len(d2)):
+        blk = d2[a:b]
+        hi = max(hi, blk.max())
+        zeros += blk.size - np.count_nonzero(blk)
+        lo = min(lo, blk.min(where=blk > 0, initial=np.inf))
+    return (0.0 if zeros > d2.shape[1] else lo), hi
 
 
 def _pair_histogram(d2, stride, bins, lo, hi):
-    # the pairs' distances in [lo, hi], counted per row block
+    # np.histogram bins each value on its own: that of all entries less
+    # that of the M self zeros (in whichever bin holds 0), per pair
     counts = 0
-    for blk in _pair_blocks(d2, stride):
-        part, edges = np.histogram(blk, bins=bins, range=(lo, hi))
+    for a, b in _row_blocks(len(d2)):
+        part, edges = np.histogram(d2[a:b], bins=bins, range=(lo, hi))
         counts = counts + part
-    return counts, edges
+    own = np.histogram(np.zeros(d2.shape[1]), bins=bins, range=(lo, hi))[0]
+    return (counts - own) // _multiplicity(stride), edges
 
 
 def sqdist_histogram(d2, bins: int = 64, stride: int = 1):
     """Histogram ``(counts, edges)`` of the squared distances of distinct
-    pairs.
+    pairs, ``np.histogram``'s of them bit for bit (at stride 1, of
+    ``d2[np.triu_indices(n, 1)]``) without a copy of them.
 
-    ``d2`` is the symmetric N x N distance matrix of :func:`pairwise_sqdist`
-    at ``stride`` 1, and otherwise the N x M distances of the points to
-    every ``stride``-th of them, those of a point to itself exactly 0.
-    Equals ``np.histogram`` of the pairs' distances bit for bit (at stride
-    1, of ``d2[np.triu_indices(n, 1)]``) without that copy: the range is
-    fixed from the same min and max, and the counts, which are per element,
-    are summed over row blocks.
+    ``d2``, which is only read, is the symmetric N x N distance matrix of
+    :func:`pairwise_sqdist` at ``stride`` 1, and otherwise the N x M
+    distances of the points to every ``stride``-th of them.  Every entry
+    but the M self entries, the diagonal of ``d2[::stride]`` and exactly
+    0, is a pair: each pair twice at stride 1.
     """
     _count_pairs(d2, stride)
-    return _pair_histogram(d2, stride, bins, *_pair_range(d2, stride))
+    return _pair_histogram(d2, stride, bins, *_pair_range(d2))
 
 
 def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
@@ -187,9 +172,10 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
     (after the histogram, and for ``epsilon = 0`` the bandwidth, are taken)
     ``K = exp(-d2 / epsilon)`` in place, then Ktilde in place.  K and the
     degree vector d are not kept.  The distance of a point to itself as a
-    reference is exactly 0.  The derived bandwidth copies about 1% of the
-    distances, and frees them before the ``exp``.  :func:`spectral.decompose`
-    checks the memory this and its Gram matrix need before it calls here.
+    reference is exactly 0.  The derived bandwidth copies the distances in
+    the histogram's bins that hold it, about 1% of the pairs (twice at
+    stride 1), and frees them before the ``exp``.  :func:`spectral.decompose`
+    checks the memory this and the eigensolve need before it calls here.
 
     Parameters
     ----------
@@ -208,13 +194,13 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     pts = _points(embedding)
-    refs = pts if stride == 1 else np.ascontiguousarray(pts[::stride])
+    refs = np.ascontiguousarray(pts[::stride])
     n, m = len(pts), len(refs)
     K = _sqdist(pts, refs)
     np.fill_diagonal(K[::stride], 0.0)
     hist = sqdist_histogram(K, stride=stride)
     if epsilon == 0:
-        epsilon = sqdist_quantile(K, EPSILON_QUANTILE, stride)
+        epsilon = sqdist_quantile(K, EPSILON_QUANTILE, stride, hist)
         if epsilon == 0:
             raise DataError(
                 f"the {EPSILON_QUANTILE:.0%} quantile of the squared delay "
@@ -243,52 +229,65 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
     return K, float(epsilon), q, hist
 
 
-def sqdist_quantile(d2, quantile: float, stride: int = 1) -> float:
+def sqdist_quantile(d2, quantile: float, stride: int = 1,
+                    hist=None) -> float:
     """Quantile of the squared distances of distinct pairs, as
     :func:`sqdist_histogram` takes them from ``d2`` at ``stride``.
 
     Equals ``np.quantile`` of those distances (its default, linear method)
     bit for bit, without a copy of them all: see
-    :func:`_order_statistics`.
+    :func:`_order_statistics`.  ``hist`` is ``sqdist_histogram(d2,
+    stride=stride)`` when that is already counted.  ``d2`` is only read.
     """
     n = _count_pairs(d2, stride)
     # numpy's linear method: the order statistics k and k + 1 around the
     # virtual index (n - 1) * quantile, interpolated as numpy's _lerp does
     virtual = (n - 1) * quantile
-    if virtual >= n - 1:
-        return float(_pair_range(d2, stride)[1])
     k = int(np.floor(virtual))
-    a, b = _order_statistics(d2, stride, k)
+    a, b = _order_statistics(d2, stride, (k, min(k + 1, n - 1)),
+                             hist or sqdist_histogram(d2, stride=stride))
     gamma = virtual - k
     diff = b - a
     return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
-def _order_statistics(d2, stride, k):
-    """The pairs' distances of ranks k and k + 1, from 0.
+def _in_bins(x, lo, hi, last):
+    # np.histogram's bins from edge lo to edge hi: hi is in them only when
+    # it is the last edge
+    return (x >= lo) & ((x <= hi) if last else (x < hi))
 
-    A 4096-bin histogram over the pairs' range locates the bins that hold
-    the two; while more than M^2 distances (M = d2.shape[1]) share those
-    bins, as when a far outlier stretches the range, another histogram
-    over just those bins narrows them, at most ``_ZOOMS`` times.  Only the
-    distances left in the range are copied and partitioned: about 1% of
-    the pairs for the 1% quantile, and at most M^2 unless they tie.
+
+def _order_statistics(d2, stride, ranks, hist):
+    """The pairs' distances of the two ``ranks``, from 0, in the bins of
+    ``hist``, the pairs' histogram, that hold them.
+
+    While those bins hold more than M^2 entries of ``d2``, as when a far
+    outlier stretches the range, a 4096-bin histogram over just them
+    narrows them, at most ``_ZOOMS`` times.  Only their entries are copied
+    and partitioned: each pair's, and first the M self zeros if 0 is in
+    them.  That is three passes over ``d2`` without a zoom.
     """
-    lo, hi = _pair_range(d2, stride)
+    m, c = d2.shape[1], _multiplicity(stride)
+    counts, edges = hist
     below = 0                   # pairs under lo
-    for _ in range(_ZOOMS):
-        counts, edges = _pair_histogram(d2, stride, _SELECT_BINS, lo, hi)
+    for zoom in range(_ZOOMS + 1):
         cum = below + np.cumsum(counts)
-        i, j = np.searchsorted(cum, [k + 1, k + 2])
+        i, j = np.searchsorted(cum, [ranks[0] + 1, ranks[1] + 1])
         if i:
             below = int(cum[i - 1])
-        lo, hi = edges[i], edges[j + 1]
-        if lo == hi or cum[j] - below <= d2.shape[1] ** 2:
+        lo, hi, last = edges[i], edges[j + 1], j + 2 == len(edges)
+        if lo == hi:
+            return lo, hi
+        own = m * bool(_in_bins(0.0, lo, hi, last))
+        size = c * int(cum[j] - below) + own
+        if size <= m * m or zoom == _ZOOMS:
             break
-    if lo == hi:
-        return lo, hi
-    # a distance equal to hi past bin j is above both wanted ones
-    kept = np.concatenate([blk[(blk >= lo) & (blk <= hi)]
-                           for blk in _pair_blocks(d2, stride)])
-    kept.partition([k - below, k + 1 - below])
-    return kept[k - below], kept[k + 1 - below]
+        counts, edges = _pair_histogram(d2, stride, _SELECT_BINS, lo, hi)
+    kept, at = np.empty(size), 0
+    for a, b in _row_blocks(len(d2)):
+        part = d2[a:b][_in_bins(d2[a:b], lo, hi, last)]
+        kept[at:at + len(part)] = part
+        at += len(part)
+    first, second = (own + c * (r - below) for r in ranks)
+    kept.partition([first, second])
+    return kept[first], kept[second]

@@ -126,13 +126,14 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     rounding whatever the subspace error.  The Gram matrix is built one way
     at every N and M: its upper triangle is summed in one Fortran-ordered
     M x M array by rank-256 BLAS ``syrk`` updates, one per block of 256 rows
-    of ``Ktilde``, and the eigensolver overwrites that array in place, so
-    the call holds at most Ktilde and the Gram matrix, ``N M + M^2``
-    float64 values (``2 N^2`` at stride 1), and returns neither.  The
-    result is deterministic.  Forming the Gram matrix squares the
-    conditioning, so eigenvalues close to the floor carry fewer correct
-    digits: on 400 random planar points the worst relative error was about
-    1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
+    of ``Ktilde``, and the eigensolver overwrites that array in place.  The
+    call holds at most Ktilde and the L eigenvectors V with either the Gram
+    matrix or ``Ktilde @ V``, ``N M + M L + max(M^2, N L)`` float64 values
+    (``2 N^2 + N L`` at stride 1), and returns none of them.  The result is
+    deterministic.  Forming the Gram matrix squares the conditioning, so
+    eigenvalues close to the floor carry fewer correct digits: on 400
+    random planar points the worst relative error was about 1e-10 at
+    ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
 
     Parameters
     ----------
@@ -151,9 +152,9 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     Raises
     ------
     DataError
-        When L is outside 1..M, or the ``N M + M^2`` float64 values exceed
-        the memory available; both are checked before anything N x M is
-        allocated.
+        When L is outside 1..M, or the ``N M + M L + max(M^2, N L)``
+        float64 values exceed the memory available; both are checked
+        before anything N x M is allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L"), as :class:`SpectralBasis` checks.
@@ -165,9 +166,10 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     if not (1 <= L <= m):
         refs = "" if m == n else f" ({m} reference points of {n})"
         raise DataError(f"L={L} out of range 1..{m}{refs}")
-    check_memory((n * m + m * m) * 8,
+    check_memory((n * m + m * L + max(m * m, n * L)) * 8,
                  f"{n} points against {m} reference points (the kernel and "
-                 f"its Gram matrix, N M + M^2 float64)")
+                 f"L eigenvectors with the Gram matrix or their product, "
+                 f"N M + M L + max(M^2, N L) float64)")
     # imported after the checks, as only the eigensolve needs scipy: loading
     # it costs about 0.35 s, which a forecast or a refused fit need not pay
     import scipy.linalg

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import re
 import resource
@@ -1317,3 +1318,30 @@ def test_module_invocation_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
 
+
+
+def test_predict_and_a_refused_fit_never_import_scipy(synth_csv, model_file,
+                                                      tmp_path):
+    # only the eigensolve needs scipy, and spectral.decompose imports it
+    # after its checks: a forecast and a fit those checks refuse (here L
+    # above the 594 rows) do not pay the import, in a fresh interpreter
+    script = ("import json, sys\n"
+              "from qpdecomp.cli import main\n"
+              "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "                                if m.split('.')[0] == 'scipy')]))\n")
+    commands = [
+        command_args("predict", synth_csv[0], model_file, tmp_path / "p.csv"),
+        [*command_args("run", synth_csv[0], None, tmp_path / "run"),
+         "--num-eigen", "1000"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         json.dumps([[str(a) for a in args] for args in commands])],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 3], proc.stderr
+    assert "L=1000 out of range 1..594" in proc.stderr
+    assert scipy_modules == []

@@ -85,6 +85,7 @@ class TestPairwiseSqdist:
         (60, 8, 1),
         (RAGGED_ROWS, 3, 2),    # ragged, across row blocks
         (1500, 21, 3),
+        (1500, 63, 4),
     ])
     def test_exact_symmetry_and_zero_diagonal(self, n, dim, seed):
         # no symmetrizing pass: the rank-k product and the commuting sum
@@ -93,6 +94,11 @@ class TestPairwiseSqdist:
         d2 = pairwise_sqdist(embed_points(pts))
         assert np.abs(d2 - d2.T).max() == 0.0
         assert np.abs(np.diagonal(d2)).max() == 0.0
+        # the kernel's references at stride 1, pts[::1], view the memory of
+        # pts, and numpy still forms the symmetric product
+        to_refs = kernel_module._sqdist(pts, pts[::1])
+        np.fill_diagonal(to_refs, 0.0)
+        assert np.array_equal(to_refs, d2)
 
 
 class TestGaussianKernel:
@@ -159,6 +165,18 @@ class TestGaussianKernel:
                               kernel_matrix(scaled, eps * 4.0))
         assert np.array_equal(gaussian_kernel(base, eps)[0],
                               gaussian_kernel(scaled, eps * 4.0)[0])
+
+    def test_byte_budget_counts_the_rayleigh_ritz_product(self, monkeypatch):
+        # at 3000 rows, stride 4 and L = 300, Ktilde with the Gram matrix is
+        # 22.5 MB and Ktilde with V and Ktilde @ V 27.0 MB: 25 MB refuses
+        # the fit before the kernel is built
+        emb = embed_points(np.random.default_rng(8).standard_normal((3000, 2)))
+        monkeypatch.setattr(errors_module, "_available_bytes",
+                            lambda: 25_000_000)
+        monkeypatch.setattr(spectral_module.kernel, "gaussian_kernel",
+                            lambda *args: pytest.fail("the kernel was built"))
+        with pytest.raises(DataError, match=r"need 27 MB.*only 25 MB"):
+            spectral_module.decompose(emb, 1.0, 300, stride=4)
 
     def test_byte_budget_refuses_before_allocating(self, monkeypatch):
         # spectral.decompose, which builds the kernel, checks the budget of
@@ -405,11 +423,11 @@ class TestReferenceSet:
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(edges, want_edges)
 
-    def test_far_outlier_copies_little(self):
+    @staticmethod
+    def outlier_quantile_peak(stride):
         # one point 1e6 away puts every other distance into the first bin
-        # of the range; the zoomed histograms keep the copy under M^2
-        n, stride = 3000, 4
-        m = n // stride
+        # of the range; returns the quantile's allocation peak and M
+        n = 3000
         pts = np.random.default_rng(3).standard_normal((n, 5))
         pts[1] = 1e6
         d2 = kernel_module._sqdist(pts, np.ascontiguousarray(pts[::stride]))
@@ -420,7 +438,64 @@ class TestReferenceSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, d2.shape[1]
+
+    def test_far_outlier_copies_little(self):
+        # the zoomed histograms keep the copy under M^2
+        peak, m = self.outlier_quantile_peak(4)
         assert peak <= m * m * 8, f"peak {peak / (m * m * 8):.2f} M^2"
+
+    def test_far_outlier_copies_little_at_stride_1(self):
+        # d2 holds each pair twice, and still the copy is at most M^2
+        # entries; a row block's selection and masks come on top
+        peak, m = self.outlier_quantile_peak(1)
+        bound = (m * m + 4 * kernel_module._BLOCK * m) * 8
+        assert peak <= bound, f"peak {peak / (m * m * 8):.3f} M^2"
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_equal_distances_below_one_half(self, stride):
+        # every pair 0.18 apart: np.histogram widens the empty range to
+        # [-0.32, 0.68], whose bins then hold the self zeros too
+        pts = np.eye(70) * 0.3
+        refs = np.ascontiguousarray(pts[::stride])
+        d2 = kernel_module._sqdist(pts, refs)
+        np.fill_diagonal(d2[::stride], 0.0)
+        pairs = (d2[np.triu_indices(70, 1)] if stride == 1
+                 else d2[d2 != 0.0])
+        assert len(pairs) == kernel_module._count_pairs(d2, stride)
+        assert np.all(pairs == pairs[0]) and pairs[0] < 0.5
+        counts, edges = sqdist_histogram(d2, stride=stride)
+        want_counts, want_edges = np.histogram(pairs, bins=64)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(edges, want_edges)
+        for quantile in (0.0, 0.01, 0.5, 1.0):
+            got = sqdist_quantile(d2, quantile, stride)
+            assert got == np.quantile(pairs, quantile), quantile
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_derived_epsilon_takes_three_passes(self, monkeypatch, stride):
+        # each pass over the distances is one walk over their row blocks:
+        # forming them, then the range, the histogram and the quantile's
+        # selection, then the normalization of K
+        walks = []
+        row_blocks = kernel_module._row_blocks
+        monkeypatch.setattr(kernel_module, "_row_blocks",
+                            lambda n: walks.append(n) or row_blocks(n))
+        pts = np.random.default_rng(10).standard_normal((RAGGED_ROWS, 3))
+        gaussian_kernel(embed_points(pts), 0, stride)
+        assert len(walks) == 1 + 3 + 1
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_distances_are_only_read(self, stride):
+        pts = np.random.default_rng(9).standard_normal((RAGGED_ROWS, 3))
+        pts[7] = 1e4            # the copy, and at stride 3 a zoom first
+        d2 = kernel_module._sqdist(pts, np.ascontiguousarray(pts[::stride]))
+        np.fill_diagonal(d2[::stride], 0.0)
+        want = d2.copy()
+        d2.setflags(write=False)
+        sqdist_histogram(d2, stride=stride)
+        sqdist_quantile(d2, 0.01, stride)
+        assert np.array_equal(d2, want)
 
     def test_peak_allocation_is_n_by_m(self):
         # the N x M kernel, and before it the references' M x M distances
