@@ -8,7 +8,10 @@ removed commands of :data:`pipeline.RETIRED_COMMANDS` (``frequencies``,
 replaces them.  Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical failure.  Errors are reported as one machine-parsable line on
 standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
-one line ``qpdecomp: warning: <message>``.
+one line ``qpdecomp: warning: <message>``.  A usage error, such as an
+unknown flag or a missing value, is a ``ConfigError`` line too; only
+``--help`` prints the usage.  Each config key of
+:class:`pipeline.PipelineConfig` is a flag ``--<key>`` (``-`` for ``_``).
 
 The reader rule (:func:`errors.reading`): an error in a file that a command
 reads starts with that file's path.  The writer rule (:func:`errors.writing`
@@ -16,15 +19,17 @@ and :func:`errors.writing_dir`): every file, and ``run``'s ``--outdir``, is
 built as ``.qpdecomp-<hex>.tmp`` beside its path and renamed onto it, so it
 holds its earlier content or the whole new one, and a write that fails is
 ``qpdecomp: ConfigError: <path>: cannot write: <reason>`` with exit 2.  An
-output must be absent or a regular file, in an existing directory; an
-``--outdir`` absent or an empty directory, under no file.  Both are checked
-before any input is read.
+output file must be absent or a regular file, in an existing directory,
+which its flag's parser checks; an ``--outdir`` absent or an empty
+directory, under no file.  Both are checked before any input is read.
 """
 
 import argparse
 import os
 import sys
+import typing
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,41 +40,50 @@ from .errors import (ConfigError, DataError, NumericalError, QpdecompError,
 from .series import write_csv, write_table
 
 
-def _ingestion_parser():
-    # every flag here and in _fit_parser sets a config key: it defaults to
-    # None, so an unset flag leaves the config file's value or the default
-    # in place, and its text is parsed and checked by the config schema
-    # (pipeline.PipelineConfig), as a config file's value is
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--input", help="input CSV file")
-    p.add_argument("--timestamp-column")
-    p.add_argument("--channels", nargs="+",
-                   help="value columns to keep (default: all non-timestamp)")
-    p.add_argument("--dt-seconds",
-                   help="resample to this step; 0 keeps the input grid")
-    p.add_argument("--max-gap-factor",
-                   help="widest input gap to resample across, in steps")
-    return p
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ConfigError`."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _fit_parser():
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--train-end",
-                   help="training window length in samples; 0 uses everything")
-    p.add_argument("--delays", metavar="Q")
-    p.add_argument("--epsilon",
-                   help="Gaussian kernel bandwidth (squared-distance units); "
-                        "0, the default, takes the 1%% quantile of the "
-                        "squared delay distances")
-    p.add_argument("--reference-points", metavar="M",
-                   help="kernel reference points: every ceil(N/M)-th delay "
-                        "vector; 0, the default, takes M = 2048, and any M "
-                        "of at least N keeps all N")
-    p.add_argument("--num-eigen", metavar="L")
-    p.add_argument("--eps1")
-    p.add_argument("--eps2")
-    p.add_argument("--L0")
-    return p
+# the config keys of the commands that read a series, that fit, and run's
+_INGESTION_KEYS = ("input", "timestamp_column", "channels", "dt_seconds",
+                   "max_gap_factor")
+_FIT_KEYS = ("train_end", "delays", "epsilon", "reference_points",
+             "num_eigen", "eps1", "eps2", "L0")
+_RUN_KEYS = ("outdir", "predict_start", "predict_end", "ma_windows")
+_METAVARS = {"delays": "Q", "reference_points": "M", "num_eigen": "L"}
+
+
+def _add_config_flags(parser, *groups):
+    """Add ``--<key>`` for each config key of ``groups``, with one or more
+    values for a tuple field.  An unset flag is None, and leaves the config
+    file's value or the default; a set one is parsed and checked by the
+    config schema, as a config file's value is."""
+    kinds = {f.name: f.type for f in fields(pipeline.PipelineConfig)}
+    for key in (key for group in groups for key in group):
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            nargs="+" if typing.get_origin(kinds[key]) is tuple else None,
+            metavar=_METAVARS.get(key), help=pipeline.KEY_HELP.get(key))
+
+
+def _output(option):
+    """The argparse type of the output file flag ``option``: a named path,
+    in an existing directory, absent or a regular file."""
+    def check(path):
+        if not path:
+            raise ConfigError(f"{option} is empty")
+        if os.path.isdir(path):
+            raise ConfigError(f"{option} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{option} {path}: there is no directory "
+                              f"{parent}")
+        check_target(path)
+        return path
+    return check
 
 
 def _overrides(args):
@@ -85,10 +99,7 @@ def _cmd_synth(args):
         raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    try:
-        system = synth.standard_testbed(args.testbed)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
+    system = synth.standard_testbed(args.testbed)
     result = synth.simulate(system, args.steps, args.dt, seed=args.seed)
     write_csv(result.series, args.out)
     if args.latent_out:
@@ -149,81 +160,51 @@ def _cmd_run(args):
     return 0
 
 
-def _check_outputs(args):
-    """Each file that the command writes must be named, must go into an
-    existing directory and must be absent or a regular file; checked before
-    any input is read.  An ``--outdir`` must be named; the rest of its
-    checks are :func:`errors.writing_dir`'s, which the command enters before
-    it reads the input."""
-    if getattr(args, "outdir", None) == "":
-        raise ConfigError("--outdir is empty")
-    for flag in ("out", "model_out", "latent_out"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        if not path:
-            raise ConfigError(f"{option} is empty")
-        if os.path.isdir(path):
-            raise ConfigError(f"{option} {path} is a directory")
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise ConfigError(f"{option} {path}: there is no directory "
-                              f"{parent}")
-        check_target(path)
-
-
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpdecomp",
         description="Decompose quasiperiodically driven time series into "
                     "identified frequencies plus a chaotic residual, and "
                     "predict with the fitted standalone model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ingest = _ingestion_parser()
-    filt = _fit_parser()
 
     p = sub.add_parser("synth", help="generate a testbed series as CSV")
-    p.add_argument("--testbed", required=True)
+    p.add_argument("--testbed", required=True, choices=synth.TESTBEDS)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0,
                    help="seeds torus_plus_damped's noise; the other "
                         "testbeds draw none")
-    p.add_argument("--out", required=True)
-    p.add_argument("--latent-out", default=None,
+    p.add_argument("--out", required=True, type=_output("--out"))
+    p.add_argument("--latent-out", type=_output("--latent-out"),
                    help="also write the latent (theta, x) trajectory")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("decompose", parents=[ingest, filt],
+    p = sub.add_parser("decompose",
                        help="fit the periodic+chaotic model and save it")
-    p.add_argument("--model-out", required=True)
+    _add_config_flags(p, _INGESTION_KEYS, _FIT_KEYS)
+    p.add_argument("--model-out", required=True, type=_output("--model-out"))
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("predict", parents=[ingest],
-                       help="free-run prediction from a model")
+    p = sub.add_parser("predict", help="free-run prediction from a model")
+    _add_config_flags(p, _INGESTION_KEYS)
     p.add_argument("--model", required=True)
     p.add_argument("--init-at", type=int, required=True,
                    help="sample index of the first predicted snapshot")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--ma-window", type=int, default=0,
                    help="moving-average window for the error columns")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_output("--out"))
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("run", parents=[ingest, filt],
+    p = sub.add_parser("run",
                        help="fit a series and write every artifact, with a "
                             "prediction when a predict window is set")
+    _add_config_flags(p, _INGESTION_KEYS, _FIT_KEYS, _RUN_KEYS)
     p.add_argument("--config", default=None)
     p.add_argument("--manifest", default=None,
                    help="re-run from a previous manifest instead of a config")
-    p.add_argument("--outdir")
-    p.add_argument("--predict-start",
-                   help="first sample of the predict window; set both ends "
-                        "or neither")
-    p.add_argument("--predict-end")
-    p.add_argument("--ma-windows", nargs="+")
     p.set_defaults(func=_cmd_run)
     return parser
 
@@ -246,7 +227,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"the {argv[0]} command was removed; use "
                                   f"{retired}")
             args = build_parser().parse_args(argv)
-            _check_outputs(args)
             return args.func(args)
         except QpdecompError as exc:
             _print_line(type(exc).__name__, exc)

@@ -209,18 +209,16 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
             )
     K /= -epsilon
     np.exp(K, out=K)
-    if not (np.diagonal(K[::stride]) == 1.0).all():
-        raise NumericalError("kernel diagonal must be exactly 1")
     d = K.mean(axis=1)
+    # a reference's own K is exp(-0.0) = 1 exactly, so its d is at least
+    # 1/M and its q at least 1/N: only a point that is no reference can be
+    # far from them all
     if d.min() < _DEGREE_FLOOR:
         worst = int(np.argmin(d))
         raise NumericalError(f"isolated point {worst}; increase epsilon")
     # at stride 1 K is symmetric, and K @ (1/d), the same sums, keeps the
     # bytes of earlier versions
     q = (K if stride == 1 else K.T).dot(1.0 / d) / n
-    if q.min() < _DEGREE_FLOOR:
-        worst = int(np.argmin(q)) * stride
-        raise NumericalError(f"isolated point {worst}; increase epsilon")
     sqrt_q = np.sqrt(q)
     # sqrt(N M) is N exactly at stride 1
     scale = np.sqrt(float(n) * m)

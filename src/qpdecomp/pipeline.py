@@ -113,6 +113,22 @@ class PipelineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 CONFIG_KEYS = set(_FIELD_TYPES)
+# the help of the keys' flags, where they have one ("%%" prints as "%")
+KEY_HELP = {
+    "input": "input CSV file",
+    "channels": "value columns to keep (default: all non-timestamp)",
+    "dt_seconds": "resample to this step; 0 keeps the input grid",
+    "max_gap_factor": "widest input gap to resample across, in steps",
+    "train_end": "training window length in samples; 0 uses everything",
+    "epsilon": "Gaussian kernel bandwidth (squared-distance units); 0, the "
+               "default, takes the 1%% quantile of the squared delay "
+               "distances",
+    "reference_points": "kernel reference points: every ceil(N/M)-th delay "
+                        "vector; 0, the default, takes M = 2048, and any M "
+                        "of at least N keeps all N",
+    "predict_start": "first sample of the predict window; set both ends or "
+                     "neither",
+}
 # removed keys, with the default that earlier manifests wrote for them: any
 # other value asks for a result that can no longer be produced
 _RETIRED_KEYS = {"merge_adjacent": "false", "clip_factor": "0.0",
@@ -480,8 +496,8 @@ def run_pipeline(config: PipelineConfig) -> Fit:
     run over the training window is ``qpdecomp predict --init-at <q+1>`` on
     model.npz and the input.
 
-    ``outdir``, and ``diagnostics/`` in it, are written through
-    :func:`errors.writing_dir`: ``outdir`` must be absent or empty, which is
+    ``outdir``, ``diagnostics/`` in it included, is written through
+    :func:`errors.writing_dir`: it must be absent or empty, which is
     checked before the input is read, and appears whole or not at all.
     """
     if not config.outdir:
@@ -530,8 +546,8 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
         )
 
     dc.save_model(model, outdir / "model.npz")
-    with writing_dir(outdir / "diagnostics") as staged:
-        write_diagnostics(staged, result)
+    (outdir / "diagnostics").mkdir()
+    write_diagnostics(outdir / "diagnostics", result)
 
     # manifest last: every parameter, with the bandwidth and the reference
     # count the kernel used, so that a re-run does not derive them again,

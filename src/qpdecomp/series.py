@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DataError, reading, writing
+from .errors import DataError, check_memory, reading, writing
 
 # Relative tolerance used to decide whether raw timestamps form a regular grid.
 _GRID_RTOL = 1e-9
@@ -174,8 +174,9 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
     DataError
         Missing columns, empty channel selection, malformed or non-finite
         cells (reported with line numbers), non-increasing timestamps,
-        uneven timestamps with ``dt = 0``, or a failed resampling; every
-        message starts with ``path`` (see :func:`errors.reading`).
+        uneven timestamps with ``dt = 0``, or a failed resampling, a grid
+        too large for the memory available among its causes; every message
+        starts with ``path`` (see :func:`errors.reading`).
     """
     with reading(path):
         # utf-8-sig drops the byte-order mark that spreadsheet exports write
@@ -294,7 +295,8 @@ def resample(times, values, dt, max_gap=None) -> np.ndarray:
         Largest tolerated spacing between consecutive input samples before
         holding a sample across it is considered unsafe.  Defaults to
         ``10 * dt``; a wider gap raises :class:`DataError` rather than
-        silently bridging an outage.
+        silently bridging an outage, as does a grid that needs more memory
+        than is available (checked before it is allocated).
 
     Returns
     -------
@@ -323,8 +325,11 @@ def resample(times, values, dt, max_gap=None) -> np.ndarray:
     # a sample within _time_tol of a grid time is taken to be on it, so that
     # decimal timestamps that round off the grid keep their samples
     tol = _time_tol(times, dt)
-    n_out = int(np.floor((span + tol) / dt)) + 1 if len(times) > 1 else 1
-    grid = times[0] + np.arange(n_out) * dt
+    n_out = np.floor((span + tol) / dt) + 1 if len(times) > 1 else 1
+    # the grid, its indices and a copy of each, then the values on it
+    check_memory(n_out * (values.shape[1] + 4) * 8,
+                 f"{n_out:.0f} rows on the {dt:g} s grid")
+    grid = times[0] + np.arange(int(n_out)) * dt
     idx = np.maximum(np.searchsorted(times, grid + tol, side="right") - 1, 0)
     return values[idx]
 
@@ -345,13 +350,16 @@ def window(series: TimeSeries, start: int, end: int) -> TimeSeries:
 def delay_embed(series: TimeSeries, q: int) -> DelayEmbedding:
     """Embed with q delays: row n of the result is (y_n, y_{n+1}, ..., y_{n+q}).
 
-    Requires q < N.  The output has N - q rows in k(q+1) dimensions; each
-    row concatenates source rows bit-exactly.
+    Requires q < N, and the memory of the output, which has N - q rows in
+    k(q+1) dimensions: :class:`DataError` otherwise, before anything is
+    allocated.  Each row concatenates source rows bit-exactly.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 0):
         raise DataError(f"q must be a non-negative integer, got {q}")
     if q >= series.n:
         raise DataError(f"q={q} must be smaller than N={series.n}")
     n_rows = series.n - q
+    check_memory(n_rows * series.k * (q + 1) * 8,
+                 f"{n_rows} delay vectors of {series.k * (q + 1)} values")
     points = np.hstack([series.values[i:n_rows + i] for i in range(q + 1)])
     return DelayEmbedding(source=series, q=int(q), points=points)

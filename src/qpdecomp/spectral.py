@@ -100,19 +100,6 @@ class SpectralBasis:
         return np.sqrt(self.lam)
 
 
-def _fix_signs(u, v):
-    # Each left vector gets a non-negative sum; the paired right vector flips
-    # with it.  Zero sums fall back to the sign of the largest-magnitude entry.
-    for l in range(u.shape[1]):
-        s = u[:, l].sum()
-        if s == 0.0:
-            s = u[np.argmax(np.abs(u[:, l])), l]
-        if s < 0.0:
-            u[:, l] = -u[:, l]
-            v[:, l] = -v[:, l]
-    return u, v
-
-
 def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
               stride: int = 1) -> SpectralBasis:
     """Top-L singular triplets of the normalized kernel of ``embedding``
@@ -191,7 +178,13 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     u, s, wt = np.linalg.svd(kv, full_matrices=False)
     v = v @ wt.T
 
-    u, v = _fix_signs(u, v)
+    # phi_1 is the constant function, taken positive.  Every other column
+    # is orthogonal to it, so its sum is rounding noise, and nothing reads
+    # its sign: the RKHS-norm table takes |fft(Phi)| and the model the
+    # products of each Gamma column with its chaotic coefficients.
+    if u[:, 0].sum() < 0:
+        u[:, 0] *= -1.0
+        v[:, 0] *= -1.0
     return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, Gamma=v,
                          epsilon=epsilon, q=q, embedding=embedding,
                          sqdist_histogram=hist, stride=stride)

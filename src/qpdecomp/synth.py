@@ -190,7 +190,7 @@ def _torus_plus_damped() -> SkewProductSystem:
                              observation=observation)
 
 
-_TESTBEDS = {
+TESTBEDS = {
     "pure_torus_2": _pure_torus_2,
     "torus_plus_logistic": _torus_plus_logistic,
     "torus_plus_damped": _torus_plus_damped,
@@ -210,10 +210,10 @@ def standard_testbed(name: str) -> SkewProductSystem:
         d=2 rotation plus a contracting noisy map (bounded-noise regime).
     """
     try:
-        builder = _TESTBEDS[name]
+        builder = TESTBEDS[name]
     except KeyError:
         raise DataError(
-            f"unknown testbed {name!r}; available: {', '.join(_TESTBEDS)}"
+            f"unknown testbed {name!r}; available: {', '.join(TESTBEDS)}"
         ) from None
     return builder()
 

@@ -874,13 +874,13 @@ def test_nonempty_outdir_exits_2_before_fitting(synth_csv, tmp_path, forbid,
 @pytest.mark.parametrize("command", ["run"])
 def test_empty_outdir_exits_2_before_reading(synth_csv, tmp_path, monkeypatch,
                                              forbid, capsys, command):
-    # an empty --outdir is one ConfigError line, as an empty --out is,
+    # an empty --outdir is one ConfigError line, as an unset one is,
     # before the input is read or the kernel built; nothing is written
     # into the working directory
     forbid("series.load_csv", "kernel.gaussian_kernel")
     monkeypatch.chdir(tmp_path)
     assert_fails(command_args(command, synth_csv[0], None, ""), tmp_path,
-                 capsys, 2, "qpdecomp: ConfigError: --outdir is empty")
+                 capsys, 2, "qpdecomp: ConfigError: outdir is required")
 
 
 # the options that were removed, as each command's flags, or as lines of a
@@ -915,13 +915,10 @@ def test_removed_option_exits_2(synth_csv, model_file, tmp_path, monkeypatch,
             file_error("ConfigError", "old.conf",
                        f"line 1: unknown key '{option.split()[0]}'"))
     else:
-        with pytest.raises(SystemExit) as exc:
-            run_cli([*command_args(command, synth_csv[0], model_file, "o"),
-                     *option.split()])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            f"unrecognized arguments: {option}\n")
-        assert os.listdir() == []
+        assert_fails([*command_args(command, synth_csv[0], model_file, "o"),
+                      *option.split()], tmp_path, capsys, 2,
+                     "qpdecomp: ConfigError: unrecognized arguments: "
+                     + re.escape(option))
 
 
 @pytest.mark.parametrize("args, replacement", [
@@ -941,6 +938,111 @@ def test_removed_command_exits_2(tmp_path, monkeypatch, forbid, capsys, args,
     assert_fails(args, tmp_path, capsys, 2,
                  f"qpdecomp: ConfigError: the {args[0]} command was removed; "
                  f"use {re.escape(replacement)}.*")
+
+
+# A usage error is one ConfigError line too, exit 2, before any input or
+# model is read; nothing is written.  name: (arguments, the message)
+BAD_USAGE = {
+    "no_command": ([], "the following arguments are required: command"),
+    "unknown_command": (["nope"], "argument command: invalid choice: 'nope' "
+                        "(choose from 'synth', 'decompose', 'predict', 'run')"),
+    "synth_steps_not_int": (["synth", "--testbed", "pure_torus_2", "--steps",
+                             "abc", "--out", "s.csv"],
+                            "argument --steps: invalid int value: 'abc'"),
+    "predict_steps_not_int": (["predict", "--model", "m.npz", "--input",
+                               "in.csv", "--init-at", "10", "--steps", "abc",
+                               "--out", "p.csv"],
+                              "argument --steps: invalid int value: 'abc'"),
+    "init_at_not_int": (["predict", "--model", "m.npz", "--input", "in.csv",
+                         "--init-at", "1.5", "--steps", "5", "--out",
+                         "p.csv"],
+                        "argument --init-at: invalid int value: '1.5'"),
+    "missing_out": (["predict", "--model", "m.npz", "--input", "in.csv",
+                     "--init-at", "10", "--steps", "5"],
+                    "the following arguments are required: --out"),
+    "channels_without_value": (["run", "--input", "in.csv", "--outdir", "o",
+                                "--channels"],
+                               "argument --channels: expected at least one "
+                               "argument"),
+    "unknown_testbed": (["synth", "--testbed", "nope", "--steps", "5",
+                         "--out", "s.csv"],
+                        "argument --testbed: invalid choice: 'nope' (choose "
+                        "from 'pure_torus_2', 'torus_plus_logistic', "
+                        "'torus_plus_damped')"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_USAGE)
+def test_usage_error_is_one_line(tmp_path, monkeypatch, forbid, capsys,
+                                 name):
+    # argparse's usage block and its own exit are not taken: one row runs
+    # in a child process, where the interpreter exits with the code
+    forbid("series.load_csv", "decompose.load_model", "kernel.gaussian_kernel")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.csv").write_text("time,a\n0,1\n1,2\n")
+    args, message = BAD_USAGE[name]
+    line = f"qpdecomp: ConfigError: {message}"
+    if name == "unknown_command":
+        listing = sorted(tmp_path.rglob("*"))
+        proc = run_child(args, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "",
+                                                               line + "\n")
+        assert sorted(tmp_path.rglob("*")) == listing
+    else:
+        assert_fails(args, tmp_path, capsys, 2, re.escape(line))
+
+
+INGESTION_OPTIONS = ["--input", "--timestamp-column", "--channels",
+                     "--dt-seconds", "--max-gap-factor"]
+FIT_OPTIONS = ["--train-end", "--delays", "--epsilon", "--reference-points",
+               "--num-eigen", "--eps1", "--eps2", "--L0"]
+OPTIONS = {
+    "synth": ["-h", "--help", "--testbed", "--steps", "--dt", "--seed",
+              "--out", "--latent-out"],
+    "decompose": ["-h", "--help", *INGESTION_OPTIONS, *FIT_OPTIONS,
+                  "--model-out"],
+    "predict": ["-h", "--help", *INGESTION_OPTIONS, "--model", "--init-at",
+                "--steps", "--ma-window", "--out"],
+    "run": ["-h", "--help", *INGESTION_OPTIONS, *FIT_OPTIONS, "--outdir",
+            "--predict-start", "--predict-end", "--ma-windows", "--config",
+            "--manifest"],
+}
+
+
+def test_each_command_takes_its_options():
+    import argparse
+
+    from qpdecomp.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(OPTIONS)
+    for command, parser in commands.items():
+        options = [o for a in parser._actions for o in a.option_strings]
+        assert sorted(options) == sorted(OPTIONS[command]), command
+
+
+def test_run_help_prints_the_flag_help(monkeypatch, capsys):
+    # wide enough that no help text is wrapped
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qpdecomp run ") and not err
+    for text in [
+        "input CSV file",
+        "value columns to keep (default: all non-timestamp)",
+        "resample to this step; 0 keeps the input grid",
+        "widest input gap to resample across, in steps",
+        "training window length in samples; 0 uses everything",
+        "Gaussian kernel bandwidth (squared-distance units); 0, the default, "
+        "takes the 1% quantile of the squared delay distances",
+        "kernel reference points: every ceil(N/M)-th delay vector; 0, the "
+        "default, takes M = 2048, and any M of at least N keeps all N",
+        "first sample of the predict window; set both ends or neither",
+    ]:
+        assert f"  {text}\n" in out, text
 
 
 class TestRunCommand:
@@ -1150,6 +1252,63 @@ class TestRunCommand:
                                     tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "DataError" in err and "MB of memory is available" in err
+
+    def test_resampled_grid_past_memory_exits_3(self, tmp_path, monkeypatch,
+                                                forbid, capsys):
+        # a 1e-12 s grid over 3 s is 3e12 rows: refused before it is
+        # allocated, naming the input
+        import qpdecomp.errors
+
+        monkeypatch.setattr(qpdecomp.errors, "_available_bytes",
+                            lambda: 8_000_000_000)
+        forbid("kernel.gaussian_kernel")
+        src = tmp_path / "in.csv"
+        src.write_text("time,a\n0,1\n1,2\n2,3\n3,4\n")
+        assert_fails(["run", "--input", src, "--outdir", tmp_path / "o",
+                      "--dt-seconds", "1e-12", "--max-gap-factor", "1e13"],
+                     tmp_path, capsys, 3, file_error(
+                         "DataError", src, "3000000000001 rows on the 1e-12 "
+                         "s grid need 120000000 MB, but only 8000 MB of "
+                         "memory is available"))
+
+    def test_embedding_past_memory_exits_3(self, synth_csv, tmp_path,
+                                           monkeypatch, forbid, capsys):
+        # 400 delays of 700 samples are 300 vectors of 3 x 401 values,
+        # 2.9 MB: refused before they are allocated, naming the input
+        import tracemalloc
+
+        import qpdecomp.errors
+
+        monkeypatch.setattr(qpdecomp.errors, "_available_bytes",
+                            lambda: 1_000_000)
+        forbid("kernel.gaussian_kernel")
+        tracemalloc.start()
+        try:
+            assert_fails(["run", "--input", synth_csv[0], "--outdir",
+                          tmp_path / "o", "--delays", "400", "--epsilon", "1"],
+                         tmp_path, capsys, 3, file_error(
+                             "DataError", synth_csv[0], "300 delay vectors "
+                             "of 1203 values need 3 MB, but only 1 MB of "
+                             "memory is available"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"peak {peak} bytes"
+
+    def test_model_embedding_past_memory_exits_3(self, synth_csv, model_file,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        # load_model re-embeds the training rows with the file's q, under
+        # the same check, naming the model
+        import qpdecomp.errors
+
+        monkeypatch.setattr(qpdecomp.errors, "_available_bytes",
+                            lambda: 50_000)
+        assert_fails(command_args("predict", synth_csv[0], model_file,
+                                  tmp_path / "p.csv"), tmp_path, capsys, 3,
+                     file_error("DataError", model_file, "594 delay vectors "
+                                "of 21 values need 0 MB, but only 0 MB of "
+                                "memory is available"))
 
     def test_exit_codes(self, synth_csv, tmp_path, capsys):
         out, _ = synth_csv

@@ -8,6 +8,7 @@ import qpdecomp.kernel as kernel_module
 import qpdecomp.spectral as spectral_module
 from qpdecomp import (
     DataError,
+    NumericalError,
     TimeSeries,
     delay_embed,
     gaussian_kernel,
@@ -155,7 +156,9 @@ class TestGaussianKernel:
                          np.random.default_rng(6).standard_normal((45, 2)) * 50])
         emb = embed_points(pts)
         _, _, q, _ = gaussian_kernel(emb, 0.5)
-        assert kernel_matrix(emb, 0.5).mean(axis=1).min() > 0 and q.min() > 0
+        assert kernel_matrix(emb, 0.5).mean(axis=1).min() > 0
+        # each reference's own K is 1, however far the others are
+        assert q.min() >= 1 / len(pts)
 
     def test_scaling_consistency_power_of_two(self):
         pts = np.random.default_rng(7).standard_normal((30, 6))
@@ -511,6 +514,15 @@ class TestReferenceSet:
             tracemalloc.stop()
         assert kt.shape == (n, m) and eps > 0
         assert peak <= (n * m + m * m) * 8, f"peak {peak / (n * m * 8):.2f} NM"
+
+    def test_point_far_from_every_reference_raises(self):
+        # at stride 2 point 5 is no reference, and its degree d underflows
+        # to 0 a thousand units from them all
+        pts = np.random.default_rng(9).standard_normal((10, 2)) * 0.1
+        pts[5] += 1e3
+        with pytest.raises(NumericalError,
+                           match="^isolated point 5; increase epsilon$"):
+            gaussian_kernel(embed_points(pts), 1.0, 2)
 
     def test_stride_below_one_rejected(self):
         with pytest.raises(DataError, match="stride"):
