@@ -2,7 +2,7 @@
 
 Subcommands: synth, run, predict, and decompose, which saves the model
 that ``run`` also writes.  ``run`` fits a series and writes every artifact;
-without a predict window it leaves out the prediction and its errors.  The
+without a predict window it leaves out the prediction.  The
 removed commands of :data:`pipeline.RETIRED_COMMANDS` (``frequencies``,
 ``diagnostics``, ``reconstruct``) exit 2, whatever their flags, naming what
 replaces them.  Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -11,7 +11,8 @@ standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
 one line ``qpdecomp: warning: <message>``.  A usage error, such as an
 unknown flag or a missing value, is a ``ConfigError`` line too; only
 ``--help`` prints the usage.  Each config key of
-:class:`pipeline.PipelineConfig` is a flag ``--<key>`` (``-`` for ``_``).
+:class:`pipeline.PipelineConfig` is a flag ``--<key>`` (``-`` for ``_``),
+taken by its whole name only.
 
 The reader rule (:func:`errors.reading`): an error in a file that a command
 reads starts with that file's path.  The writer rule (:func:`errors.writing`
@@ -41,18 +42,24 @@ from .series import write_csv, write_table
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise :class:`ConfigError`."""
+    """An argument parser whose usage errors raise :class:`ConfigError`, and
+    which takes each flag by its whole name only (no prefixes)."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
 
 
-# the config keys of the commands that read a series, that fit, and run's
+# the config keys of the commands that read a series, that fit, that
+# predict, and run's
 _INGESTION_KEYS = ("input", "timestamp_column", "channels", "dt_seconds",
                    "max_gap_factor")
 _FIT_KEYS = ("train_end", "delays", "epsilon", "reference_points",
              "num_eigen", "eps1", "eps2", "L0")
-_RUN_KEYS = ("outdir", "predict_start", "predict_end", "ma_windows")
+_PREDICT_KEYS = ("ma_windows",)
+_RUN_KEYS = ("outdir", "predict_start", "predict_end")
 _METAVARS = {"delays": "Q", "reference_points": "M", "num_eigen": "L"}
 
 
@@ -126,18 +133,16 @@ def _cmd_predict(args):
     config = pipeline.build_config(_overrides(args))
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    if args.ma_window < 0:
-        raise ConfigError(f"--ma-window must be >= 0, got {args.ma_window}")
     model = dc.load_model(args.model)
     data = pipeline.load_series(config)
     with reading(config.input):
-        if args.ma_window:
+        if config.ma_windows:
             pipeline.check_observed(data, args.init_at,
                                     args.init_at + args.steps)
         # an error of the input against the model names both files
         with reading(args.model):
             forecast = pipeline.predict(model, data, args.init_at, args.steps)
-    pipeline.write_prediction(args.out, forecast, args.ma_window)
+    pipeline.write_prediction(args.out, forecast, config.ma_windows)
     print(f"wrote {args.steps}-step prediction to {args.out}")
     return 0
 
@@ -188,20 +193,19 @@ def build_parser():
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("predict", help="free-run prediction from a model")
-    _add_config_flags(p, _INGESTION_KEYS)
+    _add_config_flags(p, _INGESTION_KEYS, _PREDICT_KEYS)
     p.add_argument("--model", required=True)
     p.add_argument("--init-at", type=int, required=True,
                    help="sample index of the first predicted snapshot")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ma-window", type=int, default=0,
-                   help="moving-average window for the error columns")
     p.add_argument("--out", required=True, type=_output("--out"))
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("run",
                        help="fit a series and write every artifact, with a "
                             "prediction when a predict window is set")
-    _add_config_flags(p, _INGESTION_KEYS, _FIT_KEYS, _RUN_KEYS)
+    _add_config_flags(p, _INGESTION_KEYS, _FIT_KEYS, _RUN_KEYS,
+                      _PREDICT_KEYS)
     p.add_argument("--config", default=None)
     p.add_argument("--manifest", default=None,
                    help="re-run from a previous manifest instead of a config")

@@ -74,7 +74,7 @@ class PipelineConfig:
     train_end: int = 0                  # 0: use the full series
     predict_start: int = 0
     predict_end: int = 0
-    ma_windows: tuple[int, ...] = (1, 10, 100)
+    ma_windows: tuple[int, ...] = ()    # empty: no error columns
 
     def __post_init__(self):
         if not self.input:
@@ -107,8 +107,11 @@ class PipelineConfig:
             raise ConfigError(f"L0={self.L0} out of range 2..num_eigen")
         if self.train_end < 0:
             raise ConfigError("train_end must be >= 0")
-        if any(w < 1 for w in self.ma_windows):
-            raise ConfigError("ma_windows entries must be >= 1")
+        for i, w in enumerate(self.ma_windows):
+            if w < 1:
+                raise ConfigError("ma_windows entries must be >= 1")
+            if w in self.ma_windows[:i]:
+                raise ConfigError(f"ma_windows lists {w} twice")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
@@ -128,6 +131,8 @@ KEY_HELP = {
                         "of at least N keeps all N",
     "predict_start": "first sample of the predict window; set both ends or "
                      "neither",
+    "ma_windows": "moving-average windows of the prediction's error columns; "
+                  "none by default",
 }
 # removed keys, with the default that earlier manifests wrote for them: any
 # other value asks for a result that can no longer be produced
@@ -426,26 +431,16 @@ def check_observed(data: series.TimeSeries, start, end):
                         f"{start}..{end - 1}: error is undefined")
 
 
-def error_columns(truth, estimate, ma_windows):
-    """Moving averages of the relative error of ``estimate`` against
-    ``truth`` (both series), as ``err_<c>_ma<w>`` (header, columns)."""
-    err = dc.relative_error(truth, estimate)
-    header, cols = [], []
-    for m_win in ma_windows:
-        for ci, cname in enumerate(truth.channel_names):
-            header.append(f"err_{cname}_ma{m_win}")
-            cols.append(dc.moving_average(err[:, ci], m_win))
-    return header, cols
-
-
 def write_reconstruction(path, model: dc.QPModel):
     """Write ``reconstruction.csv`` from the model alone: the training rows,
-    then g_per at their times plus g_chaos at the training points."""
+    then g_per at their times plus g_chaos at the training points, then
+    g_per alone as ``per_<c>``."""
     train, q = model.embedding.source, model.q
-    recon = (dc.eval_periodic(model, q * model.dt, model.n)
-             + dc.eval_chaotic(model, model.embedding.points))
-    write_estimate(path, train.channel_names, train.times()[q:], "recon",
-                   recon, train.values[q:])
+    per = dc.eval_periodic(model, q * model.dt, model.n)
+    recon = per + dc.eval_chaotic(model, model.embedding.points)
+    names = train.channel_names
+    write_estimate(path, names, train.times()[q:], "recon", recon,
+                   train.values[q:], ([f"per_{c}" for c in names], per.T))
 
 
 def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
@@ -470,35 +465,39 @@ def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
     return times, pred, truth
 
 
-def write_prediction(path, forecast, ma_window=0):
+def write_prediction(path, forecast, ma_windows=()):
     """Write a :func:`predict` result as ``prediction.csv``: the ``pred_<c>``
-    columns, with the observed window when there is one and then, if
-    ``ma_window`` is set, its error columns; a set ``ma_window`` without
-    an observed window warns."""
+    columns, with the observed window when there is one and then, for each
+    of ``ma_windows``, the moving average of the relative error as
+    ``err_<c>_ma<w>``; windows without an observed window warn."""
     times, pred, truth = forecast
-    extra = ((), ())
-    if ma_window and truth is None:
+    header, cols = [], []
+    if ma_windows and truth is None:
         warnings.warn("no error columns: they need the observed window, and "
                       "the input ends before the prediction does")
-    elif ma_window:
-        extra = error_columns(truth, pred, [ma_window])
+    elif ma_windows:
+        err = dc.relative_error(truth, pred)
+        for w in ma_windows:
+            for ci, c in enumerate(truth.channel_names):
+                header.append(f"err_{c}_ma{w}")
+                cols.append(dc.moving_average(err[:, ci], w))
     write_estimate(path, pred.channel_names, times, "pred", pred.values,
-                   None if truth is None else truth.values, extra)
+                   None if truth is None else truth.values, (header, cols))
 
 
 def run_pipeline(config: PipelineConfig) -> Fit:
     """Fit, write the artifact directory, and return the fit.
 
-    Writes frequencies.csv, periodic.csv, the in-sample reconstruction.csv,
-    model.npz, diagnostics/, and a manifest listing every parameter and
-    content hash; with a predict window (``predict_start`` and
-    ``predict_end`` both set) also prediction.csv and errors.csv.  A free
-    run over the training window is ``qpdecomp predict --init-at <q+1>`` on
-    model.npz and the input.
+    Writes frequencies.csv, the in-sample reconstruction.csv with its
+    periodic part, model.npz, diagnostics/, and a manifest listing every
+    parameter and content hash; with a predict window (``predict_start`` and
+    ``predict_end`` both set) also prediction.csv, with the error columns of
+    ``ma_windows``.  A free run over the training window is
+    ``qpdecomp predict --init-at <q+1>`` on model.npz and the input.
 
-    ``outdir``, ``diagnostics/`` in it included, is written through
-    :func:`errors.writing_dir`: it must be absent or empty, which is
-    checked before the input is read, and appears whole or not at all.
+    ``outdir`` is written through :func:`errors.writing_dir`: it must be
+    absent or empty, which is checked before the input is read, and appears
+    whole or not at all.
     """
     if not config.outdir:
         raise ConfigError("outdir is required")
@@ -518,32 +517,15 @@ def run_pipeline(config: PipelineConfig) -> Fit:
 def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     result = fit(config)
     data, train, model = result.data, result.train, result.model
-    q = config.delays
 
     write_frequencies(outdir / "frequencies.csv", result)
-
-    # periodic component over the training rows
-    fit_times = train.times()[q:]
-    _write_table(
-        outdir / "periodic.csv",
-        ["time_s", *(f"per_{c}" for c in data.channel_names)],
-        [fit_times, *result.periodic.fitted.T],
-    )
-
     write_reconstruction(outdir / "reconstruction.csv", model)
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
     if pe:
-        forecast = predict(model, data, ps, pe - ps)
-        write_prediction(outdir / "prediction.csv", forecast)
-        pred_times, pred, truth = forecast
-        err_names, err_cols = error_columns(truth, pred, config.ma_windows)
-        _write_table(
-            outdir / "errors.csv",
-            ["time_s", *err_names],
-            [pred_times, *err_cols],
-        )
+        write_prediction(outdir / "prediction.csv",
+                         predict(model, data, ps, pe - ps), config.ma_windows)
 
     dc.save_model(model, outdir / "model.npz")
     (outdir / "diagnostics").mkdir()

@@ -83,7 +83,7 @@ def uneven(i):
     return i % 7 != 6 and not 300 <= i < 306
 
 
-def assert_same_artifacts(ref, other, count=10):
+def assert_same_artifacts(ref, other, count=8):
     """Every artifact of the run in ``ref`` but its manifest, ``count`` of
     them, has the same bytes in ``other``."""
     names = sorted(p.relative_to(ref) for p in ref.rglob("*")
@@ -330,7 +330,7 @@ BAD_PAIRS = {
     "zero_truth_run": (zeroed, ["run"], [], "all-zero truth channels "
                        "['ch2'] in samples 620..679: error is undefined",
                        "spectral.decompose"),
-    "zero_truth_predict": (zeroed, ["predict"], ["--ma-window", "3"],
+    "zero_truth_predict": (zeroed, ["predict"], ["--ma-windows", "3"],
                            "all-zero truth channels ['ch2'] in samples "
                            "620..639: error is undefined", FREE_RUN),
 }
@@ -469,8 +469,9 @@ class TestDecomposeReconstructPredict:
     def test_insample_reconstruction_is_close(self, fitted_run):
         recon = fitted_run / "reconstruction.csv"
         rows = np.loadtxt(recon, delimiter=",", skiprows=1)
-        k = (rows.shape[1] - 1) // 2
-        truth, est = rows[:, 1:1 + k], rows[:, 1 + k:]
+        # time_s, then truth, recon and per columns for each channel
+        k = (rows.shape[1] - 1) // 3
+        truth, est = rows[:, 1:1 + k], rows[:, 1 + k:1 + 2 * k]
         scale = np.abs(truth).max(axis=0)
         assert (np.abs(truth - est).max(axis=0) / scale).max() < 0.1
 
@@ -490,7 +491,7 @@ class TestDecomposeReconstructPredict:
         pred = tmp_path / "pred.csv"
         code = run_cli(["predict", "--model", model_file, "--input", out,
                         "--init-at", "620", "--steps", "60",
-                        "--ma-window", "10", "--out", pred])
+                        "--ma-windows", "10", "--out", pred])
         assert code == 0
         lines = pred.read_text().splitlines()
         header = lines[0].split(",")
@@ -505,12 +506,34 @@ class TestDecomposeReconstructPredict:
         pred = tmp_path / "p.csv"
         assert run_cli(["predict", "--model", model_file, "--input",
                         synth_csv[0], "--init-at", "690", "--steps", "20",
-                        "--ma-window", "10", "--out", pred]) == 0
+                        "--ma-windows", "10", "--out", pred]) == 0
         assert capsys.readouterr().err == (
             "qpdecomp: warning: no error columns: they need the observed "
             "window, and the input ends before the prediction does\n")
         assert pred.read_text().splitlines()[0] == \
             "time_s,pred_ch0,pred_ch1,pred_ch2"
+
+    def test_run_and_predict_write_one_error_layout(self, synth_csv,
+                                                    tmp_path):
+        # the same windows give the same prediction.csv from either command,
+        # and run's manifest re-runs with them
+        windows = ["--ma-windows", "1", "10"]
+        run = tmp_path / "run"
+        assert run_cli([*command_args("run", synth_csv[0], None, run),
+                        *windows]) == 0
+        pred = tmp_path / "p.csv"
+        assert run_cli(["predict", "--model", run / "model.npz", "--input",
+                        synth_csv[0], "--init-at", "620", "--steps", "60",
+                        *windows, "--out", pred]) == 0
+        assert pred.read_bytes() == (run / "prediction.csv").read_bytes()
+        assert pred.read_text().splitlines()[0].endswith(
+            "err_ch0_ma1,err_ch1_ma1,err_ch2_ma1,"
+            "err_ch0_ma10,err_ch1_ma10,err_ch2_ma10")
+        assert "ma_windows = 1 10" in \
+            (run / "manifest.txt").read_text().splitlines()
+        assert run_cli(["run", "--manifest", run / "manifest.txt",
+                        "--outdir", tmp_path / "rerun"]) == 0
+        assert_same_artifacts(run, tmp_path / "rerun")
 
     def test_oversized_step_count_exits_3(self, model_file, synth_csv,
                                           tmp_path, capsys):
@@ -735,8 +758,7 @@ def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
         [header] + [f"{t},{r.split(',', 1)[1]}"
                     for t, r in zip(stamps, rows)]) + "\n")
     assert run_cli(command_args("run", epoch, None, tmp_path / "epoch")) == 0
-    first_row = {"prediction.csv": 620, "errors.csv": 620, "periodic.csv": 6,
-                 "reconstruction.csv": 6}
+    first_row = {"prediction.csv": 620, "reconstruction.csv": 6}
     for table, row in first_row.items():
         zero = np.loadtxt(fitted_run / table, delimiter=",", skiprows=1)
         shifted = np.loadtxt(tmp_path / "epoch" / table, delimiter=",",
@@ -815,7 +837,7 @@ class TestPredictStep:
         # the error columns compare the steps as the input check does; from
         # 0 s the 600-row step is 0.09999999999999999 and the 800-row one 0.1
         assert self.predict(stamp_rows, tmp_path, train_rows,
-                            ["--ma-window", "5"], base=base) == 0
+                            ["--ma-windows", "5"], base=base) == 0
         header = (tmp_path / "p.csv").read_text().splitlines()[0]
         assert "err_ch0_ma5" in header
 
@@ -891,7 +913,8 @@ REMOVED_OPTIONS = {
             "--mode freerun"],
     "decompose": ["--merge-adjacent", "--standardize",
                   "--resample-method hold", "--basis-cache c"],
-    "predict": ["--clip-factor 1.5", "--standardize", "--resample-method hold"],
+    "predict": ["--clip-factor 1.5", "--standardize", "--resample-method hold",
+                "--ma-window 5"],
     "config": ["solver = dense", "seed = 0", "mode = insample",
                "basis_cache = c", "max_points = 25000"],
 }
@@ -969,6 +992,14 @@ BAD_USAGE = {
                         "argument --testbed: invalid choice: 'nope' (choose "
                         "from 'pure_torus_2', 'torus_plus_logistic', "
                         "'torus_plus_damped')"),
+    # a flag is taken by its whole name only, never by a prefix
+    "prefix_of_delays": (["run", "--input", "in.csv", "--outdir", "o",
+                          "--delay", "6"],
+                         "unrecognized arguments: --delay 6"),
+    "prefix_of_ma_windows": (["predict", "--model", "m.npz", "--input",
+                              "in.csv", "--init-at", "10", "--steps", "5",
+                              "--ma-window", "5", "--out", "p.csv"],
+                             "unrecognized arguments: --ma-window 5"),
 }
 
 
@@ -1002,7 +1033,7 @@ OPTIONS = {
     "decompose": ["-h", "--help", *INGESTION_OPTIONS, *FIT_OPTIONS,
                   "--model-out"],
     "predict": ["-h", "--help", *INGESTION_OPTIONS, "--model", "--init-at",
-                "--steps", "--ma-window", "--out"],
+                "--steps", "--ma-windows", "--out"],
     "run": ["-h", "--help", *INGESTION_OPTIONS, *FIT_OPTIONS, "--outdir",
             "--predict-start", "--predict-end", "--ma-windows", "--config",
             "--manifest"],
@@ -1041,6 +1072,8 @@ def test_run_help_prints_the_flag_help(monkeypatch, capsys):
         "kernel reference points: every ceil(N/M)-th delay vector; 0, the "
         "default, takes M = 2048, and any M of at least N keeps all N",
         "first sample of the predict window; set both ends or neither",
+        "moving-average windows of the prediction's error columns; none by "
+        "default",
     ]:
         assert f"  {text}\n" in out, text
 
@@ -1108,7 +1141,7 @@ class TestRunCommand:
         assert run_cli(["run", "--input", "torus.csv", "--delays", "6",
                         "--epsilon", "2.0", "--num-eigen", "40", "--L0", "8",
                         "--train-end", "600", "--outdir", "fit"]) == 0
-        assert_same_artifacts(tmp_path / "fit", tmp_path / "smoke", count=8)
+        assert_same_artifacts(tmp_path / "fit", tmp_path / "smoke", count=7)
 
     def test_channel_name_with_whitespace_rejected(self, synth_csv, tmp_path,
                                                    capsys):
@@ -1332,11 +1365,13 @@ class TestRunCommand:
         # config error: a bad predict count or window, checked before the
         # model (absent here) is read, also when the truth window lies
         # past the data
-        for init_at, steps, ma_window in ((620, 0, 0), (620, -5, 0),
-                                          (620, 5, -1), (690, 50, -1)):
+        for init_at, steps, windows in ((620, 0, []), (620, -5, []),
+                                        (620, 5, ["-1"]), (690, 50, ["-1"]),
+                                        (620, 5, ["10", "10"])):
+            windows = ["--ma-windows", *windows] if windows else []
             code = run_cli(["predict", "--model", tmp_path / "absent.npz",
                             "--input", out, "--init-at", init_at,
-                            "--steps", steps, "--ma-window", ma_window,
+                            "--steps", steps, *windows,
                             "--out", tmp_path / "p.csv"])
             assert code == 2
             assert capsys.readouterr().err.startswith("qpdecomp: ConfigError:")
@@ -1376,7 +1411,7 @@ class TestRunCommand:
         assert run_cli([command, "--input", synth_csv[0], *FIT_FLAGS,
                         flag, tmp_path / target]) == 0
         if command == "run":
-            assert_same_artifacts(tmp_path / target, derived_run, count=8)
+            assert_same_artifacts(tmp_path / target, derived_run, count=7)
         else:
             assert ((tmp_path / target).read_bytes()
                     == (derived_run / target).read_bytes())
@@ -1451,10 +1486,10 @@ class TestRunCommand:
         assert run_cli(["run", *fit, "--outdir", tmp_path / "fit"]) == 0
         assert re.match("long periods .+short periods .+written to",
                         capsys.readouterr().out, re.S)
-        assert_same_artifacts(tmp_path / "fit", ref, count=8)
+        assert_same_artifacts(tmp_path / "fit", ref, count=7)
         assert run_cli(["run", "--manifest", tmp_path / "fit" / "manifest.txt",
                         "--outdir", tmp_path / "refit"]) == 0
-        assert_same_artifacts(tmp_path / "fit", tmp_path / "refit", count=8)
+        assert_same_artifacts(tmp_path / "fit", tmp_path / "refit", count=7)
         cache = tmp_path / "cache"
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"basis_cache = {cache}\n"

@@ -60,8 +60,8 @@ def smoke_config(smoke_input, outdir, **extra):
     return build_config(values)
 
 
-ARTIFACTS = ["frequencies.csv", "periodic.csv", "reconstruction.csv",
-             "prediction.csv", "errors.csv", "model.npz", "manifest.txt",
+ARTIFACTS = ["frequencies.csv", "reconstruction.csv", "prediction.csv",
+             "model.npz", "manifest.txt",
              "diagnostics/sqdist_histogram.csv",
              "diagnostics/norm_growth_by_column.csv",
              "diagnostics/growth_ratio_sorted.csv",
@@ -211,6 +211,45 @@ class TestRunPipeline:
         for j, h in enumerate(truth_cols):
             assert float(first[h]) == data.values[ps, j]
 
+    def test_one_table_per_window(self, smoke_input, tmp_path):
+        # reconstruction.csv carries the fitted periodic part after the
+        # reconstruction, and prediction.csv the moving averages of the
+        # relative error after the prediction, window by window
+        from qpdecomp.decompose import moving_average
+
+        out = tmp_path / "run"
+        result = run_pipeline(smoke_config(smoke_input, out))
+        names = result.data.channel_names
+        recon = np.loadtxt(out / "reconstruction.csv", delimiter=",",
+                           skiprows=1)
+        assert (out / "reconstruction.csv").read_text().splitlines()[0] == \
+            ",".join(["time_s", *(f"{kind}_{c}" for kind in
+                                  ("truth", "recon", "per") for c in names)])
+        k = len(names)
+        np.testing.assert_array_equal(recon[:, 1 + 2 * k:],
+                                      result.periodic.fitted)
+        pred = np.loadtxt(out / "prediction.csv", delimiter=",", skiprows=1)
+        header = (out / "prediction.csv").read_text().splitlines()[0]
+        assert header.split(",")[1 + 2 * k:] == [
+            f"err_{c}_ma{w}" for w in SMOKE["ma_windows"] for c in names]
+        truth, est = pred[:, 1:1 + k], pred[:, 1 + k:1 + 2 * k]
+        err = np.abs(truth - est) / np.abs(truth).max(axis=0)
+        want = [moving_average(err[:, j], w) for w in SMOKE["ma_windows"]
+                for j in range(k)]
+        np.testing.assert_array_equal(pred[:, 1 + 2 * k:], np.array(want).T)
+        assert not (out / "periodic.csv").exists()
+        assert not (out / "errors.csv").exists()
+
+    def test_no_error_columns_by_default(self, smoke_input, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(smoke_config(smoke_input, out,
+                                  ma_windows=PipelineConfig.ma_windows))
+        header = (out / "prediction.csv").read_text().splitlines()[0]
+        assert header == "time_s," + ",".join(
+            f"{kind}_ch{j}" for kind in ("truth", "pred") for j in range(3))
+        assert "ma_windows = " in (out / "manifest.txt").read_text() \
+            .splitlines()
+
     def test_growth_column_is_the_log_growth_of_the_kept_bins(
             self, smoke_input, tmp_path):
         config = smoke_config(smoke_input, tmp_path / "run")
@@ -341,7 +380,7 @@ class TestConfigParsing:
                     predict_start=30, predict_end=40)
         bad = [dict(epsilon=-1), dict(num_eigen=0), dict(L0=1),
                dict(L0=500), dict(ma_windows=(0,)), dict(dt_seconds=-1),
-               dict(max_gap_factor=0)]
+               dict(max_gap_factor=0), dict(ma_windows=(10, 10))]
         # NaN fails every float check
         bad += [{key: "nan"} for key in ("dt_seconds", "max_gap_factor",
                                          "epsilon", "eps1", "eps2")]

@@ -159,6 +159,27 @@ class TestLoadCsv:
         np.testing.assert_array_equal(s.values, values)
         assert s.dt == step and s.t0 == t0
 
+    def test_utc_designator_z_reads_as_utc(self, tmp_path):
+        # `Z` is spelled out as +00:00 before parsing, which fromisoformat
+        # needs before Python 3.11; all three stampings give one series
+        base = datetime(2024, 3, 1, tzinfo=timezone.utc)
+        stamps = [base + timedelta(minutes=2 * k) for k in range(6)]
+        series = []
+        for name, fmt in (("z", lambda t: t.isoformat()[:-6] + "Z"),
+                          ("offset", datetime.isoformat),
+                          ("epoch", lambda t: f"{t.timestamp():.0f}")):
+            p = tmp_path / f"{name}.csv"
+            write_lines(p, ["time,q1,q2"] + [f"{fmt(t)},{k},{2 * k}"
+                                             for k, t in enumerate(stamps)])
+            series.append(load_csv(p))
+        assert p.read_text().splitlines()[1] == "1709251200,0,0"
+        assert (tmp_path / "z.csv").read_text().splitlines()[1] == \
+            "2024-03-01T00:00:00Z,0,0"
+        for s in series:
+            assert (s.t0, s.dt, s.channel_names) == (1709251200.0, 120.0,
+                                                     ("q1", "q2"))
+            np.testing.assert_array_equal(s.values, series[0].values)
+
     @pytest.mark.parametrize("stamp", ["epoch", "iso"])
     def test_sub_second_timestamps_are_even(self, tmp_path, stamp):
         # adjacent steps of 0.1 s at 1.7e9 s differ by one float spacing
