@@ -323,9 +323,10 @@ def fit(config: PipelineConfig) -> Fit:
     frequency selection, periodic fit and chaotic fit.  The chaotic
     coefficients E are not kept: within near-equal eigenvalue pairs they
     rotate with the BLAS's rounding, while the model's M, which is built
-    from them, moves only by rounding.  An error of the windows (the
-    predict window's observed values among them, :func:`check_observed`),
-    the delays or the eigensolve against the series names the input."""
+    from them, moves only by rounding.  An error of the windows (with
+    ``ma_windows`` set, the predict window's observed values among them,
+    :func:`check_observed`), the delays or the eigensolve against the
+    series names the input."""
     data = load_series(config)
     # the parameters meet the series here, so an error names the input
     with reading(config.input):
@@ -336,7 +337,8 @@ def fit(config: PipelineConfig) -> Fit:
         if config.predict_end > data.n:
             raise DataError(f"predict window end {config.predict_end} exceeds "
                             f"series length {data.n}")
-        check_observed(data, config.predict_start, config.predict_end)
+        if config.ma_windows:
+            check_observed(data, config.predict_start, config.predict_end)
         train = series.window(data, 0, train_end)
         q = config.delays
         emb = series.delay_embed(train, q)

@@ -49,9 +49,9 @@ class SpectralBasis:
     ``epsilon`` is the bandwidth the kernel was built with, ``q`` its degree
     vector (M), ``embedding`` the embedded training data (its delay count is
     ``embedding.q``), ``sqdist_histogram`` the ``(counts, edges)`` of the
-    squared distances of distinct pairs, as :func:`kernel.gaussian_kernel`
-    returns them, and ``stride`` the step between reference points (1:
-    every point).  Construction checks the conventions the later stages
+    squared distances of the bandwidth sample's pairs, as
+    :func:`kernel.gaussian_kernel` returns them, and ``stride`` the step
+    between reference points (1: every point).  Construction checks the conventions the later stages
     invert: eigenvalues non-increasing, none below ``LAMBDA_FLOOR``, the
     leading one 1 and its eigenfunction constant.
     """
@@ -116,11 +116,12 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     of ``Ktilde``, and the eigensolver overwrites that array in place.  The
     call holds at most Ktilde and the L eigenvectors V with either the Gram
     matrix or ``Ktilde @ V``, ``N M + M L + max(M^2, N L)`` float64 values
-    (``2 N^2 + N L`` at stride 1), and returns none of them.  The result is
-    deterministic.  Forming the Gram matrix squares the conditioning, so
-    eigenvalues close to the floor carry fewer correct digits: on 400
-    random planar points the worst relative error was about 1e-10 at
-    ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
+    (``2 N^2 + N L`` at stride 1), and returns none of them; the bandwidth
+    sample's distances, at most N x M, are freed before Ktilde is formed.
+    The result is deterministic.  Forming the Gram matrix squares the
+    conditioning, so eigenvalues close to the floor carry fewer correct
+    digits: on 400 random planar points the worst relative error was about
+    1e-10 at ``lam[L-1]`` ~ 1e-12 and 1e-6 at ~ 2e-14.
 
     Parameters
     ----------
@@ -128,8 +129,8 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
         Embedded data; at least two points.
     epsilon : float
         Gaussian bandwidth applied to squared distances; 0 takes the
-        ``kernel.EPSILON_QUANTILE`` quantile of them, as
-        :func:`kernel.gaussian_kernel` does.
+        ``kernel.EPSILON_QUANTILE`` quantile of those of the bandwidth
+        sample, as :func:`kernel.gaussian_kernel` does.
     L : int
         Truncation size, 1 <= L <= M.
     stride : int

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpdecomp import TimeSeries, delay_embed
-from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.spectral import decompose
 
 
@@ -44,6 +44,13 @@ def synthesize(basis, E):
     return basis.Phi @ np.asarray(E, dtype=float).reshape(basis.L, -1)
 
 
+def pair_quantile(emb, quantile):
+    """``np.quantile`` of the squared distances of the distinct pairs of
+    points of ``emb``, each pair once."""
+    n = emb.points.shape[0]
+    return np.quantile(pairwise_sqdist(emb)[np.triu_indices(n, 1)], quantile)
+
+
 def blob_series(n, dim, seed=0):
     """Unstructured point cloud wrapped as a q=0 series."""
     return TimeSeries(np.random.default_rng(seed).standard_normal((n, dim)), dt=1.0)
@@ -53,7 +60,7 @@ def blob_series(n, dim, seed=0):
 def blob_basis():
     """Well-conditioned small kernel basis on random data (L = N/2)."""
     emb = delay_embed(blob_series(120, 5, seed=2), 0)
-    eps = 0.3 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+    eps = 0.3 * pair_quantile(emb, 0.5)
     return decompose(emb, eps, 60)
 
 
@@ -61,7 +68,7 @@ def blob_basis():
 def full_blob_basis():
     """Complete basis (L = N) on random data, small epsilon keeps it conditioned."""
     emb = delay_embed(blob_series(80, 5, seed=3), 0)
-    eps = 0.1 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+    eps = 0.1 * pair_quantile(emb, 0.5)
     return decompose(emb, eps, 80)
 
 
@@ -72,5 +79,5 @@ def torus_basis():
     s = torus_series(516, [2 * np.pi * 34 / 512, 2 * np.pi * 55 / 512],
                      mix_seed=7, n_channels=3)
     emb = delay_embed(s, 4)
-    eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+    eps = 0.02 * pair_quantile(emb, 0.5)
     return decompose(emb, eps, 40)

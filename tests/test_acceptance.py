@@ -16,7 +16,7 @@ import qpdecomp.decompose as dc
 from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
 from qpdecomp.cli import main as cli_main
 from qpdecomp.freqfilter import rkhs_norm_table, select
-from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.pipeline import format_period, report_periods
 from qpdecomp.series import load_csv, window, write_csv
 from qpdecomp.spectral import decompose
@@ -27,6 +27,8 @@ from qpdecomp.synth import (
     simulate,
     standard_testbed,
 )
+
+from conftest import pair_quantile
 
 TWO_PI = 2 * np.pi
 N_SAMPLES = 4096
@@ -50,7 +52,7 @@ def tuned_epsilon(emb):
     # bandwidth read off the low shoulder of the squared-distance histogram:
     # small enough that the eigenvalue decay stays above the inversion floor
     # at L=300, large enough to connect neighbouring trajectory strands
-    return sqdist_quantile(pairwise_sqdist(emb), 0.01)
+    return pair_quantile(emb, 0.01)
 
 
 def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
@@ -184,7 +186,7 @@ class TestCriterion3SpectralInvariants:
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
             self.check(decompose(
-                emb, 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5), 60))
+                emb, 0.5 * pair_quantile(emb, 0.5), 60))
 
 
 class TestCriterion4SmallNOracles:
@@ -195,7 +197,7 @@ class TestCriterion4SmallNOracles:
 
             pts = np.random.default_rng(1).standard_normal((400, 5))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-            eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+            eps = 0.4 * pair_quantile(emb, 0.5)
             L = 40
             u_full, s_full, _ = np.linalg.svd(gaussian_kernel(emb, eps)[0])
             gap = s_full[L - 1] - s_full[L]
@@ -317,7 +319,7 @@ class TestCriterion7MonotonicityAndReproducibility:
             sim = simulate(standard_testbed("pure_torus_2"), 800, DT, seed=0)
             write_csv(sim.series, src)
             emb = delay_embed(window(load_csv(src), 0, 600), 6)
-            eps = sqdist_quantile(pairwise_sqdist(emb), 0.02)
+            eps = pair_quantile(emb, 0.02)
             blobs = []
             for name in ("r1", "r2"):
                 outdir = tmp_path / name

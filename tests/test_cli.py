@@ -327,9 +327,9 @@ BAD_PAIRS = {
                               "spectral.decompose"),
     # the error columns divide by each channel's peak over the observed
     # window; the model takes no part
-    "zero_truth_run": (zeroed, ["run"], [], "all-zero truth channels "
-                       "['ch2'] in samples 620..679: error is undefined",
-                       "spectral.decompose"),
+    "zero_truth_run": (zeroed, ["run"], ["--ma-windows", "3"],
+                       "all-zero truth channels ['ch2'] in samples 620..679: "
+                       "error is undefined", "spectral.decompose"),
     "zero_truth_predict": (zeroed, ["predict"], ["--ma-windows", "3"],
                            "all-zero truth channels ['ch2'] in samples "
                            "620..639: error is undefined", FREE_RUN),
@@ -572,6 +572,19 @@ class TestDecomposeReconstructPredict:
         for command in commands:
             args = command_args(command, src, model_file, tmp_path / "out")
             assert_fails([*args, *flags], tmp_path, capsys, 3, line)
+
+    def test_zero_truth_without_windows_runs(self, synth_csv, tmp_path):
+        # only the error columns divide by the observed peak: without
+        # --ma-windows, run predicts an all-zero channel like any other
+        lines = synth_csv[0].read_text().splitlines()
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(zeroed(lines)) + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command_args("run", src, None, out)) == 0
+        header = (out / "prediction.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["time_s", "truth_ch0", "truth_ch1",
+                                     "truth_ch2", "pred_ch0", "pred_ch1",
+                                     "pred_ch2"]
 
     def test_predict_selects_the_model_channels(self, model_file, synth_csv,
                                                 tmp_path):
@@ -1419,14 +1432,15 @@ class TestRunCommand:
     def test_run_without_epsilon_records_it_in_the_manifest(
             self, synth_csv, derived_run, tmp_path, capsys):
         # the manifest holds the 1% quantile of the training window's squared
-        # delay distances, and re-runs with it explicitly to the same bytes,
-        # with no warning, since its input is unchanged
+        # delay distances (at 594 rows every pair, from both ends), and
+        # re-runs with it explicitly to the same bytes, with no warning,
+        # since its input is unchanged
         from qpdecomp.kernel import pairwise_sqdist
         from qpdecomp.series import delay_embed, window
 
         emb = delay_embed(window(load_csv(synth_csv[0]), 0, 600), 6)
         d2 = pairwise_sqdist(emb)
-        eps = float(np.quantile(d2[np.triu_indices(len(d2), 1)], 0.01))
+        eps = float(np.quantile(d2[~np.eye(len(d2), dtype=bool)], 0.01))
         manifest = (derived_run / "manifest.txt").read_text().splitlines()
         assert f"epsilon = {eps!r}" in manifest
         rerun = tmp_path / "rerun"

@@ -30,10 +30,15 @@ from qpdecomp.decompose import (
     state_before,
 )
 from qpdecomp.freqfilter import FrequencySelection, rkhs_norm_table, select
-from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.spectral import decompose
 
-from conftest import direct_harmonics, masked_irfft, synthesize, torus_series
+from conftest import (
+    direct_harmonics,
+    masked_irfft,
+    pair_quantile,
+    synthesize,
+    torus_series,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -157,7 +162,7 @@ def fit_torus(n, q, stride=1):
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
-    eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+    eps = 0.02 * pair_quantile(emb, 0.5)
     basis = decompose(emb, eps, 40, stride)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
@@ -739,7 +744,7 @@ class TestModelRoundTrip:
         s = torus_series(n, [TWO_PI * 200 / (n - q), TWO_PI * 321 / (n - q)],
                          mix_seed=7, n_channels=3, dt=dt)
         emb = delay_embed(s, q)
-        eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.02 * pair_quantile(emb, 0.5)
         basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
         pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)

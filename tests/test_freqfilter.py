@@ -18,12 +18,11 @@ from qpdecomp.freqfilter import (
     RkhsNormTable,
     log_growth,
 )
-from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
 from qpdecomp.pipeline import write_diagnostics
 from qpdecomp.spectral import LAMBDA_FLOOR, SpectralBasis, decompose
 from qpdecomp.synth import lattice_frequencies
 
-from conftest import torus_series
+from conftest import pair_quantile, torus_series
 
 TWO_PI = 2 * np.pi
 
@@ -260,7 +259,7 @@ class TestShiftInvariance:
         tables = []
         for values in (s.values, np.roll(s.values, -41, axis=0)):
             emb = delay_embed(TimeSeries(values, dt=1.0), 0)
-            eps = 0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+            eps = 0.02 * pair_quantile(emb, 0.5)
             basis = decompose(emb, eps, L)
             tables.append(rkhs_norm_table(basis, dt=1.0).W)
         assert np.abs(tables[0] - tables[1]).max() <= 1e-6
@@ -268,7 +267,7 @@ class TestShiftInvariance:
 
 def run_filter(values, q, L, L0, eps_quantile=0.01):
     emb = delay_embed(TimeSeries(values, dt=1.0), q)
-    eps = sqdist_quantile(pairwise_sqdist(emb), eps_quantile)
+    eps = pair_quantile(emb, eps_quantile)
     basis = decompose(emb, eps, L)
     table = rkhs_norm_table(basis, dt=1.0)
     with warnings.catch_warnings():

@@ -14,7 +14,7 @@ from qpdecomp import (
     gaussian_kernel,
     pairwise_sqdist,
 )
-from qpdecomp.kernel import sqdist_histogram, sqdist_quantile
+from qpdecomp.kernel import SAMPLE_ROWS, sqdist_histogram
 
 
 # point counts that span several row blocks of the kernel passes: a whole
@@ -40,8 +40,9 @@ def kernel_matrix(emb, eps):
 
 def whole_matrix_kernel(emb, eps):
     """The kernel as built before the one-buffer rewrite: whole-matrix
-    temporaries and a triu_indices histogram, kept as the bit-identity
-    oracle.  Returns (d2, Ktilde, d, q, counts, edges)."""
+    temporaries and a histogram of the off-diagonal entries, each pair from
+    both ends, kept as the bit-identity oracle.  Returns (d2, Ktilde, d, q,
+    counts, edges)."""
     pts = emb.points
     n = len(pts)
     sq = np.einsum("ij,ij->i", pts, pts)
@@ -53,8 +54,12 @@ def whole_matrix_kernel(emb, eps):
     d = K.mean(axis=1)
     q = K.dot(1.0 / d) / n
     kt = K / (n * d[:, None] * np.sqrt(q)[None, :])
-    counts, edges = np.histogram(d2[np.triu_indices(n, 1)], bins=64)
+    counts, edges = np.histogram(off_diagonal(d2), bins=64)
     return d2, kt, d, q, counts, edges
+
+
+def off_diagonal(d2):
+    return d2[~np.eye(len(d2), dtype=bool)]
 
 
 def brute_sqdist(pts):
@@ -242,10 +247,10 @@ class TestOneBufferKernel:
     ])
     def test_derived_epsilon_is_the_explicit_quantile(self, n, dim, seed):
         # epsilon = 0 takes the 1% quantile of the off-diagonal squared
-        # distances, and then builds the kernel that quantile builds
+        # distances, each pair from both ends, and then builds the kernel
+        # that quantile builds
         emb = embed_points(np.random.default_rng(seed).standard_normal((n, dim)))
-        d2 = pairwise_sqdist(emb)
-        eps = float(np.quantile(d2[np.triu_indices(n, 1)], 0.01))
+        eps = float(np.quantile(off_diagonal(pairwise_sqdist(emb)), 0.01))
         derived = gaussian_kernel(emb, 0)
         explicit = gaussian_kernel(emb, eps)
         assert derived[1] == eps == explicit[1]
@@ -276,8 +281,8 @@ class TestOneBufferKernel:
         assert peak <= 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} N^2"
 
     def test_peak_allocation_with_derived_epsilon(self):
-        # the distances plus the quantile's copy of their upper triangle,
-        # inside the 2 N^2 budget that spectral.decompose checks
+        # the sample's distances, freed before the kernel's, inside the
+        # 2 N^2 budget that spectral.decompose checks
         n = 1500
         emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
         tracemalloc.start()
@@ -291,28 +296,30 @@ class TestOneBufferKernel:
 
 
 def test_sqdist_histogram_counts_all_pairs():
+    # at stride 1 every off-diagonal entry is a pair, each pair from both ends
     pts = np.random.default_rng(14).standard_normal((20, 2))
-    counts, edges = sqdist_histogram(pairwise_sqdist(embed_points(pts)),
-                                     bins=10)
-    assert counts.sum() == 20 * 19 // 2
-    assert len(edges) == 11
-    counts, edges = gaussian_kernel(embed_points(pts), 1.0)[3]
-    assert counts.sum() == 20 * 19 // 2
-    assert len(edges) == 65
+    counts, edges = sqdist_histogram(pts, pts, 1)[0]
+    want_counts, want_edges = np.histogram(
+        off_diagonal(pairwise_sqdist(embed_points(pts))), bins=64)
+    assert counts.sum() == 20 * 19
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(edges, want_edges)
+    got_counts, got_edges = gaussian_kernel(embed_points(pts), 1.0)[3]
+    assert np.array_equal(got_counts, counts)
+    assert np.array_equal(got_edges, edges)
 
 
-def test_sqdist_quantile_matches_triu_oracle():
-    emb = embed_points(np.random.default_rng(16).standard_normal((300, 4)))
-    d2 = pairwise_sqdist(emb)
-    upper = d2[np.triu_indices(300, 1)]
+def test_sample_quantile_is_numpys_at_stride_1():
+    pts = np.random.default_rng(16).standard_normal((300, 4))
+    pairs = off_diagonal(pairwise_sqdist(embed_points(pts)))
     for quantile in (0.0, 0.01, 0.5, 0.999, 1.0):
-        assert sqdist_quantile(d2, quantile) == np.quantile(upper, quantile)
-    assert np.array_equal(d2, pairwise_sqdist(emb))    # d2 is left as it was
+        got = sqdist_histogram(pts, pts, 1, quantile)[1]
+        assert got == np.quantile(pairs, quantile), quantile
 
 
-def test_sqdist_quantile_needs_two_points():
+def test_sqdist_histogram_needs_two_points():
     with pytest.raises(DataError, match="at least two points"):
-        sqdist_quantile(pairwise_sqdist(embed_points([[1.0, 2.0]])), 0.5)
+        sqdist_histogram(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), 1)
 
 
 def reference_kernel_oracle(pts, stride, eps):
@@ -330,6 +337,19 @@ def reference_kernel_oracle(pts, stride, eps):
 def brute_sqdist_to(pts, refs):
     diff = pts[:, None, :] - refs[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def reference_pairs(pts, stride, rows=slice(None)):
+    """The pairs of the bandwidth sample, copied out: the squared distances
+    of ``pts[rows]`` to every ``stride``-th point, as the kernel forms them,
+    less each row's own distance when it is a reference."""
+    refs = np.ascontiguousarray(pts[::stride])
+    d2 = kernel_module._sqdist(pts[rows], refs)
+    drawn = np.arange(len(pts))[rows]
+    own = np.flatnonzero(drawn % stride == 0)
+    keep = np.ones(d2.shape, dtype=bool)
+    keep[own, drawn[own] // stride] = False
+    return d2[keep]
 
 
 class TestReferenceSet:
@@ -379,31 +399,34 @@ class TestReferenceSet:
         # reference other than itself; those of every pair of references
         # alone would miss every lag that is not a multiple of the stride
         pts = np.random.default_rng(6).standard_normal((n, 4))
+        pairs = reference_pairs(pts, stride)
+        # the same pairs as the exact differences give, to rounding
         refs = pts[::stride]
         m = len(refs)
-        d2 = brute_sqdist_to(pts, refs)
-        own = np.arange(m) * stride
         keep = np.ones((n, m), dtype=bool)
-        keep[own, np.arange(m)] = False
-        pairs = d2[keep]
+        keep[np.arange(m) * stride, np.arange(m)] = False
+        exact = brute_sqdist_to(pts, refs)[keep]
+        np.testing.assert_allclose(pairs, exact, rtol=0,
+                                   atol=1e-12 * exact.max())
         _, eps, _, (counts, edges) = gaussian_kernel(embed_points(pts), 0,
                                                      stride)
-        np.testing.assert_allclose(eps, np.quantile(pairs, 0.01), rtol=1e-12)
+        assert len(pairs) == counts.sum() == n * m - m
+        assert eps == np.quantile(pairs, 0.01)
         want_counts, want_edges = np.histogram(pairs, bins=64)
-        assert counts.sum() == n * m - m
-        assert np.abs(counts - want_counts).sum() <= 2
-        np.testing.assert_allclose(edges, want_edges, rtol=1e-12)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(edges, want_edges)
 
     @pytest.mark.parametrize("n, dim, stride, points", [
         (300, 5, 2, "normal"), (RAGGED_ROWS, 3, 3, "normal"),
         (WHOLE_BLOCK_ROWS, 2, 64, "normal"),
-        (RAGGED_ROWS, 3, 3, "outlier"),     # the histograms must zoom in
+        (RAGGED_ROWS, 3, 3, "outlier"),     # every other pair in one bin
         (RAGGED_ROWS, 4, 2, "ties"),        # integer distances, many equal
     ])
     def test_quantile_and_histogram_are_numpys_of_the_pairs(self, n, dim,
                                                             stride, points):
-        # bit for bit against np.quantile and np.histogram of the copied
-        # pairs of the same distance matrix, zero distances included
+        # up to SAMPLE_ROWS rows the sample is every row: bit for bit
+        # against np.quantile and np.histogram of all N M - M pairs, zero
+        # distances included
         rng = np.random.default_rng(dim)
         pts = (rng.integers(0, 3, (n, dim)).astype(float) if points == "ties"
                else rng.standard_normal((n, dim)))
@@ -412,97 +435,89 @@ class TestReferenceSet:
         if points == "outlier":
             pts[7] = 1e7
         refs = np.ascontiguousarray(pts[::stride])
-        d2 = kernel_module._sqdist(pts, refs)
-        np.fill_diagonal(d2[::stride], 0.0)
-        m = len(refs)
-        keep = np.ones(d2.shape, dtype=bool)
-        keep[np.arange(m) * stride, np.arange(m)] = False
-        pairs = d2[keep]
+        pairs = reference_pairs(pts, stride)
         for quantile in (0.0, 1e-6, 0.01, 0.37, 0.5, 0.999, 1.0):
-            got = sqdist_quantile(d2, quantile, stride)
+            got = sqdist_histogram(pts, refs, stride, quantile)[1]
             assert got == np.quantile(pairs, quantile), quantile
-        counts, edges = sqdist_histogram(d2, stride=stride)
+        counts, edges = sqdist_histogram(pts, refs, stride)[0]
         want_counts, want_edges = np.histogram(pairs, bins=64)
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(edges, want_edges)
 
     @staticmethod
-    def outlier_quantile_peak(stride):
+    def outlier_sample_peak(stride):
         # one point 1e6 away puts every other distance into the first bin
-        # of the range; returns the quantile's allocation peak and M
+        # of the range; returns the sample pass's allocation peak and M
         n = 3000
         pts = np.random.default_rng(3).standard_normal((n, 5))
         pts[1] = 1e6
-        d2 = kernel_module._sqdist(pts, np.ascontiguousarray(pts[::stride]))
-        np.fill_diagonal(d2[::stride], 0.0)
+        refs = np.ascontiguousarray(pts[::stride])
         tracemalloc.start()
         try:
-            sqdist_quantile(d2, 0.01, stride)
+            sqdist_histogram(pts, refs, stride, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, d2.shape[1]
+        return peak, n, len(refs)
 
     def test_far_outlier_copies_little(self):
-        # the zoomed histograms keep the copy under M^2
-        peak, m = self.outlier_quantile_peak(4)
-        assert peak <= m * m * 8, f"peak {peak / (m * m * 8):.2f} M^2"
+        # the sample's one N x M buffer, partitioned in place, and less
+        # than M^2 beside it
+        peak, n, m = self.outlier_sample_peak(4)
+        assert peak <= (n * m + m * m) * 8, f"peak {peak / (n * m * 8):.2f} NM"
 
     def test_far_outlier_copies_little_at_stride_1(self):
-        # d2 holds each pair twice, and still the copy is at most M^2
-        # entries; a row block's selection and masks come on top
-        peak, m = self.outlier_quantile_peak(1)
-        bound = (m * m + 4 * kernel_module._BLOCK * m) * 8
-        assert peak <= bound, f"peak {peak / (m * m * 8):.3f} M^2"
+        peak, n, m = self.outlier_sample_peak(1)
+        bound = (n * m + 4 * kernel_module._BLOCK * m) * 8
+        assert peak <= bound, f"peak {peak / (n * m * 8):.3f} N^2"
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_equal_distances_below_one_half(self, stride):
         # every pair 0.18 apart: np.histogram widens the empty range to
-        # [-0.32, 0.68], whose bins then hold the self zeros too
+        # [-0.32, 0.68], whose bins hold no self zero
         pts = np.eye(70) * 0.3
         refs = np.ascontiguousarray(pts[::stride])
-        d2 = kernel_module._sqdist(pts, refs)
-        np.fill_diagonal(d2[::stride], 0.0)
-        pairs = (d2[np.triu_indices(70, 1)] if stride == 1
-                 else d2[d2 != 0.0])
-        assert len(pairs) == kernel_module._count_pairs(d2, stride)
+        pairs = reference_pairs(pts, stride)
         assert np.all(pairs == pairs[0]) and pairs[0] < 0.5
-        counts, edges = sqdist_histogram(d2, stride=stride)
+        hist, _ = sqdist_histogram(pts, refs, stride)
         want_counts, want_edges = np.histogram(pairs, bins=64)
-        assert np.array_equal(counts, want_counts)
-        assert np.array_equal(edges, want_edges)
+        assert np.array_equal(hist[0], want_counts)
+        assert np.array_equal(hist[1], want_edges)
         for quantile in (0.0, 0.01, 0.5, 1.0):
-            got = sqdist_quantile(d2, quantile, stride)
+            got = sqdist_histogram(pts, refs, stride, quantile)[1]
             assert got == np.quantile(pairs, quantile), quantile
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_derived_epsilon_takes_three_passes(self, monkeypatch, stride):
-        # each pass over the distances is one walk over their row blocks:
-        # forming them, then the range, the histogram and the quantile's
-        # selection, then the normalization of K
-        walks = []
-        row_blocks = kernel_module._row_blocks
-        monkeypatch.setattr(kernel_module, "_row_blocks",
-                            lambda n: walks.append(n) or row_blocks(n))
-        pts = np.random.default_rng(10).standard_normal((RAGGED_ROWS, 3))
-        gaussian_kernel(embed_points(pts), 0, stride)
-        assert len(walks) == 1 + 3 + 1
+    def test_sample_is_every_row_up_to_sample_rows(self):
+        for n in (1, 2, RAGGED_ROWS, SAMPLE_ROWS):
+            rows = np.arange(n)[kernel_module._sample_rows(n)]
+            assert np.array_equal(rows, np.arange(n))
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_distances_are_only_read(self, stride):
-        pts = np.random.default_rng(9).standard_normal((RAGGED_ROWS, 3))
-        pts[7] = 1e4            # the copy, and at stride 3 a zoom first
-        d2 = kernel_module._sqdist(pts, np.ascontiguousarray(pts[::stride]))
-        np.fill_diagonal(d2[::stride], 0.0)
-        want = d2.copy()
-        d2.setflags(write=False)
-        sqdist_histogram(d2, stride=stride)
-        sqdist_quantile(d2, 0.01, stride)
-        assert np.array_equal(d2, want)
+    @pytest.mark.parametrize("n", [SAMPLE_ROWS + 1, SAMPLE_ROWS + 904])
+    def test_rows_past_the_sample_are_a_fixed_draw(self, n):
+        # past SAMPLE_ROWS rows the bandwidth is np.quantile of the pairs
+        # of SAMPLE_ROWS drawn rows, and two inputs of one N draw the same
+        stride = kernel_module.reference_stride(n)
+        rows = kernel_module._sample_rows(n)
+        assert len(np.unique(rows)) == SAMPLE_ROWS
+        assert np.all(np.diff(rows) > 0) and rows[-1] < n
+        assert np.array_equal(kernel_module._sample_rows(n), rows)
+        assert not np.array_equal(kernel_module._sample_rows(n + 1), rows)
+        for seed in (0, 1):
+            pts = np.random.default_rng(seed).standard_normal((n, 2))
+            refs = np.ascontiguousarray(pts[::stride])
+            pairs = reference_pairs(pts, stride, rows)
+            own = np.count_nonzero(rows % stride == 0)
+            assert len(pairs) == SAMPLE_ROWS * len(refs) - own
+            hist, eps = sqdist_histogram(pts, refs, stride, 0.01)
+            assert eps == np.quantile(pairs, 0.01)
+            want_counts, want_edges = np.histogram(pairs, bins=64)
+            assert np.array_equal(hist[0], want_counts)
+            assert np.array_equal(hist[1], want_edges)
+            assert gaussian_kernel(embed_points(pts), 0, stride)[1] == eps
 
     def test_peak_allocation_is_n_by_m(self):
-        # the N x M kernel, and before it the references' M x M distances
-        # with the quantile's copy, inside the N M + M^2 budget
+        # the N x M kernel, and before it the sample's distances, freed
+        # before the kernel's, inside the N M + M^2 budget
         n, stride = 3000, 4
         m = n // stride
         emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))

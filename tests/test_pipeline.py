@@ -21,6 +21,8 @@ from qpdecomp.pipeline import (
 from qpdecomp.series import write_csv
 from qpdecomp.synth import simulate, standard_testbed
 
+from conftest import pair_quantile
+
 TWO_PI = 2 * np.pi
 
 SMOKE = dict(
@@ -50,12 +52,11 @@ def smoke_input(tmp_path_factory):
 def smoke_config(smoke_input, outdir, **extra):
     values = dict(SMOKE)
     values.update(input=str(smoke_input), outdir=str(outdir))
-    from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
     from qpdecomp.series import delay_embed, load_csv, window
 
     data = load_csv(smoke_input)
     emb = delay_embed(window(data, 0, values["train_end"]), values["delays"])
-    values["epsilon"] = sqdist_quantile(pairwise_sqdist(emb), 0.02)
+    values["epsilon"] = pair_quantile(emb, 0.02)
     values.update(extra)
     return build_config(values)
 
@@ -320,7 +321,6 @@ def test_run_peak_allocation_is_two_buffers(tmp_path):
 
     import scipy.linalg  # noqa: F401  (its import would count in the peak)
 
-    from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
     from qpdecomp.series import TimeSeries, delay_embed
 
     n, q = 1500, 3
@@ -333,7 +333,7 @@ def test_run_peak_allocation_is_two_buffers(tmp_path):
     emb = delay_embed(TimeSeries(values[:n + q], dt=1.0), q)
     config = build_config(dict(
         input=str(path), outdir=str(tmp_path / "run"), delays=q,
-        epsilon=0.02 * sqdist_quantile(pairwise_sqdist(emb), 0.5),
+        epsilon=0.02 * pair_quantile(emb, 0.5),
         num_eigen=40, L0=10,
         train_end=n + q, predict_start=n + q + 10, predict_end=n + q + 110))
     tracemalloc.start()

@@ -10,11 +10,11 @@ from qpdecomp import (
     delay_embed,
     gaussian_kernel,
 )
-from qpdecomp.kernel import pairwise_sqdist, sqdist_quantile
+from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.decompose import fit_chaotic
 from qpdecomp.spectral import decompose
 
-from conftest import synthesize
+from conftest import pair_quantile, synthesize
 
 
 def embed_points(points):
@@ -95,7 +95,7 @@ class TestDecompose:
     def test_ordering_and_truncation_error(self):
         pts = np.random.default_rng(0).standard_normal((200, 4))
         emb = embed_points(pts)
-        eps = 0.5 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.5 * pair_quantile(emb, 0.5)
         basis = decompose(emb, eps, 50)
         assert (np.diff(basis.lam) <= 1e-15).all()
         # spectral truncation error equals the next singular value
@@ -108,7 +108,7 @@ class TestDecompose:
     def test_dense_svd_oracle_agreement(self):
         pts = np.random.default_rng(1).standard_normal((300, 5))
         emb = embed_points(pts)
-        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.4 * pair_quantile(emb, 0.5)
         u_full, s_full, _ = np.linalg.svd(ktilde(emb, eps))
         basis = decompose(emb, eps, 30)
         rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
@@ -128,7 +128,7 @@ class TestDecompose:
         # same gates as the dense SVD oracle test
         pts = np.random.default_rng(1).standard_normal((n, 5))
         emb = embed_points(pts)
-        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.4 * pair_quantile(emb, 0.5)
         u_full, s_full, _ = np.linalg.svd(ktilde(emb, eps))
         basis = decompose(emb, eps, 30)
         rel = np.abs(basis.sigma - s_full[:30]) / s_full[:30]
@@ -143,7 +143,7 @@ class TestDecompose:
         # the operator, so this is where its lost precision would show
         pts = np.random.default_rng(7).standard_normal((400, 2))
         emb = embed_points(pts)
-        eps = 2.0 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 2.0 * pair_quantile(emb, 0.5)
         L = 39
         s_full = np.linalg.svd(ktilde(emb, eps), compute_uv=False)
         assert 1e-13 < s_full[L - 1] ** 2 < 1e-11
@@ -195,7 +195,7 @@ class TestDecompose:
 
         n = 600
         emb = embed_points(np.random.default_rng(8).standard_normal((n, 5)))
-        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.4 * pair_quantile(emb, 0.5)
         tracemalloc.start()
         try:
             basis = decompose(emb, eps, 40)
@@ -300,7 +300,7 @@ class TestReferenceBasis:
     def strided(self):
         pts = np.random.default_rng(9).standard_normal((self.N, 5))
         emb = embed_points(pts)
-        eps = 0.4 * sqdist_quantile(pairwise_sqdist(emb), 0.5)
+        eps = 0.4 * pair_quantile(emb, 0.5)
         return decompose(emb, eps, self.L, self.STRIDE)
 
     def test_leading_pair(self, strided):
