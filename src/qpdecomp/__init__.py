@@ -1,9 +1,10 @@
 """qpdecomp: decompose quasiperiodically driven time series.
 
-Splits a multivariate series into a quasiperiodic component with identified
-generating frequencies and a chaotic residual learned in a kernel
-eigenbasis, then reconstructs and predicts the series with a standalone
-data-driven dynamical model.
+Splits a multivariate series into a quasiperiodic component with
+generating frequencies identified in a kernel eigenbasis and a chaotic
+residual whose dynamics a kernel average of successors learns, then
+reconstructs and predicts the series with a standalone data-driven
+dynamical model.
 """
 
 from .decompose import (

@@ -1,6 +1,6 @@
 """Fit the periodic component by projecting onto the selected DFT bins, fit
-the chaotic residual in the eigenbasis, and run the standalone
-reconstruction system.
+the driven dynamics as a kernel average of residual successors, and run the
+standalone reconstruction system.
 
 Time convention: the periodic component is a function of physical time in
 seconds, ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t)``.
@@ -13,61 +13,52 @@ Nyquist row is real to rounding when t0 is a multiple of dt, as in the
 pipeline.  The fitted rows, the in-sample reconstruction and the free run
 all take g_per from :func:`evaluate_harmonics` on a uniform time grid.
 
-The standalone model advances a k(q+1) shift register in embedding layout
-(oldest block first): the next sample is ``g_per(t) + g_chaos(window)``
-where the window is the register before the step, then the register shifts.
-``g_chaos`` is the geometric-harmonics (Nystrom) extension of the fitted
-eigenbasis expansion over the M reference points of the kernel (every s-th
-training point, all N at stride s = 1),
-``g_chaos(y) = sqrt(M) * (w(y) @ M) / sum(w(y))`` with w the Gaussian
-kernel weights of y against the references and the M x k matrix
-``M = (Gamma / sqrt(q) / sigma) @ E``.  A model therefore holds the
-harmonics (omega, A), the training series, epsilon, the stride and M: what
-the free run reads, never an N x N or N x M matrix, the eigenbasis or E.
+The driven dynamics live in the residual r = y - g_per of the fit rows.  A
+window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
+layout, oldest first), and the map is the analog forecast of Zhao &
+Giannakis (Nonlinearity 2016): after a window y the next residual sample is
+``g_chaos(y) = sum_m w_m r_{m+1} / sum_m w_m``, the kernel average of the
+successors r_{m+1} of the kept windows, every ``stride``-th one, with w the
+Gaussian weights of y against them at the bandwidth that
+:func:`fit_chaotic` takes by held-out one-step error.  g_chaos is a convex
+combination of the successors, so the largest of them bounds it.
 
-g_chaos has one evaluator, which :func:`eval_chaotic`, the free run and
-the in-sample reconstruction share.  :func:`log_weights` gives the scaled
-log-weights ``z = (2 P - sq) / epsilon`` of a state y, where
-``P = points @ y``: the weights are ``exp(z - max z)``, since
-``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``.  :func:`kernel_average`
-makes one product of them with the rows ``[sqrt(M) M^T; 1]``, which gives
-the numerator and the weight sum of g_chaos together.
-
-The free run slides z over all N training points instead of recomputing
-it, and reads the references' entries ``z[::s]``.  Point m is samples
-m..m+q of the training series x, and the shifted window drops its oldest
-block ``old`` and appends the new sample, so z slides forward in O(N k) per
-step: ``z[m] <- z[m-1] + (2 (x[m+q] . y_new - x[m-1] . old) + sq[m-1] -
-sq[m]) / epsilon`` for m >= 1, one GEMV of ``(-old, y_new, 1)`` whose last
-row folds in the squared norms, with ``z[0]`` computed afresh.  This is the
-sliding update of the STOMP matrix profile algorithm (Zhu et al., ICDM
-2016).  z lives in a buffer of ``N + _BLOCK_ROWS`` values and each step
-views it one place earlier, so the slid ``z[1:]`` is already where the last
-``z[:-1]`` was.  A full recompute by :func:`log_weights` every
-``_BLOCK_ROWS`` steps, whose reference entries come from the references
-alone, as in :func:`eval_chaotic`, bounds the rounding drift whatever the
-horizon, and makes those steps equal ``eval_periodic + eval_chaotic`` bit
-for bit.
+g_chaos has one evaluator, :func:`eval_chaotic`, which the free run and the
+in-sample reconstruction share: :func:`log_weights` gives the scaled
+log-weights ``z = (2 P - sq) / epsilon`` of a state y, ``P = points @ y``,
+whose weights are ``exp(z - max z)``, since
+``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``, and
+:func:`kernel_average` takes the numerator and the weight sum together, in
+one product with the rows ``[successors^T; 1]``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError, check_memory, reading
 from .freqfilter import FrequencySelection
-from .series import DelayEmbedding, TimeSeries, delay_embed, same_step
-from .spectral import SpectralBasis
+from .series import TimeSeries, delay_embed, same_step
 
-MODEL_FORMAT = "qpdecomp-model-4"
+MODEL_FORMAT = "qpdecomp-model-5"
 
 # Rows per block when harmonics or g_chaos are evaluated at many times or
 # states: a block holds a (rows x m) complex phase matrix or an (M x rows)
-# weight matrix, 8 MB at m = 2048 bins or M = 4096 reference points.  Also
-# the number of free-run steps between full recomputes of the slid
-# log-weights.
+# weight matrix, 8 MB at m = 2048 bins or M = 4096 kept windows.
 _BLOCK_ROWS = 256
+
+# A residual window holds CHAOS_DELAYS + 1 samples.
+CHAOS_DELAYS = 2
+# The map's bandwidth is the quantile of the windows' squared distances at
+# one of these levels: the one with the lowest one-step error over the last
+# HELD_OUT share of the training residual (see fit_chaotic).
+EPSILON_LADDER = (1e-2, 1e-3, 1e-4)
+HELD_OUT = 0.15
+# Shifted log-weights below this floor weigh as if at it: exp of it is a
+# normal float, some 1e-304 against the nearest window's weight 1, so no
+# average moves, and numpy's exp is slow on results that underflow.
+_LOG_WEIGHT_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -82,31 +73,28 @@ class PeriodicFit:
 
 @dataclass(frozen=True)
 class QPModel:
-    """Fitted quasiperiodic + chaotic model: what the free run reads.
+    """Fitted quasiperiodic + driven model: what the free run reads.
 
     ``omegas`` (m) and ``A`` (m x k) are the harmonics of the periodic
-    component.  ``embedding`` holds the training series, q and the N
-    embedded points; ``sq``, their squared row norms, is derived from it.
-    Every ``stride``-th point is a reference point; ``references`` and
-    ``sq_ref``, their rows and squared norms, are derived too (at stride 1,
-    views of the points and ``sq``).  ``M`` (one row per reference point
-    x k) maps shifted kernel weights to the chaotic component; build it
-    from a basis with :meth:`from_basis`; ``rows``, the C-ordered
-    ``[sqrt(M) M^T; 1]`` of :func:`kernel_average`, is derived from it.
-    Other shapes, a non-finite entry of ``omegas``, ``A`` or ``M``, a
-    zero-frequency coefficient that is not real, a ``stride`` below 1 or an
-    ``epsilon`` that is not positive and finite are a :class:`DataError`.
+    component, and ``residual`` is the training series less them, with its
+    step, its own clock and its channel names.  Every ``stride``-th window
+    of ``CHAOS_DELAYS + 1`` residual samples that has a successor is kept:
+    ``windows`` (one row per kept window, embedding layout), ``sq``, their
+    squared norms, and ``rows``, the C-ordered ``[successors^T; 1]`` of
+    :func:`kernel_average`, are derived.  ``epsilon`` is the map's
+    bandwidth.  Other shapes, a non-finite entry of ``omegas`` or ``A``, a
+    zero-frequency coefficient that is not real, a residual too short for
+    one window and its successor, a ``stride`` below 1 or an ``epsilon``
+    that is not positive and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
     A: np.ndarray
-    M: np.ndarray
-    embedding: DelayEmbedding
+    residual: TimeSeries
     epsilon: float
     stride: int = 1
+    windows: np.ndarray = field(init=False, repr=False)
     sq: np.ndarray = field(init=False, repr=False)
-    references: np.ndarray = field(init=False, repr=False)
-    sq_ref: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -115,64 +103,49 @@ class QPModel:
             raise DataError("model frequencies must be a finite vector")
         if not s >= 1:
             raise DataError(f"model stride {s} is not a positive integer")
-        m = -(-n // s)
-        if self.A.shape != (len(omegas), k) or self.M.shape != (m, k):
-            raise DataError(f"model A {self.A.shape} and M {self.M.shape} do "
-                            f"not match {len(omegas)} frequencies, {m} "
-                            f"reference points and {k} channels")
-        for name in ("A", "M"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DataError(f"model {name} has NaN or infinite entries")
+        if self.A.shape != (len(omegas), k):
+            raise DataError(f"model A {self.A.shape} does not match "
+                            f"{len(omegas)} frequencies and {k} channels")
+        if not np.isfinite(self.A).all():
+            raise DataError("model A has NaN or infinite entries")
         if not 0 < self.epsilon < np.inf:
             raise DataError(f"model epsilon {self.epsilon} is not positive "
                             f"and finite")
         if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
             raise DataError("model zero-frequency coefficient is not real")
-        pts = self.embedding.points
-        sq = np.einsum("ij,ij->i", pts, pts)
-        object.__setattr__(self, "sq", sq)
-        object.__setattr__(self, "references", np.ascontiguousarray(pts[::s]))
-        object.__setattr__(self, "sq_ref", np.ascontiguousarray(sq[::s]))
-        rows = np.empty((k + 1, m))
-        rows[:k] = np.sqrt(m) * self.M.T
-        rows[k] = 1.0
+        w = CHAOS_DELAYS + 1
+        if n <= w:
+            raise DataError(f"model residual has {n} rows; a window of {w} "
+                            f"samples and its successor need {w + 1}")
+        windows = delay_embed(self.residual, CHAOS_DELAYS).points[:-1:s]
+        windows = np.ascontiguousarray(windows)
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "sq", np.einsum("ij,ij->i", windows, windows))
+        rows = np.ones((k + 1, len(windows)))
+        rows[:k] = self.residual.values[w::s].T
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_basis(cls, basis: SpectralBasis, omegas, A, E) -> "QPModel":
-        """Model with harmonics (omegas, A) and chaotic coefficients E on
-        ``basis``; neither E nor the basis is kept."""
-        c = basis.Gamma / np.sqrt(basis.q)[:, None]
-        return cls(omegas=np.asarray(omegas, dtype=float), A=A,
-                   M=(c / basis.sigma[None, :]) @ E,
-                   embedding=basis.embedding, epsilon=basis.epsilon,
-                   stride=basis.stride)
-
-    @property
-    def q(self) -> int:
-        return self.embedding.q
 
     @property
     def dt(self) -> float:
-        return self.embedding.source.dt
+        return self.residual.dt
 
     @property
     def n(self) -> int:
-        """Number of training points (embedded rows)."""
-        return self.embedding.n_points
+        """Number of training residual rows."""
+        return self.residual.n
 
     @property
     def m(self) -> int:
-        """Number of reference points, the rows of ``M``."""
-        return self.M.shape[0]
+        """Number of kept windows."""
+        return len(self.windows)
 
     @property
     def k(self) -> int:
-        return self.embedding.source.k
+        return self.residual.k
 
     @property
     def state_dim(self) -> int:
-        return self.k * (self.q + 1)
+        return self.k * (CHAOS_DELAYS + 1)
 
 
 def fit_periodic(Y, selection: FrequencySelection, dt: float,
@@ -230,17 +203,6 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
                        residual=Y - fitted)
 
 
-def fit_chaotic(Y_non, basis: SpectralBasis) -> np.ndarray:
-    """Coefficients E (L x k) of the residual rows Y_non (N x k) on the
-    eigenbasis under the empirical inner product: ``Phi^T Y_non / N``."""
-    Y = np.asarray(Y_non, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape[0] != basis.n:
-        raise DataError(f"residual has {Y.shape[0]} rows, basis has {basis.n}")
-    return basis.Phi.T @ Y / basis.n
-
-
 def evaluate_harmonics(A, omegas, t0, dt, n):
     """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) at the n times
     ``t = t0 + r*dt``, (n, k): each block of ``_BLOCK_ROWS`` rows multiplies
@@ -284,28 +246,71 @@ def log_weights(points, sq, epsilon, y, out=None) -> np.ndarray:
 def kernel_average(rows, z, w) -> np.ndarray:
     """``(rows[:-1] @ w) / (rows[-1] @ w)`` for the weights ``exp(z - max z)``
     of the log-weights z, (N,) or (N, B), which go into the buffer w of z's
-    shape (z itself may be it).  Returns (k,) or (k, B)."""
+    shape (z itself may be it); shifted log-weights below
+    ``_LOG_WEIGHT_FLOOR`` are taken at it.  Returns (k,) or (k, B)."""
     np.subtract(z, z.max(axis=0), out=w)
+    np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
     np.exp(w, out=w)
     num = rows @ w
     return num[:-1] / num[-1]
 
 
 def eval_chaotic(model: QPModel, y) -> np.ndarray:
-    """Chaotic component at one delay state (dim,) or at each of a block of
-    states (B, dim), ``_BLOCK_ROWS`` at a time, in embedding layout, from
-    the kernel weights against the M reference points.  At the training
-    points it is ``Phi @ E`` of the fitted basis, to rounding."""
+    """The next residual sample after one window (dim,) or after each of a
+    block of windows (B, dim), ``_BLOCK_ROWS`` at a time, in embedding
+    layout: the kernel average of the successors of the kept windows."""
     y = np.asarray(y, dtype=float)
-    refs, sq, eps = model.references, model.sq_ref, model.epsilon
+    wins, sq, eps = model.windows, model.sq, model.epsilon
     if y.ndim == 1:
-        z = log_weights(refs, sq, eps, y)
+        z = log_weights(wins, sq, eps, y)
         return kernel_average(model.rows, z, z)
     out = np.empty((len(y), model.k))
     for i in range(0, len(y), _BLOCK_ROWS):
-        z = log_weights(refs, sq, eps, y[i:i + _BLOCK_ROWS])
+        z = log_weights(wins, sq, eps, y[i:i + _BLOCK_ROWS])
         out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z, z).T
     return out
+
+
+def fit_chaotic(omegas, A, residual: TimeSeries, stride: int = 1) -> QPModel:
+    """The model of the harmonics (omegas, A) and the training ``residual``,
+    with the map's bandwidth taken from ``EPSILON_LADDER``.
+
+    The last ``HELD_OUT`` share of the residual's rows is held out: the
+    model of the rows before them predicts them from the windows whose
+    successors they are.  Each rung is that quantile of the squared
+    distances from those windows to the kept ones, raised to the resolution
+    of the log-weights, the float epsilon times the largest squared norm of
+    a kept window (and at least the least normal float).  Where more than a
+    rung's share of the pairs coincide, as in an exactly periodic residual,
+    the rung is that floor, and its map the average of the successors of
+    the windows that coincide with the query.  The rung whose predictions
+    have the lowest mean squared error wins, the first of equal ones.  A
+    residual too short to hold out a row and keep a window before it is a
+    :class:`DataError`.
+    """
+    r, omegas = residual.values, np.asarray(omegas, dtype=float)
+    n, w = len(r), CHAOS_DELAYS + 1
+    start = n - int(np.ceil(HELD_OUT * n))     # the first held-out row
+    if start <= w:
+        raise DataError(f"a residual of {n} rows holds out its last "
+                        f"{n - start} and leaves no window of {w} samples "
+                        f"with a successor before them")
+    before = QPModel(omegas, A, replace(residual, values=r[:start]), 1.0,
+                     stride)
+    queries = delay_embed(residual, CHAOS_DELAYS).points[start - w:n - w]
+    # z[j, b] is |queries[b]|^2 less its squared distance to window j
+    z = log_weights(before.windows, before.sq, 1.0, queries)
+    buf = np.einsum("ij,ij->i", queries, queries) - z
+    np.maximum(buf, 0.0, out=buf)
+    floor = max(np.finfo(float).eps * before.sq.max(), np.finfo(float).tiny)
+    ladder = np.maximum(np.quantile(buf, EPSILON_LADDER), floor)
+    errors = []
+    for eps in ladder:
+        np.divide(z, eps, out=buf)
+        pred = kernel_average(before.rows, buf, buf)
+        errors.append(np.mean((pred.T - r[start:]) ** 2))
+    return QPModel(omegas, A, residual, float(ladder[np.argmin(errors)]),
+                   stride)
 
 
 def periodic_sup_bound(model: QPModel) -> float:
@@ -315,47 +320,48 @@ def periodic_sup_bound(model: QPModel) -> float:
 
 
 def chaotic_sup_bound(model: QPModel) -> float:
-    """sup_y |g_chaos(y)|_2 <= sqrt(M) * max_j |M[j, :]|_2: g_chaos is a
-    kernel-weighted average of the rows of sqrt(M) * M."""
-    return float(np.sqrt(model.m) * np.linalg.norm(model.M, axis=1).max())
+    """sup_y |g_chaos(y)|_2 <= max_m |r_{m+1}|_2: g_chaos is a convex
+    combination of the successors of the kept windows."""
+    return float(np.linalg.norm(model.rows[:-1], axis=0).max())
 
 
-def state_before(series: TimeSeries, index: int, q: int) -> np.ndarray:
-    """Delay state (embedding layout) of the q+1 samples ending at index-1.
+def residual_windows(model: QPModel, series: TimeSeries, start: int,
+                     stop: int) -> np.ndarray:
+    """The residual windows before samples ``start .. stop - 1`` of
+    ``series``, (stop - start, dim) in embedding layout: each the
+    ``CHAOS_DELAYS + 1`` samples before, less g_per at their times, sample j
+    at ``j * dt`` (the pipeline's clock)."""
+    w = CHAOS_DELAYS + 1
+    if start < w:
+        raise DataError(f"prediction start {start} must be >= {w} so a "
+                        f"residual window exists")
+    if stop > series.n + 1:
+        raise DataError(f"prediction start {stop - 1} is beyond series "
+                        f"length {series.n}")
+    count = stop - start
+    r = series.values[start - w:stop - 1] - eval_periodic(
+        model, (start - w) * model.dt, count + w - 1)
+    return np.hstack([r[i:i + count] for i in range(w)])
 
-    This is the initial condition for generating sample ``index`` onward.
-    """
-    if index < q + 1:
-        raise DataError(f"prediction start {index} must be >= {q + 1} so a "
-                        f"delay window exists")
-    if index > series.n:
-        raise DataError(f"prediction start {index} is beyond series length "
-                        f"{series.n}")
-    return series.values[index - (q + 1):index].ravel().copy()
+
+def state_before(model: QPModel, series: TimeSeries, index: int) -> np.ndarray:
+    """The residual window before sample ``index`` of ``series`` (dim,): the
+    initial condition for generating sample ``index`` onward."""
+    return residual_windows(model, series, index, index + 1)[0]
 
 
 def reconstruct(model: QPModel, init, n_steps: int,
                 t_start: float) -> TimeSeries:
-    """Free-run the standalone model.
-
-    Starting from ``init`` (the k(q+1) delay window preceding the first
-    generated sample, embedding layout, oldest block first), generates
-    samples at times ``t_start + n*dt`` for n = 0..n_steps-1: each new sample
-    is ``g_per(time) + g_chaos(previous window)``, after which the window
-    shifts by one sample.  The scaled log-weights of the window against all
-    N training points slide forward with it, O(N k) per step, and g_chaos
-    reads those of the reference points.  :func:`log_weights` recomputes
-    them in full every ``_BLOCK_ROWS`` (256) steps, so they agree with a
-    full recompute at every step to rounding, and such a step equals
-    ``eval_periodic + eval_chaotic`` bit for bit (see the module
-    docstring).  Deterministic: identical model and init give
-    bit-identical trajectories.
-
-    g_chaos is a kernel-weighted average of the rows of ``sqrt(M) * M``, so
-    the run is bounded by construction; a non-finite sample (from non-finite
-    coefficients) raises :class:`NumericalError`.  A run whose n_steps x k
-    samples exceed the memory available is a :class:`DataError`, raised
-    before they are allocated.
+    """Free-run the standalone model from ``init``, the residual window
+    before the first generated sample (as :func:`state_before` gives it),
+    at the times ``t_start + n*dt``, n < n_steps: each new sample is
+    ``g_per(time) + g_chaos(window)``, bit for bit ``eval_periodic +
+    eval_chaotic``, and the window then shifts by that residual sample.
+    Identical model and init give bit-identical trajectories.  g_chaos is a
+    convex combination of successors, so the run is bounded by
+    construction; a non-finite sample (a periodic part that overflows) is a
+    :class:`NumericalError`, and n_steps x k samples past the memory
+    available a :class:`DataError`, raised before they are allocated.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
@@ -365,45 +371,18 @@ def reconstruct(model: QPModel, init, n_steps: int,
             f"init has dimension {state.shape[0]}, model state is "
             f"{model.state_dim}"
         )
-    k, n, eps, sq, s = model.k, model.n, model.epsilon, model.sq, model.stride
+    k = model.k
     check_memory(n_steps * k * 8, f"{n_steps} steps of {k} channels")
-    source = model.embedding.source
-    points, refs = model.embedding.points, model.references
-    # column m-1 holds rows m-1 and m+q of the training series, times
-    # 2/eps, and (sq[m-1] - sq[m]) / eps, so that (-old, y_new, 1) @ slide
-    # carries z[m-1] of one step to z[m] of the next, m = 1..N-1.  It is
-    # filled in C order, as model.rows is, because a GEMV over long
-    # contiguous rows is the fast one (np.vstack of the transposes gives F)
-    x = source.values * (2.0 / eps)
-    slide = np.empty((2 * k + 1, n - 1))
-    slide[:k] = x[:n - 1].T
-    slide[k:2 * k] = x[model.q + 1:].T
-    slide[2 * k] = (sq[:-1] - sq[1:]) / eps
-    # step j of a block views z at buf[R-j:], so the slid z[1:] of the next
-    # step is the memory of this step's z[:-1] and nothing is shifted
-    buf = np.empty(n + _BLOCK_ROWS)
-    w = np.empty(model.m)
-    shift = np.empty(2 * k + 1)
-    shift[2 * k] = 1.0
     out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
-        j = i % _BLOCK_ROWS
-        z = buf[_BLOCK_ROWS - j:_BLOCK_ROWS - j + n]
-        if j == 0:
-            log_weights(points, sq, eps, state, out=z)
-            z[::s] = log_weights(refs, model.sq_ref, eps, state)
-        else:
-            z[1:] += shift @ slide
-            z[0] = (2.0 * (points[0] @ state) - sq[0]) / eps
-        y_new = out[i] + kernel_average(model.rows, z[::s], w)
+        r = eval_chaotic(model, state)
+        y_new = out[i] + r
         if not np.isfinite(y_new).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
         out[i] = y_new
-        np.negative(state[:k], out=shift[:k])
-        shift[k:2 * k] = y_new
-        state = np.concatenate([state[k:], y_new])
+        state = np.concatenate([state[k:], r])
     return TimeSeries(out, dt=model.dt, t0=float(t_start),
-                      channel_names=source.channel_names)
+                      channel_names=model.residual.channel_names)
 
 
 def relative_error(truth: TimeSeries, estimate: TimeSeries) -> np.ndarray:
@@ -450,14 +429,15 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize the model as a ``qpdecomp-model-4`` file.
+    """Serialize the model as a ``qpdecomp-model-5`` file.
 
-    Stores the training window with a content hash of it, q, epsilon, the
-    reference stride, the harmonics (omegas, A) and the chaos matrix M (one
-    row per reference point): everything the free run and the sup-norm
-    bounds read, and no N x N or N x L matrix.
+    Stores the training residual (as ``train_values``, with its step, its
+    first time, its channel names and a content hash), epsilon, the stride
+    and the harmonics (omegas, A): everything the free run and the sup-norm
+    bounds read.  The kept windows and their successors are derived from the
+    residual when the file is read.
     """
-    src = model.embedding.source
+    src = model.residual
     write_npz(path, {
         "format": np.array([MODEL_FORMAT]),
         "train_values": src.values,
@@ -465,12 +445,10 @@ def save_model(model: QPModel, path):
         "train_t0": np.float64(src.t0),
         "channel_names": np.array(list(src.channel_names)),
         "train_hash": np.array([training_data_hash(src)]),
-        "q": np.int64(model.q),
         "epsilon": np.float64(model.epsilon),
         "stride": np.int64(model.stride),
         "omegas": model.omegas,
         "A": model.A,
-        "M": model.M,
     })
 
 
@@ -480,29 +458,27 @@ def save_model(model: QPModel, path):
 _MODEL_ARRAYS = {"format": ("U", (1,)), "train_values": ("f", None),
                  "train_dt": ("f", ()), "train_t0": ("f", ()),
                  "channel_names": ("U", None), "train_hash": ("U", (1,)),
-                 "q": ("i", ()), "epsilon": ("f", ()), "stride": ("i", ()),
-                 "omegas": ("f", None),
-                 "A": ("c", None), "M": ("f", None)}
+                 "epsilon": ("f", ()), "stride": ("i", ()),
+                 "omegas": ("f", None), "A": ("c", None)}
 _KINDS = {"U": "a string", "f": "a float", "i": "an integer", "c": "a complex"}
 
 
 def load_model(path) -> QPModel:
     """Read a model saved by :func:`save_model`.
 
-    Re-embeds the stored training series (checked against its hash) and
-    allocates nothing larger than the N x k(q+1) embedded points and the
-    copy of the reference points among them.
+    Allocates nothing larger than the training residual and the windows
+    derived from it.
 
     Raises
     ------
     DataError
-        The file is missing or unreadable, is not a ``qpdecomp-model-4``
-        file (an older one must be rewritten with ``qpdecomp decompose``),
-        lacks one of its arrays or holds one of another dtype kind or shape
-        than :func:`save_model` writes, holds other than one channel name
-        per channel, fails a check of :class:`TimeSeries` or
-        :class:`QPModel`, or its training data do not match the stored hash.
-        Every message names the path.
+        The file is missing or unreadable, is not a ``qpdecomp-model-5``
+        file (an older one must be written again by ``qpdecomp run``, as its
+        ``model.npz``), lacks one of its arrays or holds one of another
+        dtype kind or shape than :func:`save_model` writes, holds other than
+        one channel name per channel, fails a check of :class:`TimeSeries`
+        or :class:`QPModel`, or its residual does not match the stored
+        hash.  Every message names the path.
     """
     def read(name):
         kind, shape = _MODEL_ARRAYS[name]
@@ -521,7 +497,7 @@ def load_model(path) -> QPModel:
         if fmt != MODEL_FORMAT:
             raise DataError(
                 f"model format {fmt!r} is not readable; re-run `qpdecomp "
-                f"decompose` to write a {MODEL_FORMAT!r} file"
+                f"run`, whose model.npz is a {MODEL_FORMAT!r} file"
             )
         names, values = read("channel_names"), read("train_values")
         if names.shape != values.shape[1:]:
@@ -532,6 +508,5 @@ def load_model(path) -> QPModel:
                          channel_names=tuple(str(c) for c in names))
         if training_data_hash(src) != read("train_hash"):
             raise DataError("training data does not match its stored hash")
-        return QPModel(omegas=read("omegas"), A=read("A"), M=read("M"),
-                       embedding=delay_embed(src, read("q")),
+        return QPModel(omegas=read("omegas"), A=read("A"), residual=src,
                        epsilon=read("epsilon"), stride=read("stride"))

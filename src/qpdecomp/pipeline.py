@@ -7,10 +7,10 @@ command that fits goes through :func:`fit`, so ``run`` and ``decompose`` give
 the same selection and model from the same configuration.
 :func:`run_pipeline` writes every artifact of a fit:
 :func:`write_frequencies`, :func:`write_diagnostics`,
-:func:`write_reconstruction` from the model alone and, with a predict
-window, :func:`write_prediction` from the :func:`predict` free run that the
-``predict`` command shares.  Its output directory is written through
-:func:`errors.writing_dir` and appears whole or not at all.
+:func:`write_reconstruction` from the model and the training window and,
+with a predict window, :func:`write_prediction` from the :func:`predict`
+free run that the ``predict`` command shares.  Its output directory is
+written through :func:`errors.writing_dir` and appears whole or not at all.
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
 and defaults parse config files and manifests (flat ``key = value`` lines,
@@ -320,13 +320,10 @@ class Fit(NamedTuple):
 
 def fit(config: PipelineConfig) -> Fit:
     """Load the series and fit it: delay embedding, kernel, eigenbasis,
-    frequency selection, periodic fit and chaotic fit.  The chaotic
-    coefficients E are not kept: within near-equal eigenvalue pairs they
-    rotate with the BLAS's rounding, while the model's M, which is built
-    from them, moves only by rounding.  An error of the windows (with
-    ``ma_windows`` set, the predict window's observed values among them,
-    :func:`check_observed`), the delays or the eigensolve against the
-    series names the input."""
+    frequency selection, periodic fit and the map of its residual.  An
+    error of the windows (with ``ma_windows`` set, the predict window's
+    observed values among them, :func:`check_observed`), the delays or the
+    eigensolve against the series names the input."""
     data = load_series(config)
     # the parameters meet the series here, so an error names the input
     with reading(config.input):
@@ -349,8 +346,8 @@ def fit(config: PipelineConfig) -> Fit:
     selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
                                   L0=config.L0)
     pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
-    E = dc.fit_chaotic(pfit.residual, basis)
-    model = dc.QPModel.from_basis(basis, pfit.omegas, pfit.A, E)
+    residual = replace(series.window(train, q, train.n), values=pfit.residual)
+    model = dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
     return Fit(data, train, basis, table, selection, pfit, model)
 
 
@@ -433,16 +430,24 @@ def check_observed(data: series.TimeSeries, start, end):
                         f"{start}..{end - 1}: error is undefined")
 
 
-def write_reconstruction(path, model: dc.QPModel):
-    """Write ``reconstruction.csv`` from the model alone: the training rows,
-    then g_per at their times plus g_chaos at the training points, then
-    g_per alone as ``per_<c>``."""
-    train, q = model.embedding.source, model.q
-    per = dc.eval_periodic(model, q * model.dt, model.n)
-    recon = per + dc.eval_chaotic(model, model.embedding.points)
+def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries,
+                         q: int):
+    """Write ``reconstruction.csv`` from the model and its training window
+    ``train``, fitted with q delays: the fit rows from sample
+    ``max(q, CHAOS_DELAYS + 1)``, the first with a residual window before
+    it, then g_per at their times plus g_chaos of that window (the model's
+    one-step prediction), then g_per alone as ``per_<c>``.  The windows are
+    the model's residual, and before the fit rows the samples less g_per."""
+    w = dc.CHAOS_DELAYS + 1
+    first = max(q, w)
+    per = dc.eval_periodic(model, q * model.dt, train.n - q)[first - q:]
+    windows = np.concatenate([
+        dc.residual_windows(model, train, first, q + w),
+        series.delay_embed(model.residual, dc.CHAOS_DELAYS).points[:-1]])
+    recon = per + dc.eval_chaotic(model, windows)
     names = train.channel_names
-    write_estimate(path, names, train.times()[q:], "recon", recon,
-                   train.values[q:], ([f"per_{c}" for c in names], per.T))
+    write_estimate(path, names, train.times()[first:], "recon", recon,
+                   train.values[first:], ([f"per_{c}" for c in names], per.T))
 
 
 def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
@@ -450,14 +455,14 @@ def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
     ``data``, which must hold the model's channels, in its order, on its
     step.  Returns the times, on ``data``'s own clock, the prediction and
     the observed window (None when ``data`` ends first)."""
-    trained = model.embedding.source.channel_names
+    trained = model.residual.channel_names
     if data.channel_names != trained:
         raise DataError(f"input channels {list(data.channel_names)} differ "
                         f"from the model's {list(trained)}")
-    if not series.same_step(data, model.embedding.source):
+    if not series.same_step(data, model.residual):
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")
-    init = dc.state_before(data, start, model.q)
+    init = dc.state_before(model, data, start)
     pred = dc.reconstruct(model, init, steps, start * model.dt)
     # the free run predicts samples of data, on the step it was matched to
     pred = replace(pred, dt=data.dt)
@@ -507,10 +512,10 @@ def run_pipeline(config: PipelineConfig) -> Fit:
         if not 0 < config.predict_start < config.predict_end:
             raise ConfigError("a predict window needs both ends, with "
                               "0 < predict_start < predict_end")
-        if config.predict_start < config.delays + 1:
+        if config.predict_start < dc.CHAOS_DELAYS + 1:
             raise ConfigError(
-                f"predict_start must be >= delays+1 ({config.delays + 1}) so "
-                f"an initial delay window exists"
+                f"predict_start must be >= {dc.CHAOS_DELAYS + 1} so an "
+                f"initial residual window exists"
             )
     with writing_dir(config.outdir) as staged:
         return _run_stages(config, staged)
@@ -521,7 +526,8 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     data, train, model = result.data, result.train, result.model
 
     write_frequencies(outdir / "frequencies.csv", result)
-    write_reconstruction(outdir / "reconstruction.csv", model)
+    write_reconstruction(outdir / "reconstruction.csv", model, train,
+                         config.delays)
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end
@@ -538,8 +544,8 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     # plus content hashes
     absolute_input = str(Path(config.input).resolve())
     lines = config_lines(replace(config, input=absolute_input,
-                                 epsilon=model.epsilon,
-                                 reference_points=model.m))
+                                 epsilon=result.basis.epsilon,
+                                 reference_points=len(result.basis.q)))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

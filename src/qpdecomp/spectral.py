@@ -51,9 +51,12 @@ class SpectralBasis:
     ``embedding.q``), ``sqdist_histogram`` the ``(counts, edges)`` of the
     squared distances of the bandwidth sample's pairs, as
     :func:`kernel.gaussian_kernel` returns them, and ``stride`` the step
-    between reference points (1: every point).  Construction checks the conventions the later stages
-    invert: eigenvalues non-increasing, none below ``LAMBDA_FLOOR``, the
-    leading one 1 and its eigenfunction constant.
+    between reference points (1: every point).  The basis serves the
+    frequency selection; ``Gamma`` and ``q`` give the Nystrom extension of
+    Phi, whose identity at the data points the acceptance tests check.
+    Construction checks the conventions the later stages invert: eigenvalues
+    non-increasing, none below ``LAMBDA_FLOOR``, the leading one 1 and its
+    eigenfunction constant.
     """
 
     lam: np.ndarray
@@ -181,8 +184,7 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
 
     # phi_1 is the constant function, taken positive.  Every other column
     # is orthogonal to it, so its sum is rounding noise, and nothing reads
-    # its sign: the RKHS-norm table takes |fft(Phi)| and the model the
-    # products of each Gamma column with its chaotic coefficients.
+    # its sign: the RKHS-norm table takes |fft(Phi)|.
     if u[:, 0].sum() < 0:
         u[:, 0] *= -1.0
         v[:, 0] *= -1.0

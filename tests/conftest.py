@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpdecomp import TimeSeries, delay_embed
+from qpdecomp import DataError, TimeSeries, delay_embed
 from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.spectral import decompose
 
@@ -38,9 +38,21 @@ def masked_irfft(Y, indices):
     return np.fft.irfft(np.fft.rfft(Y, axis=0) * mask[:, None], n=n, axis=0)
 
 
+def project(basis, Y):
+    """Coefficients E (L x k) of the rows Y (N x k) on the eigenbasis under
+    the empirical inner product, ``Phi^T Y / N``; rows that are not the
+    basis's N are a :class:`DataError`."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.shape[0] != basis.n:
+        raise DataError(f"residual has {Y.shape[0]} rows, basis has {basis.n}")
+    return basis.Phi.T @ Y / basis.n
+
+
 def synthesize(basis, E):
-    """Oracle of the chaotic component on the training rows: ``Phi @ E``,
-    the inverse of ``decompose.fit_chaotic`` on span(Phi)."""
+    """``Phi @ E`` on the training rows, the inverse of :func:`project` on
+    span(Phi)."""
     return basis.Phi @ np.asarray(E, dtype=float).reshape(basis.L, -1)
 
 

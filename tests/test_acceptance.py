@@ -72,8 +72,8 @@ def fit_model(run):
     sim, basis = run["sim"], run["basis"]
     pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT,
                            t0=Q * DT)
-    E = dc.fit_chaotic(pfit.residual, basis)
-    return dc.QPModel.from_basis(basis, pfit.omegas, pfit.A, E)
+    residual = TimeSeries(pfit.residual, dt=DT, t0=Q * DT)
+    return dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
 
 
 @pytest.fixture(scope="module")
@@ -230,9 +230,12 @@ class TestCriterion5DecompositionExactness:
     def test_exactness(self, full_blob_basis):
         with criterion(5, "decomposition exactness (full-lattice inverse "
                           "DFT, normal-equation orthogonality, complete "
-                          "chaotic fit)"):
+                          "chaotic fit, the map's own successors as its "
+                          "bandwidth goes to 0)"):
+            from dataclasses import replace
+
             from qpdecomp.freqfilter import FrequencySelection
-            from conftest import synthesize
+            from conftest import project, synthesize
 
             rng = np.random.default_rng(3)
             n, dt = 256, 1.0
@@ -257,8 +260,20 @@ class TestCriterion5DecompositionExactness:
             assert np.abs(G.T @ fit2.residual).max() <= 1e-8
 
             y_non = rng.standard_normal((full_blob_basis.n, 3))
-            E = dc.fit_chaotic(y_non, full_blob_basis)
+            E = project(full_blob_basis, y_non)
             assert np.abs(synthesize(full_blob_basis, E) - y_non).max() <= 1e-8
+
+            # at a bandwidth 1e-3 of the smallest squared distance between
+            # kept windows, a query at each of them returns its successor
+            resid = TimeSeries(rng.standard_normal((300, 3)), dt=dt)
+            model = dc.fit_chaotic(np.zeros(0), np.zeros((0, 3)), resid, 2)
+            wins = model.windows
+            d2 = ((wins[:, None] - wins[None]) ** 2).sum(axis=2)
+            d2_min = d2[~np.eye(len(wins), dtype=bool)].min()
+            model = replace(model, epsilon=1e-3 * d2_min)
+            succ = resid.values[dc.CHAOS_DELAYS + 1::2]
+            assert len(succ) == len(wins)
+            assert np.abs(dc.eval_chaotic(model, wins) - succ).max() <= 1e-8
 
 
 class TestCriterion6BoundedPrediction:
@@ -268,7 +283,7 @@ class TestCriterion6BoundedPrediction:
         n = sim.series.n
         total = horizon_factor * n
         truth = simulate(run["system"], total, DT, seed=0)
-        init = dc.state_before(truth.series, Q + 1, Q)
+        init = dc.state_before(model, truth.series, Q + 1)
         steps = total - (Q + 1)
         pred = dc.reconstruct(model, init, steps, (Q + 1) * DT)
         bound = dc.periodic_sup_bound(model) + dc.chaotic_sup_bound(model)

@@ -185,12 +185,11 @@ BAD_CONFIGS = [(flag, *row) for flag in ("--config", "--manifest") for row in [
 MODEL_ARRAYS = {"format": ("str", 1), "train_values": ("float", 2),
                 "train_dt": ("float", 0), "train_t0": ("float", 0),
                 "channel_names": ("str", 1), "train_hash": ("str", 1),
-                "q": ("int", 0), "epsilon": ("float", 0),
-                "stride": ("int", 0), "omegas": ("float", 1),
-                "A": ("complex", 2), "M": ("float", 2)}
+                "epsilon": ("float", 0), "stride": ("int", 0),
+                "omegas": ("float", 1), "A": ("complex", 2)}
 # the arrays whose shape save_model fixes: load_model rejects any other shape
 # of them itself, naming the array
-FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "q", "epsilon",
+FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "epsilon",
                "stride"}
 
 
@@ -225,16 +224,14 @@ def bad_models():
         "format_only": (lambda arrays: {"format": arrays["format"]},
                         "model array 'channel_names' is missing"),
         "A_row_short": (with_array("A", lambda a: a[:-1]),
-                        r"model A \(\d+, 3\) and M .+ do not match .+"),
+                        r"model A \(\d+, 3\) does not match \d+ "
+                        r"frequencies and 3 channels"),
         "A0_imag": (with_array("A", lambda a: a + 1j),
                     "model zero-frequency coefficient is not real"),
         "epsilon_zero": (with_array("epsilon", lambda a: 0.0 * a),
                          "model epsilon 0.0 is not positive and finite"),
         "stride_zero": (with_array("stride", lambda a: 0 * a),
                         "model stride 0 is not a positive integer"),
-        "stride_other": (with_array("stride", lambda a: a + 1),
-                         r"model A .+ and M .+ do not match .+ reference "
-                         r"points and 3 channels"),
         "train_values_edited": (with_array("train_values", lambda a: a + 1),
                                 "training data does not match its stored "
                                 "hash"),
@@ -243,8 +240,16 @@ def bad_models():
         rows[f"format_{fmt[-1]}"] = (
             with_array("format", lambda a, fmt=fmt: np.array([fmt])),
             re.escape(f"model format '{fmt}' is not readable; re-run "
-                      f"`qpdecomp decompose` to write a 'qpdecomp-model-4' "
-                      f"file"))
+                      f"`qpdecomp run`, whose model.npz is a "
+                      f"'qpdecomp-model-5' file"))
+    # the 12 arrays of a qpdecomp-model-4 file: the raw training window, q,
+    # and the chaos matrix M with one row per reference point
+    rows["format_4"] = (lambda arrays: {
+        **arrays, "format": np.array(["qpdecomp-model-4"]),
+        "train_values": np.zeros((600, 3)), "q": np.int64(6),
+        "M": np.zeros((594, 3))}, re.escape(
+            "model format 'qpdecomp-model-4' is not readable; re-run "
+            "`qpdecomp run`, whose model.npz is a 'qpdecomp-model-5' file"))
     for name, (kind, ndim) in MODEL_ARRAYS.items():
         rows[f"{name}_missing"] = (with_array(name),
                                    f"model array '{name}' is missing")
@@ -307,9 +312,9 @@ BAD_PAIRS = {
                          "'ch1', 'ch2']", FREE_RUN),
     "other_step": (stamped_2_s_apart, ["predict"], [], "{model}: input step "
                    "2 s differs from the model's dt 1 s", FREE_RUN),
-    "start_before_window": (None, ["predict"], ["--init-at", "6"],
-                            "{model}: prediction start 6 must be >= 7 so a "
-                            "delay window exists", FREE_RUN),
+    "start_before_window": (None, ["predict"], ["--init-at", "2"],
+                            "{model}: prediction start 2 must be >= 3 so a "
+                            "residual window exists", FREE_RUN),
     "start_past_input": (None, ["predict"], ["--init-at", "701"],
                          "{model}: prediction start 701 is beyond series "
                          "length 700", FREE_RUN),
@@ -475,14 +480,18 @@ class TestDecomposeReconstructPredict:
         scale = np.abs(truth).max(axis=0)
         assert (np.abs(truth - est).max(axis=0) / scale).max() < 0.1
 
-    def test_insample_reconstruct_matches_pipeline(self, fitted_run, tmp_path):
-        # run writes the in-sample table from the model alone, so the saved
-        # model gives run's bytes
+    def test_insample_reconstruct_matches_pipeline(self, fitted_run,
+                                                   synth_csv, tmp_path):
+        # run writes the in-sample table from the model and the training
+        # window, so the saved model and the input give run's bytes
         from qpdecomp.decompose import load_model
         from qpdecomp.pipeline import write_reconstruction
+        from qpdecomp.series import load_csv, window
 
         recon = tmp_path / "recon.csv"
-        write_reconstruction(recon, load_model(fitted_run / "model.npz"))
+        train = window(load_csv(synth_csv[0]), 0, 600)
+        write_reconstruction(recon, load_model(fitted_run / "model.npz"),
+                             train, 6)
         assert recon.read_bytes() == \
             (fitted_run / "reconstruction.csv").read_bytes()
 
@@ -1210,13 +1219,15 @@ class TestRunCommand:
         flags = ["--input", src, "--delays", "6", "--num-eigen", "40",
                  "--L0", "8", "--train-end", "2200", "--predict-start",
                  "2220", "--predict-end", "2300"]
-        for name, extra, m in [("default", [], 1097),
-                               ("all", ["--reference-points", "2194"], 2194)]:
+        for name, extra, m, s in [
+                ("default", [], 1097, 2),
+                ("all", ["--reference-points", "2194"], 2194, 1)]:
             outdir = tmp_path / name
             assert run_cli(["run", *flags, *extra, "--outdir", outdir]) == 0
             lines = (outdir / "manifest.txt").read_text().splitlines()
             assert f"reference_points = {m}" in lines
-            assert load_model(outdir / "model.npz").m == m
+            # the residual map keeps the windows at the references' stride
+            assert load_model(outdir / "model.npz").stride == s
             rerun = tmp_path / f"{name}-rerun"
             assert run_cli(["run", "--manifest", outdir / "manifest.txt",
                             "--outdir", rerun]) == 0
@@ -1344,16 +1355,16 @@ class TestRunCommand:
     def test_model_embedding_past_memory_exits_3(self, synth_csv, model_file,
                                                  tmp_path, monkeypatch,
                                                  capsys):
-        # load_model re-embeds the training rows with the file's q, under
-        # the same check, naming the model
+        # load_model embeds the 594 residual rows in windows of 3 samples,
+        # 42.6 KB, under the same check, naming the model
         import qpdecomp.errors
 
         monkeypatch.setattr(qpdecomp.errors, "_available_bytes",
-                            lambda: 50_000)
+                            lambda: 40_000)
         assert_fails(command_args("predict", synth_csv[0], model_file,
                                   tmp_path / "p.csv"), tmp_path, capsys, 3,
-                     file_error("DataError", model_file, "594 delay vectors "
-                                "of 21 values need 0 MB, but only 0 MB of "
+                     file_error("DataError", model_file, "592 delay vectors "
+                                "of 9 values need 0 MB, but only 0 MB of "
                                 "memory is available"))
 
     def test_exit_codes(self, synth_csv, tmp_path, capsys):

@@ -12,7 +12,9 @@ from qpdecomp import (
     delay_embed,
 )
 from qpdecomp.decompose import (
-    PeriodicFit,
+    CHAOS_DELAYS,
+    EPSILON_LADDER,
+    HELD_OUT,
     QPModel,
     chaotic_sup_bound,
     eval_chaotic,
@@ -26,6 +28,7 @@ from qpdecomp.decompose import (
     periodic_sup_bound,
     reconstruct,
     relative_error,
+    residual_windows,
     save_model,
     state_before,
 )
@@ -36,6 +39,7 @@ from conftest import (
     direct_harmonics,
     masked_irfft,
     pair_quantile,
+    project,
     synthesize,
     torus_series,
 )
@@ -99,65 +103,66 @@ def qr_fit(Y, omegas, dt, t0=0.0):
     return A, G @ coef
 
 
-def einsum_chaos(basis, E, y):
-    """Reference chaotic step: exact differences ``points - y`` and the
-    chaos matrix rebuilt from the basis (slow; the model uses squared norms
-    and a stored matrix)."""
-    pts = basis.embedding.points
-    c = basis.Gamma / np.sqrt(basis.q)[:, None]
-    M = (c / basis.sigma[None, :]) @ E
-    diff = pts - y[None, :]
+W = CHAOS_DELAYS + 1     # samples per residual window
+
+
+def successors(model):
+    """The successor of each kept window, read off the residual itself."""
+    return model.residual.values[W::model.stride]
+
+
+def exact_chaos(model, y):
+    """Reference map: exact differences ``windows - y`` and the successors
+    read off the residual (slow; the model uses squared norms and a stored
+    row matrix)."""
+    diff = model.windows - np.ravel(y)[None, :]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    w = np.exp(-(d2 - d2.min()) / basis.epsilon)
-    return np.sqrt(basis.n) * (w @ M) / w.sum()
+    w = np.exp(-(d2 - d2.min()) / model.epsilon)
+    return (w @ successors(model)) / w.sum()
 
 
-def gemv_reconstruct(model, init, n_steps, t_start):
-    """Reference free run: every step evaluates g_chaos of the window afresh
-    by :func:`eval_chaotic`, a full matrix-vector product with the
-    N x k(q+1) points, where :func:`reconstruct` slides their scaled
-    log-weights forward.  Returns the (n_steps, k) samples."""
+def exact_reconstruct(model, init, n_steps, t_start):
+    """Reference free run: each step adds :func:`exact_chaos` of the window
+    to g_per and shifts the window by that residual sample.  Returns the
+    (n_steps, k) samples."""
     state = np.asarray(init, dtype=float).ravel().copy()
     k = model.k
     out = eval_periodic(model, t_start, n_steps)
     for i in range(n_steps):
-        y_new = out[i] + eval_chaotic(model, state)
-        out[i] = y_new
-        state = np.concatenate([state[k:], y_new])
+        r = exact_chaos(model, state)
+        out[i] += r
+        state = np.concatenate([state[k:], r])
     return out
 
 
-def random_chaos(basis, k):
-    """A seeded random E (L x k), entries of standard deviation
-    ``0.3 / sqrt(L)``.
+def logistic(n, k, r=3.9):
+    """n steps of k logistic maps x <- r x (1 - x), one per channel, from
+    starts spread over [0.21, 0.44]: no two are x and 1 - x, whose orbits
+    would join."""
+    x = np.empty((n, k))
+    x[0] = np.linspace(0.21, 0.44, k)
+    for i in range(1, n):
+        x[i] = r * x[i - 1] * (1 - x[i - 1])
+    return x
 
-    The fitted E of a pure torus is rounding noise, so wrong kernel weights
-    in its free run would not show; with this E the chaotic part is about
-    half of each sample.
+
+def with_chaos(model):
+    """``model`` refitted over a logistic residual of the same shape,
+    ``0.6 (x - 1/2)``.
+
+    The fitted residual of a pure torus is rounding noise, so wrong kernel
+    weights in its free run would not show; with this residual the driven
+    part is about a quarter of each sample, and the map predicts it.
     """
-    rng = np.random.default_rng(0)
-    return 0.3 * rng.standard_normal((basis.L, k)) / np.sqrt(basis.L)
-
-
-def with_random_chaos(basis, model):
-    """``model`` with the chaotic coefficients of :func:`random_chaos`."""
-    return QPModel.from_basis(basis, model.omegas, model.A,
-                              random_chaos(basis, model.k))
-
-
-def sum_of_extension_bounds(basis, E):
-    """The earlier chaotic sup bound ``sum_l |E[l, :]|_2 * sup|ext_l|``,
-    with ``sup|ext_l| <= sqrt(N) max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``;
-    :func:`chaotic_sup_bound` is never above it."""
-    c = basis.Gamma / np.sqrt(basis.q)[:, None]
-    ext = np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
-    return float((np.linalg.norm(E, axis=1) * ext).sum())
+    res = model.residual
+    chaos = replace(res, values=0.6 * (logistic(res.n, res.k) - 0.5))
+    return fit_chaotic(model.omegas, model.A, chaos, model.stride)
 
 
 def fit_torus(n, q, stride=1):
     """Eigenbasis of a bin-exact 2-torus series with q delays against every
-    ``stride``-th point, the model fitted end to end on it, its periodic
-    fit, and the series."""
+    ``stride``-th point, the model fitted end to end on it (its windows at
+    the same stride), its periodic fit, and the series."""
     n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
@@ -167,8 +172,9 @@ def fit_torus(n, q, stride=1):
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
-    E = fit_chaotic(pfit.residual, basis)
-    return basis, QPModel.from_basis(basis, pfit.omegas, pfit.A, E), pfit, s
+    residual = TimeSeries(pfit.residual, dt=dt, t0=q * dt)
+    model = fit_chaotic(pfit.omegas, pfit.A, residual, stride)
+    return basis, model, pfit, s
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +198,15 @@ def torus_model(fitted_torus):
 
 @pytest.fixture(scope="module")
 def torus_E(fitted_torus):
-    """Chaotic coefficients E of the torus_model fit."""
+    """Coefficients E of the torus_model fit's residual on its basis."""
     basis, _, pfit, _ = fitted_torus
-    return fit_chaotic(pfit.residual, basis)
+    return project(basis, pfit.residual)
+
+
+@pytest.fixture(scope="module")
+def chaos_model(torus_model):
+    """The torus model over a random residual, at its fitted bandwidth."""
+    return with_chaos(torus_model[0])
 
 
 class TestFitPeriodic:
@@ -308,29 +320,63 @@ class TestFitPeriodic:
 
 
 class TestFitChaotic:
-    def test_zero_residual_gives_zero_coefficients(self, blob_basis):
-        E = fit_chaotic(np.zeros((blob_basis.n, 2)), blob_basis)
-        assert np.abs(E).max() == 0.0
+    def test_zero_residual_gives_zero_coefficients(self, torus_model):
+        # every window coincides at 0: the bandwidth is the least normal
+        # float, and the successors, the map's coefficients, are all zero
+        model, _, s = torus_model
+        zero = replace(model.residual, values=np.zeros_like(model.residual.values))
+        fit = fit_chaotic(model.omegas, model.A, zero)
+        assert fit.epsilon == np.finfo(float).tiny
+        assert not fit.rows[:-1].any()
+        np.testing.assert_array_equal(eval_chaotic(fit, model.windows[:5]),
+                                      np.zeros((5, model.k)))
 
-    def test_basis_element_hits_single_row(self, blob_basis):
-        k_vec = np.array([2.0, -1.0, 0.5])
-        y_non = np.outer(blob_basis.Phi[:, 5], k_vec)
-        E = fit_chaotic(y_non, blob_basis)
-        np.testing.assert_allclose(E[5], k_vec, atol=1e-10)
-        mask = np.ones(blob_basis.L, dtype=bool)
-        mask[5] = False
-        assert np.abs(E[mask]).max() <= 1e-8
+    def test_row_mismatch(self):
+        # 4 rows hold out 1 and leave no window of 3 with a successor
+        # before it; 5 rows leave one
+        short = TimeSeries(np.arange(8.0).reshape(4, 2), dt=1.0)
+        with pytest.raises(DataError, match="a residual of 4 rows holds out "
+                                            "its last 1 and leaves no window "
+                                            "of 3 samples"):
+            fit_chaotic(np.zeros(0), np.zeros((0, 2)), short)
+        five = TimeSeries(np.arange(10.0).reshape(5, 2) ** 2, dt=1.0)
+        assert fit_chaotic(np.zeros(0), np.zeros((0, 2)), five).m == 2
 
-    def test_completeness_at_L_equals_N(self, full_blob_basis):
-        rng = np.random.default_rng(2)
-        y_non = rng.standard_normal((full_blob_basis.n, 2))
-        E = fit_chaotic(y_non, full_blob_basis)
-        back = synthesize(full_blob_basis, E)
-        assert np.abs(back - y_non).max() <= 1e-8
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_bandwidth_is_the_best_rung(self, stride):
+        # brute-force oracle: the ladder's quantiles of the exact squared
+        # distances from each held-out window to each earlier kept window,
+        # and the mean squared one-step error of each rung's average
+        x = logistic(400, 2)
+        res = TimeSeries(x, dt=1.0)
+        model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res, stride)
+        start = 400 - int(np.ceil(HELD_OUT * 400))
+        wins = np.array([x[m:m + W].ravel() for m in range(400 - W + 1)])
+        refs, queries = wins[:start - W:stride], wins[start - W:400 - W]
+        succ = x[W:start:stride]
+        d2 = ((queries[:, None] - refs[None]) ** 2).sum(axis=2)
+        ladder = np.quantile(d2[d2 > 0], EPSILON_LADDER)
+        errors = []
+        for eps in ladder:
+            w = np.exp(-(d2 - d2.min(axis=1, keepdims=True)) / eps)
+            pred = (w @ succ) / w.sum(axis=1, keepdims=True)
+            errors.append(np.mean((pred - x[start:]) ** 2))
+        best = ladder[int(np.argmin(errors))]
+        assert abs(model.epsilon - best) <= 1e-10 * best
+        # on chaos the map beats persistence
+        assert min(errors) < 0.1 * np.mean((queries[:, -2:] - x[start:]) ** 2)
 
-    def test_row_mismatch(self, blob_basis):
-        with pytest.raises(DataError, match="rows"):
-            fit_chaotic(np.zeros((blob_basis.n + 1, 1)), blob_basis)
+    def test_coincident_windows_recall_their_successor(self):
+        # a residual that repeats every 4 samples exactly: a quarter of the
+        # pairs coincide, so every rung's quantile is 0 and the bandwidth is
+        # the log-weights' resolution, at which each window recalls the
+        # successor it shares with its copies
+        period = np.array([[1.0, 0.5], [0.0, -0.5], [-1.0, 0.25], [0.0, 2.0]])
+        res = TimeSeries(np.tile(period, (60, 1)), dt=1.0)
+        model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res)
+        assert model.epsilon == np.finfo(float).eps * model.sq.max()
+        got = eval_chaotic(model, model.windows)
+        np.testing.assert_array_equal(got, successors(model))
 
 
 class TestEvalPeriodic:
@@ -380,26 +426,23 @@ class TestEvalPeriodic:
 
 
 class TestEvalChaotic:
-    def test_in_sample_consistency(self, torus_model, model_basis, torus_E):
-        model, pfit, s = torus_model
-        basis, _ = model_basis
-        synth_rows = synthesize(basis, torus_E)
-        pts = basis.embedding.points
+    def test_in_sample_consistency(self, chaos_model):
+        # at a bandwidth far below the windows' spacing, a kept window
+        # returns its own successor
+        model = replace(chaos_model, epsilon=1e-4)
         for n in (0, 100, 400):
-            got = eval_chaotic(model, pts[n])
-            ref = synth_rows[n]
-            assert np.abs(got - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
+            got = eval_chaotic(model, model.windows[n])
+            np.testing.assert_allclose(got, successors(model)[n], atol=1e-12)
 
-    def test_zero_model_returns_zero(self, torus_model, model_basis):
-        model, pfit, s = torus_model
-        basis, _ = model_basis
-        zero_model = QPModel.from_basis(basis, model.omegas, model.A,
-                                        np.zeros((basis.L, model.k)))
-        out = eval_chaotic(zero_model, model.embedding.points[10])
+    def test_zero_model_returns_zero(self, torus_model):
+        model, _, _ = torus_model
+        zero = replace(model, residual=replace(
+            model.residual, values=np.zeros_like(model.residual.values)))
+        out = eval_chaotic(zero, model.windows[10])
         np.testing.assert_array_equal(out, np.zeros(model.k))
 
-    def test_far_out_of_distribution_bounded(self, torus_model):
-        model, pfit, s = torus_model
+    def test_far_out_of_distribution_bounded(self, chaos_model):
+        model = chaos_model
         bound = chaotic_sup_bound(model)
         y = np.full(model.state_dim, 1e5)
         out = eval_chaotic(model, y)
@@ -411,41 +454,37 @@ class TestEvalChaotic:
         with pytest.raises(DataError, match="dimension"):
             eval_chaotic(model, np.ones(model.state_dim + 1))
 
-    def test_matches_exact_difference_oracle(self, torus_model, model_basis,
-                                             torus_E):
-        model, _, _ = torus_model
-        basis, _ = model_basis
-        pts = model.embedding.points
+    def test_matches_exact_difference_oracle(self, chaos_model):
+        model = chaos_model
+        wins = model.windows
         rng = np.random.default_rng(8)
-        queries = [pts[0], pts[100], pts[400],
-                   pts.mean(0) + pts.std(0) * rng.standard_normal(pts.shape[1]),
-                   rng.uniform(-3.0, 3.0, pts.shape[1]),
+        queries = [wins[0], wins[100], wins[400],
+                   wins.mean(0) + wins.std(0) * rng.standard_normal(wins.shape[1]),
+                   rng.uniform(-1.0, 1.0, wins.shape[1]),
                    np.full(model.state_dim, 1e5)]
         for y in queries:
-            ref = einsum_chaos(basis, torus_E, y)
+            ref = exact_chaos(model, y)
             got = eval_chaotic(model, y)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_training_points_in_blocks(self, torus_model, model_basis,
-                                       torus_E):
-        # all rows at once, across several row blocks, against Phi @ E
-        model, _, _ = torus_model
-        basis, _ = model_basis
-        got = eval_chaotic(model, model.embedding.points)
-        ref = synthesize(basis, torus_E)
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+    def test_training_points_in_blocks(self, chaos_model):
+        # every residual window at once, across several row blocks, against
+        # the exact-difference oracle
+        model = chaos_model
+        wins = delay_embed(model.residual, CHAOS_DELAYS).points
+        got = eval_chaotic(model, wins)
+        ref = np.array([exact_chaos(model, y) for y in wins])
+        assert got.shape == ref.shape == (model.n - CHAOS_DELAYS, model.k)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_ragged_blocks_match_each_state(self, fitted_torus):
-        # 600 states are row blocks of 256, 256 and 88; the model has random
-        # chaos, so that each state's value carries weight
-        basis, model, _, _ = fitted_torus
-        model = with_random_chaos(basis, model)
-        pts = model.embedding.points
+    def test_ragged_blocks_match_each_state(self, chaos_model):
+        # 600 states are row blocks of 256, 256 and 88
+        model = chaos_model
+        wins = model.windows
         rng = np.random.default_rng(3)
-        extra = pts[:600 - len(pts)] + 0.1 * rng.standard_normal(
-            (600 - len(pts), pts.shape[1]))
-        states = np.concatenate([pts, extra])
+        extra = wins[:600 - len(wins)] + 0.1 * rng.standard_normal(
+            (600 - len(wins), wins.shape[1]))
+        states = np.concatenate([wins, extra])
         got = eval_chaotic(model, states)
         ref = np.array([eval_chaotic(model, y) for y in states])
         assert got.shape == (600, model.k)
@@ -494,12 +533,12 @@ class TestLogWeights:
 
 
 class TestReconstruct:
-    def test_periodic_only_matches_eval_grid(self, torus_model, model_basis):
+    def test_periodic_only_matches_eval_grid(self, torus_model):
         model, pfit, s = torus_model
-        basis = model_basis[0]
-        per_model = QPModel.from_basis(basis, model.omegas, model.A,
-                                       np.zeros((basis.L, model.k)))
-        init = state_before(s, model.q + 1, model.q)
+        per_model = replace(model, residual=replace(
+            model.residual, values=np.zeros_like(model.residual.values)))
+        init = state_before(model, s, model_start := W)
+        assert model_start == 3
         ts = reconstruct(per_model, init, 300, t_start=50.0)
         np.testing.assert_allclose(ts.values, eval_periodic(model, 50.0, 300),
                                    atol=1e-12)
@@ -509,47 +548,51 @@ class TestReconstruct:
         # synthetic oracle: free-run over the training window tracks the
         # truth within 1% relative error
         model, pfit, s = torus_model
-        q = model.q
-        init = state_before(s, q + 1, q)
+        q = 3
+        init = state_before(model, s, q + 1)
         steps = s.n - (q + 1)
         run = reconstruct(model, init, steps, t_start=(q + 1) * model.dt)
         truth = TimeSeries(s.values[q + 1:], dt=model.dt)
         err = relative_error(truth, run)
         assert err.max() <= 1e-2
 
-    def test_deterministic(self, torus_model):
-        model, pfit, s = torus_model
-        init = state_before(s, model.q + 1, model.q)
-        a = reconstruct(model, init, 100, 0.0)
-        b = reconstruct(model, init, 100, 0.0)
+    def test_deterministic(self, chaos_model, torus_model):
+        _, _, s = torus_model
+        init = state_before(chaos_model, s, W)
+        a = reconstruct(chaos_model, init, 100, 0.0)
+        b = reconstruct(chaos_model, init, 100, 0.0)
         assert np.array_equal(a.values, b.values)
 
     def test_divergence_reports_step(self, torus_model):
-        # a model holds no non-finite A or M, but a huge A overflows g_per,
-        # and a huge M the GEMV of the weights with [sqrt(N) M | 1]
+        # a model holds no non-finite A or residual, but a huge A overflows
+        # g_per, and a huge residual the squared norms of its windows
         model, pfit, s = torus_model
-        init = state_before(s, model.q + 1, model.q)
-        for name in ("A", "M"):
-            full = np.full_like(getattr(model, name), np.inf)
-            with pytest.raises(DataError, match=f"model {name} has NaN"):
-                replace(model, **{name: full})
-            with np.errstate(over="ignore", invalid="ignore"):
-                bad = replace(model, **{name: np.full_like(full, 1e308)})
+        init = state_before(model, s, W)
+        with pytest.raises(DataError, match="model A has NaN"):
+            replace(model, A=np.full_like(model.A, np.inf))
+        with pytest.raises(DataError, match="NaN or infinite"):
+            replace(model.residual,
+                    values=np.full_like(model.residual.values, np.inf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = [replace(model, A=np.full_like(model.A, 1e308)),
+                   replace(model, residual=replace(
+                       model.residual,
+                       values=np.full_like(model.residual.values, 1e308)))]
+            for m in bad:
                 with pytest.raises(NumericalError, match="step 0"):
-                    reconstruct(bad, init, 10, 0.0)
+                    reconstruct(m, init, 10, 0.0)
 
     def test_free_run_respects_computable_bound(self, torus_model,
-                                                model_basis, torus_E):
-        # on the fitted torus, whose E is rounding noise, and with a random
-        # E that makes chaos about half of each sample
+                                                chaos_model):
+        # on the fitted torus, whose residual is rounding noise, and on a
+        # random residual that makes the driven part about a third of each
+        # sample
         model, pfit, s = torus_model
-        basis, _ = model_basis
-        chaos_E = random_chaos(basis, model.k)
-        for E in (torus_E, chaos_E):
-            m = QPModel.from_basis(basis, model.omegas, model.A, E)
-            assert chaotic_sup_bound(m) <= sum_of_extension_bounds(basis, E)
+        for m in (model, chaos_model):
+            succ = successors(m)
+            assert chaotic_sup_bound(m) == np.linalg.norm(succ, axis=1).max()
             bound = periodic_sup_bound(m) + chaotic_sup_bound(m)
-            init = state_before(s, m.q + 1, m.q)
+            init = state_before(m, s, W)
             run = reconstruct(m, init, 2 * s.n, 0.0)
             assert np.linalg.norm(run.values, axis=1).max() <= bound + 1e-9
 
@@ -558,65 +601,55 @@ class TestReconstruct:
         with pytest.raises(DataError, match="dimension"):
             reconstruct(model, np.ones(3), 10, 0.0)
 
-
-class TestSlidingProducts:
-    """The free run slides the window's kernel dot products forward and
-    recomputes them every 256 steps; 800 steps cross three recomputes."""
-
-    STEPS = 800
-
     @pytest.fixture(scope="class")
-    def cases(self, fitted_torus):
-        basis, model, _, s = fitted_torus
-        basis0, model0, _, s0 = fit_torus(515, 0)
-        basis3, model3, _, s3 = fit_torus(515, 3, stride=3)
-        return {
-            "torus": (model, s),
-            "q0": (with_random_chaos(basis0, model0), s0),
-            "chaotic": (with_random_chaos(basis, model), s),
-            "strided": (with_random_chaos(basis3, model3), s3),
-        }
+    def cases(self, fitted_torus, chaos_model):
+        """A model and its series: the fitted torus, and over a logistic
+        residual the same model, one fitted at q = 0 and one at stride 3."""
+        _, model, _, s = fitted_torus
+        _, model0, _, s0 = fit_torus(515, 0)
+        strided = with_chaos(fit_torus(515, 3, stride=3)[1])
+        assert (model0.n, strided.stride) == (515, 3)
+        return {"torus": (model, s), "q0": (with_chaos(model0), s0),
+                "chaotic": (chaos_model, s), "strided": (strided, s)}
 
     @pytest.mark.parametrize("case", ["torus", "q0", "chaotic", "strided"])
-    def test_matches_gemv_oracle(self, cases, case):
+    def test_matches_exact_difference_oracle(self, cases, case):
+        # on chaos the two runs part at the rate of the map's own
+        # divergence, 1e-16 to 1e-12 in 20 to 30 steps, so those cases run 12
         model, s = cases[case]
-        q = model.q
-        assert (q == 0) == (case == "q0")
-        init = state_before(s, q + 1, q)
-        t_start = (q + 1) * model.dt
-        ref = gemv_reconstruct(model, init, self.STEPS, t_start)
-        got = reconstruct(model, init, self.STEPS, t_start)
+        steps = 800 if case == "torus" else 12
+        init = state_before(model, s, W)
+        ref = exact_reconstruct(model, init, steps, W * model.dt)
+        got = reconstruct(model, init, steps, W * model.dt)
         scale = np.abs(ref).max()
         assert np.abs(got.values - ref).max() <= 1e-12 * scale
         if case != "torus":
-            # the chaotic part carries weight, so wrong weights would show
-            chaos = ref - eval_periodic(model, t_start, self.STEPS)
-            assert np.abs(chaos).max() >= 0.1 * scale
+            # the driven part carries weight, so wrong weights would show
+            chaos = ref - eval_periodic(model, W * model.dt, steps)
+            assert np.abs(chaos).max() >= 0.05 * scale
 
-    def test_long_horizon_matches_gemv_oracle(self, cases):
-        # 2100 steps cross 8 recomputes and end inside a block of 52
-        model, s = cases["chaotic"]
-        q, steps = model.q, 2100
-        init = state_before(s, q + 1, q)
-        t_start = (q + 1) * model.dt
-        ref = gemv_reconstruct(model, init, steps, t_start)
-        got = reconstruct(model, init, steps, t_start)
+    def test_long_horizon_matches_exact_difference_oracle(self, cases):
+        # the torus run contracts onto its periodic part, so the two runs
+        # stay together over 2100 steps
+        model, s = cases["torus"]
+        init = state_before(model, s, W)
+        ref = exact_reconstruct(model, init, 2100, W * model.dt)
+        got = reconstruct(model, init, 2100, W * model.dt)
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", ["torus", "q0", "chaotic", "strided"])
-    def test_recompute_steps_equal_the_evaluators(self, cases, case):
-        # steps 0 and 256 recompute the log-weights: there the free run is
-        # eval_periodic + eval_chaotic of its window, bit for bit
+    def test_every_step_equals_the_evaluators(self, cases, case):
+        # each step is eval_periodic + eval_chaotic of its window, bit for
+        # bit: there is one evaluator
         model, s = cases[case]
-        q, k, steps = model.q, model.k, 300
-        init = state_before(s, q + 1, q)
-        t_start = (q + 1) * model.dt
-        got = reconstruct(model, init, steps, t_start).values
-        history = np.concatenate([init.reshape(q + 1, k), got])
-        per = eval_periodic(model, t_start, steps)
-        for i in (0, 256):
-            window = history[i:i + q + 1].ravel()
-            assert np.array_equal(got[i], per[i] + eval_chaotic(model, window))
+        steps = 300
+        state = state_before(model, s, W)
+        got = reconstruct(model, state, steps, W * model.dt).values
+        per = eval_periodic(model, W * model.dt, steps)
+        for i in range(steps):
+            r = eval_chaotic(model, state)
+            assert np.array_equal(got[i], per[i] + r)
+            state = np.concatenate([state[model.k:], r])
 
 
 class TestDecompositionIdentity:
@@ -625,7 +658,7 @@ class TestDecompositionIdentity:
         # orthogonal to both the harmonic design and the basis
         model, pfit, s = torus_model
         basis, _ = model_basis
-        q = model.q
+        q = basis.embedding.q
         y = s.values[q:]
         synth_rows = synthesize(basis, torus_E)
         remainder = y - pfit.fitted - synth_rows
@@ -701,17 +734,24 @@ class TestMovingAverage:
 
 
 class TestModelRoundTrip:
-    def test_save_load_preserves_behaviour(self, torus_model, tmp_path):
-        model, pfit, s = torus_model
+    def test_save_load_preserves_behaviour(self, chaos_model, torus_model,
+                                           tmp_path):
+        model = chaos_model
+        _, _, s = torus_model
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
-        for name in ("omegas", "A", "M"):
+        for name in ("omegas", "A", "windows", "rows"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(model, name))
+        np.testing.assert_array_equal(back.residual.values,
+                                      model.residual.values)
+        assert back.residual.channel_names == model.residual.channel_names
+        assert (back.residual.dt, back.residual.t0) == (model.dt, 3.0)
+        assert (back.epsilon, back.stride) == (model.epsilon, model.stride)
         assert chaotic_sup_bound(back) == chaotic_sup_bound(model)
         assert periodic_sup_bound(back) == periodic_sup_bound(model)
-        init = state_before(s, model.q + 1, model.q)
+        init = state_before(model, s, W)
         a = reconstruct(model, init, 50, 0.0)
         b = reconstruct(back, init, 50, 0.0)
         np.testing.assert_array_equal(a.values, b.values)
@@ -748,12 +788,13 @@ class TestModelRoundTrip:
         basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
         pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
-        model = QPModel.from_basis(basis, pfit.omegas, pfit.A,
-                                   fit_chaotic(pfit.residual, basis))
+        model = fit_chaotic(pfit.omegas, pfit.A,
+                            TimeSeries(pfit.residual, dt=dt, t0=q * dt))
         path = tmp_path / "model.npz"
         save_model(model, path)
-        del basis, model
-        init = state_before(s, q + 1, q)
+        del basis
+        init = state_before(model, s, q + 1)
+        del model
         tracemalloc.start()
         try:
             back = load_model(path)
@@ -766,43 +807,45 @@ class TestModelRoundTrip:
 
 
 class TestReferenceModel:
-    """A model on a basis against every third point: M rows of M, the
-    training points slid, the references weighed."""
+    """A model whose kernel took every third point: it keeps every third
+    residual window and weighs the query against those alone."""
 
     @pytest.fixture(scope="class")
     def strided(self):
         basis, model, pfit, s = fit_torus(515, 3, stride=3)
-        return basis, with_random_chaos(basis, model), s
+        return basis, with_chaos(model), s
 
-    def test_one_row_of_m_per_reference(self, strided):
+    def test_in_sample_recalls_the_successors(self, strided):
+        # at a bandwidth 1e-3 of the smallest squared distance between kept
+        # windows, every kept window returns its own successor
+        _, model, _ = strided
+        wins = model.windows
+        d2 = ((wins[:, None] - wins[None]) ** 2).sum(axis=2)
+        d2_min = d2[~np.eye(len(wins), dtype=bool)].min()
+        model = replace(model, epsilon=1e-3 * d2_min)
+        got = eval_chaotic(model, model.windows)
+        np.testing.assert_allclose(got, successors(model), atol=1e-12)
+
+    def test_one_successor_per_kept_window(self, strided):
         basis, model, _ = strided
         assert model.stride == 3 and model.n == 512
-        assert model.m == 171 == len(basis.q)
-        np.testing.assert_array_equal(model.references,
-                                      model.embedding.points[::3])
-        np.testing.assert_array_equal(model.sq_ref, model.sq[::3])
-        with pytest.raises(DataError, match="171 reference points"):
-            replace(model, M=np.vstack([model.M, model.M[:1]]))
+        assert model.m == 170 == -(-(512 - W) // 3)
+        wins = delay_embed(model.residual, CHAOS_DELAYS).points
+        np.testing.assert_array_equal(model.windows, wins[:-1:3])
+        np.testing.assert_array_equal(model.rows[:-1].T,
+                                      model.residual.values[W::3])
+        np.testing.assert_array_equal(model.rows[-1], np.ones(170))
         with pytest.raises(DataError, match="stride 0"):
             replace(model, stride=0)
 
-    def test_in_sample_is_phi_e(self, strided):
-        # the Nystrom map over the references gives Phi @ E on all N rows
-        basis, model, _ = strided
-        E = random_chaos(basis, model.k)
-        got = eval_chaotic(model, model.embedding.points)
-        want = synthesize(basis, E)
-        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
-
     def test_free_run_within_the_bound(self, strided):
         _, model, s = strided
-        q = model.q
-        init = state_before(s, q + 1, q)
-        run = reconstruct(model, init, 600, (q + 1) * model.dt)
+        init = state_before(model, s, W)
+        run = reconstruct(model, init, 600, W * model.dt)
         bound = periodic_sup_bound(model) + chaotic_sup_bound(model)
         assert np.linalg.norm(run.values, axis=1).max() <= bound
-        chaos = run.values - eval_periodic(model, (q + 1) * model.dt, 600)
-        c = np.sqrt(model.m) * np.linalg.norm(model.M, axis=1).max()
+        chaos = run.values - eval_periodic(model, W * model.dt, 600)
+        c = np.linalg.norm(model.residual.values[W::3], axis=1).max()
         assert chaotic_sup_bound(model) == c
         assert np.linalg.norm(chaos, axis=1).max() <= c * (1 + 1e-12)
 
@@ -812,15 +855,15 @@ class TestReferenceModel:
         save_model(model, path)
         back = load_model(path)
         assert back.stride == 3
-        np.testing.assert_array_equal(back.M, model.M)
-        init = state_before(s, model.q + 1, model.q)
+        np.testing.assert_array_equal(back.windows, model.windows)
+        init = state_before(model, s, W)
         np.testing.assert_array_equal(
             reconstruct(back, init, 300, 0.0).values,
             reconstruct(model, init, 300, 0.0).values)
 
     def test_step_count_over_budget_allocates_nothing(self, torus_model):
         model, _, s = torus_model
-        init = state_before(s, model.q + 1, model.q)
+        init = state_before(model, s, W)
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="1000000000000 steps of 3 "
@@ -835,12 +878,23 @@ class TestReferenceModel:
 
 class TestStateBefore:
     def test_layout_matches_embedding(self, torus_model):
+        # the 3 samples before sample 10, less g_per at their times, oldest
+        # first; a block of windows is the same windows stacked
         model, pfit, s = torus_model
-        q = model.q
-        init = state_before(s, 10, q)
-        np.testing.assert_array_equal(init, s.values[10 - q - 1:10].ravel())
+        init = state_before(model, s, 10)
+        per = eval_periodic(model, 7 * model.dt, 3)
+        np.testing.assert_array_equal(init, (s.values[7:10] - per).ravel())
+        block = residual_windows(model, s, 10, 40)
+        assert block.shape == (30, model.state_dim)
+        np.testing.assert_allclose(block[0], init, atol=1e-12)
+        np.testing.assert_allclose(block[-1], state_before(model, s, 39),
+                                   atol=1e-12)
 
     def test_too_early(self, torus_model):
         model, _, s = torus_model
-        with pytest.raises(DataError):
-            state_before(s, model.q, model.q)
+        with pytest.raises(DataError, match="prediction start 2 must be >= 3 "
+                                            "so a residual window exists"):
+            state_before(model, s, 2)
+        with pytest.raises(DataError, match="prediction start 516 is beyond "
+                                            "series length 515"):
+            state_before(model, s, 516)

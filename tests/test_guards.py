@@ -19,8 +19,7 @@ def ctx(blob_basis):
     ts = series.TimeSeries(
         np.random.default_rng(0).standard_normal((40, 2)), dt=1.0)
     emb = series.delay_embed(ts, 2)
-    model = dc.QPModel(omegas=np.zeros(0), A=np.zeros((0, 2)),
-                       M=np.zeros((emb.n_points, 2)), embedding=emb,
+    model = dc.QPModel(omegas=np.zeros(0), A=np.zeros((0, 2)), residual=ts,
                        epsilon=1.0)
     return dict(ts=ts, emb=emb, basis=blob_basis, model=model)
 

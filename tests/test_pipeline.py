@@ -392,12 +392,19 @@ class TestConfigParsing:
         # window; one end alone is an error
         run_only = [dict(predict_start=5, predict_end=4),
                     dict(predict_start=0), dict(predict_end=0),
-                    dict(predict_start=3, predict_end=50, delays=20)]
+                    dict(predict_start=2, predict_end=50, delays=20)]
         for extra in run_only:
             config = build_config({**base, **extra})
             with pytest.raises(ConfigError):
                 run_pipeline(config)
             assert not (tmp_path / "out").exists()
+        # the free run starts from a window of 3 residual samples, whatever
+        # the delays
+        config = build_config({**base, **run_only[-1]})
+        with pytest.raises(ConfigError, match="predict_start must be >= 3 "
+                                              "so an initial residual window "
+                                              "exists"):
+            run_pipeline(config)
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="required"):

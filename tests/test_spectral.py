@@ -11,10 +11,9 @@ from qpdecomp import (
     gaussian_kernel,
 )
 from qpdecomp.kernel import pairwise_sqdist
-from qpdecomp.decompose import fit_chaotic
 from qpdecomp.spectral import decompose
 
-from conftest import pair_quantile, synthesize
+from conftest import pair_quantile, project, synthesize
 
 
 def embed_points(points):
@@ -38,8 +37,9 @@ def kernel_vector_at(basis, y):
 
 
 def nystrom_extend(basis, y, l):
-    """One extended eigenfunction (1-based l) at one point: the oracle for
-    the blocked extension in ``decompose.eval_chaotic``.
+    """One extended eigenfunction (1-based l) at one point, the Nystrom
+    extension whose identity at the data points acceptance criterion 3
+    asserts.
 
     At stored data point n this reproduces ``Phi[n, l-1]``; elsewhere it is a
     kernel-weighted average, bounded by ``sqrt(N) * max|Gamma[:, l-1]/sqrt(q)|
@@ -258,27 +258,27 @@ class TestNystromExtension:
 
 class TestProjectSynthesize:
     def test_basis_element_gives_unit_vector(self, blob_basis):
-        coeffs = fit_chaotic(blob_basis.Phi[:, 2], blob_basis)
+        coeffs = project(blob_basis, blob_basis.Phi[:, 2])
         expected = np.zeros((blob_basis.L, 1))
         expected[2] = 1.0
         assert np.abs(coeffs - expected).max() <= 1e-8
 
     def test_constant_function_hits_first_coefficient(self, blob_basis):
         c = 3.7
-        coeffs = fit_chaotic(np.full(blob_basis.n, c), blob_basis)
+        coeffs = project(blob_basis, np.full(blob_basis.n, c))
         assert np.abs(coeffs[1:]).max() <= 1e-8
         assert abs(coeffs[0, 0] * blob_basis.Phi[:, 0].mean() - c) <= 1e-8
 
     def test_completeness_at_full_truncation(self, full_blob_basis):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((full_blob_basis.n, 3))
-        back = synthesize(full_blob_basis, fit_chaotic(f, full_blob_basis))
+        back = synthesize(full_blob_basis, project(full_blob_basis, f))
         assert np.abs(back - f).max() <= 1e-8
 
     def test_projection_is_orthogonal(self, blob_basis):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((blob_basis.n, 2))
-        proj = synthesize(blob_basis, fit_chaotic(f, blob_basis))
+        proj = synthesize(blob_basis, project(blob_basis, f))
         resid = f - proj
         # residual orthogonal to every basis column under the empirical product
         inner = blob_basis.Phi.T @ resid / blob_basis.n
@@ -286,7 +286,7 @@ class TestProjectSynthesize:
 
     def test_row_mismatch(self, blob_basis):
         with pytest.raises(DataError):
-            fit_chaotic(np.ones(blob_basis.n + 1), blob_basis)
+            project(blob_basis, np.ones(blob_basis.n + 1))
 
 
 
