@@ -331,6 +331,30 @@ class TestFitChaotic:
         np.testing.assert_array_equal(eval_chaotic(fit, model.windows[:5]),
                                       np.zeros((5, model.k)))
 
+    def test_basis_element_hits_single_row(self):
+        # a residual that is one sample k_vec at row 20 and zero elsewhere:
+        # the map's coefficients hold k_vec in the successor of window 20 - W
+        # alone
+        k_vec = np.array([2.0, -1.0, 0.5])
+        values = np.zeros((60, 3))
+        values[20] = k_vec
+        model = fit_chaotic(np.zeros(0), np.zeros((0, 3)),
+                            TimeSeries(values, dt=1.0))
+        np.testing.assert_array_equal(model.rows[:-1, 20 - W], k_vec)
+        mask = np.ones(model.m, dtype=bool)
+        mask[20 - W] = False
+        assert not model.rows[:-1, mask].any()
+
+    def test_completeness_at_L_equals_N(self):
+        # at stride 1 nothing is left out: the first kept window and the
+        # successors of all kept windows are the whole residual
+        rng = np.random.default_rng(2)
+        res = TimeSeries(rng.standard_normal((80, 2)), dt=1.0)
+        model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res)
+        assert model.m == 80 - W
+        back = np.vstack([model.windows[0].reshape(W, 2), model.rows[:-1].T])
+        np.testing.assert_array_equal(back, res.values)
+
     def test_row_mismatch(self):
         # 4 rows hold out 1 and leave no window of 3 with a successor
         # before it; 5 rows leave one
