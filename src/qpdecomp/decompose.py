@@ -225,33 +225,33 @@ def eval_periodic(model: QPModel, t0: float, n: int) -> np.ndarray:
     return evaluate_harmonics(model.A, model.omegas, t0, model.dt, n)
 
 
-def log_weights(points, sq, epsilon, y, out=None) -> np.ndarray:
-    """Scaled log kernel weights ``z = (2 points @ y - sq) / epsilon``, into
-    ``out`` when given: (N,) for one state y (dim,), (N, B) for a block
-    (B, dim).  ``sq`` holds the squared row norms of the (N, dim) points.
-    A query of another dimension is a :class:`DataError`."""
+def log_weights(points, sq, epsilon, y) -> np.ndarray:
+    """Scaled log kernel weights ``z = (2 points @ y - sq) / epsilon``: (N,)
+    for one state y (dim,), (N, B) for a block (B, dim).  ``sq`` holds the
+    squared row norms of the (N, dim) points.  A query of another dimension
+    is a :class:`DataError`."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != points.shape[1]:
         raise DataError(
             f"query dimension {y.shape[-1]} does not match embedding dimension "
             f"{points.shape[1]}"
         )
-    z = np.matmul(points, y.T, out=out)
+    z = points @ y.T
     z *= 2.0
     np.subtract(z.T, sq, out=z.T)
     z /= epsilon
     return z
 
 
-def kernel_average(rows, z, w) -> np.ndarray:
-    """``(rows[:-1] @ w) / (rows[-1] @ w)`` for the weights ``exp(z - max z)``
-    of the log-weights z, (N,) or (N, B), which go into the buffer w of z's
-    shape (z itself may be it); shifted log-weights below
-    ``_LOG_WEIGHT_FLOOR`` are taken at it.  Returns (k,) or (k, B)."""
-    np.subtract(z, z.max(axis=0), out=w)
-    np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
-    np.exp(w, out=w)
-    num = rows @ w
+def kernel_average(rows, z) -> np.ndarray:
+    """``(rows[:-1] @ w) / (rows[-1] @ w)`` for the weights
+    ``w = exp(z - max z)`` of the log-weights z, (N,) or (N, B), which
+    overwrite z; shifted log-weights below ``_LOG_WEIGHT_FLOOR`` are taken
+    at it.  Returns (k,) or (k, B)."""
+    z -= z.max(axis=0)
+    np.maximum(z, _LOG_WEIGHT_FLOOR, out=z)
+    np.exp(z, out=z)
+    num = rows @ z
     return num[:-1] / num[-1]
 
 
@@ -263,11 +263,11 @@ def eval_chaotic(model: QPModel, y) -> np.ndarray:
     wins, sq, eps = model.windows, model.sq, model.epsilon
     if y.ndim == 1:
         z = log_weights(wins, sq, eps, y)
-        return kernel_average(model.rows, z, z)
+        return kernel_average(model.rows, z)
     out = np.empty((len(y), model.k))
     for i in range(0, len(y), _BLOCK_ROWS):
         z = log_weights(wins, sq, eps, y[i:i + _BLOCK_ROWS])
-        out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z, z).T
+        out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z).T
     return out
 
 
@@ -307,7 +307,7 @@ def fit_chaotic(omegas, A, residual: TimeSeries, stride: int = 1) -> QPModel:
     errors = []
     for eps in ladder:
         np.divide(z, eps, out=buf)
-        pred = kernel_average(before.rows, buf, buf)
+        pred = kernel_average(before.rows, buf)
         errors.append(np.mean((pred.T - r[start:]) ** 2))
     return QPModel(omegas, A, residual, float(ladder[np.argmin(errors)]),
                    stride)

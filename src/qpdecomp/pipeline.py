@@ -322,8 +322,8 @@ def fit(config: PipelineConfig) -> Fit:
     """Load the series and fit it: delay embedding, kernel, eigenbasis,
     frequency selection, periodic fit and the map of its residual.  An
     error of the windows (with ``ma_windows`` set, the predict window's
-    observed values among them, :func:`check_observed`), the delays or the
-    eigensolve against the series names the input."""
+    observed values among them, :func:`check_observed`), the delays, the
+    eigensolve or the fits against the series names the input."""
     data = load_series(config)
     # the parameters meet the series here, so an error names the input
     with reading(config.input):
@@ -342,12 +342,14 @@ def fit(config: PipelineConfig) -> Fit:
         stride = kernel.reference_stride(emb.n_points, config.reference_points)
         basis = spectral.decompose(emb, config.epsilon, config.num_eigen,
                                    stride)
-    table = freqfilter.rkhs_norm_table(basis, data.dt)
-    selection = freqfilter.select(table, eps1=config.eps1, eps2=config.eps2,
-                                  L0=config.L0)
-    pfit = dc.fit_periodic(train.values[q:], selection, data.dt, t0=q * data.dt)
-    residual = replace(series.window(train, q, train.n), values=pfit.residual)
-    model = dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
+        table = freqfilter.rkhs_norm_table(basis, data.dt)
+        selection = freqfilter.select(table, eps1=config.eps1,
+                                      eps2=config.eps2, L0=config.L0)
+        pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
+                               t0=q * data.dt)
+        residual = replace(series.window(train, q, train.n),
+                           values=pfit.residual)
+        model = dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
     return Fit(data, train, basis, table, selection, pfit, model)
 
 
@@ -543,9 +545,10 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     # count the kernel used, so that a re-run does not derive them again,
     # plus content hashes
     absolute_input = str(Path(config.input).resolve())
+    basis = result.basis
     lines = config_lines(replace(config, input=absolute_input,
-                                 epsilon=result.basis.epsilon,
-                                 reference_points=len(result.basis.q)))
+                                 epsilon=basis.epsilon,
+                                 reference_points=basis.reference_points))
     lines.append(f"input_sha256 = {_sha256(config.input)}")
     lines.append(f"train_data_sha256 = {dc.training_data_hash(train)}")
     for p in sorted(p for p in outdir.rglob("*") if p.is_file()):

@@ -8,8 +8,8 @@ computed as the top-L eigenvectors of the M x M Gram matrix
 rows, so Phi holds all N rows and is orthonormal on them.
 :func:`decompose` builds the kernel itself and drops Ktilde and the Gram
 matrix before it returns, so a :class:`SpectralBasis` holds no N x M or
-M x M array: besides the triplets it keeps only the kernel facts that later
-stages read.
+M x M array: besides the eigenvalues and the left singular vectors it keeps
+only the kernel facts that later stages read.
 
 Inner-product convention (declared once, carried explicitly everywhere):
 
@@ -17,9 +17,6 @@ Inner-product convention (declared once, carried explicitly everywhere):
   ``<u, v> = (1/N) sum_n u_n v_n``; equivalently ``Phi = sqrt(N) * U`` for
   Euclidean-orthonormal left singular vectors U.  The leading column is then
   the constant function with value ~1.
-* ``Gamma`` columns (M rows, one per reference point) are plain
-  Euclidean-orthonormal right singular vectors: the Gram eigenvectors
-  rotated by the Rayleigh-Ritz step.
 * ``lam[l] = sigma[l]**2`` are the kernel-operator eigenvalues.
 """
 
@@ -43,28 +40,21 @@ _GRAM_ROWS = 256
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Top-L singular triplets of Ktilde in the declared conventions, with
-    the kernel facts that later stages read.
+    """Top-L eigenvalues and left singular vectors of Ktilde in the declared
+    conventions, with the kernel facts that later stages read.
 
-    ``epsilon`` is the bandwidth the kernel was built with, ``q`` its degree
-    vector (M), ``embedding`` the embedded training data (its delay count is
-    ``embedding.q``), ``sqdist_histogram`` the ``(counts, edges)`` of the
-    squared distances of the bandwidth sample's pairs, as
-    :func:`kernel.gaussian_kernel` returns them, and ``stride`` the step
-    between reference points (1: every point).  The basis serves the
-    frequency selection; ``Gamma`` and ``q`` give the Nystrom extension of
-    Phi, whose identity at the data points the acceptance tests check.
-    Construction checks the conventions the later stages invert: eigenvalues
-    non-increasing, none below ``LAMBDA_FLOOR``, the leading one 1 and its
-    eigenfunction constant.
+    ``epsilon`` is the bandwidth the kernel was built with,
+    ``sqdist_histogram`` the ``(counts, edges)`` of the squared distances of
+    the bandwidth sample's pairs, as :func:`kernel.gaussian_kernel` returns
+    them, and ``stride`` the step between reference points (1: every point).
+    The basis serves the frequency selection alone.  Construction checks the
+    conventions the later stages invert: eigenvalues non-increasing, none
+    below ``LAMBDA_FLOOR``, the leading one 1 and its eigenfunction constant.
     """
 
     lam: np.ndarray
     Phi: np.ndarray
-    Gamma: np.ndarray
     epsilon: float
-    q: np.ndarray
-    embedding: DelayEmbedding
     sqdist_histogram: tuple
     stride: int = 1
 
@@ -102,6 +92,11 @@ class SpectralBasis:
     def sigma(self) -> np.ndarray:
         return np.sqrt(self.lam)
 
+    @property
+    def reference_points(self) -> int:
+        """M, the kernel's reference points: every ``stride``-th row."""
+        return -(-self.n // self.stride)
+
 
 def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
               stride: int = 1) -> SpectralBasis:
@@ -111,9 +106,9 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     The N x M kernel is built by :func:`kernel.gaussian_kernel` at
     ``epsilon`` (0 derives it).  The top L eigenvectors of the M x M Gram
     matrix ``Ktilde^T Ktilde`` span the leading right singular subspace; a
-    Rayleigh-Ritz step (thin SVD of ``Ktilde @ V``) then rotates them into
-    singular vectors, so that ``Ktilde @ Gamma = U * sigma`` holds to
-    rounding whatever the subspace error.  The Gram matrix is built one way
+    Rayleigh-Ritz step (thin SVD of ``Ktilde @ V``) then gives sigma and the
+    left singular vectors U of that subspace, orthonormal to rounding
+    whatever the subspace error.  The Gram matrix is built one way
     at every N and M: its upper triangle is summed in one Fortran-ordered
     M x M array by rank-256 BLAS ``syrk`` updates, one per block of 256 rows
     of ``Ktilde``, and the eigensolver overwrites that array in place.  The
@@ -166,7 +161,7 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     import scipy.linalg
     from scipy.linalg.blas import dsyrk
 
-    kt, epsilon, q, hist = kernel.gaussian_kernel(embedding, epsilon, stride)
+    kt, epsilon, _, hist = kernel.gaussian_kernel(embedding, epsilon, stride)
     gram = np.zeros((m, m), order="F")
     for a in range(0, n, _GRAM_ROWS):
         # the transposed row block is a Fortran-ordered M x 256 view, so
@@ -179,15 +174,12 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     # replace it rather than add to it
     kv = kt @ v
     del kt
-    u, s, wt = np.linalg.svd(kv, full_matrices=False)
-    v = v @ wt.T
+    u, s, _ = np.linalg.svd(kv, full_matrices=False)
 
     # phi_1 is the constant function, taken positive.  Every other column
     # is orthogonal to it, so its sum is rounding noise, and nothing reads
     # its sign: the RKHS-norm table takes |fft(Phi)|.
     if u[:, 0].sum() < 0:
         u[:, 0] *= -1.0
-        v[:, 0] *= -1.0
-    return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, Gamma=v,
-                         epsilon=epsilon, q=q, embedding=embedding,
+    return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, epsilon=epsilon,
                          sqdist_histogram=hist, stride=stride)

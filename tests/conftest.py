@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpdecomp import DataError, TimeSeries, delay_embed
+from qpdecomp import DataError, TimeSeries, delay_embed, gaussian_kernel
 from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.spectral import decompose
 
@@ -56,6 +56,16 @@ def synthesize(basis, E):
     return basis.Phi @ np.asarray(E, dtype=float).reshape(basis.L, -1)
 
 
+def nystrom_pair(emb, basis):
+    """The degree vector q (M) of the kernel of ``emb`` at the bandwidth and
+    stride of ``basis``, and the right singular vectors of that kernel that
+    go with Phi, ``Gamma = Ktilde^T Phi / (sqrt(N) sigma)`` (M x L), which
+    the basis does not keep; together they give the Nystrom extension of
+    Phi."""
+    kt, _, q, _ = gaussian_kernel(emb, basis.epsilon, basis.stride)
+    return q, kt.T @ basis.Phi / (np.sqrt(basis.n) * basis.sigma)
+
+
 def pair_quantile(emb, quantile):
     """``np.quantile`` of the squared distances of the distinct pairs of
     points of ``emb``, each pair once."""
@@ -69,11 +79,16 @@ def blob_series(n, dim, seed=0):
 
 
 @pytest.fixture(scope="session")
-def blob_basis():
+def blob_embedding():
+    """120 random points in 5 dimensions, the data of ``blob_basis``."""
+    return delay_embed(blob_series(120, 5, seed=2), 0)
+
+
+@pytest.fixture(scope="session")
+def blob_basis(blob_embedding):
     """Well-conditioned small kernel basis on random data (L = N/2)."""
-    emb = delay_embed(blob_series(120, 5, seed=2), 0)
-    eps = 0.3 * pair_quantile(emb, 0.5)
-    return decompose(emb, eps, 60)
+    eps = 0.3 * pair_quantile(blob_embedding, 0.5)
+    return decompose(blob_embedding, eps, 60)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from qpdecomp.synth import (
     standard_testbed,
 )
 
-from conftest import pair_quantile
+from conftest import nystrom_pair, pair_quantile
 
 TWO_PI = 2 * np.pi
 N_SAMPLES = 4096
@@ -155,23 +155,24 @@ class TestCriterion2ChaosRobustness:
 
 
 class TestCriterion3SpectralInvariants:
-    def check(self, basis):
+    def check(self, emb, basis):
         n, L = basis.n, basis.L
         gram_phi = basis.Phi.T @ basis.Phi / n
         assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
-        gram_gam = basis.Gamma.T @ basis.Gamma
+        # the basis keeps neither Gamma nor q: both are rebuilt from Ktilde
+        # at the basis's bandwidth
+        q, gamma = nystrom_pair(emb, basis)
+        gram_gam = gamma.T @ gamma
         assert np.abs(gram_gam - np.eye(L)).max() <= 1e-8
         assert abs(basis.lam[0] - 1.0) <= 1e-6
         phi1 = basis.Phi[:, 0]
         assert phi1.std() / abs(phi1.mean()) <= 1e-6
-        # Ktilde recomputed at the basis's bandwidth, as the basis keeps none
-        kt, _, q, _ = gaussian_kernel(basis.embedding, basis.epsilon)
-        assert np.array_equal(q, basis.q)
+        kt = gaussian_kernel(emb, basis.epsilon)[0]
         p_rows = kt @ (kt.T @ np.ones(n))
         assert np.abs(p_rows - 1.0).max() <= 1e-8
         # the continuous-extension identity at every data point
-        K = np.exp(-pairwise_sqdist(basis.embedding) / basis.epsilon)
-        ext = (K @ (basis.Gamma / np.sqrt(basis.q)[:, None]))
+        K = np.exp(-pairwise_sqdist(emb) / basis.epsilon)
+        ext = (K @ (gamma / np.sqrt(q)[:, None]))
         ext /= (np.sqrt(n) * K.mean(axis=1))[:, None]
         ext /= basis.sigma[None, :]
         col_scale = np.abs(basis.Phi).max(axis=0)
@@ -182,10 +183,10 @@ class TestCriterion3SpectralInvariants:
         with criterion(3, "spectral invariants (orthonormality, lambda_1=1, "
                           "constant leading eigenfunction, Markov row sums, "
                           "extension identity at all points)"):
-            self.check(pure_torus_run["basis"])
+            self.check(pure_torus_run["emb"], pure_torus_run["basis"])
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-            self.check(decompose(
+            self.check(emb, decompose(
                 emb, 0.5 * pair_quantile(emb, 0.5), 60))
 
 

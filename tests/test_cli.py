@@ -330,6 +330,13 @@ BAD_PAIRS = {
     "delays_over_train_end": (None, FIT_COMMANDS, ["--delays", "600"],
                               "q=600 must be smaller than N=600",
                               "spectral.decompose"),
+    # 4 fit rows: too few for the map of the residual to hold out a row
+    # (eps1 0.5 keeps one of the two nonzero bins, so no warning is printed)
+    "train_end_too_short_for_the_map": (
+        None, FIT_COMMANDS, ["--train-end", "24", "--delays", "20",
+                             "--num-eigen", "3", "--L0", "2", "--eps1", "0.5"],
+        "a residual of 4 rows holds out its last 1 and leaves no window of "
+        "3 samples with a successor before them", "decompose.save_model"),
     # the error columns divide by each channel's peak over the observed
     # window; the model takes no part
     "zero_truth_run": (zeroed, ["run"], ["--ma-windows", "3"],

@@ -682,7 +682,7 @@ class TestDecompositionIdentity:
         # orthogonal to both the harmonic design and the basis
         model, pfit, s = torus_model
         basis, _ = model_basis
-        q = basis.embedding.q
+        q = s.n - basis.n
         y = s.values[q:]
         synth_rows = synthesize(basis, torus_E)
         remainder = y - pfit.fitted - synth_rows

@@ -28,16 +28,14 @@ TWO_PI = 2 * np.pi
 
 
 def fabricated_basis(phi_columns, lam):
-    """SpectralBasis with handmade eigenfunctions over a real (tiny) kernel."""
+    """SpectralBasis with handmade eigenfunctions and the bandwidth facts of
+    a real (tiny) kernel."""
     phi = np.column_stack(phi_columns)
-    n, L = phi.shape
-    pts = np.random.default_rng(0).standard_normal((n, 2))
+    pts = np.random.default_rng(0).standard_normal((len(phi), 2))
     emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
-    _, eps, q, hist = gaussian_kernel(emb, 50.0)
-    gamma = np.eye(n)[:, :L]
+    _, eps, _, hist = gaussian_kernel(emb, 50.0)
     return SpectralBasis(lam=np.asarray(lam, dtype=float), Phi=phi,
-                         Gamma=gamma, epsilon=eps, q=q, embedding=emb,
-                         sqdist_histogram=hist)
+                         epsilon=eps, sqdist_histogram=hist)
 
 
 def written_curves(outdir, basis, table, selection):

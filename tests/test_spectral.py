@@ -1,4 +1,5 @@
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,19 +11,13 @@ from qpdecomp import (
     delay_embed,
     gaussian_kernel,
 )
-from qpdecomp.kernel import pairwise_sqdist
-from qpdecomp.spectral import decompose
+from qpdecomp.spectral import SpectralBasis, decompose
 
-from conftest import pair_quantile, project, synthesize
+from conftest import nystrom_pair, pair_quantile, project, synthesize
 
 
 def embed_points(points):
     return delay_embed(TimeSeries(np.asarray(points, dtype=float), dt=1.0), 0)
-
-
-def kernel_matrix(emb, eps):
-    """The unnormalized kernel K, which no stage keeps."""
-    return np.exp(-pairwise_sqdist(emb) / eps)
 
 
 def ktilde(emb, eps):
@@ -30,13 +25,24 @@ def ktilde(emb, eps):
     return gaussian_kernel(emb, eps)[0]
 
 
-def kernel_vector_at(basis, y):
+class Extension(NamedTuple):
+    """A stride-1 basis with its data points and the q and Gamma of its
+    kernel (:func:`conftest.nystrom_pair`): what its Nystrom extension
+    reads."""
+
+    basis: SpectralBasis
+    points: np.ndarray
+    q: np.ndarray
+    Gamma: np.ndarray
+
+
+def kernel_vector_at(ext, y):
     """Exact-difference kernel values exp(-|y - y_n|^2 / epsilon)."""
-    diff = basis.embedding.points - np.ravel(y)[None, :]
-    return np.exp(-np.einsum("ij,ij->i", diff, diff) / basis.epsilon)
+    diff = ext.points - np.ravel(y)[None, :]
+    return np.exp(-np.einsum("ij,ij->i", diff, diff) / ext.basis.epsilon)
 
 
-def nystrom_extend(basis, y, l):
+def nystrom_extend(ext, y, l):
     """One extended eigenfunction (1-based l) at one point, the Nystrom
     extension whose identity at the data points acceptance criterion 3
     asserts.
@@ -45,26 +51,33 @@ def nystrom_extend(basis, y, l):
     kernel-weighted average, bounded by ``sqrt(N) * max|Gamma[:, l-1]/sqrt(q)|
     / sigma_l`` for every y.
     """
+    basis = ext.basis
     if not (1 <= l <= basis.L):
         raise DataError(f"l={l} out of range 1..{basis.L}")
     y = np.ravel(y)
-    if y.shape != (basis.embedding.dim,):
-        raise DataError(f"query dimension {y.size} is not "
-                        f"{basis.embedding.dim}")
+    dim = ext.points.shape[1]
+    if y.shape != (dim,):
+        raise DataError(f"query dimension {y.size} is not {dim}")
     # exact differences, shifted so that the nearest point weighs 1
-    diff = basis.embedding.points - y[None, :]
+    diff = ext.points - y[None, :]
     d2 = np.einsum("ij,ij->i", diff, diff)
     w = np.exp(-(d2 - d2.min()) / basis.epsilon)
-    c = basis.Gamma[:, l - 1] / np.sqrt(basis.q)
+    c = ext.Gamma[:, l - 1] / np.sqrt(ext.q)
     return float(np.sqrt(basis.n) * (w @ c) / (w.sum() * basis.sigma[l - 1]))
 
 
-def extension_bounds(basis):
+def extension_bounds(ext):
     """Sup-norm bound of each extended eigenfunction over all of space,
     ``sqrt(N) * max_n |Gamma[n, l] / sqrt(q_n)| / sigma_l``: the extension
     is a kernel-weighted average of ``sqrt(N) * Gamma[:, l] / sqrt(q)``."""
-    c = basis.Gamma / np.sqrt(basis.q)[:, None]
-    return np.sqrt(basis.n) * np.abs(c).max(axis=0) / basis.sigma
+    c = ext.Gamma / np.sqrt(ext.q)[:, None]
+    return np.sqrt(ext.basis.n) * np.abs(c).max(axis=0) / ext.basis.sigma
+
+
+@pytest.fixture(scope="module")
+def blob_ext(blob_embedding, blob_basis):
+    return Extension(blob_basis, blob_embedding.points,
+                     *nystrom_pair(blob_embedding, blob_basis))
 
 
 class TestDecompose:
@@ -73,18 +86,20 @@ class TestDecompose:
         np.testing.assert_allclose(basis.lam[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(basis.Phi[:, 0], [1.0, 1.0], atol=1e-12)
 
-    def test_orthonormality_conventions(self, blob_basis):
+    def test_orthonormality_conventions(self, blob_basis, blob_ext):
+        # Gamma rebuilt from the kernel is orthonormal when Phi holds
+        # singular vectors
         n, L = blob_basis.n, blob_basis.L
         gram_phi = blob_basis.Phi.T @ blob_basis.Phi / n
-        gram_gam = blob_basis.Gamma.T @ blob_basis.Gamma
+        gram_gam = blob_ext.Gamma.T @ blob_ext.Gamma
         assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
         assert np.abs(gram_gam - np.eye(L)).max() <= 1e-8
 
-    def test_svd_consistency(self, blob_basis):
+    def test_svd_consistency(self, blob_embedding, blob_basis, blob_ext):
         # Ktilde gamma_l = sigma_l u_l with u_l = Phi_l / sqrt(N)
-        kt = ktilde(blob_basis.embedding, blob_basis.epsilon)
+        kt = ktilde(blob_embedding, blob_basis.epsilon)
         u = blob_basis.Phi / np.sqrt(blob_basis.n)
-        resid = kt @ blob_basis.Gamma - u * blob_basis.sigma[None, :]
+        resid = kt @ blob_ext.Gamma - u * blob_basis.sigma[None, :]
         assert np.abs(resid).max() <= 1e-8
 
     def test_leading_pair_invariants(self, blob_basis):
@@ -101,7 +116,8 @@ class TestDecompose:
         # spectral truncation error equals the next singular value
         kt = ktilde(emb, eps)
         full_s = np.linalg.svd(kt, compute_uv=False)
-        approx = (basis.Phi / np.sqrt(200)) * basis.sigma[None, :] @ basis.Gamma.T
+        _, gamma = nystrom_pair(emb, basis)
+        approx = (basis.Phi / np.sqrt(200)) * basis.sigma[None, :] @ gamma.T
         gap = np.linalg.norm(kt - approx, ord=2)
         np.testing.assert_allclose(gap, full_s[50], rtol=1e-6)
 
@@ -152,11 +168,11 @@ class TestDecompose:
         assert rel.max() <= 1e-8
         gram_phi = basis.Phi.T @ basis.Phi / basis.n
         assert np.abs(gram_phi - np.eye(L)).max() <= 1e-8
-        K = kernel_matrix(emb, eps)
-        ext = K @ (basis.Gamma / np.sqrt(basis.q)[:, None])
-        ext /= (np.sqrt(basis.n) * K.mean(axis=1))[:, None] * basis.sigma[None, :]
-        col_scale = np.abs(basis.Phi).max(axis=0)
-        assert (np.abs(ext - basis.Phi) / col_scale[None, :]).max() <= 1e-8
+        # the eigen-equation of Ktilde Ktilde^T; a Gamma rebuilt as
+        # Ktilde^T Phi / sigma would divide by sigma ~ 1e-6 here
+        kt = ktilde(emb, eps)
+        resid = kt @ (kt.T @ basis.Phi) - basis.Phi * basis.lam[None, :]
+        assert np.abs(resid).max() <= 1e-12
 
     def test_sign_rule_nonnegative_sums(self, blob_basis):
         # phi_1, the constant, is taken positive; every other column is
@@ -171,7 +187,6 @@ class TestDecompose:
         b = decompose(emb, 2.0, 20)
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.Phi, b.Phi)
-        assert np.array_equal(a.Gamma, b.Gamma)
 
     def test_lambda_floor_error(self):
         # tightly clustered points at huge bandwidth: rank collapses
@@ -205,55 +220,74 @@ class TestDecompose:
         assert basis.L == 40 and basis.n == n
         assert held < 0.5 * n * n * 8, f"held {held / (n * n * 8):.2f} N^2"
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_holds_one_n_by_l_array(self, stride):
+        # Phi is the one N x L array the basis keeps: no M x L right
+        # singular vectors, no degree vector and no embedding
+        import scipy.linalg  # noqa: F401  (its import would count as held)
+        import scipy.linalg.blas  # noqa: F401
+
+        n, L = 600, 40
+        emb = embed_points(np.random.default_rng(8).standard_normal((n, 5)))
+        eps = 0.4 * pair_quantile(emb, 0.5)
+        tracemalloc.start()
+        try:
+            basis = decompose(emb, eps, L, stride)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert basis.Phi.shape == (n, L)
+        assert held <= 1.1 * n * L * 8, f"held {held / (n * L * 8):.2f} N L"
+
 
 class TestNystromExtension:
-    def test_reproduces_phi_at_data_points(self, blob_basis):
-        pts = blob_basis.embedding.points
+    def test_reproduces_phi_at_data_points(self, blob_basis, blob_ext):
+        pts = blob_ext.points
         for n in (0, 17, 63, 119):
             for l in (1, 2, blob_basis.L):
-                got = nystrom_extend(blob_basis, pts[n], l)
+                got = nystrom_extend(blob_ext, pts[n], l)
                 ref = blob_basis.Phi[n, l - 1]
                 assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
 
-    def test_constant_eigenfunction_level(self, blob_basis):
+    def test_constant_eigenfunction_level(self, blob_basis, blob_ext):
         rng = np.random.default_rng(4)
-        pts = blob_basis.embedding.points
+        pts = blob_ext.points
         level = blob_basis.Phi[:, 0].mean()
         for _ in range(5):
             # in-distribution query: jitter around a data point
             y = pts[rng.integers(len(pts))] + 0.05 * rng.standard_normal(pts.shape[1])
-            got = nystrom_extend(blob_basis, y, 1)
+            got = nystrom_extend(blob_ext, y, 1)
             assert abs(got - level) <= 1e-2
 
-    def test_midpoint_formula_oracle(self, blob_basis):
+    def test_midpoint_formula_oracle(self, blob_basis, blob_ext):
         # re-evaluate the defining formula directly at an off-sample point
-        pts = blob_basis.embedding.points
+        pts = blob_ext.points
         y = (pts[3] + pts[4]) / 2.0
-        kvec = kernel_vector_at(blob_basis, y)
+        kvec = kernel_vector_at(blob_ext, y)
         deg = kvec.mean()
         n = blob_basis.n
         for l in (1, 3, 10):
-            oracle = (kvec @ (blob_basis.Gamma[:, l - 1] / np.sqrt(blob_basis.q))
+            oracle = (kvec @ (blob_ext.Gamma[:, l - 1] / np.sqrt(blob_ext.q))
                       / (np.sqrt(n) * blob_basis.sigma[l - 1] * deg))
-            got = nystrom_extend(blob_basis, y, l)
+            got = nystrom_extend(blob_ext, y, l)
             np.testing.assert_allclose(got, oracle, rtol=1e-10)
 
-    def test_far_query_stays_within_bound(self, blob_basis):
-        bounds = extension_bounds(blob_basis)
-        y = np.full(blob_basis.embedding.dim, 500.0)
+    def test_far_query_stays_within_bound(self, blob_basis, blob_ext):
+        bounds = extension_bounds(blob_ext)
+        y = np.full(blob_ext.points.shape[1], 500.0)
         for l in (1, 5, blob_basis.L):
-            val = nystrom_extend(blob_basis, y, l)
+            val = nystrom_extend(blob_ext, y, l)
             assert np.isfinite(val)
             assert abs(val) <= bounds[l - 1] + 1e-9
 
-    def test_bad_inputs(self, blob_basis):
-        y = blob_basis.embedding.points[0]
+    def test_bad_inputs(self, blob_basis, blob_ext):
+        y = blob_ext.points[0]
         with pytest.raises(DataError):
-            nystrom_extend(blob_basis, y, 0)
+            nystrom_extend(blob_ext, y, 0)
         with pytest.raises(DataError):
-            nystrom_extend(blob_basis, y, blob_basis.L + 1)
+            nystrom_extend(blob_ext, y, blob_basis.L + 1)
         with pytest.raises(DataError, match="dimension"):
-            nystrom_extend(blob_basis, y[:-1], 1)
+            nystrom_extend(blob_ext, y[:-1], 1)
 
 
 class TestProjectSynthesize:
@@ -297,9 +331,11 @@ class TestReferenceBasis:
     N, STRIDE, L = 600, 3, 40
 
     @pytest.fixture(scope="class")
-    def strided(self):
-        pts = np.random.default_rng(9).standard_normal((self.N, 5))
-        emb = embed_points(pts)
+    def emb(self):
+        return embed_points(np.random.default_rng(9).standard_normal((self.N, 5)))
+
+    @pytest.fixture(scope="class")
+    def strided(self, emb):
         eps = 0.4 * pair_quantile(emb, 0.5)
         return decompose(emb, eps, self.L, self.STRIDE)
 
@@ -308,21 +344,22 @@ class TestReferenceBasis:
         phi1 = strided.Phi[:, 0]
         assert phi1.std() / abs(phi1.mean()) <= 1e-8
 
-    def test_phi_orthonormal_over_all_rows(self, strided):
+    def test_phi_orthonormal_over_all_rows(self, emb, strided):
         m = len(range(0, self.N, self.STRIDE))
+        q, gamma = nystrom_pair(emb, strided)
         assert strided.Phi.shape == (self.N, self.L)
-        assert strided.Gamma.shape == (m, self.L) and strided.q.shape == (m,)
+        assert strided.reference_points == m
+        assert gamma.shape == (m, self.L) and q.shape == (m,)
         assert strided.stride == self.STRIDE
         gram = strided.Phi.T @ strided.Phi / self.N
         assert np.abs(gram - np.eye(self.L)).max() <= 1e-8
-        gram = strided.Gamma.T @ strided.Gamma
+        gram = gamma.T @ gamma
         assert np.abs(gram - np.eye(self.L)).max() <= 1e-8
 
-    def test_dense_svd_oracle(self, strided):
+    def test_dense_svd_oracle(self, emb, strided):
         import scipy.linalg
 
-        kt = gaussian_kernel(strided.embedding, strided.epsilon,
-                             self.STRIDE)[0]
+        kt = gaussian_kernel(emb, strided.epsilon, self.STRIDE)[0]
         u, s, _ = np.linalg.svd(kt, full_matrices=False)
         rel = np.abs(strided.sigma - s[:self.L]) / s[:self.L]
         assert rel.max() <= 1e-10
@@ -330,14 +367,16 @@ class TestReferenceBasis:
                                               strided.Phi / np.sqrt(self.N))
         assert angles.max() <= 1e-8
 
-    def test_extension_over_the_references_reproduces_phi(self, strided):
+    def test_extension_over_the_references_reproduces_phi(self, emb,
+                                                            strided):
         # sqrt(M) * sum_j K_ij Gamma_jl / sqrt(q_j) / sum_j K_ij / sigma_l,
         # over the M references only, is Phi on every one of the N rows
-        pts = strided.embedding.points
+        pts = emb.points
         refs = pts[::self.STRIDE]
         diff = pts[:, None, :] - refs[None, :, :]
         K = np.exp(-np.einsum("ijk,ijk->ij", diff, diff) / strided.epsilon)
-        c = strided.Gamma / np.sqrt(strided.q)[:, None]
+        q, gamma = nystrom_pair(emb, strided)
+        c = gamma / np.sqrt(q)[:, None]
         ext = np.sqrt(len(refs)) * (K @ c) / K.sum(axis=1)[:, None]
         ext /= strided.sigma[None, :]
         scale = np.abs(strided.Phi).max(axis=0)
