@@ -26,7 +26,7 @@ from .freqfilter import (
     rkhs_norm_table,
     select,
 )
-from .kernel import gaussian_kernel, pairwise_sqdist
+from .kernel import gaussian_kernel
 from .pipeline import PipelineConfig, load_config, report_periods, run_pipeline
 from .series import (
     DelayEmbedding,
@@ -69,7 +69,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "moving_average",
-    "pairwise_sqdist",
     "reconstruct",
     "relative_error",
     "report_periods",

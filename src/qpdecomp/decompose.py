@@ -2,16 +2,17 @@
 the driven dynamics as a kernel average of residual successors, and run the
 standalone reconstruction system.
 
-Time convention: the periodic component is a function of physical time in
-seconds, ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t)``.
-The selected frequencies are DFT bins of the N rows being fitted, so the
-least-squares fit is an orthogonal projection onto those bins: one rFFT of
-the rows, the selected bins kept and rotated to the time of row 0, and the
-Nyquist bin of even N halved, since the factor 2 counts a conjugate pair
-and that bin is its own conjugate.  Row 0 (the zero frequency) is real; the
-Nyquist row is real to rounding when t0 is a multiple of dt, as in the
-pipeline.  The fitted rows, the in-sample reconstruction and the free run
-all take g_per from :func:`evaluate_harmonics` on a uniform time grid.
+Time convention: every time is on the input's own clock, in seconds, and
+the periodic component is ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j]
+exp(i omega_j (t - t_fit))``, where t_fit is the time of the first fitted
+row, the model's ``residual.t0``.  The selected frequencies are DFT bins
+of the N rows being fitted, so the least-squares fit is an orthogonal
+projection onto those bins: one rFFT of the rows, the selected bins kept,
+and the Nyquist bin of even N halved, since the factor 2 counts a
+conjugate pair and that bin is its own conjugate.  Rows 0 (the zero
+frequency) and Nyquist are real.  The fitted rows, the in-sample
+reconstruction and the free run all take g_per from
+:func:`evaluate_harmonics` on a uniform time grid.
 
 The driven dynamics live in the residual r = y - g_per of the fit rows.  A
 window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
@@ -41,7 +42,7 @@ from .errors import DataError, NumericalError, check_memory, reading
 from .freqfilter import FrequencySelection
 from .series import TimeSeries, delay_embed, same_step
 
-MODEL_FORMAT = "qpdecomp-model-5"
+MODEL_FORMAT = "qpdecomp-model-6"
 
 # Rows per block when harmonics or g_chaos are evaluated at many times or
 # states: a block holds a (rows x m) complex phase matrix or an (M x rows)
@@ -77,15 +78,16 @@ class QPModel:
 
     ``omegas`` (m) and ``A`` (m x k) are the harmonics of the periodic
     component, and ``residual`` is the training series less them, with its
-    step, its own clock and its channel names.  Every ``stride``-th window
-    of ``CHAOS_DELAYS + 1`` residual samples that has a successor is kept:
-    ``windows`` (one row per kept window, embedding layout), ``sq``, their
-    squared norms, and ``rows``, the C-ordered ``[successors^T; 1]`` of
-    :func:`kernel_average`, are derived.  ``epsilon`` is the map's
-    bandwidth.  Other shapes, a non-finite entry of ``omegas`` or ``A``, a
-    zero-frequency coefficient that is not real, a residual too short for
-    one window and its successor, a ``stride`` below 1 or an ``epsilon``
-    that is not positive and finite are a :class:`DataError`.
+    step, its channel names and its own clock, whose t0 is A's phase
+    reference.  Every ``stride``-th window of ``CHAOS_DELAYS + 1`` residual
+    samples that has a successor is kept: ``windows`` (one row per kept
+    window, embedding layout), ``sq``, their squared norms, and ``rows``,
+    the C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are
+    derived.  ``epsilon`` is the map's bandwidth.  Other shapes, a
+    non-finite entry of ``omegas`` or ``A``, a zero-frequency coefficient
+    that is not real, a residual too short for one window and its
+    successor, a ``stride`` below 1 or an ``epsilon`` that is not positive
+    and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -148,29 +150,26 @@ class QPModel:
         return self.k * (CHAOS_DELAYS + 1)
 
 
-def fit_periodic(Y, selection: FrequencySelection, dt: float,
-                 t0: float = 0.0) -> PeriodicFit:
+def fit_periodic(Y, selection: FrequencySelection, dt: float) -> PeriodicFit:
     """Least-squares harmonic fit of Y on the selected DFT bins.
 
     The selected frequencies are bins ``omega_j = 2*pi*j / (N*dt)`` of the
     N-row grid the fit uses, so the cos/sin columns are orthogonal and the
     least-squares fit is the orthogonal projection onto those bins:
-    ``A_j = rfft(Y)[j] / N * exp(-i omega_j t0)``, halved at the Nyquist bin
-    of even N.  The fitted rows are these harmonics evaluated at the row
-    times by :func:`evaluate_harmonics`, and the residual is Y less them.
+    ``A_j = rfft(Y)[j] / N``, halved at the Nyquist bin of even N, with its
+    phase referred to row 0.  The fitted rows are these harmonics evaluated
+    at the row offsets ``r*dt`` by :func:`evaluate_harmonics`, and the
+    residual is Y less them.
 
     Parameters
     ----------
     Y : ndarray, shape (N, k)
-        Data rows, row r at time ``t0 + r*dt``.
+        Data rows, row r at ``r*dt`` after row 0.
     selection : FrequencySelection
         Bins of this N-row grid, as :func:`freqfilter.select` returns them
         for a basis on the same rows.
     dt : float
         Sample step in seconds.
-    t0 : float
-        Time of row 0 in seconds (the pipeline anchors embedded row m at
-        source sample m + q, so it passes ``q * dt``).
 
     Raises
     ------
@@ -194,11 +193,10 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float,
             f"bin of the {n}-row fit grid at dt={dt} (bins 0..{n // 2} at "
             f"2*pi*j/(N*dt)); select frequencies from a basis on these rows"
         )
-    F = np.fft.rfft(Y, axis=0)
-    A = F[idx] / n * np.exp(-1j * omegas * t0)[:, None]
+    A = np.fft.rfft(Y, axis=0)[idx] / n
     if n % 2 == 0:
         A[idx == n // 2] /= 2.0
-    fitted = evaluate_harmonics(A, omegas, t0, dt, n)
+    fitted = evaluate_harmonics(A, omegas, 0.0, dt, n)
     return PeriodicFit(A=A, omegas=omegas.copy(), fitted=fitted,
                        residual=Y - fitted)
 
@@ -220,9 +218,11 @@ def evaluate_harmonics(A, omegas, t0, dt, n):
     return out
 
 
-def eval_periodic(model: QPModel, t0: float, n: int) -> np.ndarray:
-    """Periodic component at the n times ``t0 + r*dt`` seconds, (n, k)."""
-    return evaluate_harmonics(model.A, model.omegas, t0, model.dt, n)
+def eval_periodic(model: QPModel, t: float, n: int) -> np.ndarray:
+    """Periodic component at the n times ``t + r*dt`` seconds on the
+    input's clock, (n, k)."""
+    return evaluate_harmonics(model.A, model.omegas, t - model.residual.t0,
+                              model.dt, n)
 
 
 def log_weights(points, sq, epsilon, y) -> np.ndarray:
@@ -330,7 +330,9 @@ def residual_windows(model: QPModel, series: TimeSeries, start: int,
     """The residual windows before samples ``start .. stop - 1`` of
     ``series``, (stop - start, dim) in embedding layout: each the
     ``CHAOS_DELAYS + 1`` samples before, less g_per at their times, sample j
-    at ``j * dt`` (the pipeline's clock)."""
+    at ``series.t0 + j * series.dt``.  The offset of a sample from the first
+    fitted row is taken as ``(series.t0 - t_fit) + j * dt``, exact for
+    integer timestamps."""
     w = CHAOS_DELAYS + 1
     if start < w:
         raise DataError(f"prediction start {start} must be >= {w} so a "
@@ -339,8 +341,9 @@ def residual_windows(model: QPModel, series: TimeSeries, start: int,
         raise DataError(f"prediction start {stop - 1} is beyond series "
                         f"length {series.n}")
     count = stop - start
-    r = series.values[start - w:stop - 1] - eval_periodic(
-        model, (start - w) * model.dt, count + w - 1)
+    offset = (series.t0 - model.residual.t0) + (start - w) * series.dt
+    r = series.values[start - w:stop - 1] - evaluate_harmonics(
+        model.A, model.omegas, offset, model.dt, count + w - 1)
     return np.hstack([r[i:i + count] for i in range(w)])
 
 
@@ -354,14 +357,15 @@ def reconstruct(model: QPModel, init, n_steps: int,
                 t_start: float) -> TimeSeries:
     """Free-run the standalone model from ``init``, the residual window
     before the first generated sample (as :func:`state_before` gives it),
-    at the times ``t_start + n*dt``, n < n_steps: each new sample is
-    ``g_per(time) + g_chaos(window)``, bit for bit ``eval_periodic +
-    eval_chaotic``, and the window then shifts by that residual sample.
-    Identical model and init give bit-identical trajectories.  g_chaos is a
-    convex combination of successors, so the run is bounded by
-    construction; a non-finite sample (a periodic part that overflows) is a
-    :class:`NumericalError`, and n_steps x k samples past the memory
-    available a :class:`DataError`, raised before they are allocated.
+    at the times ``t_start + n*dt`` on the input's clock, n < n_steps: each
+    new sample is ``g_per(time) + g_chaos(window)``, bit for bit
+    ``eval_periodic + eval_chaotic``, and the window then shifts by that
+    residual sample.  Identical model and init give bit-identical
+    trajectories.  g_chaos is a convex combination of successors, so the
+    run is bounded by construction; a non-finite sample (a periodic part
+    that overflows) is a :class:`NumericalError`, and n_steps x k samples
+    past the memory available a :class:`DataError`, raised before they are
+    allocated.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
@@ -429,13 +433,13 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize the model as a ``qpdecomp-model-5`` file.
+    """Serialize the model as a ``qpdecomp-model-6`` file.
 
     Stores the training residual (as ``train_values``, with its step, its
-    first time, its channel names and a content hash), epsilon, the stride
-    and the harmonics (omegas, A): everything the free run and the sup-norm
-    bounds read.  The kept windows and their successors are derived from the
-    residual when the file is read.
+    first time, A's phase reference, its channel names and a content
+    hash), epsilon, the stride and the harmonics (omegas, A): everything
+    the free run and the sup-norm bounds read.  The kept windows and their
+    successors are derived from the residual when the file is read.
     """
     src = model.residual
     write_npz(path, {
@@ -472,7 +476,7 @@ def load_model(path) -> QPModel:
     Raises
     ------
     DataError
-        The file is missing or unreadable, is not a ``qpdecomp-model-5``
+        The file is missing or unreadable, is not a ``qpdecomp-model-6``
         file (an older one must be written again by ``qpdecomp run``, as its
         ``model.npz``), lacks one of its arrays or holds one of another
         dtype kind or shape than :func:`save_model` writes, holds other than

@@ -17,12 +17,13 @@ row-stochastic, so its top eigenvalue is 1 with a constant eigenvector; the
 downstream spectral module relies on both facts.  At stride 1 the
 references are all the points, M = N and Kt is the symmetric N x N kernel.
 :func:`gaussian_kernel` returns Kt to its one caller,
-:func:`spectral.decompose`, which drops it after the eigensolve and keeps
-q, the bandwidth and the histogram.  :func:`reference_stride` derives s
-from N and the ``reference_points`` setting.  With ``epsilon = 0`` the
-bandwidth is a quantile of the squared distances of a sample of rows to the
-references, :func:`sqdist_histogram`'s: every row up to ``SAMPLE_ROWS``, and
-past that a draw of that many rows that depends on N alone.
+:func:`spectral.decompose`, which keeps the bandwidth and the histogram,
+drops q, and drops Kt after the eigensolve.  :func:`reference_stride`
+derives s from N and the ``reference_points`` setting.  With
+``epsilon = 0`` the bandwidth is a quantile of the squared distances of a
+sample of rows to the references, :func:`sqdist_histogram`'s: every row up
+to ``SAMPLE_ROWS``, and past that a draw of that many rows that depends on
+N alone.
 """
 
 import numpy as np
@@ -83,24 +84,6 @@ def _points(embedding):
     if embedding.points.shape[0] < 1:
         raise DataError("embedding is empty")
     return embedding.points
-
-
-def pairwise_sqdist(embedding: DelayEmbedding) -> np.ndarray:
-    """Squared Euclidean distances between all embedded points.
-
-    Computed with the Gram-matrix identity ``(sq_i + sq_j) - 2 g_ij``, so
-    scaling all points by a power of two and epsilon by its square leaves
-    the downstream kernel bit-identical.  The result is exactly symmetric:
-    numpy forms ``pts @ pts.T`` as a symmetric rank-k product, whose two
-    triangles are copies, and floating-point addition commutes, so entries
-    (i, j) and (j, i) round alike.  The diagonal is set to exactly zero.
-    The N x N Gram matrix is the only N x N allocation: it becomes the
-    distances in place, one row block at a time.
-    """
-    pts = _points(embedding)
-    d2 = _sqdist(pts, pts)
-    np.fill_diagonal(d2, 0.0)
-    return d2
 
 
 def _sample_rows(n):

@@ -21,13 +21,14 @@ round-trip exactly; identical config and input give byte-identical artifacts
 apart from the manifest timestamp line, on the same BLAS build and thread
 count.
 
-Pipeline clock: row m of the embedded training data spans source samples
-m..m+q and is anchored at its newest sample, so fits use times
-``(m + q) * dt`` and a prediction starting at source index s uses
-``t_start = s * dt`` on the same clock, which counts from the input's first
-row.  The harmonics keep that clock; every written ``time_s`` column reads
-the input's own, ``t0 + index * dt``.  The kernel's N x M and M x M arrays
-(M reference points, see :func:`kernel.reference_stride`) live only inside
+One clock: every time, of the harmonics and of each written ``time_s``
+column, is the input's own, ``t0 + index * dt``.  Row m of the embedded
+training data spans source samples m..m+q and is anchored at its newest
+sample, so the fit rows start at sample q, whose time the model keeps as
+its harmonics' phase reference, and a prediction from sample s of any
+input is placed by that input's timestamps, wherever its first row lies.
+The kernel's N x M and M x M arrays (M reference points, see
+:func:`kernel.reference_stride`) live only inside
 :func:`spectral.decompose`, so nothing in a :class:`Fit` is either.
 """
 
@@ -345,8 +346,7 @@ def fit(config: PipelineConfig) -> Fit:
         table = freqfilter.rkhs_norm_table(basis, data.dt)
         selection = freqfilter.select(table, eps1=config.eps1,
                                       eps2=config.eps2, L0=config.L0)
-        pfit = dc.fit_periodic(train.values[q:], selection, data.dt,
-                               t0=q * data.dt)
+        pfit = dc.fit_periodic(train.values[q:], selection, data.dt)
         residual = replace(series.window(train, q, train.n),
                            values=pfit.residual)
         model = dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
@@ -432,17 +432,18 @@ def check_observed(data: series.TimeSeries, start, end):
                         f"{start}..{end - 1}: error is undefined")
 
 
-def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries,
-                         q: int):
+def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries):
     """Write ``reconstruction.csv`` from the model and its training window
-    ``train``, fitted with q delays: the fit rows from sample
-    ``max(q, CHAOS_DELAYS + 1)``, the first with a residual window before
-    it, then g_per at their times plus g_chaos of that window (the model's
-    one-step prediction), then g_per alone as ``per_<c>``.  The windows are
-    the model's residual, and before the fit rows the samples less g_per."""
+    ``train``, whose first q = ``train.n - model.n`` samples the delay
+    embedding took: the fit rows from sample ``max(q, CHAOS_DELAYS + 1)``,
+    the first with a residual window before it, then g_per at their times
+    plus g_chaos of that window (the model's one-step prediction), then
+    g_per alone as ``per_<c>``.  The windows are the model's residual, and
+    before the fit rows the samples less g_per."""
     w = dc.CHAOS_DELAYS + 1
+    q = train.n - model.n
     first = max(q, w)
-    per = dc.eval_periodic(model, q * model.dt, train.n - q)[first - q:]
+    per = dc.eval_periodic(model, model.residual.t0, model.n)[first - q:]
     windows = np.concatenate([
         dc.residual_windows(model, train, first, q + w),
         series.delay_embed(model.residual, dc.CHAOS_DELAYS).points[:-1]])
@@ -455,8 +456,9 @@ def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries,
 def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
     ``data``, which must hold the model's channels, in its order, on its
-    step.  Returns the times, on ``data``'s own clock, the prediction and
-    the observed window (None when ``data`` ends first)."""
+    step, and may start anywhere: its own timestamps place it.  Returns the
+    times, the prediction and the observed window (None when ``data`` ends
+    first)."""
     trained = model.residual.channel_names
     if data.channel_names != trained:
         raise DataError(f"input channels {list(data.channel_names)} differ "
@@ -465,7 +467,7 @@ def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
         raise DataError(f"input step {data.dt:.17g} s differs from the "
                         f"model's dt {model.dt:.17g} s")
     init = dc.state_before(model, data, start)
-    pred = dc.reconstruct(model, init, steps, start * model.dt)
+    pred = dc.reconstruct(model, init, steps, data.t0 + start * data.dt)
     # the free run predicts samples of data, on the step it was matched to
     pred = replace(pred, dt=data.dt)
     times = data.t0 + (start + np.arange(steps)) * data.dt
@@ -528,8 +530,7 @@ def _run_stages(config: PipelineConfig, outdir: Path) -> Fit:
     data, train, model = result.data, result.train, result.model
 
     write_frequencies(outdir / "frequencies.csv", result)
-    write_reconstruction(outdir / "reconstruction.csv", model, train,
-                         config.delays)
+    write_reconstruction(outdir / "reconstruction.csv", model, train)
 
     # prediction over the held-out window, which fit() checked lies in data
     ps, pe = config.predict_start, config.predict_end

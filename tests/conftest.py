@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qpdecomp import DataError, TimeSeries, delay_embed, gaussian_kernel
-from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.spectral import decompose
 
 
@@ -64,6 +63,22 @@ def nystrom_pair(emb, basis):
     Phi."""
     kt, _, q, _ = gaussian_kernel(emb, basis.epsilon, basis.stride)
     return q, kt.T @ basis.Phi / (np.sqrt(basis.n) * basis.sigma)
+
+
+def pairwise_sqdist(emb):
+    """Oracle of the kernel's squared distances: all pairs of points of
+    ``emb`` (N x N) by the Gram-matrix identity ``(sq_i + sq_j) - 2 g_ij``,
+    clipped at 0, with the diagonal exactly 0.  Exactly symmetric: numpy
+    forms ``pts @ pts.T`` as a symmetric rank-k product, whose two
+    triangles are copies, and the sum ``sq_i + sq_j`` commutes."""
+    pts = emb.points
+    sq = np.einsum("ij,ij->i", pts, pts)
+    d2 = pts @ pts.T
+    d2 *= 2.0
+    np.subtract(sq[:, None] + sq[None, :], d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
 
 
 def pair_quantile(emb, quantile):

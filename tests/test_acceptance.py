@@ -16,7 +16,6 @@ import qpdecomp.decompose as dc
 from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
 from qpdecomp.cli import main as cli_main
 from qpdecomp.freqfilter import rkhs_norm_table, select
-from qpdecomp.kernel import pairwise_sqdist
 from qpdecomp.pipeline import format_period, report_periods
 from qpdecomp.series import load_csv, window, write_csv
 from qpdecomp.spectral import decompose
@@ -28,7 +27,7 @@ from qpdecomp.synth import (
     standard_testbed,
 )
 
-from conftest import nystrom_pair, pair_quantile
+from conftest import nystrom_pair, pair_quantile, pairwise_sqdist
 
 TWO_PI = 2 * np.pi
 N_SAMPLES = 4096
@@ -70,8 +69,7 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
 
 def fit_model(run):
     sim, basis = run["sim"], run["basis"]
-    pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT,
-                           t0=Q * DT)
+    pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT)
     residual = TimeSeries(pfit.residual, dt=DT, t0=Q * DT)
     return dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
 

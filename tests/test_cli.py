@@ -236,12 +236,16 @@ def bad_models():
                                 "training data does not match its stored "
                                 "hash"),
     }
-    for fmt in ("qpdecomp-model-1", "qpdecomp-model-2", "qpdecomp-model-3"):
+    # a qpdecomp-model-5 file holds the arrays of format 6, with A's phase
+    # referred to the input's first row: read as format 6 it would be off
+    # by q*dt without an error
+    for fmt in ("qpdecomp-model-1", "qpdecomp-model-2", "qpdecomp-model-3",
+                "qpdecomp-model-5"):
         rows[f"format_{fmt[-1]}"] = (
             with_array("format", lambda a, fmt=fmt: np.array([fmt])),
             re.escape(f"model format '{fmt}' is not readable; re-run "
                       f"`qpdecomp run`, whose model.npz is a "
-                      f"'qpdecomp-model-5' file"))
+                      f"'qpdecomp-model-6' file"))
     # the 12 arrays of a qpdecomp-model-4 file: the raw training window, q,
     # and the chaos matrix M with one row per reference point
     rows["format_4"] = (lambda arrays: {
@@ -249,7 +253,7 @@ def bad_models():
         "train_values": np.zeros((600, 3)), "q": np.int64(6),
         "M": np.zeros((594, 3))}, re.escape(
             "model format 'qpdecomp-model-4' is not readable; re-run "
-            "`qpdecomp run`, whose model.npz is a 'qpdecomp-model-5' file"))
+            "`qpdecomp run`, whose model.npz is a 'qpdecomp-model-6' file"))
     for name, (kind, ndim) in MODEL_ARRAYS.items():
         rows[f"{name}_missing"] = (with_array(name),
                                    f"model array '{name}' is missing")
@@ -498,7 +502,7 @@ class TestDecomposeReconstructPredict:
         recon = tmp_path / "recon.csv"
         train = window(load_csv(synth_csv[0]), 0, 600)
         write_reconstruction(recon, load_model(fitted_run / "model.npz"),
-                             train, 6)
+                             train)
         assert recon.read_bytes() == \
             (fitted_run / "reconstruction.csv").read_bytes()
 
@@ -778,8 +782,8 @@ def test_long_legal_name_is_written(synth_csv, model_file, tmp_path, command):
 
 def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
     # every written time_s column is the input's own clock, t0 + index * dt,
-    # while the harmonics keep the clock that counts from the first row: a
-    # copy stamped from 1.7e9 s writes the same values at shifted times
+    # and so are the harmonics' times: a copy stamped from 1.7e9 s writes
+    # the same values at shifted times
     header, *rows = synth_csv[0].read_text().splitlines()
     stamps = [f"{1.7e9 + k:.17g}" for k in range(len(rows))]
     epoch = tmp_path / "epoch.csv"
@@ -795,6 +799,31 @@ def test_time_columns_read_the_input_clock(synth_csv, fitted_run, tmp_path):
         assert shifted[0, 0] == float(stamps[row]), table
         np.testing.assert_array_equal(shifted[:, 0], 1.7e9 + zero[:, 0])
         np.testing.assert_array_equal(shifted[:, 1:], zero[:, 1:])
+
+
+@pytest.mark.parametrize("base", [0, 1.7e9], ids=["integer", "epoch"])
+def test_predict_places_a_later_start_by_its_timestamps(synth_csv, tmp_path,
+                                                        base):
+    # a copy of the input that starts 300 rows later, its timestamps kept,
+    # holds the same instants: predicting from it at the same instant
+    # writes the bytes of the prediction from the whole input
+    header, *rows = synth_csv[0].read_text().splitlines()
+    stamped = [f"{base + k:.17g},{r.split(',', 1)[1]}"
+               for k, r in enumerate(rows)]
+    whole, later = tmp_path / "whole.csv", tmp_path / "later.csv"
+    whole.write_text("\n".join([header, *stamped]) + "\n")
+    later.write_text("\n".join([header, *stamped[300:]]) + "\n")
+    model = tmp_path / "m.npz"
+    assert run_cli(command_args("decompose", whole, None, model)) == 0
+    preds = []
+    for src, init_at in ((whole, 620), (later, 320)):
+        preds.append(tmp_path / f"{src.stem}-pred.csv")
+        assert run_cli(["predict", "--model", model, "--input", src,
+                        "--init-at", init_at, "--steps", "60",
+                        "--ma-windows", "1", "10", "--out", preds[-1]]) == 0
+    assert preds[0].read_text().splitlines()[1].startswith(
+        f"{base + 620:.17g},")
+    assert preds[1].read_bytes() == preds[0].read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -1453,8 +1482,9 @@ class TestRunCommand:
         # delay distances (at 594 rows every pair, from both ends), and
         # re-runs with it explicitly to the same bytes, with no warning,
         # since its input is unchanged
-        from qpdecomp.kernel import pairwise_sqdist
         from qpdecomp.series import delay_embed, window
+
+        from conftest import pairwise_sqdist
 
         emb = delay_embed(window(load_csv(synth_csv[0]), 0, 600), 6)
         d2 = pairwise_sqdist(emb)

@@ -171,7 +171,7 @@ def fit_torus(n, q, stride=1):
     basis = decompose(emb, eps, 40, stride)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
-    pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
+    pfit = fit_periodic(s.values[q:], sel, dt)
     residual = TimeSeries(pfit.residual, dt=dt, t0=q * dt)
     model = fit_chaotic(pfit.omegas, pfit.A, residual, stride)
     return basis, model, pfit, s
@@ -305,13 +305,16 @@ class TestFitPeriodic:
         pytest.param(63, 1.0, [0, 4, 31], 2.0, id="odd-top-bin"),
     ])
     def test_matches_qr_oracle(self, n, dt, bins, t0):
+        # A refers its phase to row 0; the oracle's rows start at t0, so its
+        # coefficients, referred to time 0, are A_j exp(-i omega_j t0)
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 2))
         sel = make_selection(TWO_PI * np.asarray(bins) / (n * dt), n, dt)
-        fit = fit_periodic(y, sel, dt, t0=t0)
+        fit = fit_periodic(y, sel, dt)
         A, fitted = qr_fit(y, sel.omegas, dt, t0=t0)
         scale = np.abs(y).max()
-        assert np.abs(fit.A - A).max() <= 1e-12 * scale
+        rotated = fit.A * np.exp(-1j * fit.omegas * t0)[:, None]
+        assert np.abs(rotated - A).max() <= 1e-12 * scale
         assert np.abs(fit.fitted - fitted).max() <= 1e-12 * scale
         # the fitted rows are the masked inverse rFFT of the rows
         oracle = masked_irfft(y, sel.indices)
@@ -422,14 +425,21 @@ class TestEvalPeriodic:
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_fit_eval_consistency(self):
+        # rows fitted from 3.5 s on the input's clock: the model's residual
+        # keeps that time, and eval_periodic at the row times gives the
+        # fitted rows, the direct sum at the offsets from the first row
         rng = np.random.default_rng(4)
         n, dt = 150, 0.7
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.array([0, 15, 37]) / (n * dt)
         times = (5 + np.arange(n)) * dt
-        fit = fit_periodic(y, make_selection(omegas, n, dt), dt, t0=times[0])
-        recon = direct_harmonics(fit.A, fit.omegas, times)
+        fit = fit_periodic(y, make_selection(omegas, n, dt), dt)
+        recon = direct_harmonics(fit.A, fit.omegas, times - times[0])
         assert np.abs(recon - fit.fitted).max() <= 1e-10
+        model = QPModel(fit.omegas, fit.A, TimeSeries(fit.residual, dt=dt,
+                                                      t0=times[0]), 1.0)
+        np.testing.assert_array_equal(eval_periodic(model, times[0], n),
+                                      fit.fitted)
 
     @pytest.mark.parametrize("t0_steps", [0, 10**6])
     @pytest.mark.parametrize("n", [1, 600])
@@ -811,7 +821,7 @@ class TestModelRoundTrip:
         eps = 0.02 * pair_quantile(emb, 0.5)
         basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
-        pfit = fit_periodic(s.values[q:], sel, dt, t0=q * dt)
+        pfit = fit_periodic(s.values[q:], sel, dt)
         model = fit_chaotic(pfit.omegas, pfit.A,
                             TimeSeries(pfit.residual, dt=dt, t0=q * dt))
         path = tmp_path / "model.npz"

@@ -12,9 +12,10 @@ from qpdecomp import (
     TimeSeries,
     delay_embed,
     gaussian_kernel,
-    pairwise_sqdist,
 )
 from qpdecomp.kernel import SAMPLE_ROWS, sqdist_histogram
+
+from conftest import pairwise_sqdist
 
 
 # point counts that span several row blocks of the kernel passes: a whole
