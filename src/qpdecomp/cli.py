@@ -123,7 +123,7 @@ def _cmd_decompose(args):
     # the fit of `run`, from the same flags
     result = pipeline.fit(pipeline.build_config(_overrides(args)))
     dc.save_model(result.model, args.model_out)
-    resid = float(np.abs(result.periodic.residual).max())
+    resid = float(np.abs(result.model.residual.values).max())
     print(f"wrote model to {args.model_out} "
           f"({result.selection.m} frequencies, max periodic residual {resid:.3g})")
     return 0

@@ -5,7 +5,12 @@ standalone reconstruction system.
 Time convention: every time is on the input's own clock, in seconds, and
 the periodic component is ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j]
 exp(i omega_j (t - t_fit))``, where t_fit is the time of the first fitted
-row, the model's ``residual.t0``.  The selected frequencies are DFT bins
+row, the model's ``residual.t0``.  A series carries its clock into the
+model and out of it: :func:`fit_periodic` returns its residual as a series
+on the fit rows' clock, and :func:`reconstruct` starts from a sample of a
+series and places the run by that series' timestamps, through
+:func:`residual_windows`, the one place where a series meets a model and
+is checked against it.  The selected frequencies are DFT bins
 of the N rows being fitted, so the least-squares fit is an orthogonal
 projection onto those bins: one rFFT of the rows, the selected bins kept,
 and the Nyquist bin of even N halved, since the factor 2 counts a
@@ -33,6 +38,7 @@ whose weights are ``exp(z - max z)``, since
 one product with the rows ``[successors^T; 1]``.
 """
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,16 +66,11 @@ HELD_OUT = 0.15
 # normal float, some 1e-304 against the nearest window's weight 1, so no
 # average moves, and numpy's exp is slow on results that underflow.
 _LOG_WEIGHT_FLOOR = -700.0
-
-
-@dataclass(frozen=True)
-class PeriodicFit:
-    """Harmonic regression result: complex coefficients, fit, and residual."""
-
-    A: np.ndarray
-    omegas: np.ndarray
-    fitted: np.ndarray
-    residual: np.ndarray
+# A free run that starts more than this many training spans (n * dt) from
+# the first fitted row warns: its input is most likely stamped on another
+# clock (epoch seconds against 0 s), where g_per has a phase the data never
+# had.
+_FAR_SPANS = 1000
 
 
 @dataclass(frozen=True)
@@ -150,26 +151,26 @@ class QPModel:
         return self.k * (CHAOS_DELAYS + 1)
 
 
-def fit_periodic(Y, selection: FrequencySelection, dt: float) -> PeriodicFit:
-    """Least-squares harmonic fit of Y on the selected DFT bins.
+def fit_periodic(rows: TimeSeries, selection: FrequencySelection):
+    """Least-squares harmonic fit of the series ``rows`` on the selected DFT
+    bins: ``(A, residual)``.
 
     The selected frequencies are bins ``omega_j = 2*pi*j / (N*dt)`` of the
     N-row grid the fit uses, so the cos/sin columns are orthogonal and the
     least-squares fit is the orthogonal projection onto those bins:
-    ``A_j = rfft(Y)[j] / N``, halved at the Nyquist bin of even N, with its
-    phase referred to row 0.  The fitted rows are these harmonics evaluated
-    at the row offsets ``r*dt`` by :func:`evaluate_harmonics`, and the
-    residual is Y less them.
+    ``A_j = rfft(rows)[j] / N`` (m x k), halved at the Nyquist bin of even
+    N, with its phase referred to the first row.  The residual is ``rows``
+    less these harmonics, evaluated at the row offsets ``r*dt`` by
+    :func:`evaluate_harmonics`, on the same clock: its t0, that of the
+    first row, is A's phase reference.
 
     Parameters
     ----------
-    Y : ndarray, shape (N, k)
-        Data rows, row r at ``r*dt`` after row 0.
+    rows : TimeSeries
+        The N rows to fit, on their own step and clock.
     selection : FrequencySelection
         Bins of this N-row grid, as :func:`freqfilter.select` returns them
         for a basis on the same rows.
-    dt : float
-        Sample step in seconds.
 
     Raises
     ------
@@ -177,10 +178,7 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float) -> PeriodicFit:
         A selected bin lies outside 0..N//2 or its frequency is not
         ``2*pi*j / (N*dt)``, naming the bin.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    n = Y.shape[0]
+    n, dt = rows.n, rows.dt
     idx = np.asarray(selection.indices)
     omegas = np.asarray(selection.omegas, dtype=float)
     on_grid = (idx >= 0) & (idx <= n // 2)
@@ -193,12 +191,11 @@ def fit_periodic(Y, selection: FrequencySelection, dt: float) -> PeriodicFit:
             f"bin of the {n}-row fit grid at dt={dt} (bins 0..{n // 2} at "
             f"2*pi*j/(N*dt)); select frequencies from a basis on these rows"
         )
-    A = np.fft.rfft(Y, axis=0)[idx] / n
+    A = np.fft.rfft(rows.values, axis=0)[idx] / n
     if n % 2 == 0:
         A[idx == n // 2] /= 2.0
     fitted = evaluate_harmonics(A, omegas, 0.0, dt, n)
-    return PeriodicFit(A=A, omegas=omegas.copy(), fitted=fitted,
-                       residual=Y - fitted)
+    return A, replace(rows, values=rows.values - fitted)
 
 
 def evaluate_harmonics(A, omegas, t0, dt, n):
@@ -332,7 +329,16 @@ def residual_windows(model: QPModel, series: TimeSeries, start: int,
     ``CHAOS_DELAYS + 1`` samples before, less g_per at their times, sample j
     at ``series.t0 + j * series.dt``.  The offset of a sample from the first
     fitted row is taken as ``(series.t0 - t_fit) + j * dt``, exact for
-    integer timestamps."""
+    integer timestamps.  A series that does not hold the model's channels,
+    in its order, on its step, is a :class:`DataError`, as is a window that
+    does not lie in it."""
+    trained = model.residual.channel_names
+    if series.channel_names != trained:
+        raise DataError(f"input channels {list(series.channel_names)} differ "
+                        f"from the model's {list(trained)}")
+    if not same_step(series, model.residual):
+        raise DataError(f"input step {series.dt:.17g} s differs from the "
+                        f"model's dt {model.dt:.17g} s")
     w = CHAOS_DELAYS + 1
     if start < w:
         raise DataError(f"prediction start {start} must be >= {w} so a "
@@ -347,34 +353,33 @@ def residual_windows(model: QPModel, series: TimeSeries, start: int,
     return np.hstack([r[i:i + count] for i in range(w)])
 
 
-def state_before(model: QPModel, series: TimeSeries, index: int) -> np.ndarray:
-    """The residual window before sample ``index`` of ``series`` (dim,): the
-    initial condition for generating sample ``index`` onward."""
-    return residual_windows(model, series, index, index + 1)[0]
-
-
-def reconstruct(model: QPModel, init, n_steps: int,
-                t_start: float) -> TimeSeries:
-    """Free-run the standalone model from ``init``, the residual window
-    before the first generated sample (as :func:`state_before` gives it),
-    at the times ``t_start + n*dt`` on the input's clock, n < n_steps: each
-    new sample is ``g_per(time) + g_chaos(window)``, bit for bit
+def reconstruct(model: QPModel, series: TimeSeries, start: int,
+                n_steps: int) -> TimeSeries:
+    """Free-run the standalone model for ``n_steps`` samples from sample
+    ``start`` of ``series``, on its step and its clock: the run starts from
+    the residual window before that sample (:func:`residual_windows`, which
+    checks the series against the model) at its time
+    ``series.t0 + start * series.dt``.  Each new sample is
+    ``g_per(time) + g_chaos(window)``, bit for bit
     ``eval_periodic + eval_chaotic``, and the window then shifts by that
-    residual sample.  Identical model and init give bit-identical
+    residual sample.  Identical model and series give bit-identical
     trajectories.  g_chaos is a convex combination of successors, so the
     run is bounded by construction; a non-finite sample (a periodic part
     that overflows) is a :class:`NumericalError`, and n_steps x k samples
     past the memory available a :class:`DataError`, raised before they are
-    allocated.
+    allocated.  A start more than ``_FAR_SPANS`` training spans from the
+    first fitted row warns.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
-    state = np.asarray(init, dtype=float).ravel().copy()
-    if state.shape[0] != model.state_dim:
-        raise DataError(
-            f"init has dimension {state.shape[0]}, model state is "
-            f"{model.state_dim}"
-        )
+    state = residual_windows(model, series, start, start + 1)[0]
+    t_start = series.t0 + start * series.dt
+    t_fit = model.residual.t0
+    if abs(t_start - t_fit) > _FAR_SPANS * model.n * model.dt:
+        warnings.warn(f"the prediction starts at {t_start:.17g} s, more than "
+                      f"{_FAR_SPANS} training spans from the model's first "
+                      f"fitted row at {t_fit:.17g} s: is the input stamped "
+                      f"on the clock of the series the model was fitted on?")
     k = model.k
     check_memory(n_steps * k * 8, f"{n_steps} steps of {k} channels")
     out = eval_periodic(model, t_start, n_steps)
@@ -385,8 +390,8 @@ def reconstruct(model: QPModel, init, n_steps: int,
             raise NumericalError(f"reconstruction diverged at step {i}")
         out[i] = y_new
         state = np.concatenate([state[k:], r])
-    return TimeSeries(out, dt=model.dt, t0=float(t_start),
-                      channel_names=model.residual.channel_names)
+    return TimeSeries(out, dt=series.dt, t0=float(t_start),
+                      channel_names=series.channel_names)
 
 
 def relative_error(truth: TimeSeries, estimate: TimeSeries) -> np.ndarray:

@@ -97,9 +97,9 @@ def _sample_rows(n):
 def sqdist_histogram(pts, refs, stride: int,
                      quantile: float = EPSILON_QUANTILE):
     """``np.histogram`` in 64 bins, ``(counts, edges)``, and ``np.quantile``
-    at ``quantile`` of the bandwidth sample's pairs, bit for bit: the
-    squared distances of the sampled rows of ``pts`` to ``refs``, its every
-    ``stride``-th row, less each sampled reference's distance to itself.
+    at ``quantile`` of the bandwidth sample's pairs: the squared distances
+    of the sampled rows of ``pts`` to ``refs``, its every ``stride``-th
+    row, less each sampled reference's distance to itself.
     That is R M - R' pairs for R rows of which R' are references; at stride
     1 a pair of two sampled rows counts from both ends.  They are formed in
     one R x M buffer, which is partitioned in place and freed on return."""
@@ -116,16 +116,7 @@ def sqdist_histogram(pts, refs, stride: int,
     if not len(pairs):
         raise DataError("need at least two points")
     hist = np.histogram(pairs, bins=64)
-    # numpy's linear method: the order statistics k and k + 1 around the
-    # virtual index (n - 1) * quantile, interpolated as numpy's _lerp does
-    virtual = (len(pairs) - 1) * quantile
-    k = int(np.floor(virtual))
-    ranks = [k, min(k + 1, len(pairs) - 1)]
-    pairs.partition(ranks)
-    a, b = pairs[ranks]
-    gamma, diff = virtual - k, b - a
-    return hist, float(b - diff * (1 - gamma) if gamma >= 0.5
-                       else a + diff * gamma)
+    return hist, float(np.quantile(pairs, quantile, overwrite_input=True))
 
 
 def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,

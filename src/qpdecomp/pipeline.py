@@ -24,9 +24,11 @@ count.
 One clock: every time, of the harmonics and of each written ``time_s``
 column, is the input's own, ``t0 + index * dt``.  Row m of the embedded
 training data spans source samples m..m+q and is anchored at its newest
-sample, so the fit rows start at sample q, whose time the model keeps as
-its harmonics' phase reference, and a prediction from sample s of any
-input is placed by that input's timestamps, wherever its first row lies.
+sample, so the fit rows are the training window from sample q, a series
+whose t0 the model's residual keeps as its harmonics' phase reference.  A
+prediction from sample s of any input is placed by that input's
+timestamps, wherever its first row lies: no caller pairs an array with a
+time.
 The kernel's N x M and M x M arrays (M reference points, see
 :func:`kernel.reference_stride`) live only inside
 :func:`spectral.decompose`, so nothing in a :class:`Fit` is either.
@@ -315,7 +317,6 @@ class Fit(NamedTuple):
     basis: spectral.SpectralBasis
     table: freqfilter.RkhsNormTable
     selection: freqfilter.FrequencySelection
-    periodic: dc.PeriodicFit
     model: dc.QPModel
 
 
@@ -346,11 +347,10 @@ def fit(config: PipelineConfig) -> Fit:
         table = freqfilter.rkhs_norm_table(basis, data.dt)
         selection = freqfilter.select(table, eps1=config.eps1,
                                       eps2=config.eps2, L0=config.L0)
-        pfit = dc.fit_periodic(train.values[q:], selection, data.dt)
-        residual = replace(series.window(train, q, train.n),
-                           values=pfit.residual)
-        model = dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
-    return Fit(data, train, basis, table, selection, pfit, model)
+        A, residual = dc.fit_periodic(series.window(train, q, train.n),
+                                      selection)
+        model = dc.fit_chaotic(selection.omegas, A, residual, basis.stride)
+    return Fit(data, train, basis, table, selection, model)
 
 
 def write_frequencies(path, result: Fit):
@@ -455,21 +455,11 @@ def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries):
 
 def predict(model: dc.QPModel, data: series.TimeSeries, start, steps):
     """Free-run ``model`` for ``steps`` samples from sample ``start`` of
-    ``data``, which must hold the model's channels, in its order, on its
-    step, and may start anywhere: its own timestamps place it.  Returns the
-    times, the prediction and the observed window (None when ``data`` ends
-    first)."""
-    trained = model.residual.channel_names
-    if data.channel_names != trained:
-        raise DataError(f"input channels {list(data.channel_names)} differ "
-                        f"from the model's {list(trained)}")
-    if not series.same_step(data, model.residual):
-        raise DataError(f"input step {data.dt:.17g} s differs from the "
-                        f"model's dt {model.dt:.17g} s")
-    init = dc.state_before(model, data, start)
-    pred = dc.reconstruct(model, init, steps, data.t0 + start * data.dt)
-    # the free run predicts samples of data, on the step it was matched to
-    pred = replace(pred, dt=data.dt)
+    ``data`` (:func:`decompose.reconstruct`), which must hold the model's
+    channels, in its order, on its step, and may start anywhere: its own
+    timestamps place it.  Returns the times, the prediction and the
+    observed window (None when ``data`` ends first)."""
+    pred = dc.reconstruct(model, data, start, steps)
     times = data.t0 + (start + np.arange(steps)) * data.dt
     truth = (series.window(data, start, start + steps)
              if start + steps <= data.n else None)

@@ -69,9 +69,10 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
 
 def fit_model(run):
     sim, basis = run["sim"], run["basis"]
-    pfit = dc.fit_periodic(sim.series.values[Q:], run["selection"], DT)
-    residual = TimeSeries(pfit.residual, dt=DT, t0=Q * DT)
-    return dc.fit_chaotic(pfit.omegas, pfit.A, residual, basis.stride)
+    selection = run["selection"]
+    A, residual = dc.fit_periodic(window(sim.series, Q, sim.series.n),
+                                  selection)
+    return dc.fit_chaotic(selection.omegas, A, residual, basis.stride)
 
 
 @pytest.fixture(scope="module")
@@ -244,19 +245,19 @@ class TestCriterion5DecompositionExactness:
                 indices=np.arange(len(omegas)), omegas=omegas,
                 amplitudes=np.ones(len(omegas)),
                 growth=np.zeros(len(omegas)), L0=5)
-            fit = dc.fit_periodic(y, sel, dt)
-            assert np.abs(fit.residual).max() <= 1e-8
+            _, r_all = dc.fit_periodic(TimeSeries(y, dt=dt), sel)
+            assert np.abs(r_all.values).max() <= 1e-8
 
             few = FrequencySelection(
                 indices=np.arange(4), omegas=omegas[:4].copy(),
                 amplitudes=np.ones(4), growth=np.zeros(4), L0=2)
-            fit2 = dc.fit_periodic(y, few, dt)
+            _, r_few = dc.fit_periodic(TimeSeries(y, dt=dt), few)
             t = np.arange(n) * dt
             cols = [np.ones(n)]
             for om in few.omegas[1:]:
                 cols += [np.cos(om * t), np.sin(om * t)]
             G = np.stack(cols, 1)
-            assert np.abs(G.T @ fit2.residual).max() <= 1e-8
+            assert np.abs(G.T @ r_few.values).max() <= 1e-8
 
             y_non = rng.standard_normal((full_blob_basis.n, 3))
             E = project(full_blob_basis, y_non)
@@ -282,9 +283,8 @@ class TestCriterion6BoundedPrediction:
         n = sim.series.n
         total = horizon_factor * n
         truth = simulate(run["system"], total, DT, seed=0)
-        init = dc.state_before(model, truth.series, Q + 1)
         steps = total - (Q + 1)
-        pred = dc.reconstruct(model, init, steps, (Q + 1) * DT)
+        pred = dc.reconstruct(model, truth.series, Q + 1, steps)
         bound = dc.periodic_sup_bound(model) + dc.chaotic_sup_bound(model)
         max_norm = np.linalg.norm(pred.values, axis=1).max()
         assert max_norm <= bound + 1e-9, f"{max_norm} > bound {bound}"

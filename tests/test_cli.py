@@ -302,7 +302,7 @@ def zeroed(lines):
 
 
 FIT_COMMANDS = ["decompose", "run"]
-FREE_RUN = "decompose.reconstruct"
+FREE_RUN = "decompose.eval_periodic"
 # An input that fails against the model or a parameter.  name: (edit of the
 # lines of the 700-sample series, or None; the commands that meet it; extra
 # flags; the message after the input's path, where {model} stands for the
@@ -824,6 +824,45 @@ def test_predict_places_a_later_start_by_its_timestamps(synth_csv, tmp_path,
     assert preds[0].read_text().splitlines()[1].startswith(
         f"{base + 620:.17g},")
     assert preds[1].read_bytes() == preds[0].read_bytes()
+
+
+def test_predict_on_another_clock_warns(torus_800, tmp_path, capsys):
+    # the quick start's fit, on samples stamped from 0 s, and a prediction
+    # from the same samples stamped from 1.7e9 s: g_per runs there at a
+    # phase the data never had, some 2.9 million training spans on, and
+    # one warning line names both times
+    header, *rows = torus_800.read_text().splitlines()
+    epoch = tmp_path / "epoch.csv"
+    epoch.write_text("\n".join([header, *(
+        f"{1_700_000_000 + int(t)},{rest}"
+        for t, rest in (r.split(",", 1) for r in rows))]) + "\n")
+    model = tmp_path / "m.npz"
+    assert run_cli(["decompose", "--input", torus_800, *FIT_FLAGS,
+                    "--model-out", model]) == 0
+    capsys.readouterr()
+    assert run_cli(["predict", "--model", model, "--input", epoch,
+                    "--init-at", "620", "--steps", "80",
+                    "--out", tmp_path / "p.csv"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("qpdecomp: warning: the prediction starts at "
+                             "1700000620 s, more than 1000 training spans "
+                             "from the model's first fitted row at 6 s")
+
+
+def test_readme_library_example_runs(torus_800, tmp_path, monkeypatch):
+    # the first python block under "## Library use", run where the quick
+    # start's torus.csv lies
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shutil.copy(torus_800, tmp_path / "torus.csv")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    forecast = scope["forecast"]
+    assert forecast.values.shape == (500, 3)
+    assert (forecast.t0, forecast.dt) == (7.0, 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from qpdecomp import (
     NumericalError,
     TimeSeries,
     delay_embed,
+    window,
 )
 from qpdecomp.decompose import (
     CHAOS_DELAYS,
@@ -30,7 +32,6 @@ from qpdecomp.decompose import (
     relative_error,
     residual_windows,
     save_model,
-    state_before,
 )
 from qpdecomp.freqfilter import FrequencySelection, rkhs_norm_table, select
 from qpdecomp.spectral import decompose
@@ -58,6 +59,13 @@ def make_selection(omegas, n, dt):
         growth=np.zeros(len(omegas)),
         L0=2,
     )
+
+
+def fit_rows(y, sel, dt):
+    """:func:`fit_periodic` of the rows y at step dt: A and the residual's
+    values."""
+    A, residual = fit_periodic(TimeSeries(y, dt=dt), sel)
+    return A, residual.values
 
 
 def qr_fit(Y, omegas, dt, t0=0.0):
@@ -104,6 +112,11 @@ def qr_fit(Y, omegas, dt, t0=0.0):
 
 
 W = CHAOS_DELAYS + 1     # samples per residual window
+
+
+def window_before(model, s, index):
+    """The residual window before sample ``index`` of ``s`` (dim,)."""
+    return residual_windows(model, s, index, index + 1)[0]
 
 
 def successors(model):
@@ -162,7 +175,7 @@ def with_chaos(model):
 def fit_torus(n, q, stride=1):
     """Eigenbasis of a bin-exact 2-torus series with q delays against every
     ``stride``-th point, the model fitted end to end on it (its windows at
-    the same stride), its periodic fit, and the series."""
+    the same stride), and the series."""
     n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
@@ -171,10 +184,9 @@ def fit_torus(n, q, stride=1):
     basis = decompose(emb, eps, 40, stride)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
-    pfit = fit_periodic(s.values[q:], sel, dt)
-    residual = TimeSeries(pfit.residual, dt=dt, t0=q * dt)
-    model = fit_chaotic(pfit.omegas, pfit.A, residual, stride)
-    return basis, model, pfit, s
+    A, residual = fit_periodic(window(s, q, s.n), sel)
+    model = fit_chaotic(sel.omegas, A, residual, stride)
+    return basis, model, s
 
 
 @pytest.fixture(scope="module")
@@ -185,22 +197,22 @@ def fitted_torus():
 @pytest.fixture(scope="module")
 def model_basis(fitted_torus):
     """Eigenbasis of a bin-exact 2-torus series with q=3, and the series."""
-    basis, _, _, s = fitted_torus
+    basis, _, s = fitted_torus
     return basis, s
 
 
 @pytest.fixture(scope="module")
 def torus_model(fitted_torus):
     """Model fitted end to end on the model_basis series."""
-    _, model, pfit, s = fitted_torus
-    return model, pfit, s
+    _, model, s = fitted_torus
+    return model, s
 
 
 @pytest.fixture(scope="module")
 def torus_E(fitted_torus):
     """Coefficients E of the torus_model fit's residual on its basis."""
-    basis, _, pfit, _ = fitted_torus
-    return project(basis, pfit.residual)
+    basis, model, _ = fitted_torus
+    return project(basis, model.residual.values)
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +225,10 @@ class TestFitPeriodic:
     def test_constant_fit(self):
         sel = make_selection([0.0], 50, 1.0)
         y = np.full((50, 2), 4.25)
-        fit = fit_periodic(y, sel, 1.0)
-        np.testing.assert_allclose(fit.A[0].real, [4.25, 4.25], atol=1e-12)
-        assert np.abs(fit.A[0].imag).max() <= 1e-12
-        assert np.abs(fit.residual).max() <= 1e-10
+        A, residual = fit_rows(y, sel, 1.0)
+        np.testing.assert_allclose(A[0].real, [4.25, 4.25], atol=1e-12)
+        assert np.abs(A[0].imag).max() <= 1e-12
+        assert np.abs(residual).max() <= 1e-10
 
     def test_known_amplitude_and_phase(self):
         # closed-form harmonic regression: y = 3 cos + 4 sin at an exact bin
@@ -225,10 +237,10 @@ class TestFitPeriodic:
         t = np.arange(n) * dt
         y = (3.0 * np.cos(omega * t) + 4.0 * np.sin(omega * t))[:, None]
         sel = make_selection([0.0, omega], n, dt)
-        fit = fit_periodic(y, sel, dt)
-        assert np.abs(fit.residual).max() <= 1e-9
-        amp = 2.0 * np.abs(fit.A[1, 0])
-        phase = np.arctan2(-fit.A[1, 0].imag, fit.A[1, 0].real)
+        A, residual = fit_rows(y, sel, dt)
+        assert np.abs(residual).max() <= 1e-9
+        amp = 2.0 * np.abs(A[1, 0])
+        phase = np.arctan2(-A[1, 0].imag, A[1, 0].real)
         np.testing.assert_allclose(amp, 5.0, rtol=1e-10)
         np.testing.assert_allclose(phase, np.arctan2(4.0, 3.0), rtol=1e-10)
 
@@ -239,13 +251,13 @@ class TestFitPeriodic:
         omegas = TWO_PI * np.array([0, 2, 5, 9]) / (n * dt)
         sel = make_selection(omegas, n, dt)
         y = rng.standard_normal((n, 3))
-        fit = fit_periodic(y, sel, dt)
+        _, residual = fit_rows(y, sel, dt)
         t = np.arange(n) * dt
         cols = [np.ones(n)]
         for om in omegas[1:]:
             cols += [np.cos(om * t), np.sin(om * t)]
         G = np.stack(cols, 1)
-        assert np.abs(G.T @ fit.residual).max() <= 1e-8
+        assert np.abs(G.T @ residual).max() <= 1e-8
 
     def test_duplicate_bins_error_names_frequencies(self):
         # a near-duplicate of bin 2 lands off the grid and is named; an
@@ -259,7 +271,7 @@ class TestFitPeriodic:
                                   amplitudes=np.ones(3), growth=np.zeros(3),
                                   L0=sel.L0)
         with pytest.raises(DataError, match=r"bin 3 at 0\.314159"):
-            fit_periodic(np.zeros((n, 1)), near, dt)
+            fit_periodic(TimeSeries(np.zeros((n, 1)), dt=dt), near)
 
     def test_aliased_bins_error(self):
         # omega and 2*pi/dt - omega fold onto the same sampled harmonic; the
@@ -267,7 +279,7 @@ class TestFitPeriodic:
         n, dt = 40, 1.0
         sel = make_selection([0.0, TWO_PI * 3 / n, TWO_PI * 37 / n], n, dt)
         with pytest.raises(DataError, match="bin 37 .*bins 0..20"):
-            fit_periodic(np.zeros((n, 1)), sel, dt)
+            fit_periodic(TimeSeries(np.zeros((n, 1)), dt=dt), sel)
 
     def test_nyquist_bin_gets_single_column(self):
         n, dt = 64, 1.0
@@ -275,16 +287,16 @@ class TestFitPeriodic:
         t = np.arange(n) * dt
         y = (1.5 + 2.0 * np.cos(omega_nyq * t))[:, None]
         sel = make_selection([0.0, omega_nyq], n, dt)
-        fit = fit_periodic(y, sel, dt)
-        assert np.abs(fit.residual).max() <= 1e-9
-        recon = evaluate_harmonics(fit.A, fit.omegas, 0.0, dt, n)
+        A, residual = fit_rows(y, sel, dt)
+        assert np.abs(residual).max() <= 1e-9
+        recon = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
         np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
 
     def test_too_few_rows(self):
         # bins chosen on a 200-row grid do not exist on 5 rows
         sel = make_selection(TWO_PI * np.array([0, 10, 40, 80]) / 200, 200, 1.0)
         with pytest.raises(DataError, match="5-row"):
-            fit_periodic(np.zeros((5, 1)), sel, 1.0)
+            fit_periodic(TimeSeries(np.zeros((5, 1)), dt=1.0), sel)
 
     def test_full_bin_lattice_reproduces_exactly(self):
         # inverse-DFT property: harmonic regression on all bins 0..N/2 is exact
@@ -293,9 +305,9 @@ class TestFitPeriodic:
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
         sel = make_selection(omegas, n, dt)
-        fit = fit_periodic(y, sel, dt)
-        assert np.abs(fit.residual).max() <= 1e-8
-        recon = evaluate_harmonics(fit.A, fit.omegas, 0.0, dt, n)
+        A, residual = fit_rows(y, sel, dt)
+        assert np.abs(residual).max() <= 1e-8
+        recon = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
         assert np.abs(recon - y).max() <= 1e-8
 
     @pytest.mark.parametrize("n, dt, bins, t0", [
@@ -305,28 +317,31 @@ class TestFitPeriodic:
         pytest.param(63, 1.0, [0, 4, 31], 2.0, id="odd-top-bin"),
     ])
     def test_matches_qr_oracle(self, n, dt, bins, t0):
-        # A refers its phase to row 0; the oracle's rows start at t0, so its
-        # coefficients, referred to time 0, are A_j exp(-i omega_j t0)
+        # A refers its phase to the first row, at t0, which the residual
+        # keeps; the oracle's coefficients, referred to time 0, are
+        # A_j exp(-i omega_j t0)
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 2))
         sel = make_selection(TWO_PI * np.asarray(bins) / (n * dt), n, dt)
-        fit = fit_periodic(y, sel, dt)
-        A, fitted = qr_fit(y, sel.omegas, dt, t0=t0)
+        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=t0), sel)
+        assert (residual.t0, residual.dt) == (t0, dt)
+        fitted = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
+        A_qr, fitted_qr = qr_fit(y, sel.omegas, dt, t0=t0)
         scale = np.abs(y).max()
-        rotated = fit.A * np.exp(-1j * fit.omegas * t0)[:, None]
-        assert np.abs(rotated - A).max() <= 1e-12 * scale
-        assert np.abs(fit.fitted - fitted).max() <= 1e-12 * scale
+        rotated = A * np.exp(-1j * sel.omegas * t0)[:, None]
+        assert np.abs(rotated - A_qr).max() <= 1e-12 * scale
+        assert np.abs(fitted - fitted_qr).max() <= 1e-12 * scale
         # the fitted rows are the masked inverse rFFT of the rows
         oracle = masked_irfft(y, sel.indices)
-        assert np.abs(fit.fitted - oracle).max() <= 1e-12 * scale
-        np.testing.assert_array_equal(fit.residual, y - fit.fitted)
+        assert np.abs(fitted - oracle).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(residual.values, y - fitted)
 
 
 class TestFitChaotic:
     def test_zero_residual_gives_zero_coefficients(self, torus_model):
         # every window coincides at 0: the bandwidth is the least normal
         # float, and the successors, the map's coefficients, are all zero
-        model, _, s = torus_model
+        model, s = torus_model
         zero = replace(model.residual, values=np.zeros_like(model.residual.values))
         fit = fit_chaotic(model.omegas, model.A, zero)
         assert fit.epsilon == np.finfo(float).tiny
@@ -409,9 +424,9 @@ class TestFitChaotic:
 class TestEvalPeriodic:
     def test_constant_model(self):
         sel = make_selection([0.0], 20, 1.0)
-        fit = fit_periodic(np.full((20, 1), 2.5), sel, 1.0)
+        A, _ = fit_rows(np.full((20, 1), 2.5), sel, 1.0)
         for t0, dt, n in ((0.0, 17.3, 2), (1e6, 1.0, 1)):
-            model_eval = evaluate_harmonics(fit.A, fit.omegas, t0, dt, n)
+            model_eval = evaluate_harmonics(A, sel.omegas, t0, dt, n)
             np.testing.assert_allclose(model_eval, 2.5)
 
     def test_bin_lattice_periodicity(self):
@@ -420,26 +435,28 @@ class TestEvalPeriodic:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((n, 1))
         omegas = TWO_PI * np.array([0, 3, 7, 20]) / (n * dt)
-        fit = fit_periodic(y, make_selection(omegas, n, dt), dt)
-        a, b = evaluate_harmonics(fit.A, fit.omegas, 0.0, n * dt, 2)
+        A, _ = fit_rows(y, make_selection(omegas, n, dt), dt)
+        a, b = evaluate_harmonics(A, omegas, 0.0, n * dt, 2)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_fit_eval_consistency(self):
-        # rows fitted from 3.5 s on the input's clock: the model's residual
-        # keeps that time, and eval_periodic at the row times gives the
-        # fitted rows, the direct sum at the offsets from the first row
+        # rows fitted from 3.5 s on the input's clock: the residual keeps
+        # that time, and is the rows less eval_periodic at the row times,
+        # bit for bit, which is the direct sum at the offsets from the
+        # first row
         rng = np.random.default_rng(4)
         n, dt = 150, 0.7
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.array([0, 15, 37]) / (n * dt)
         times = (5 + np.arange(n)) * dt
-        fit = fit_periodic(y, make_selection(omegas, n, dt), dt)
-        recon = direct_harmonics(fit.A, fit.omegas, times - times[0])
-        assert np.abs(recon - fit.fitted).max() <= 1e-10
-        model = QPModel(fit.omegas, fit.A, TimeSeries(fit.residual, dt=dt,
-                                                      t0=times[0]), 1.0)
-        np.testing.assert_array_equal(eval_periodic(model, times[0], n),
-                                      fit.fitted)
+        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=times[0]),
+                                   make_selection(omegas, n, dt))
+        assert residual.t0 == times[0]
+        model = QPModel(omegas, A, residual, 1.0)
+        fitted = eval_periodic(model, times[0], n)
+        np.testing.assert_array_equal(residual.values, y - fitted)
+        recon = direct_harmonics(A, omegas, times - times[0])
+        assert np.abs(recon - fitted).max() <= 1e-10
 
     @pytest.mark.parametrize("t0_steps", [0, 10**6])
     @pytest.mark.parametrize("n", [1, 600])
@@ -451,10 +468,10 @@ class TestEvalPeriodic:
         n_fit, dt = 150, 0.7
         y = rng.standard_normal((n_fit, 2))
         omegas = TWO_PI * np.array([0, 15, 37, 75]) / (n_fit * dt)
-        fit = fit_periodic(y, make_selection(omegas, n_fit, dt), dt)
+        A, _ = fit_rows(y, make_selection(omegas, n_fit, dt), dt)
         t0 = t0_steps * dt
-        got = evaluate_harmonics(fit.A, fit.omegas, t0, dt, n)
-        ref = direct_harmonics(fit.A, fit.omegas, t0 + np.arange(n) * dt)
+        got = evaluate_harmonics(A, omegas, t0, dt, n)
+        ref = direct_harmonics(A, omegas, t0 + np.arange(n) * dt)
         assert got.shape == (n, 2)
         assert np.abs(got - ref).max() <= 1e-10
 
@@ -469,7 +486,7 @@ class TestEvalChaotic:
             np.testing.assert_allclose(got, successors(model)[n], atol=1e-12)
 
     def test_zero_model_returns_zero(self, torus_model):
-        model, _, _ = torus_model
+        model, _ = torus_model
         zero = replace(model, residual=replace(
             model.residual, values=np.zeros_like(model.residual.values)))
         out = eval_chaotic(zero, model.windows[10])
@@ -484,7 +501,7 @@ class TestEvalChaotic:
         assert np.linalg.norm(out) <= bound + 1e-9
 
     def test_dimension_mismatch(self, torus_model):
-        model, _, _ = torus_model
+        model, _ = torus_model
         with pytest.raises(DataError, match="dimension"):
             eval_chaotic(model, np.ones(model.state_dim + 1))
 
@@ -568,12 +585,10 @@ class TestLogWeights:
 
 class TestReconstruct:
     def test_periodic_only_matches_eval_grid(self, torus_model):
-        model, pfit, s = torus_model
+        model, s = torus_model
         per_model = replace(model, residual=replace(
             model.residual, values=np.zeros_like(model.residual.values)))
-        init = state_before(model, s, model_start := W)
-        assert model_start == 3
-        ts = reconstruct(per_model, init, 300, t_start=50.0)
+        ts = reconstruct(per_model, s, 50, 300)
         np.testing.assert_allclose(ts.values, eval_periodic(model, 50.0, 300),
                                    atol=1e-12)
         assert ts.t0 == 50.0 and ts.dt == model.dt
@@ -581,27 +596,24 @@ class TestReconstruct:
     def test_training_window_free_run_accuracy(self, torus_model):
         # synthetic oracle: free-run over the training window tracks the
         # truth within 1% relative error
-        model, pfit, s = torus_model
+        model, s = torus_model
         q = 3
-        init = state_before(model, s, q + 1)
         steps = s.n - (q + 1)
-        run = reconstruct(model, init, steps, t_start=(q + 1) * model.dt)
+        run = reconstruct(model, s, q + 1, steps)
         truth = TimeSeries(s.values[q + 1:], dt=model.dt)
         err = relative_error(truth, run)
         assert err.max() <= 1e-2
 
     def test_deterministic(self, chaos_model, torus_model):
-        _, _, s = torus_model
-        init = state_before(chaos_model, s, W)
-        a = reconstruct(chaos_model, init, 100, 0.0)
-        b = reconstruct(chaos_model, init, 100, 0.0)
+        _, s = torus_model
+        a = reconstruct(chaos_model, s, W, 100)
+        b = reconstruct(chaos_model, s, W, 100)
         assert np.array_equal(a.values, b.values)
 
     def test_divergence_reports_step(self, torus_model):
         # a model holds no non-finite A or residual, but a huge A overflows
         # g_per, and a huge residual the squared norms of its windows
-        model, pfit, s = torus_model
-        init = state_before(model, s, W)
+        model, s = torus_model
         with pytest.raises(DataError, match="model A has NaN"):
             replace(model, A=np.full_like(model.A, np.inf))
         with pytest.raises(DataError, match="NaN or infinite"):
@@ -614,33 +626,44 @@ class TestReconstruct:
                        values=np.full_like(model.residual.values, 1e308)))]
             for m in bad:
                 with pytest.raises(NumericalError, match="step 0"):
-                    reconstruct(m, init, 10, 0.0)
+                    reconstruct(m, s, W, 10)
 
     def test_free_run_respects_computable_bound(self, torus_model,
                                                 chaos_model):
         # on the fitted torus, whose residual is rounding noise, and on a
         # random residual that makes the driven part about a third of each
         # sample
-        model, pfit, s = torus_model
+        model, s = torus_model
         for m in (model, chaos_model):
             succ = successors(m)
             assert chaotic_sup_bound(m) == np.linalg.norm(succ, axis=1).max()
             bound = periodic_sup_bound(m) + chaotic_sup_bound(m)
-            init = state_before(m, s, W)
-            run = reconstruct(m, init, 2 * s.n, 0.0)
+            run = reconstruct(m, s, W, 2 * s.n)
             assert np.linalg.norm(run.values, axis=1).max() <= bound + 1e-9
 
-    def test_bad_init(self, torus_model):
-        model, _, _ = torus_model
-        with pytest.raises(DataError, match="dimension"):
-            reconstruct(model, np.ones(3), 10, 0.0)
+    def test_a_start_far_along_the_clock_warns(self, torus_model):
+        # the series stamped 999 training spans later is on the model's
+        # clock as far as the run can tell; 1000 spans and a step later, it
+        # warns, naming both times, and runs on it all the same
+        model, s = torus_model
+        span = model.n * model.dt
+        near = replace(s, t0=999 * span)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reconstruct(model, near, W, 5).t0 == near.t0 + W
+        far = replace(s, t0=1000 * span + 1.0)
+        with pytest.warns(UserWarning, match=r"starts at 512004 s, more than "
+                          r"1000 training spans from the model's first "
+                          r"fitted row at 3 s") as caught:
+            run = reconstruct(model, far, W, 5)
+        assert len(caught) == 1 and run.t0 == far.t0 + W
 
     @pytest.fixture(scope="class")
     def cases(self, fitted_torus, chaos_model):
         """A model and its series: the fitted torus, and over a logistic
         residual the same model, one fitted at q = 0 and one at stride 3."""
-        _, model, _, s = fitted_torus
-        _, model0, _, s0 = fit_torus(515, 0)
+        _, model, s = fitted_torus
+        _, model0, s0 = fit_torus(515, 0)
         strided = with_chaos(fit_torus(515, 3, stride=3)[1])
         assert (model0.n, strided.stride) == (515, 3)
         return {"torus": (model, s), "q0": (with_chaos(model0), s0),
@@ -652,9 +675,9 @@ class TestReconstruct:
         # divergence, 1e-16 to 1e-12 in 20 to 30 steps, so those cases run 12
         model, s = cases[case]
         steps = 800 if case == "torus" else 12
-        init = state_before(model, s, W)
+        init = window_before(model, s, W)
         ref = exact_reconstruct(model, init, steps, W * model.dt)
-        got = reconstruct(model, init, steps, W * model.dt)
+        got = reconstruct(model, s, W, steps)
         scale = np.abs(ref).max()
         assert np.abs(got.values - ref).max() <= 1e-12 * scale
         if case != "torus":
@@ -666,9 +689,9 @@ class TestReconstruct:
         # the torus run contracts onto its periodic part, so the two runs
         # stay together over 2100 steps
         model, s = cases["torus"]
-        init = state_before(model, s, W)
+        init = window_before(model, s, W)
         ref = exact_reconstruct(model, init, 2100, W * model.dt)
-        got = reconstruct(model, init, 2100, W * model.dt)
+        got = reconstruct(model, s, W, 2100)
         assert np.abs(got.values - ref).max() <= 1e-11 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", ["torus", "q0", "chaotic", "strided"])
@@ -677,8 +700,8 @@ class TestReconstruct:
         # bit: there is one evaluator
         model, s = cases[case]
         steps = 300
-        state = state_before(model, s, W)
-        got = reconstruct(model, state, steps, W * model.dt).values
+        state = window_before(model, s, W)
+        got = reconstruct(model, s, W, steps).values
         per = eval_periodic(model, W * model.dt, steps)
         for i in range(steps):
             r = eval_chaotic(model, state)
@@ -690,13 +713,15 @@ class TestDecompositionIdentity:
     def test_three_way_split(self, torus_model, model_basis, torus_E):
         # Y = periodic fit + basis synthesis + remainder, with the remainder
         # orthogonal to both the harmonic design and the basis
-        model, pfit, s = torus_model
+        model, s = torus_model
         basis, _ = model_basis
         q = s.n - basis.n
         y = s.values[q:]
         synth_rows = synthesize(basis, torus_E)
-        remainder = y - pfit.fitted - synth_rows
-        np.testing.assert_allclose(pfit.fitted + pfit.residual, y, atol=1e-10)
+        fitted = eval_periodic(model, model.residual.t0, len(y))
+        remainder = y - fitted - synth_rows
+        np.testing.assert_allclose(fitted + model.residual.values, y,
+                                   atol=1e-10)
         inner = basis.Phi.T @ remainder / basis.n
         assert np.abs(inner).max() <= 1e-8
         t = (q + np.arange(len(y))) * model.dt
@@ -704,7 +729,7 @@ class TestDecompositionIdentity:
         for om in model.omegas[1:]:
             cols += [np.cos(om * t), np.sin(om * t)]
         G = np.stack(cols, 1)
-        assert np.abs(G.T @ pfit.residual).max() / len(y) <= 1e-8
+        assert np.abs(G.T @ model.residual.values).max() / len(y) <= 1e-8
 
 
 class TestRelativeError:
@@ -753,7 +778,7 @@ class TestMovingAverage:
 
     def test_smoothing_reduces_variance_monotonically(self, torus_model):
         # the error series of a noisy estimate gets calmer as M grows
-        model, pfit, s = torus_model
+        model, s = torus_model
         rng = np.random.default_rng(7)
         truth = TimeSeries(s.values[:400], dt=1.0)
         est = TimeSeries(s.values[:400] + 0.3 * rng.standard_normal((400, s.k)),
@@ -771,7 +796,7 @@ class TestModelRoundTrip:
     def test_save_load_preserves_behaviour(self, chaos_model, torus_model,
                                            tmp_path):
         model = chaos_model
-        _, _, s = torus_model
+        _, s = torus_model
         path = tmp_path / "model.npz"
         save_model(model, path)
         back = load_model(path)
@@ -785,13 +810,12 @@ class TestModelRoundTrip:
         assert (back.epsilon, back.stride) == (model.epsilon, model.stride)
         assert chaotic_sup_bound(back) == chaotic_sup_bound(model)
         assert periodic_sup_bound(back) == periodic_sup_bound(model)
-        init = state_before(model, s, W)
-        a = reconstruct(model, init, 50, 0.0)
-        b = reconstruct(back, init, 50, 0.0)
+        a = reconstruct(model, s, W, 50)
+        b = reconstruct(back, s, W, 50)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_model_file_is_deterministic(self, torus_model, tmp_path):
-        model, _, _ = torus_model
+        model, _ = torus_model
         p1, p2 = tmp_path / "m1.npz", tmp_path / "m2.npz"
         save_model(model, p1)
         save_model(model, p2)
@@ -803,7 +827,7 @@ class TestModelRoundTrip:
         # the path, so a write that fails midway leaves the old file whole
         from qpdecomp._npz import write_npz
 
-        model, _, _ = torus_model
+        model, _ = torus_model
         path = tmp_path / "model.npz"
         save_model(model, path)
         before = path.read_bytes()
@@ -821,18 +845,15 @@ class TestModelRoundTrip:
         eps = 0.02 * pair_quantile(emb, 0.5)
         basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
-        pfit = fit_periodic(s.values[q:], sel, dt)
-        model = fit_chaotic(pfit.omegas, pfit.A,
-                            TimeSeries(pfit.residual, dt=dt, t0=q * dt))
+        A, residual = fit_periodic(window(s, q, n), sel)
+        model = fit_chaotic(sel.omegas, A, residual)
         path = tmp_path / "model.npz"
         save_model(model, path)
-        del basis
-        init = state_before(model, s, q + 1)
-        del model
+        del basis, model
         tracemalloc.start()
         try:
             back = load_model(path)
-            reconstruct(back, init, 100, (q + 1) * dt)
+            reconstruct(back, s, q + 1, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -846,7 +867,7 @@ class TestReferenceModel:
 
     @pytest.fixture(scope="class")
     def strided(self):
-        basis, model, pfit, s = fit_torus(515, 3, stride=3)
+        basis, model, s = fit_torus(515, 3, stride=3)
         return basis, with_chaos(model), s
 
     def test_in_sample_recalls_the_successors(self, strided):
@@ -874,8 +895,7 @@ class TestReferenceModel:
 
     def test_free_run_within_the_bound(self, strided):
         _, model, s = strided
-        init = state_before(model, s, W)
-        run = reconstruct(model, init, 600, W * model.dt)
+        run = reconstruct(model, s, W, 600)
         bound = periodic_sup_bound(model) + chaotic_sup_bound(model)
         assert np.linalg.norm(run.values, axis=1).max() <= bound
         chaos = run.values - eval_periodic(model, W * model.dt, 600)
@@ -890,20 +910,18 @@ class TestReferenceModel:
         back = load_model(path)
         assert back.stride == 3
         np.testing.assert_array_equal(back.windows, model.windows)
-        init = state_before(model, s, W)
         np.testing.assert_array_equal(
-            reconstruct(back, init, 300, 0.0).values,
-            reconstruct(model, init, 300, 0.0).values)
+            reconstruct(back, s, W, 300).values,
+            reconstruct(model, s, W, 300).values)
 
     def test_step_count_over_budget_allocates_nothing(self, torus_model):
-        model, _, s = torus_model
-        init = state_before(model, s, W)
+        model, s = torus_model
         tracemalloc.start()
         try:
             with pytest.raises(DataError, match="1000000000000 steps of 3 "
                                                 "channels need .+ MB of "
                                                 "memory is available"):
-                reconstruct(model, init, 10**12, 0.0)
+                reconstruct(model, s, W, 10**12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -911,24 +929,27 @@ class TestReferenceModel:
 
 
 class TestStateBefore:
+    """The residual window before a sample, the initial condition of a free
+    run from it, and blocks of them: :func:`residual_windows`."""
+
     def test_layout_matches_embedding(self, torus_model):
         # the 3 samples before sample 10, less g_per at their times, oldest
         # first; a block of windows is the same windows stacked
-        model, pfit, s = torus_model
-        init = state_before(model, s, 10)
+        model, s = torus_model
+        init = window_before(model, s, 10)
         per = eval_periodic(model, 7 * model.dt, 3)
         np.testing.assert_array_equal(init, (s.values[7:10] - per).ravel())
         block = residual_windows(model, s, 10, 40)
         assert block.shape == (30, model.state_dim)
         np.testing.assert_allclose(block[0], init, atol=1e-12)
-        np.testing.assert_allclose(block[-1], state_before(model, s, 39),
+        np.testing.assert_allclose(block[-1], window_before(model, s, 39),
                                    atol=1e-12)
 
     def test_too_early(self, torus_model):
-        model, _, s = torus_model
+        model, s = torus_model
         with pytest.raises(DataError, match="prediction start 2 must be >= 3 "
                                             "so a residual window exists"):
-            state_before(model, s, 2)
+            residual_windows(model, s, 2, 3)
         with pytest.raises(DataError, match="prediction start 516 is beyond "
                                             "series length 515"):
-            state_before(model, s, 516)
+            residual_windows(model, s, 516, 517)

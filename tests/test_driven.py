@@ -70,8 +70,7 @@ def test_logistic_free_run_keeps_the_attractor(logistic):
     # the tail of a free run from the end of training has the spread and
     # the lag-1 autocorrelation of the true residual, not a decay to 0
     model, data = logistic.model, logistic.data
-    init = dc.state_before(model, data, N_TRAIN)
-    run = dc.reconstruct(model, init, FREE_RUN, N_TRAIN * model.dt).values
+    run = dc.reconstruct(model, data, N_TRAIN, FREE_RUN).values
     per = dc.eval_periodic(model, N_TRAIN * model.dt, FREE_RUN)
     tail = slice(FREE_RUN // 2, FREE_RUN)
     got = (run - per)[tail, 0]

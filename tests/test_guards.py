@@ -28,12 +28,51 @@ def basis_with(c, **changes):
     return dataclasses.replace(c["basis"], **changes)
 
 
+def reordered(c):
+    """The model's series with its two channels swapped, names and all."""
+    ts = c["ts"]
+    return series.TimeSeries(ts.values[:, ::-1], dt=ts.dt,
+                             channel_names=ts.channel_names[::-1])
+
+
+def other_step(c):
+    return dataclasses.replace(c["ts"], dt=2.0)
+
+
+def one_channel(c):
+    return series.TimeSeries(c["ts"].values[:, :1], dt=1.0)
+
+
 # name: (the call on the ctx fixture's objects, error class, the message
 # as a regular expression)
 GUARDS = {
     "reconstruct_no_steps": (
-        lambda c: dc.reconstruct(c["model"], c["emb"].points[0], 0, 0.0),
+        lambda c: dc.reconstruct(c["model"], c["ts"], 3, 0),
         DataError, "n_steps must be >= 1, got 0"),
+    # a series against the model: its channels in another order, another
+    # step, or one channel of the model's two
+    "residual_windows_reordered_channels": (
+        lambda c: dc.residual_windows(c["model"], reordered(c), 3, 10),
+        DataError, r"input channels \['ch1', 'ch0'\] differ from the "
+                   r"model's \['ch0', 'ch1'\]"),
+    "residual_windows_other_step": (
+        lambda c: dc.residual_windows(c["model"], other_step(c), 3, 10),
+        DataError, "input step 2 s differs from the model's dt 1 s"),
+    "residual_windows_one_channel": (
+        lambda c: dc.residual_windows(c["model"], one_channel(c), 3, 10),
+        DataError, r"input channels \['ch0'\] differ from the model's "
+                   r"\['ch0', 'ch1'\]"),
+    "reconstruct_reordered_channels": (
+        lambda c: dc.reconstruct(c["model"], reordered(c), 3, 10),
+        DataError, r"input channels \['ch1', 'ch0'\] differ from the "
+                   r"model's \['ch0', 'ch1'\]"),
+    "reconstruct_other_step": (
+        lambda c: dc.reconstruct(c["model"], other_step(c), 3, 10),
+        DataError, "input step 2 s differs from the model's dt 1 s"),
+    "reconstruct_one_channel": (
+        lambda c: dc.reconstruct(c["model"], one_channel(c), 3, 10),
+        DataError, r"input channels \['ch0'\] differ from the model's "
+                   r"\['ch0', 'ch1'\]"),
     "decompose_stride_0": (
         lambda c: spectral.decompose(c["emb"], 1.0, 5, stride=0),
         DataError, "stride must be >= 1, got 0"),

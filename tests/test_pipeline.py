@@ -216,7 +216,7 @@ class TestRunPipeline:
         # reconstruction.csv carries the fitted periodic part after the
         # reconstruction, and prediction.csv the moving averages of the
         # relative error after the prediction, window by window
-        from qpdecomp.decompose import moving_average
+        from qpdecomp.decompose import evaluate_harmonics, moving_average
 
         out = tmp_path / "run"
         result = run_pipeline(smoke_config(smoke_input, out))
@@ -227,8 +227,15 @@ class TestRunPipeline:
             ",".join(["time_s", *(f"{kind}_{c}" for kind in
                                   ("truth", "recon", "per") for c in names)])
         k = len(names)
-        np.testing.assert_array_equal(recon[:, 1 + 2 * k:],
-                                      result.periodic.fitted)
+        # the fitted periodic part: the harmonics at the fit rows' offsets
+        # from the first, which the model's residual is the rows less
+        model = result.model
+        fitted = evaluate_harmonics(model.A, model.omegas, 0.0, model.dt,
+                                    model.n)
+        np.testing.assert_array_equal(recon[:, 1 + 2 * k:], fitted)
+        q = result.train.n - model.n
+        np.testing.assert_array_equal(model.residual.values,
+                                      result.train.values[q:] - fitted)
         pred = np.loadtxt(out / "prediction.csv", delimiter=",", skiprows=1)
         header = (out / "prediction.csv").read_text().splitlines()[0]
         assert header.split(",")[1 + 2 * k:] == [
