@@ -138,17 +138,8 @@ class QPModel:
         return self.residual.n
 
     @property
-    def m(self) -> int:
-        """Number of kept windows."""
-        return len(self.windows)
-
-    @property
     def k(self) -> int:
         return self.residual.k
-
-    @property
-    def state_dim(self) -> int:
-        return self.k * (CHAOS_DELAYS + 1)
 
 
 def fit_periodic(rows: TimeSeries, selection: FrequencySelection):

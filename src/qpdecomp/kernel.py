@@ -1,7 +1,9 @@
 """Gaussian kernel assembly on delay-embedded data with bistochastic
 normalization against a reference set.
 
-Given embedded points y_1 .. y_N and reference points r_1 .. r_M, every
+The points y_1 .. y_N are the rows of a :class:`series.DelayEmbedding`,
+which the kernel reads nothing else of: the delay vectors of one series or
+the union of several.  Given them and reference points r_1 .. r_M, every
 s-th of them (r_j = y_{(j-1)s+1}, M = ceil(N/s)), the kernel matrix is the
 N x M ``K_ij = exp(-|y_i - r_j|^2 / epsilon)`` (squared distances, never
 square-rooted).  Degrees and the normalized matrix follow
@@ -77,15 +79,6 @@ def _sqdist(pts, refs):
     return d2
 
 
-def _points(embedding):
-    if not isinstance(embedding, DelayEmbedding):
-        raise DataError(f"expected a DelayEmbedding, got "
-                        f"{type(embedding).__name__}")
-    if embedding.points.shape[0] < 1:
-        raise DataError("embedding is empty")
-    return embedding.points
-
-
 def _sample_rows(n):
     # every row up to SAMPLE_ROWS, and past that SAMPLE_ROWS drawn, ascending
     if n <= SAMPLE_ROWS:
@@ -151,7 +144,10 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
                         f"got {epsilon}")
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
-    pts = _points(embedding)
+    if not isinstance(embedding, DelayEmbedding):
+        raise DataError(f"expected a DelayEmbedding, got "
+                        f"{type(embedding).__name__}")
+    pts = embedding.points
     refs = np.ascontiguousarray(pts[::stride])
     n, m = len(pts), len(refs)
     hist, derived = sqdist_histogram(pts, refs, stride)

@@ -165,12 +165,14 @@ def _parse(kind, value):
     return kind(value)
 
 
-def _coerce(key, raw):
+def _coerce(key, raw, where=""):
+    """``raw`` parsed as key's type; ``where`` prefixes the error."""
     value = raw.strip() if isinstance(raw, str) else raw
     try:
         return _parse(_FIELD_TYPES[key], value)
     except (ValueError, TypeError):
-        raise ConfigError(f"cannot parse config value {key} = {raw!r}") from None
+        raise ConfigError(f"{where}cannot parse config value {key} = "
+                          f"{raw!r}") from None
 
 
 def build_config(values) -> PipelineConfig:
@@ -188,7 +190,9 @@ def _read_config(path, overrides, manifest):
     """Read the ``key = value`` lines of a config file or a manifest, then
     apply the overrides that are not None, and build the config.
 
-    A config file rejects unknown keys; a manifest skips them, so that it
+    Each value is parsed at its line, so a value that does not parse is an
+    error of the file even where an override sets its key.  A config file
+    rejects unknown keys; a manifest skips them, so that it
     can carry hashes and keys that earlier versions wrote, but not a key of
     ``_RETIRED_KEYS`` away from its old default; a key of ``_ADDED_KEYS``
     that a manifest lacks takes the value that earlier versions ran with.
@@ -210,7 +214,7 @@ def _read_config(path, overrides, manifest):
             if not sep:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
             if key in CONFIG_KEYS:
-                values[key] = raw
+                values[key] = _coerce(key, raw, f"line {line_no}: ")
             elif not manifest:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
             elif key == "input_sha256":

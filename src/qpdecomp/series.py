@@ -4,8 +4,10 @@ and delay-coordinate embedding.
 A :class:`TimeSeries` stores an (N, k) value matrix on a regular grid with
 step ``dt`` seconds.  :func:`load_csv` puts uneven timestamps on a grid as it
 reads them (through :func:`resample`) or rejects them, so every series is on
-its grid.  All values are immutable after construction; no operation mutates
-shared state.
+its grid.  A :class:`DelayEmbedding` is delay vectors alone, with no
+series or q behind them, so the union of several series' delay vectors is
+one too.  All values are immutable after construction; no operation
+mutates shared state.
 """
 
 from dataclasses import dataclass
@@ -107,30 +109,25 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class DelayEmbedding:
-    """Delay-coordinate view of a series: row n is (y_n, y_{n+1}, ..., y_{n+q}).
-
-    ``points`` has N - q rows in a k(q+1)-dimensional space; each row is the
-    bit-exact horizontal concatenation of q+1 consecutive source rows.
+    """Delay vectors, one per row of ``points`` (N, dim): what the kernel
+    and the eigenbasis take.  :func:`delay_embed` makes them from one
+    series, and any set of rows of one width is one, such as the union of
+    the delay vectors of several series.  ``points`` that are not a
+    2-D array with at least one row are a :class:`DataError`.
     """
 
-    source: TimeSeries
-    q: int
     points: np.ndarray
 
     def __post_init__(self):
-        expected = (self.source.n - self.q, self.source.k * (self.q + 1))
-        if self.points.shape != expected:
-            raise DataError(
-                f"points shape {self.points.shape} does not match {expected}"
-            )
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2 or len(points) < 1:
+            raise DataError(f"embedding points must be a non-empty N x dim "
+                            f"matrix, got shape {points.shape}")
+        object.__setattr__(self, "points", points)
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def _parse_timestamp(text):
@@ -362,4 +359,4 @@ def delay_embed(series: TimeSeries, q: int) -> DelayEmbedding:
     check_memory(n_rows * series.k * (q + 1) * 8,
                  f"{n_rows} delay vectors of {series.k * (q + 1)} values")
     points = np.hstack([series.values[i:n_rows + i] for i in range(q + 1)])
-    return DelayEmbedding(source=series, q=int(q), points=points)
+    return DelayEmbedding(points)

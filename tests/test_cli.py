@@ -14,8 +14,8 @@ import pytest
 
 import qpdecomp
 from qpdecomp.cli import main
-from qpdecomp.decompose import load_model
-from qpdecomp.series import load_csv
+from qpdecomp.decompose import load_model, training_data_hash
+from qpdecomp.series import TimeSeries, load_csv
 
 SRC = str(Path(qpdecomp.__file__).resolve().parents[1])
 
@@ -176,6 +176,8 @@ BAD_CONFIGS = [(flag, *row) for flag in ("--config", "--manifest") for row in [
     ("missing", None, CANNOT_OPEN),
     ("not_utf8", b"delays = 6\n\xff\n", NOT_UTF8),
     ("no_equals", "delays = 6\nL0 8\n", "line 2: expected 'key = value'"),
+    ("bad_value", "delays = 6\nL0 = eight\n",
+     "line 2: cannot parse config value L0 = 'eight'"),
     ("unknown_key", "delays = 6\nsolver = dense\n",
      "line 2: unknown key 'solver'") if flag == "--config" else
     ("retired_key", "delays = 6\nmerge_adjacent = true\n", "line 2: "
@@ -201,6 +203,18 @@ def with_array(name, change=None):
         if change is not None:
             arrays[name] = change(value)
         return arrays
+    return edit
+
+
+def residual_of_rows(n):
+    """An edit of the saved arrays that keeps the first ``n`` residual rows,
+    with the hash of what is kept, so that only the model's own check of
+    the residual's length fails."""
+    def edit(arrays):
+        values = arrays["train_values"][:n]
+        kept = TimeSeries(values, dt=arrays["train_dt"].item())
+        return {**arrays, "train_values": values,
+                "train_hash": np.array([training_data_hash(kept)])}
     return edit
 
 
@@ -235,6 +249,9 @@ def bad_models():
         "train_values_edited": (with_array("train_values", lambda a: a + 1),
                                 "training data does not match its stored "
                                 "hash"),
+        "train_values_3_rows": (residual_of_rows(3), re.escape(
+            "model residual has 3 rows; a window of 3 samples and its "
+            "successor need 4")),
     }
     # a qpdecomp-model-5 file holds the arrays of format 6, with A's phase
     # referred to the input's first row: read as format 6 it would be off
@@ -1366,6 +1383,50 @@ class TestRunCommand:
                         "--outdir", tmp_path / "b"]) == 0
         assert capsys.readouterr().err == ""
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
+    def test_manifest_rerun_of_a_deleted_input_exits_3(self, fitted_run,
+                                                       tmp_path, capsys):
+        # an input that cannot be read is the input's error alone: no
+        # warning that its SHA-256 has changed joins it
+        gone = tmp_path / "gone.csv"
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(re.sub(
+            "(?m)^input = .*$", lambda m: f"input = {gone}",
+            (fitted_run / "manifest.txt").read_text()))
+        assert_fails(["run", "--manifest", manifest,
+                      "--outdir", tmp_path / "o"], tmp_path, capsys, 3,
+                     file_error("DataError", gone, CANNOT_OPEN))
+
+    @pytest.mark.parametrize("conf, flags, what", [
+        ("input =\n", [], "input is required"),
+        (None, ["--reference-points", "-1"], "reference_points must be >= 0 "
+         "(0 takes every ceil(N/2048)-th delay vector)"),
+        (None, ["--train-end", "-1"], "train_end must be >= 0"),
+        (None, ["--delays", "abc"], "cannot parse config value delays = "
+         "'abc'"),
+    ], ids=["empty_input_in_config", "negative_reference_points",
+            "negative_train_end", "flag_does_not_parse"])
+    def test_merged_config_error_names_no_file(self, synth_csv, tmp_path,
+                                               capsys, conf, flags, what):
+        # a flag that does not parse, or a value that fails a check of the
+        # merged config, which a flag can set too, names no file
+        if conf is None:
+            args = ["run", "--input", synth_csv[0], *flags]
+        else:
+            (tmp_path / "run.conf").write_text(conf)
+            args = ["run", "--config", tmp_path / "run.conf", *flags]
+        assert_fails([*args, "--outdir", tmp_path / "o"], tmp_path, capsys, 2,
+                     re.escape(f"qpdecomp: ConfigError: {what}"))
+
+    def test_bad_file_value_fails_under_an_override(self, synth_csv,
+                                                    tmp_path, capsys):
+        # the file is malformed whatever the flags set
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"input = {synth_csv[0]}\nL0 = eight\n")
+        assert_fails(["run", "--config", conf, "--L0", "8",
+                      "--outdir", tmp_path / "o"], tmp_path, capsys, 2,
+                     file_error("ConfigError", conf, re.escape(
+                         "line 2: cannot parse config value L0 = 'eight'")))
 
     def test_channel_named_twice_exits_2(self, synth_csv, tmp_path, capsys):
         assert_fails(["run", "--input", synth_csv[0], "--channels",

@@ -359,7 +359,7 @@ class TestFitChaotic:
         model = fit_chaotic(np.zeros(0), np.zeros((0, 3)),
                             TimeSeries(values, dt=1.0))
         np.testing.assert_array_equal(model.rows[:-1, 20 - W], k_vec)
-        mask = np.ones(model.m, dtype=bool)
+        mask = np.ones(len(model.windows), dtype=bool)
         mask[20 - W] = False
         assert not model.rows[:-1, mask].any()
 
@@ -369,7 +369,7 @@ class TestFitChaotic:
         rng = np.random.default_rng(2)
         res = TimeSeries(rng.standard_normal((80, 2)), dt=1.0)
         model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res)
-        assert model.m == 80 - W
+        assert len(model.windows) == 80 - W
         back = np.vstack([model.windows[0].reshape(W, 2), model.rows[:-1].T])
         np.testing.assert_array_equal(back, res.values)
 
@@ -382,7 +382,8 @@ class TestFitChaotic:
                                             "of 3 samples"):
             fit_chaotic(np.zeros(0), np.zeros((0, 2)), short)
         five = TimeSeries(np.arange(10.0).reshape(5, 2) ** 2, dt=1.0)
-        assert fit_chaotic(np.zeros(0), np.zeros((0, 2)), five).m == 2
+        assert len(fit_chaotic(np.zeros(0), np.zeros((0, 2)),
+                               five).windows) == 2
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_bandwidth_is_the_best_rung(self, stride):
@@ -495,7 +496,7 @@ class TestEvalChaotic:
     def test_far_out_of_distribution_bounded(self, chaos_model):
         model = chaos_model
         bound = chaotic_sup_bound(model)
-        y = np.full(model.state_dim, 1e5)
+        y = np.full(model.windows.shape[1], 1e5)
         out = eval_chaotic(model, y)
         assert np.isfinite(out).all()
         assert np.linalg.norm(out) <= bound + 1e-9
@@ -503,7 +504,7 @@ class TestEvalChaotic:
     def test_dimension_mismatch(self, torus_model):
         model, _ = torus_model
         with pytest.raises(DataError, match="dimension"):
-            eval_chaotic(model, np.ones(model.state_dim + 1))
+            eval_chaotic(model, np.ones(model.windows.shape[1] + 1))
 
     def test_matches_exact_difference_oracle(self, chaos_model):
         model = chaos_model
@@ -512,7 +513,7 @@ class TestEvalChaotic:
         queries = [wins[0], wins[100], wins[400],
                    wins.mean(0) + wins.std(0) * rng.standard_normal(wins.shape[1]),
                    rng.uniform(-1.0, 1.0, wins.shape[1]),
-                   np.full(model.state_dim, 1e5)]
+                   np.full(model.windows.shape[1], 1e5)]
         for y in queries:
             ref = exact_chaos(model, y)
             got = eval_chaotic(model, y)
@@ -884,7 +885,7 @@ class TestReferenceModel:
     def test_one_successor_per_kept_window(self, strided):
         basis, model, _ = strided
         assert model.stride == 3 and model.n == 512
-        assert model.m == 170 == -(-(512 - W) // 3)
+        assert len(model.windows) == 170 == -(-(512 - W) // 3)
         wins = delay_embed(model.residual, CHAOS_DELAYS).points
         np.testing.assert_array_equal(model.windows, wins[:-1:3])
         np.testing.assert_array_equal(model.rows[:-1].T,
@@ -940,7 +941,7 @@ class TestStateBefore:
         per = eval_periodic(model, 7 * model.dt, 3)
         np.testing.assert_array_equal(init, (s.values[7:10] - per).ravel())
         block = residual_windows(model, s, 10, 40)
-        assert block.shape == (30, model.state_dim)
+        assert block.shape == (30, model.windows.shape[1])
         np.testing.assert_allclose(block[0], init, atol=1e-12)
         np.testing.assert_allclose(block[-1], window_before(model, s, 39),
                                    atol=1e-12)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qpdecomp import decompose as dc
-from qpdecomp import freqfilter, kernel, series, spectral
-from qpdecomp.errors import DataError, NumericalError
+from qpdecomp import freqfilter, kernel, pipeline, series, spectral, synth
+from qpdecomp.errors import ConfigError, DataError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,11 @@ def other_step(c):
 
 def one_channel(c):
     return series.TimeSeries(c["ts"].values[:, :1], dt=1.0)
+
+
+def infinite_from_step_5(theta, x):
+    """An observation of the driven state that is infinite from step 5."""
+    return np.where(np.arange(len(x))[:, None] >= 5, np.inf, x)
 
 
 # name: (the call on the ctx fixture's objects, error class, the message
@@ -119,16 +124,44 @@ GUARDS = {
         lambda c: series.TimeSeries(np.ones((3, 2)), dt=1.0,
                                     channel_names=("a",)),
         DataError, "1 channel names for 2 channels"),
+    # one delay vector as a 1-D array, not a matrix of one row
     "embedding_points_shape": (
-        lambda c: series.DelayEmbedding(c["ts"], 2, c["emb"].points[1:]),
-        DataError, r"points shape \(37, 6\) does not match \(38, 6\)"),
+        lambda c: series.DelayEmbedding(c["emb"].points[0]),
+        DataError, r"embedding points must be a non-empty N x dim matrix, "
+                   r"got shape \(6,\)"),
     "kernel_not_an_embedding": (
         lambda c: kernel.gaussian_kernel(c["emb"].points, 1.0),
         DataError, "expected a DelayEmbedding, got ndarray"),
     "kernel_empty_embedding": (
         lambda c: kernel.gaussian_kernel(series.DelayEmbedding(
-            c["ts"], 40, np.zeros((0, 82))), 1.0),
-        DataError, "embedding is empty"),
+            np.zeros((0, 82))), 1.0),
+        DataError, r"embedding points must be a non-empty N x dim matrix, "
+                   r"got shape \(0, 82\)"),
+    # the command line passes only the keys it has flags for
+    "build_config_unknown_key": (
+        lambda c: pipeline.build_config({"input": "x.csv", "solver": "dense"}),
+        ConfigError, r"unknown config keys \['solver'\]"),
+    "torus_driver_dimensions": (
+        lambda c: synth.TorusDriver(omega=[1.0, 2.0], theta0=[0.0]),
+        DataError, "omega and theta0 must have the same dimension"),
+    "simulate_observation_not_finite": (
+        lambda c: synth.simulate(dataclasses.replace(
+            synth.standard_testbed("pure_torus_2"),
+            observation=infinite_from_step_5), 10, 1.0),
+        NumericalError, "observation became non-finite at step 5"),
+    "norm_table_rows_off_the_axis": (
+        lambda c: freqfilter.RkhsNormTable(W=np.ones((3, 2)),
+                                           freqs=np.arange(2.0)),
+        DataError, "W rows must match the frequency axis"),
+    "norm_table_axis_not_from_0": (
+        lambda c: freqfilter.RkhsNormTable(W=np.ones((2, 2)),
+                                           freqs=np.array([1.0, 2.0])),
+        DataError, "frequency axis must start at 0"),
+    "selection_without_bin_0": (
+        lambda c: freqfilter.FrequencySelection(
+            indices=np.array([1, 2]), omegas=np.array([1.0, 2.0]),
+            amplitudes=np.ones(2), growth=np.zeros(2), L0=2),
+        DataError, "selection must contain bin 0"),
 }
 
 

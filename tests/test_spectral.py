@@ -6,6 +6,7 @@ import pytest
 
 from qpdecomp import (
     DataError,
+    DelayEmbedding,
     NumericalError,
     TimeSeries,
     delay_embed,
@@ -13,7 +14,8 @@ from qpdecomp import (
 )
 from qpdecomp.spectral import SpectralBasis, decompose
 
-from conftest import nystrom_pair, pair_quantile, project, synthesize
+from conftest import (nystrom_pair, pair_quantile, project, synthesize,
+                      torus_series)
 
 
 def embed_points(points):
@@ -85,6 +87,18 @@ class TestDecompose:
         basis = decompose(embed_points([[2.0], [2.0]]), 1.0, 1)
         np.testing.assert_allclose(basis.lam[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(basis.Phi[:, 0], [1.0, 1.0], atol=1e-12)
+
+    def test_union_of_two_segments(self):
+        # two series of different lengths, each embedded alone, as the
+        # segments of a record with an outage would be: their stacked
+        # delay vectors are one embedding, with one basis row per vector
+        omegas = [2 * np.pi / 37, 2 * np.pi / 23]
+        a = delay_embed(torus_series(300, omegas), 4).points
+        b = delay_embed(torus_series(260, omegas, theta0=np.array([2.0, 0.3])),
+                        4).points
+        union = DelayEmbedding(np.vstack([a, b]))
+        basis = decompose(union, 0.0, 10)
+        assert basis.n == union.n_points == 296 + 256
 
     def test_orthonormality_conventions(self, blob_basis, blob_ext):
         # Gamma rebuilt from the kernel is orthonormal when Phi holds
