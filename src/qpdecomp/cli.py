@@ -11,8 +11,9 @@ standard error: ``qpdecomp: <ErrorClass>: <message>``, and each warning as
 one line ``qpdecomp: warning: <message>``.  A usage error, such as an
 unknown flag or a missing value, is a ``ConfigError`` line too; only
 ``--help`` prints the usage.  Each config key of
-:class:`pipeline.PipelineConfig` is a flag ``--<key>`` (``-`` for ``_``),
-taken by its whole name only.
+:data:`pipeline.CONFIG_KEYS` is a flag ``--<key>`` (``-`` for ``_``),
+taken by its whole name only; ``run`` merges them onto a ``--config`` file
+or a ``--manifest`` with :func:`pipeline.load_config`.
 
 The reader rule (:func:`errors.reading`): an error in a file that a command
 reads starts with that file's path.  The writer rule (:func:`errors.writing`
@@ -30,7 +31,6 @@ import os
 import sys
 import typing
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -68,11 +68,11 @@ def _add_config_flags(parser, *groups):
     values for a tuple field.  An unset flag is None, and leaves the config
     file's value or the default; a set one is parsed and checked by the
     config schema, as a config file's value is."""
-    kinds = {f.name: f.type for f in fields(pipeline.PipelineConfig)}
     for key in (key for group in groups for key in group):
+        kind = pipeline.CONFIG_KEYS[key]
         parser.add_argument(
             "--" + key.replace("_", "-"),
-            nargs="+" if typing.get_origin(kinds[key]) is tuple else None,
+            nargs="+" if typing.get_origin(kind) is tuple else None,
             metavar=_METAVARS.get(key), help=pipeline.KEY_HELP.get(key))
 
 
@@ -151,10 +151,9 @@ def _cmd_run(args):
     overrides = _overrides(args)
     if args.config and args.manifest:
         raise ConfigError("--config and --manifest cannot be combined")
-    if args.config:
-        config = pipeline.load_config(args.config, overrides)
-    elif args.manifest:
-        config = pipeline.config_from_manifest(args.manifest, overrides)
+    if args.config or args.manifest:
+        config = pipeline.load_config(args.config or args.manifest, overrides,
+                                      manifest=bool(args.manifest))
     else:
         config = pipeline.build_config(overrides)
     # before the rename, which may replace the working directory

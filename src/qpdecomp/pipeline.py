@@ -13,13 +13,13 @@ free run that the ``predict`` command shares.  Its output directory is
 written through :func:`errors.writing_dir` and appears whole or not at all.
 
 :class:`PipelineConfig` is the one configuration schema: its fields' types
-and defaults parse config files and manifests (flat ``key = value`` lines,
-``#`` comments) and command-line flags alike, merged as defaults, then the
-file, then the flags.  A relative ``input`` in a file resolves against the
-file's directory.  All CSV floats carry 17 significant digits so artifacts
-round-trip exactly; identical config and input give byte-identical artifacts
-apart from the manifest timestamp line, on the same BLAS build and thread
-count.
+(:data:`CONFIG_KEYS`) and defaults parse config files and manifests, which
+:func:`load_config` reads (flat ``key = value`` lines, ``#`` comments), and
+command-line flags alike, merged as defaults, then the file, then the flags.
+A relative ``input`` in a file resolves against the file's directory.  All
+CSV floats carry 17 significant digits so artifacts round-trip exactly;
+identical config and input give byte-identical artifacts apart from the
+manifest timestamp line, on the same BLAS build and thread count.
 
 One clock: every time, of the harmonics and of each written ``time_s``
 column, is the input's own, ``t0 + index * dt``.  Row m of the embedded
@@ -117,8 +117,8 @@ class PipelineConfig:
                 raise ConfigError(f"ma_windows lists {w} twice")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-CONFIG_KEYS = set(_FIELD_TYPES)
+# each config key, with the type that parses its text
+CONFIG_KEYS = {f.name: f.type for f in fields(PipelineConfig)}
 # the help of the keys' flags, where they have one ("%%" prints as "%")
 KEY_HELP = {
     "input": "input CSV file",
@@ -169,7 +169,7 @@ def _coerce(key, raw, where=""):
     """``raw`` parsed as key's type; ``where`` prefixes the error."""
     value = raw.strip() if isinstance(raw, str) else raw
     try:
-        return _parse(_FIELD_TYPES[key], value)
+        return _parse(CONFIG_KEYS[key], value)
     except (ValueError, TypeError):
         raise ConfigError(f"{where}cannot parse config value {key} = "
                           f"{raw!r}") from None
@@ -178,7 +178,7 @@ def _coerce(key, raw, where=""):
 def build_config(values) -> PipelineConfig:
     """Build a validated config from a dict of values, as text (from a file
     or a flag) or already typed."""
-    unknown = set(values) - CONFIG_KEYS
+    unknown = set(values).difference(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if "input" not in values:
@@ -186,25 +186,27 @@ def build_config(values) -> PipelineConfig:
     return PipelineConfig(**{k: _coerce(k, v) for k, v in values.items()})
 
 
-def _read_config(path, overrides, manifest):
-    """Read the ``key = value`` lines of a config file or a manifest, then
-    apply the overrides that are not None, and build the config.
+def load_config(path, overrides=None, *, manifest=False) -> PipelineConfig:
+    """Read the ``key = value`` lines of a config file, or of a manifest
+    with ``manifest``, apply the overrides that are not None, and build
+    the config: defaults, then the file, then the overrides.
 
-    Each value is parsed at its line, so a value that does not parse is an
-    error of the file even where an override sets its key.  A config file
-    rejects unknown keys; a manifest skips them, so that it
-    can carry hashes and keys that earlier versions wrote, but not a key of
-    ``_RETIRED_KEYS`` away from its old default; a key of ``_ADDED_KEYS``
-    that a manifest lacks takes the value that earlier versions ran with.
-    A relative ``input`` in the file resolves against the file's
-    directory; an override is taken as it is.  When a manifest's own input
-    no longer has the SHA-256 that the manifest records, a warning names
-    both files.
+    The file is UTF-8, with or without a byte-order mark.  Each value is
+    parsed at its line, so a value that does not parse, or a config key
+    set twice, is an error of the file even where an override sets the
+    key.  A config file rejects unknown keys; a manifest skips them, so
+    that it can carry hashes and keys that earlier versions wrote, but not
+    a key of ``_RETIRED_KEYS`` away from its old default; a key of
+    ``_ADDED_KEYS`` that a manifest lacks takes the value that earlier
+    versions ran with.  A relative ``input`` in the file resolves against
+    the file's directory; an override is taken as it is.  When a
+    manifest's own input no longer has the SHA-256 that the manifest
+    records, a warning names both files.
     """
     path = Path(path)
-    values, recorded = {}, None
+    values, first_at, recorded = {}, {}, None
     with reading(path, ConfigError):
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
         for line_no, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -214,6 +216,10 @@ def _read_config(path, overrides, manifest):
             if not sep:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
             if key in CONFIG_KEYS:
+                if key in first_at:
+                    raise ConfigError(f"line {line_no}: {key} is set twice "
+                                      f"(first at line {first_at[key]})")
+                first_at[key] = line_no
                 values[key] = _coerce(key, raw, f"line {line_no}: ")
             elif not manifest:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
@@ -239,17 +245,6 @@ def _read_config(path, overrides, manifest):
                           f"the manifest was written (its SHA-256 differs), "
                           f"so the re-run may not reproduce its artifacts")
     return config
-
-
-def load_config(path, overrides=None) -> PipelineConfig:
-    """Read a config file, apply overrides, and validate: defaults, then the
-    file, then the overrides."""
-    return _read_config(path, overrides, manifest=False)
-
-
-def config_from_manifest(path, overrides=None) -> PipelineConfig:
-    """Recover the full configuration from a manifest, then apply overrides."""
-    return _read_config(path, overrides, manifest=True)
 
 
 def config_lines(config: PipelineConfig):

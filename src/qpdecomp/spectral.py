@@ -138,13 +138,17 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     Raises
     ------
     DataError
-        When L is outside 1..M, or the ``N M + M L + max(M^2, N L)``
-        float64 values exceed the memory available; both are checked
-        before anything N x M is allocated.
+        When ``embedding`` is not a :class:`DelayEmbedding`, L is outside
+        1..M, or the ``N M + M L + max(M^2, N L)`` float64 values exceed
+        the memory available; each is checked before anything N x M is
+        allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
         decrease L"), as :class:`SpectralBasis` checks.
     """
+    if not isinstance(embedding, DelayEmbedding):
+        raise DataError(f"expected a DelayEmbedding, got "
+                        f"{type(embedding).__name__}")
     n = embedding.n_points
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")

@@ -178,6 +178,8 @@ BAD_CONFIGS = [(flag, *row) for flag in ("--config", "--manifest") for row in [
     ("no_equals", "delays = 6\nL0 8\n", "line 2: expected 'key = value'"),
     ("bad_value", "delays = 6\nL0 = eight\n",
      "line 2: cannot parse config value L0 = 'eight'"),
+    ("repeated_key", "delays = 6\nL0 = 8\nL0 = 9\n",
+     "line 3: L0 is set twice (first at line 2)"),
     ("unknown_key", "delays = 6\nsolver = dense\n",
      "line 2: unknown key 'solver'") if flag == "--config" else
     ("retired_key", "delays = 6\nmerge_adjacent = true\n", "line 2: "

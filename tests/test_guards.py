@@ -81,6 +81,10 @@ GUARDS = {
     "decompose_stride_0": (
         lambda c: spectral.decompose(c["emb"], 1.0, 5, stride=0),
         DataError, "stride must be >= 1, got 0"),
+    # the type is checked before any of its attributes is read
+    "spectral_bare_array": (
+        lambda c: spectral.decompose(c["emb"].points, 1.0, 2),
+        DataError, "expected a DelayEmbedding, got ndarray"),
     "basis_empty_lambda": (
         lambda c: basis_with(c, lam=np.zeros(0)),
         NumericalError, "lam must be a non-empty vector"),

@@ -10,7 +10,6 @@ from qpdecomp.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
     build_config,
-    config_from_manifest,
     config_lines,
     fit,
     format_period,
@@ -110,7 +109,7 @@ class TestRunPipeline:
     def test_manifest_round_trip(self, smoke_input, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         run_pipeline(smoke_config(smoke_input, out1))
-        config = config_from_manifest(out1 / "manifest.txt")
+        config = load_config(out1 / "manifest.txt", manifest=True)
         config = build_config({**{f: getattr(config, f) for f in
                                   config.__dataclass_fields__},
                                "outdir": str(out2)})
@@ -429,6 +428,17 @@ class TestConfigParsing:
         assert config.L0 == 8
         assert config.input.endswith("torus.csv")
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # as some editors save a UTF-8 file; the relative input resolves
+        # against each file's own directory
+        from pathlib import Path
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "smoke.conf"
+        bom = tmp_path / "smoke.conf"
+        bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        moved = str((tmp_path / ".." / "torus.csv").resolve())
+        assert load_config(bom) == dataclasses.replace(load_config(cfg),
+                                                       input=moved)
+
 
 # every field at a value other than its default
 NON_DEFAULT = dict(
@@ -455,7 +465,7 @@ def run_flags(values):
 class TestConfigSchema:
     def test_non_default_values_cover_every_field(self):
         defaults = PipelineConfig(input="x")
-        assert set(NON_DEFAULT) == CONFIG_KEYS
+        assert set(NON_DEFAULT) == set(CONFIG_KEYS)
         # the schema parses no booleans: bool("false") would be True
         assert not any(f.type is bool for f in dataclasses.fields(defaults))
         for key, val in NON_DEFAULT.items():
@@ -469,19 +479,21 @@ class TestConfigSchema:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("\n".join(config_lines(config)) + "\n",
                             encoding="utf-8")
-        from_manifest = config_from_manifest(manifest)
+        from_manifest = load_config(manifest, manifest=True)
         assert from_manifest == config
         assert build_config(dataclasses.asdict(from_manifest)) == config
         args = build_parser().parse_args(["run", *run_flags(NON_DEFAULT)])
-        assert set(_overrides(args)) == CONFIG_KEYS
+        assert set(_overrides(args)) == set(CONFIG_KEYS)
         assert build_config(_overrides(args)) == config
 
     def test_manifest_input_resolves_against_its_directory(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("input = data.csv\nhash_of_something = 0\n",
                             encoding="utf-8")
-        assert config_from_manifest(manifest).input == str(tmp_path / "data.csv")
-        over = config_from_manifest(manifest, {"input": "b.csv", "delays": "3"})
+        assert (load_config(manifest, manifest=True).input
+                == str(tmp_path / "data.csv"))
+        over = load_config(manifest, {"input": "b.csv", "delays": "3"},
+                           manifest=True)
         assert (over.input, over.delays) == ("b.csv", 3)
 
     @pytest.mark.parametrize("key, bad", [
