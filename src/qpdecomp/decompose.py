@@ -24,8 +24,8 @@ window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
 layout, oldest first), and the map is the analog forecast of Zhao &
 Giannakis (Nonlinearity 2016): after a window y the next residual sample is
 ``g_chaos(y) = sum_m w_m r_{m+1} / sum_m w_m``, the kernel average of the
-successors r_{m+1} of the kept windows, every ``stride``-th one, with w the
-Gaussian weights of y against them at the bandwidth that
+successors r_{m+1} of the kept windows, every ``QPModel.stride``-th one,
+with w the Gaussian weights of y against them at the bandwidth that
 :func:`fit_chaotic` takes by held-out one-step error.  g_chaos is a convex
 combination of the successors, so the largest of them bounds it.
 
@@ -46,9 +46,10 @@ import numpy as np
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError, check_memory, reading
 from .freqfilter import FrequencySelection
+from .kernel import reference_stride
 from .series import TimeSeries, delay_embed, same_step
 
-MODEL_FORMAT = "qpdecomp-model-6"
+MODEL_FORMAT = "qpdecomp-model-7"
 
 # Rows per block when harmonics or g_chaos are evaluated at many times or
 # states: a block holds a (rows x m) complex phase matrix or an (M x rows)
@@ -81,21 +82,22 @@ class QPModel:
     component, and ``residual`` is the training series less them, with its
     step, its channel names and its own clock, whose t0 is A's phase
     reference.  Every ``stride``-th window of ``CHAOS_DELAYS + 1`` residual
-    samples that has a successor is kept: ``windows`` (one row per kept
-    window, embedding layout), ``sq``, their squared norms, and ``rows``,
-    the C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are
-    derived.  ``epsilon`` is the map's bandwidth.  Other shapes, a
-    non-finite entry of ``omegas`` or ``A``, a zero-frequency coefficient
-    that is not real, a residual too short for one window and its
-    successor, a ``stride`` below 1 or an ``epsilon`` that is not positive
-    and finite are a :class:`DataError`.
+    samples that has a successor is kept, the stride being
+    :func:`kernel.reference_stride` of n, whatever the kernel took (a rule
+    of the code, like ``CHAOS_DELAYS``: changing it bumps ``MODEL_FORMAT``):
+    ``windows`` (one row per kept window, embedding layout), ``sq``, their
+    squared norms, and ``rows``, the C-ordered ``[successors^T; 1]`` of
+    :func:`kernel_average`, are derived.  ``epsilon`` is the map's
+    bandwidth.  Other shapes, a non-finite entry of ``omegas`` or ``A``, a
+    zero-frequency coefficient that is not real, a residual too short for
+    one window and its successor or an ``epsilon`` that is not positive and
+    finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
     A: np.ndarray
     residual: TimeSeries
     epsilon: float
-    stride: int = 1
     windows: np.ndarray = field(init=False, repr=False)
     sq: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
@@ -104,8 +106,6 @@ class QPModel:
         omegas, n, k, s = self.omegas, self.n, self.k, self.stride
         if omegas.ndim != 1 or not np.isfinite(omegas).all():
             raise DataError("model frequencies must be a finite vector")
-        if not s >= 1:
-            raise DataError(f"model stride {s} is not a positive integer")
         if self.A.shape != (len(omegas), k):
             raise DataError(f"model A {self.A.shape} does not match "
                             f"{len(omegas)} frequencies and {k} channels")
@@ -131,6 +131,11 @@ class QPModel:
     @property
     def dt(self) -> float:
         return self.residual.dt
+
+    @property
+    def stride(self) -> int:
+        """Every stride-th residual window is kept."""
+        return reference_stride(self.n)
 
     @property
     def n(self) -> int:
@@ -259,46 +264,46 @@ def eval_chaotic(model: QPModel, y) -> np.ndarray:
     return out
 
 
-def fit_chaotic(omegas, A, residual: TimeSeries, stride: int = 1) -> QPModel:
+def fit_chaotic(omegas, A, residual: TimeSeries) -> QPModel:
     """The model of the harmonics (omegas, A) and the training ``residual``,
     with the map's bandwidth taken from ``EPSILON_LADDER``.
 
     The last ``HELD_OUT`` share of the residual's rows is held out: the
-    model of the rows before them predicts them from the windows whose
-    successors they are.  Each rung is that quantile of the squared
-    distances from those windows to the kept ones, raised to the resolution
-    of the log-weights, the float epsilon times the largest squared norm of
-    a kept window (and at least the least normal float).  Where more than a
-    rung's share of the pairs coincide, as in an exactly periodic residual,
-    the rung is that floor, and its map the average of the successors of
-    the windows that coincide with the query.  The rung whose predictions
-    have the lowest mean squared error wins, the first of equal ones.  A
-    residual too short to hold out a row and keep a window before it is a
-    :class:`DataError`.
+    model's first kept windows, those whose successors precede them,
+    predict them from the windows whose successors they are.  Each rung is
+    that quantile of the squared distances from those windows to the kept
+    ones, raised to the resolution of the log-weights, the float epsilon
+    times the largest squared norm of a kept window (and at least the least
+    normal float).  Where more than a rung's share of the pairs coincide,
+    as in an exactly periodic residual, the rung is that floor, and its map
+    the average of the successors of the windows that coincide with the
+    query.  The rung whose predictions have the lowest mean squared error
+    wins, the first of equal ones.  A residual too short to hold out a row
+    and keep a window before it is a :class:`DataError`.
     """
-    r, omegas = residual.values, np.asarray(omegas, dtype=float)
+    r = residual.values
     n, w = len(r), CHAOS_DELAYS + 1
     start = n - int(np.ceil(HELD_OUT * n))     # the first held-out row
     if start <= w:
         raise DataError(f"a residual of {n} rows holds out its last "
                         f"{n - start} and leaves no window of {w} samples "
                         f"with a successor before them")
-    before = QPModel(omegas, A, replace(residual, values=r[:start]), 1.0,
-                     stride)
+    model = QPModel(np.asarray(omegas, dtype=float), A, residual, 1.0)
+    m = -(-(start - w) // model.stride)   # the kept windows before start
+    windows, sq, rows = model.windows[:m], model.sq[:m], model.rows[:, :m]
     queries = delay_embed(residual, CHAOS_DELAYS).points[start - w:n - w]
     # z[j, b] is |queries[b]|^2 less its squared distance to window j
-    z = log_weights(before.windows, before.sq, 1.0, queries)
+    z = log_weights(windows, sq, 1.0, queries)
     buf = np.einsum("ij,ij->i", queries, queries) - z
     np.maximum(buf, 0.0, out=buf)
-    floor = max(np.finfo(float).eps * before.sq.max(), np.finfo(float).tiny)
+    floor = max(np.finfo(float).eps * sq.max(), np.finfo(float).tiny)
     ladder = np.maximum(np.quantile(buf, EPSILON_LADDER), floor)
     errors = []
     for eps in ladder:
         np.divide(z, eps, out=buf)
-        pred = kernel_average(before.rows, buf)
+        pred = kernel_average(rows, buf)
         errors.append(np.mean((pred.T - r[start:]) ** 2))
-    return QPModel(omegas, A, residual, float(ladder[np.argmin(errors)]),
-                   stride)
+    return replace(model, epsilon=float(ladder[np.argmin(errors)]))
 
 
 def periodic_sup_bound(model: QPModel) -> float:
@@ -429,12 +434,12 @@ def training_data_hash(series: TimeSeries) -> str:
 
 
 def save_model(model: QPModel, path):
-    """Serialize the model as a ``qpdecomp-model-6`` file.
+    """Serialize the model as a ``qpdecomp-model-7`` file.
 
     Stores the training residual (as ``train_values``, with its step, its
     first time, A's phase reference, its channel names and a content
-    hash), epsilon, the stride and the harmonics (omegas, A): everything
-    the free run and the sup-norm bounds read.  The kept windows and their
+    hash), epsilon and the harmonics (omegas, A): everything the free run
+    and the sup-norm bounds read.  The stride, the kept windows and their
     successors are derived from the residual when the file is read.
     """
     src = model.residual
@@ -446,7 +451,6 @@ def save_model(model: QPModel, path):
         "channel_names": np.array(list(src.channel_names)),
         "train_hash": np.array([training_data_hash(src)]),
         "epsilon": np.float64(model.epsilon),
-        "stride": np.int64(model.stride),
         "omegas": model.omegas,
         "A": model.A,
     })
@@ -458,9 +462,9 @@ def save_model(model: QPModel, path):
 _MODEL_ARRAYS = {"format": ("U", (1,)), "train_values": ("f", None),
                  "train_dt": ("f", ()), "train_t0": ("f", ()),
                  "channel_names": ("U", None), "train_hash": ("U", (1,)),
-                 "epsilon": ("f", ()), "stride": ("i", ()),
-                 "omegas": ("f", None), "A": ("c", None)}
-_KINDS = {"U": "a string", "f": "a float", "i": "an integer", "c": "a complex"}
+                 "epsilon": ("f", ()), "omegas": ("f", None),
+                 "A": ("c", None)}
+_KINDS = {"U": "a string", "f": "a float", "c": "a complex"}
 
 
 def load_model(path) -> QPModel:
@@ -472,7 +476,7 @@ def load_model(path) -> QPModel:
     Raises
     ------
     DataError
-        The file is missing or unreadable, is not a ``qpdecomp-model-6``
+        The file is missing or unreadable, is not a ``qpdecomp-model-7``
         file (an older one must be written again by ``qpdecomp run``, as its
         ``model.npz``), lacks one of its arrays or holds one of another
         dtype kind or shape than :func:`save_model` writes, holds other than
@@ -509,4 +513,4 @@ def load_model(path) -> QPModel:
         if training_data_hash(src) != read("train_hash"):
             raise DataError("training data does not match its stored hash")
         return QPModel(omegas=read("omegas"), A=read("A"), residual=src,
-                       epsilon=read("epsilon"), stride=read("stride"))
+                       epsilon=read("epsilon"))

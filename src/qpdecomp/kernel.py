@@ -133,15 +133,15 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
     embedding : DelayEmbedding
         Embedded data; at least two points.
     epsilon : float
-        Gaussian bandwidth applied to squared distances; 0 takes the
+        Gaussian bandwidth applied to squared distances, finite; 0 takes the
         ``EPSILON_QUANTILE`` quantile of the squared distances of the
         sample's pairs.
     stride : int
         The references are points 0, stride, 2 stride, ...; 1 keeps all.
     """
-    if not epsilon >= 0:
-        raise DataError(f"epsilon must be positive (or 0 to derive it), "
-                        f"got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise DataError(f"epsilon must be positive and finite (or 0 to "
+                        f"derive it), got {epsilon}")
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     if not isinstance(embedding, DelayEmbedding):

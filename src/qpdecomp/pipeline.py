@@ -89,16 +89,18 @@ class PipelineConfig:
                                   f"contains whitespace")
             if name in self.channels[:i]:
                 raise ConfigError(f"channel {name!r} is named twice")
-        # written as `not x >= 0` / `not x > 0`, so that NaN fails them too
-        if not self.dt_seconds >= 0:
-            raise ConfigError("dt_seconds must be positive (or 0 to keep the grid)")
+        # written as `not 0 <= x < inf` / `not x > 0`, so that NaN fails
+        # them too
+        if not 0 <= self.dt_seconds < np.inf:
+            raise ConfigError("dt_seconds must be positive and finite (or 0 "
+                              "to keep the grid)")
         if not self.max_gap_factor > 0:
             raise ConfigError("max_gap_factor must be positive")
         if self.delays < 0:
             raise ConfigError("delays must be >= 0")
-        if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be positive (or 0 to derive it "
-                              "from the data)")
+        if not 0 <= self.epsilon < np.inf:
+            raise ConfigError("epsilon must be positive and finite (or 0 to "
+                              "derive it from the data)")
         if self.reference_points < 0:
             raise ConfigError("reference_points must be >= 0 (0 takes every "
                               "ceil(N/2048)-th delay vector)")
@@ -348,7 +350,7 @@ def fit(config: PipelineConfig) -> Fit:
                                       eps2=config.eps2, L0=config.L0)
         A, residual = dc.fit_periodic(series.window(train, q, train.n),
                                       selection)
-        model = dc.fit_chaotic(selection.omegas, A, residual, basis.stride)
+        model = dc.fit_chaotic(selection.omegas, A, residual)
     return Fit(data, train, basis, table, selection, model)
 
 

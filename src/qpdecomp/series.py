@@ -171,9 +171,10 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
     DataError
         Missing columns, empty channel selection, malformed or non-finite
         cells (reported with line numbers), non-increasing timestamps,
-        uneven timestamps with ``dt = 0``, or a failed resampling, a grid
-        too large for the memory available among its causes; every message
-        starts with ``path`` (see :func:`errors.reading`).
+        uneven timestamps or a single data row (no step to read) with
+        ``dt = 0``, or a failed resampling, a grid too large for the memory
+        available among its causes; every message starts with ``path``
+        (see :func:`errors.reading`).
     """
     with reading(path):
         # utf-8-sig drops the byte-order mark that spreadsheet exports write
@@ -245,14 +246,18 @@ def load_csv(path, timestamp="time", channels=None, dt=0.0,
             first = int(np.argmin(steps > 0))
             raise DataError(f"timestamps not strictly increasing at "
                             f"line {row_lines[first + 1]}")
-        # the span, so that the timestamps' float rounding does not add up
-        step = float((times[-1] - times[0]) / len(steps)) if len(steps) else 1.0
         if dt:
             values = resample(times, values, dt, max_gap)
             step = float(dt)
-        elif len(steps) and np.abs(steps - step).max() > _time_tol(times, step):
-            raise DataError("input sampling is irregular; set dt_seconds "
-                            "to resample it")
+        elif not len(steps):
+            raise DataError("one data row has no step to read; set "
+                            "dt_seconds to the step")
+        else:
+            # the span, so that the timestamps' float rounding does not add up
+            step = float((times[-1] - times[0]) / len(steps))
+            if np.abs(steps - step).max() > _time_tol(times, step):
+                raise DataError("input sampling is irregular; set dt_seconds "
+                                "to resample it")
         return TimeSeries(values, dt=step, t0=float(times[0]),
                           channel_names=tuple(channels))
 

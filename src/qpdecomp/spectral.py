@@ -67,7 +67,7 @@ class SpectralBasis:
         if lam[-1] < LAMBDA_FLOOR:
             raise NumericalError(
                 f"eigenvalue {len(lam)} is {lam[-1]:.3e}, below the "
-                f"{LAMBDA_FLOOR} floor; increase epsilon or decrease L"
+                f"{LAMBDA_FLOOR} floor; decrease epsilon or L"
             )
         if abs(lam[0] - 1.0) > _LAMBDA_ONE_TOL:
             raise NumericalError(
@@ -143,8 +143,8 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
         the memory available; each is checked before anything N x M is
         allocated.
     NumericalError
-        When ``lam[L-1]`` falls below the 1e-14 floor ("increase epsilon or
-        decrease L"), as :class:`SpectralBasis` checks.
+        When ``lam[L-1]`` falls below the 1e-14 floor ("decrease epsilon or
+        L"), as :class:`SpectralBasis` checks.
     """
     if not isinstance(embedding, DelayEmbedding):
         raise DataError(f"expected a DelayEmbedding, got "

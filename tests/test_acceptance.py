@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qpdecomp.decompose as dc
-from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
+from qpdecomp import TimeSeries, delay_embed, gaussian_kernel, kernel
 from qpdecomp.cli import main as cli_main
 from qpdecomp.freqfilter import rkhs_norm_table, select
 from qpdecomp.pipeline import format_period, report_periods
@@ -68,11 +68,10 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
 
 
 def fit_model(run):
-    sim, basis = run["sim"], run["basis"]
-    selection = run["selection"]
+    sim, selection = run["sim"], run["selection"]
     A, residual = dc.fit_periodic(window(sim.series, Q, sim.series.n),
                                   selection)
-    return dc.fit_chaotic(selection.omegas, A, residual, basis.stride)
+    return dc.fit_chaotic(selection.omegas, A, residual)
 
 
 @pytest.fixture(scope="module")
@@ -264,13 +263,16 @@ class TestCriterion5DecompositionExactness:
             assert np.abs(synthesize(full_blob_basis, E) - y_non).max() <= 1e-8
 
             # at a bandwidth 1e-3 of the smallest squared distance between
-            # kept windows, a query at each of them returns its successor
+            # kept windows, a query at each of them returns its successor;
+            # a reference cap of 150 keeps every second window of 300 rows
             resid = TimeSeries(rng.standard_normal((300, 3)), dt=dt)
-            model = dc.fit_chaotic(np.zeros(0), np.zeros((0, 3)), resid, 2)
-            wins = model.windows
-            d2 = ((wins[:, None] - wins[None]) ** 2).sum(axis=2)
-            d2_min = d2[~np.eye(len(wins), dtype=bool)].min()
-            model = replace(model, epsilon=1e-3 * d2_min)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "REFERENCE_CAP", 150)
+                model = dc.fit_chaotic(np.zeros(0), np.zeros((0, 3)), resid)
+                wins = model.windows
+                d2 = ((wins[:, None] - wins[None]) ** 2).sum(axis=2)
+                d2_min = d2[~np.eye(len(wins), dtype=bool)].min()
+                model = replace(model, epsilon=1e-3 * d2_min)
             succ = resid.values[dc.CHAOS_DELAYS + 1::2]
             assert len(succ) == len(wins)
             assert np.abs(dc.eval_chaotic(model, wins) - succ).max() <= 1e-8

@@ -135,6 +135,9 @@ BAD_CSV = {
     "empty_file": (b"", [], "empty file"),
     "not_utf8": (b"time,ch0\n0,\xff\n", [], NOT_UTF8),
     "header_only": ({n: None for n in range(2, 8)}, [], "no data rows"),
+    # one row has no step between samples, and none is invented
+    "one_row": ({n: None for n in range(3, 8)}, [], "one data row has no "
+                "step to read; set dt_seconds to the step"),
     "truncated_row": ({4: "2,2"}, [], MALFORMED + "expected 4 cells, got 2"),
     "bad_time": ({4: "abc,2,3,4"}, [], MALFORMED + "timestamp 'abc' is "
                  "neither seconds nor ISO-8601"),
@@ -189,12 +192,11 @@ BAD_CONFIGS = [(flag, *row) for flag in ("--config", "--manifest") for row in [
 MODEL_ARRAYS = {"format": ("str", 1), "train_values": ("float", 2),
                 "train_dt": ("float", 0), "train_t0": ("float", 0),
                 "channel_names": ("str", 1), "train_hash": ("str", 1),
-                "epsilon": ("float", 0), "stride": ("int", 0),
-                "omegas": ("float", 1), "A": ("complex", 2)}
+                "epsilon": ("float", 0), "omegas": ("float", 1),
+                "A": ("complex", 2)}
 # the arrays whose shape save_model fixes: load_model rejects any other shape
 # of them itself, naming the array
-FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "epsilon",
-               "stride"}
+FIXED_SHAPE = {"format", "train_hash", "train_dt", "train_t0", "epsilon"}
 
 
 def with_array(name, change=None):
@@ -246,8 +248,6 @@ def bad_models():
                     "model zero-frequency coefficient is not real"),
         "epsilon_zero": (with_array("epsilon", lambda a: 0.0 * a),
                          "model epsilon 0.0 is not positive and finite"),
-        "stride_zero": (with_array("stride", lambda a: 0 * a),
-                        "model stride 0 is not a positive integer"),
         "train_values_edited": (with_array("train_values", lambda a: a + 1),
                                 "training data does not match its stored "
                                 "hash"),
@@ -255,16 +255,18 @@ def bad_models():
             "model residual has 3 rows; a window of 3 samples and its "
             "successor need 4")),
     }
-    # a qpdecomp-model-5 file holds the arrays of format 6, with A's phase
-    # referred to the input's first row: read as format 6 it would be off
-    # by q*dt without an error
+    # a qpdecomp-model-5 file holds the arrays of format 7 and a stride,
+    # with A's phase referred to the input's first row: read as format 7 it
+    # would be off by q*dt without an error.  A qpdecomp-model-6 file holds
+    # them and the stride of the kernel's references, which a model now
+    # derives from its residual
     for fmt in ("qpdecomp-model-1", "qpdecomp-model-2", "qpdecomp-model-3",
-                "qpdecomp-model-5"):
+                "qpdecomp-model-5", "qpdecomp-model-6"):
         rows[f"format_{fmt[-1]}"] = (
             with_array("format", lambda a, fmt=fmt: np.array([fmt])),
             re.escape(f"model format '{fmt}' is not readable; re-run "
                       f"`qpdecomp run`, whose model.npz is a "
-                      f"'qpdecomp-model-6' file"))
+                      f"'qpdecomp-model-7' file"))
     # the 12 arrays of a qpdecomp-model-4 file: the raw training window, q,
     # and the chaos matrix M with one row per reference point
     rows["format_4"] = (lambda arrays: {
@@ -272,7 +274,7 @@ def bad_models():
         "train_values": np.zeros((600, 3)), "q": np.int64(6),
         "M": np.zeros((594, 3))}, re.escape(
             "model format 'qpdecomp-model-4' is not readable; re-run "
-            "`qpdecomp run`, whose model.npz is a 'qpdecomp-model-6' file"))
+            "`qpdecomp run`, whose model.npz is a 'qpdecomp-model-7' file"))
     for name, (kind, ndim) in MODEL_ARRAYS.items():
         rows[f"{name}_missing"] = (with_array(name),
                                    f"model array '{name}' is missing")
@@ -1306,7 +1308,9 @@ class TestRunCommand:
         # 2200 training samples, 6 delays: N = 2194 rows.  The default takes
         # every second delay vector and records M = 1097 in the manifest;
         # --reference-points N, and a manifest written before the key
-        # existed, take every row.  Each manifest re-runs to its bytes.
+        # existed, take every row.  The residual map keeps every second
+        # window of the 2194 residual rows whatever the kernel took.  Each
+        # manifest re-runs to its bytes.
         src = tmp_path / "torus.csv"
         assert run_cli(["synth", "--testbed", "pure_torus_2", "--steps",
                         "2400", "--out", src]) == 0
@@ -1315,12 +1319,11 @@ class TestRunCommand:
                  "2220", "--predict-end", "2300"]
         for name, extra, m, s in [
                 ("default", [], 1097, 2),
-                ("all", ["--reference-points", "2194"], 2194, 1)]:
+                ("all", ["--reference-points", "2194"], 2194, 2)]:
             outdir = tmp_path / name
             assert run_cli(["run", *flags, *extra, "--outdir", outdir]) == 0
             lines = (outdir / "manifest.txt").read_text().splitlines()
             assert f"reference_points = {m}" in lines
-            # the residual map keeps the windows at the references' stride
             assert load_model(outdir / "model.npz").stride == s
             rerun = tmp_path / f"{name}-rerun"
             assert run_cli(["run", "--manifest", outdir / "manifest.txt",
@@ -1524,6 +1527,8 @@ class TestRunCommand:
         assert code == 4
         err = capsys.readouterr().err
         assert "NumericalError" in err
+        # a narrower kernel decays slower: the way out is a smaller epsilon
+        assert "decrease epsilon" in err
         # config error: a bad predict count or window, checked before the
         # model (absent here) is read, also when the truth window lies
         # past the data
@@ -1548,9 +1553,11 @@ class TestRunCommand:
         ["--dt-seconds", "1", "--max-gap-factor", "nan"],
         ["--eps1", "nan"],
         ["--eps2", "nan"],
+        ["--epsilon", "inf"],
+        ["--dt-seconds", "inf"],
     ], ids=["L0_above_num_eigen", "negative_delays", "negative_epsilon",
             "nan_epsilon", "nan_dt_seconds", "nan_max_gap_factor", "nan_eps1",
-            "nan_eps2"])
+            "nan_eps2", "inf_epsilon", "inf_dt_seconds"])
     @pytest.mark.parametrize("command", ["run", "decompose"])
     def test_config_errors_exit_2_before_fitting(self, synth_csv, tmp_path,
                                                   forbid, capsys, command,

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from qpdecomp import (
     NumericalError,
     TimeSeries,
     delay_embed,
+    kernel,
     window,
 )
 from qpdecomp.decompose import (
@@ -112,6 +114,18 @@ def qr_fit(Y, omegas, dt, t0=0.0):
 
 
 W = CHAOS_DELAYS + 1     # samples per residual window
+# a model keeps every ceil(n / kernel.REFERENCE_CAP)-th window: this cap
+# gives stride 3 at the 512 residual rows of fit_torus(515, 3)
+STRIDE_3_CAP = 171
+
+
+@contextlib.contextmanager
+def reference_cap(cap):
+    """A context in which ``kernel.REFERENCE_CAP`` is ``cap``: a model built
+    or read there, and its ``stride``, derive the stride from it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "REFERENCE_CAP", cap)
+        yield
 
 
 def window_before(model, s, index):
@@ -169,13 +183,13 @@ def with_chaos(model):
     """
     res = model.residual
     chaos = replace(res, values=0.6 * (logistic(res.n, res.k) - 0.5))
-    return fit_chaotic(model.omegas, model.A, chaos, model.stride)
+    return fit_chaotic(model.omegas, model.A, chaos)
 
 
 def fit_torus(n, q, stride=1):
     """Eigenbasis of a bin-exact 2-torus series with q delays against every
     ``stride``-th point, the model fitted end to end on it (its windows at
-    the same stride), and the series."""
+    the stride that ``kernel.REFERENCE_CAP`` gives), and the series."""
     n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
@@ -185,7 +199,7 @@ def fit_torus(n, q, stride=1):
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     A, residual = fit_periodic(window(s, q, s.n), sel)
-    model = fit_chaotic(sel.omegas, A, residual, stride)
+    model = fit_chaotic(sel.omegas, A, residual)
     return basis, model, s
 
 
@@ -386,13 +400,17 @@ class TestFitChaotic:
                                five).windows) == 2
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_bandwidth_is_the_best_rung(self, stride):
+    def test_bandwidth_is_the_best_rung(self, stride, monkeypatch):
         # brute-force oracle: the ladder's quantiles of the exact squared
         # distances from each held-out window to each earlier kept window,
-        # and the mean squared one-step error of each rung's average
+        # and the mean squared one-step error of each rung's average.  A
+        # cap of 134 gives stride 3 at 400 rows
+        if stride == 3:
+            monkeypatch.setattr(kernel, "REFERENCE_CAP", 134)
         x = logistic(400, 2)
         res = TimeSeries(x, dt=1.0)
-        model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res, stride)
+        model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res)
+        assert model.stride == stride
         start = 400 - int(np.ceil(HELD_OUT * 400))
         wins = np.array([x[m:m + W].ravel() for m in range(400 - W + 1)])
         refs, queries = wins[:start - W:stride], wins[start - W:400 - W]
@@ -665,8 +683,9 @@ class TestReconstruct:
         residual the same model, one fitted at q = 0 and one at stride 3."""
         _, model, s = fitted_torus
         _, model0, s0 = fit_torus(515, 0)
-        strided = with_chaos(fit_torus(515, 3, stride=3)[1])
-        assert (model0.n, strided.stride) == (515, 3)
+        with reference_cap(STRIDE_3_CAP):
+            strided = with_chaos(fit_torus(515, 3, stride=3)[1])
+            assert (model0.n, strided.stride) == (515, 3)
         return {"torus": (model, s), "q0": (with_chaos(model0), s0),
                 "chaotic": (chaos_model, s), "strided": (strided, s)}
 
@@ -677,7 +696,10 @@ class TestReconstruct:
         model, s = cases[case]
         steps = 800 if case == "torus" else 12
         init = window_before(model, s, W)
-        ref = exact_reconstruct(model, init, steps, W * model.dt)
+        # the oracle reads the strided model's successors at its stride
+        with reference_cap(STRIDE_3_CAP if case == "strided"
+                           else kernel.REFERENCE_CAP):
+            ref = exact_reconstruct(model, init, steps, W * model.dt)
         got = reconstruct(model, s, W, steps)
         scale = np.abs(ref).max()
         assert np.abs(got.values - ref).max() <= 1e-12 * scale
@@ -863,13 +885,21 @@ class TestModelRoundTrip:
 
 
 class TestReferenceModel:
-    """A model whose kernel took every third point: it keeps every third
-    residual window and weighs the query against those alone."""
+    """A model of a residual long enough for stride 3, under a cap of
+    ``STRIDE_3_CAP``, whose kernel took every third point too: it keeps
+    every third residual window and weighs the query against those alone."""
 
     @pytest.fixture(scope="class")
     def strided(self):
-        basis, model, s = fit_torus(515, 3, stride=3)
-        return basis, with_chaos(model), s
+        with reference_cap(STRIDE_3_CAP):
+            basis, model, s = fit_torus(515, 3, stride=3)
+            return basis, with_chaos(model), s
+
+    @pytest.fixture(autouse=True)
+    def stride_3(self, monkeypatch):
+        # a model built or read here, as replace and load_model build one,
+        # and its stride, take the same stride as the fixture's
+        monkeypatch.setattr(kernel, "REFERENCE_CAP", STRIDE_3_CAP)
 
     def test_in_sample_recalls_the_successors(self, strided):
         # at a bandwidth 1e-3 of the smallest squared distance between kept
@@ -891,8 +921,6 @@ class TestReferenceModel:
         np.testing.assert_array_equal(model.rows[:-1].T,
                                       model.residual.values[W::3])
         np.testing.assert_array_equal(model.rows[-1], np.ones(170))
-        with pytest.raises(DataError, match="stride 0"):
-            replace(model, stride=0)
 
     def test_free_run_within_the_bound(self, strided):
         _, model, s = strided

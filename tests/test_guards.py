@@ -136,6 +136,11 @@ GUARDS = {
     "kernel_not_an_embedding": (
         lambda c: kernel.gaussian_kernel(c["emb"].points, 1.0),
         DataError, "expected a DelayEmbedding, got ndarray"),
+    # an infinite bandwidth weighs every pair alike: the eigenvalues collapse
+    "kernel_inf_epsilon": (
+        lambda c: kernel.gaussian_kernel(c["emb"], np.inf),
+        DataError, r"epsilon must be positive and finite \(or 0 to derive "
+                   r"it\), got inf"),
     "kernel_empty_embedding": (
         lambda c: kernel.gaussian_kernel(series.DelayEmbedding(
             np.zeros((0, 82))), 1.0),

@@ -203,9 +203,10 @@ class TestDecompose:
         assert np.array_equal(a.Phi, b.Phi)
 
     def test_lambda_floor_error(self):
-        # tightly clustered points at huge bandwidth: rank collapses
+        # tightly clustered points at huge bandwidth: rank collapses, and a
+        # smaller bandwidth is the way out
         pts = np.random.default_rng(3).standard_normal((50, 3)) * 1e-3
-        with pytest.raises(NumericalError, match="increase epsilon or decrease L"):
+        with pytest.raises(NumericalError, match="decrease epsilon or L"):
             decompose(embed_points(pts), 1e3, 10)
 
     def test_bad_L(self):
