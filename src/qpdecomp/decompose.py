@@ -1,6 +1,6 @@
-"""Fit the periodic component by projecting onto the selected DFT bins, fit
-the driven dynamics as a kernel average of residual successors, and run the
-standalone reconstruction system.
+"""Fit the periodic component by least squares on the selected frequencies,
+fit the driven dynamics as a kernel average of residual successors, and run
+the standalone reconstruction system.
 
 Time convention: every time is on the input's own clock, in seconds, and
 the periodic component is ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j]
@@ -10,14 +10,17 @@ model and out of it: :func:`fit_periodic` returns its residual as a series
 on the fit rows' clock, and :func:`reconstruct` starts from a sample of a
 series and places the run by that series' timestamps, through
 :func:`residual_windows`, the one place where a series meets a model and
-is checked against it.  The selected frequencies are DFT bins
-of the N rows being fitted, so the least-squares fit is an orthogonal
-projection onto those bins: one rFFT of the rows, the selected bins kept,
-and the Nyquist bin of even N halved, since the factor 2 counts a
-conjugate pair and that bin is its own conjugate.  Rows 0 (the zero
-frequency) and Nyquist are real.  The fitted rows, the in-sample
-reconstruction and the free run all take g_per from
-:func:`evaluate_harmonics` on a uniform time grid.
+is checked against it.  The frequencies may be any finite, strictly
+increasing ones within [0, pi/dt] (:func:`check_frequencies`), and the fit
+is least squares on their cosine and sine columns, solved by conjugate
+gradients with :func:`evaluate_harmonics` as the operator.  On DFT bins of
+the N fit rows, as :func:`freqfilter.select` returns them, the columns are
+orthogonal, and the conjugate gradients' start, the projection, is the
+answer: the rFFT of the rows at the selected bins over N, halved at the
+Nyquist bin of even N, since the factor 2 counts a conjugate pair and that
+bin is its own conjugate.  The coefficients at the zero frequency and at
+pi/dt are real.  The fitted rows, the in-sample reconstruction and the free
+run all take g_per from :func:`evaluate_harmonics` on a uniform time grid.
 
 The driven dynamics live in the residual r = y - g_per of the fit rows.  A
 window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
@@ -45,7 +48,6 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError, check_memory, reading
-from .freqfilter import FrequencySelection
 from .kernel import reference_stride
 from .series import TimeSeries, delay_embed, same_step
 
@@ -67,6 +69,13 @@ HELD_OUT = 0.15
 # normal float, some 1e-304 against the nearest window's weight 1, so no
 # average moves, and numpy's exp is slow on results that underflow.
 _LOG_WEIGHT_FLOOR = -700.0
+# The harmonic fit stops a channel when its preconditioned gradient falls to
+# _CG_TOL of the norm of its rows, and fails past _CG_ITERATIONS iterations.
+_CG_TOL = 1e-12
+_CG_ITERATIONS = 200
+# A frequency within this relative distance of pi/dt is the top one: its
+# sine column vanishes on the samples, and its coefficient is real.
+_TOP_RTOL = 1e-12
 # A free run that starts more than this many training spans (n * dt) from
 # the first fitted row warns: its input is most likely stamped on another
 # clock (epoch seconds against 0 s), where g_per has a phase the data never
@@ -85,27 +94,29 @@ class QPModel:
     samples that has a successor is kept, the stride being
     :func:`kernel.reference_stride` of n, whatever the kernel took (a rule
     of the code, like ``CHAOS_DELAYS``: changing it bumps ``MODEL_FORMAT``):
-    ``windows`` (one row per kept window, embedding layout), ``sq``, their
-    squared norms, and ``rows``, the C-ordered ``[successors^T; 1]`` of
-    :func:`kernel_average`, are derived.  ``epsilon`` is the map's
-    bandwidth.  Other shapes, a non-finite entry of ``omegas`` or ``A``, a
-    zero-frequency coefficient that is not real, a residual too short for
-    one window and its successor or an ``epsilon`` that is not positive and
-    finite are a :class:`DataError`.
+    ``stride``, ``windows`` (one row per kept window, embedding layout),
+    ``sq``, their squared norms, and ``rows``, the C-ordered
+    ``[successors^T; 1]`` of :func:`kernel_average`, are derived once, when
+    the model is built.  ``epsilon`` is the map's bandwidth.  Other shapes,
+    ``omegas`` that fail :func:`check_frequencies` on the residual's step, a
+    non-finite entry of ``A``, a zero-frequency coefficient that is not
+    real, a residual too short for one window and its successor or an
+    ``epsilon`` that is not positive and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
     A: np.ndarray
     residual: TimeSeries
     epsilon: float
+    stride: int = field(init=False, repr=False)
     windows: np.ndarray = field(init=False, repr=False)
     sq: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omegas, n, k, s = self.omegas, self.n, self.k, self.stride
-        if omegas.ndim != 1 or not np.isfinite(omegas).all():
-            raise DataError("model frequencies must be a finite vector")
+        omegas = check_frequencies(self.omegas, self.dt, "model frequency")
+        n, k, s = self.n, self.k, reference_stride(self.n)
+        object.__setattr__(self, "stride", s)
         if self.A.shape != (len(omegas), k):
             raise DataError(f"model A {self.A.shape} does not match "
                             f"{len(omegas)} frequencies and {k} channels")
@@ -133,11 +144,6 @@ class QPModel:
         return self.residual.dt
 
     @property
-    def stride(self) -> int:
-        """Every stride-th residual window is kept."""
-        return reference_stride(self.n)
-
-    @property
     def n(self) -> int:
         """Number of training residual rows."""
         return self.residual.n
@@ -147,62 +153,157 @@ class QPModel:
         return self.residual.k
 
 
-def fit_periodic(rows: TimeSeries, selection: FrequencySelection):
-    """Least-squares harmonic fit of the series ``rows`` on the selected DFT
-    bins: ``(A, residual)``.
+def check_frequencies(omegas, dt, what="frequency") -> np.ndarray:
+    """``omegas`` as a float vector, checked: each finite, in strictly
+    increasing order, within ``[0, pi/dt]`` (the top within a relative
+    ``_TOP_RTOL``, which takes a Nyquist bin however its rounding falls).
+    Any other vector is a :class:`DataError` that names the entry ``what``
+    ``j``."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1:
+        raise DataError(f"{what} values must be a vector, not shape "
+                        f"{omegas.shape}")
+    bad = np.flatnonzero(~np.isfinite(omegas))
+    if bad.size:
+        raise DataError(f"{what} {bad[0]} is {omegas[bad[0]]}, not finite")
+    top = np.pi / dt
+    bad = np.flatnonzero((omegas < 0.0) | (omegas > top * (1.0 + _TOP_RTOL)))
+    if bad.size:
+        raise DataError(f"{what} {bad[0]} at {omegas[bad[0]]:.6g} rad/s lies "
+                        f"outside [0, pi/dt] = [0, {top:.6g}] rad/s")
+    bad = np.flatnonzero(np.diff(omegas) <= 0.0)
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"{what} {j + 1} at {omegas[j + 1]:.6g} rad/s is not "
+                        f"above {what} {j} at {omegas[j]:.6g} rad/s; the "
+                        f"frequencies must be strictly increasing")
+    return omegas
 
-    The selected frequencies are bins ``omega_j = 2*pi*j / (N*dt)`` of the
-    N-row grid the fit uses, so the cos/sin columns are orthogonal and the
-    least-squares fit is the orthogonal projection onto those bins:
-    ``A_j = rfft(rows)[j] / N`` (m x k), halved at the Nyquist bin of even
-    N, with its phase referred to the first row.  The residual is ``rows``
-    less these harmonics, evaluated at the row offsets ``r*dt`` by
-    :func:`evaluate_harmonics`, on the same clock: its t0, that of the
-    first row, is A's phase reference.
 
-    Parameters
-    ----------
-    rows : TimeSeries
-        The N rows to fit, on their own step and clock.
-    selection : FrequencySelection
-        Bins of this N-row grid, as :func:`freqfilter.select` returns them
-        for a basis on the same rows.
+def fit_periodic(rows: TimeSeries, omegas):
+    """Least-squares harmonic fit of the series ``rows`` on the frequencies
+    ``omegas``: ``(A, residual)``.
+
+    The N rows at their offsets ``t = r*dt`` from the first row are fitted
+    on the columns ``[1, cos omega_j t, -sin omega_j t]``, whose real
+    coefficients are ``(2 - delta_{j,1}) (Re A_j, Im A_j)``; at omega = 0
+    and pi/dt the sine column vanishes on the samples and A_j is real.  The
+    normal equations are solved without forming them by conjugate gradients
+    (Hestenes & Stiefel, J. Res. NBS 1952; in the least-squares form of
+    Paige & Saunders, ACM TOMS 1982): the operator is
+    :func:`evaluate_harmonics`, its adjoint ``(2 - delta_{j,1}) sum_r
+    exp(-i omega_j t_r) r_r`` runs over the same table of step phases, and
+    the preconditioner is the diagonal that the DFT grid gives,
+    ``(2 - delta_{j,1})^2 N / 2``, twice that at the real frequencies.  The
+    start is that diagonal's projection, which on DFT bins
+    ``2*pi*j / (N*dt)``, whose columns are orthogonal, is the answer,
+    ``rfft(rows)[j] / N`` (halved at the Nyquist bin).  A channel stops
+    when its gradient, in the preconditioner's norm, falls to ``_CG_TOL``
+    of the norm of its rows, checked again on the true residual, which is
+    returned: ``rows`` less :func:`evaluate_harmonics` of A at the row
+    offsets, on the same clock, so its t0 is A's phase reference.
 
     Raises
     ------
     DataError
-        A selected bin lies outside 0..N//2 or its frequency is not
-        ``2*pi*j / (N*dt)``, naming the bin.
+        ``omegas`` fails :func:`check_frequencies`, naming the entry, or
+        holds more real unknowns than the N rows.
+    NumericalError
+        A channel has not converged after ``_CG_ITERATIONS`` iterations,
+        naming the closest pair of frequencies against the grid spacing
+        ``2*pi / (N*dt)``.
     """
     n, dt = rows.n, rows.dt
-    idx = np.asarray(selection.indices)
-    omegas = np.asarray(selection.omegas, dtype=float)
-    on_grid = (idx >= 0) & (idx <= n // 2)
-    on_grid &= np.isclose(omegas, 2.0 * np.pi * idx / (n * dt), rtol=1e-9,
-                          atol=0.0)
-    if not on_grid.all():
-        bad = int(np.argmin(on_grid))
-        raise DataError(
-            f"selected bin {idx[bad]} at {omegas[bad]:.6g} rad/s is not a DFT "
-            f"bin of the {n}-row fit grid at dt={dt} (bins 0..{n // 2} at "
-            f"2*pi*j/(N*dt)); select frequencies from a basis on these rows"
-        )
-    A = np.fft.rfft(rows.values, axis=0)[idx] / n
-    if n % 2 == 0:
-        A[idx == n // 2] /= 2.0
-    fitted = evaluate_harmonics(A, omegas, 0.0, dt, n)
-    return A, replace(rows, values=rows.values - fitted)
+    omegas = check_frequencies(omegas, dt)
+    real = (omegas == 0.0) | np.isclose(omegas * dt, np.pi, rtol=_TOP_RTOL,
+                                        atol=0.0)
+    unknowns = 2 * len(omegas) - int(real.sum())
+    if unknowns > n:
+        raise DataError(f"{len(omegas)} frequencies hold {unknowns} real "
+                        f"unknowns, more than the {n} rows to fit")
+    y = rows.values
+    steps = _step_phases(omegas, dt, n)
+    conj = steps.conj()
+    weights = np.where(omegas == 0.0, 1.0, 2.0)
+    diag = (n * weights ** 2 * np.where(real, 1.0, 0.5))[:, None]
+
+    def apply(A):
+        return evaluate_harmonics(A, omegas, 0.0, dt, n, steps)
+
+    def adjoint(r):
+        g = np.zeros((len(omegas), r.shape[1]), dtype=complex)
+        for i in range(0, n, _BLOCK_ROWS):
+            block = r[i:i + _BLOCK_ROWS].T @ conj[:n - i]
+            g += np.exp(-1j * omegas * (i * dt))[:, None] * block.T
+        g *= weights[:, None]
+        g.imag[real] = 0.0
+        return g
+
+    def dot(a, b):
+        return np.einsum("jc,jc->c", a.conj(), b).real
+
+    A = adjoint(y) / diag
+    floor = _CG_TOL ** 2 * np.einsum("rc,rc->c", y, y)
+    it = 0
+    while True:
+        # the true residual: the recursion's drifts from it
+        r = y - apply(A)
+        g = adjoint(r)
+        z = g / diag
+        gamma = dot(g, z)
+        active = gamma > floor
+        if not active.any():
+            return A, replace(rows, values=r)
+        p = z
+        while active.any():
+            if it == _CG_ITERATIONS:
+                raise NumericalError(_unconverged(omegas, n, dt))
+            q = apply(p)
+            alpha = np.divide(gamma, np.einsum("rc,rc->c", q, q),
+                              out=np.zeros_like(gamma), where=active)
+            A += alpha * p
+            r -= alpha * q
+            g = adjoint(r)
+            z = g / diag
+            fresh = dot(g, z)
+            active &= fresh > floor
+            beta = np.divide(fresh, gamma, out=np.zeros_like(gamma),
+                             where=active)
+            p = z + beta * p
+            gamma = fresh
+            it += 1
 
 
-def evaluate_harmonics(A, omegas, t0, dt, n):
+def _unconverged(omegas, n, dt) -> str:
+    """The message of a harmonic fit that reached ``_CG_ITERATIONS``."""
+    spacing = 2.0 * np.pi / (n * dt)
+    what = (f"the harmonic fit of {n} rows on {len(omegas)} frequencies did "
+            f"not converge in {_CG_ITERATIONS} iterations")
+    if len(omegas) < 2:
+        return what
+    j = int(np.argmin(np.diff(omegas)))
+    gap = omegas[j + 1] - omegas[j]
+    return (f"{what}: frequencies {j} and {j + 1} at {omegas[j]:.9g} and "
+            f"{omegas[j + 1]:.9g} rad/s lie {gap / spacing:.3g} grid spacings "
+            f"2*pi/(N*dt) = {spacing:.6g} rad/s apart")
+
+
+def _step_phases(omegas, dt, n):
+    """The table ``exp(i omega_j s dt)``, s < min(n, ``_BLOCK_ROWS``)."""
+    return np.exp(1j * np.outer(np.arange(min(n, _BLOCK_ROWS)) * dt, omegas))
+
+
+def evaluate_harmonics(A, omegas, t0, dt, n, steps=None):
     """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) at the n times
     ``t = t0 + r*dt``, (n, k): each block of ``_BLOCK_ROWS`` rows multiplies
-    one table of step phases ``exp(i omega_j s dt)``, s < ``_BLOCK_ROWS``, by
-    the coefficients rotated to its own start, so rounding does not grow
-    with n."""
+    one table of step phases ``exp(i omega_j s dt)``, s < ``_BLOCK_ROWS``
+    (``steps``, built here when not given), by the coefficients rotated to
+    its own start, so rounding does not grow with n.  It is the operator of
+    :func:`fit_periodic`, which passes the table its adjoint shares."""
     omegas = np.asarray(omegas, dtype=float)
     weighted = np.where(omegas == 0.0, 1.0, 2.0)[:, None] * A
-    steps = np.exp(1j * np.outer(np.arange(min(n, _BLOCK_ROWS)) * dt, omegas))
+    if steps is None:
+        steps = _step_phases(omegas, dt, n)
     out = np.empty((n, A.shape[1]))
     for i in range(0, n, _BLOCK_ROWS):
         anchor = np.exp(1j * omegas * (t0 + i * dt))

@@ -349,7 +349,7 @@ def fit(config: PipelineConfig) -> Fit:
         selection = freqfilter.select(table, eps1=config.eps1,
                                       eps2=config.eps2, L0=config.L0)
         A, residual = dc.fit_periodic(series.window(train, q, train.n),
-                                      selection)
+                                      selection.omegas)
         model = dc.fit_chaotic(selection.omegas, A, residual)
     return Fit(data, train, basis, table, selection, model)
 

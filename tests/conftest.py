@@ -28,6 +28,40 @@ def direct_harmonics(A, omegas, t):
     return ((np.exp(1j * t[:, None] * omegas[None, :]) * weights) @ A).real
 
 
+def rfft_harmonics(Y, indices):
+    """Oracle of a harmonic fit on DFT bins of the rows of Y (N, k): the
+    masked rFFT, ``A_j = rfft(Y)[j] / N`` at the bins ``indices``, halved
+    at the Nyquist bin of even N, whose single column the factor 2 of g_per
+    would count twice."""
+    n, indices = len(Y), np.asarray(indices)
+    A = np.fft.rfft(Y, axis=0)[indices] / n
+    if n % 2 == 0:
+        A[indices == n // 2] /= 2.0
+    return A
+
+
+def lstsq_harmonics(Y, omegas, dt):
+    """Oracle of a harmonic fit on any frequencies: dense ``lstsq`` of the
+    rows of Y (N, k) at their offsets ``t = r*dt`` on the columns
+    ``[1, cos omega t, -sin omega t]``, one column at omega = 0 and pi/dt,
+    whose sine vanishes, and the coefficients mapped to ``A_j``, the cosine
+    and sine coefficients over ``2 - delta_{j,1}``."""
+    t = np.arange(len(Y)) * dt
+    cols, slots = [], []
+    for j, om in enumerate(omegas):
+        if om == 0.0 or np.isclose(om * dt, np.pi, rtol=1e-12, atol=0.0):
+            cols.append(np.cos(om * t))
+            slots.append((j, 1.0 if om == 0.0 else 0.5))
+        else:
+            cols += [np.cos(om * t), -np.sin(om * t)]
+            slots += [(j, 0.5), (j, 0.5j)]
+    coef = np.linalg.lstsq(np.stack(cols, axis=1), Y, rcond=None)[0]
+    A = np.zeros((len(omegas), Y.shape[1]), dtype=complex)
+    for (j, scale), c in zip(slots, coef):
+        A[j] += scale * c
+    return A
+
+
 def masked_irfft(Y, indices):
     """Oracle of a harmonic fit on DFT bins of the rows of Y (N, k): the
     inverse rFFT of the spectrum of Y with only the bins ``indices`` kept."""

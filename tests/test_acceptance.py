@@ -70,7 +70,7 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
 def fit_model(run):
     sim, selection = run["sim"], run["selection"]
     A, residual = dc.fit_periodic(window(sim.series, Q, sim.series.n),
-                                  selection)
+                                  selection.omegas)
     return dc.fit_chaotic(selection.omegas, A, residual)
 
 
@@ -233,27 +233,19 @@ class TestCriterion5DecompositionExactness:
                           "bandwidth goes to 0)"):
             from dataclasses import replace
 
-            from qpdecomp.freqfilter import FrequencySelection
             from conftest import project, synthesize
 
             rng = np.random.default_rng(3)
             n, dt = 256, 1.0
             y = rng.standard_normal((n, 2))
             omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-            sel = FrequencySelection(
-                indices=np.arange(len(omegas)), omegas=omegas,
-                amplitudes=np.ones(len(omegas)),
-                growth=np.zeros(len(omegas)), L0=5)
-            _, r_all = dc.fit_periodic(TimeSeries(y, dt=dt), sel)
+            _, r_all = dc.fit_periodic(TimeSeries(y, dt=dt), omegas)
             assert np.abs(r_all.values).max() <= 1e-8
 
-            few = FrequencySelection(
-                indices=np.arange(4), omegas=omegas[:4].copy(),
-                amplitudes=np.ones(4), growth=np.zeros(4), L0=2)
-            _, r_few = dc.fit_periodic(TimeSeries(y, dt=dt), few)
+            _, r_few = dc.fit_periodic(TimeSeries(y, dt=dt), omegas[:4])
             t = np.arange(n) * dt
             cols = [np.ones(n)]
-            for om in few.omegas[1:]:
+            for om in omegas[1:4]:
                 cols += [np.cos(om * t), np.sin(om * t)]
             G = np.stack(cols, 1)
             assert np.abs(G.T @ r_few.values).max() <= 1e-8

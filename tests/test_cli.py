@@ -17,6 +17,8 @@ from qpdecomp.cli import main
 from qpdecomp.decompose import load_model, training_data_hash
 from qpdecomp.series import TimeSeries, load_csv
 
+from conftest import lstsq_harmonics
+
 SRC = str(Path(qpdecomp.__file__).resolve().parents[1])
 
 
@@ -222,6 +224,14 @@ def residual_of_rows(n):
     return edit
 
 
+def zero_frequency_last(arrays):
+    """An edit of the saved arrays to the frequencies ``[omega, 0]``, with
+    a complex coefficient at the zero."""
+    om, A = arrays["omegas"], arrays["A"]
+    return {**arrays, "omegas": np.array([om[1], 0.0]),
+            "A": np.stack([A[1], A[0] + 1j])}
+
+
 def npz_bytes(arrays):
     buf = io.BytesIO()
     np.savez(buf, **arrays)
@@ -246,6 +256,12 @@ def bad_models():
                         r"frequencies and 3 channels"),
         "A0_imag": (with_array("A", lambda a: a + 1j),
                     "model zero-frequency coefficient is not real"),
+        # the zero frequency last, where a check of omegas[0] alone would
+        # pass its complex coefficient
+        "zero_frequency_last": (zero_frequency_last, re.escape(
+            "model frequency 1 at 0 rad/s is not above model frequency 0 "
+            "at ") + r".+ rad/s; the frequencies must be strictly "
+            r"increasing"),
         "epsilon_zero": (with_array("epsilon", lambda a: 0.0 * a),
                          "model epsilon 0.0 is not positive and finite"),
         "train_values_edited": (with_array("train_values", lambda a: a + 1),
@@ -478,8 +494,9 @@ def model_file(fitted_run):
 class TestDecomposeReconstructPredict:
 
     def test_off_grid_selection_exit_code(self, synth_csv, tmp_path,
-                                          monkeypatch, capsys):
-        # a selection whose top bin is nudged off the fit grid is a DataError
+                                          monkeypatch):
+        # a selection whose top bin is nudged off the fit grid fits, and its
+        # A is dense least squares' on the fit rows
         import dataclasses
 
         from qpdecomp import freqfilter
@@ -493,9 +510,13 @@ class TestDecomposeReconstructPredict:
             return dataclasses.replace(sel, omegas=omegas)
 
         monkeypatch.setattr(freqfilter, "select", nudged)
+        model = tmp_path / "m.npz"
         assert run_cli(command_args("decompose", synth_csv[0], None,
-                                    tmp_path / "m.npz")) == 3
-        assert "not a DFT bin" in capsys.readouterr().err
+                                    model)) == 0
+        model = load_model(model)
+        rows = load_csv(synth_csv[0]).values[6:600]
+        lstsq = lstsq_harmonics(rows, model.omegas, model.dt)
+        assert np.abs(model.A - lstsq).max() <= 1e-12
 
     def test_reconstruct_modes(self, fitted_run):
         # run writes the in-sample reconstruction that `reconstruct` wrote

@@ -35,14 +35,17 @@ from qpdecomp.decompose import (
     residual_windows,
     save_model,
 )
-from qpdecomp.freqfilter import FrequencySelection, rkhs_norm_table, select
+from qpdecomp.freqfilter import rkhs_norm_table, select
 from qpdecomp.spectral import decompose
+from qpdecomp.synth import simulate, standard_testbed
 
 from conftest import (
     direct_harmonics,
+    lstsq_harmonics,
     masked_irfft,
     pair_quantile,
     project,
+    rfft_harmonics,
     synthesize,
     torus_series,
 )
@@ -50,23 +53,10 @@ from conftest import (
 TWO_PI = 2 * np.pi
 
 
-def make_selection(omegas, n, dt):
-    """Selection of the given frequencies, filed under their nearest DFT bin
-    of the n-row grid at step dt (so an off-grid frequency stays off-grid)."""
-    omegas = np.asarray(omegas, dtype=float)
-    return FrequencySelection(
-        indices=np.rint(omegas * n * dt / TWO_PI).astype(int),
-        omegas=omegas,
-        amplitudes=np.ones(len(omegas)),
-        growth=np.zeros(len(omegas)),
-        L0=2,
-    )
-
-
-def fit_rows(y, sel, dt):
+def fit_rows(y, omegas, dt):
     """:func:`fit_periodic` of the rows y at step dt: A and the residual's
     values."""
-    A, residual = fit_periodic(TimeSeries(y, dt=dt), sel)
+    A, residual = fit_periodic(TimeSeries(y, dt=dt), omegas)
     return A, residual.values
 
 
@@ -122,7 +112,7 @@ STRIDE_3_CAP = 171
 @contextlib.contextmanager
 def reference_cap(cap):
     """A context in which ``kernel.REFERENCE_CAP`` is ``cap``: a model built
-    or read there, and its ``stride``, derive the stride from it."""
+    there derives its ``stride`` from it, and keeps that stride."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "REFERENCE_CAP", cap)
         yield
@@ -198,7 +188,7 @@ def fit_torus(n, q, stride=1):
     basis = decompose(emb, eps, 40, stride)
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
-    A, residual = fit_periodic(window(s, q, s.n), sel)
+    A, residual = fit_periodic(window(s, q, s.n), sel.omegas)
     model = fit_chaotic(sel.omegas, A, residual)
     return basis, model, s
 
@@ -237,11 +227,10 @@ def chaos_model(torus_model):
 
 class TestFitPeriodic:
     def test_constant_fit(self):
-        sel = make_selection([0.0], 50, 1.0)
         y = np.full((50, 2), 4.25)
-        A, residual = fit_rows(y, sel, 1.0)
+        A, residual = fit_rows(y, [0.0], 1.0)
         np.testing.assert_allclose(A[0].real, [4.25, 4.25], atol=1e-12)
-        assert np.abs(A[0].imag).max() <= 1e-12
+        assert not A[0].imag.any()
         assert np.abs(residual).max() <= 1e-10
 
     def test_known_amplitude_and_phase(self):
@@ -250,8 +239,7 @@ class TestFitPeriodic:
         omega = TWO_PI * 10 / n
         t = np.arange(n) * dt
         y = (3.0 * np.cos(omega * t) + 4.0 * np.sin(omega * t))[:, None]
-        sel = make_selection([0.0, omega], n, dt)
-        A, residual = fit_rows(y, sel, dt)
+        A, residual = fit_rows(y, [0.0, omega], dt)
         assert np.abs(residual).max() <= 1e-9
         amp = 2.0 * np.abs(A[1, 0])
         phase = np.arctan2(-A[1, 0].imag, A[1, 0].real)
@@ -259,58 +247,100 @@ class TestFitPeriodic:
         np.testing.assert_allclose(phase, np.arctan2(4.0, 3.0), rtol=1e-10)
 
     def test_residual_orthogonality_normal_equations(self):
-        # normal-equations oracle: design^T residual = 0 at the optimum
+        # normal-equations oracle: design^T residual = 0 at the optimum, on
+        # DFT bins and between them
         rng = np.random.default_rng(0)
         n, dt = 200, 0.5
-        omegas = TWO_PI * np.array([0, 2, 5, 9]) / (n * dt)
-        sel = make_selection(omegas, n, dt)
         y = rng.standard_normal((n, 3))
-        _, residual = fit_rows(y, sel, dt)
         t = np.arange(n) * dt
-        cols = [np.ones(n)]
-        for om in omegas[1:]:
-            cols += [np.cos(om * t), np.sin(om * t)]
-        G = np.stack(cols, 1)
-        assert np.abs(G.T @ residual).max() <= 1e-8
+        for bins in ([0, 2, 5, 9], [0, 2.3, 5.5, 6.7, 9.1]):
+            omegas = TWO_PI * np.array(bins) / (n * dt)
+            _, residual = fit_rows(y, omegas, dt)
+            cols = [np.ones(n)]
+            for om in omegas[1:]:
+                cols += [np.cos(om * t), np.sin(om * t)]
+            G = np.stack(cols, 1)
+            assert np.abs(G.T @ residual).max() <= 1e-8
 
     def test_duplicate_bins_error_names_frequencies(self):
-        # a near-duplicate of bin 2 lands off the grid and is named; an
-        # exactly repeated bin cannot be built at all
+        # an exactly repeated bin is named by its two entries; a copy of bin
+        # 2 nudged by 1e-6 of a bin has the least-squares answer, but one
+        # whose coefficients cancel past the stopping rule's reach
         n, dt = 40, 1.0
-        omegas = TWO_PI * np.array([0.0, 2.0, 2.0 + 1e-6]) / (n * dt)
-        with pytest.raises(DataError, match="strictly increasing"):
-            make_selection(omegas, n, dt)
-        sel = make_selection(omegas[:2], n, dt)
-        near = FrequencySelection(indices=np.array([0, 2, 3]), omegas=omegas,
-                                  amplitudes=np.ones(3), growth=np.zeros(3),
-                                  L0=sel.L0)
-        with pytest.raises(DataError, match=r"bin 3 at 0\.314159"):
-            fit_periodic(TimeSeries(np.zeros((n, 1)), dt=dt), near)
+        y = np.random.default_rng(5).standard_normal((n, 1))
+        omegas = TWO_PI * np.array([0.0, 2.0, 2.0]) / (n * dt)
+        with pytest.raises(DataError, match=r"frequency 2 at 0\.314159 rad/s "
+                                            r"is not above frequency 1 at "
+                                            r"0\.314159 rad/s"):
+            fit_rows(y, omegas, dt)
+        omegas[2] = TWO_PI * (2.0 + 1e-6) / (n * dt)
+        with pytest.raises(NumericalError, match=r"frequencies 1 and 2 at "
+                                                 r"0\.314159265 and "
+                                                 r"0\.314159422 rad/s lie "
+                                                 r"1e-06 grid spacings"):
+            fit_rows(y, omegas, dt)
 
     def test_aliased_bins_error(self):
         # omega and 2*pi/dt - omega fold onto the same sampled harmonic; the
-        # folded copy is a bin beyond N//2 and is rejected
+        # folded copy lies above pi/dt and is rejected
         n, dt = 40, 1.0
-        sel = make_selection([0.0, TWO_PI * 3 / n, TWO_PI * 37 / n], n, dt)
-        with pytest.raises(DataError, match="bin 37 .*bins 0..20"):
-            fit_periodic(TimeSeries(np.zeros((n, 1)), dt=dt), sel)
+        omegas = [0.0, TWO_PI * 3 / n, TWO_PI * 37 / n]
+        with pytest.raises(DataError, match=r"frequency 2 at 5\.81195 rad/s "
+                                            r"lies outside \[0, pi/dt\] = "
+                                            r"\[0, 3\.14159\] rad/s"):
+            fit_rows(np.zeros((n, 1)), omegas, dt)
 
     def test_nyquist_bin_gets_single_column(self):
+        # the sine column vanishes at pi/dt, however the bin's rounding
+        # falls, so its coefficient is real, as is the mean's
         n, dt = 64, 1.0
-        omega_nyq = np.pi / dt
         t = np.arange(n) * dt
-        y = (1.5 + 2.0 * np.cos(omega_nyq * t))[:, None]
-        sel = make_selection([0.0, omega_nyq], n, dt)
-        A, residual = fit_rows(y, sel, dt)
-        assert np.abs(residual).max() <= 1e-9
-        recon = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
-        np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
+        y = (1.5 + 2.0 * np.cos(np.pi * t))[:, None]
+        for omega_nyq in (np.pi, TWO_PI * 32 / 64, np.nextafter(np.pi, 4.0)):
+            A, residual = fit_rows(y, [0.0, omega_nyq], dt)
+            assert not A.imag.any()
+            np.testing.assert_allclose(A[:, 0].real, [1.5, 1.0], rtol=1e-12)
+            assert np.abs(residual).max() <= 1e-9
+            recon = evaluate_harmonics(A, [0.0, omega_nyq], 0.0, dt, n)
+            np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
 
     def test_too_few_rows(self):
-        # bins chosen on a 200-row grid do not exist on 5 rows
-        sel = make_selection(TWO_PI * np.array([0, 10, 40, 80]) / 200, 200, 1.0)
-        with pytest.raises(DataError, match="5-row"):
-            fit_periodic(TimeSeries(np.zeros((5, 1)), dt=1.0), sel)
+        # bins chosen on a 200-row grid hold 7 real unknowns: 7 rows take
+        # them, exactly, and 5 rows cannot
+        omegas = TWO_PI * np.array([0, 10, 40, 80]) / 200
+        y = np.random.default_rng(6).standard_normal((7, 2))
+        _, residual = fit_rows(y, omegas, 1.0)
+        assert np.abs(residual).max() <= 1e-9
+        with pytest.raises(DataError, match="4 frequencies hold 7 real "
+                                            "unknowns, more than the 5 rows"):
+            fit_rows(y[:5], omegas, 1.0)
+
+    @pytest.mark.parametrize("omegas, error, message", [
+        pytest.param([0.0, np.nan, 1.0], DataError, r"frequency 1 is nan, "
+                     r"not finite", id="non-finite"),
+        pytest.param([-0.1, 1.0], DataError, r"frequency 0 at -0\.1 rad/s "
+                     r"lies outside \[0, pi/dt\]", id="negative"),
+        pytest.param([0.0, 1.0, 3.2], DataError, r"frequency 2 at 3\.2 rad/s "
+                     r"lies outside \[0, pi/dt\] = \[0, 3\.14159\]",
+                     id="above-pi-over-dt"),
+        pytest.param([0.0, 2.0, 1.0], DataError, r"frequency 2 at 1 rad/s is "
+                     r"not above frequency 1 at 2 rad/s; the frequencies "
+                     r"must be strictly increasing",
+                     id="not-increasing"),
+        pytest.param(TWO_PI * np.arange(11) / 40 + 0.01, DataError,
+                     r"11 frequencies hold 22 real unknowns, more than the "
+                     r"20 rows", id="more-unknowns-than-rows"),
+        pytest.param([0.0, 1.0, 1.0 + 1e-9], NumericalError,
+                     r"the harmonic fit of 20 rows on 3 frequencies did not "
+                     r"converge in 200 iterations: frequencies 1 and 2 at 1 "
+                     r"and 1 rad/s lie 3\.18e-09 grid spacings "
+                     r"2\*pi/\(N\*dt\) = 0\.314159 rad/s apart",
+                     id="near-duplicate-reaches-the-cap"),
+    ])
+    def test_input_contract(self, omegas, error, message):
+        y = np.random.default_rng(7).standard_normal((20, 2))
+        with pytest.raises(error, match=message):
+            fit_rows(y, omegas, 1.0)
 
     def test_full_bin_lattice_reproduces_exactly(self):
         # inverse-DFT property: harmonic regression on all bins 0..N/2 is exact
@@ -318,10 +348,9 @@ class TestFitPeriodic:
         n, dt = 256, 2.0
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-        sel = make_selection(omegas, n, dt)
-        A, residual = fit_rows(y, sel, dt)
+        A, residual = fit_rows(y, omegas, dt)
         assert np.abs(residual).max() <= 1e-8
-        recon = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
+        recon = evaluate_harmonics(A, omegas, 0.0, dt, n)
         assert np.abs(recon - y).max() <= 1e-8
 
     @pytest.mark.parametrize("n, dt, bins, t0", [
@@ -336,19 +365,36 @@ class TestFitPeriodic:
         # A_j exp(-i omega_j t0)
         rng = np.random.default_rng(n)
         y = rng.standard_normal((n, 2))
-        sel = make_selection(TWO_PI * np.asarray(bins) / (n * dt), n, dt)
-        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=t0), sel)
+        omegas = TWO_PI * np.asarray(bins) / (n * dt)
+        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=t0), omegas)
         assert (residual.t0, residual.dt) == (t0, dt)
-        fitted = evaluate_harmonics(A, sel.omegas, 0.0, dt, n)
-        A_qr, fitted_qr = qr_fit(y, sel.omegas, dt, t0=t0)
+        fitted = evaluate_harmonics(A, omegas, 0.0, dt, n)
+        A_qr, fitted_qr = qr_fit(y, omegas, dt, t0=t0)
         scale = np.abs(y).max()
-        rotated = A * np.exp(-1j * sel.omegas * t0)[:, None]
+        rotated = A * np.exp(-1j * omegas * t0)[:, None]
         assert np.abs(rotated - A_qr).max() <= 1e-12 * scale
         assert np.abs(fitted - fitted_qr).max() <= 1e-12 * scale
-        # the fitted rows are the masked inverse rFFT of the rows
-        oracle = masked_irfft(y, sel.indices)
-        assert np.abs(fitted - oracle).max() <= 1e-12 * scale
+        # on DFT bins the fit is the masked rFFT of the rows
+        assert np.abs(A - rfft_harmonics(y, bins)).max() <= 1e-12 * scale
+        assert np.abs(fitted - masked_irfft(y, bins)).max() <= 1e-12 * scale
         np.testing.assert_array_equal(residual.values, y - fitted)
+
+    def test_off_grid_lattice_matches_lstsq(self):
+        # pure_torus_2 at 4000 samples, whose drivers fall between the bins
+        # of 4000 rows: on its lattice frequencies |a| + |b| <= 3 the fit
+        # leaves rounding noise, and A is dense least squares'
+        system = standard_testbed("pure_torus_2")
+        y = simulate(system, 4000, 1.0).series
+        w1, w2 = system.driver.omega
+        omegas = np.unique([a * w1 + b * w2 for a in range(-3, 4)
+                            for b in range(-3, 4)
+                            if abs(a) + abs(b) <= 3 and a * w1 + b * w2 >= 0])
+        A, residual = fit_periodic(y, omegas)
+        assert np.sqrt(np.mean(residual.values ** 2)) <= 1e-10
+        assert np.abs(A - lstsq_harmonics(y.values, omegas, 1.0)).max() <= 1e-12
+        np.testing.assert_array_equal(
+            residual.values,
+            y.values - evaluate_harmonics(A, omegas, 0.0, 1.0, 4000))
 
 
 class TestFitChaotic:
@@ -442,10 +488,9 @@ class TestFitChaotic:
 
 class TestEvalPeriodic:
     def test_constant_model(self):
-        sel = make_selection([0.0], 20, 1.0)
-        A, _ = fit_rows(np.full((20, 1), 2.5), sel, 1.0)
+        A, _ = fit_rows(np.full((20, 1), 2.5), [0.0], 1.0)
         for t0, dt, n in ((0.0, 17.3, 2), (1e6, 1.0, 1)):
-            model_eval = evaluate_harmonics(A, sel.omegas, t0, dt, n)
+            model_eval = evaluate_harmonics(A, [0.0], t0, dt, n)
             np.testing.assert_allclose(model_eval, 2.5)
 
     def test_bin_lattice_periodicity(self):
@@ -454,7 +499,7 @@ class TestEvalPeriodic:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((n, 1))
         omegas = TWO_PI * np.array([0, 3, 7, 20]) / (n * dt)
-        A, _ = fit_rows(y, make_selection(omegas, n, dt), dt)
+        A, _ = fit_rows(y, omegas, dt)
         a, b = evaluate_harmonics(A, omegas, 0.0, n * dt, 2)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -468,8 +513,7 @@ class TestEvalPeriodic:
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.array([0, 15, 37]) / (n * dt)
         times = (5 + np.arange(n)) * dt
-        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=times[0]),
-                                   make_selection(omegas, n, dt))
+        A, residual = fit_periodic(TimeSeries(y, dt=dt, t0=times[0]), omegas)
         assert residual.t0 == times[0]
         model = QPModel(omegas, A, residual, 1.0)
         fitted = eval_periodic(model, times[0], n)
@@ -487,7 +531,7 @@ class TestEvalPeriodic:
         n_fit, dt = 150, 0.7
         y = rng.standard_normal((n_fit, 2))
         omegas = TWO_PI * np.array([0, 15, 37, 75]) / (n_fit * dt)
-        A, _ = fit_rows(y, make_selection(omegas, n_fit, dt), dt)
+        A, _ = fit_rows(y, omegas, dt)
         t0 = t0_steps * dt
         got = evaluate_harmonics(A, omegas, t0, dt, n)
         ref = direct_harmonics(A, omegas, t0 + np.arange(n) * dt)
@@ -696,10 +740,7 @@ class TestReconstruct:
         model, s = cases[case]
         steps = 800 if case == "torus" else 12
         init = window_before(model, s, W)
-        # the oracle reads the strided model's successors at its stride
-        with reference_cap(STRIDE_3_CAP if case == "strided"
-                           else kernel.REFERENCE_CAP):
-            ref = exact_reconstruct(model, init, steps, W * model.dt)
+        ref = exact_reconstruct(model, init, steps, W * model.dt)
         got = reconstruct(model, s, W, steps)
         scale = np.abs(ref).max()
         assert np.abs(got.values - ref).max() <= 1e-12 * scale
@@ -707,6 +748,17 @@ class TestReconstruct:
             # the driven part carries weight, so wrong weights would show
             chaos = ref - eval_periodic(model, W * model.dt, steps)
             assert np.abs(chaos).max() >= 0.05 * scale
+
+    def test_strided_model_keeps_its_stride_outside_the_cap(self, cases):
+        # built under a cap of STRIDE_3_CAP and read outside it, the model
+        # keeps the stride of its windows: every third one
+        model, _ = cases["strided"]
+        assert kernel.REFERENCE_CAP != STRIDE_3_CAP
+        assert model.stride == 3
+        wins = delay_embed(model.residual, CHAOS_DELAYS).points
+        np.testing.assert_array_equal(model.windows, wins[:-1:3])
+        np.testing.assert_array_equal(model.rows[:-1].T,
+                                      model.residual.values[W::3])
 
     def test_long_horizon_matches_exact_difference_oracle(self, cases):
         # the torus run contracts onto its periodic part, so the two runs
@@ -868,7 +920,7 @@ class TestModelRoundTrip:
         eps = 0.02 * pair_quantile(emb, 0.5)
         basis = decompose(emb, eps, 40)
         sel = select(rkhs_norm_table(basis, dt), eps1=0.1, eps2=2.5, L0=10)
-        A, residual = fit_periodic(window(s, q, n), sel)
+        A, residual = fit_periodic(window(s, q, n), sel.omegas)
         model = fit_chaotic(sel.omegas, A, residual)
         path = tmp_path / "model.npz"
         save_model(model, path)
@@ -897,8 +949,8 @@ class TestReferenceModel:
 
     @pytest.fixture(autouse=True)
     def stride_3(self, monkeypatch):
-        # a model built or read here, as replace and load_model build one,
-        # and its stride, take the same stride as the fixture's
+        # a model built here, as replace and load_model build one, takes
+        # the same stride as the fixture's
         monkeypatch.setattr(kernel, "REFERENCE_CAP", STRIDE_3_CAP)
 
     def test_in_sample_recalls_the_successors(self, strided):

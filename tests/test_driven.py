@@ -1,6 +1,7 @@
 """Gates for the map of the driven dynamics: the kernel average of residual
 successors, fitted through the pipeline on `synth --seed 3` testbeds with
-4096 training samples, q=20 and L0=5, and scored on channel 0."""
+4096 training samples, q=20 and L0=5, and scored on channel 0; and for the
+periodic fit on those fits' DFT bins at other L0."""
 
 import warnings
 
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from qpdecomp import decompose as dc
-from qpdecomp import pipeline, series, synth
+from qpdecomp import freqfilter, pipeline, series, synth
 from qpdecomp.cli import main as cli_main
+
+from conftest import rfft_harmonics
 
 N_TRAIN = 4096
 HELD = 1000          # one-step predictions over samples 4096..5095
@@ -57,6 +60,27 @@ def logistic(tmp_path_factory):
 @pytest.fixture(scope="module")
 def damped(tmp_path_factory):
     return fit_testbed("torus_plus_damped", tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def pure(tmp_path_factory):
+    return fit_testbed("pure_torus_2", tmp_path_factory)
+
+
+@pytest.mark.parametrize("testbed", ["pure", "logistic", "damped"])
+def test_periodic_fit_on_dft_bins_is_the_masked_rfft(testbed, request):
+    # each selection from the fit's table is a set of DFT bins of the 4076
+    # fit rows, on which the least-squares fit is the masked rFFT
+    fit = request.getfixturevalue(testbed)
+    rows = series.window(fit.train, 20, fit.train.n)
+    for L0 in (5, 20, 100):
+        with warnings.catch_warnings():
+            # some of these selections keep no frequency, or nearly all
+            warnings.simplefilter("ignore", UserWarning)
+            sel = freqfilter.select(fit.table, eps1=0.1, eps2=2.5, L0=L0)
+        A, _ = dc.fit_periodic(rows, sel.omegas)
+        oracle = rfft_harmonics(rows.values, sel.indices)
+        assert np.abs(A - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_logistic_one_step(logistic):
