@@ -197,11 +197,12 @@ def fit_periodic(rows: TimeSeries, omegas):
     ``(2 - delta_{j,1})^2 N / 2``, twice that at the real frequencies.  The
     start is that diagonal's projection, which on DFT bins
     ``2*pi*j / (N*dt)``, whose columns are orthogonal, is the answer,
-    ``rfft(rows)[j] / N`` (halved at the Nyquist bin).  A channel stops
-    when its gradient, in the preconditioner's norm, falls to ``_CG_TOL``
-    of the norm of its rows, checked again on the true residual, which is
-    returned: ``rows`` less :func:`evaluate_harmonics` of A at the row
-    offsets, on the same clock, so its t0 is A's phase reference.
+    ``rfft(rows)[j] / N`` (halved at the Nyquist bin).  Each iteration
+    takes its gradient from the true residual, not a recursion, and a
+    channel stops when that gradient, in the preconditioner's norm, falls
+    to ``_CG_TOL`` of the norm of its rows.  The residual is returned:
+    ``rows`` less :func:`evaluate_harmonics` of A at the row offsets, on
+    the same clock, so its t0 is A's phase reference.
 
     Raises
     ------
@@ -244,34 +245,23 @@ def fit_periodic(rows: TimeSeries, omegas):
 
     A = adjoint(y) / diag
     floor = _CG_TOL ** 2 * np.einsum("rc,rc->c", y, y)
-    it = 0
-    while True:
-        # the true residual: the recursion's drifts from it
+    for it in range(_CG_ITERATIONS + 1):
+        # each pass starts from the true residual, which is also returned
         r = y - apply(A)
         g = adjoint(r)
         z = g / diag
-        gamma = dot(g, z)
-        active = gamma > floor
+        fresh = dot(g, z)
+        active = fresh > floor
         if not active.any():
             return A, replace(rows, values=r)
-        p = z
-        while active.any():
-            if it == _CG_ITERATIONS:
-                raise NumericalError(_unconverged(omegas, n, dt))
-            q = apply(p)
-            alpha = np.divide(gamma, np.einsum("rc,rc->c", q, q),
-                              out=np.zeros_like(gamma), where=active)
-            A += alpha * p
-            r -= alpha * q
-            g = adjoint(r)
-            z = g / diag
-            fresh = dot(g, z)
-            active &= fresh > floor
-            beta = np.divide(fresh, gamma, out=np.zeros_like(gamma),
-                             where=active)
-            p = z + beta * p
-            gamma = fresh
-            it += 1
+        if it == _CG_ITERATIONS:
+            raise NumericalError(_unconverged(omegas, n, dt))
+        p = z if it == 0 else z + np.divide(
+            fresh, gamma, out=np.zeros_like(fresh), where=active) * p
+        q = apply(p)
+        A += np.divide(fresh, np.einsum("rc,rc->c", q, q),
+                       out=np.zeros_like(fresh), where=active) * p
+        gamma = fresh
 
 
 def _unconverged(omegas, n, dt) -> str:

@@ -171,6 +171,19 @@ GUARDS = {
             indices=np.array([1, 2]), omegas=np.array([1.0, 2.0]),
             amplitudes=np.ones(2), growth=np.zeros(2), L0=2),
         DataError, "selection must contain bin 0"),
+    # a repeated bin, or a repeated frequency under distinct bins
+    "selection_bins_not_increasing": (
+        lambda c: freqfilter.FrequencySelection(
+            indices=np.array([0, 2, 2]), omegas=np.array([0.0, 1.0, 1.1]),
+            amplitudes=np.ones(3), growth=np.zeros(3), L0=2),
+        DataError, "selected bins and frequencies must be strictly "
+                   "increasing"),
+    "selection_frequencies_not_increasing": (
+        lambda c: freqfilter.FrequencySelection(
+            indices=np.array([0, 2, 3]), omegas=np.array([0.0, 1.0, 1.0]),
+            amplitudes=np.ones(3), growth=np.zeros(3), L0=2),
+        DataError, "selected bins and frequencies must be strictly "
+                   "increasing"),
 }
 
 
