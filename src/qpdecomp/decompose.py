@@ -32,10 +32,12 @@ with w the Gaussian weights of y against them at the bandwidth that
 :func:`fit_chaotic` takes by held-out one-step error.  g_chaos is a convex
 combination of the successors, so the largest of them bounds it.
 
-g_chaos has one evaluator, :func:`eval_chaotic`, which the free run and the
-in-sample reconstruction share: :func:`log_weights` gives the scaled
-log-weights ``z = (2 P - sq) / epsilon`` of a state y, ``P = points @ y``,
-whose weights are ``exp(z - max z)``, since
+g_chaos has one evaluator, :func:`eval_chaotic`, a block loop that the
+free run (a block of one) and the in-sample reconstruction share, and one
+source of windows, :func:`residual_windows`, which gives the reconstruction
+all of its windows and the free run its first.  :func:`log_weights` gives
+the scaled log-weights ``z = (2 P - sq) / epsilon`` of a state y,
+``P = points @ y``, whose weights are ``exp(z - max z)``, since
 ``-|p_m - y|^2 / epsilon = z_m - |y|^2 / epsilon``, and
 :func:`kernel_average` takes the numerator and the weight sum together, in
 one product with the rows ``[successors^T; 1]``.
@@ -73,6 +75,9 @@ _LOG_WEIGHT_FLOOR = -700.0
 # _CG_TOL of the norm of its rows, and fails past _CG_ITERATIONS iterations.
 _CG_TOL = 1e-12
 _CG_ITERATIONS = 200
+# It warns when a channel's coefficients carry over _ENERGY_RATIO times the
+# energy of its rows, which on DFT bins is at most once (Bessel).
+_ENERGY_RATIO = 10.0
 # A frequency within this relative distance of pi/dt is the top one: its
 # sine column vanishes on the samples, and its coefficient is real.
 _TOP_RTOL = 1e-12
@@ -202,7 +207,10 @@ def fit_periodic(rows: TimeSeries, omegas):
     channel stops when that gradient, in the preconditioner's norm, falls
     to ``_CG_TOL`` of the norm of its rows.  The residual is returned:
     ``rows`` less :func:`evaluate_harmonics` of A at the row offsets, on
-    the same clock, so its t0 is A's phase reference.
+    the same clock, so its t0 is A's phase reference.  Coefficients whose
+    energy ``sum_j diag_j |A_jc|^2`` passes ``_ENERGY_RATIO`` times their
+    channel's ``sum_r y_rc^2`` cancel on the rows, and warn once; on DFT
+    bins the ratio is at most 1 (Bessel's inequality).
 
     Raises
     ------
@@ -243,8 +251,11 @@ def fit_periodic(rows: TimeSeries, omegas):
     def dot(a, b):
         return np.einsum("jc,jc->c", a.conj(), b).real
 
+    what = f"the harmonic fit of {n} rows on {len(omegas)} frequencies"
+    pair = _closest_pair(omegas, n, dt)
     A = adjoint(y) / diag
-    floor = _CG_TOL ** 2 * np.einsum("rc,rc->c", y, y)
+    power = np.einsum("rc,rc->c", y, y)
+    floor = _CG_TOL ** 2 * power
     for it in range(_CG_ITERATIONS + 1):
         # each pass starts from the true residual, which is also returned
         r = y - apply(A)
@@ -253,9 +264,16 @@ def fit_periodic(rows: TimeSeries, omegas):
         fresh = dot(g, z)
         active = fresh > floor
         if not active.any():
+            ratio = dot(A, diag * A) / np.maximum(power, np.finfo(float).tiny)
+            c = int(np.argmax(ratio))
+            if ratio[c] > _ENERGY_RATIO:
+                warnings.warn(f"{what} puts {ratio[c]:.3g} times the energy "
+                              f"of channel {c}'s rows into its coefficients, "
+                              f"which cancel on the rows{pair}")
             return A, replace(rows, values=r)
         if it == _CG_ITERATIONS:
-            raise NumericalError(_unconverged(omegas, n, dt))
+            raise NumericalError(f"{what} did not converge in "
+                                 f"{_CG_ITERATIONS} iterations{pair}")
         p = z if it == 0 else z + np.divide(
             fresh, gamma, out=np.zeros_like(fresh), where=active) * p
         q = apply(p)
@@ -264,16 +282,15 @@ def fit_periodic(rows: TimeSeries, omegas):
         gamma = fresh
 
 
-def _unconverged(omegas, n, dt) -> str:
-    """The message of a harmonic fit that reached ``_CG_ITERATIONS``."""
-    spacing = 2.0 * np.pi / (n * dt)
-    what = (f"the harmonic fit of {n} rows on {len(omegas)} frequencies did "
-            f"not converge in {_CG_ITERATIONS} iterations")
+def _closest_pair(omegas, n, dt) -> str:
+    """The end of a harmonic fit's message: its closest pair of frequencies
+    against the grid spacing of n rows, when it has two."""
     if len(omegas) < 2:
-        return what
+        return ""
+    spacing = 2.0 * np.pi / (n * dt)
     j = int(np.argmin(np.diff(omegas)))
     gap = omegas[j + 1] - omegas[j]
-    return (f"{what}: frequencies {j} and {j + 1} at {omegas[j]:.9g} and "
+    return (f": frequencies {j} and {j + 1} at {omegas[j]:.9g} and "
             f"{omegas[j + 1]:.9g} rad/s lie {gap / spacing:.3g} grid spacings "
             f"2*pi/(N*dt) = {spacing:.6g} rad/s apart")
 
@@ -340,18 +357,16 @@ def kernel_average(rows, z) -> np.ndarray:
 
 
 def eval_chaotic(model: QPModel, y) -> np.ndarray:
-    """The next residual sample after one window (dim,) or after each of a
-    block of windows (B, dim), ``_BLOCK_ROWS`` at a time, in embedding
-    layout: the kernel average of the successors of the kept windows."""
+    """The next residual samples (..., k) after the windows y (..., dim), in
+    embedding layout, taken as one block of rows ``_BLOCK_ROWS`` at a time:
+    the kernel average of the successors of the kept windows."""
     y = np.asarray(y, dtype=float)
-    wins, sq, eps = model.windows, model.sq, model.epsilon
-    if y.ndim == 1:
-        z = log_weights(wins, sq, eps, y)
-        return kernel_average(model.rows, z)
-    out = np.empty((len(y), model.k))
-    for i in range(0, len(y), _BLOCK_ROWS):
-        z = log_weights(wins, sq, eps, y[i:i + _BLOCK_ROWS])
-        out[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z).T
+    out = np.empty(y.shape[:-1] + (model.k,))
+    block, flat = y.reshape(-1, y.shape[-1]), out.reshape(-1, model.k)
+    for i in range(0, len(block), _BLOCK_ROWS):
+        z = log_weights(model.windows, model.sq, model.epsilon,
+                        block[i:i + _BLOCK_ROWS])
+        flat[i:i + _BLOCK_ROWS] = kernel_average(model.rows, z).T
     return out
 
 
@@ -449,17 +464,18 @@ def reconstruct(model: QPModel, series: TimeSeries, start: int,
     ``series.t0 + start * series.dt``.  Each new sample is
     ``g_per(time) + g_chaos(window)``, bit for bit
     ``eval_periodic + eval_chaotic``, and the window then shifts by that
-    residual sample.  Identical model and series give bit-identical
+    residual sample: each window is a slice of one array of the run's
+    residual samples.  Identical model and series give bit-identical
     trajectories.  g_chaos is a convex combination of successors, so the
     run is bounded by construction; a non-finite sample (a periodic part
-    that overflows) is a :class:`NumericalError`, and n_steps x k samples
-    past the memory available a :class:`DataError`, raised before they are
-    allocated.  A start more than ``_FAR_SPANS`` training spans from the
-    first fitted row warns.
+    that overflows) is a :class:`NumericalError`, and a run whose samples
+    and residual samples, 2 n_steps x k, exceed the memory available a
+    :class:`DataError`, raised before they are allocated.  A start more
+    than ``_FAR_SPANS`` training spans from the first fitted row warns.
     """
     if n_steps < 1:
         raise DataError(f"n_steps must be >= 1, got {n_steps}")
-    state = residual_windows(model, series, start, start + 1)[0]
+    window = residual_windows(model, series, start, start + 1)[0]
     t_start = series.t0 + start * series.dt
     t_fit = model.residual.t0
     if abs(t_start - t_fit) > _FAR_SPANS * model.n * model.dt:
@@ -467,16 +483,17 @@ def reconstruct(model: QPModel, series: TimeSeries, start: int,
                       f"{_FAR_SPANS} training spans from the model's first "
                       f"fitted row at {t_fit:.17g} s: is the input stamped "
                       f"on the clock of the series the model was fitted on?")
-    k = model.k
-    check_memory(n_steps * k * 8, f"{n_steps} steps of {k} channels")
+    k, w = model.k, CHAOS_DELAYS + 1
+    check_memory((2 * n_steps + w) * k * 8, f"{n_steps} steps of {k} channels")
     out = eval_periodic(model, t_start, n_steps)
+    traj = np.empty((w + n_steps) * k)
+    traj[:w * k] = window
     for i in range(n_steps):
-        r = eval_chaotic(model, state)
-        y_new = out[i] + r
-        if not np.isfinite(y_new).all():
+        r = eval_chaotic(model, traj[i * k:(i + w) * k])
+        out[i] += r
+        if not np.isfinite(out[i]).all():
             raise NumericalError(f"reconstruction diverged at step {i}")
-        out[i] = y_new
-        state = np.concatenate([state[k:], r])
+        traj[(i + w) * k:(i + w + 1) * k] = r
     return TimeSeries(out, dt=series.dt, t0=float(t_start),
                       channel_names=series.channel_names)
 

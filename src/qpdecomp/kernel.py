@@ -90,9 +90,10 @@ def _sample_rows(n):
 def sqdist_histogram(pts, refs, stride: int,
                      quantile: float = EPSILON_QUANTILE):
     """``np.histogram`` in 64 bins, ``(counts, edges)``, and ``np.quantile``
-    at ``quantile`` of the bandwidth sample's pairs: the squared distances
-    of the sampled rows of ``pts`` to ``refs``, its every ``stride``-th
-    row, less each sampled reference's distance to itself.
+    at ``quantile`` of the bandwidth sample's pairs, None at a None
+    ``quantile``: the squared distances of the sampled rows of ``pts`` to
+    ``refs``, its every ``stride``-th row, less each sampled reference's
+    distance to itself.
     That is R M - R' pairs for R rows of which R' are references; at stride
     1 a pair of two sampled rows counts from both ends.  They are formed in
     one R x M buffer, which is partitioned in place and freed on return."""
@@ -109,6 +110,8 @@ def sqdist_histogram(pts, refs, stride: int,
     if not len(pairs):
         raise DataError("need at least two points")
     hist = np.histogram(pairs, bins=64)
+    if quantile is None:
+        return hist, None
     return hist, float(np.quantile(pairs, quantile, overwrite_input=True))
 
 
@@ -150,7 +153,8 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
     pts = embedding.points
     refs = np.ascontiguousarray(pts[::stride])
     n, m = len(pts), len(refs)
-    hist, derived = sqdist_histogram(pts, refs, stride)
+    hist, derived = sqdist_histogram(pts, refs, stride,
+                                     None if epsilon else EPSILON_QUANTILE)
     epsilon = epsilon or derived
     if epsilon == 0:
         raise DataError(

@@ -439,15 +439,13 @@ def write_reconstruction(path, model: dc.QPModel, train: series.TimeSeries):
     embedding took: the fit rows from sample ``max(q, CHAOS_DELAYS + 1)``,
     the first with a residual window before it, then g_per at their times
     plus g_chaos of that window (the model's one-step prediction), then
-    g_per alone as ``per_<c>``.  The windows are the model's residual, and
-    before the fit rows the samples less g_per."""
-    w = dc.CHAOS_DELAYS + 1
+    g_per alone as ``per_<c>``.  The windows are the samples less g_per,
+    from :func:`decompose.residual_windows`, as a :func:`predict` run's
+    first window is."""
     q = train.n - model.n
-    first = max(q, w)
+    first = max(q, dc.CHAOS_DELAYS + 1)
     per = dc.eval_periodic(model, model.residual.t0, model.n)[first - q:]
-    windows = np.concatenate([
-        dc.residual_windows(model, train, first, q + w),
-        series.delay_embed(model.residual, dc.CHAOS_DELAYS).points[:-1]])
+    windows = dc.residual_windows(model, train, first, train.n)
     recon = per + dc.eval_chaotic(model, windows)
     names = train.channel_names
     write_estimate(path, names, train.times()[first:], "recon", recon,

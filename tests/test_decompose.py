@@ -1,4 +1,5 @@
 import contextlib
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -299,10 +300,14 @@ class TestFitPeriodic:
 
     def test_too_few_rows(self):
         # bins chosen on a 200-row grid hold 7 real unknowns: 7 rows take
-        # them, exactly, and 5 rows cannot
+        # them, exactly, and 5 rows cannot.  On 7 rows the bins lie 0.35
+        # grid spacings apart, and the exact fit's coefficients cancel
         omegas = TWO_PI * np.array([0, 10, 40, 80]) / 200
         y = np.random.default_rng(6).standard_normal((7, 2))
-        _, residual = fit_rows(y, omegas, 1.0)
+        with pytest.warns(UserWarning, match=r"cancel on the rows: "
+                                             r"frequencies 0 and 1 .* lie "
+                                             r"0\.35 grid spacings"):
+            _, residual = fit_rows(y, omegas, 1.0)
         assert np.abs(residual).max() <= 1e-9
         with pytest.raises(DataError, match="4 frequencies hold 7 real "
                                             "unknowns, more than the 5 rows"):
@@ -335,13 +340,50 @@ class TestFitPeriodic:
         with pytest.raises(error, match=message):
             fit_rows(y, omegas, 1.0)
 
+    @staticmethod
+    def near_copy(gap):
+        """64 rows, ten frequencies 2.5 grid spacings apart, and a copy of
+        the fifth ``gap`` grid spacings above it."""
+        n = 64
+        base = TWO_PI / n * (1.0 + 2.5 * np.arange(10))
+        omegas = np.sort(np.append(base, base[4] + gap * TWO_PI / n))
+        return np.random.default_rng(0).standard_normal((n, 1)), omegas
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
+    def test_near_duplicate_frequencies_warn(self, gap):
+        # the fit converges, to coefficients that cancel on the rows: they
+        # carry some 184, 1.8e4 and 1.8e6 times the rows' energy, against
+        # at most 1 on DFT bins, and one warning names the pair
+        y, omegas = self.near_copy(gap)
+        with pytest.warns(UserWarning) as record:
+            fit_rows(y, omegas, 1.0)
+        assert len(record) == 1
+        assert re.fullmatch(
+            r"the harmonic fit of 64 rows on 11 frequencies puts \S+ times "
+            r"the energy of channel 0's rows into its coefficients, which "
+            r"cancel on the rows: frequencies 4 and 5 at \S+ and \S+ rad/s "
+            rf"lie {gap:g} grid spacings 2\*pi/\(N\*dt\) = 0\.0981748 "
+            r"rad/s apart", str(record[0].message))
+
+    @pytest.mark.parametrize("gap", [1.0, 0.3, 0.1])
+    def test_separated_frequencies_do_not_warn(self, gap):
+        # a copy 0.1 spacings or more away carries at most 2.6 times the
+        # rows' energy here
+        y, omegas = self.near_copy(gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_rows(y, omegas, 1.0)
+
     def test_full_bin_lattice_reproduces_exactly(self):
-        # inverse-DFT property: harmonic regression on all bins 0..N/2 is exact
+        # inverse-DFT property: harmonic regression on all bins 0..N/2 is
+        # exact, and its coefficients carry the rows' energy, no warning
         rng = np.random.default_rng(1)
         n, dt = 256, 2.0
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-        A, residual = fit_rows(y, omegas, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, residual = fit_rows(y, omegas, dt)
         assert np.abs(residual).max() <= 1e-8
         recon = evaluate_harmonics(A, omegas, 0.0, dt, n)
         assert np.abs(recon - y).max() <= 1e-8
@@ -375,14 +417,17 @@ class TestFitPeriodic:
     def test_off_grid_lattice_matches_lstsq(self):
         # pure_torus_2 at 4000 samples, whose drivers fall between the bins
         # of 4000 rows: on its lattice frequencies |a| + |b| <= 3 the fit
-        # leaves rounding noise, and A is dense least squares'
+        # leaves rounding noise, A is dense least squares', and its
+        # coefficients carry about the rows' energy, no warning
         system = standard_testbed("pure_torus_2")
         y = simulate(system, 4000, 1.0).series
         w1, w2 = system.driver.omega
         omegas = np.unique([a * w1 + b * w2 for a in range(-3, 4)
                             for b in range(-3, 4)
                             if abs(a) + abs(b) <= 3 and a * w1 + b * w2 >= 0])
-        A, residual = fit_periodic(y, omegas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, residual = fit_periodic(y, omegas)
         assert np.sqrt(np.mean(residual.values ** 2)) <= 1e-10
         assert np.abs(A - lstsq_harmonics(y.values, omegas, 1.0)).max() <= 1e-12
         np.testing.assert_array_equal(
@@ -583,6 +628,22 @@ class TestEvalChaotic:
         ref = np.array([exact_chaos(model, y) for y in wins])
         assert got.shape == ref.shape == (model.n - CHAOS_DELAYS, model.k)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_one_window_is_a_block_of_one(self, chaos_model):
+        # a window (dim,), its block (1, dim) and a (2, 3, dim) stack take
+        # the one block loop: the same bits in the input's leading shape
+        model = chaos_model
+        wins = model.windows
+        rng = np.random.default_rng(11)
+        for y in (wins[7], rng.standard_normal(wins.shape[1])):
+            one = eval_chaotic(model, y)
+            block = eval_chaotic(model, y[None, :])
+            assert one.shape == (model.k,) and block.shape == (1, model.k)
+            np.testing.assert_array_equal(one, block[0])
+        stack = eval_chaotic(model, wins[:6].reshape(2, 3, -1))
+        assert stack.shape == (2, 3, model.k)
+        np.testing.assert_array_equal(stack.reshape(6, -1),
+                                      eval_chaotic(model, wins[:6]))
 
     def test_ragged_blocks_match_each_state(self, chaos_model):
         # 600 states are row blocks of 256, 256 and 88

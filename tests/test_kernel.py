@@ -318,6 +318,25 @@ def test_sample_quantile_is_numpys_at_stride_1():
         assert got == np.quantile(pairs, quantile), quantile
 
 
+def test_given_epsilon_takes_no_quantile(monkeypatch):
+    # the sample's quantile is the derived bandwidth, and a given one needs
+    # none; the histogram and the kernel are those of the derived one
+    emb = embed_points(np.random.default_rng(17).standard_normal((300, 4)))
+    derived = gaussian_kernel(emb, 0, 2)
+
+    def no_quantile(*args, **kwargs):
+        raise AssertionError("np.quantile was called")
+
+    monkeypatch.setattr(np, "quantile", no_quantile)
+    given = gaussian_kernel(emb, derived[1], 2)
+    for part in (0, 1, 2):
+        assert np.array_equal(given[part], derived[part])
+    for got, want in zip(given[3], derived[3]):
+        assert np.array_equal(got, want)
+    with pytest.raises(AssertionError, match="np.quantile was called"):
+        gaussian_kernel(emb, 0, 2)
+
+
 def test_sqdist_histogram_needs_two_points():
     with pytest.raises(DataError, match="at least two points"):
         sqdist_histogram(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), 1)

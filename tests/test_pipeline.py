@@ -282,6 +282,32 @@ class TestRunPipeline:
         assert config.num_eigen == 1001 and config.epsilon == 0.1
 
 
+@pytest.mark.parametrize("delays", [6, 1])
+def test_reconstruction_takes_the_windows_predict_does(smoke_input, tmp_path,
+                                                      delays):
+    # each recon row is g_per plus g_chaos of the window before its sample,
+    # from residual_windows, which gives predict its first window, bit for
+    # bit; at 1 delay the rows start past q, at CHAOS_DELAYS + 1
+    from qpdecomp import decompose as dc
+    from qpdecomp.pipeline import write_reconstruction
+
+    result = fit(smoke_config(smoke_input, tmp_path / "unused",
+                              delays=delays))
+    model, train = result.model, result.train
+    path = tmp_path / "reconstruction.csv"
+    write_reconstruction(path, model, train)
+    q = train.n - model.n
+    first = max(q, dc.CHAOS_DELAYS + 1)
+    per = dc.eval_periodic(model, model.residual.t0, model.n)[first - q:]
+    windows = dc.residual_windows(model, train, first, train.n)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    k = model.k
+    assert len(rows) == train.n - first
+    np.testing.assert_array_equal(rows[:, 1 + k:1 + 2 * k],
+                                  per + dc.eval_chaotic(model, windows))
+    np.testing.assert_array_equal(rows[:, 1 + 2 * k:], per)
+
+
 @pytest.mark.parametrize("num_eigen", [595, 99999])
 def test_num_eigen_is_checked_before_the_kernel(smoke_input, tmp_path,
                                                  monkeypatch, num_eigen):
