@@ -92,21 +92,22 @@ _FAR_SPANS = 1000
 class QPModel:
     """Fitted quasiperiodic + driven model: what the free run reads.
 
-    ``omegas`` (m) and ``A`` (m x k) are the harmonics of the periodic
-    component, and ``residual`` is the training series less them, with its
-    step, its channel names and its own clock, whose t0 is A's phase
-    reference.  Every ``stride``-th window of ``CHAOS_DELAYS + 1`` residual
-    samples that has a successor is kept, the stride being
-    :func:`kernel.reference_stride` of n, whatever the kernel took (a rule
-    of the code, like ``CHAOS_DELAYS``: changing it bumps ``MODEL_FORMAT``):
-    ``stride``, ``windows`` (one row per kept window, embedding layout),
-    ``sq``, their squared norms, and ``rows``, the C-ordered
-    ``[successors^T; 1]`` of :func:`kernel_average`, are derived once, when
-    the model is built.  ``epsilon`` is the map's bandwidth.  Other shapes,
-    ``omegas`` that fail :func:`check_frequencies` on the residual's step, a
-    non-finite entry of ``A``, a zero-frequency coefficient that is not
-    real, a residual too short for one window and its successor or an
-    ``epsilon`` that is not positive and finite are a :class:`DataError`.
+    ``omegas`` (m, kept as :func:`check_frequencies` returns them) and ``A``
+    (m x k) are the harmonics of the periodic component, and ``residual`` is
+    the training series less them, with its step, its channel names and its
+    own clock, whose t0 is A's phase reference.  Every ``stride``-th window
+    of ``CHAOS_DELAYS + 1`` residual samples that has a successor is kept,
+    the stride being :func:`kernel.reference_stride` of n, whatever the
+    kernel took (a rule of the code, like ``CHAOS_DELAYS``: changing it
+    bumps ``MODEL_FORMAT``): ``stride``, ``windows`` (one row per kept
+    window, embedding layout), ``sq``, their squared norms, and ``rows``,
+    the C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are
+    derived once, when the model is built.  ``epsilon`` is the map's
+    bandwidth.  Other shapes, ``omegas`` that fail :func:`check_frequencies`
+    on the residual's step, a non-finite entry of ``A``, a coefficient at 0
+    or pi/dt that is not real (:func:`real_frequencies`), a residual too
+    short for one window and its successor or an ``epsilon`` that is not
+    positive and finite are a :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -121,6 +122,7 @@ class QPModel:
     def __post_init__(self):
         omegas = check_frequencies(self.omegas, self.dt, "model frequency")
         n, k, s = self.n, self.k, reference_stride(self.n)
+        object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "stride", s)
         if self.A.shape != (len(omegas), k):
             raise DataError(f"model A {self.A.shape} does not match "
@@ -130,8 +132,10 @@ class QPModel:
         if not 0 < self.epsilon < np.inf:
             raise DataError(f"model epsilon {self.epsilon} is not positive "
                             f"and finite")
-        if omegas.size and omegas[0] == 0.0 and abs(self.A[0].imag).max() > 1e-12:
-            raise DataError("model zero-frequency coefficient is not real")
+        for j in np.flatnonzero(real_frequencies(omegas, self.dt)):
+            if abs(self.A[j].imag).max() > 1e-12:
+                at = "zero-frequency" if omegas[j] == 0.0 else "pi/dt"
+                raise DataError(f"model {at} coefficient is not real")
         w = CHAOS_DELAYS + 1
         if n <= w:
             raise DataError(f"model residual has {n} rows; a window of {w} "
@@ -185,6 +189,11 @@ def check_frequencies(omegas, dt, what="frequency") -> np.ndarray:
     return omegas
 
 
+def real_frequencies(omegas, dt) -> np.ndarray:
+    """Where the checked ``omegas`` are 0 or pi/dt, with real coefficients."""
+    return (omegas == 0.0) | np.isclose(omegas * dt, np.pi, _TOP_RTOL, 0.0)
+
+
 def fit_periodic(rows: TimeSeries, omegas):
     """Least-squares harmonic fit of the series ``rows`` on the frequencies
     ``omegas``: ``(A, residual)``.
@@ -224,8 +233,7 @@ def fit_periodic(rows: TimeSeries, omegas):
     """
     n, dt = rows.n, rows.dt
     omegas = check_frequencies(omegas, dt)
-    real = (omegas == 0.0) | np.isclose(omegas * dt, np.pi, rtol=_TOP_RTOL,
-                                        atol=0.0)
+    real = real_frequencies(omegas, dt)
     unknowns = 2 * len(omegas) - int(real.sum())
     if unknowns > n:
         raise DataError(f"{len(omegas)} frequencies hold {unknowns} real "
@@ -394,7 +402,7 @@ def fit_chaotic(omegas, A, residual: TimeSeries) -> QPModel:
         raise DataError(f"a residual of {n} rows holds out its last "
                         f"{n - start} and leaves no window of {w} samples "
                         f"with a successor before them")
-    model = QPModel(np.asarray(omegas, dtype=float), A, residual, 1.0)
+    model = QPModel(omegas, A, residual, 1.0)
     m = -(-(start - w) // model.stride)   # the kept windows before start
     windows, sq, rows = model.windows[:m], model.sq[:m], model.rows[:, :m]
     queries = delay_embed(residual, CHAOS_DELAYS).points[start - w:n - w]

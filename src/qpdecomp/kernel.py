@@ -20,12 +20,12 @@ downstream spectral module relies on both facts.  At stride 1 the
 references are all the points, M = N and Kt is the symmetric N x N kernel.
 :func:`gaussian_kernel` returns Kt to its one caller,
 :func:`spectral.decompose`, which keeps the bandwidth and the histogram,
-drops q, and drops Kt after the eigensolve.  :func:`reference_stride`
-derives s from N and the ``reference_points`` setting.  With
-``epsilon = 0`` the bandwidth is a quantile of the squared distances of a
-sample of rows to the references, :func:`sqdist_histogram`'s: every row up
-to ``SAMPLE_ROWS``, and past that a draw of that many rows that depends on
-N alone.
+drops q, and drops Kt after the eigensolve; both take s from ``run``'s
+``reference_points`` (:func:`reference_stride`).  With ``epsilon = 0`` the
+bandwidth is a quantile of the squared distances of a sample of rows to
+the references, :func:`sqdist_histogram`'s: every row up to
+``SAMPLE_ROWS``, and past that a draw of that many rows that depends on N
+alone.
 """
 
 import numpy as np
@@ -115,10 +115,10 @@ def sqdist_histogram(pts, refs, stride: int,
     return hist, float(np.quantile(pairs, quantile, overwrite_input=True))
 
 
-def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
-                    stride: int = 1):
+def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0, *,
+                    reference_points: int = 0):
     """The bistochastically normalized kernel of ``embedding`` against its
-    every ``stride``-th point.
+    every s-th point, s = ``reference_stride(N, reference_points)``.
 
     Returns ``(Ktilde, epsilon, q, sqdist_histogram)``: the N x M matrix
     Kt, the bandwidth it was built with (the derived one when asked for 0),
@@ -139,18 +139,18 @@ def gaussian_kernel(embedding: DelayEmbedding, epsilon: float = 0.0,
         Gaussian bandwidth applied to squared distances, finite; 0 takes the
         ``EPSILON_QUANTILE`` quantile of the squared distances of the
         sample's pairs.
-    stride : int
-        The references are points 0, stride, 2 stride, ...; 1 keeps all.
+    reference_points : int
+        As :func:`reference_stride` reads it: 0 keeps at most
+        ``REFERENCE_CAP`` points, any count of at least N keeps all N.
     """
     if not 0 <= epsilon < np.inf:
         raise DataError(f"epsilon must be positive and finite (or 0 to "
                         f"derive it), got {epsilon}")
-    if stride < 1:
-        raise DataError(f"stride must be >= 1, got {stride}")
     if not isinstance(embedding, DelayEmbedding):
         raise DataError(f"expected a DelayEmbedding, got "
                         f"{type(embedding).__name__}")
     pts = embedding.points
+    stride = reference_stride(len(pts), reference_points)
     refs = np.ascontiguousarray(pts[::stride])
     n, m = len(pts), len(refs)
     hist, derived = sqdist_histogram(pts, refs, stride,

@@ -29,8 +29,7 @@ whose t0 the model's residual keeps as its harmonics' phase reference.  A
 prediction from sample s of any input is placed by that input's
 timestamps, wherever its first row lies: no caller pairs an array with a
 time.
-The kernel's N x M and M x M arrays (M reference points, see
-:func:`kernel.reference_stride`) live only inside
+The kernel's N x M and M x M arrays live only inside
 :func:`spectral.decompose`, so nothing in a :class:`Fit` is either.
 """
 
@@ -47,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import decompose as dc
-from . import freqfilter, kernel, series, spectral
+from . import freqfilter, series, spectral
 from .errors import ConfigError, DataError, reading, writing, writing_dir
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
@@ -342,9 +341,8 @@ def fit(config: PipelineConfig) -> Fit:
         train = series.window(data, 0, train_end)
         q = config.delays
         emb = series.delay_embed(train, q)
-        stride = kernel.reference_stride(emb.n_points, config.reference_points)
         basis = spectral.decompose(emb, config.epsilon, config.num_eigen,
-                                   stride)
+                                   reference_points=config.reference_points)
         table = freqfilter.rkhs_norm_table(basis, data.dt)
         selection = freqfilter.select(table, eps1=config.eps1,
                                       eps2=config.eps2, L0=config.L0)

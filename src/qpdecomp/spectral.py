@@ -1,15 +1,14 @@
 """Truncated eigenbasis of the normalized kernel matrix.
 
 The basis is the top-L singular triplets of the N x M ``Ktilde`` of
-:func:`kernel.gaussian_kernel` (M reference points, M = N at stride 1),
+:func:`kernel.gaussian_kernel` (M reference points, as ``run`` takes them),
 computed as the top-L eigenvectors of the M x M Gram matrix
 ``Ktilde^T Ktilde`` followed by a Rayleigh-Ritz step (a thin SVD of
 ``Ktilde`` applied to those eigenvectors).  The Gram matrix sums over all N
 rows, so Phi holds all N rows and is orthonormal on them.
 :func:`decompose` builds the kernel itself and drops Ktilde and the Gram
 matrix before it returns, so a :class:`SpectralBasis` holds no N x M or
-M x M array: besides the eigenvalues and the left singular vectors it keeps
-only the kernel facts that later stages read.
+M x M array, only the eigenpairs and the kernel facts that later stages read.
 
 Inner-product convention (declared once, carried explicitly everywhere):
 
@@ -46,7 +45,7 @@ class SpectralBasis:
     ``epsilon`` is the bandwidth the kernel was built with,
     ``sqdist_histogram`` the ``(counts, edges)`` of the squared distances of
     the bandwidth sample's pairs, as :func:`kernel.gaussian_kernel` returns
-    them, and ``stride`` the step between reference points (1: every point).
+    them, and ``reference_points`` the number M of its reference points.
     The basis serves the frequency selection alone.  Construction checks the
     conventions the later stages invert: eigenvalues non-increasing, none
     below ``LAMBDA_FLOOR``, the leading one 1 and its eigenfunction constant.
@@ -56,7 +55,7 @@ class SpectralBasis:
     Phi: np.ndarray
     epsilon: float
     sqdist_histogram: tuple
-    stride: int = 1
+    reference_points: int
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -92,20 +91,16 @@ class SpectralBasis:
     def sigma(self) -> np.ndarray:
         return np.sqrt(self.lam)
 
-    @property
-    def reference_points(self) -> int:
-        """M, the kernel's reference points: every ``stride``-th row."""
-        return -(-self.n // self.stride)
 
-
-def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
-              stride: int = 1) -> SpectralBasis:
+def decompose(embedding: DelayEmbedding, epsilon: float, L: int, *,
+              reference_points: int = 0) -> SpectralBasis:
     """Top-L singular triplets of the normalized kernel of ``embedding``
-    against its every ``stride``-th point.
+    against its reference points.
 
     The N x M kernel is built by :func:`kernel.gaussian_kernel` at
-    ``epsilon`` (0 derives it).  The top L eigenvectors of the M x M Gram
-    matrix ``Ktilde^T Ktilde`` span the leading right singular subspace; a
+    ``epsilon`` (0 derives it) and ``reference_points``.  The top L
+    eigenvectors of the M x M Gram matrix ``Ktilde^T Ktilde`` span the
+    leading right singular subspace; a
     Rayleigh-Ritz step (thin SVD of ``Ktilde @ V``) then gives sigma and the
     left singular vectors U of that subspace, orthonormal to rounding
     whatever the subspace error.  The Gram matrix is built one way
@@ -114,7 +109,7 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     of ``Ktilde``, and the eigensolver overwrites that array in place.  The
     call holds at most Ktilde and the L eigenvectors V with either the Gram
     matrix or ``Ktilde @ V``, ``N M + M L + max(M^2, N L)`` float64 values
-    (``2 N^2 + N L`` at stride 1), and returns none of them; the bandwidth
+    (``2 N^2 + N L`` at M = N), and returns none of them; the bandwidth
     sample's distances, at most N x M, are freed before Ktilde is formed.
     The result is deterministic.  Forming the Gram matrix squares the
     conditioning, so eigenvalues close to the floor carry fewer correct
@@ -131,17 +126,16 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
         sample, as :func:`kernel.gaussian_kernel` does.
     L : int
         Truncation size, 1 <= L <= M.
-    stride : int
-        Step between reference points, as
-        :func:`kernel.reference_stride` derives it; 1 keeps all N.
+    reference_points : int
+        As :func:`kernel.gaussian_kernel` takes it, ``run``'s setting.
 
     Raises
     ------
     DataError
-        When ``embedding`` is not a :class:`DelayEmbedding`, L is outside
-        1..M, or the ``N M + M L + max(M^2, N L)`` float64 values exceed
-        the memory available; each is checked before anything N x M is
-        allocated.
+        When ``embedding`` is not a :class:`DelayEmbedding`,
+        ``reference_points`` is negative, L is outside 1..M, or the
+        ``N M + M L + max(M^2, N L)`` float64 values exceed the memory
+        available; each is checked before anything N x M is allocated.
     NumericalError
         When ``lam[L-1]`` falls below the 1e-14 floor ("decrease epsilon or
         L"), as :class:`SpectralBasis` checks.
@@ -150,9 +144,7 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
         raise DataError(f"expected a DelayEmbedding, got "
                         f"{type(embedding).__name__}")
     n = embedding.n_points
-    if stride < 1:
-        raise DataError(f"stride must be >= 1, got {stride}")
-    m = -(-n // stride)
+    m = -(-n // kernel.reference_stride(n, reference_points))
     if not (1 <= L <= m):
         refs = "" if m == n else f" ({m} reference points of {n})"
         raise DataError(f"L={L} out of range 1..{m}{refs}")
@@ -165,7 +157,8 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     import scipy.linalg
     from scipy.linalg.blas import dsyrk
 
-    kt, epsilon, _, hist = kernel.gaussian_kernel(embedding, epsilon, stride)
+    kt, epsilon, _, hist = kernel.gaussian_kernel(
+        embedding, epsilon, reference_points=reference_points)
     gram = np.zeros((m, m), order="F")
     for a in range(0, n, _GRAM_ROWS):
         # the transposed row block is a Fortran-ordered M x 256 view, so
@@ -186,4 +179,4 @@ def decompose(embedding: DelayEmbedding, epsilon: float, L: int,
     if u[:, 0].sum() < 0:
         u[:, 0] *= -1.0
     return SpectralBasis(lam=s ** 2, Phi=np.sqrt(n) * u, epsilon=epsilon,
-                         sqdist_histogram=hist, stride=stride)
+                         sqdist_histogram=hist, reference_points=m)

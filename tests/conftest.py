@@ -91,11 +91,12 @@ def synthesize(basis, E):
 
 def nystrom_pair(emb, basis):
     """The degree vector q (M) of the kernel of ``emb`` at the bandwidth and
-    stride of ``basis``, and the right singular vectors of that kernel that
-    go with Phi, ``Gamma = Ktilde^T Phi / (sqrt(N) sigma)`` (M x L), which
-    the basis does not keep; together they give the Nystrom extension of
-    Phi."""
-    kt, _, q, _ = gaussian_kernel(emb, basis.epsilon, basis.stride)
+    reference points of ``basis``, and the right singular vectors of that
+    kernel that go with Phi, ``Gamma = Ktilde^T Phi / (sqrt(N) sigma)``
+    (M x L), which the basis does not keep; together they give the Nystrom
+    extension of Phi."""
+    kt, _, q, _ = gaussian_kernel(emb, basis.epsilon,
+                                  reference_points=basis.reference_points)
     return q, kt.T @ basis.Phi / (np.sqrt(basis.n) * basis.sigma)
 
 

@@ -59,7 +59,7 @@ def build_run(system, n_samples=N_SAMPLES, seed=0, num_eigen=L_EIGEN):
     sim = simulate(system, n_samples, DT, seed=seed)
     emb = delay_embed(sim.series, Q)
     eps = tuned_epsilon(emb)
-    basis = decompose(emb, eps, num_eigen)
+    basis = decompose(emb, eps, num_eigen, reference_points=emb.n_points)
     table = rkhs_norm_table(basis, DT)
     selection = select(table, eps1=0.1, eps2=2.5, L0=100)
     elapsed = time.monotonic() - t0
@@ -165,7 +165,7 @@ class TestCriterion3SpectralInvariants:
         assert abs(basis.lam[0] - 1.0) <= 1e-6
         phi1 = basis.Phi[:, 0]
         assert phi1.std() / abs(phi1.mean()) <= 1e-6
-        kt = gaussian_kernel(emb, basis.epsilon)[0]
+        kt = gaussian_kernel(emb, basis.epsilon, reference_points=n)[0]
         p_rows = kt @ (kt.T @ np.ones(n))
         assert np.abs(p_rows - 1.0).max() <= 1e-8
         # the continuous-extension identity at every data point
@@ -185,7 +185,7 @@ class TestCriterion3SpectralInvariants:
             pts = np.random.default_rng(0).standard_normal((400, 6))
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
             self.check(emb, decompose(
-                emb, 0.5 * pair_quantile(emb, 0.5), 60))
+                emb, 0.5 * pair_quantile(emb, 0.5), 60, reference_points=400))
 
 
 class TestCriterion4SmallNOracles:
@@ -198,10 +198,11 @@ class TestCriterion4SmallNOracles:
             emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
             eps = 0.4 * pair_quantile(emb, 0.5)
             L = 40
-            u_full, s_full, _ = np.linalg.svd(gaussian_kernel(emb, eps)[0])
+            u_full, s_full, _ = np.linalg.svd(
+                gaussian_kernel(emb, eps, reference_points=400)[0])
             gap = s_full[L - 1] - s_full[L]
             assert gap > 1e-6 * s_full[0], "test data must have a gap at L"
-            part = decompose(emb, eps, L)
+            part = decompose(emb, eps, L, reference_points=400)
             rel = np.abs(part.sigma - s_full[:L]) / s_full[:L]
             assert rel.max() <= 1e-10
             angles = scipy.linalg.subspace_angles(u_full[:, :L],
@@ -215,7 +216,7 @@ class TestCriterion4SmallNOracles:
             assert np.abs(d2 - brute).max() / brute.max() <= 1e-10
             eps2 = 3.0
             emb2 = delay_embed(TimeSeries(small, dt=1.0), 0)
-            kt2, _, q2, _ = gaussian_kernel(emb2, eps2)
+            kt2, _, q2, _ = gaussian_kernel(emb2, eps2, reference_points=120)
             K2 = np.exp(-pairwise_sqdist(emb2) / eps2)
             assert np.abs(K2 - np.exp(-brute / eps2)).max() <= 1e-10
             d2 = K2.mean(axis=1)

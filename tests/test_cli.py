@@ -232,6 +232,15 @@ def zero_frequency_last(arrays):
             "A": np.stack([A[1], A[0] + 1j])}
 
 
+def complex_at_the_top(arrays):
+    """An edit of the saved arrays to the frequencies ``[omega, pi/dt]``,
+    with a complex coefficient at pi/dt."""
+    om, A = arrays["omegas"], arrays["A"]
+    top = np.pi / arrays["train_dt"].item()
+    return {**arrays, "omegas": np.array([om[1], top]),
+            "A": np.stack([A[1], A[1].real + 1j])}
+
+
 def npz_bytes(arrays):
     buf = io.BytesIO()
     np.savez(buf, **arrays)
@@ -256,6 +265,9 @@ def bad_models():
                         r"frequencies and 3 channels"),
         "A0_imag": (with_array("A", lambda a: a + 1j),
                     "model zero-frequency coefficient is not real"),
+        # the sine column vanishes at pi/dt too, so its coefficient is real
+        "A_top_imag": (complex_at_the_top,
+                       "model pi/dt coefficient is not real"),
         # the zero frequency last, where a check of omegas[0] alone would
         # pass its complex coefficient
         "zero_frequency_last": (zero_frequency_last, re.escape(

@@ -186,7 +186,7 @@ def fit_torus(n, q, stride=1):
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
     emb = delay_embed(s, q)
     eps = 0.02 * pair_quantile(emb, 0.5)
-    basis = decompose(emb, eps, 40, stride)
+    basis = decompose(emb, eps, 40, reference_points=-(-n_emb // stride))
     table = rkhs_norm_table(basis, dt)
     sel = select(table, eps1=0.1, eps2=2.5, L0=10)
     A, residual = fit_periodic(window(s, q, s.n), sel.omegas)
@@ -942,6 +942,18 @@ class TestModelRoundTrip:
         a = reconstruct(model, s, W, 50)
         b = reconstruct(back, s, W, 50)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_frequencies_are_kept_as_checked_floats(self):
+        # a model built from a list keeps the float vector it checked, so
+        # the sup bound weighs its zero frequency once, as from an array
+        res = TimeSeries(logistic(40, 2), dt=1.0)
+        A = np.array([[1.0, 0.5], [0.25 + 0.5j, -0.1j]])
+        from_list = QPModel(omegas=[0.0, 0.5], A=A, residual=res, epsilon=1.0)
+        from_array = QPModel(omegas=np.array([0.0, 0.5]), A=A, residual=res,
+                             epsilon=1.0)
+        assert from_list.omegas.dtype == float
+        np.testing.assert_array_equal(from_list.omegas, from_array.omegas)
+        assert periodic_sup_bound(from_list) == periodic_sup_bound(from_array)
 
     def test_model_file_is_deterministic(self, torus_model, tmp_path):
         model, _ = torus_model

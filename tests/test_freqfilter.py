@@ -35,7 +35,8 @@ def fabricated_basis(phi_columns, lam):
     emb = delay_embed(TimeSeries(pts, dt=1.0), 0)
     _, eps, _, hist = gaussian_kernel(emb, 50.0)
     return SpectralBasis(lam=np.asarray(lam, dtype=float), Phi=phi,
-                         epsilon=eps, sqdist_histogram=hist)
+                         epsilon=eps, sqdist_histogram=hist,
+                         reference_points=len(phi))
 
 
 def written_curves(outdir, basis, table, selection):

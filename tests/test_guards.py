@@ -78,9 +78,9 @@ GUARDS = {
         lambda c: dc.reconstruct(c["model"], one_channel(c), 3, 10),
         DataError, r"input channels \['ch0'\] differ from the model's "
                    r"\['ch0', 'ch1'\]"),
-    "decompose_stride_0": (
-        lambda c: spectral.decompose(c["emb"], 1.0, 5, stride=0),
-        DataError, "stride must be >= 1, got 0"),
+    "decompose_reference_points_negative": (
+        lambda c: spectral.decompose(c["emb"], 1.0, 5, reference_points=-1),
+        DataError, "reference_points must be >= 0, got -1"),
     # the type is checked before any of its attributes is read
     "spectral_bare_array": (
         lambda c: spectral.decompose(c["emb"].points, 1.0, 2),

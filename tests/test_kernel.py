@@ -183,9 +183,10 @@ class TestGaussianKernel:
         monkeypatch.setattr(errors_module, "_available_bytes",
                             lambda: 25_000_000)
         monkeypatch.setattr(spectral_module.kernel, "gaussian_kernel",
-                            lambda *args: pytest.fail("the kernel was built"))
+                            lambda *args, **kwargs: pytest.fail(
+                                "the kernel was built"))
         with pytest.raises(DataError, match=r"need 27 MB.*only 25 MB"):
-            spectral_module.decompose(emb, 1.0, 300, stride=4)
+            spectral_module.decompose(emb, 1.0, 300, reference_points=750)
 
     def test_byte_budget_refuses_before_allocating(self, monkeypatch):
         # spectral.decompose, which builds the kernel, checks the budget of
@@ -322,19 +323,19 @@ def test_given_epsilon_takes_no_quantile(monkeypatch):
     # the sample's quantile is the derived bandwidth, and a given one needs
     # none; the histogram and the kernel are those of the derived one
     emb = embed_points(np.random.default_rng(17).standard_normal((300, 4)))
-    derived = gaussian_kernel(emb, 0, 2)
+    derived = gaussian_kernel(emb, 0, reference_points=150)
 
     def no_quantile(*args, **kwargs):
         raise AssertionError("np.quantile was called")
 
     monkeypatch.setattr(np, "quantile", no_quantile)
-    given = gaussian_kernel(emb, derived[1], 2)
+    given = gaussian_kernel(emb, derived[1], reference_points=150)
     for part in (0, 1, 2):
         assert np.array_equal(given[part], derived[part])
     for got, want in zip(given[3], derived[3]):
         assert np.array_equal(got, want)
     with pytest.raises(AssertionError, match="np.quantile was called"):
-        gaussian_kernel(emb, 0, 2)
+        gaussian_kernel(emb, 0, reference_points=150)
 
 
 def test_sqdist_histogram_needs_two_points():
@@ -401,7 +402,8 @@ class TestReferenceSet:
     ])
     def test_matches_the_defining_formulas(self, n, dim, stride, seed):
         pts = np.random.default_rng(seed).standard_normal((n, dim))
-        kt, eps, q, _ = gaussian_kernel(embed_points(pts), 2.5, stride)
+        kt, eps, q, _ = gaussian_kernel(embed_points(pts), 2.5,
+                                        reference_points=-(-n // stride))
         want_kt, want_q, refs = reference_kernel_oracle(pts, stride, 2.5)
         assert kt.shape == (n, len(refs)) and eps == 2.5
         np.testing.assert_allclose(q, want_q, rtol=1e-12)
@@ -409,7 +411,8 @@ class TestReferenceSet:
 
     def test_p_is_row_stochastic(self):
         pts = np.random.default_rng(5).standard_normal((RAGGED_ROWS, 4))
-        kt = gaussian_kernel(embed_points(pts), 3.0, 4)[0]
+        kt = gaussian_kernel(embed_points(pts), 3.0,
+                             reference_points=-(-RAGGED_ROWS // 4))[0]
         rows = kt @ (kt.T @ np.ones(RAGGED_ROWS))
         assert np.abs(rows - 1.0).max() <= 1e-12
 
@@ -429,7 +432,7 @@ class TestReferenceSet:
         np.testing.assert_allclose(pairs, exact, rtol=0,
                                    atol=1e-12 * exact.max())
         _, eps, _, (counts, edges) = gaussian_kernel(embed_points(pts), 0,
-                                                     stride)
+                                                     reference_points=m)
         assert len(pairs) == counts.sum() == n * m - m
         assert eps == np.quantile(pairs, 0.01)
         want_counts, want_edges = np.histogram(pairs, bins=64)
@@ -533,7 +536,8 @@ class TestReferenceSet:
             want_counts, want_edges = np.histogram(pairs, bins=64)
             assert np.array_equal(hist[0], want_counts)
             assert np.array_equal(hist[1], want_edges)
-            assert gaussian_kernel(embed_points(pts), 0, stride)[1] == eps
+            assert gaussian_kernel(embed_points(pts), 0,
+                                   reference_points=len(refs))[1] == eps
 
     def test_peak_allocation_is_n_by_m(self):
         # the N x M kernel, and before it the sample's distances, freed
@@ -543,7 +547,7 @@ class TestReferenceSet:
         emb = embed_points(np.random.default_rng(15).standard_normal((n, 21)))
         tracemalloc.start()
         try:
-            kt, eps, _, _ = gaussian_kernel(emb, 0, stride)
+            kt, eps, _, _ = gaussian_kernel(emb, 0, reference_points=m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,13 +561,14 @@ class TestReferenceSet:
         pts[5] += 1e3
         with pytest.raises(NumericalError,
                            match="^isolated point 5; increase epsilon$"):
-            gaussian_kernel(embed_points(pts), 1.0, 2)
+            gaussian_kernel(embed_points(pts), 1.0, reference_points=5)
 
-    def test_stride_below_one_rejected(self):
-        with pytest.raises(DataError, match="stride"):
-            gaussian_kernel(embed_points(np.eye(4)), 1.0, 0)
+    def test_negative_reference_points_rejected(self):
+        with pytest.raises(DataError, match="reference_points"):
+            gaussian_kernel(embed_points(np.eye(4)), 1.0, reference_points=-1)
 
     def test_one_reference_gives_the_constant(self):
         # Kt Kt^T = 1/N everywhere: the chain jumps to any point alike
-        kt = gaussian_kernel(embed_points(np.eye(4)), 1.0, 4)[0]
+        kt = gaussian_kernel(embed_points(np.eye(4)), 1.0,
+                             reference_points=1)[0]
         np.testing.assert_allclose(kt, np.full((4, 1), 0.5), rtol=1e-15)

@@ -6,6 +6,7 @@ import pytest
 
 from qpdecomp import ConfigError, DataError, run_pipeline
 from qpdecomp.freqfilter import FrequencySelection, log_growth
+from qpdecomp.kernel import gaussian_kernel
 from qpdecomp.pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
@@ -17,7 +18,8 @@ from qpdecomp.pipeline import (
     report_periods,
     write_frequencies,
 )
-from qpdecomp.series import write_csv
+from qpdecomp.series import delay_embed, load_csv, window, write_csv
+from qpdecomp.spectral import decompose
 from qpdecomp.synth import simulate, standard_testbed
 
 from conftest import pair_quantile
@@ -51,8 +53,6 @@ def smoke_input(tmp_path_factory):
 def smoke_config(smoke_input, outdir, **extra):
     values = dict(SMOKE)
     values.update(input=str(smoke_input), outdir=str(outdir))
-    from qpdecomp.series import delay_embed, load_csv, window
-
     data = load_csv(smoke_input)
     emb = delay_embed(window(data, 0, values["train_end"]), values["delays"])
     values["epsilon"] = pair_quantile(emb, 0.02)
@@ -306,6 +306,26 @@ def test_reconstruction_takes_the_windows_predict_does(smoke_input, tmp_path,
     np.testing.assert_array_equal(rows[:, 1 + k:1 + 2 * k],
                                   per + dc.eval_chaotic(model, windows))
     np.testing.assert_array_equal(rows[:, 1 + 2 * k:], per)
+
+
+def test_library_default_is_runs_reference_set(tmp_path):
+    # 2406 samples at 6 delays give N = 2400 rows, past the cap of 2048:
+    # run's default and the library's both take every second delay vector
+    path = tmp_path / "torus.csv"
+    write_csv(simulate(standard_testbed("pure_torus_2"), 2406, 1.0).series,
+              path)
+    config = build_config(dict(input=str(path), delays=6, num_eigen=40, L0=8))
+    want = fit(config).basis
+    emb = delay_embed(load_csv(path), 6)
+    got = decompose(emb, 0, 40)
+    assert got.reference_points == want.reference_points == 1200
+    assert np.array_equal(got.lam, want.lam)
+    assert np.array_equal(got.Phi, want.Phi)
+    assert got.epsilon == want.epsilon
+    for part, oracle in zip(got.sqdist_histogram, want.sqdist_histogram):
+        assert np.array_equal(part, oracle)
+    n = emb.n_points
+    assert gaussian_kernel(emb)[0].shape == (n, -(-n // -(-n // 2048)))
 
 
 @pytest.mark.parametrize("num_eigen", [595, 99999])

@@ -247,7 +247,7 @@ class TestDecompose:
         eps = 0.4 * pair_quantile(emb, 0.5)
         tracemalloc.start()
         try:
-            basis = decompose(emb, eps, L, stride)
+            basis = decompose(emb, eps, L, reference_points=-(-n // stride))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -344,6 +344,7 @@ class TestReferenceBasis:
     eigenfunctions keep all N rows."""
 
     N, STRIDE, L = 600, 3, 40
+    M = len(range(0, N, STRIDE))
 
     @pytest.fixture(scope="class")
     def emb(self):
@@ -352,7 +353,7 @@ class TestReferenceBasis:
     @pytest.fixture(scope="class")
     def strided(self, emb):
         eps = 0.4 * pair_quantile(emb, 0.5)
-        return decompose(emb, eps, self.L, self.STRIDE)
+        return decompose(emb, eps, self.L, reference_points=self.M)
 
     def test_leading_pair(self, strided):
         assert abs(strided.lam[0] - 1.0) <= 1e-10
@@ -360,12 +361,11 @@ class TestReferenceBasis:
         assert phi1.std() / abs(phi1.mean()) <= 1e-8
 
     def test_phi_orthonormal_over_all_rows(self, emb, strided):
-        m = len(range(0, self.N, self.STRIDE))
+        m = self.M
         q, gamma = nystrom_pair(emb, strided)
         assert strided.Phi.shape == (self.N, self.L)
         assert strided.reference_points == m
         assert gamma.shape == (m, self.L) and q.shape == (m,)
-        assert strided.stride == self.STRIDE
         gram = strided.Phi.T @ strided.Phi / self.N
         assert np.abs(gram - np.eye(self.L)).max() <= 1e-8
         gram = gamma.T @ gamma
@@ -374,7 +374,7 @@ class TestReferenceBasis:
     def test_dense_svd_oracle(self, emb, strided):
         import scipy.linalg
 
-        kt = gaussian_kernel(emb, strided.epsilon, self.STRIDE)[0]
+        kt = gaussian_kernel(emb, strided.epsilon, reference_points=self.M)[0]
         u, s, _ = np.linalg.svd(kt, full_matrices=False)
         rel = np.abs(strided.sigma - s[:self.L]) / s[:self.L]
         assert rel.max() <= 1e-10
@@ -401,7 +401,7 @@ class TestReferenceBasis:
         emb = embed_points(np.random.default_rng(3).standard_normal((50, 3)))
         with pytest.raises(DataError, match=r"L=26 out of range 1\.\.25 "
                                             r"\(25 reference points of 50\)"):
-            decompose(emb, 1.0, 26, 2)
+            decompose(emb, 1.0, 26, reference_points=25)
 
     def test_budget_is_n_m_plus_m_squared(self, monkeypatch):
         import qpdecomp.errors as errors_module
@@ -411,4 +411,4 @@ class TestReferenceBasis:
                             lambda: 1_000_000)
         # (1500 * 500 + 500^2) * 8 bytes
         with pytest.raises(DataError, match=r"need 8 MB, but only 1 MB"):
-            decompose(emb, 1.0, 10, 3)
+            decompose(emb, 1.0, 10, reference_points=500)
