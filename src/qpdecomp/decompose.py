@@ -1,6 +1,6 @@
-"""Fit the periodic component by least squares on the selected frequencies,
-fit the driven dynamics as a kernel average of residual successors, and run
-the standalone reconstruction system.
+"""Fit the periodic component by projecting onto the selected DFT bins, fit
+the driven dynamics as a kernel average of residual successors, and run the
+standalone reconstruction system.
 
 Time convention: every time is on the input's own clock, in seconds, and
 the periodic component is ``g_per(t) = Re sum_j (2 - delta_{j,1}) A[j]
@@ -10,17 +10,12 @@ model and out of it: :func:`fit_periodic` returns its residual as a series
 on the fit rows' clock, and :func:`reconstruct` starts from a sample of a
 series and places the run by that series' timestamps, through
 :func:`residual_windows`, the one place where a series meets a model and
-is checked against it.  The frequencies may be any finite, strictly
-increasing ones within [0, pi/dt] (:func:`check_frequencies`), and the fit
-is least squares on their cosine and sine columns, solved by conjugate
-gradients with :func:`evaluate_harmonics` as the operator.  On DFT bins of
-the N fit rows, as :func:`freqfilter.select` returns them, the columns are
-orthogonal, and the conjugate gradients' start, the projection, is the
-answer: the rFFT of the rows at the selected bins over N, halved at the
-Nyquist bin of even N, since the factor 2 counts a conjugate pair and that
-bin is its own conjugate.  The coefficients at the zero frequency and at
-pi/dt are real.  The fitted rows, the in-sample reconstruction and the free
-run all take g_per from :func:`evaluate_harmonics` on a uniform time grid.
+is checked against it.  The fitted frequencies are DFT bins of the N fit
+rows, as :func:`freqfilter.select` returns them, so the least-squares fit
+is the projection onto them, one rFFT of the rows.  A model's frequencies
+need only pass :func:`check_frequencies`.  The fitted rows, the in-sample
+reconstruction and the free run all take g_per from
+:func:`evaluate_harmonics` on a uniform time grid.
 
 The driven dynamics live in the residual r = y - g_per of the fit rows.  A
 window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
@@ -71,13 +66,8 @@ HELD_OUT = 0.15
 # normal float, some 1e-304 against the nearest window's weight 1, so no
 # average moves, and numpy's exp is slow on results that underflow.
 _LOG_WEIGHT_FLOOR = -700.0
-# The harmonic fit stops a channel when its preconditioned gradient falls to
-# _CG_TOL of the norm of its rows, and fails past _CG_ITERATIONS iterations.
-_CG_TOL = 1e-12
-_CG_ITERATIONS = 200
-# It warns when a channel's coefficients carry over _ENERGY_RATIO times the
-# energy of its rows, which on DFT bins is at most once (Bessel).
-_ENERGY_RATIO = 10.0
+# A fitted frequency within this relative distance of a DFT bin is that bin.
+_GRID_RTOL = 1e-9
 # A frequency within this relative distance of pi/dt is the top one: its
 # sine column vanishes on the samples, and its coefficient is real.
 _TOP_RTOL = 1e-12
@@ -93,21 +83,23 @@ class QPModel:
     """Fitted quasiperiodic + driven model: what the free run reads.
 
     ``omegas`` (m, kept as :func:`check_frequencies` returns them) and ``A``
-    (m x k) are the harmonics of the periodic component, and ``residual`` is
-    the training series less them, with its step, its channel names and its
-    own clock, whose t0 is A's phase reference.  Every ``stride``-th window
-    of ``CHAOS_DELAYS + 1`` residual samples that has a successor is kept,
-    the stride being :func:`kernel.reference_stride` of n, whatever the
-    kernel took (a rule of the code, like ``CHAOS_DELAYS``: changing it
-    bumps ``MODEL_FORMAT``): ``stride``, ``windows`` (one row per kept
-    window, embedding layout), ``sq``, their squared norms, and ``rows``,
-    the C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are
-    derived once, when the model is built.  ``epsilon`` is the map's
-    bandwidth.  Other shapes, ``omegas`` that fail :func:`check_frequencies`
-    on the residual's step, a non-finite entry of ``A``, a coefficient at 0
-    or pi/dt that is not real (:func:`real_frequencies`), a residual too
-    short for one window and its successor or an ``epsilon`` that is not
-    positive and finite are a :class:`DataError`.
+    (m x k, kept as a complex array) are the harmonics of the periodic
+    component, and ``residual`` is the training series less them, with its
+    step, its channel names and its own clock, whose t0 is A's phase
+    reference.  Every ``stride``-th window of ``CHAOS_DELAYS + 1`` residual
+    samples that has a successor is kept, the stride being
+    :func:`kernel.reference_stride` of n, whatever the kernel took (a rule
+    of the code, like ``CHAOS_DELAYS``: changing it bumps
+    ``MODEL_FORMAT``): ``stride``, ``windows`` (one row per kept window,
+    embedding layout), ``sq``, their squared norms, and ``rows``, the
+    C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are derived
+    once, when the model is built.  ``epsilon`` is the map's bandwidth.
+    Other shapes, ``omegas`` that fail :func:`check_frequencies` on the
+    residual's step, an ``A`` that does not convert to complex or is not
+    finite, a coefficient at 0 or pi/dt that is not real
+    (:func:`real_frequencies`), a residual too short for one window and its
+    successor or an ``epsilon`` that is not positive and finite are a
+    :class:`DataError`.
     """
 
     omegas: np.ndarray
@@ -122,6 +114,10 @@ class QPModel:
     def __post_init__(self):
         omegas = check_frequencies(self.omegas, self.dt, "model frequency")
         n, k, s = self.n, self.k, reference_stride(self.n)
+        try:
+            object.__setattr__(self, "A", np.asarray(self.A, dtype=complex))
+        except (TypeError, ValueError) as err:
+            raise DataError(f"model A is not a complex array: {err}") from None
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "stride", s)
         if self.A.shape != (len(omegas), k):
@@ -195,130 +191,59 @@ def real_frequencies(omegas, dt) -> np.ndarray:
 
 
 def fit_periodic(rows: TimeSeries, omegas):
-    """Least-squares harmonic fit of the series ``rows`` on the frequencies
+    """Least-squares harmonic fit of the series ``rows`` on the DFT bins
     ``omegas``: ``(A, residual)``.
 
-    The N rows at their offsets ``t = r*dt`` from the first row are fitted
-    on the columns ``[1, cos omega_j t, -sin omega_j t]``, whose real
-    coefficients are ``(2 - delta_{j,1}) (Re A_j, Im A_j)``; at omega = 0
-    and pi/dt the sine column vanishes on the samples and A_j is real.  The
-    normal equations are solved without forming them by conjugate gradients
-    (Hestenes & Stiefel, J. Res. NBS 1952; in the least-squares form of
-    Paige & Saunders, ACM TOMS 1982): the operator is
-    :func:`evaluate_harmonics`, its adjoint ``(2 - delta_{j,1}) sum_r
-    exp(-i omega_j t_r) r_r`` runs over the same table of step phases, and
-    the preconditioner is the diagonal that the DFT grid gives,
-    ``(2 - delta_{j,1})^2 N / 2``, twice that at the real frequencies.  The
-    start is that diagonal's projection, which on DFT bins
-    ``2*pi*j / (N*dt)``, whose columns are orthogonal, is the answer,
-    ``rfft(rows)[j] / N`` (halved at the Nyquist bin).  Each iteration
-    takes its gradient from the true residual, not a recursion, and a
-    channel stops when that gradient, in the preconditioner's norm, falls
-    to ``_CG_TOL`` of the norm of its rows.  The residual is returned:
-    ``rows`` less :func:`evaluate_harmonics` of A at the row offsets, on
-    the same clock, so its t0 is A's phase reference.  Coefficients whose
-    energy ``sum_j diag_j |A_jc|^2`` passes ``_ENERGY_RATIO`` times their
-    channel's ``sum_r y_rc^2`` cancel on the rows, and warn once; on DFT
-    bins the ratio is at most 1 (Bessel's inequality).
+    Each frequency is a bin ``2*pi*j / (N*dt)`` of the N rows, within a
+    relative ``_GRID_RTOL``, so the columns ``[1, cos omega t, -sin omega
+    t]`` at the row offsets ``t = r*dt`` are orthogonal and the fit is the
+    projection ``A_j = rfft(rows)[j] / N`` (m x k), halved at the Nyquist
+    bin of even N, since the factor 2 of g_per counts a conjugate pair and
+    that bin is its own conjugate; A_j is real at 0 and pi/dt.  The
+    residual is ``rows`` less :func:`evaluate_harmonics` of A at the row
+    offsets, on the same clock, so its t0 is A's phase reference.
 
     Raises
     ------
     DataError
-        ``omegas`` fails :func:`check_frequencies`, naming the entry, or
-        holds more real unknowns than the N rows.
-    NumericalError
-        A channel has not converged after ``_CG_ITERATIONS`` iterations,
-        naming the closest pair of frequencies against the grid spacing
-        ``2*pi / (N*dt)``.
+        ``omegas`` fails :func:`check_frequencies`, or an entry is not a
+        DFT bin (named with the nearest bin and the grid) or shares one.
     """
     n, dt = rows.n, rows.dt
     omegas = check_frequencies(omegas, dt)
-    real = real_frequencies(omegas, dt)
-    unknowns = 2 * len(omegas) - int(real.sum())
-    if unknowns > n:
-        raise DataError(f"{len(omegas)} frequencies hold {unknowns} real "
-                        f"unknowns, more than the {n} rows to fit")
-    y = rows.values
-    steps = _step_phases(omegas, dt, n)
-    conj = steps.conj()
-    weights = np.where(omegas == 0.0, 1.0, 2.0)
-    diag = (n * weights ** 2 * np.where(real, 1.0, 0.5))[:, None]
-
-    def apply(A):
-        return evaluate_harmonics(A, omegas, 0.0, dt, n, steps)
-
-    def adjoint(r):
-        g = np.zeros((len(omegas), r.shape[1]), dtype=complex)
-        for i in range(0, n, _BLOCK_ROWS):
-            block = r[i:i + _BLOCK_ROWS].T @ conj[:n - i]
-            g += np.exp(-1j * omegas * (i * dt))[:, None] * block.T
-        g *= weights[:, None]
-        g.imag[real] = 0.0
-        return g
-
-    def dot(a, b):
-        return np.einsum("jc,jc->c", a.conj(), b).real
-
-    what = f"the harmonic fit of {n} rows on {len(omegas)} frequencies"
-    pair = _closest_pair(omegas, n, dt)
-    A = adjoint(y) / diag
-    power = np.einsum("rc,rc->c", y, y)
-    floor = _CG_TOL ** 2 * power
-    for it in range(_CG_ITERATIONS + 1):
-        # each pass starts from the true residual, which is also returned
-        r = y - apply(A)
-        g = adjoint(r)
-        z = g / diag
-        fresh = dot(g, z)
-        active = fresh > floor
-        if not active.any():
-            ratio = dot(A, diag * A) / np.maximum(power, np.finfo(float).tiny)
-            c = int(np.argmax(ratio))
-            if ratio[c] > _ENERGY_RATIO:
-                warnings.warn(f"{what} puts {ratio[c]:.3g} times the energy "
-                              f"of channel {c}'s rows into its coefficients, "
-                              f"which cancel on the rows{pair}")
-            return A, replace(rows, values=r)
-        if it == _CG_ITERATIONS:
-            raise NumericalError(f"{what} did not converge in "
-                                 f"{_CG_ITERATIONS} iterations{pair}")
-        p = z if it == 0 else z + np.divide(
-            fresh, gamma, out=np.zeros_like(fresh), where=active) * p
-        q = apply(p)
-        A += np.divide(fresh, np.einsum("rc,rc->c", q, q),
-                       out=np.zeros_like(fresh), where=active) * p
-        gamma = fresh
-
-
-def _closest_pair(omegas, n, dt) -> str:
-    """The end of a harmonic fit's message: its closest pair of frequencies
-    against the grid spacing of n rows, when it has two."""
-    if len(omegas) < 2:
-        return ""
     spacing = 2.0 * np.pi / (n * dt)
-    j = int(np.argmin(np.diff(omegas)))
-    gap = omegas[j + 1] - omegas[j]
-    return (f": frequencies {j} and {j + 1} at {omegas[j]:.9g} and "
-            f"{omegas[j + 1]:.9g} rad/s lie {gap / spacing:.3g} grid spacings "
-            f"2*pi/(N*dt) = {spacing:.6g} rad/s apart")
+    bins = np.rint(omegas / spacing).astype(int)
+    nearest = 2.0 * np.pi * bins / (n * dt)
+    bad = np.flatnonzero(~np.isclose(omegas, nearest, _GRID_RTOL, 0.0))
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"frequency {j} at {omegas[j]:.9g} rad/s is not a DFT "
+                        f"bin of the {n} rows: the nearest is bin {bins[j]} "
+                        f"at {nearest[j]:.9g} rad/s, on the grid "
+                        f"2*pi*j/(N*dt) = j * {spacing:.9g} rad/s, "
+                        f"j = 0..{n // 2}")
+    bad = np.flatnonzero(np.diff(bins) == 0)
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"frequencies {j} and {j + 1} at {omegas[j]:.17g} and "
+                        f"{omegas[j + 1]:.17g} rad/s are both bin {bins[j]} of "
+                        f"the {n} rows")
+    A = np.fft.rfft(rows.values, axis=0)[bins] / n
+    if n % 2 == 0:
+        A[bins == n // 2] /= 2.0
+    fitted = evaluate_harmonics(A, omegas, 0.0, dt, n)
+    return A, replace(rows, values=rows.values - fitted)
 
 
-def _step_phases(omegas, dt, n):
-    """The table ``exp(i omega_j s dt)``, s < min(n, ``_BLOCK_ROWS``)."""
-    return np.exp(1j * np.outer(np.arange(min(n, _BLOCK_ROWS)) * dt, omegas))
-
-
-def evaluate_harmonics(A, omegas, t0, dt, n, steps=None):
+def evaluate_harmonics(A, omegas, t0, dt, n):
     """Re sum_j (2 - delta_{j,1}) A[j] exp(i omega_j t) at the n times
     ``t = t0 + r*dt``, (n, k): each block of ``_BLOCK_ROWS`` rows multiplies
-    one table of step phases ``exp(i omega_j s dt)``, s < ``_BLOCK_ROWS``
-    (``steps``, built here when not given), by the coefficients rotated to
-    its own start, so rounding does not grow with n.  It is the operator of
-    :func:`fit_periodic`, which passes the table its adjoint shares."""
+    one table of step phases ``exp(i omega_j s dt)``, s < ``_BLOCK_ROWS``, by
+    the coefficients rotated to its own start, so rounding does not grow
+    with n."""
     omegas = np.asarray(omegas, dtype=float)
     weighted = np.where(omegas == 0.0, 1.0, 2.0)[:, None] * A
-    if steps is None:
-        steps = _step_phases(omegas, dt, n)
+    steps = np.exp(1j * np.outer(np.arange(min(n, _BLOCK_ROWS)) * dt, omegas))
     out = np.empty((n, A.shape[1]))
     for i in range(0, n, _BLOCK_ROWS):
         anchor = np.exp(1j * omegas * (t0 + i * dt))

@@ -17,8 +17,6 @@ from qpdecomp.cli import main
 from qpdecomp.decompose import load_model, training_data_hash
 from qpdecomp.series import TimeSeries, load_csv
 
-from conftest import lstsq_harmonics
-
 SRC = str(Path(qpdecomp.__file__).resolve().parents[1])
 
 
@@ -506,29 +504,33 @@ def model_file(fitted_run):
 class TestDecomposeReconstructPredict:
 
     def test_off_grid_selection_exit_code(self, synth_csv, tmp_path,
-                                          monkeypatch):
-        # a selection whose top bin is nudged off the fit grid fits, and its
-        # A is dense least squares' on the fit rows
+                                          monkeypatch, capsys):
+        # a selection whose top bin is nudged off the fit grid is one
+        # DataError line naming that frequency, and exit 3
         import dataclasses
 
         from qpdecomp import freqfilter
 
         select = freqfilter.select
+        nudges = []
 
         def nudged(*args, **kwargs):
             sel = select(*args, **kwargs)
             omegas = sel.omegas.copy()
             omegas[-1] *= 1.0 + 1e-6
+            nudges.append((len(omegas) - 1, omegas[-1]))
             return dataclasses.replace(sel, omegas=omegas)
 
         monkeypatch.setattr(freqfilter, "select", nudged)
         model = tmp_path / "m.npz"
         assert run_cli(command_args("decompose", synth_csv[0], None,
-                                    model)) == 0
-        model = load_model(model)
-        rows = load_csv(synth_csv[0]).values[6:600]
-        lstsq = lstsq_harmonics(rows, model.omegas, model.dt)
-        assert np.abs(model.A - lstsq).max() <= 1e-12
+                                    model)) == 3
+        (j, omega), = nudges
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("qpdecomp: DataError: ")
+        assert f"frequency {j} at {omega:.9g} rad/s is not a DFT bin" in err[0]
+        assert not model.exists()
 
     def test_reconstruct_modes(self, fitted_run):
         # run writes the in-sample reconstruction that `reconstruct` wrote

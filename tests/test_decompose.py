@@ -1,5 +1,4 @@
 import contextlib
-import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -42,7 +41,6 @@ from qpdecomp.synth import simulate, standard_testbed
 
 from conftest import (
     direct_harmonics,
-    lstsq_harmonics,
     masked_irfft,
     pair_quantile,
     project,
@@ -248,24 +246,22 @@ class TestFitPeriodic:
         np.testing.assert_allclose(phase, np.arctan2(4.0, 3.0), rtol=1e-10)
 
     def test_residual_orthogonality_normal_equations(self):
-        # normal-equations oracle: design^T residual = 0 at the optimum, on
-        # DFT bins and between them
+        # normal-equations oracle: design^T residual = 0 at the optimum
         rng = np.random.default_rng(0)
         n, dt = 200, 0.5
         y = rng.standard_normal((n, 3))
         t = np.arange(n) * dt
-        for bins in ([0, 2, 5, 9], [0, 2.3, 5.5, 6.7, 9.1]):
-            omegas = TWO_PI * np.array(bins) / (n * dt)
-            _, residual = fit_rows(y, omegas, dt)
-            cols = [np.ones(n)]
-            for om in omegas[1:]:
-                cols += [np.cos(om * t), np.sin(om * t)]
-            G = np.stack(cols, 1)
-            assert np.abs(G.T @ residual).max() <= 1e-8
+        omegas = TWO_PI * np.array([0, 2, 5, 9]) / (n * dt)
+        _, residual = fit_rows(y, omegas, dt)
+        cols = [np.ones(n)]
+        for om in omegas[1:]:
+            cols += [np.cos(om * t), np.sin(om * t)]
+        G = np.stack(cols, 1)
+        assert np.abs(G.T @ residual).max() <= 1e-8
 
     def test_duplicate_bins_error_names_frequencies(self):
-        # an exactly repeated bin is named by its two entries; a near copy,
-        # which reaches the iteration cap, is test_input_contract's
+        # an exactly repeated bin is named by its two entries; a copy within
+        # the grid tolerance is test_bin_is_taken_within_the_grid_tolerance's
         n, dt = 40, 1.0
         y = np.random.default_rng(5).standard_normal((n, 1))
         omegas = TWO_PI * np.array([0.0, 2.0, 2.0]) / (n * dt)
@@ -299,19 +295,18 @@ class TestFitPeriodic:
             np.testing.assert_allclose(recon[:, 0], y[:, 0], atol=1e-9)
 
     def test_too_few_rows(self):
-        # bins chosen on a 200-row grid hold 7 real unknowns: 7 rows take
-        # them, exactly, and 5 rows cannot.  On 7 rows the bins lie 0.35
-        # grid spacings apart, and the exact fit's coefficients cancel
+        # bins chosen on a 200-row grid are not bins of 7 rows, whose grid
+        # they fall between: the first such one is named with its nearest
+        # bin.  Distinct bins of N rows never hold more than N unknowns
         omegas = TWO_PI * np.array([0, 10, 40, 80]) / 200
         y = np.random.default_rng(6).standard_normal((7, 2))
-        with pytest.warns(UserWarning, match=r"cancel on the rows: "
-                                             r"frequencies 0 and 1 .* lie "
-                                             r"0\.35 grid spacings"):
-            _, residual = fit_rows(y, omegas, 1.0)
-        assert np.abs(residual).max() <= 1e-9
-        with pytest.raises(DataError, match="4 frequencies hold 7 real "
-                                            "unknowns, more than the 5 rows"):
-            fit_rows(y[:5], omegas, 1.0)
+        with pytest.raises(DataError, match=r"^frequency 1 at 0\.314159265 "
+                                            r"rad/s is not a DFT bin of the 7 "
+                                            r"rows: the nearest is bin 0 at 0 "
+                                            r"rad/s, on the grid "
+                                            r"2\*pi\*j/\(N\*dt\) = j \* "
+                                            r"0\.897597901 rad/s, j = 0\.\.3$"):
+            fit_rows(y, omegas, 1.0)
 
     @pytest.mark.parametrize("omegas, error, message", [
         pytest.param([0.0, np.nan, 1.0], DataError, r"frequency 1 is nan, "
@@ -325,65 +320,26 @@ class TestFitPeriodic:
                      r"not above frequency 1 at 2 rad/s; the frequencies "
                      r"must be strictly increasing",
                      id="not-increasing"),
+        # 11 frequencies would hold 22 unknowns on 20 rows, but they are
+        # off the grid; distinct bins of N rows hold at most N unknowns
         pytest.param(TWO_PI * np.arange(11) / 40 + 0.01, DataError,
-                     r"11 frequencies hold 22 real unknowns, more than the "
-                     r"20 rows", id="more-unknowns-than-rows"),
-        pytest.param([0.0, 1.0, 1.0 + 1e-9], NumericalError,
-                     r"the harmonic fit of 20 rows on 3 frequencies did not "
-                     r"converge in 200 iterations: frequencies 1 and 2 at 1 "
-                     r"and 1 rad/s lie 3\.18e-09 grid spacings "
-                     r"2\*pi/\(N\*dt\) = 0\.314159 rad/s apart",
-                     id="near-duplicate-reaches-the-cap"),
+                     r"frequency 0 at 0\.01 rad/s is not a DFT bin of the 20 "
+                     r"rows: the nearest is bin 0 at 0 rad/s",
+                     id="more-unknowns-than-rows"),
     ])
     def test_input_contract(self, omegas, error, message):
         y = np.random.default_rng(7).standard_normal((20, 2))
         with pytest.raises(error, match=message):
             fit_rows(y, omegas, 1.0)
 
-    @staticmethod
-    def near_copy(gap):
-        """64 rows, ten frequencies 2.5 grid spacings apart, and a copy of
-        the fifth ``gap`` grid spacings above it."""
-        n = 64
-        base = TWO_PI / n * (1.0 + 2.5 * np.arange(10))
-        omegas = np.sort(np.append(base, base[4] + gap * TWO_PI / n))
-        return np.random.default_rng(0).standard_normal((n, 1)), omegas
-
-    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
-    def test_near_duplicate_frequencies_warn(self, gap):
-        # the fit converges, to coefficients that cancel on the rows: they
-        # carry some 184, 1.8e4 and 1.8e6 times the rows' energy, against
-        # at most 1 on DFT bins, and one warning names the pair
-        y, omegas = self.near_copy(gap)
-        with pytest.warns(UserWarning) as record:
-            fit_rows(y, omegas, 1.0)
-        assert len(record) == 1
-        assert re.fullmatch(
-            r"the harmonic fit of 64 rows on 11 frequencies puts \S+ times "
-            r"the energy of channel 0's rows into its coefficients, which "
-            r"cancel on the rows: frequencies 4 and 5 at \S+ and \S+ rad/s "
-            rf"lie {gap:g} grid spacings 2\*pi/\(N\*dt\) = 0\.0981748 "
-            r"rad/s apart", str(record[0].message))
-
-    @pytest.mark.parametrize("gap", [1.0, 0.3, 0.1])
-    def test_separated_frequencies_do_not_warn(self, gap):
-        # a copy 0.1 spacings or more away carries at most 2.6 times the
-        # rows' energy here
-        y, omegas = self.near_copy(gap)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit_rows(y, omegas, 1.0)
-
     def test_full_bin_lattice_reproduces_exactly(self):
         # inverse-DFT property: harmonic regression on all bins 0..N/2 is
-        # exact, and its coefficients carry the rows' energy, no warning
+        # exact
         rng = np.random.default_rng(1)
         n, dt = 256, 2.0
         y = rng.standard_normal((n, 2))
         omegas = TWO_PI * np.arange(n // 2 + 1) / (n * dt)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            A, residual = fit_rows(y, omegas, dt)
+        A, residual = fit_rows(y, omegas, dt)
         assert np.abs(residual).max() <= 1e-8
         recon = evaluate_harmonics(A, omegas, 0.0, dt, n)
         assert np.abs(recon - y).max() <= 1e-8
@@ -409,30 +365,46 @@ class TestFitPeriodic:
         rotated = A * np.exp(-1j * omegas * t0)[:, None]
         assert np.abs(rotated - A_qr).max() <= 1e-12 * scale
         assert np.abs(fitted - fitted_qr).max() <= 1e-12 * scale
-        # on DFT bins the fit is the masked rFFT of the rows
-        assert np.abs(A - rfft_harmonics(y, bins)).max() <= 1e-12 * scale
+        # the fit is the masked rFFT of the rows
+        np.testing.assert_array_equal(A, rfft_harmonics(y, bins))
         assert np.abs(fitted - masked_irfft(y, bins)).max() <= 1e-12 * scale
         np.testing.assert_array_equal(residual.values, y - fitted)
 
-    def test_off_grid_lattice_matches_lstsq(self):
+    def test_off_grid_lattice_is_refused(self):
         # pure_torus_2 at 4000 samples, whose drivers fall between the bins
-        # of 4000 rows: on its lattice frequencies |a| + |b| <= 3 the fit
-        # leaves rounding noise, A is dense least squares', and its
-        # coefficients carry about the rows' energy, no warning
+        # of 4000 rows: its lattice frequencies |a| + |b| <= 3 are no DFT
+        # bins, and the first nonzero one is named
         system = standard_testbed("pure_torus_2")
         y = simulate(system, 4000, 1.0).series
         w1, w2 = system.driver.omega
         omegas = np.unique([a * w1 + b * w2 for a in range(-3, 4)
                             for b in range(-3, 4)
                             if abs(a) + abs(b) <= 3 and a * w1 + b * w2 >= 0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            A, residual = fit_periodic(y, omegas)
-        assert np.sqrt(np.mean(residual.values ** 2)) <= 1e-10
-        assert np.abs(A - lstsq_harmonics(y.values, omegas, 1.0)).max() <= 1e-12
-        np.testing.assert_array_equal(
-            residual.values,
-            y.values - evaluate_harmonics(A, omegas, 0.0, 1.0, 4000))
+        assert omegas[0] == 0.0
+        with pytest.raises(DataError, match=r"^frequency 1 at \S+ rad/s is "
+                                            r"not a DFT bin of the 4000 rows"):
+            fit_periodic(y, omegas)
+
+    @pytest.mark.parametrize("n, dt", [(200, 0.5), (4076, 1.0), (63, 0.7)])
+    def test_bin_is_taken_within_the_grid_tolerance(self, n, dt):
+        # a bin computed in another operation order, j * (2*pi/(N*dt)), is
+        # the bin, and gives the projection's bits; the same bin off by a
+        # relative 1e-6 is refused, naming it and its nearest bin
+        y = np.random.default_rng(n).standard_normal((n, 2))
+        bins = np.array([0, 1, 7, n // 2 - 1, n // 2])
+        omegas = bins * (TWO_PI / (n * dt))
+        A, _ = fit_rows(y, omegas, dt)
+        np.testing.assert_array_equal(A, rfft_harmonics(y, bins))
+        nudged = omegas.copy()
+        nudged[2] *= 1.0 + 1e-6
+        with pytest.raises(DataError, match=rf"^frequency 2 at \S+ rad/s is "
+                                            rf"not a DFT bin of the {n} rows: "
+                                            rf"the nearest is bin 7 at "):
+            fit_rows(y, nudged, dt)
+        copy = np.insert(omegas, 3, omegas[2] * (1.0 + 1e-10))
+        with pytest.raises(DataError, match=r"^frequencies 2 and 3 at \S+ "
+                                            r"and \S+ rad/s are both bin 7 "):
+            fit_rows(y, copy, dt)
 
 
 class TestFitChaotic:
@@ -954,6 +926,29 @@ class TestModelRoundTrip:
         assert from_list.omegas.dtype == float
         np.testing.assert_array_equal(from_list.omegas, from_array.omegas)
         assert periodic_sup_bound(from_list) == periodic_sup_bound(from_array)
+
+    @pytest.mark.parametrize("omegas, A", [
+        pytest.param(np.zeros(0), np.zeros((0, 2)), id="no-harmonics"),
+        pytest.param([0.0, 0.5], np.array([[1.5, -0.5], [0.25, 2.0]]),
+                     id="real"),
+        pytest.param([0.0, 0.5], [[1.5, -0.5], [0.25 + 0.5j, 2.0]],
+                     id="list"),
+    ])
+    def test_real_and_list_coefficients_round_trip(self, omegas, A,
+                                                   tmp_path):
+        # the model keeps A as a complex array, which save_model writes and
+        # load_model reads back, so a real A loads and a list A has a shape
+        res = TimeSeries(logistic(40, 2), dt=1.0)
+        model = fit_chaotic(omegas, A, res)
+        assert model.A.dtype == complex
+        np.testing.assert_array_equal(model.A, np.asarray(A))
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        back = load_model(path)
+        np.testing.assert_array_equal(back.A, model.A)
+        assert back.epsilon == model.epsilon
+        np.testing.assert_array_equal(reconstruct(back, res, W, 20).values,
+                                      reconstruct(model, res, W, 20).values)
 
     def test_model_file_is_deterministic(self, torus_model, tmp_path):
         model, _ = torus_model

@@ -51,6 +51,12 @@ def infinite_from_step_5(theta, x):
 # name: (the call on the ctx fixture's objects, error class, the message
 # as a regular expression)
 GUARDS = {
+    # a model file's A is a complex array (load_model checks its kind); a
+    # caller's A is anything that converts to one
+    "model_A_not_numeric": (
+        lambda c: dc.QPModel(omegas=[0.0], A=[["one", "two"]],
+                             residual=c["ts"], epsilon=1.0),
+        DataError, r"model A is not a complex array: .+"),
     "reconstruct_no_steps": (
         lambda c: dc.reconstruct(c["model"], c["ts"], 3, 0),
         DataError, "n_steps must be >= 1, got 0"),
