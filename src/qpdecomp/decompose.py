@@ -22,10 +22,11 @@ window is ``CHAOS_DELAYS + 1`` consecutive residual samples (embedding
 layout, oldest first), and the map is the analog forecast of Zhao &
 Giannakis (Nonlinearity 2016): after a window y the next residual sample is
 ``g_chaos(y) = sum_m w_m r_{m+1} / sum_m w_m``, the kernel average of the
-successors r_{m+1} of the kept windows, every ``QPModel.stride``-th one,
-with w the Gaussian weights of y against them at the bandwidth that
-:func:`fit_chaotic` takes by held-out one-step error.  g_chaos is a convex
-combination of the successors, so the largest of them bounds it.
+successors r_{m+1} of the kept windows, every ceil(n / ``WINDOW_CAP``)-th
+of n (the map's own cap, not the kernel's), with w the Gaussian weights of
+y against them at the bandwidth that :func:`fit_chaotic` takes by held-out
+one-step error.  g_chaos is a convex combination of the successors, so the
+largest of them bounds it.
 
 g_chaos has one evaluator, :func:`eval_chaotic`, a block loop that the
 free run (a block of one) and the in-sample reconstruction share, and one
@@ -45,7 +46,6 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from .errors import DataError, NumericalError, check_memory, reading
-from .kernel import reference_stride
 from .series import TimeSeries, delay_embed, same_step
 
 MODEL_FORMAT = "qpdecomp-model-7"
@@ -62,6 +62,8 @@ CHAOS_DELAYS = 2
 # HELD_OUT share of the training residual (see fit_chaotic).
 EPSILON_LADDER = (1e-2, 1e-3, 1e-4)
 HELD_OUT = 0.15
+# The map keeps every ceil(n / WINDOW_CAP)-th window of n residual rows.
+WINDOW_CAP = 2048
 # Shifted log-weights below this floor weigh as if at it: exp of it is a
 # normal float, some 1e-304 against the nearest window's weight 1, so no
 # average moves, and numpy's exp is slow on results that underflow.
@@ -87,16 +89,16 @@ class QPModel:
     component, and ``residual`` is the training series less them, with its
     step, its channel names and its own clock, whose t0 is A's phase
     reference.  Every ``stride``-th window of ``CHAOS_DELAYS + 1`` residual
-    samples that has a successor is kept, the stride being
-    :func:`kernel.reference_stride` of n, whatever the kernel took (a rule
-    of the code, like ``CHAOS_DELAYS``: changing it bumps
-    ``MODEL_FORMAT``): ``stride``, ``windows`` (one row per kept window,
-    embedding layout), ``sq``, their squared norms, and ``rows``, the
-    C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are derived
-    once, when the model is built.  ``epsilon`` is the map's bandwidth.
-    Other shapes, ``omegas`` that fail :func:`check_frequencies` on the
-    residual's step, an ``A`` that does not convert to complex or is not
-    finite, a coefficient at 0 or pi/dt that is not real
+    samples that has a successor is kept, the stride being ceil(n /
+    ``WINDOW_CAP``), whatever the kernel took.  A file stores no stride, so
+    ``WINDOW_CAP`` is a rule of the format, like ``CHAOS_DELAYS``: changing
+    it bumps ``MODEL_FORMAT``.  ``stride``, ``windows`` (one row per kept
+    window, embedding layout), ``sq``, their squared norms, and ``rows``,
+    the C-ordered ``[successors^T; 1]`` of :func:`kernel_average`, are
+    derived once, when the model is built.  ``epsilon`` is the map's
+    bandwidth.  Other shapes, ``omegas`` that fail :func:`check_frequencies`
+    on the residual's step, an ``A`` that does not convert to complex or is
+    not finite, a coefficient at 0 or pi/dt that is not real
     (:func:`real_frequencies`), a residual too short for one window and its
     successor or an ``epsilon`` that is not positive and finite are a
     :class:`DataError`.
@@ -113,7 +115,7 @@ class QPModel:
 
     def __post_init__(self):
         omegas = check_frequencies(self.omegas, self.dt, "model frequency")
-        n, k, s = self.n, self.k, reference_stride(self.n)
+        n, k, s = self.n, self.k, -(-self.n // WINDOW_CAP)
         try:
             object.__setattr__(self, "A", np.asarray(self.A, dtype=complex))
         except (TypeError, ValueError) as err:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import decompose as dc
-from . import freqfilter, series, spectral
+from . import freqfilter, kernel, series, spectral
 from .errors import ConfigError, DataError, reading, writing, writing_dir
 # perfbench/tracer.py times every CSV write under this name
 from .series import write_table as _write_table
@@ -68,7 +68,7 @@ class PipelineConfig:
     max_gap_factor: float = 10.0
     delays: int = 20
     epsilon: float = 0.0                # 0: 1% quantile of squared distances
-    reference_points: int = 0           # 0: every ceil(N/2048)-th delay vector
+    reference_points: int = 0           # 0: at most kernel.REFERENCE_CAP
     num_eigen: int = 300
     eps1: float = 0.1
     eps2: float = 2.5
@@ -102,7 +102,7 @@ class PipelineConfig:
                               "derive it from the data)")
         if self.reference_points < 0:
             raise ConfigError("reference_points must be >= 0 (0 takes every "
-                              "ceil(N/2048)-th delay vector)")
+                              f"ceil(N/{kernel.REFERENCE_CAP})-th delay vector)")
         if self.num_eigen < 1:
             raise ConfigError("num_eigen must be >= 1")
         if not (self.eps1 > 0 and self.eps2 > 0):
@@ -131,8 +131,9 @@ KEY_HELP = {
                "default, takes the 1%% quantile of the squared delay "
                "distances",
     "reference_points": "kernel reference points: every ceil(N/M)-th delay "
-                        "vector; 0, the default, takes M = 2048, and any M "
-                        "of at least N keeps all N",
+                        "vector; 0, the default, takes M = "
+                        f"{kernel.REFERENCE_CAP}, and any M of at least N "
+                        "keeps all N",
     "predict_start": "first sample of the predict window; set both ends or "
                      "neither",
     "ma_windows": "moving-average windows of the prediction's error columns; "

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qpdecomp.decompose as dc
-from qpdecomp import TimeSeries, delay_embed, gaussian_kernel, kernel
+from qpdecomp import TimeSeries, delay_embed, gaussian_kernel
 from qpdecomp.cli import main as cli_main
 from qpdecomp.freqfilter import rkhs_norm_table, select
 from qpdecomp.pipeline import format_period, report_periods
@@ -257,10 +257,10 @@ class TestCriterion5DecompositionExactness:
 
             # at a bandwidth 1e-3 of the smallest squared distance between
             # kept windows, a query at each of them returns its successor;
-            # a reference cap of 150 keeps every second window of 300 rows
+            # a window cap of 150 keeps every second window of 300 rows
             resid = TimeSeries(rng.standard_normal((300, 3)), dt=dt)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "REFERENCE_CAP", 150)
+                patch.setattr(dc, "WINDOW_CAP", 150)
                 model = dc.fit_chaotic(np.zeros(0), np.zeros((0, 3)), resid)
                 wins = model.windows
                 d2 = ((wins[:, None] - wins[None]) ** 2).sum(axis=2)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qpdecomp.decompose as dc
 from qpdecomp import (
     DataError,
     NumericalError,
     TimeSeries,
     delay_embed,
-    kernel,
     window,
 )
 from qpdecomp.decompose import (
@@ -103,17 +103,17 @@ def qr_fit(Y, omegas, dt, t0=0.0):
 
 
 W = CHAOS_DELAYS + 1     # samples per residual window
-# a model keeps every ceil(n / kernel.REFERENCE_CAP)-th window: this cap
+# a model keeps every ceil(n / decompose.WINDOW_CAP)-th window: this cap
 # gives stride 3 at the 512 residual rows of fit_torus(515, 3)
 STRIDE_3_CAP = 171
 
 
 @contextlib.contextmanager
-def reference_cap(cap):
-    """A context in which ``kernel.REFERENCE_CAP`` is ``cap``: a model built
+def window_cap(cap):
+    """A context in which ``decompose.WINDOW_CAP`` is ``cap``: a model built
     there derives its ``stride`` from it, and keeps that stride."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "REFERENCE_CAP", cap)
+        patch.setattr(dc, "WINDOW_CAP", cap)
         yield
 
 
@@ -178,7 +178,7 @@ def with_chaos(model):
 def fit_torus(n, q, stride=1):
     """Eigenbasis of a bin-exact 2-torus series with q delays against every
     ``stride``-th point, the model fitted end to end on it (its windows at
-    the stride that ``kernel.REFERENCE_CAP`` gives), and the series."""
+    the stride that ``decompose.WINDOW_CAP`` gives), and the series."""
     n_emb, dt = n - q, 1.0
     omegas = [TWO_PI * 34 / n_emb, TWO_PI * 55 / n_emb]
     s = torus_series(n, omegas, mix_seed=7, n_channels=3, dt=dt)
@@ -462,7 +462,7 @@ class TestFitChaotic:
         # and the mean squared one-step error of each rung's average.  A
         # cap of 134 gives stride 3 at 400 rows
         if stride == 3:
-            monkeypatch.setattr(kernel, "REFERENCE_CAP", 134)
+            monkeypatch.setattr(dc, "WINDOW_CAP", 134)
         x = logistic(400, 2)
         res = TimeSeries(x, dt=1.0)
         model = fit_chaotic(np.zeros(0), np.zeros((0, 2)), res)
@@ -753,7 +753,7 @@ class TestReconstruct:
         residual the same model, one fitted at q = 0 and one at stride 3."""
         _, model, s = fitted_torus
         _, model0, s0 = fit_torus(515, 0)
-        with reference_cap(STRIDE_3_CAP):
+        with window_cap(STRIDE_3_CAP):
             strided = with_chaos(fit_torus(515, 3, stride=3)[1])
             assert (model0.n, strided.stride) == (515, 3)
         return {"torus": (model, s), "q0": (with_chaos(model0), s0),
@@ -779,7 +779,7 @@ class TestReconstruct:
         # built under a cap of STRIDE_3_CAP and read outside it, the model
         # keeps the stride of its windows: every third one
         model, _ = cases["strided"]
-        assert kernel.REFERENCE_CAP != STRIDE_3_CAP
+        assert dc.WINDOW_CAP != STRIDE_3_CAP
         assert model.stride == 3
         wins = delay_embed(model.residual, CHAOS_DELAYS).points
         np.testing.assert_array_equal(model.windows, wins[:-1:3])
@@ -894,6 +894,12 @@ class TestMovingAverage:
 
 
 class TestModelRoundTrip:
+    def test_window_cap_is_part_of_the_format(self):
+        # a model file stores no stride: loading derives it from n and
+        # WINDOW_CAP.  So a cap moved without a format bump would load every
+        # old model onto other windows, and no error would say so
+        assert (dc.MODEL_FORMAT, dc.WINDOW_CAP) == ("qpdecomp-model-7", 2048)
+
     def test_save_load_preserves_behaviour(self, chaos_model, torus_model,
                                            tmp_path):
         model = chaos_model
@@ -1004,7 +1010,7 @@ class TestReferenceModel:
 
     @pytest.fixture(scope="class")
     def strided(self):
-        with reference_cap(STRIDE_3_CAP):
+        with window_cap(STRIDE_3_CAP):
             basis, model, s = fit_torus(515, 3, stride=3)
             return basis, with_chaos(model), s
 
@@ -1012,7 +1018,7 @@ class TestReferenceModel:
     def stride_3(self, monkeypatch):
         # a model built here, as replace and load_model build one, takes
         # the same stride as the fixture's
-        monkeypatch.setattr(kernel, "REFERENCE_CAP", STRIDE_3_CAP)
+        monkeypatch.setattr(dc, "WINDOW_CAP", STRIDE_3_CAP)
 
     def test_in_sample_recalls_the_successors(self, strided):
         # at a bandwidth 1e-3 of the smallest squared distance between kept

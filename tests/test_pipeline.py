@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from qpdecomp import ConfigError, DataError, run_pipeline
+import qpdecomp.decompose as dc
+from qpdecomp import ConfigError, DataError, kernel, run_pipeline
 from qpdecomp.freqfilter import FrequencySelection, log_growth
 from qpdecomp.kernel import gaussian_kernel
 from qpdecomp.pipeline import (
@@ -325,7 +326,35 @@ def test_library_default_is_runs_reference_set(tmp_path):
     for part, oracle in zip(got.sqdist_histogram, want.sqdist_histogram):
         assert np.array_equal(part, oracle)
     n = emb.n_points
-    assert gaussian_kernel(emb)[0].shape == (n, -(-n // -(-n // 2048)))
+    assert gaussian_kernel(emb)[0].shape == (
+        n, -(-n // -(-n // kernel.REFERENCE_CAP)))
+
+
+def test_each_cap_moves_only_its_own_subsample(tmp_path, monkeypatch):
+    # 4096 samples at 20 delays give 4076 rows, past both caps of 2048: the
+    # kernel keeps every second delay vector (2038) and the map every
+    # second of the 4073 residual windows that have a successor (2037)
+    path = tmp_path / "logistic.csv"
+    write_csv(simulate(standard_testbed("torus_plus_logistic"), 4096,
+                       1.0).series, path)
+    config = build_config(dict(input=str(path), num_eigen=40, L0=5))
+    default = fit(config)
+    assert default.basis.reference_points == 2038
+    assert (default.model.stride, len(default.model.windows)) == (2, 2037)
+    dc.save_model(default.model, tmp_path / "model.npz")
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "REFERENCE_CAP", 1024)
+        got = fit(config)
+        assert got.basis.reference_points == 1019
+        assert (got.model.stride, len(got.model.windows)) == (2, 2037)
+        # a model saved under the default cap loads onto the same windows
+        back = dc.load_model(tmp_path / "model.npz")
+        assert np.array_equal(back.windows, default.model.windows)
+    with monkeypatch.context() as patch:
+        patch.setattr(dc, "WINDOW_CAP", 1024)
+        got = fit(config)
+        assert got.basis.reference_points == 2038
+        assert (got.model.stride, len(got.model.windows)) == (4, 1019)
 
 
 @pytest.mark.parametrize("num_eigen", [595, 99999])
